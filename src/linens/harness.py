@@ -172,7 +172,8 @@ def run_replication(cfg: ExperimentConfig, replication: int) -> RunRecord:
         summary.update(
             checks=monitor.checks,
             elliptical_sum=monitor.elliptical_sum,
-            elliptical_ok=(params.lam < 1) or monitor.elliptical_ok(),
+            # the cap presumes lambda >= 1; below that the check is disabled
+            elliptical_ok=monitor.elliptical_ok() if params.lam >= 1 else None,
             all_concentrated=monitor.all_concentrated,
             concentration_failures=monitor.concentration_failures,
             perturb_concentration_failures=monitor.perturb_concentration_failures,
@@ -252,8 +253,9 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
                 r.summary["all_concentrated"] for r in records
             )
             / len(records),
-            "elliptical_pass_rate": sum(r.summary["elliptical_ok"] for r in records)
-            / len(records),
+            "elliptical_pass_rate": None
+            if params.lam < 1
+            else sum(r.summary["elliptical_ok"] for r in records) / len(records),
             "concentration_rate": 1.0
             - sum(r.summary["concentration_failures"] for r in records) / total_checks,
             "perturb_concentration_rate": 1.0
@@ -265,6 +267,10 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
             / total_checks,
             "total_checks": total_checks,
         }
+        if params.lam < 1:
+            summary["monitors"]["elliptical_note"] = (
+                "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
+            )
     return summary
 
 
@@ -343,14 +349,7 @@ def run_equivalence_suite(
         env = LinearBanditEnv.random(
             cfg.env.dim, cfg.env.arm_count, noise, cfg.env.s_bound, env_rng
         )
-        params = ConfidenceParams(
-            sigma=cfg.env.sigma,
-            lam=cfg.policy.lam,
-            s_bound=cfg.env.s_bound,
-            dim=env.dim,
-            horizon=horizon,
-            delta=cfg.policy.delta,
-        )
+        params = confidence_params(cfg, env)
         spec = PerturbationSpec(cfg.policy.family, resolve_scale(cfg, params))
         stream_seed = mix_key(seed, TAG_POLICY)
         stream = PerturbationStream(stream_seed)
@@ -389,10 +388,7 @@ def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict
         reps = cfg.run.replications
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    records = []
-    for i in range(reps):
-        rec_cfg = cfg
-        records.append(_diagnosed_replication(rec_cfg, i))
+    records = [_diagnosed_replication(cfg, i) for i in range(reps)]
     total_checks = sum(r["checks"] for r in records)
     report = {
         "replications": reps,

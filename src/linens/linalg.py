@@ -56,13 +56,6 @@ class GramState:
         self.gram_inv = np.eye(self.dim) / self.lam
         self.step_count = 0
 
-    def copy(self) -> "GramState":
-        out = GramState(self.dim, self.lam)
-        out.gram = self.gram.copy()
-        out.gram_inv = self.gram_inv.copy()
-        out.step_count = self.step_count
-        return out
-
     def _check_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):

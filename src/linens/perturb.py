@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_ZERO4 = (0, 0, 0, 0)
 
 # stream purpose tags (first component of every key)
 TAG_INIT = 0xA1
@@ -35,12 +36,20 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_key(base_seed: int, *parts: int) -> int:
-    """Deterministically mix a base seed with integer key parts."""
-    h = _splitmix64(base_seed & _MASK64)
+def _fold(h: int, parts) -> int:
     for p in parts:
         h = _splitmix64(h ^ _splitmix64(p & _MASK64))
     return h
+
+
+def mix_key(base_seed: int, *parts: int) -> int:
+    """Deterministically mix a base seed with integer key parts."""
+    return _fold(_splitmix64(base_seed & _MASK64), parts)
+
+
+def _philox_key(h: int) -> tuple[int, int]:
+    """The 128-bit Philox key of a mixed hash, as two 64-bit words."""
+    return h, _splitmix64(h)
 
 
 def keyed_generator(base_seed: int, *parts: int) -> np.random.Generator:
@@ -49,8 +58,7 @@ def keyed_generator(base_seed: int, *parts: int) -> np.random.Generator:
     The key parts are folded into a 128-bit Philox key via splitmix64, so
     identical keys reproduce identical streams across runs and processes.
     """
-    h = mix_key(base_seed, *parts)
-    key = np.array([h, _splitmix64(h)], dtype=np.uint64)
+    key = np.array(_philox_key(mix_key(base_seed, *parts)), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -210,6 +218,13 @@ class PerturbationStream:
     perturbations for all models are produced as one vector per key;
     model ``j`` owns component ``j``, so a draw depends only on
     ``(base_seed, j, key)`` regardless of the ensemble size.
+
+    Short-lived draws (initial matrix, reward vectors, perturbed-history
+    draws) come from one Philox generator owned by the stream and reset to
+    counter 0 under each new key, which draws exactly what a fresh
+    ``keyed_generator(base_seed, tag, *key)`` would at a tenth of its cost.
+    That generator never leaves the stream; :meth:`generator` hands out
+    fresh, independent generators for long-lived uses.
     """
 
     def __init__(self, base_seed: int, keying: str = Keying.BY_STEP):
@@ -217,17 +232,35 @@ class PerturbationStream:
             raise ValueError(f"unknown keying mode {keying!r}")
         self.base_seed = int(base_seed)
         self.keying = keying
+        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._rng = np.random.Generator(self._bitgen)
+        self._prefix: dict[int, int] = {}  # tag -> mix_key(base_seed, tag)
 
     def generator(self, *parts: int) -> np.random.Generator:
         return keyed_generator(self.base_seed, *parts)
+
+    def _keyed(self, tag: int, *parts: int) -> np.random.Generator:
+        """The stream's own generator, reset to the fresh state of
+        ``keyed_generator(base_seed, tag, *parts)``."""
+        h = self._prefix.get(tag)
+        if h is None:
+            h = self._prefix[tag] = mix_key(self.base_seed, tag)
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": _philox_key(_fold(h, parts))},
+            "buffer": _ZERO4,
+            "buffer_pos": 4,  # buffer exhausted: the next draw computes block 0
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
     def initial_matrix(
         self, spec: PerturbationSpec, n_models: int, dim: int, lam: float
     ) -> np.ndarray:
         """(n_models, dim) matrix of initial perturbations; per-coordinate
         standard-deviation target is ``sqrt(lam) * scale``."""
-        rng = self.generator(TAG_INIT)
-        return math.sqrt(lam) * spec.sample(rng, (n_models, dim))
+        return math.sqrt(lam) * spec.sample(self._keyed(TAG_INIT), (n_models, dim))
 
     def initial_vector(
         self, spec: PerturbationSpec, model: int, dim: int, lam: float
@@ -247,9 +280,19 @@ class PerturbationStream:
     def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
         """(n_models,) vector of reward perturbations for one key."""
         parts = self._reward_key(key)
-        rng = self.generator(TAG_REWARD, *parts)
-        return spec.sample(rng, n_models)
+        return spec.sample(self._keyed(TAG_REWARD, *parts), n_models)
 
     def reward_perturbation(self, spec: PerturbationSpec, model: int, *key: int) -> float:
         """Reward perturbation of one model for one key."""
         return float(self.reward_vector(spec, model + 1, *key)[model])
+
+    def history_perturbation(
+        self, spec: PerturbationSpec, step: int, dim: int, n_rows: int, lam: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh perturbed-history draws for ``step``: the (dim,) prior
+        perturbation with standard-deviation target ``sqrt(lam) * scale``,
+        then one reward perturbation per history row, in that order from
+        the key ``(TAG_PHE, step)``."""
+        rng = self._keyed(TAG_PHE, step)
+        w = math.sqrt(lam) * spec.sample(rng, dim)
+        return w, spec.sample(rng, n_rows)

@@ -9,15 +9,13 @@ makes the cross-policy equality tests exact.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .backend import kernels
-from .linalg import GramState, Metric
+from .linalg import GramState
 from .perturb import (
-    TAG_PHE,
     ConfidenceParams,
     Keying,
     PerturbationSpec,
@@ -128,7 +126,6 @@ class EnsembleSampling(_RidgeBase):
         self.model_rng = model_rng
         self.s_vectors = stream.initial_matrix(spec, n_models, dim, lam)
         self.arm_counts: dict[int, int] = {}
-        self.last_model = -1
 
     def thetas(self) -> np.ndarray:
         """All ensemble estimators, shape (n_models, dim)."""
@@ -148,7 +145,6 @@ class EnsembleSampling(_RidgeBase):
         else:
             j = int(self.model_rng.integers(self.n_models))
         theta = self.model_theta(j)
-        self.last_model = j
         return Selection(argmax_smallest_index(arms @ theta), j, theta)
 
     def update(self, arm_index: int, x: np.ndarray, y: float) -> None:
@@ -176,7 +172,9 @@ class LinPHE(_RidgeBase):
     read from model ``t - 1`` of an m-model keyed stream instead of an
     independent per-step key. Against an ensemble run on the same stream
     with round-robin model choice, this reproduces the ensemble's draws
-    exactly and the two policies become the same algorithm.
+    exactly and the two policies become the same algorithm. Each step's
+    m-vector of reward perturbations is drawn once, in ``update``, and
+    kept, so a replay of T steps costs O(T) draws and O(T * m) floats.
     """
 
     def __init__(
@@ -199,6 +197,8 @@ class LinPHE(_RidgeBase):
         self._initial_cache: np.ndarray | None = None
         self._xs = np.empty((8, dim))
         self._ys = np.empty(8)
+        # row i: the shared stream's reward vector of step i + 1
+        self._zs = None if shared_model_axis is None else np.empty((8, shared_model_axis))
 
     @property
     def history_length(self) -> int:
@@ -208,6 +208,8 @@ class LinPHE(_RidgeBase):
         if self.step == self._xs.shape[0]:
             self._xs = np.concatenate([self._xs, np.empty_like(self._xs)])
             self._ys = np.concatenate([self._ys, np.empty_like(self._ys)])
+            if self._zs is not None:
+                self._zs = np.concatenate([self._zs, np.empty_like(self._zs)])
 
     def estimator(self, t: int) -> np.ndarray:
         """The freshly perturbed estimator for step ``t``."""
@@ -227,15 +229,13 @@ class LinPHE(_RidgeBase):
                     self.spec, m, self.dim, self.lam
                 )
             # accumulate in step order with the ensemble's exact draws so
-            # the float operations match the incremental path bit for bit
-            s = self._initial_cache[t - 1].copy()
-            for i in range(n):
-                z = self.stream.reward_vector(self.spec, m, i + 1)[t - 1]
-                s += self._xs[i] * (self._ys[i] + z)
+            # the float operations match the incremental path bit for bit:
+            # add.accumulate adds the rows one after another, where a sum
+            # or a matrix product would pair them
+            terms = self._xs[:n] * (self._ys[:n] + self._zs[:n, t - 1])[:, None]
+            s = np.add.accumulate(np.vstack([self._initial_cache[t - 1], terms]))[-1]
         else:
-            rng = self.stream.generator(TAG_PHE, t)
-            w = math.sqrt(self.lam) * self.spec.sample(rng, self.dim)
-            z = self.spec.sample(rng, n)
+            w, z = self.stream.history_perturbation(self.spec, t, self.dim, n, self.lam)
             s = w + self._xs[:n].T @ (self._ys[:n] + z)
         return self.gram.solve(np.ascontiguousarray(s))
 
@@ -248,6 +248,10 @@ class LinPHE(_RidgeBase):
         self._grow()
         self._xs[self.step] = x
         self._ys[self.step] = y
+        if self._zs is not None:
+            self._zs[self.step] = self.stream.reward_vector(
+                self.spec, self.shared_model_axis, self.step + 1
+            )
         self._observe(x, y)
 
 

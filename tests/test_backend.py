@@ -10,7 +10,10 @@ from linens import _kernels_py as pure
 
 from conftest import random_unit_ball
 
-compiled = pytest.importorskip("linens._kernels", reason="compiled extension not built")
+@pytest.fixture
+def compiled():
+    # only the agreement tests need the extension; selection runs without it
+    return pytest.importorskip("linens._kernels", reason="compiled extension not built")
 
 
 @pytest.fixture
@@ -40,7 +43,7 @@ class TestBackendSelection:
 
 
 class TestBackendAgreement:
-    def test_rank1_update_matches(self, rng, spd_state):
+    def test_rank1_update_matches(self, rng, spd_state, compiled):
         gram_a, inv_a = (m.copy() for m in spd_state)
         gram_b, inv_b = (m.copy() for m in spd_state)
         for _ in range(50):
@@ -52,7 +55,7 @@ class TestBackendAgreement:
         # both stay true inverses
         np.testing.assert_allclose(gram_b @ inv_b, np.eye(4), atol=1e-8)
 
-    def test_quad_form_matches(self, rng, spd_state):
+    def test_quad_form_matches(self, rng, spd_state, compiled):
         gram, _ = spd_state
         for _ in range(20):
             v = np.ascontiguousarray(rng.standard_normal(4))
@@ -61,7 +64,7 @@ class TestBackendAgreement:
             assert a == pytest.approx(b, rel=1e-12)
             assert b == pytest.approx(float(v @ gram @ v), rel=1e-10)
 
-    def test_accumulate_perturbed_matches(self, rng):
+    def test_accumulate_perturbed_matches(self, rng, compiled):
         s_a = rng.standard_normal((16, 5))
         s_b = s_a.copy()
         for _ in range(30):
@@ -71,7 +74,7 @@ class TestBackendAgreement:
             compiled.accumulate_perturbed(s_b, x, yz)
         np.testing.assert_allclose(s_a, s_b, atol=1e-12)
 
-    def test_accumulate_closed_form(self, rng):
+    def test_accumulate_closed_form(self, rng, compiled):
         s = np.zeros((3, 2))
         x = np.array([0.5, -0.25])
         yz = np.array([1.0, 2.0, -4.0])

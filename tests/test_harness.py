@@ -260,6 +260,23 @@ class TestMonteCarlo:
             "optimism_rate",
         ):
             assert 0.0 <= mon[key] <= 1.0
+        assert mon["elliptical_pass_rate"] == 1.0
+        assert "elliptical_note" not in mon
+
+    def test_elliptical_monitor_reported_disabled_below_unit_lambda(self, tmp_path):
+        # the elliptical cap presumes lambda >= 1; below it the check never
+        # runs and must read as disabled (null), not as passed
+        with pytest.warns(UserWarning, match="lambda"):
+            cfg = small_cfg(run__diagnostics="monitors", policy__lam=0.5)
+        records, summary = run_monte_carlo(cfg)
+        assert all(rec.summary["elliptical_ok"] is None for rec in records)
+        mon = summary["monitors"]
+        assert mon["elliptical_pass_rate"] is None
+        assert "disabled" in mon["elliptical_note"]
+        _, summary_path = emit_outputs(records, summary, tmp_path)
+        loaded = json.loads(summary_path.read_text())["monitors"]
+        assert loaded["elliptical_pass_rate"] is None
+        assert loaded["elliptical_note"] == mon["elliptical_note"]
 
     def test_two_batches_agree_statistically(self):
         # disjoint replication blocks of the same config: means differ by
@@ -326,6 +343,14 @@ class TestEquivalenceSuite:
         assert report.passed
         assert report.matches == 8
         assert report.failures == []
+
+    def test_shared_streams_match_at_long_horizon(self):
+        # the shared-axis replay draws each step's reward vector once, so the
+        # bit-identity can be checked far past criterion 1's T = 50
+        cfg = small_cfg(env__dim=4, env__arm_count=8, env__sigma=1.0, run__horizon=2000)
+        report = run_equivalence_suite(cfg, n_seeds=2)
+        assert report.failures == []
+        assert report.matches == 2
 
     def test_desynchronized_streams_diverge(self):
         # negative control: offsetting one stream must break the equality

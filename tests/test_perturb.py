@@ -6,6 +6,9 @@ import pytest
 
 from linens.perturb import (
     TAG_INIT,
+    TAG_NOISE,
+    TAG_PHE,
+    TAG_REWARD,
     ConfidenceParams,
     Keying,
     PerturbationFamily,
@@ -200,6 +203,62 @@ class TestKeyedStreams:
     def test_unknown_keying_rejected(self):
         with pytest.raises(ValueError):
             PerturbationStream(0, keying="nope")
+
+
+class TestReusedGenerator:
+    """A stream's short-lived draws reuse one generator reset under each
+    key; they must equal a fresh ``keyed_generator`` draw bit for bit.
+    Odd sizes leave half-used uint32 buffers (rademacher, binomial) behind,
+    which the next reset must clear."""
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_reward_vector_by_step(self, family):
+        spec = PerturbationSpec(family, 1.3)
+        stream = PerturbationStream(99)
+        for t, n in ((1, 33), (2, 7), (2, 1), (17, 64)):
+            want = spec.sample(keyed_generator(99, TAG_REWARD, t), n)
+            np.testing.assert_array_equal(stream.reward_vector(spec, n, t), want)
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_reward_vector_by_arm_count(self, family):
+        spec = PerturbationSpec(family, 0.7)
+        stream = PerturbationStream(3, keying=Keying.BY_ARM_COUNT)
+        for arm, count, n in ((0, 1, 9), (2, 1, 4), (0, 2, 31)):
+            want = spec.sample(keyed_generator(3, TAG_REWARD, arm, count), n)
+            np.testing.assert_array_equal(stream.reward_vector(spec, n, arm, count), want)
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_initial_matrix(self, family):
+        spec = PerturbationSpec(family, 0.9)
+        stream = PerturbationStream(5)
+        stream.reward_vector(spec, 3, 1)  # leave the generator mid-stream
+        want = math.sqrt(2.0) * spec.sample(keyed_generator(5, TAG_INIT), (7, 3))
+        np.testing.assert_array_equal(stream.initial_matrix(spec, 7, 3, 2.0), want)
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_history_perturbation_splits_one_key(self, family):
+        spec = PerturbationSpec(family, 1.1)
+        stream = PerturbationStream(8)
+        for step, n in ((1, 0), (4, 3), (9, 8)):
+            g = keyed_generator(8, TAG_PHE, step)
+            want_w = math.sqrt(1.5) * spec.sample(g, 3)
+            want_z = spec.sample(g, n)
+            w, z = stream.history_perturbation(spec, step, 3, n, 1.5)
+            np.testing.assert_array_equal(w, want_w)
+            np.testing.assert_array_equal(z, want_z)
+
+    def test_long_lived_generator_unaffected_by_short_lived_draws(self):
+        spec = PerturbationSpec(PerturbationFamily.RADEMACHER, 1.0)
+        stream = PerturbationStream(21)
+        ref = keyed_generator(21, TAG_NOISE, 4)
+        want = np.concatenate([ref.integers(0, 2, size=5), ref.standard_normal(4)])
+        g = stream.generator(TAG_NOISE, 4)
+        a = g.integers(0, 2, size=5)  # odd count: g keeps a buffered uint32
+        stream.reward_vector(spec, 3, 1)
+        stream.history_perturbation(spec, 2, 2, 1, 1.0)
+        stream.initial_matrix(spec, 2, 2, 1.0)
+        b = g.standard_normal(4)
+        np.testing.assert_array_equal(np.concatenate([a, b]), want)
 
 
 class TestPerturbationSpec:
