@@ -1,7 +1,10 @@
-"""Pure numpy implementations of the per-step simulation kernels.
+"""Numpy implementations of the per-step simulation kernels.
 
-These mirror the compiled extension in ``_kernels.pyx``; the active
-implementation is chosen in :mod:`linens.backend`.
+Every argument carries a leading batch shape, ``()`` for one replication
+or ``(R,)`` for R replications stepped in lockstep. A batched call is the
+serial numpy call with the batch axis in front (stacked ``np.matmul``,
+broadcast elementwise products), which numpy evaluates item by item through
+the serial kernel, so each replication gets the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -17,17 +20,18 @@ def rank1_update(gram: np.ndarray, gram_inv: np.ndarray, x: np.ndarray) -> None:
     ``gram`` gains ``x x^T``; ``gram_inv`` is corrected with the rank-1
     inverse identity so it stays the inverse of ``gram``.
     """
-    gram += np.outer(x, x)
-    u = gram_inv @ x
-    denom = 1.0 + float(x @ u)
-    gram_inv -= np.outer(u, u) / denom
+    col, row = x[..., :, None], x[..., None, :]
+    gram += col * row
+    u = np.matmul(gram_inv, col)
+    denom = 1.0 + np.matmul(row, u)
+    gram_inv -= (u * u.swapaxes(-1, -2)) / denom
 
 
-def quad_form(mat: np.ndarray, v: np.ndarray) -> float:
+def quad_form(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Return ``v^T mat v``."""
-    return float(v @ (mat @ v))
+    return np.matmul(v[..., None, :], np.matmul(mat, v[..., :, None]))[..., 0, 0]
 
 
 def accumulate_perturbed(s: np.ndarray, x: np.ndarray, yz: np.ndarray) -> None:
     """Add ``x * yz[j]`` to row ``j`` of ``s``, for every row."""
-    s += yz[:, None] * x[None, :]
+    s += yz[..., :, None] * x[..., None, :]

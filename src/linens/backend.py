@@ -1,20 +1,16 @@
-"""Kernel backend selection.
+"""Kernel backend.
 
-The compiled extension is used when available; set ``LINENS_FORCE_PURE=1``
-to force the numpy fallback (useful for benchmarking and debugging).
+The per-step kernels take a leading replication axis (see
+:mod:`linens._kernels_py`). The compiled extension built from
+``_kernels.pyx`` steps one replication at a time, so it cannot serve the
+lockstep engine and is no longer selected; ``HAVE_COMPILED_KERNELS`` is
+therefore always false. ``LINENS_FORCE_PURE`` is still accepted and has
+no effect.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("LINENS_FORCE_PURE"):
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
+from . import _kernels_py as kernels
 
 HAVE_COMPILED_KERNELS: bool = kernels.IS_COMPILED
 

@@ -128,6 +128,16 @@ class ExperimentConfig:
                 raise ValueError("explicit arm mode requires env.arms")
             if not e.theta_star:
                 raise ValueError("explicit arm mode requires env.theta_star")
+            if e.arm_count != len(e.arms):
+                raise ValueError(
+                    f"env.arm_count = {e.arm_count} but env.arms has {len(e.arms)} rows"
+                )
+            if any(len(row) != e.dim for row in e.arms):
+                raise ValueError(f"every row of env.arms must have env.dim = {e.dim} entries")
+            if len(e.theta_star) != e.dim:
+                raise ValueError(
+                    f"env.theta_star has {len(e.theta_star)} entries, env.dim is {e.dim}"
+                )
         return self
 
     def to_dict(self) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import LinearBanditEnv
-from .linalg import GramState, Metric
+from .linalg import GramState, Metric, dot, matvec, pick, unwrap
 from .perturb import ConfidenceParams, beta, gamma_tilde
 from .policies import Selection, _RidgeBase
 
@@ -93,6 +93,9 @@ def check_optimism_sufficiency(
 
 @dataclass
 class StepDiagnostics:
+    """One step's event indicators; arrays over the replications of a
+    batch."""
+
     t: int
     beta_prev: float
     concentration_ok: bool
@@ -107,30 +110,33 @@ class StepMonitor:
     """Per-replication monitor of the theory-level events.
 
     Reads the hidden parameter by simulator privilege; policies never
-    receive a reference to it.
+    receive a reference to it. With ``batch = R`` it watches the R
+    replications of a lockstep batch, and its counters are ``(R,)`` arrays.
     """
 
     env: LinearBanditEnv
     params: ConfidenceParams
     track_ensemble_fraction: bool = False
-    elliptical_sum: float = 0.0
+    batch: int | None = None
     checks: int = 0
-    concentration_failures: int = 0
-    perturb_concentration_failures: int = 0
-    anti_conc_hits: int = 0
-    optimism_hits: int = 0
-    all_concentrated: bool = True
     ensemble_fractions: list = field(default_factory=list)
 
     def __post_init__(self):
+        self._shape = shape = () if self.batch is None else (self.batch,)
+        zeros = np.zeros(shape, dtype=np.int64)
+        self.elliptical_sum = unwrap(np.zeros(shape))
+        self.concentration_failures = unwrap(zeros)
+        self.perturb_concentration_failures = unwrap(zeros)
+        self.anti_conc_hits = unwrap(zeros)
+        self.optimism_hits = unwrap(zeros)
         self._gamma_tilde = gamma_tilde(self.params)
-        self._x_star = self.env.arms[self.env.optimal_arm_index]
+        self._x_star = self.env.arm(self.env.optimal_arm_index)
         self._optimal_value = self.env.optimal_value
         # step-0 concentration: the ridge estimate is zero, so the deviation
         # is sqrt(lam) * ||theta*|| which the radius covers by construction
-        dev0 = math.sqrt(self.params.lam) * float(np.linalg.norm(self.env.theta_star))
-        if dev0 > beta(self.params, 0):
-            self.all_concentrated = False
+        theta_star = self.env.theta_star
+        dev0 = math.sqrt(self.params.lam) * np.sqrt(dot(theta_star, theta_star))
+        self.all_concentrated = unwrap(np.broadcast_to(dev0 <= beta(self.params, 0), shape))
 
     @property
     def gamma_tilde_value(self) -> float:
@@ -145,6 +151,7 @@ class StepMonitor:
         t = gram.step_count + 1
         beta_prev = beta(self.params, t - 1)
         theta_hat = policy.ridge_estimate()
+        x_star = np.broadcast_to(self._x_star, theta_hat.shape)
 
         ridge_dev = gram.weighted_norm(theta_hat - self.env.theta_star, Metric.GRAM)
         concentration_ok = ridge_dev <= beta_prev
@@ -155,29 +162,35 @@ class StepMonitor:
 
         # u^T Z equals x*^T theta_tilde and ||u|| equals the inverse-Gram
         # norm of x*, so the directional event needs no materialized vectors
-        x_star_width = gram.weighted_norm(self._x_star, Metric.GRAM_INV)
-        directional = float(self._x_star @ theta_tilde)
+        x_star_width = gram.weighted_norm(x_star, Metric.GRAM_INV)
+        directional = dot(x_star, theta_tilde)
         anti_conc_ok = directional >= beta_prev * x_star_width
 
-        chosen = arms[selection.arm_index]
-        optimism_margin = float(chosen @ selection.theta) - self._optimal_value
+        chosen = pick(arms, selection.arm_index, 2)
+        optimism_margin = dot(chosen, selection.theta) - self._optimal_value
         optimism_ok = optimism_margin >= 0.0
 
-        if concentration_ok and anti_conc_ok and optimism_margin < -_IMPLICATION_SLACK:
+        broken = concentration_ok & anti_conc_ok & (optimism_margin < -_IMPLICATION_SLACK)
+        if np.any(broken):
+            at = np.unravel_index(np.argmax(broken), np.shape(broken))
             raise InvariantViolation(
                 "optimism implication failed at step "
-                f"{t}: margin {optimism_margin}, ridge deviation {ridge_dev}, "
-                f"directional value {directional}"
+                f"{t}: margin {optimism_margin[at]}, ridge deviation "
+                f"{np.asarray(ridge_dev)[at]}, directional value {directional[at]}"
             )
 
         width = gram.weighted_norm(chosen, Metric.GRAM_INV)
-        self.elliptical_sum += width * width
+        self.elliptical_sum = self.elliptical_sum + width * width
         self.checks += 1
-        self.concentration_failures += not concentration_ok
-        self.all_concentrated &= concentration_ok
-        self.perturb_concentration_failures += not perturb_concentration_ok
-        self.anti_conc_hits += anti_conc_ok
-        self.optimism_hits += optimism_ok
+        self.concentration_failures = (
+            self.concentration_failures + np.logical_not(concentration_ok)
+        )
+        self.all_concentrated = self.all_concentrated & concentration_ok
+        self.perturb_concentration_failures = (
+            self.perturb_concentration_failures + np.logical_not(perturb_concentration_ok)
+        )
+        self.anti_conc_hits = self.anti_conc_hits + anti_conc_ok
+        self.optimism_hits = self.optimism_hits + optimism_ok
 
         if self.track_ensemble_fraction and hasattr(policy, "thetas"):
             self.ensemble_fractions.append(
@@ -199,19 +212,44 @@ class StepMonitor:
         policy,
         theta_hat: np.ndarray,
         beta_prev: float,
-        x_star_width: float,
-    ) -> float:
+        x_star_width,
+    ):
         """Fraction of ensemble members that are both directionally
         anti-concentrated and within the perturbation radius."""
-        tilde_all = policy.thetas() - theta_hat
-        directional = tilde_all @ self._x_star
-        norms_sq = np.einsum("jd,de,je->j", tilde_all, policy.gram.gram, tilde_all)
-        hits = (directional >= beta_prev * x_star_width) & (
+        tilde_all = policy.thetas() - theta_hat[..., None, :]
+        directional = matvec(tilde_all, self._x_star)
+        norms_sq = np.einsum(
+            "...jd,...de,...je->...j", tilde_all, policy.gram.gram, tilde_all
+        )
+        hits = (directional >= beta_prev * np.asarray(x_star_width)[..., None]) & (
             norms_sq <= self._gamma_tilde**2
         )
-        return float(np.mean(hits))
+        return unwrap(np.mean(hits, axis=-1))
 
-    def elliptical_ok(self) -> bool:
+    def replication_summaries(self) -> list[dict]:
+        """Each replication's counters as plain Python values, in batch
+        order. ``elliptical_ok`` is None below lambda = 1, where the cap
+        does not apply and the check is disabled."""
+        counters = {
+            "elliptical_sum": self.elliptical_sum,
+            "elliptical_ok": self.elliptical_ok() if self.params.lam >= 1 else None,
+            "all_concentrated": self.all_concentrated,
+            "concentration_failures": self.concentration_failures,
+            "perturb_concentration_failures": self.perturb_concentration_failures,
+            "anti_conc_hits": self.anti_conc_hits,
+            "optimism_hits": self.optimism_hits,
+        }
+        if self.ensemble_fractions:
+            counters["min_ensemble_fraction"] = np.min(self.ensemble_fractions, axis=0)
+        columns = {
+            k: np.broadcast_to(v, self._shape).reshape(-1).tolist() for k, v in counters.items()
+        }
+        return [
+            {"checks": self.checks, **{k: values[i] for k, values in columns.items()}}
+            for i in range(len(columns["elliptical_sum"]))
+        ]
+
+    def elliptical_ok(self):
         """Whether the elliptical potential stayed under its cap (meaningful
         for lam >= 1)."""
         bound = elliptical_potential_bound(

@@ -3,13 +3,19 @@
 The environment holds the hidden parameter and generates noisy linear
 rewards; policies never see the hidden parameter. Regret is scored
 against the true optimal arm.
+
+One instance can serve every replication of a lockstep batch, or
+:meth:`LinearBanditEnv.stack` can give each replication its own: the
+arrays then carry a leading batch axis, ``(R, K, d)`` arms and so on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import matvec, pick, unwrap
 
 _NORM_SLACK = 1e-9
 
@@ -54,7 +60,8 @@ class LinearBanditEnv:
     """Fixed arm set, hidden parameter, and noisy linear rewards.
 
     All arms must lie in the unit ball and the hidden parameter's norm
-    must not exceed ``param_bound``.
+    must not exceed ``param_bound``. Arms of shape ``(R, K, d)`` with a
+    ``(R, d)`` parameter hold R instances, one per replication of a batch.
     """
 
     def __init__(
@@ -66,43 +73,58 @@ class LinearBanditEnv:
     ):
         arms = np.atleast_2d(np.asarray(arms, dtype=np.float64))
         theta_star = np.asarray(theta_star, dtype=np.float64)
-        if arms.ndim != 2 or arms.shape[0] < 1:
+        if arms.ndim not in (2, 3) or arms.shape[-2] < 1:
             raise ValueError("arms must be a non-empty (K, d) array")
-        if theta_star.shape != (arms.shape[1],):
+        if theta_star.shape != arms.shape[:-2] + arms.shape[-1:]:
             raise ValueError("theta_star dimension must match the arms")
         if param_bound <= 0:
             raise ValueError("param_bound must be positive")
-        norms = np.linalg.norm(arms, axis=1)
+        norms = np.linalg.norm(arms, axis=-1)
         if np.any(norms > 1.0 + _NORM_SLACK):
             raise ValueError("every arm must satisfy ||x|| <= 1")
-        if np.linalg.norm(theta_star) > param_bound + _NORM_SLACK:
+        if np.any(np.linalg.norm(theta_star, axis=-1) > param_bound + _NORM_SLACK):
             raise ValueError("||theta_star|| must not exceed param_bound")
         self.arms = arms
         self.theta_star = theta_star
         self.noise = noise
         self.param_bound = float(param_bound)
-        self.dim = arms.shape[1]
-        self.arm_count = arms.shape[0]
-        self._means = arms @ theta_star
+        self.dim = arms.shape[-1]
+        self.arm_count = arms.shape[-2]
+        self._means = matvec(arms, theta_star)
         # ties broken toward the smallest index (argmax returns the first max)
-        self.optimal_arm_index = int(np.argmax(self._means))
-        self.optimal_value = float(self._means[self.optimal_arm_index])
+        self.optimal_arm_index = unwrap(np.argmax(self._means, axis=-1))
+        self.optimal_value = unwrap(pick(self._means, self.optimal_arm_index, 1))
+
+    @classmethod
+    def stack(cls, envs: list["LinearBanditEnv"]) -> "LinearBanditEnv":
+        """One instance per replication of a batch, in the order given."""
+        return cls(
+            np.stack([e.arms for e in envs]),
+            np.stack([e.theta_star for e in envs]),
+            envs[0].noise,
+            envs[0].param_bound,
+        )
 
     def best_arm(self) -> tuple[int, float]:
         """Index and value of the arm maximizing the true mean reward."""
         return self.optimal_arm_index, self.optimal_value
 
-    def mean_reward(self, arm_index: int) -> float:
+    def arm(self, arm_index):
+        """The arm vectors at ``arm_index``, one per replication."""
         self._check_index(arm_index)
-        return float(self._means[arm_index])
+        return pick(self.arms, arm_index, 2)
+
+    def mean_reward(self, arm_index):
+        self._check_index(arm_index)
+        return unwrap(pick(self._means, arm_index, 1))
 
     def sample_reward(self, arm_index: int, rng: np.random.Generator) -> float:
         """Mean reward of the arm plus one noise draw from ``rng``."""
-        self._check_index(arm_index)
-        return float(self._means[arm_index]) + float(self.noise.sample(rng))
+        return self.mean_reward(arm_index) + float(self.noise.sample(rng))
 
-    def _check_index(self, arm_index: int) -> None:
-        if not 0 <= arm_index < self.arm_count:
+    def _check_index(self, arm_index) -> None:
+        index = np.asarray(arm_index)
+        if np.any((index < 0) | (index >= self.arm_count)):
             raise ValueError(f"arm index {arm_index} out of range [0, {self.arm_count})")
 
     @classmethod
@@ -128,15 +150,14 @@ class LinearBanditEnv:
 
 @dataclass
 class RegretLedger:
-    """Per-step and cumulative regret of one replication."""
+    """Cumulative regret of one replication, or of each replication of a
+    batch when ``arm_index`` has a batch axis."""
 
     env: LinearBanditEnv
-    per_step: list = field(default_factory=list)
     cumulative: float = 0.0
 
-    def record(self, arm_index: int) -> float:
-        """Append the regret of pulling ``arm_index``; returns the increment."""
+    def record(self, arm_index):
+        """Add the regret of pulling ``arm_index``; returns the increment."""
         gap = self.env.optimal_value - self.env.mean_reward(arm_index)
-        self.per_step.append(gap)
-        self.cumulative += gap
+        self.cumulative = self.cumulative + gap
         return gap

@@ -1,20 +1,26 @@
 """Experiment orchestration.
 
 Builds environments and policies from a configuration, runs seeded
-Monte-Carlo replications (serially or in a process pool), aggregates
-regret curves and monitor rates, and persists traces and summaries.
-Everything downstream of ``(config, base_seed)`` is deterministic;
-replication seeds derive from the base seed through a fixed 64-bit
-mixing function (see :func:`linens.perturb.mix_key`).
+Monte-Carlo replications, aggregates regret curves and monitor rates, and
+persists traces and summaries. Everything downstream of
+``(config, base_seed)`` is deterministic; replication seeds derive from the
+base seed through a fixed 64-bit mixing function (see
+:func:`linens.perturb.mix_key`).
+
+Replications run in lockstep batches: one interaction loop,
+:func:`interact`, steps a batched policy for every replication of a
+contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
+``sweep``, ``rates`` and ``equivalence`` all go through it; ``run.workers``
+only maps the fixed batches over a process pool, so no output depends on it.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,7 @@ from .perturb import (
     ConfidenceParams,
     PerturbationSpec,
     PerturbationStream,
+    StepDraws,
     beta,
     ensemble_size,
     gamma,
@@ -46,17 +53,49 @@ from .policies import (
     Sampler,
 )
 
-_FLOAT_FMT = "%.17g"
+#: Most replications stepped together in one lockstep batch.
+BATCH_SIZE = 256
+
+#: Per-step trace columns of a replication, in ``trace.csv`` order.
+TRACE_COLUMNS = ("arm", "model", "reward", "instant_regret", "cum_regret")
+
+#: Per-step monitor indicators, traced when diagnostics are on.
+FLAG_COLUMNS = ("conc_ok", "anticonc_ok", "optimism_ok")
+
+_COLUMN_DTYPES = {"arm": np.int64, "model": np.int64, **dict.fromkeys(FLAG_COLUMNS, bool)}
+
+#: Run settings that say where and how to run an experiment, not what it
+#: is; ``summary.json`` leaves them out of its config echo so that its bytes
+#: depend on the experiment alone.
+_UNECHOED_RUN_KEYS = ("out_dir", "workers")
 
 
 @dataclass
 class RunRecord:
-    """One replication's full trace and summary counters."""
+    """One replication's trace columns (one entry per step, ``t = 1..T``)
+    and summary counters."""
 
     replication: int
-    steps: list
+    columns: dict
     summary: dict
-    wall_time: float = 0.0
+
+
+def batches(replications: range) -> list[range]:
+    """Contiguous blocks of at most ``BATCH_SIZE`` replication indices."""
+    return [
+        replications[i : i + BATCH_SIZE] for i in range(0, len(replications), BATCH_SIZE)
+    ]
+
+
+def _map_batches(fn, blocks: list[range], workers: int) -> list:
+    """``fn`` over the blocks, in order; across processes when ``workers > 1``.
+    Workers are spawned, not forked: the parent may hold BLAS threads."""
+    if workers > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(blocks)), mp_context=get_context("spawn")
+        ) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(block) for block in blocks]
 
 
 def build_environment(cfg: ExperimentConfig) -> LinearBanditEnv:
@@ -101,93 +140,139 @@ def build_policy(
     cfg: ExperimentConfig,
     env: LinearBanditEnv,
     params: ConfidenceParams,
-    replication: int,
+    replication,
 ):
+    """The configured policy for one replication (an int), or for a batch of
+    replications (a range) stepped in lockstep."""
     p = cfg.policy
     base_seed = cfg.run.base_seed
+    batched = not isinstance(replication, (int, np.integer))
+    reps = list(replication) if batched else [replication]
+
+    def each(make):
+        items = [make(r) for r in reps]
+        return items if batched else items[0]
+
     scale = resolve_scale(cfg, params)
     spec = PerturbationSpec(p.family, scale)
-    stream = PerturbationStream(
-        mix_key(base_seed, TAG_REPLICATION, replication), keying=p.keying
-    )
+
+    def stream(r):
+        return PerturbationStream(mix_key(base_seed, TAG_REPLICATION, r), keying=p.keying)
+
+    def policy_rng(r):
+        return keyed_generator(base_seed, TAG_POLICY, r)
+
+    batch = len(reps) if batched else None
     if p.name == "ensemble":
-        model_rng = keyed_generator(base_seed, TAG_POLICY, replication)
         return EnsembleSampling(
             env.dim,
             p.lam,
             resolve_ensemble_size(cfg, params),
             spec,
-            stream,
+            each(stream),
             sampler=p.sampler,
-            model_rng=model_rng,
+            model_rng=each(policy_rng) if p.sampler == Sampler.UNIFORM else None,
         )
     if p.name == "phe":
-        return LinPHE(env.dim, p.lam, spec, stream)
+        return LinPHE(env.dim, p.lam, spec, each(stream))
     if p.name == "linucb":
         if p.linucb_bonus is not None:
-            return LinUCB(env.dim, p.lam, bonus=p.linucb_bonus)
-        return LinUCB(env.dim, p.lam, params=params)
+            return LinUCB(env.dim, p.lam, bonus=p.linucb_bonus, batch=batch)
+        return LinUCB(env.dim, p.lam, params=params, batch=batch)
     if p.name == "lints":
-        rng = keyed_generator(base_seed, TAG_POLICY, replication)
         lints_scale = p.lints_scale if p.lints_scale is not None else scale
-        return LinTS(env.dim, p.lam, lints_scale, rng)
+        return LinTS(env.dim, p.lam, lints_scale, each(policy_rng))
     if p.name == "greedy":
-        return GreedyRidge(env.dim, p.lam)
+        return GreedyRidge(env.dim, p.lam, batch=batch)
     raise ValueError(f"unknown policy {p.name!r}")
 
 
-def run_replication(cfg: ExperimentConfig, replication: int) -> RunRecord:
-    """Execute one full interaction; deterministic in (config, replication)."""
-    start = time.perf_counter()
+def interact(
+    policy,
+    env: LinearBanditEnv,
+    noise: StepDraws,
+    horizon: int,
+    monitor: StepMonitor | None = None,
+    columns: tuple = TRACE_COLUMNS,
+) -> tuple[dict, np.ndarray]:
+    """The interaction loop: step a batched policy for ``horizon`` steps.
+
+    Each step selects an arm per replication, lets the monitor (if any)
+    observe the pre-step state, draws the rewards (``noise`` yields one
+    noise value per replication and step), scores regret and updates the
+    policy. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
+    ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
+    cumulative regret of each replication.
+    """
+    shape = policy.batch_shape + (horizon,)
+    cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
+    ledger = RegretLedger(env)
+    arms = env.arms
+    for i in range(horizon):
+        sel = policy.select(arms)
+        diag = monitor.observe(policy, sel, arms) if monitor is not None else None
+        y = env.mean_reward(sel.arm_index) + noise.next()
+        instant = ledger.record(sel.arm_index)
+        policy.update(sel.arm_index, env.arm(sel.arm_index), y)
+        if cols:
+            step = {
+                "arm": sel.arm_index,
+                "model": sel.model_index,
+                "reward": y,
+                "instant_regret": instant,
+                "cum_regret": ledger.cumulative,
+            }
+            if diag is not None:
+                step.update(
+                    conc_ok=diag.concentration_ok,
+                    anticonc_ok=diag.anti_conc_ok,
+                    optimism_ok=diag.optimism_ok,
+                )
+            for name, col in cols.items():
+                col[:, i] = step[name]
+    return cols, ledger.cumulative
+
+
+def _noise_draws(env: LinearBanditEnv, keys: list[tuple]) -> StepDraws:
+    """Reward noise of each replication from its own keyed generator."""
+    return StepDraws([keyed_generator(*key) for key in keys], env.noise.sample)
+
+
+def run_batch(
+    cfg: ExperimentConfig, replications: range, trace: bool = True
+) -> list[RunRecord]:
+    """Run a block of replications in lockstep; deterministic in
+    (config, replication) whatever the block. Without ``trace`` the
+    records carry summaries only."""
     env = build_environment(cfg)
     params = confidence_params(cfg, env)
-    if env.dim != cfg.env.dim:
-        raise ValueError("environment dimension does not match configuration")
-    policy = build_policy(cfg, env, params, replication)
-    noise_rng = keyed_generator(cfg.run.base_seed, TAG_NOISE, replication)
-    diagnostics = cfg.run.diagnostics
+    policy = build_policy(cfg, env, params, replications)
+    noise = _noise_draws(env, [(cfg.run.base_seed, TAG_NOISE, r) for r in replications])
     monitor = None
-    if diagnostics != "off":
+    if cfg.run.diagnostics != "off":
         monitor = StepMonitor(
-            env, params, track_ensemble_fraction=(diagnostics == "full-trace")
+            env,
+            params,
+            track_ensemble_fraction=(cfg.run.diagnostics == "full-trace"),
+            batch=len(replications),
         )
-    ledger = RegretLedger(env)
-    steps = []
-    arms = env.arms
-    for _ in range(cfg.run.horizon):
-        sel = policy.select(arms)
-        diag = monitor.observe(policy, sel, arms) if monitor else None
-        y = env.sample_reward(sel.arm_index, noise_rng)
-        instant = ledger.record(sel.arm_index)
-        policy.update(sel.arm_index, arms[sel.arm_index], y)
-        row = [policy.step, sel.arm_index, sel.model_index, y, instant, ledger.cumulative]
-        if diag is not None:
-            row += [diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok]
-        steps.append(tuple(row))
-
-    summary = {
-        "final_regret": ledger.cumulative,
-    }
+    columns = TRACE_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
+    cols, regret = interact(policy, env, noise, cfg.run.horizon, monitor, columns)
+    summaries = [{"final_regret": r} for r in regret.tolist()]
     if monitor is not None:
-        summary.update(
-            checks=monitor.checks,
-            elliptical_sum=monitor.elliptical_sum,
-            # the cap presumes lambda >= 1; below that the check is disabled
-            elliptical_ok=monitor.elliptical_ok() if params.lam >= 1 else None,
-            all_concentrated=monitor.all_concentrated,
-            concentration_failures=monitor.concentration_failures,
-            perturb_concentration_failures=monitor.perturb_concentration_failures,
-            anti_conc_hits=monitor.anti_conc_hits,
-            optimism_hits=monitor.optimism_hits,
-        )
-        if monitor.ensemble_fractions:
-            summary["min_ensemble_fraction"] = min(monitor.ensemble_fractions)
-    return RunRecord(
-        replication=replication,
-        steps=steps,
-        summary=summary,
-        wall_time=time.perf_counter() - start,
-    )
+        for summary, counters in zip(summaries, monitor.replication_summaries()):
+            summary.update(counters)
+    return [
+        RunRecord(rep, {k: v[i] for k, v in cols.items()}, summary)
+        for i, (rep, summary) in enumerate(zip(replications, summaries))
+    ]
+
+
+def run_replications(cfg: ExperimentConfig, replications: range) -> list[RunRecord]:
+    """Run replications in their fixed batches, mapped over ``run.workers``."""
+    blocks = batches(replications)
+    results = _map_batches(partial(run_batch, cfg), blocks, cfg.run.workers)
+    return [record for block in results for record in block]
 
 
 def checkpoints(horizon: int) -> list[int]:
@@ -203,16 +288,26 @@ def checkpoints(horizon: int) -> list[int]:
 
 def run_monte_carlo(cfg: ExperimentConfig) -> tuple[list[RunRecord], dict]:
     """Run all replications and aggregate a deterministic summary table."""
-    reps = cfg.run.replications
-    worker = partial(run_replication, cfg)
-    if cfg.run.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
-            records = list(pool.map(worker, range(reps)))
-    else:
-        records = [worker(i) for i in range(reps)]
-    records.sort(key=lambda r: r.replication)
-    summary = aggregate(cfg, records)
-    return records, summary
+    records = run_replications(cfg, range(cfg.run.replications))
+    return records, aggregate(cfg, records)
+
+
+def monitor_rates(summaries: list[dict]) -> dict:
+    """Rates of the monitored events pooled over replications: the share of
+    replications concentrated at every step, and per-step rates."""
+    total_checks = sum(s["checks"] for s in summaries)
+
+    def pooled(key: str) -> int:
+        return sum(s[key] for s in summaries)
+
+    return {
+        "all_concentrated_rate": pooled("all_concentrated") / len(summaries),
+        "perturb_concentration_rate": 1.0
+        - pooled("perturb_concentration_failures") / total_checks,
+        "anti_conc_rate": pooled("anti_conc_hits") / total_checks,
+        "optimism_rate": pooled("optimism_hits") / total_checks,
+        "total_checks": total_checks,
+    }
 
 
 def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
@@ -220,7 +315,7 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     params = confidence_params(cfg, env)
     grid = checkpoints(cfg.run.horizon)
     cum = np.array(
-        [[rec.steps[t - 1][5] for t in grid] for rec in records], dtype=np.float64
+        [rec.columns["cum_regret"][np.array(grid) - 1] for rec in records], dtype=np.float64
     )
     per_checkpoint = []
     for i, t in enumerate(grid):
@@ -234,8 +329,11 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
                 "q90": float(np.quantile(col, 0.90)),
             }
         )
+    config = cfg.to_dict()
+    for key in _UNECHOED_RUN_KEYS:
+        del config["run"][key]
     summary = {
-        "config": cfg.to_dict(),
+        "config": config,
         "resolved_m": resolve_ensemble_size(cfg, params)
         if cfg.policy.name == "ensemble"
         else None,
@@ -247,57 +345,46 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         ),
     }
     if records and "checks" in records[0].summary:
-        total_checks = sum(r.summary["checks"] for r in records)
-        summary["monitors"] = {
-            "all_concentrated_rate": sum(
-                r.summary["all_concentrated"] for r in records
-            )
-            / len(records),
-            "elliptical_pass_rate": None
+        summaries = [r.summary for r in records]
+        monitors = monitor_rates(summaries)
+        monitors["concentration_rate"] = 1.0 - sum(
+            s["concentration_failures"] for s in summaries
+        ) / monitors["total_checks"]
+        monitors["elliptical_pass_rate"] = (
+            None
             if params.lam < 1
-            else sum(r.summary["elliptical_ok"] for r in records) / len(records),
-            "concentration_rate": 1.0
-            - sum(r.summary["concentration_failures"] for r in records) / total_checks,
-            "perturb_concentration_rate": 1.0
-            - sum(r.summary["perturb_concentration_failures"] for r in records)
-            / total_checks,
-            "anti_conc_rate": sum(r.summary["anti_conc_hits"] for r in records)
-            / total_checks,
-            "optimism_rate": sum(r.summary["optimism_hits"] for r in records)
-            / total_checks,
-            "total_checks": total_checks,
-        }
+            else sum(s["elliptical_ok"] for s in summaries) / len(summaries)
+        )
         if params.lam < 1:
-            summary["monitors"]["elliptical_note"] = (
+            monitors["elliptical_note"] = (
                 "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
             )
+        summary["monitors"] = monitors
     return summary
 
 
 def emit_outputs(
     records: list[RunRecord], summary: dict, out_dir: str | Path
 ) -> tuple[Path, Path]:
-    """Write the trace CSV and summary JSON; byte-stable for equal inputs."""
+    """Write the trace CSV, one replication at a time, and the summary
+    JSON; byte-stable for equal inputs."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         trace_path = out / "trace.csv"
         summary_path = out / "summary.json"
-        with_flags = bool(records) and len(records[0].steps[0]) > 6
-        header = "replication,t,arm,model,reward,instant_regret,cum_regret"
-        if with_flags:
-            header += ",conc_ok,anticonc_ok,optimism_ok"
-        lines = [header]
-        for rec in records:
-            for row in rec.steps:
-                base = (
-                    f"{rec.replication},{row[0]},{row[1]},{row[2]},"
-                    f"{_FLOAT_FMT % row[3]},{_FLOAT_FMT % row[4]},{_FLOAT_FMT % row[5]}"
+        names = TRACE_COLUMNS
+        if records and FLAG_COLUMNS[0] in records[0].columns:
+            names += FLAG_COLUMNS
+        fmt = "%d,%d,%d,%d,%.17g,%.17g,%.17g" + ",%d" * (len(names) - len(TRACE_COLUMNS))
+        with open(trace_path, "w") as fh:
+            fh.write("replication,t," + ",".join(names) + "\n")
+            for rec in records:
+                cols = [rec.columns[name].tolist() for name in names]
+                fh.writelines(
+                    fmt % (rec.replication, t, *row) + "\n"
+                    for t, row in enumerate(zip(*cols), start=1)
                 )
-                if with_flags:
-                    base += f",{int(row[6])},{int(row[7])},{int(row[8])}"
-                lines.append(base)
-        trace_path.write_text("\n".join(lines) + "\n")
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
@@ -320,17 +407,6 @@ class EquivalenceReport:
         return self.matches == self.seeds
 
 
-def _arm_sequence(policy, env: LinearBanditEnv, horizon: int, noise_rng) -> list[int]:
-    arms = env.arms
-    chosen = []
-    for _ in range(horizon):
-        sel = policy.select(arms)
-        y = env.sample_reward(sel.arm_index, noise_rng)
-        policy.update(sel.arm_index, arms[sel.arm_index], y)
-        chosen.append(sel.arm_index)
-    return chosen
-
-
 def run_equivalence_suite(
     cfg: ExperimentConfig, n_seeds: int = 50, desync: bool = False
 ) -> EquivalenceReport:
@@ -340,34 +416,57 @@ def run_equivalence_suite(
     ``desync`` deliberately offsets the perturbed-history stream; it exists
     as a negative control for the test itself and must report failures.
     """
-    horizon = cfg.run.horizon
+    blocks = batches(range(n_seeds))
+    results = _map_batches(
+        partial(_equivalence_batch, cfg, desync), blocks, cfg.run.workers
+    )
     report = EquivalenceReport(seeds=n_seeds, matches=0)
-    for s in range(n_seeds):
-        seed = mix_key(cfg.run.base_seed, TAG_REPLICATION, s)
-        env_rng = keyed_generator(seed, TAG_ENV)
-        noise = NoiseModel(cfg.env.noise_family, cfg.env.sigma)
-        env = LinearBanditEnv.random(
-            cfg.env.dim, cfg.env.arm_count, noise, cfg.env.s_bound, env_rng
-        )
-        params = confidence_params(cfg, env)
-        spec = PerturbationSpec(cfg.policy.family, resolve_scale(cfg, params))
-        stream_seed = mix_key(seed, TAG_POLICY)
-        stream = PerturbationStream(stream_seed)
-        es = EnsembleSampling(
-            env.dim, cfg.policy.lam, horizon, spec, stream, sampler=Sampler.ROUND_ROBIN
-        )
-        phe_stream = PerturbationStream(stream_seed + 1 if desync else stream_seed)
-        phe = LinPHE(
-            env.dim, cfg.policy.lam, spec, phe_stream, shared_model_axis=horizon
-        )
-        seq_es = _arm_sequence(es, env, horizon, keyed_generator(seed, TAG_NOISE))
-        seq_phe = _arm_sequence(phe, env, horizon, keyed_generator(seed, TAG_NOISE))
-        if seq_es == seq_phe:
-            report.matches += 1
-        else:
-            first = next(i for i, (a, b) in enumerate(zip(seq_es, seq_phe)) if a != b)
-            report.failures.append((s, first + 1, seq_es, seq_phe))
+    for block, (seq_es, seq_phe) in zip(blocks, results):
+        for s, a, b in zip(block, seq_es, seq_phe):
+            if np.array_equal(a, b):
+                report.matches += 1
+            else:
+                first = int(np.argmax(a != b))
+                report.failures.append((s, first + 1, a.tolist(), b.tolist()))
     return report
+
+
+def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
+    """Arm sequences of both policies for a block of seeds, each on its own
+    random instance: two ``(R, T)`` arrays."""
+    horizon = cfg.run.horizon
+    keys = [mix_key(cfg.run.base_seed, TAG_REPLICATION, s) for s in seeds]
+    noise = NoiseModel(cfg.env.noise_family, cfg.env.sigma)
+    envs = [
+        LinearBanditEnv.random(
+            cfg.env.dim, cfg.env.arm_count, noise, cfg.env.s_bound, keyed_generator(k, TAG_ENV)
+        )
+        for k in keys
+    ]
+    env = LinearBanditEnv.stack(envs)
+    params = confidence_params(cfg, env)
+    spec = PerturbationSpec(cfg.policy.family, resolve_scale(cfg, params))
+    stream_seeds = [mix_key(k, TAG_POLICY) for k in keys]
+    es = EnsembleSampling(
+        env.dim,
+        cfg.policy.lam,
+        horizon,
+        spec,
+        [PerturbationStream(k) for k in stream_seeds],
+        sampler=Sampler.ROUND_ROBIN,
+    )
+    phe = LinPHE(
+        env.dim,
+        cfg.policy.lam,
+        spec,
+        [PerturbationStream(k + 1 if desync else k) for k in stream_seeds],
+        shared_model_axis=horizon,
+    )
+    noise_keys = [(k, TAG_NOISE) for k in keys]
+    return tuple(
+        interact(policy, env, _noise_draws(env, noise_keys), horizon, columns=("arm",))[0]["arm"]
+        for policy in (es, phe)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +482,20 @@ def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict
     perturbation staying inside its radius, and, for ensemble runs under
     full-trace diagnostics, (c) the worst per-step fraction of ensemble
     members that are simultaneously anti-concentrated and concentrated.
+    Monitors run even when the configuration switches them off.
     """
     if reps is None:
         reps = cfg.run.replications
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    records = [_diagnosed_replication(cfg, i) for i in range(reps)]
-    total_checks = sum(r["checks"] for r in records)
-    report = {
-        "replications": reps,
-        "all_concentrated_rate": sum(r["all_concentrated"] for r in records) / reps,
-        "perturb_concentration_rate": 1.0
-        - sum(r["perturb_concentration_failures"] for r in records) / total_checks,
-        "anti_conc_rate": sum(r["anti_conc_hits"] for r in records) / total_checks,
-        "optimism_rate": sum(r["optimism_hits"] for r in records) / total_checks,
-        "total_checks": total_checks,
-    }
+    if cfg.run.diagnostics == "off":
+        cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
+    blocks = batches(range(reps))
+    results = _map_batches(partial(_batch_summaries, cfg), blocks, cfg.run.workers)
+    summaries = [summary for block in results for summary in block]
+    report = {"replications": reps, **monitor_rates(summaries)}
     fractions = [
-        r["min_ensemble_fraction"] for r in records if "min_ensemble_fraction" in r
+        s["min_ensemble_fraction"] for s in summaries if "min_ensemble_fraction" in s
     ]
     if fractions:
         threshold = p_n() / 4.0
@@ -411,27 +506,5 @@ def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict
     return report
 
 
-def _diagnosed_replication(cfg: ExperimentConfig, replication: int) -> dict:
-    env = build_environment(cfg)
-    params = confidence_params(cfg, env)
-    policy = build_policy(cfg, env, params, replication)
-    noise_rng = keyed_generator(cfg.run.base_seed, TAG_NOISE, replication)
-    monitor = StepMonitor(
-        env, params, track_ensemble_fraction=(cfg.run.diagnostics == "full-trace")
-    )
-    arms = env.arms
-    for _ in range(cfg.run.horizon):
-        sel = policy.select(arms)
-        monitor.observe(policy, sel, arms)
-        y = env.sample_reward(sel.arm_index, noise_rng)
-        policy.update(sel.arm_index, arms[sel.arm_index], y)
-    out = {
-        "checks": monitor.checks,
-        "all_concentrated": monitor.all_concentrated,
-        "perturb_concentration_failures": monitor.perturb_concentration_failures,
-        "anti_conc_hits": monitor.anti_conc_hits,
-        "optimism_hits": monitor.optimism_hits,
-    }
-    if monitor.ensemble_fractions:
-        out["min_ensemble_fraction"] = min(monitor.ensemble_fractions)
-    return out
+def _batch_summaries(cfg: ExperimentConfig, replications: range) -> list[dict]:
+    return [record.summary for record in run_batch(cfg, replications, trace=False)]

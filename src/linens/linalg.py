@@ -5,6 +5,15 @@
 rank-1 updates. The inverse is kept current with the Sherman-Morrison
 identity (O(d^2) per step) and re-derived from scratch every
 ``REINVERT_PERIOD`` updates to keep drift bounded.
+
+Arrays carry a leading batch shape: ``()`` for one replication and
+``(R,)`` for R replications stepped in lockstep. Each batched operation is
+the serial numpy call with the batch axis in front (stacked ``np.matmul``,
+batched ``np.linalg.inv``), which numpy evaluates item by item through the
+serial call's kernel, so a replication's numbers do not depend on the batch
+it runs in. Other forms of the same arithmetic (``einsum`` for a product,
+``(a * b).sum``, a matrix product against transposed arms, or
+``np.linalg.norm`` along an axis) may round differently and are not used.
 """
 
 from __future__ import annotations
@@ -25,6 +34,32 @@ INVERSE_TOL = 1e-8
 NORM_SLACK = 1e-9
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one per batch item (the BLAS dot
+    of the 1-d ``a @ b``)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``mat @ v`` per batch item (the BLAS gemv of the 2-d by 1-d product);
+    a 2-d ``mat`` serves every item."""
+    return np.matmul(mat, v[..., :, None])[..., 0]
+
+
+def pick(a: np.ndarray, index, core_ndim: int) -> np.ndarray:
+    """``a[index]`` for each batch item. ``a`` is one ``core_ndim``-d array
+    that serves every item, or has the batch shape of ``index`` in front."""
+    index = np.asarray(index)
+    if a.ndim == core_ndim:
+        return a[index]
+    return a[(*np.indices(index.shape, sparse=True), index)]
+
+
+def unwrap(a):
+    """A 0-d numpy result as a Python scalar; a batched result as it is."""
+    return a.item() if a.ndim == 0 else a
+
+
 class Metric(Enum):
     """Which matrix weights a quadratic form."""
 
@@ -41,25 +76,38 @@ class GramState:
         Ambient dimension ``d`` (>= 1).
     lam : float
         Regularization strength (> 0); the state starts at ``lam * I``.
+    batch : int, optional
+        Replications stepped together; ``gram`` is then ``(batch, d, d)``
+        and vectors are ``(batch, d)``. Without it the state is one
+        replication's and carries no batch axis.
     """
 
     __slots__ = ("dim", "lam", "gram", "gram_inv", "step_count")
 
-    def __init__(self, dim: int, lam: float):
+    def __init__(self, dim: int, lam: float, batch: int | None = None):
         if not isinstance(dim, (int, np.integer)) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         if not lam > 0:
             raise ValueError(f"lam must be positive, got {lam!r}")
+        if batch is not None and batch < 1:
+            raise ValueError(f"batch must be at least 1, got {batch!r}")
         self.dim = int(dim)
         self.lam = float(lam)
-        self.gram = np.eye(self.dim) * self.lam
-        self.gram_inv = np.eye(self.dim) / self.lam
+        shape = () if batch is None else (int(batch),)
+        self.gram = np.broadcast_to(np.eye(self.dim) * self.lam, shape + (dim, dim)).copy()
+        self.gram_inv = np.broadcast_to(np.eye(self.dim) / self.lam, shape + (dim, dim)).copy()
         self.step_count = 0
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.gram.shape[:-2]
 
     def _check_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of dimension {self.dim}, got shape {v.shape}")
+        if v.shape != self.gram.shape[:-1]:
+            raise ValueError(
+                f"expected vector of dimension {self.dim} per replication, got shape {v.shape}"
+            )
         return np.ascontiguousarray(v)
 
     def update(self, x: np.ndarray) -> None:
@@ -69,9 +117,11 @@ class GramState:
         allowed and still counts as a step.
         """
         x = self._check_vector(x)
-        norm = float(np.linalg.norm(x))
-        if norm > 1.0 + NORM_SLACK:
-            raise ValueError(f"update vector must satisfy ||x|| <= 1, got ||x|| = {norm}")
+        norm = np.sqrt(dot(x, x))
+        if (norm > 1.0 + NORM_SLACK).any():
+            raise ValueError(
+                f"update vector must satisfy ||x|| <= 1, got ||x|| = {norm.max()}"
+            )
         kernels.rank1_update(self.gram, self.gram_inv, x)
         self.step_count += 1
         if self.step_count % REINVERT_PERIOD == 0:
@@ -80,19 +130,19 @@ class GramState:
     def reinvert(self) -> None:
         """Recompute the inverse directly from the Gram matrix."""
         inv = np.linalg.inv(self.gram)
-        self.gram_inv = np.ascontiguousarray((inv + inv.T) / 2.0)
+        self.gram_inv = np.ascontiguousarray((inv + inv.swapaxes(-1, -2)) / 2.0)
 
-    def weighted_norm(self, v: np.ndarray, metric: Metric = Metric.GRAM) -> float:
+    def weighted_norm(self, v: np.ndarray, metric: Metric = Metric.GRAM):
         """Return ``sqrt(v^T M v)`` with ``M`` the Gram matrix or its inverse."""
         v = self._check_vector(v)
         mat = self.gram if metric is Metric.GRAM else self.gram_inv
-        return float(np.sqrt(max(kernels.quad_form(mat, v), 0.0)))
+        return unwrap(np.sqrt(np.maximum(kernels.quad_form(mat, v), 0.0)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return ``V^{-1} b`` using the maintained inverse."""
-        b = self._check_vector(b)
-        return self.gram_inv @ b
+        return matvec(self.gram_inv, self._check_vector(b))
 
     def inverse_drift(self) -> float:
-        """Max absolute entry of ``gram @ gram_inv - I`` (consistency check)."""
+        """Max absolute entry of ``gram @ gram_inv - I`` over the batch
+        (consistency check)."""
         return float(np.max(np.abs(self.gram @ self.gram_inv - np.eye(self.dim))))

@@ -296,3 +296,34 @@ class PerturbationStream:
         rng = self._keyed(TAG_PHE, step)
         w = math.sqrt(lam) * spec.sample(rng, dim)
         return w, spec.sample(rng, n_rows)
+
+
+#: Steps that a :class:`StepDraws` draws from its generators at a time.
+DRAW_BLOCK = 64
+
+
+class StepDraws:
+    """Per-step values from long-lived generators, one per replication.
+
+    ``draw(rng, n)`` returns ``n`` steps' values from one generator. They
+    are drawn ``DRAW_BLOCK`` steps at a time; a generator fills a sized
+    draw value by value, so :meth:`next` yields exactly what one call per
+    step would. The generators are read ahead and must not be shared.
+    ``batched`` keeps the leading replication axis; without it there is
+    one generator and no such axis.
+    """
+
+    def __init__(self, rngs: list, draw, batched: bool = True):
+        self._rngs = rngs
+        self._draw = draw
+        self._batched = batched
+        self._block = np.empty((0,))
+        self._pos = 0
+
+    def next(self) -> np.ndarray:
+        if self._pos == len(self._block):
+            self._block = np.stack([self._draw(g, DRAW_BLOCK) for g in self._rngs], axis=1)
+            self._pos = 0
+        values = self._block[self._pos]
+        self._pos += 1
+        return values if self._batched else values[0]

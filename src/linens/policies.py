@@ -5,6 +5,13 @@ the chosen arm (plus the estimator used, for diagnostics), and
 ``update(arm_index, x, y)`` folds one observation into the state.
 Argmax ties are broken toward the smallest arm index everywhere, which
 makes the cross-policy equality tests exact.
+
+A policy steps one replication, or a batch of R replications in lockstep
+when it is given a list of R per-replication streams or generators (or
+``batch=R`` when it has none). Batched, every array gains a leading axis of
+length R and ``select``/``update`` take and return one arm, reward and
+estimator per replication; see :mod:`linens.linalg` for why each
+replication's numbers are the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .backend import kernels
-from .linalg import GramState
+from .linalg import GramState, matvec, pick, unwrap
 from .perturb import (
     ConfidenceParams,
     Keying,
     PerturbationSpec,
     PerturbationStream,
+    StepDraws,
     beta,
 )
 
@@ -38,14 +46,22 @@ class Sampler:
 
 
 class Selection(NamedTuple):
-    arm_index: int
+    arm_index: int  # an (R,) array when batched
     model_index: int  # -1 for non-ensemble policies
     theta: np.ndarray  # estimator the arm was greedy against
 
 
-def argmax_smallest_index(values: np.ndarray) -> int:
+def argmax_smallest_index(values: np.ndarray):
     # np.argmax returns the first maximizer, i.e. the smallest index
-    return int(np.argmax(values))
+    return unwrap(np.argmax(values, axis=-1))
+
+
+def _per_replication(items) -> tuple[list, int | None]:
+    """A list or tuple holds one item per replication of a batch; anything
+    else is the one item of an unbatched policy."""
+    if isinstance(items, (list, tuple)):
+        return list(items), len(items)
+    return [items], None
 
 
 class _RidgeBase:
@@ -56,9 +72,9 @@ class _RidgeBase:
     without re-solves.
     """
 
-    def __init__(self, dim: int, lam: float):
-        self.gram = GramState(dim, lam)
-        self.reward_sum = np.zeros(dim)
+    def __init__(self, dim: int, lam: float, batch: int | None = None):
+        self.gram = GramState(dim, lam, batch)
+        self.reward_sum = np.zeros(self.batch_shape + (dim,))
 
     @property
     def dim(self) -> int:
@@ -72,13 +88,26 @@ class _RidgeBase:
     def step(self) -> int:
         return self.gram.step_count
 
+    @property
+    def batch_shape(self) -> tuple:
+        return self.gram.batch_shape
+
+    def _stacked(self, values: list) -> np.ndarray:
+        """Per-replication values stacked into the batch shape."""
+        return np.stack(values).reshape(self.batch_shape + np.shape(values[0]))
+
+    def _selection(self, scores: np.ndarray, theta: np.ndarray, model=-1) -> Selection:
+        """The argmax of ``scores``, for the estimator ``theta`` of ``model``."""
+        model = unwrap(np.broadcast_to(model, self.batch_shape))
+        return Selection(argmax_smallest_index(scores), model, theta)
+
     def ridge_estimate(self) -> np.ndarray:
         """The unperturbed ridge estimator."""
         return self.gram.solve(self.reward_sum)
 
-    def _observe(self, x: np.ndarray, y: float) -> None:
+    def _observe(self, x: np.ndarray, y) -> None:
         self.gram.update(x)
-        self.reward_sum += y * x
+        self.reward_sum += np.asarray(y)[..., None] * x
 
 
 class GreedyRidge(_RidgeBase):
@@ -87,9 +116,9 @@ class GreedyRidge(_RidgeBase):
 
     def select(self, arms: np.ndarray) -> Selection:
         theta = self.ridge_estimate()
-        return Selection(argmax_smallest_index(arms @ theta), -1, theta)
+        return self._selection(matvec(arms, theta), theta)
 
-    def update(self, arm_index: int, x: np.ndarray, y: float) -> None:
+    def update(self, arm_index, x: np.ndarray, y) -> None:
         self._observe(np.asarray(x, dtype=np.float64), y)
 
 
@@ -100,6 +129,10 @@ class EnsembleSampling(_RidgeBase):
     state. Each step samples a model index, acts greedily on that model's
     estimator, then updates every model's sum with the observed reward
     plus a fresh keyed reward perturbation.
+
+    Uniform model choice reads ``model_rng`` ahead in blocks (see
+    :class:`~linens.perturb.StepDraws`), so the generator must be the
+    policy's own.
     """
 
     def __init__(
@@ -108,31 +141,43 @@ class EnsembleSampling(_RidgeBase):
         lam: float,
         n_models: int,
         spec: PerturbationSpec,
-        stream: PerturbationStream,
+        stream: PerturbationStream | list[PerturbationStream],
         sampler: str = Sampler.UNIFORM,
-        model_rng: np.random.Generator | None = None,
+        model_rng: np.random.Generator | list | None = None,
     ):
-        super().__init__(dim, lam)
+        streams, batch = _per_replication(stream)
+        super().__init__(dim, lam, batch)
         if n_models < 1:
             raise ValueError("n_models must be at least 1")
         if sampler not in Sampler.ALL:
             raise ValueError(f"unknown sampler {sampler!r}")
         if sampler == Sampler.UNIFORM and model_rng is None:
             raise ValueError("uniform sampling requires a model_rng")
+        if len({s.keying for s in streams}) != 1:
+            raise ValueError("the streams of a batch must share one keying")
         self.n_models = int(n_models)
         self.spec = spec
-        self.stream = stream
+        self.streams = streams
+        self.keying = streams[0].keying
         self.sampler = sampler
-        self.model_rng = model_rng
-        self.s_vectors = stream.initial_matrix(spec, n_models, dim, lam)
-        self.arm_counts: dict[int, int] = {}
+        self._models = None
+        if sampler == Sampler.UNIFORM:
+            rngs, _ = _per_replication(model_rng)
+            self._models = StepDraws(
+                rngs, lambda g, n: g.integers(self.n_models, size=n), batch is not None
+            )
+        self.s_vectors = self._stacked(
+            [s.initial_matrix(spec, n_models, dim, lam) for s in streams]
+        )
+        # per replication: arm -> pulls so far, for by-arm-count keys
+        self._arm_counts: list[dict[int, int]] = [{} for _ in streams]
 
     def thetas(self) -> np.ndarray:
-        """All ensemble estimators, shape (n_models, dim)."""
-        return self.s_vectors @ self.gram.gram_inv
+        """All ensemble estimators, shape (n_models, dim) per replication."""
+        return np.matmul(self.s_vectors, self.gram.gram_inv)
 
-    def model_theta(self, model: int) -> np.ndarray:
-        return self.gram.solve(np.ascontiguousarray(self.s_vectors[model]))
+    def model_theta(self, model) -> np.ndarray:
+        return self.gram.solve(pick(self.s_vectors, model, 2))
 
     def select(self, arms: np.ndarray) -> Selection:
         t = self.step + 1
@@ -141,25 +186,29 @@ class EnsembleSampling(_RidgeBase):
                 raise InvalidStateError(
                     f"round-robin sampling exhausted: step {t} > ensemble size {self.n_models}"
                 )
-            j = t - 1
+            j = np.broadcast_to(t - 1, self.batch_shape)
         else:
-            j = int(self.model_rng.integers(self.n_models))
+            j = self._models.next()
         theta = self.model_theta(j)
-        return Selection(argmax_smallest_index(arms @ theta), j, theta)
+        return self._selection(matvec(arms, theta), theta, j)
 
-    def update(self, arm_index: int, x: np.ndarray, y: float) -> None:
+    def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
         t = self.step + 1
-        if self.stream.keying == Keying.BY_STEP:
-            key = (t,)
-        else:
-            count = self.arm_counts.get(arm_index, 0) + 1
-            self.arm_counts[arm_index] = count
-            key = (arm_index, count)
-        z = self.stream.reward_vector(self.spec, self.n_models, *key)
+        arms = np.broadcast_to(arm_index, self.batch_shape).reshape(-1)
+        z = []
+        for stream, arm, counts in zip(self.streams, arms, self._arm_counts):
+            if self.keying == Keying.BY_STEP:
+                key = (t,)
+            else:
+                arm = int(arm)
+                counts[arm] = counts.get(arm, 0) + 1
+                key = (arm, counts[arm])
+            z.append(stream.reward_vector(self.spec, self.n_models, *key))
         self.gram.update(x)
-        kernels.accumulate_perturbed(self.s_vectors, x, y + z)
-        self.reward_sum += y * x
+        y = np.asarray(y)
+        kernels.accumulate_perturbed(self.s_vectors, x, y[..., None] + self._stacked(z))
+        self.reward_sum += y[..., None] * x
 
 
 class LinPHE(_RidgeBase):
@@ -182,34 +231,40 @@ class LinPHE(_RidgeBase):
         dim: int,
         lam: float,
         spec: PerturbationSpec,
-        stream: PerturbationStream,
+        stream: PerturbationStream | list[PerturbationStream],
         shared_model_axis: int | None = None,
     ):
-        super().__init__(dim, lam)
+        streams, batch = _per_replication(stream)
+        super().__init__(dim, lam, batch)
         if shared_model_axis is not None:
             if shared_model_axis < 1:
                 raise ValueError("shared_model_axis must be at least 1")
-            if stream.keying != Keying.BY_STEP:
+            if any(s.keying != Keying.BY_STEP for s in streams):
                 raise ValueError("shared-stream replay requires by-step keying")
         self.spec = spec
-        self.stream = stream
+        self.streams = streams
         self.shared_model_axis = shared_model_axis
         self._initial_cache: np.ndarray | None = None
-        self._xs = np.empty((8, dim))
-        self._ys = np.empty(8)
+        shape = self.batch_shape
+        # a shared-axis replay selects at most m steps, so m rows suffice
+        rows = 8 if shared_model_axis is None else shared_model_axis
+        self._xs = np.empty(shape + (rows, dim))
+        self._ys = np.empty(shape + (rows,))
         # row i: the shared stream's reward vector of step i + 1
-        self._zs = None if shared_model_axis is None else np.empty((8, shared_model_axis))
+        self._zs = None
+        if shared_model_axis is not None:
+            self._zs = np.empty(shape + (rows, shared_model_axis))
 
     @property
     def history_length(self) -> int:
         return self.step
 
     def _grow(self) -> None:
-        if self.step == self._xs.shape[0]:
-            self._xs = np.concatenate([self._xs, np.empty_like(self._xs)])
-            self._ys = np.concatenate([self._ys, np.empty_like(self._ys)])
+        if self.step == self._xs.shape[-2]:
+            self._xs = np.concatenate([self._xs, np.empty_like(self._xs)], axis=-2)
+            self._ys = np.concatenate([self._ys, np.empty_like(self._ys)], axis=-1)
             if self._zs is not None:
-                self._zs = np.concatenate([self._zs, np.empty_like(self._zs)])
+                self._zs = np.concatenate([self._zs, np.empty_like(self._zs)], axis=-2)
 
     def estimator(self, t: int) -> np.ndarray:
         """The freshly perturbed estimator for step ``t``."""
@@ -218,6 +273,7 @@ class LinPHE(_RidgeBase):
                 f"step {t} inconsistent with history length {self.step}"
             )
         n = self.step
+        xs, ys = self._xs[..., :n, :], self._ys[..., :n]
         if self.shared_model_axis is not None:
             m = self.shared_model_axis
             if t > m:
@@ -225,32 +281,41 @@ class LinPHE(_RidgeBase):
                     f"shared-stream replay exhausted: step {t} > model axis {m}"
                 )
             if self._initial_cache is None:
-                self._initial_cache = self.stream.initial_matrix(
-                    self.spec, m, self.dim, self.lam
+                self._initial_cache = self._stacked(
+                    [s.initial_matrix(self.spec, m, self.dim, self.lam) for s in self.streams]
                 )
             # accumulate in step order with the ensemble's exact draws so
             # the float operations match the incremental path bit for bit:
             # add.accumulate adds the rows one after another, where a sum
             # or a matrix product would pair them
-            terms = self._xs[:n] * (self._ys[:n] + self._zs[:n, t - 1])[:, None]
-            s = np.add.accumulate(np.vstack([self._initial_cache[t - 1], terms]))[-1]
+            terms = xs * (ys + self._zs[..., :n, t - 1])[..., None]
+            rows = np.concatenate([self._initial_cache[..., t - 1 : t, :], terms], axis=-2)
+            s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         else:
-            w, z = self.stream.history_perturbation(self.spec, t, self.dim, n, self.lam)
-            s = w + self._xs[:n].T @ (self._ys[:n] + z)
+            draws = [
+                s.history_perturbation(self.spec, t, self.dim, n, self.lam)
+                for s in self.streams
+            ]
+            w = self._stacked([d[0] for d in draws])
+            z = self._stacked([d[1] for d in draws])
+            s = w + matvec(np.swapaxes(xs, -1, -2), ys + z)
         return self.gram.solve(np.ascontiguousarray(s))
 
     def select(self, arms: np.ndarray) -> Selection:
         theta = self.estimator(self.step + 1)
-        return Selection(argmax_smallest_index(arms @ theta), -1, theta)
+        return self._selection(matvec(arms, theta), theta)
 
-    def update(self, arm_index: int, x: np.ndarray, y: float) -> None:
+    def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64)
         self._grow()
-        self._xs[self.step] = x
-        self._ys[self.step] = y
+        self._xs[..., self.step, :] = x
+        self._ys[..., self.step] = y
         if self._zs is not None:
-            self._zs[self.step] = self.stream.reward_vector(
-                self.spec, self.shared_model_axis, self.step + 1
+            self._zs[..., self.step, :] = self._stacked(
+                [
+                    s.reward_vector(self.spec, self.shared_model_axis, self.step + 1)
+                    for s in self.streams
+                ]
             )
         self._observe(x, y)
 
@@ -269,8 +334,9 @@ class LinUCB(_RidgeBase):
         lam: float,
         bonus: float | None = None,
         params: ConfidenceParams | None = None,
+        batch: int | None = None,
     ):
-        super().__init__(dim, lam)
+        super().__init__(dim, lam, batch)
         if (bonus is None) == (params is None):
             raise ValueError("provide exactly one of bonus or params")
         self.bonus = bonus
@@ -284,12 +350,14 @@ class LinUCB(_RidgeBase):
     def select(self, arms: np.ndarray) -> Selection:
         theta = self.ridge_estimate()
         widths = np.sqrt(
-            np.maximum(np.einsum("kd,de,ke->k", arms, self.gram.gram_inv, arms), 0.0)
+            np.maximum(
+                np.einsum("...kd,...de,...ke->...k", arms, self.gram.gram_inv, arms), 0.0
+            )
         )
-        scores = arms @ theta + self.current_bonus() * widths
-        return Selection(argmax_smallest_index(scores), -1, theta)
+        scores = matvec(arms, theta) + self.current_bonus() * widths
+        return self._selection(scores, theta)
 
-    def update(self, arm_index: int, x: np.ndarray, y: float) -> None:
+    def update(self, arm_index, x: np.ndarray, y) -> None:
         self._observe(np.asarray(x, dtype=np.float64), y)
 
 
@@ -297,25 +365,32 @@ class LinTS(_RidgeBase):
     """Gaussian linear Thompson sampling: greedy on
     ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)``.
 
-    ``V^{-1/2}`` comes from a symmetric eigendecomposition each step.
+    ``V^{-1/2}`` comes from a symmetric eigendecomposition each step. The
+    ``xi`` draws read ``rng`` ahead in blocks, so it must be the policy's
+    own generator.
     """
 
-    def __init__(self, dim: int, lam: float, scale: float, rng: np.random.Generator):
-        super().__init__(dim, lam)
+    def __init__(
+        self, dim: int, lam: float, scale: float, rng: np.random.Generator | list
+    ):
+        rngs, batch = _per_replication(rng)
+        super().__init__(dim, lam, batch)
         if scale < 0:
             raise ValueError("scale must be non-negative")
         self.scale = scale
-        self.rng = rng
+        self._xi = StepDraws(
+            rngs, lambda g, n: g.standard_normal((n, self.dim)), batch is not None
+        )
 
     def sample_estimator(self) -> np.ndarray:
         evals, evecs = np.linalg.eigh(self.gram.gram)
-        inv_half = (evecs / np.sqrt(evals)) @ evecs.T
-        xi = self.scale * self.rng.standard_normal(self.dim)
-        return self.ridge_estimate() + inv_half @ xi
+        inv_half = np.matmul(evecs / np.sqrt(evals)[..., None, :], np.swapaxes(evecs, -1, -2))
+        xi = self.scale * self._xi.next()
+        return self.ridge_estimate() + matvec(inv_half, xi)
 
     def select(self, arms: np.ndarray) -> Selection:
         theta = self.sample_estimator()
-        return Selection(argmax_smallest_index(arms @ theta), -1, theta)
+        return self._selection(matvec(arms, theta), theta)
 
-    def update(self, arm_index: int, x: np.ndarray, y: float) -> None:
+    def update(self, arm_index, x: np.ndarray, y) -> None:
         self._observe(np.asarray(x, dtype=np.float64), y)

@@ -21,7 +21,7 @@ from linens.harness import (
     estimate_event_rates,
     run_equivalence_suite,
     run_monte_carlo,
-    run_replication,
+    run_replications,
 )
 from linens.linalg import GramState, Metric
 from linens.perturb import (
@@ -183,10 +183,8 @@ def test_criterion_05_directional_anti_concentration_floors():
 
 def _mean_regret_curve(cfg: ExperimentConfig, reps: int, grid):
     sums = np.zeros(len(grid))
-    for rep in range(reps):
-        rec = run_replication(cfg, rep)
-        for i, t in enumerate(grid):
-            sums[i] += rec.steps[t - 1][5]
+    for rec in run_replications(cfg, range(reps)):
+        sums += rec.columns["cum_regret"][np.array(grid) - 1]
     return sums / reps
 
 
@@ -306,9 +304,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     assert paths["a"][0].read_bytes() == paths["b"][0].read_bytes()
     assert paths["a"][1].read_bytes() == paths["b"][1].read_bytes()
     assert paths["a"][0].read_bytes() == paths["c"][0].read_bytes()
-    # the summaries differ only in the echoed worker count
-    summary_c["config"]["run"]["workers"] = 1
-    assert summary_a == summary_c
+    assert paths["a"][1].read_bytes() == paths["c"][1].read_bytes()
     print("[criterion 10] PASS: byte-identical traces across reruns and worker counts")
 
 

@@ -1,0 +1,144 @@
+"""The lockstep engine: a replication's numbers do not depend on the batch
+it runs in, nor on the number of worker processes."""
+
+import numpy as np
+import pytest
+
+from linens.config import ExperimentConfig
+from linens.envs import LinearBanditEnv, NoiseModel
+from linens.harness import (
+    BATCH_SIZE,
+    batches,
+    estimate_event_rates,
+    run_batch,
+    run_equivalence_suite,
+)
+from linens.linalg import REINVERT_PERIOD
+from linens.perturb import PerturbationSpec, PerturbationStream
+from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Sampler
+
+
+def make_cfg(**overrides) -> ExperimentConfig:
+    cfg = ExperimentConfig()
+    cfg.env.dim = 3
+    cfg.env.arm_count = 5
+    cfg.env.sigma = 0.5
+    cfg.policy.m = 6
+    cfg.run.horizon = 40
+    cfg.run.base_seed = 5
+    for key, value in overrides.items():
+        section, attr = key.split("__")
+        setattr(getattr(cfg, section), attr, value)
+    return cfg.validate()
+
+
+def bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+CASES = {
+    "ensemble": dict(run__diagnostics="off"),
+    "ensemble-by-arm-count": dict(run__diagnostics="monitors", policy__keying="by_arm_count"),
+    "ensemble-round-robin": dict(
+        run__diagnostics="full-trace", policy__sampler="round_robin", policy__m=40
+    ),
+    "ensemble-uniform-family": dict(
+        run__diagnostics="full-trace", policy__family="uniform", env__noise_family="uniform"
+    ),
+    "phe-rademacher": dict(
+        policy__name="phe", run__diagnostics="monitors", policy__family="rademacher"
+    ),
+    "linucb": dict(policy__name="linucb", run__diagnostics="monitors"),
+    "lints": dict(policy__name="lints", run__diagnostics="full-trace"),
+    "greedy": dict(policy__name="greedy", run__diagnostics="off"),
+    "ensemble-past-reinversion": dict(
+        env__dim=2, run__diagnostics="monitors", run__horizon=REINVERT_PERIOD + 76
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_batch_of_r_equals_r_batches_of_one(case):
+    cfg = make_cfg(**CASES[case])
+    together = run_batch(cfg, range(3))
+    for r, rec in enumerate(together):
+        (alone,) = run_batch(cfg, range(r, r + 1))
+        assert rec.replication == alone.replication == r
+        assert rec.columns.keys() == alone.columns.keys()
+        for name in rec.columns:
+            assert bits(rec.columns[name]) == bits(alone.columns[name]), name
+        assert rec.summary == alone.summary
+    # the replications really differ, so the comparison is not vacuous
+    assert bits(together[0].columns["reward"]) != bits(together[1].columns["reward"])
+
+
+def _policies(batch: int | None):
+    """Each policy kind, unbatched (``batch=None``) or for ``batch``
+    replications; replication r always draws from seed r."""
+    seeds = range(batch or 1)
+
+    def each(make):
+        items = [make(r) for r in seeds]
+        return items if batch else items[0]
+
+    spec = PerturbationSpec("gaussian", 0.8)
+    return {
+        "ensemble": EnsembleSampling(
+            2, 1.0, 5, spec, each(PerturbationStream),
+            model_rng=each(np.random.default_rng),
+        ),
+        "phe": LinPHE(2, 1.0, spec, each(PerturbationStream)),
+        "linucb": LinUCB(2, 1.0, bonus=0.7, batch=batch),
+        "lints": LinTS(2, 1.0, 0.5, each(np.random.default_rng)),
+        "greedy": GreedyRidge(2, 1.0, batch=batch),
+    }
+
+
+@pytest.mark.parametrize("name", ["ensemble", "phe", "linucb", "lints", "greedy"])
+def test_unbatched_policy_is_the_batch_of_one(name):
+    # the single-replication API runs the same arithmetic as a batch
+    env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.3), 1.0, np.random.default_rng(4))
+    single, batched = _policies(None)[name], _policies(2)[name]
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        a, b = single.select(env.arms), batched.select(env.arms)
+        assert isinstance(a.arm_index, int) and isinstance(a.model_index, int)
+        assert a.arm_index == b.arm_index[0] and a.model_index == b.model_index[0]
+        assert bits(a.theta) == bits(b.theta[0])
+        ys = env.mean_reward(b.arm_index) + rng.standard_normal(2)
+        single.update(a.arm_index, env.arm(a.arm_index), float(ys[0]))
+        batched.update(b.arm_index, env.arm(b.arm_index), ys)
+    assert bits(single.gram.gram_inv) == bits(batched.gram.gram_inv[0])
+
+
+def test_batches_are_fixed_contiguous_blocks():
+    blocks = batches(range(2 * BATCH_SIZE + 3))
+    assert [len(b) for b in blocks] == [BATCH_SIZE, BATCH_SIZE, 3]
+    assert [i for b in blocks for i in b] == list(range(2 * BATCH_SIZE + 3))
+
+
+def test_rates_report_is_independent_of_workers():
+    # more replications than one batch holds, so two workers share the work
+    reps = BATCH_SIZE + 20
+    cfg = make_cfg(run__horizon=6, run__diagnostics="full-trace")
+    serial = estimate_event_rates(cfg, reps=reps)
+    cfg.run.workers = 2
+    parallel = estimate_event_rates(cfg, reps=reps)
+    assert serial == parallel
+    assert serial["replications"] == reps
+    assert serial["total_checks"] == reps * 6
+
+
+def test_equivalence_across_batches_and_workers():
+    seeds = BATCH_SIZE + 5
+    cfg = make_cfg(env__dim=2, env__arm_count=4, run__horizon=10, run__workers=2)
+    report = run_equivalence_suite(cfg, n_seeds=seeds)
+    assert report.matches == seeds and report.failures == []
+    # the negative control still fails, in every batch
+    desync = run_equivalence_suite(cfg, n_seeds=seeds, desync=True)
+    assert not desync.passed
+    failed = [seed for seed, *_ in desync.failures]
+    assert min(failed) < BATCH_SIZE <= max(failed)
+    for seed, step, seq_es, seq_phe in desync.failures:
+        assert seq_es[: step - 1] == seq_phe[: step - 1]
+        assert seq_es[step - 1] != seq_phe[step - 1]

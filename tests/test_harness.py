@@ -6,6 +6,9 @@ import pytest
 from linens import cli
 from linens.config import ExperimentConfig, load_config
 from linens.harness import (
+    BATCH_SIZE,
+    FLAG_COLUMNS,
+    TRACE_COLUMNS,
     aggregate,
     build_environment,
     build_policy,
@@ -16,8 +19,8 @@ from linens.harness import (
     resolve_ensemble_size,
     resolve_scale,
     run_equivalence_suite,
+    run_batch,
     run_monte_carlo,
-    run_replication,
 )
 from linens.perturb import beta, ensemble_size
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB
@@ -44,6 +47,33 @@ def write_cfg(tmp_path, text=BASE_INI, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+EXPLICIT_INI = """\
+[env]
+arm_mode = explicit
+arms = 1 0; 0 1; 0.6 0.6
+theta_star = 0.9 0.3
+sigma = 0
+
+[policy]
+name = greedy
+
+[run]
+horizon = 5
+"""
+
+
+def run_one(cfg: ExperimentConfig, replication: int):
+    """One replication, run as a batch of one."""
+    (record,) = run_batch(cfg, range(replication, replication + 1))
+    return record
+
+
+def same_columns(a, b) -> bool:
+    return a.columns.keys() == b.columns.keys() and all(
+        np.array_equal(a.columns[k], b.columns[k]) for k in a.columns
+    )
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -89,20 +119,7 @@ class TestConfig:
             load_config(path)
 
     def test_explicit_arms(self, tmp_path):
-        text = """\
-[env]
-arm_mode = explicit
-arms = 1 0; 0 1; 0.6 0.6
-theta_star = 0.9 0.3
-sigma = 0
-
-[policy]
-name = greedy
-
-[run]
-horizon = 5
-"""
-        cfg = load_config(write_cfg(tmp_path, text))
+        cfg = load_config(write_cfg(tmp_path, EXPLICIT_INI))
         assert cfg.env.arm_count == 3
         assert cfg.env.dim == 2
         assert cfg.env.arms[2] == [0.6, 0.6]
@@ -114,6 +131,22 @@ horizon = 5
         cfg.env.arm_mode = "explicit"
         with pytest.raises(ValueError, match="arms"):
             cfg.validate()
+
+    def test_explicit_arm_count_must_match_the_rows(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, EXPLICIT_INI))
+        cfg.env.arm_count = 4
+        with pytest.raises(ValueError, match="arm_count = 4 but env.arms has 3 rows"):
+            cfg.validate()
+
+    def test_explicit_arm_rows_must_have_dim_entries(self, tmp_path):
+        text = EXPLICIT_INI.replace("arms = 1 0; 0 1;", "arms = 1 0; 0 1 0;")
+        with pytest.raises(ValueError, match="every row of env.arms"):
+            load_config(write_cfg(tmp_path, text))
+
+    def test_explicit_theta_star_must_have_dim_entries(self, tmp_path):
+        text = EXPLICIT_INI.replace("theta_star = 0.9 0.3", "theta_star = 0.9 0.3 0.1")
+        with pytest.raises(ValueError, match="theta_star has 3 entries"):
+            load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -192,38 +225,39 @@ class TestPolicyResolution:
 class TestRunReplication:
     def test_deterministic(self):
         cfg = small_cfg(run__diagnostics="monitors")
-        a = run_replication(cfg, 0)
-        b = run_replication(cfg, 0)
-        assert a.steps == b.steps
+        a = run_one(cfg, 0)
+        b = run_one(cfg, 0)
+        assert same_columns(a, b)
         assert a.summary == b.summary
 
     def test_replications_differ(self):
         cfg = small_cfg()
-        assert run_replication(cfg, 0).steps != run_replication(cfg, 1).steps
+        assert not same_columns(run_one(cfg, 0), run_one(cfg, 1))
 
     def test_single_arm_zero_regret(self):
         cfg = small_cfg(env__arm_count=1)
-        rec = run_replication(cfg, 0)
+        rec = run_one(cfg, 0)
         assert rec.summary["final_regret"] == 0.0
-        assert all(row[4] == 0.0 for row in rec.steps)
+        assert np.all(rec.columns["instant_regret"] == 0.0)
 
     def test_cumulative_regret_is_prefix_sum(self):
-        rec = run_replication(small_cfg(), 0)
+        rec = run_one(small_cfg(), 0)
         cum = 0.0
-        for row in rec.steps:
-            cum += row[4]
-            assert row[5] == pytest.approx(cum, abs=1e-12)
+        for instant, cum_regret in zip(rec.columns["instant_regret"], rec.columns["cum_regret"]):
+            cum += instant
+            assert cum_regret == pytest.approx(cum, abs=1e-12)
         assert rec.summary["final_regret"] == pytest.approx(cum)
 
     def test_monitor_columns_present_when_enabled(self):
-        off = run_replication(small_cfg(), 0)
-        on = run_replication(small_cfg(run__diagnostics="monitors"), 0)
-        assert len(off.steps[0]) == 6
-        assert len(on.steps[0]) == 9
+        off = run_one(small_cfg(), 0)
+        on = run_one(small_cfg(run__diagnostics="monitors"), 0)
+        assert tuple(off.columns) == TRACE_COLUMNS
+        assert tuple(on.columns) == TRACE_COLUMNS + FLAG_COLUMNS
+        assert all(len(col) == 30 for col in on.columns.values())
         assert on.summary["checks"] == 30
 
     def test_full_trace_tracks_ensemble_fraction(self):
-        rec = run_replication(small_cfg(run__diagnostics="full-trace"), 0)
+        rec = run_one(small_cfg(run__diagnostics="full-trace"), 0)
         assert 0.0 <= rec.summary["min_ensemble_fraction"] <= 1.0
 
 
@@ -238,7 +272,7 @@ class TestMonteCarlo:
         records, summary = run_monte_carlo(cfg)
         final = summary["checkpoints"][-1]
         assert final["t"] == 30
-        assert final["mean"] == records[0].steps[-1][5]
+        assert final["mean"] == records[0].columns["cum_regret"][-1]
         assert final["median"] == final["q10"] == final["q90"] == final["mean"]
 
     def test_zero_regret_quantiles(self):
@@ -283,7 +317,7 @@ class TestMonteCarlo:
         # at most a few standard errors
         cfg = small_cfg(run__replications=120, env__sigma=1.0)
         records, _ = run_monte_carlo(cfg)
-        finals = np.array([r.steps[-1][5] for r in records])
+        finals = np.array([r.columns["cum_regret"][-1] for r in records])
         a, b = finals[:60], finals[60:]
         se = np.sqrt(np.var(finals) * (1 / 60 + 1 / 60))
         assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se + 1e-12
@@ -294,8 +328,7 @@ class TestMonteCarlo:
         rec_s, sum_s = run_monte_carlo(serial)
         rec_p, sum_p = run_monte_carlo(parallel)
         for a, b in zip(rec_s, rec_p):
-            assert a.steps == b.steps
-        sum_p["config"]["run"]["workers"] = 1
+            assert same_columns(a, b)
         assert sum_s == sum_p
 
 
@@ -323,8 +356,8 @@ class TestOutputs:
         records, summary = run_monte_carlo(cfg)
         t, _ = emit_outputs(records, summary, tmp_path)
         row = t.read_text().splitlines()[1].split(",")
-        assert float(row[4]) == records[0].steps[0][3]  # reward, exact via %.17g
-        assert float(row[6]) == records[0].steps[0][5]
+        assert float(row[4]) == records[0].columns["reward"][0]  # exact via %.17g
+        assert float(row[6]) == records[0].columns["cum_regret"][0]
 
     def test_summary_json_round_trips(self, tmp_path):
         cfg = small_cfg(run__diagnostics="monitors")
@@ -426,3 +459,14 @@ class TestCli:
         combined = json.loads((out / "sweep_T.json").read_text())
         assert [c["value"] for c in combined] == [10, 20]
         assert (out / "sweep_T_10" / "summary.json").exists()
+
+    @pytest.mark.parametrize("param,message", [("K", "arm_count"), ("d", "env.dim")])
+    def test_sweep_rejects_explicit_arm_shape_changes(self, tmp_path, param, message):
+        # explicit arms fix K and d; a sweep over either fails before any run
+        cfg_path = write_cfg(tmp_path, EXPLICIT_INI)
+        with pytest.raises(ValueError, match=message):
+            cli.main([
+                "sweep", "--config", str(cfg_path), "--param", param,
+                "--values", "4,5", "--out", str(tmp_path / "sweep"),
+            ])
+        assert not (tmp_path / "sweep").exists()
