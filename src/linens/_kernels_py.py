@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-IS_COMPILED = False
-
 
 def rank1_update(gram: np.ndarray, gram_inv: np.ndarray, x: np.ndarray) -> None:
     """In-place rank-1 update of a Gram matrix and its inverse.

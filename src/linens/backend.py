@@ -1,17 +1,15 @@
-"""Kernel backend.
+"""Names the benchmark harness reads: ``kernels``, the kernel module, and
+``HAVE_COMPILED_KERNELS``, which is always false.
 
-The per-step kernels take a leading replication axis (see
-:mod:`linens._kernels_py`). The compiled extension built from
-``_kernels.pyx`` steps one replication at a time, so it cannot serve the
-lockstep engine and is no longer selected; ``HAVE_COMPILED_KERNELS`` is
-therefore always false. ``LINENS_FORCE_PURE`` is still accepted and has
-no effect.
+The package has one kernel module, :mod:`linens._kernels_py`, and imports
+it directly. This module stays only because ``perfbench/`` reads these two
+names; it goes with the next change to ``perfbench/``.
 """
 
 from __future__ import annotations
 
 from . import _kernels_py as kernels
 
-HAVE_COMPILED_KERNELS: bool = kernels.IS_COMPILED
+HAVE_COMPILED_KERNELS = False
 
 __all__ = ["kernels", "HAVE_COMPILED_KERNELS"]

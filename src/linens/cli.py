@@ -22,7 +22,13 @@ from .harness import (
     run_monte_carlo,
 )
 
-SWEEP_PARAMS = ("T", "d", "m", "K")
+#: Sweepable parameter -> (config section, field).
+SWEEP_FIELDS = {
+    "T": ("run", "horizon"),
+    "d": ("env", "dim"),
+    "m": ("policy", "m"),
+    "K": ("env", "arm_count"),
+}
 
 
 def _apply_overrides(cfg, args):
@@ -67,20 +73,21 @@ def _cmd_rates(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    values = [int(v) for v in args.values.split(",")]
+    if args.param == "m" and cfg.policy.name != "ensemble":
+        raise ValueError(
+            f"sweep --param m varies the ensemble size, which policy.name = "
+            f"{cfg.policy.name} does not use"
+        )
+    section, key = SWEEP_FIELDS[args.param]
+    # every swept config is validated before the first run writes anything
+    runs = []
+    for value in (int(v) for v in args.values.split(",")):
+        sub = load_config(args.config)
+        setattr(getattr(sub, section), key, value)
+        runs.append((value, sub.validate()))
     out_root = Path(args.out if args.out else cfg.run.out_dir)
     combined = []
-    for value in values:
-        sub = load_config(args.config)
-        if args.param == "T":
-            sub.run.horizon = value
-        elif args.param == "d":
-            sub.env.dim = value
-        elif args.param == "m":
-            sub.policy.m = value
-        elif args.param == "K":
-            sub.env.arm_count = value
-        sub.validate()
+    for value, sub in runs:
         records, summary = run_monte_carlo(sub)
         out_dir = out_root / f"sweep_{args.param}_{value}"
         emit_outputs(records, summary, out_dir)
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    p_sweep.add_argument("--param", required=True, choices=tuple(SWEEP_FIELDS))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=_cmd_sweep)

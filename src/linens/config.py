@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import NoiseFamily
-from .perturb import Keying, PerturbationFamily
+from .perturb import ConfidenceParams, Keying, PerturbationFamily, ensemble_size
 from .policies import Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
@@ -138,7 +138,31 @@ class ExperimentConfig:
                 raise ValueError(
                     f"env.theta_star has {len(e.theta_star)} entries, env.dim is {e.dim}"
                 )
+        if p.name == "ensemble" and p.sampler == Sampler.ROUND_ROBIN:
+            m = self.resolved_ensemble_size()
+            if m < r.horizon:
+                raise ValueError(
+                    f"round-robin sampling uses one model per step, but policy.m = {p.m} "
+                    f"gives {m} models for run.horizon = {r.horizon} steps"
+                )
         return self
+
+    def resolved_ensemble_size(self) -> int:
+        """Ensemble size a run uses: ``policy.m``, or for ``m = auto`` the
+        size :func:`linens.perturb.ensemble_size` gives for this arm count,
+        horizon and delta."""
+        e, p = self.env, self.policy
+        if p.m != "auto":
+            return int(p.m)
+        params = ConfidenceParams(
+            sigma=e.sigma,
+            lam=p.lam,
+            s_bound=e.s_bound,
+            dim=e.dim,
+            horizon=self.run.horizon,
+            delta=p.delta,
+        )
+        return ensemble_size(params, e.arm_count)
 
     def to_dict(self) -> dict:
         return asdict(self)

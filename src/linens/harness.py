@@ -38,7 +38,6 @@ from .perturb import (
     PerturbationStream,
     StepDraws,
     beta,
-    ensemble_size,
     gamma,
     keyed_generator,
     mix_key,
@@ -130,12 +129,6 @@ def resolve_scale(cfg: ExperimentConfig, params: ConfidenceParams) -> float:
     return cfg.policy.scale
 
 
-def resolve_ensemble_size(cfg: ExperimentConfig, params: ConfidenceParams) -> int:
-    if cfg.policy.m == "auto":
-        return ensemble_size(params, cfg.env.arm_count)
-    return int(cfg.policy.m)
-
-
 def build_policy(
     cfg: ExperimentConfig,
     env: LinearBanditEnv,
@@ -167,7 +160,7 @@ def build_policy(
         return EnsembleSampling(
             env.dim,
             p.lam,
-            resolve_ensemble_size(cfg, params),
+            cfg.resolved_ensemble_size(),
             spec,
             each(stream),
             sampler=p.sampler,
@@ -334,9 +327,7 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         del config["run"][key]
     summary = {
         "config": config,
-        "resolved_m": resolve_ensemble_size(cfg, params)
-        if cfg.policy.name == "ensemble"
-        else None,
+        "resolved_m": cfg.resolved_ensemble_size() if cfg.policy.name == "ensemble" else None,
         "resolved_scale": resolve_scale(cfg, params),
         "replications": len(records),
         "checkpoints": per_checkpoint,

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .backend import kernels
+from . import _kernels_py as kernels
 
 #: Updates between full re-inversions of the Gram matrix.
 REINVERT_PERIOD = 1024

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import kernels
+from . import _kernels_py as kernels
 from .linalg import GramState, matvec, pick, unwrap
 from .perturb import (
     ConfidenceParams,

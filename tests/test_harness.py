@@ -16,7 +16,6 @@ from linens.harness import (
     confidence_params,
     emit_outputs,
     estimate_event_rates,
-    resolve_ensemble_size,
     resolve_scale,
     run_equivalence_suite,
     run_batch,
@@ -174,7 +173,17 @@ class TestConfig:
         assert cfg.policy.m == "auto"
         env = build_environment(cfg)
         params = confidence_params(cfg, env)
-        assert resolve_ensemble_size(cfg, params) == ensemble_size(params, 4)
+        assert cfg.resolved_ensemble_size() == ensemble_size(params, 4)
+
+    @pytest.mark.parametrize(
+        "m,horizon", [("4", "10"), ("auto", "100000")], ids=["explicit-m", "auto-m"]
+    )
+    def test_round_robin_ensemble_must_cover_the_horizon(self, tmp_path, m, horizon):
+        # one model per step: an ensemble smaller than the horizon runs out mid-run
+        text = BASE_INI.replace("m = 4", f"m = {m}\nsampler = round_robin")
+        text = text.replace("horizon = 30", f"horizon = {horizon}")
+        with pytest.raises(ValueError, match=r"policy.m = .* for run.horizon = "):
+            load_config(write_cfg(tmp_path, text))
 
     def test_to_dict_json_serializable(self):
         json.dumps(small_cfg().to_dict())
@@ -468,5 +477,26 @@ class TestCli:
             cli.main([
                 "sweep", "--config", str(cfg_path), "--param", param,
                 "--values", "4,5", "--out", str(tmp_path / "sweep"),
+            ])
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("policy", ["phe", "linucb", "lints", "greedy"])
+    def test_sweep_rejects_m_for_policies_without_an_ensemble(self, tmp_path, policy):
+        cfg_path = write_cfg(tmp_path, BASE_INI.replace("name = ensemble", f"name = {policy}"))
+        with pytest.raises(ValueError, match=f"policy.name = {policy}"):
+            cli.main([
+                "sweep", "--config", str(cfg_path), "--param", "m",
+                "--values", "3,7", "--out", str(tmp_path / "sweep"),
+            ])
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_rejects_a_horizon_past_the_round_robin_ensemble(self, tmp_path):
+        # T = 4 alone could run; T = 10 outruns m = 4, so nothing runs or is written
+        text = BASE_INI.replace("m = 4", "m = 4\nsampler = round_robin")
+        cfg_path = write_cfg(tmp_path, text.replace("horizon = 30", "horizon = 4"))
+        with pytest.raises(ValueError, match="run.horizon = 10"):
+            cli.main([
+                "sweep", "--config", str(cfg_path), "--param", "T",
+                "--values", "4,10", "--out", str(tmp_path / "sweep"),
             ])
         assert not (tmp_path / "sweep").exists()

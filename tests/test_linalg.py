@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import linens
+from linens import _kernels_py as kernels
 from linens.linalg import GramState, Metric
 
 from conftest import random_unit_ball
@@ -148,3 +150,43 @@ class TestSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             GramState(3, 1.0).solve(np.ones(2))
+
+
+def test_benchmark_reads_the_one_kernel_module():
+    # perfbench traces linens.backend.kernels and records HAVE_COMPILED_KERNELS
+    assert linens.backend.kernels is linens._kernels_py
+    assert linens.HAVE_COMPILED_KERNELS is False
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
+class TestKernels:
+    """The per-step kernels against closed forms, for one replication and
+    for an ``(R, ...)`` batch."""
+
+    def test_accumulate_perturbed_is_outer_product(self, rng, batch):
+        s = np.zeros(batch + (16, 5))
+        x = rng.standard_normal(batch + (5,))
+        yz = rng.standard_normal(batch + (16,))
+        kernels.accumulate_perturbed(s, x, yz)
+        for i in np.ndindex(batch):
+            np.testing.assert_array_equal(s[i], np.outer(yz[i], x[i]))
+
+    def test_quad_form(self, rng, batch):
+        a = rng.standard_normal(batch + (4, 4))
+        mat = np.matmul(a, a.swapaxes(-1, -2)) + np.eye(4)
+        v = rng.standard_normal(batch + (4,))
+        got = kernels.quad_form(mat, v)
+        assert got.shape == batch
+        for i in np.ndindex(batch):
+            assert got[i] == pytest.approx(v[i] @ mat[i] @ v[i], rel=1e-12)
+
+    def test_rank1_update_keeps_the_inverse(self, rng, batch):
+        identity = np.broadcast_to(np.eye(4), batch + (4, 4))
+        gram, gram_inv, want = identity.copy(), identity.copy(), identity.copy()
+        for _ in range(50):
+            x = random_unit_ball(rng, 4, count=int(np.prod(batch))).reshape(batch + (4,))
+            kernels.rank1_update(gram, gram_inv, x)
+            for i in np.ndindex(batch):
+                want[i] += np.outer(x[i], x[i])
+        np.testing.assert_allclose(gram, want, atol=1e-12)
+        np.testing.assert_allclose(np.matmul(gram, gram_inv), identity, atol=1e-8)
