@@ -1,37 +1,32 @@
 """Experiment configuration: INI-style files with [env], [policy], [run].
 
-Unknown sections or keys are rejected so that typos fail fast.
+Each section's keys are the fields of its dataclass (``lambda`` for
+``lam``), read by field type. Unknown sections or keys are rejected so that
+typos fail fast.
 """
 
 from __future__ import annotations
 
 import configparser
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .envs import NoiseFamily
-from .perturb import ConfidenceParams, Keying, PerturbationFamily, ensemble_size
+from .perturb import (
+    ConfidenceParams,
+    Keying,
+    PerturbationFamily,
+    PerturbationSpec,
+    beta,
+    ensemble_size,
+)
 from .policies import Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
 ARM_MODES = ("random", "explicit")
 SCALE_MODES = ("auto", "explicit")
-
-_ENV_KEYS = {
-    "dim", "arm_count", "arm_mode", "arms", "theta_star",
-    "sigma", "noise_family", "s_bound",
-}
-_POLICY_KEYS = {
-    "name", "lambda", "delta", "m", "sampler", "family",
-    "scale_mode", "scale", "keying", "lints_scale", "linucb_bonus",
-}
-_RUN_KEYS = {
-    "horizon", "replications", "base_seed", "diagnostics", "out_dir", "workers",
-}
 
 
 @dataclass
@@ -138,6 +133,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"env.theta_star has {len(e.theta_star)} entries, env.dim is {e.dim}"
                 )
+        elif e.arms or e.theta_star:
+            raise ValueError(
+                "env.arms and env.theta_star need env.arm_mode = explicit; "
+                "random arm mode draws its own instance"
+            )
         if p.name == "ensemble" and p.sampler == Sampler.ROUND_ROBIN:
             m = self.resolved_ensemble_size()
             if m < r.horizon:
@@ -147,14 +147,11 @@ class ExperimentConfig:
                 )
         return self
 
-    def resolved_ensemble_size(self) -> int:
-        """Ensemble size a run uses: ``policy.m``, or for ``m = auto`` the
-        size :func:`linens.perturb.ensemble_size` gives for this arm count,
-        horizon and delta."""
+    def confidence_params(self) -> ConfidenceParams:
+        """Inputs to the confidence radii of this experiment; after
+        :meth:`validate`, ``env.dim`` is the dimension of every arm."""
         e, p = self.env, self.policy
-        if p.m != "auto":
-            return int(p.m)
-        params = ConfidenceParams(
+        return ConfidenceParams(
             sigma=e.sigma,
             lam=p.lam,
             s_bound=e.s_bound,
@@ -162,7 +159,24 @@ class ExperimentConfig:
             horizon=self.run.horizon,
             delta=p.delta,
         )
-        return ensemble_size(params, e.arm_count)
+
+    def resolved_ensemble_size(self) -> int:
+        """Ensemble size a run uses: ``policy.m``, or for ``m = auto`` the
+        size :func:`linens.perturb.ensemble_size` gives for this arm count,
+        horizon and delta."""
+        if self.policy.m != "auto":
+            return int(self.policy.m)
+        return ensemble_size(self.confidence_params(), self.env.arm_count)
+
+    def perturbation_spec(self) -> PerturbationSpec:
+        """Perturbation the policies draw: ``policy.family`` at
+        ``policy.scale``, or for ``scale_mode = auto`` at the horizon-level
+        confidence radius beta_T."""
+        p = self.policy
+        if p.scale_mode == "auto":
+            params = self.confidence_params()
+            return PerturbationSpec(p.family, beta(params, params.horizon))
+        return PerturbationSpec(p.family, p.scale)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -176,10 +190,29 @@ def _parse_vector(text: str) -> list:
     return [float(v) for v in text.split()]
 
 
-def _reject_unknown(section: str, keys, allowed) -> None:
-    unknown = set(keys) - allowed
+#: Parser of an INI value by field type; the fields whose values are not a
+#: plain scalar name their own.
+_TYPE_PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
+_FIELD_PARSERS = {
+    "arms": _parse_vectors,
+    "theta_star": _parse_vector,
+    "m": lambda text: "auto" if text == "auto" else int(text),
+}
+
+#: INI keys that differ from their field's name.
+_INI_KEYS = {"lam": "lambda"}
+
+
+def _read_section(section: configparser.SectionProxy, target) -> None:
+    """Set each field of ``target`` that the section gives, in field order."""
+    keys = {_INI_KEYS.get(f.name, f.name): f for f in fields(target)}
+    unknown = set(section.keys()) - keys.keys()
     if unknown:
-        raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in [{section.name}]: {sorted(unknown)}")
+    for key, f in keys.items():
+        if key in section:
+            parse = _FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[f.type]
+            setattr(target, f.name, parse(section[key]))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -188,57 +221,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    extra_sections = set(parser.sections()) - {"env", "policy", "run"}
+    extra_sections = set(parser.sections()) - {f.name for f in fields(ExperimentConfig)}
     if extra_sections:
         raise ValueError(f"unknown config sections: {sorted(extra_sections)}")
 
     cfg = ExperimentConfig()
-    if parser.has_section("env"):
-        sec = parser["env"]
-        _reject_unknown("env", sec.keys(), _ENV_KEYS)
-        e = cfg.env
-        e.dim = sec.getint("dim", e.dim)
-        e.arm_count = sec.getint("arm_count", e.arm_count)
-        e.arm_mode = sec.get("arm_mode", e.arm_mode)
-        if "arms" in sec:
-            e.arms = _parse_vectors(sec["arms"])
+    for name in parser.sections():
+        _read_section(parser[name], getattr(cfg, name))
+    e = cfg.env
+    if e.arms:
+        # the rows give the shape a file leaves out; validate() rejects a clash
+        if "arm_count" not in parser["env"]:
             e.arm_count = len(e.arms)
+        if "dim" not in parser["env"]:
             e.dim = len(e.arms[0])
-        if "theta_star" in sec:
-            e.theta_star = _parse_vector(sec["theta_star"])
-        e.sigma = sec.getfloat("sigma", e.sigma)
-        e.noise_family = sec.get("noise_family", e.noise_family)
-        e.s_bound = sec.getfloat("s_bound", e.s_bound)
-
-    if parser.has_section("policy"):
-        sec = parser["policy"]
-        _reject_unknown("policy", sec.keys(), _POLICY_KEYS)
-        p = cfg.policy
-        p.name = sec.get("name", p.name)
-        p.lam = sec.getfloat("lambda", p.lam)
-        p.delta = sec.getfloat("delta", p.delta)
-        if "m" in sec:
-            raw = sec["m"].strip()
-            p.m = "auto" if raw == "auto" else int(raw)
-        p.sampler = sec.get("sampler", p.sampler)
-        p.family = sec.get("family", p.family)
-        p.scale_mode = sec.get("scale_mode", p.scale_mode)
-        p.scale = sec.getfloat("scale", p.scale)
-        p.keying = sec.get("keying", p.keying)
-        if "lints_scale" in sec:
-            p.lints_scale = sec.getfloat("lints_scale")
-        if "linucb_bonus" in sec:
-            p.linucb_bonus = sec.getfloat("linucb_bonus")
-
-    if parser.has_section("run"):
-        sec = parser["run"]
-        _reject_unknown("run", sec.keys(), _RUN_KEYS)
-        r = cfg.run
-        r.horizon = sec.getint("horizon", r.horizon)
-        r.replications = sec.getint("replications", r.replications)
-        r.base_seed = sec.getint("base_seed", r.base_seed)
-        r.diagnostics = sec.get("diagnostics", r.diagnostics)
-        r.out_dir = sec.get("out_dir", r.out_dir)
-        r.workers = sec.getint("workers", r.workers)
-
     return cfg.validate()

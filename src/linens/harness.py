@@ -33,11 +33,8 @@ from .perturb import (
     TAG_NOISE,
     TAG_POLICY,
     TAG_REPLICATION,
-    ConfidenceParams,
-    PerturbationSpec,
     PerturbationStream,
     StepDraws,
-    beta,
     gamma,
     keyed_generator,
     mix_key,
@@ -112,71 +109,44 @@ def build_environment(cfg: ExperimentConfig) -> LinearBanditEnv:
     return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, rng)
 
 
-def confidence_params(cfg: ExperimentConfig, env: LinearBanditEnv) -> ConfidenceParams:
-    return ConfidenceParams(
-        sigma=cfg.env.sigma,
-        lam=cfg.policy.lam,
-        s_bound=cfg.env.s_bound,
-        dim=env.dim,
-        horizon=cfg.run.horizon,
-        delta=cfg.policy.delta,
-    )
-
-
-def resolve_scale(cfg: ExperimentConfig, params: ConfidenceParams) -> float:
-    if cfg.policy.scale_mode == "auto":
-        return beta(params, params.horizon)
-    return cfg.policy.scale
-
-
-def build_policy(
-    cfg: ExperimentConfig,
-    env: LinearBanditEnv,
-    params: ConfidenceParams,
-    replication,
-):
-    """The configured policy for one replication (an int), or for a batch of
-    replications (a range) stepped in lockstep."""
+def build_policy(cfg: ExperimentConfig, replications: range):
+    """The configured policy for a batch of replications stepped in lockstep."""
     p = cfg.policy
+    dim = cfg.env.dim
     base_seed = cfg.run.base_seed
-    batched = not isinstance(replication, (int, np.integer))
-    reps = list(replication) if batched else [replication]
+    batch = len(replications)
+    spec = cfg.perturbation_spec()
 
-    def each(make):
-        items = [make(r) for r in reps]
-        return items if batched else items[0]
+    def streams():
+        return [
+            PerturbationStream(mix_key(base_seed, TAG_REPLICATION, r), keying=p.keying)
+            for r in replications
+        ]
 
-    scale = resolve_scale(cfg, params)
-    spec = PerturbationSpec(p.family, scale)
+    def policy_rngs():
+        return [keyed_generator(base_seed, TAG_POLICY, r) for r in replications]
 
-    def stream(r):
-        return PerturbationStream(mix_key(base_seed, TAG_REPLICATION, r), keying=p.keying)
-
-    def policy_rng(r):
-        return keyed_generator(base_seed, TAG_POLICY, r)
-
-    batch = len(reps) if batched else None
     if p.name == "ensemble":
         return EnsembleSampling(
-            env.dim,
+            dim,
             p.lam,
             cfg.resolved_ensemble_size(),
             spec,
-            each(stream),
+            streams(),
             sampler=p.sampler,
-            model_rng=each(policy_rng) if p.sampler == Sampler.UNIFORM else None,
+            model_rng=policy_rngs() if p.sampler == Sampler.UNIFORM else None,
         )
     if p.name == "phe":
-        return LinPHE(env.dim, p.lam, spec, each(stream))
+        return LinPHE(dim, p.lam, spec, streams())
     if p.name == "linucb":
         if p.linucb_bonus is not None:
-            return LinUCB(env.dim, p.lam, bonus=p.linucb_bonus, batch=batch)
-        return LinUCB(env.dim, p.lam, params=params, batch=batch)
+            return LinUCB(dim, p.lam, bonus=p.linucb_bonus, batch=batch)
+        return LinUCB(dim, p.lam, params=cfg.confidence_params(), batch=batch)
     if p.name == "lints":
-        lints_scale = p.lints_scale if p.lints_scale is not None else scale
-        return LinTS(env.dim, p.lam, lints_scale, each(policy_rng))
+        lints_scale = p.lints_scale if p.lints_scale is not None else spec.scale
+        return LinTS(dim, p.lam, lints_scale, policy_rngs())
     if p.name == "greedy":
-        return GreedyRidge(env.dim, p.lam, batch=batch)
+        return GreedyRidge(dim, p.lam, batch=batch)
     raise ValueError(f"unknown policy {p.name!r}")
 
 
@@ -238,14 +208,13 @@ def run_batch(
     (config, replication) whatever the block. Without ``trace`` the
     records carry summaries only."""
     env = build_environment(cfg)
-    params = confidence_params(cfg, env)
-    policy = build_policy(cfg, env, params, replications)
+    policy = build_policy(cfg, replications)
     noise = _noise_draws(env, [(cfg.run.base_seed, TAG_NOISE, r) for r in replications])
     monitor = None
     if cfg.run.diagnostics != "off":
         monitor = StepMonitor(
             env,
-            params,
+            cfg.confidence_params(),
             track_ensemble_fraction=(cfg.run.diagnostics == "full-trace"),
             batch=len(replications),
         )
@@ -304,8 +273,7 @@ def monitor_rates(summaries: list[dict]) -> dict:
 
 
 def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
-    env = build_environment(cfg)
-    params = confidence_params(cfg, env)
+    params = cfg.confidence_params()
     grid = checkpoints(cfg.run.horizon)
     cum = np.array(
         [rec.columns["cum_regret"][np.array(grid) - 1] for rec in records], dtype=np.float64
@@ -328,7 +296,7 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     summary = {
         "config": config,
         "resolved_m": cfg.resolved_ensemble_size() if cfg.policy.name == "ensemble" else None,
-        "resolved_scale": resolve_scale(cfg, params),
+        "resolved_scale": cfg.perturbation_spec().scale,
         "replications": len(records),
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": theoretical_regret_bound(
@@ -435,8 +403,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
         for k in keys
     ]
     env = LinearBanditEnv.stack(envs)
-    params = confidence_params(cfg, env)
-    spec = PerturbationSpec(cfg.policy.family, resolve_scale(cfg, params))
+    spec = cfg.perturbation_spec()
     stream_seeds = [mix_key(k, TAG_POLICY) for k in keys]
     es = EnsembleSampling(
         env.dim,

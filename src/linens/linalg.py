@@ -27,9 +27,6 @@ from . import _kernels_py as kernels
 #: Updates between full re-inversions of the Gram matrix.
 REINVERT_PERIOD = 1024
 
-#: Absolute tolerance for the ``gram @ gram_inv == I`` consistency check.
-INVERSE_TOL = 1e-8
-
 #: Slack allowed on the unit-norm precondition of update vectors.
 NORM_SLACK = 1e-9
 

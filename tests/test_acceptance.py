@@ -15,8 +15,6 @@ from linens.config import ExperimentConfig
 from linens.diagnostics import elliptical_potential_bound, theoretical_regret_bound
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.harness import (
-    build_environment,
-    confidence_params,
     emit_outputs,
     estimate_event_rates,
     run_equivalence_suite,
@@ -208,7 +206,6 @@ def test_criterion_07_regret_grows_sublinearly_and_under_the_bound():
             for i in range(len(grid) - 1)
         ]
         assert max(slopes) <= 0.65, f"{name}: regret slopes {slopes} exceed 0.65"
-        env = build_environment(cfg)
         for t, mean in zip(grid, means):
             sub = base_config(
                 env__dim=3,
@@ -220,7 +217,7 @@ def test_criterion_07_regret_grows_sublinearly_and_under_the_bound():
                 run__horizon=t,
                 run__base_seed=7,
             )
-            params = confidence_params(sub, env)
+            params = sub.confidence_params()
             bound = theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
             assert mean <= bound, f"{name}: mean regret {mean:.1f} at t={t} above bound {bound:.1f}"
         print(

@@ -13,10 +13,8 @@ from linens.harness import (
     build_environment,
     build_policy,
     checkpoints,
-    confidence_params,
     emit_outputs,
     estimate_event_rates,
-    resolve_scale,
     run_equivalence_suite,
     run_batch,
     run_monte_carlo,
@@ -148,6 +146,89 @@ class TestConfig:
             load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            EXPLICIT_INI.replace("arm_mode = explicit\n", ""),
+            EXPLICIT_INI.replace("arm_mode = explicit", "arm_mode = random"),
+            "[env]\ntheta_star = 0.9 0.3\n",
+        ],
+        ids=["arms-default-mode", "arms-random-mode", "theta-star-random-mode"],
+    )
+    def test_explicit_arm_inputs_need_explicit_mode(self, tmp_path, text):
+        # a random instance would silently replace the given arms
+        with pytest.raises(ValueError, match="need env.arm_mode = explicit"):
+            load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ("dim = 3", "every row of env.arms must have env.dim = 3"),
+            ("arm_count = 5", "arm_count = 5 but env.arms has 3 rows"),
+        ],
+        ids=["dim", "arm-count"],
+    )
+    def test_explicit_arm_shape_given_in_the_file_must_match_the_rows(
+        self, tmp_path, shape, message
+    ):
+        # the rows fill in dim and arm_count only where the file leaves them out
+        text = EXPLICIT_INI.replace("[env]\n", f"[env]\n{shape}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(write_cfg(tmp_path, text))
+
+    def test_explicit_arm_shape_that_matches_the_rows_loads(self, tmp_path):
+        text = EXPLICIT_INI.replace("[env]\n", "[env]\ndim = 2\narm_count = 3\n")
+        assert load_config(write_cfg(tmp_path, text)) == load_config(
+            write_cfg(tmp_path, EXPLICIT_INI, "plain.ini")
+        )
+
+    def test_every_field_is_read_from_its_key(self, tmp_path):
+        text = """\
+[env]
+dim = 3
+arm_count = 7
+sigma = 0.25
+noise_family = uniform
+s_bound = 2.5
+
+[policy]
+name = lints
+lambda = 2.0
+delta = 0.3
+m = 9
+sampler = round_robin
+family = rademacher
+scale_mode = explicit
+scale = 0.75
+keying = by_arm_count
+lints_scale = 0.5
+linucb_bonus = 1.5
+
+[run]
+horizon = 8
+replications = 3
+base_seed = 17
+diagnostics = full-trace
+out_dir = elsewhere
+workers = 2
+"""
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert cfg.to_dict() == {
+            "env": {
+                "dim": 3, "arm_count": 7, "arm_mode": "random", "arms": [],
+                "theta_star": [], "sigma": 0.25, "noise_family": "uniform", "s_bound": 2.5,
+            },
+            "policy": {
+                "name": "lints", "lam": 2.0, "delta": 0.3, "m": 9, "sampler": "round_robin",
+                "family": "rademacher", "scale_mode": "explicit", "scale": 0.75,
+                "keying": "by_arm_count", "lints_scale": 0.5, "linucb_bonus": 1.5,
+            },
+            "run": {
+                "horizon": 8, "replications": 3, "base_seed": 17,
+                "diagnostics": "full-trace", "out_dir": "elsewhere", "workers": 2,
+            },
+        }
+
+    @pytest.mark.parametrize(
         "key,value,message",
         [
             ("delta = 0.1", "delta = 0", "delta"),
@@ -171,9 +252,7 @@ class TestConfig:
         path = write_cfg(tmp_path, BASE_INI.replace("m = 4", "m = auto"))
         cfg = load_config(path)
         assert cfg.policy.m == "auto"
-        env = build_environment(cfg)
-        params = confidence_params(cfg, env)
-        assert cfg.resolved_ensemble_size() == ensemble_size(params, 4)
+        assert cfg.resolved_ensemble_size() == ensemble_size(cfg.confidence_params(), 4)
 
     @pytest.mark.parametrize(
         "m,horizon", [("4", "10"), ("auto", "100000")], ids=["explicit-m", "auto-m"]
@@ -192,13 +271,12 @@ class TestConfig:
 class TestPolicyResolution:
     def test_auto_scale_is_horizon_radius(self):
         cfg = small_cfg()
-        params = confidence_params(cfg, build_environment(cfg))
-        assert resolve_scale(cfg, params) == pytest.approx(beta(params, 30))
+        params = cfg.confidence_params()
+        assert cfg.perturbation_spec().scale == pytest.approx(beta(params, 30))
 
     def test_explicit_scale(self):
         cfg = small_cfg(policy__scale_mode="explicit", policy__scale=0.25)
-        params = confidence_params(cfg, build_environment(cfg))
-        assert resolve_scale(cfg, params) == 0.25
+        assert cfg.perturbation_spec().scale == 0.25
 
     @pytest.mark.parametrize(
         "name,cls",
@@ -212,9 +290,7 @@ class TestPolicyResolution:
     )
     def test_build_policy_types(self, name, cls):
         cfg = small_cfg(policy__name=name)
-        env = build_environment(cfg)
-        params = confidence_params(cfg, env)
-        assert isinstance(build_policy(cfg, env, params, 0), cls)
+        assert isinstance(build_policy(cfg, range(1)), cls)
 
     def test_environment_fixed_across_replications(self):
         cfg = small_cfg()
@@ -224,10 +300,8 @@ class TestPolicyResolution:
 
     def test_policy_streams_differ_across_replications(self):
         cfg = small_cfg()
-        env = build_environment(cfg)
-        params = confidence_params(cfg, env)
-        p0 = build_policy(cfg, env, params, 0)
-        p1 = build_policy(cfg, env, params, 1)
+        p0 = build_policy(cfg, range(0, 1))
+        p1 = build_policy(cfg, range(1, 2))
         assert not np.array_equal(p0.s_vectors, p1.s_vectors)
 
 

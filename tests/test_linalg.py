@@ -1,3 +1,6 @@
+import importlib
+import operator
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,36 @@ def test_benchmark_reads_the_one_kernel_module():
     # perfbench traces linens.backend.kernels and records HAVE_COMPILED_KERNELS
     assert linens.backend.kernels is linens._kernels_py
     assert linens.HAVE_COMPILED_KERNELS is False
+
+
+def test_benchmark_reads_these_names():
+    # perfbench/run.py reads its per-layer metrics under these names, and its
+    # child process patches cli.load_config; tier-1 does not collect perfbench,
+    # so without this a rename would only show there, as a KeyError
+    names = (
+        "envs.RegretLedger.record",
+        "envs.LinearBanditEnv.sample_reward",
+        "harness.aggregate",
+        "harness.emit_outputs",
+        "config.load_config",
+        "cli.load_config",
+        "policies.LinPHE.estimator",
+        "diagnostics.StepMonitor.observe",
+        "linalg.GramState.update",
+        "linalg.GramState.weighted_norm",
+        "linalg.GramState.solve",
+        "linalg.GramState.reinvert",
+        "backend.kernels.rank1_update",
+        "backend.kernels.quad_form",
+        "backend.kernels.accumulate_perturbed",
+        "perturb.PerturbationStream.reward_vector",
+        "perturb.PerturbationSpec.sample",
+        "perturb.keyed_generator",
+    )
+    for name in names:
+        module, _, attr = name.partition(".")
+        owner = importlib.import_module(f"linens.{module}")
+        assert callable(operator.attrgetter(attr)(owner)), name
 
 
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
