@@ -374,7 +374,14 @@ def run_equivalence_suite(
 
     ``desync`` deliberately offsets the perturbed-history stream; it exists
     as a negative control for the test itself and must report failures.
+    Each seed runs on its own random instance, so a config with explicit
+    arms is rejected rather than silently replaced.
     """
+    if cfg.env.arm_mode == "explicit":
+        raise ValueError(
+            "the equivalence suite draws random instances (one per seed, from "
+            "env.dim and env.arm_count); it cannot run on arm_mode = explicit"
+        )
     blocks = batches(range(n_seeds))
     results = _map_batches(
         partial(_equivalence_batch, cfg, desync), blocks, cfg.run.workers

@@ -2,14 +2,21 @@
 
 This module holds the confidence-radius formulas, the perturbation
 distribution families with their anti-concentration floors, the
-ensemble-size rule, and a counter-based random stream in which every
-draw is a pure function of ``(base_seed, structured key)``. Purity makes
-draws replayable and order-independent, which the round-robin-ensemble /
+ensemble-size rule, and keyed draws in which every value is a pure
+function of ``(base_seed, structured key)``. Purity makes draws
+replayable and order-independent, which the round-robin-ensemble /
 perturbed-history equivalence test relies on.
+
+Reward perturbations come from :func:`reward_draws`, a splitmix64
+counter hash in numpy ``uint64`` that draws a whole batch of replications
+and models in one call. Everything else (initial matrices, unshared
+perturbed-history draws, long-lived streams) comes from keyed Philox
+generators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,6 +209,81 @@ class PerturbationSpec:
         return self.scale * _sample_normalized(self.family, rng, size)
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_UNIT = 2.0**-53  # one step of a 53-bit uniform
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` of every word of a ``uint64`` array, in place."""
+    z += np.uint64(_GAMMA)
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _fold_array(h: np.ndarray, part) -> np.ndarray:
+    """:func:`_fold` of one key part, an integer or an integer array, into
+    an array of hashes."""
+    if np.ndim(part) == 0:
+        return _mix(h ^ np.uint64(_splitmix64(int(part) & _MASK64)))
+    return _mix(h ^ _mix(np.asarray(part).astype(np.uint64)))
+
+
+@functools.lru_cache(maxsize=256)
+def _counter_offsets(models: range) -> np.ndarray:
+    """``(len(models), 2)`` offsets ``c * gamma`` of counters ``c = 2j``
+    and ``2j + 1`` of each model j: splitmix64 started at ``h`` gives
+    ``_mix(h + c * gamma)`` as its output ``c``."""
+    offsets = np.array(
+        [[(2 * j + w) * _GAMMA & _MASK64 for w in (0, 1)] for j in models],
+        dtype=np.uint64,
+    ).reshape(len(models), 2)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def reward_draws(spec: PerturbationSpec, prefixes, models: range, *key) -> np.ndarray:
+    """Reward perturbations of ``models`` under one key per replication.
+
+    ``prefixes`` holds each replication's ``mix_key(stream_seed,
+    TAG_REWARD)``; each key part is an integer or an integer array, and
+    all of them broadcast together. The key is folded into the prefix with
+    :func:`mix_key`'s rule, then model j reads counters ``2j`` and
+    ``2j + 1`` of a splitmix64 sequence started at the folded hash, so each
+    value is a pure function of ``(stream_seed, j, key)``: independent of
+    the other models asked for, of the batch, and of its position in
+    either. The words map onto the family elementwise: gaussian by
+    Box-Muller, uniform from the top 53 bits, rademacher from one bit,
+    spherical as ``sqrt(2) cos(2 pi U)``, binomial as the sum of two bits
+    minus 1. Returns shape ``broadcast(prefixes, *key) + (len(models),)``.
+    """
+    h = np.array(prefixes, dtype=np.uint64)
+    for part in key:
+        h = _fold_array(h, part)
+    family = spec.family
+    words = 2 if family == PerturbationFamily.GAUSSIAN else 1
+    w = _mix(h[..., None, None] + _counter_offsets(models)[:, :words])
+    a = w[..., 0]
+    if family == PerturbationFamily.GAUSSIAN:
+        # Box-Muller on (0, 1] x [0, 1): the log never sees 0
+        radius = np.sqrt(-2.0 * np.log(((a >> 11) + 1) * _UNIT))
+        z = radius * np.cos((w[..., 1] >> 11) * (2.0 * math.pi * _UNIT))
+    elif family == PerturbationFamily.UNIFORM:
+        z = (a >> 11) * (2.0 * math.sqrt(3.0) * _UNIT) - math.sqrt(3.0)
+    elif family == PerturbationFamily.RADEMACHER:
+        z = 2.0 * (a >> 63) - 1.0
+    elif family == PerturbationFamily.SPHERICAL:
+        z = math.sqrt(2.0) * np.cos((a >> 11) * (2.0 * math.pi * _UNIT))
+    else:  # binomial: PerturbationSpec admits no other family
+        z = (a >> 63) + ((a >> 62) & 1) - 1.0
+    return spec.scale * z
+
+
 class Keying:
     """How reward perturbations are keyed in a stream."""
 
@@ -215,13 +297,16 @@ class PerturbationStream:
     """Keyed source of perturbation draws shared by an ensemble.
 
     Every draw is a pure function of ``(base_seed, key)``. Reward
-    perturbations for all models are produced as one vector per key;
-    model ``j`` owns component ``j``, so a draw depends only on
-    ``(base_seed, j, key)`` regardless of the ensemble size.
+    perturbations for all models are produced as one vector per key by
+    :func:`reward_draws`, of which :meth:`reward_vector` is the case of
+    one replication; model ``j`` owns component ``j``, so a draw depends
+    only on ``(base_seed, j, key)`` regardless of the ensemble size.
+    ``reward_prefix`` is the stream's part of that hash, which batched
+    policies stack to draw for all their replications in one call.
 
-    Short-lived draws (initial matrix, reward vectors, perturbed-history
-    draws) come from one Philox generator owned by the stream and reset to
-    counter 0 under each new key, which draws exactly what a fresh
+    The initial matrix and the perturbed-history draws come from one
+    Philox generator owned by the stream and reset to counter 0 under each
+    new key, which draws exactly what a fresh
     ``keyed_generator(base_seed, tag, *key)`` would at a tenth of its cost.
     That generator never leaves the stream; :meth:`generator` hands out
     fresh, independent generators for long-lived uses.
@@ -232,6 +317,7 @@ class PerturbationStream:
             raise ValueError(f"unknown keying mode {keying!r}")
         self.base_seed = int(base_seed)
         self.keying = keying
+        self.reward_prefix = mix_key(self.base_seed, TAG_REWARD)
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._rng = np.random.Generator(self._bitgen)
         self._prefix: dict[int, int] = {}  # tag -> mix_key(base_seed, tag)
@@ -280,11 +366,13 @@ class PerturbationStream:
     def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
         """(n_models,) vector of reward perturbations for one key."""
         parts = self._reward_key(key)
-        return spec.sample(self._keyed(TAG_REWARD, *parts), n_models)
+        return reward_draws(spec, [self.reward_prefix], range(n_models), *parts)[0]
 
     def reward_perturbation(self, spec: PerturbationSpec, model: int, *key: int) -> float:
         """Reward perturbation of one model for one key."""
-        return float(self.reward_vector(spec, model + 1, *key)[model])
+        parts = self._reward_key(key)
+        models = range(model, model + 1)
+        return float(reward_draws(spec, [self.reward_prefix], models, *parts)[0, 0])
 
     def history_perturbation(
         self, spec: PerturbationSpec, step: int, dim: int, n_rows: int, lam: float

@@ -29,6 +29,7 @@ from .perturb import (
     PerturbationStream,
     StepDraws,
     beta,
+    reward_draws,
 )
 
 
@@ -128,7 +129,9 @@ class EnsembleSampling(_RidgeBase):
     Maintains ``n_models`` perturbed running sums over one shared Gram
     state. Each step samples a model index, acts greedily on that model's
     estimator, then updates every model's sum with the observed reward
-    plus a fresh keyed reward perturbation.
+    plus a fresh keyed reward perturbation; one
+    :func:`~linens.perturb.reward_draws` call draws them for every model
+    and replication of the batch.
 
     Uniform model choice reads ``model_rng`` ahead in blocks (see
     :class:`~linens.perturb.StepDraws`), so the generator must be the
@@ -157,7 +160,6 @@ class EnsembleSampling(_RidgeBase):
             raise ValueError("the streams of a batch must share one keying")
         self.n_models = int(n_models)
         self.spec = spec
-        self.streams = streams
         self.keying = streams[0].keying
         self.sampler = sampler
         self._models = None
@@ -169,8 +171,9 @@ class EnsembleSampling(_RidgeBase):
         self.s_vectors = self._stacked(
             [s.initial_matrix(spec, n_models, dim, lam) for s in streams]
         )
-        # per replication: arm -> pulls so far, for by-arm-count keys
-        self._arm_counts: list[dict[int, int]] = [{} for _ in streams]
+        self._prefixes = np.array([s.reward_prefix for s in streams], dtype=np.uint64)
+        # (R, arms seen so far): pulls of each arm, for by-arm-count keys
+        self._arm_counts = np.zeros((len(streams), 0), dtype=np.int64)
 
     def thetas(self) -> np.ndarray:
         """All ensemble estimators, shape (n_models, dim) per replication."""
@@ -192,22 +195,28 @@ class EnsembleSampling(_RidgeBase):
         theta = self.model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
+    def _reward_key(self, arm_index) -> tuple:
+        """This step's reward key per replication; under by-arm-count
+        keying, counts the pull of ``arm_index``."""
+        if self.keying == Keying.BY_STEP:
+            return (self.step + 1,)
+        arms = np.broadcast_to(arm_index, self.batch_shape).reshape(-1)
+        seen = self._arm_counts.shape[1]
+        if arms.max() >= seen:
+            self._arm_counts = np.pad(self._arm_counts, ((0, 0), (0, arms.max() + 1 - seen)))
+        rows = np.arange(len(arms))
+        self._arm_counts[rows, arms] += 1
+        return arms, self._arm_counts[rows, arms]
+
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-        t = self.step + 1
-        arms = np.broadcast_to(arm_index, self.batch_shape).reshape(-1)
-        z = []
-        for stream, arm, counts in zip(self.streams, arms, self._arm_counts):
-            if self.keying == Keying.BY_STEP:
-                key = (t,)
-            else:
-                arm = int(arm)
-                counts[arm] = counts.get(arm, 0) + 1
-                key = (arm, counts[arm])
-            z.append(stream.reward_vector(self.spec, self.n_models, *key))
+        z = reward_draws(
+            self.spec, self._prefixes, range(self.n_models), *self._reward_key(arm_index)
+        )
         self.gram.update(x)
         y = np.asarray(y)
-        kernels.accumulate_perturbed(self.s_vectors, x, y[..., None] + self._stacked(z))
+        yz = y[..., None] + z.reshape(self.batch_shape + (self.n_models,))
+        kernels.accumulate_perturbed(self.s_vectors, x, yz)
         self.reward_sum += y[..., None] * x
 
 
@@ -221,9 +230,10 @@ class LinPHE(_RidgeBase):
     read from model ``t - 1`` of an m-model keyed stream instead of an
     independent per-step key. Against an ensemble run on the same stream
     with round-robin model choice, this reproduces the ensemble's draws
-    exactly and the two policies become the same algorithm. Each step's
-    m-vector of reward perturbations is drawn once, in ``update``, and
-    kept, so a replay of T steps costs O(T) draws and O(T * m) floats.
+    exactly and the two policies become the same algorithm. The reward
+    perturbations of steps ``1..t-1`` are hashed afresh at step ``t`` by
+    the ensemble's own :func:`~linens.perturb.reward_draws`, one call for
+    the batch, so the replay keeps no draws.
     """
 
     def __init__(
@@ -245,15 +255,12 @@ class LinPHE(_RidgeBase):
         self.streams = streams
         self.shared_model_axis = shared_model_axis
         self._initial_cache: np.ndarray | None = None
+        self._prefixes = np.array([s.reward_prefix for s in streams], dtype=np.uint64)
         shape = self.batch_shape
         # a shared-axis replay selects at most m steps, so m rows suffice
         rows = 8 if shared_model_axis is None else shared_model_axis
         self._xs = np.empty(shape + (rows, dim))
         self._ys = np.empty(shape + (rows,))
-        # row i: the shared stream's reward vector of step i + 1
-        self._zs = None
-        if shared_model_axis is not None:
-            self._zs = np.empty(shape + (rows, shared_model_axis))
 
     @property
     def history_length(self) -> int:
@@ -263,8 +270,6 @@ class LinPHE(_RidgeBase):
         if self.step == self._xs.shape[-2]:
             self._xs = np.concatenate([self._xs, np.empty_like(self._xs)], axis=-2)
             self._ys = np.concatenate([self._ys, np.empty_like(self._ys)], axis=-1)
-            if self._zs is not None:
-                self._zs = np.concatenate([self._zs, np.empty_like(self._zs)], axis=-2)
 
     def estimator(self, t: int) -> np.ndarray:
         """The freshly perturbed estimator for step ``t``."""
@@ -284,11 +289,16 @@ class LinPHE(_RidgeBase):
                 self._initial_cache = self._stacked(
                     [s.initial_matrix(self.spec, m, self.dim, self.lam) for s in self.streams]
                 )
+            # model t - 1's perturbation of each step so far, as the
+            # ensemble drew it
+            z = reward_draws(
+                self.spec, self._prefixes[:, None], range(t - 1, t), np.arange(1, t)
+            ).reshape(self.batch_shape + (n,))
             # accumulate in step order with the ensemble's exact draws so
             # the float operations match the incremental path bit for bit:
             # add.accumulate adds the rows one after another, where a sum
             # or a matrix product would pair them
-            terms = xs * (ys + self._zs[..., :n, t - 1])[..., None]
+            terms = xs * (ys + z)[..., None]
             rows = np.concatenate([self._initial_cache[..., t - 1 : t, :], terms], axis=-2)
             s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         else:
@@ -310,13 +320,6 @@ class LinPHE(_RidgeBase):
         self._grow()
         self._xs[..., self.step, :] = x
         self._ys[..., self.step] = y
-        if self._zs is not None:
-            self._zs[..., self.step, :] = self._stacked(
-                [
-                    s.reward_vector(self.spec, self.shared_model_axis, self.step + 1)
-                    for s in self.streams
-                ]
-            )
         self._observe(x, y)
 
 

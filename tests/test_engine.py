@@ -14,7 +14,7 @@ from linens.harness import (
     run_equivalence_suite,
 )
 from linens.linalg import REINVERT_PERIOD
-from linens.perturb import PerturbationSpec, PerturbationStream
+from linens.perturb import Keying, PerturbationFamily, PerturbationSpec, PerturbationStream
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Sampler
 
 
@@ -57,9 +57,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_batch_of_r_equals_r_batches_of_one(case):
-    cfg = make_cfg(**CASES[case])
+def assert_batch_of_r_equals_r_batches_of_one(cfg: ExperimentConfig) -> None:
     together = run_batch(cfg, range(3))
     for r, rec in enumerate(together):
         (alone,) = run_batch(cfg, range(r, r + 1))
@@ -70,6 +68,19 @@ def test_batch_of_r_equals_r_batches_of_one(case):
         assert rec.summary == alone.summary
     # the replications really differ, so the comparison is not vacuous
     assert bits(together[0].columns["reward"]) != bits(together[1].columns["reward"])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_batch_of_r_equals_r_batches_of_one(case):
+    assert_batch_of_r_equals_r_batches_of_one(make_cfg(**CASES[case]))
+
+
+@pytest.mark.parametrize("family", PerturbationFamily.ALL)
+@pytest.mark.parametrize("keying", Keying.ALL)
+def test_ensemble_reward_draws_do_not_depend_on_the_batch(family, keying):
+    # one reward-draw call per step covers the whole batch
+    cfg = make_cfg(policy__family=family, policy__keying=keying, run__horizon=25)
+    assert_batch_of_r_equals_r_batches_of_one(cfg)
 
 
 def _policies(batch: int | None):

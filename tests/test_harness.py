@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linens
 from linens import cli
 from linens.config import ExperimentConfig, load_config
 from linens.harness import (
@@ -523,6 +528,22 @@ class TestCli:
         code = cli.main(["equivalence", "--config", str(cfg_path), "--seeds", "4"])
         assert code == 0
         assert "PASS: 4/4" in capsys.readouterr().out
+
+    def test_equivalence_command_rejects_explicit_arms(self, tmp_path):
+        # the suite draws its own random instances; an explicit arm set
+        # would be ignored, so the command fails instead of printing PASS
+        cfg_path = write_cfg(tmp_path, EXPLICIT_INI)
+        src = Path(linens.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "linens.cli", "equivalence", "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode != 0
+        assert "draws random instances" in done.stderr
+        assert "arm_mode = explicit" in done.stderr
+        assert "PASS" not in done.stdout
 
     def test_rates_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)

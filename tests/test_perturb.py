@@ -18,9 +18,11 @@ from linens.perturb import (
     ensemble_size,
     gamma,
     gamma_tilde,
+    _splitmix64,
     keyed_generator,
     mix_key,
     p_n,
+    reward_draws,
 )
 
 mpmath.mp.dps = 30
@@ -206,32 +208,17 @@ class TestKeyedStreams:
 
 
 class TestReusedGenerator:
-    """A stream's short-lived draws reuse one generator reset under each
-    key; they must equal a fresh ``keyed_generator`` draw bit for bit.
-    Odd sizes leave half-used uint32 buffers (rademacher, binomial) behind,
-    which the next reset must clear."""
-
-    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_reward_vector_by_step(self, family):
-        spec = PerturbationSpec(family, 1.3)
-        stream = PerturbationStream(99)
-        for t, n in ((1, 33), (2, 7), (2, 1), (17, 64)):
-            want = spec.sample(keyed_generator(99, TAG_REWARD, t), n)
-            np.testing.assert_array_equal(stream.reward_vector(spec, n, t), want)
-
-    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_reward_vector_by_arm_count(self, family):
-        spec = PerturbationSpec(family, 0.7)
-        stream = PerturbationStream(3, keying=Keying.BY_ARM_COUNT)
-        for arm, count, n in ((0, 1, 9), (2, 1, 4), (0, 2, 31)):
-            want = spec.sample(keyed_generator(3, TAG_REWARD, arm, count), n)
-            np.testing.assert_array_equal(stream.reward_vector(spec, n, arm, count), want)
+    """A stream's initial-matrix and perturbed-history draws reuse one
+    generator reset under each key; they must equal a fresh
+    ``keyed_generator`` draw bit for bit. Odd sizes leave half-used uint32
+    buffers (rademacher, binomial) behind, which the next reset must
+    clear."""
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_initial_matrix(self, family):
         spec = PerturbationSpec(family, 0.9)
         stream = PerturbationStream(5)
-        stream.reward_vector(spec, 3, 1)  # leave the generator mid-stream
+        stream.history_perturbation(spec, 1, 3, 1, 1.0)  # leave the generator mid-stream
         want = math.sqrt(2.0) * spec.sample(keyed_generator(5, TAG_INIT), (7, 3))
         np.testing.assert_array_equal(stream.initial_matrix(spec, 7, 3, 2.0), want)
 
@@ -259,6 +246,169 @@ class TestReusedGenerator:
         stream.initial_matrix(spec, 2, 2, 1.0)
         b = g.standard_normal(4)
         np.testing.assert_array_equal(np.concatenate([a, b]), want)
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+#: reward perturbation at scale 1 of each (seed, key, model) of KNOWN_KEYS
+KNOWN_KEYS = ((99, (1,), 0), (99, (17,), 5), (3, (2, 1), 1), (3, (0, 2), 30))
+KNOWN_ANSWERS = {
+    "gaussian": (
+        -0.8722256138555039, 0.07242363387748352, -1.3382347982000182, -0.609830846036798
+    ),
+    "uniform": (
+        -1.4609079082959648, 0.8714344489117902, -0.3478808752451732, 0.28789384091336245
+    ),
+    "rademacher": (-1.0, 1.0, -1.0, 1.0),
+    "spherical": (
+        1.2466078455877723, 0.013874517236246142, -1.141901301582927, -1.2257456893681045
+    ),
+    "binomial": (-1.0, 1.0, 0.0, 0.0),
+}
+
+
+def reference_draw(family: str, seed: int, key: tuple, model: int) -> float:
+    """The documented reward-draw recipe, one value at a time in Python."""
+    h = mix_key(seed, TAG_REWARD, *key)
+    a, b = (_splitmix64((h + c * GOLDEN) & (2**64 - 1)) for c in (2 * model, 2 * model + 1))
+    u = (a >> 11) * 2.0**-53
+    if family == "gaussian":
+        radius = math.sqrt(-2.0 * math.log(((a >> 11) + 1) * 2.0**-53))
+        return radius * math.cos(2.0 * math.pi * (b >> 11) * 2.0**-53)
+    if family == "uniform":
+        return math.sqrt(3.0) * (2.0 * u - 1.0)
+    if family == "rademacher":
+        return 2.0 * (a >> 63) - 1.0
+    if family == "spherical":
+        return math.sqrt(2.0) * math.cos(2.0 * math.pi * u)
+    return (a >> 63) + ((a >> 62) & 1) - 1.0
+
+
+def stream_draw(spec, seed: int, key: tuple, model: int) -> float:
+    keying = Keying.BY_STEP if len(key) == 1 else Keying.BY_ARM_COUNT
+    return PerturbationStream(seed, keying).reward_perturbation(spec, model, *key)
+
+
+def reward_prefixes(seeds) -> np.ndarray:
+    return np.array([mix_key(s, TAG_REWARD) for s in seeds], dtype=np.uint64)
+
+
+class TestRewardDraws:
+    """Reward perturbations come from one counter hash over a batch of
+    replications, ``reward_draws``; a stream's reward vector is its batch
+    of one."""
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_known_answers(self, family):
+        spec = PerturbationSpec(family, 1.0)
+        scaled = PerturbationSpec(family, 0.7)
+        for (seed, key, model), want in zip(KNOWN_KEYS, KNOWN_ANSWERS[family]):
+            got = stream_draw(spec, seed, key, model)
+            # exact for the bit-built families; numpy's log and cos may
+            # round a last bit differently in another build
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
+            assert got == pytest.approx(reference_draw(family, seed, key, model), rel=1e-13)
+            assert stream_draw(scaled, seed, key, model) == 0.7 * got
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_component_is_pure_in_seed_model_and_key(self, family):
+        # component j is the same bits whatever the ensemble size, the
+        # models asked for, the batch and the position in it
+        spec = PerturbationSpec(family, 1.3)
+        prefixes = reward_prefixes([4, 11, 4, 2**63 + 5, 0])
+        full = reward_draws(spec, prefixes, range(64), 9)
+        assert full.shape == (5, 64)
+        for n in (1, 3, 17):
+            np.testing.assert_array_equal(reward_draws(spec, prefixes, range(n), 9), full[:, :n])
+        np.testing.assert_array_equal(
+            reward_draws(spec, prefixes, range(20, 23), 9), full[:, 20:23]
+        )
+        np.testing.assert_array_equal(full[0], full[2])
+        reversed_batch = reward_draws(spec, prefixes[::-1], range(64), 9)
+        for r in range(5):
+            alone = reward_draws(spec, prefixes[r : r + 1], range(64), 9)[0]
+            assert alone.tobytes() == full[r].tobytes() == reversed_batch[4 - r].tobytes()
+        # an array of keys hashes each key as its own call would: model 7
+        # over steps 1..40, as the shared-axis replay reads it
+        column = reward_draws(spec, prefixes[:, None], range(7, 8), np.arange(1, 41))[..., 0]
+        for t in (1, 9, 40):
+            np.testing.assert_array_equal(
+                column[:, t - 1], reward_draws(spec, prefixes, range(64), t)[:, 7]
+            )
+        assert not np.array_equal(full[0], full[1])
+        assert not np.array_equal(full[0], reward_draws(spec, prefixes, range(64), 10)[0])
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    @pytest.mark.parametrize("keying", Keying.ALL)
+    def test_batch_of_r_equals_r_streams_of_one(self, family, keying):
+        spec = PerturbationSpec(family, 0.9)
+        seeds = [3, 99, 12345, 7, 3]
+        if keying == Keying.BY_STEP:
+            keys = [(5,)] * len(seeds)
+            batch_key = (5,)
+        else:
+            keys = [(0, 1), (2, 1), (0, 2), (9, 4), (0, 2)]
+            batch_key = tuple(np.array(part) for part in zip(*keys))
+        batch = reward_draws(spec, reward_prefixes(seeds), range(33), *batch_key)
+        for row, seed, key in zip(batch, seeds, keys):
+            alone = PerturbationStream(seed, keying).reward_vector(spec, 33, *key)
+            assert row.tobytes() == alone.tobytes()
+
+
+def hashed(family: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
+    """``(rows, cols)`` reward draws at scale 1: one replication per row,
+    keyed by step 1, and one model per column."""
+    prefixes = reward_prefixes(range(seed * rows, (seed + 1) * rows))
+    return reward_draws(PerturbationSpec(family, 1.0), prefixes, range(cols), 1)
+
+
+class TestRewardDrawDistribution:
+    """The hash's bits mapped onto each family follow the family's law:
+    the checks ``TestPerturbationSpec`` makes of ``spec.sample``, and
+    criterion 5's directional anti-concentration floor."""
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_symmetry_and_variance(self, family):
+        x = hashed(family, 1000, 200)
+        assert abs(np.mean(x)) < 0.01
+        assert 0.48 <= np.var(x) <= 1.02
+        assert abs(np.mean(x**3)) < 0.02
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_sub_gaussian_tails(self, family):
+        x = np.abs(hashed(family, 2000, 500, seed=1))
+        for thr in (1.0, 2.0, 3.0):
+            assert np.mean(x >= thr) <= 2.5 * math.exp(-thr * thr / 2.0)
+
+    def test_gaussian_tail_matches_normal_tail(self):
+        x = hashed(PerturbationFamily.GAUSSIAN, 2000, 500, seed=2)
+        assert np.var(x) == pytest.approx(1.0, rel=0.01)
+        assert np.mean(x >= 1.0) == pytest.approx(p_n(), abs=0.002)
+        assert np.mean(x >= 2.0) == pytest.approx(0.5 * math.erfc(math.sqrt(2.0)), abs=0.001)
+
+    def test_supports(self):
+        rademacher = hashed(PerturbationFamily.RADEMACHER, 100, 10)
+        assert set(np.unique(rademacher)) == {-1.0, 1.0}
+        binomial = hashed(PerturbationFamily.BINOMIAL, 100, 10)
+        assert set(np.unique(binomial)) == {-1.0, 0.0, 1.0}
+        for family, bound, reach in (
+            (PerturbationFamily.UNIFORM, math.sqrt(3.0), 0.99),
+            (PerturbationFamily.SPHERICAL, math.sqrt(2.0), 0.999),
+        ):
+            x = np.abs(hashed(family, 1000, 100))
+            assert np.all(x <= bound + 1e-12)
+            assert np.max(x) > reach * bound
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_directional_anti_concentration_floor(self, family):
+        # criterion 5's directions, threshold and tolerance, on 16-model
+        # vectors of 200,000 replications
+        spec = PerturbationSpec(family, 1.0)
+        directions = np.random.default_rng(123).standard_normal((10, 16))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        z = hashed(family, 200_000, 16, seed=3)
+        rates = np.mean(z @ directions.T >= spec.anti_conc_threshold, axis=0)
+        assert rates.min() >= spec.anti_conc_floor - 0.005
 
 
 class TestPerturbationSpec:
