@@ -2,7 +2,7 @@
 
 Each section's keys are the fields of its dataclass (``lambda`` for
 ``lam``), read by field type. Unknown sections or keys are rejected so that
-typos fail fast.
+typos fail fast, and so are policy keys that the chosen policy never reads.
 """
 
 from __future__ import annotations
@@ -202,6 +202,16 @@ _FIELD_PARSERS = {
 #: INI keys that differ from their field's name.
 _INI_KEYS = {"lam": "lambda"}
 
+#: [policy] keys that only some policies read, with those policies. A file
+#: that sets one for another policy is rejected: the run would ignore it.
+_POLICY_READERS = {
+    "m": ("ensemble",),
+    "sampler": ("ensemble",),
+    "keying": ("ensemble", "phe"),
+    "lints_scale": ("lints",),
+    "linucb_bonus": ("linucb",),
+}
+
 
 def _read_section(section: configparser.SectionProxy, target) -> None:
     """Set each field of ``target`` that the section gives, in field order."""
@@ -235,4 +245,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             e.arm_count = len(e.arms)
         if "dim" not in parser["env"]:
             e.dim = len(e.arms[0])
-    return cfg.validate()
+    cfg.validate()
+    name = cfg.policy.name
+    for key, readers in _POLICY_READERS.items():
+        if parser.has_option("policy", key) and name not in readers:
+            raise ValueError(
+                f"policy.{key} is read only by policy.name = {' or '.join(readers)}, "
+                f"but this file sets it for policy.name = {name}"
+            )
+    return cfg

@@ -139,6 +139,13 @@ class GramState:
         """Return ``V^{-1} b`` using the maintained inverse."""
         return matvec(self.gram_inv, self._check_vector(b))
 
+    def inverse_sqrt(self) -> np.ndarray:
+        """``V^{-1/2}``, the symmetric inverse square root of the Gram
+        matrix, from its symmetric eigendecomposition: ``V^{-1/2} xi`` with
+        ``xi ~ N(0, s^2 I)`` is a draw from ``N(0, s^2 V^{-1})``."""
+        evals, evecs = np.linalg.eigh(self.gram)
+        return np.matmul(evecs / np.sqrt(evals)[..., None, :], np.swapaxes(evecs, -1, -2))
+
     def inverse_drift(self) -> float:
         """Max absolute entry of ``gram @ gram_inv - I`` over the batch
         (consistency check)."""

@@ -7,10 +7,12 @@ function of ``(base_seed, structured key)``. Purity makes draws
 replayable and order-independent, which the round-robin-ensemble /
 perturbed-history equivalence test relies on.
 
-Reward perturbations come from :func:`reward_draws`, a splitmix64
-counter hash in numpy ``uint64`` that draws a whole batch of replications
-and models in one call. Everything else (initial matrices, unshared
-perturbed-history draws, long-lived streams) comes from keyed Philox
+Reward perturbations, and the ``d`` gaussian values from which unshared
+perturbed-history exploration draws its whole perturbation in closed form,
+come from :func:`reward_draws`, a splitmix64 counter hash in numpy
+``uint64`` that draws a whole batch of replications in one call.
+Everything else (initial matrices, the O(t) history draws of the
+non-gaussian families, long-lived streams) comes from keyed Philox
 generators.
 """
 
@@ -250,8 +252,10 @@ def _counter_offsets(models: range) -> np.ndarray:
 def reward_draws(spec: PerturbationSpec, prefixes, models: range, *key) -> np.ndarray:
     """Reward perturbations of ``models`` under one key per replication.
 
-    ``prefixes`` holds each replication's ``mix_key(stream_seed,
-    TAG_REWARD)``; each key part is an integer or an integer array, and
+    ``prefixes`` holds each replication's ``mix_key(stream_seed, tag)``:
+    ``TAG_REWARD`` for reward perturbations, ``TAG_PHE`` for the ``d``
+    coordinates of a perturbed-history step (a "model" is then a
+    coordinate). Each key part is an integer or an integer array, and
     all of them broadcast together. The key is folded into the prefix with
     :func:`mix_key`'s rule, then model j reads counters ``2j`` and
     ``2j + 1`` of a splitmix64 sequence started at the folded hash, so each
@@ -304,7 +308,7 @@ class PerturbationStream:
     ``reward_prefix`` is the stream's part of that hash, which batched
     policies stack to draw for all their replications in one call.
 
-    The initial matrix and the perturbed-history draws come from one
+    The initial matrix and the O(t) perturbed-history draws come from one
     Philox generator owned by the stream and reset to counter 0 under each
     new key, which draws exactly what a fresh
     ``keyed_generator(base_seed, tag, *key)`` would at a tenth of its cost.
@@ -380,7 +384,13 @@ class PerturbationStream:
         """Fresh perturbed-history draws for ``step``: the (dim,) prior
         perturbation with standard-deviation target ``sqrt(lam) * scale``,
         then one reward perturbation per history row, in that order from
-        the key ``(TAG_PHE, step)``."""
+        the key ``(TAG_PHE, step)``.
+
+        Unshared perturbed-history exploration draws these for the
+        non-gaussian families. A gaussian policy needs only their sum
+        ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
+        ``d`` hashed values (see :class:`~linens.policies.LinPHE`); these
+        draws stay its test oracle."""
         rng = self._keyed(TAG_PHE, step)
         w = math.sqrt(lam) * spec.sample(rng, dim)
         return w, spec.sample(rng, n_rows)

@@ -23,12 +23,15 @@ import numpy as np
 from . import _kernels_py as kernels
 from .linalg import GramState, matvec, pick, unwrap
 from .perturb import (
+    TAG_PHE,
     ConfidenceParams,
     Keying,
+    PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
     StepDraws,
     beta,
+    mix_key,
     reward_draws,
 )
 
@@ -224,7 +227,20 @@ class LinPHE(_RidgeBase):
     """Linear perturbed-history exploration.
 
     At each step the entire observed history is re-perturbed with fresh
-    draws and the arm is chosen greedily on the resulting estimator.
+    draws and the arm is chosen greedily on the resulting estimator
+    ``V^{-1} (w + X^T (y + z))``, with prior perturbation ``w`` (standard
+    deviation ``sqrt(lam) * scale`` per coordinate) and one reward
+    perturbation ``z_i`` (scale ``scale``) per history row.
+
+    For the gaussian family the re-perturbation has a closed form:
+    ``w + X^T z ~ N(0, scale^2 V)``, so the estimator is distributed as
+    ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)``, Thompson
+    sampling's draw. The policy draws exactly that, in O(d^2) per step and
+    with no stored history: ``xi`` is ``d`` values of
+    :func:`~linens.perturb.reward_draws` under each stream's ``TAG_PHE``
+    prefix and the key ``t``, one call for the batch. The other families'
+    sums are not of their family, so they re-perturb the O(t) history with
+    :meth:`~linens.perturb.PerturbationStream.history_perturbation`.
 
     With ``shared_model_axis = m`` set, the fresh draws at step ``t`` are
     read from model ``t - 1`` of an m-model keyed stream instead of an
@@ -233,7 +249,8 @@ class LinPHE(_RidgeBase):
     exactly and the two policies become the same algorithm. The reward
     perturbations of steps ``1..t-1`` are hashed afresh at step ``t`` by
     the ensemble's own :func:`~linens.perturb.reward_draws`, one call for
-    the batch, so the replay keeps no draws.
+    the batch, so the replay keeps no draws; it does keep the history, for
+    every family.
     """
 
     def __init__(
@@ -256,11 +273,18 @@ class LinPHE(_RidgeBase):
         self.shared_model_axis = shared_model_axis
         self._initial_cache: np.ndarray | None = None
         self._prefixes = np.array([s.reward_prefix for s in streams], dtype=np.uint64)
-        shape = self.batch_shape
-        # a shared-axis replay selects at most m steps, so m rows suffice
-        rows = 8 if shared_model_axis is None else shared_model_axis
-        self._xs = np.empty(shape + (rows, dim))
-        self._ys = np.empty(shape + (rows,))
+        # the history is kept only where it is re-perturbed: the gaussian
+        # family draws the perturbation of the whole history in closed form
+        self._xs = self._ys = None
+        if shared_model_axis is None and spec.family == PerturbationFamily.GAUSSIAN:
+            self._phe_prefixes = np.array(
+                [mix_key(s.base_seed, TAG_PHE) for s in streams], dtype=np.uint64
+            )
+        else:
+            # a shared-axis replay selects at most m steps, so m rows suffice
+            rows = 8 if shared_model_axis is None else shared_model_axis
+            self._xs = np.empty(self.batch_shape + (rows, dim))
+            self._ys = np.empty(self.batch_shape + (rows,))
 
     @property
     def history_length(self) -> int:
@@ -277,6 +301,10 @@ class LinPHE(_RidgeBase):
             raise InvalidStateError(
                 f"step {t} inconsistent with history length {self.step}"
             )
+        if self._xs is None:
+            xi = reward_draws(self.spec, self._phe_prefixes, range(self.dim), t)
+            xi = xi.reshape(self.batch_shape + (self.dim,))
+            return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), xi)
         n = self.step
         xs, ys = self._xs[..., :n, :], self._ys[..., :n]
         if self.shared_model_axis is not None:
@@ -317,9 +345,10 @@ class LinPHE(_RidgeBase):
 
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64)
-        self._grow()
-        self._xs[..., self.step, :] = x
-        self._ys[..., self.step] = y
+        if self._xs is not None:
+            self._grow()
+            self._xs[..., self.step, :] = x
+            self._ys[..., self.step] = y
         self._observe(x, y)
 
 
@@ -368,7 +397,7 @@ class LinTS(_RidgeBase):
     """Gaussian linear Thompson sampling: greedy on
     ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)``.
 
-    ``V^{-1/2}`` comes from a symmetric eigendecomposition each step. The
+    ``V^{-1/2}`` is :meth:`~linens.linalg.GramState.inverse_sqrt`. The
     ``xi`` draws read ``rng`` ahead in blocks, so it must be the policy's
     own generator.
     """
@@ -386,10 +415,8 @@ class LinTS(_RidgeBase):
         )
 
     def sample_estimator(self) -> np.ndarray:
-        evals, evecs = np.linalg.eigh(self.gram.gram)
-        inv_half = np.matmul(evecs / np.sqrt(evals)[..., None, :], np.swapaxes(evecs, -1, -2))
         xi = self.scale * self._xi.next()
-        return self.ridge_estimate() + matvec(inv_half, xi)
+        return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), xi)
 
     def select(self, arms: np.ndarray) -> Selection:
         theta = self.sample_estimator()

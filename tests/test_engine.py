@@ -45,6 +45,7 @@ CASES = {
     "ensemble-uniform-family": dict(
         run__diagnostics="full-trace", policy__family="uniform", env__noise_family="uniform"
     ),
+    "phe": dict(policy__name="phe", run__diagnostics="full-trace"),
     "phe-rademacher": dict(
         policy__name="phe", run__diagnostics="monitors", policy__family="rademacher"
     ),

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -187,6 +188,7 @@ class TestConfig:
         )
 
     def test_every_field_is_read_from_its_key(self, tmp_path):
+        # every key an ensemble reads; the keys of other policies follow
         text = """\
 [env]
 dim = 3
@@ -196,7 +198,7 @@ noise_family = uniform
 s_bound = 2.5
 
 [policy]
-name = lints
+name = ensemble
 lambda = 2.0
 delta = 0.3
 m = 9
@@ -205,8 +207,6 @@ family = rademacher
 scale_mode = explicit
 scale = 0.75
 keying = by_arm_count
-lints_scale = 0.5
-linucb_bonus = 1.5
 
 [run]
 horizon = 8
@@ -223,15 +223,49 @@ workers = 2
                 "theta_star": [], "sigma": 0.25, "noise_family": "uniform", "s_bound": 2.5,
             },
             "policy": {
-                "name": "lints", "lam": 2.0, "delta": 0.3, "m": 9, "sampler": "round_robin",
+                "name": "ensemble", "lam": 2.0, "delta": 0.3, "m": 9, "sampler": "round_robin",
                 "family": "rademacher", "scale_mode": "explicit", "scale": 0.75,
-                "keying": "by_arm_count", "lints_scale": 0.5, "linucb_bonus": 1.5,
+                "keying": "by_arm_count", "lints_scale": None, "linucb_bonus": None,
             },
             "run": {
                 "horizon": 8, "replications": 3, "base_seed": 17,
                 "diagnostics": "full-trace", "out_dir": "elsewhere", "workers": 2,
             },
         }
+
+    @pytest.mark.parametrize(
+        "policy,key,value",
+        [
+            ("phe", "keying = by_arm_count", "by_arm_count"),
+            ("lints", "lints_scale = 0.5", 0.5),
+            ("linucb", "linucb_bonus = 1.5", 1.5),
+        ],
+    )
+    def test_policy_only_fields_are_read_for_their_policy(self, tmp_path, policy, key, value):
+        text = f"[policy]\nname = {policy}\n{key}\n"
+        field = key.partition(" ")[0]
+        assert getattr(load_config(write_cfg(tmp_path, text)).policy, field) == value
+
+    @pytest.mark.parametrize(
+        "policy,key",
+        [
+            ("phe", "m = 9"),
+            ("lints", "m = auto"),  # set to its default, still set
+            ("linucb", "sampler = round_robin"),
+            ("greedy", "sampler = uniform"),
+            ("lints", "keying = by_step"),
+            ("greedy", "keying = by_arm_count"),
+            ("ensemble", "lints_scale = 0.5"),
+            ("phe", "linucb_bonus = 1.5"),
+        ],
+    )
+    def test_policy_keys_the_policy_never_reads_are_rejected(self, tmp_path, policy, key):
+        # a run would ignore them silently
+        text = f"[policy]\nname = {policy}\n{key}\n"
+        field = key.partition(" ")[0]
+        message = f"policy.{field} is read only by .* policy.name = {policy}"
+        with pytest.raises(ValueError, match=message):
+            load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -595,3 +629,31 @@ class TestCli:
                 "--values", "4,10", "--out", str(tmp_path / "sweep"),
             ])
         assert not (tmp_path / "sweep").exists()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
+def test_the_shipped_configs_are_found():
+    # an empty list would skip the smoke test below without a word
+    assert {p.stem for p in SHIPPED_CONFIGS} >= {"ensemble", "phe", "explicit", "equivalence"}
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_loads_and_runs(tmp_path, path):
+    cfg = load_config(path)
+    # the same file, every key as shipped but the horizon, run for 5 steps
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    parser["run"]["horizon"] = "5"
+    short = tmp_path / path.name
+    with short.open("w") as f:
+        parser.write(f)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(short), "--reps", "2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["replications"] == 2
+    assert summary["config"]["run"]["horizon"] == 5
+    assert summary["config"]["env"] == cfg.to_dict()["env"]
+    assert summary["config"]["policy"] == cfg.to_dict()["policy"]
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 * 5

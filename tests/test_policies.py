@@ -3,12 +3,15 @@ import pytest
 
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.perturb import (
+    TAG_PHE,
     ConfidenceParams,
     Keying,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
     beta,
+    mix_key,
+    reward_draws,
 )
 from linens.policies import (
     EnsembleSampling,
@@ -202,16 +205,16 @@ class TestEnsembleUpdate:
 
 
 class TestLinPHE:
-    def make(self, dim=2, lam=1.0, scale=1.0, seed=5, shared=None):
-        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, scale)
+    def make(self, dim=2, lam=1.0, scale=1.0, seed=5, shared=None, family="gaussian"):
+        spec = PerturbationSpec(family, scale)
         stream = PerturbationStream(seed)
         return LinPHE(dim, lam, spec, stream, shared_model_axis=shared), spec, stream
 
-    def test_first_estimator_is_initial_draw_over_lam(self):
-        from linens.perturb import TAG_PHE
+    # the O(t) path: every family but gaussian re-perturbs the stored history
 
+    def test_first_estimator_is_initial_draw_over_lam(self):
         lam = 2.0
-        policy, spec, stream = self.make(dim=3, lam=lam, scale=1.3, seed=8)
+        policy, spec, stream = self.make(dim=3, lam=lam, scale=1.3, seed=8, family="rademacher")
         rng = stream.generator(TAG_PHE, 1)
         w = np.sqrt(lam) * spec.sample(rng, 3)
         np.testing.assert_allclose(policy.estimator(1), w / lam, atol=1e-12)
@@ -224,10 +227,8 @@ class TestLinPHE:
         )
 
     def test_batch_formula_oracle(self, rng):
-        from linens.perturb import TAG_PHE
-
         dim, lam, steps = 3, 1.5, 40
-        policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.8, seed=13)
+        policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.8, seed=13, family="uniform")
         xs, ys = drive(policy, rng, dim, steps)
         got = policy.estimator(steps + 1)
         g = stream.generator(TAG_PHE, steps + 1)
@@ -235,6 +236,76 @@ class TestLinPHE:
         z = spec.sample(g, steps)
         want = np.linalg.solve(lam * np.eye(dim) + xs.T @ xs, w + xs.T @ (ys + z))
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    # the gaussian path: the history's perturbation drawn in closed form
+
+    def test_gaussian_first_estimator_known_answer(self):
+        # at V = lam I the estimator is xi / sqrt(lam), xi hashed from (seed, 1, j)
+        policy, _, _ = self.make(dim=3, lam=2.0, scale=1.3, seed=8)
+        np.testing.assert_allclose(
+            policy.estimator(1),
+            [-0.35865464197510677, -0.5679346362393916, -0.9295358057428681],
+            rtol=1e-13,
+        )
+
+    def test_gaussian_estimator_is_ridge_plus_inverse_sqrt_of_hashed_draws(self, rng):
+        dim, lam, scale, steps, seed = 3, 1.5, 0.8, 40, 13
+        policy, spec, _ = self.make(dim=dim, lam=lam, scale=scale, seed=seed)
+        xs, ys = drive(policy, rng, dim, steps)
+        got = policy.estimator(steps + 1)
+        xi = reward_draws(spec, [mix_key(seed, TAG_PHE)], range(dim), steps + 1)[0]
+        v = lam * np.eye(dim) + xs.T @ xs
+        evals, evecs = np.linalg.eigh(v)
+        inv_half = evecs @ np.diag(evals**-0.5) @ evecs.T
+        np.testing.assert_allclose(inv_half @ v @ inv_half, np.eye(dim), atol=1e-12)
+        want = np.linalg.solve(v, xs.T @ ys) + inv_half @ xi
+        np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_gaussian_path_keeps_no_history_and_no_generator(self, rng, monkeypatch):
+        def state_bytes(policy):
+            return sum(a.nbytes for a in vars(policy).values() if isinstance(a, np.ndarray))
+
+        gaussian, _, _ = self.make(dim=3)
+        rademacher, _, _ = self.make(dim=3, family="rademacher")
+        sizes = {}
+        for steps in (10, 200):
+            for policy in (gaussian, rademacher):
+                drive(policy, rng, 3, steps - policy.step)
+                sizes[policy, steps] = state_bytes(policy)
+        assert sizes[gaussian, 10] == sizes[gaussian, 200]
+        assert sizes[rademacher, 10] < sizes[rademacher, 200]
+
+        def no_generator(*args):
+            raise AssertionError("the gaussian path reset a keyed generator")
+
+        monkeypatch.setattr(PerturbationStream, "_keyed", no_generator)
+        assert np.isfinite(gaussian.estimator(201)).all()
+
+    def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
+        # over 20,000 streams on one fixed history, both theta~ - theta^ of
+        # the gaussian policy and the O(t) history oracle are N(0, s^2 V^-1)
+        dim, lam, scale, steps, reps = 3, 1.0, 0.7, 30, 20_000
+        spec = PerturbationSpec("gaussian", scale)
+        streams = [PerturbationStream(r) for r in range(reps)]
+        policy = LinPHE(dim, lam, spec, streams)
+        # an anisotropic history: V's condition number is about 7
+        xs = random_unit_ball(np.random.default_rng(21), dim, count=steps) * [1.0, 0.5, 0.1]
+        ys = np.linspace(-1.0, 1.0, steps)
+        for x, y in zip(xs, ys):
+            policy.update(0, np.broadcast_to(x, (reps, dim)), np.full(reps, y))
+        v = lam * np.eye(dim) + xs.T @ xs
+        collapsed = policy.estimator(steps + 1) - policy.ridge_estimate()
+        oracle = np.empty((reps, dim))
+        for r, stream in enumerate(streams):
+            w, z = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
+            oracle[r] = np.linalg.solve(v, w + xs.T @ z)
+        # whitened by V^{1/2} / s, a N(0, s^2 V^-1) draw is standard normal
+        evals, evecs = np.linalg.eigh(v)
+        whiten = evecs @ np.diag(np.sqrt(evals)) @ evecs.T / scale
+        for name, dev in (("collapsed", collapsed), ("history oracle", oracle)):
+            white = dev @ whiten
+            assert np.abs(white.mean(axis=0)).max() < 0.05, name
+            assert np.abs(np.cov(white.T) - np.eye(dim)).max() < 0.05, name
 
     def test_fresh_draws_differ_across_steps(self, rng):
         policy, _, _ = self.make(dim=2, scale=1.0)
@@ -247,7 +318,7 @@ class TestLinPHE:
         assert not np.allclose(a, c)
 
     def test_history_growth_beyond_initial_capacity(self, rng):
-        policy, _, _ = self.make(dim=2, scale=0.5)
+        policy, _, _ = self.make(dim=2, scale=0.5, family="binomial")
         drive(policy, rng, 2, 100)  # initial buffer is 8
         assert policy.history_length == 100
         assert np.isfinite(policy.estimator(101)).all()
