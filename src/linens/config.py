@@ -208,6 +208,9 @@ _POLICY_READERS = {
     "m": ("ensemble",),
     "sampler": ("ensemble",),
     "keying": ("ensemble", "phe"),
+    "family": ("ensemble", "phe"),
+    "scale_mode": ("ensemble", "phe", "lints"),
+    "scale": ("ensemble", "phe", "lints"),
     "lints_scale": ("lints",),
     "linucb_bonus": ("linucb",),
 }

@@ -7,25 +7,23 @@ function of ``(base_seed, structured key)``. Purity makes draws
 replayable and order-independent, which the round-robin-ensemble /
 perturbed-history equivalence test relies on.
 
-Reward perturbations, and the ``d`` gaussian values from which unshared
-perturbed-history exploration draws its whole perturbation in closed form,
-come from :func:`reward_draws`, a splitmix64 counter hash in numpy
-``uint64`` that draws a whole batch of replications in one call.
-Everything else (initial matrices, the O(t) history draws of the
-non-gaussian families, long-lived streams) comes from keyed Philox
+Every perturbation (the initial matrices, the reward perturbations, and
+perturbed-history exploration's draws, closed-form or O(t)) comes from
+:func:`reward_draws`, a splitmix64 counter hash in numpy ``uint64`` that
+draws a whole batch of replications in one call. Only the long-lived
+sequential streams (observation noise, uniform model choice, Thompson
+sampling's draws, the random environment) come from keyed Philox
 generators.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_ZERO4 = (0, 0, 0, 0)
 
 # stream purpose tags (first component of every key)
 TAG_INIT = 0xA1
@@ -56,18 +54,14 @@ def mix_key(base_seed: int, *parts: int) -> int:
     return _fold(_splitmix64(base_seed & _MASK64), parts)
 
 
-def _philox_key(h: int) -> tuple[int, int]:
-    """The 128-bit Philox key of a mixed hash, as two 64-bit words."""
-    return h, _splitmix64(h)
-
-
 def keyed_generator(base_seed: int, *parts: int) -> np.random.Generator:
     """Counter-based generator that is a pure function of its key.
 
     The key parts are folded into a 128-bit Philox key via splitmix64, so
     identical keys reproduce identical streams across runs and processes.
     """
-    key = np.array(_philox_key(mix_key(base_seed, *parts)), dtype=np.uint64)
+    h = mix_key(base_seed, *parts)
+    key = np.array([h, _splitmix64(h)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -236,35 +230,35 @@ def _fold_array(h: np.ndarray, part) -> np.ndarray:
     return _mix(h ^ _mix(np.asarray(part).astype(np.uint64)))
 
 
-@functools.lru_cache(maxsize=256)
 def _counter_offsets(models: range) -> np.ndarray:
     """``(len(models), 2)`` offsets ``c * gamma`` of counters ``c = 2j``
     and ``2j + 1`` of each model j: splitmix64 started at ``h`` gives
     ``_mix(h + c * gamma)`` as its output ``c``."""
-    offsets = np.array(
-        [[(2 * j + w) * _GAMMA & _MASK64 for w in (0, 1)] for j in models],
-        dtype=np.uint64,
-    ).reshape(len(models), 2)
-    offsets.flags.writeable = False
-    return offsets
+    counters = np.arange(2 * models.start, 2 * models.stop, dtype=np.uint64)
+    return counters.reshape(-1, 2) * np.uint64(_GAMMA)  # wraps mod 2^64
 
 
 def reward_draws(spec: PerturbationSpec, prefixes, models: range, *key) -> np.ndarray:
-    """Reward perturbations of ``models`` under one key per replication.
+    """Perturbations of ``models`` under one key per replication.
 
-    ``prefixes`` holds each replication's ``mix_key(stream_seed, tag)``:
-    ``TAG_REWARD`` for reward perturbations, ``TAG_PHE`` for the ``d``
-    coordinates of a perturbed-history step (a "model" is then a
-    coordinate). Each key part is an integer or an integer array, and
-    all of them broadcast together. The key is folded into the prefix with
-    :func:`mix_key`'s rule, then model j reads counters ``2j`` and
-    ``2j + 1`` of a splitmix64 sequence started at the folded hash, so each
-    value is a pure function of ``(stream_seed, j, key)``: independent of
-    the other models asked for, of the batch, and of its position in
-    either. The words map onto the family elementwise: gaussian by
-    Box-Muller, uniform from the top 53 bits, rademacher from one bit,
-    spherical as ``sqrt(2) cos(2 pi U)``, binomial as the sum of two bits
-    minus 1. Returns shape ``broadcast(prefixes, *key) + (len(models),)``.
+    ``prefixes`` holds each replication's ``mix_key(stream_seed, tag)``,
+    and the tag says what a "model" is: ``TAG_REWARD``, keyed by step or
+    ``(arm, count)``, for reward perturbations, where model j is ensemble
+    member j; ``TAG_INIT``, with no key, for initial matrices, where model
+    ``j*dim + c`` is coordinate c of member j (:func:`initial_draws`);
+    ``TAG_PHE``, keyed by step, for a perturbed-history step, where models
+    ``0..dim-1`` are the prior's coordinates and model ``dim + i`` is
+    history row i (:func:`history_draws`). Each key part is an integer or
+    an integer array, and all of them broadcast together. The key is
+    folded into the prefix with :func:`mix_key`'s rule, then model j reads
+    counters ``2j`` and ``2j + 1`` of a splitmix64 sequence started at the
+    folded hash, so each value is a pure function of
+    ``(stream_seed, j, key)``: independent of the other models asked for,
+    of the batch, and of its position in either. The words map onto the
+    family elementwise: gaussian by Box-Muller, uniform from the top 53
+    bits, rademacher from one bit, spherical as ``sqrt(2) cos(2 pi U)``,
+    binomial as the sum of two bits minus 1. Returns shape
+    ``broadcast(prefixes, *key) + (len(models),)``.
     """
     h = np.array(prefixes, dtype=np.uint64)
     for part in key:
@@ -288,6 +282,36 @@ def reward_draws(spec: PerturbationSpec, prefixes, models: range, *key) -> np.nd
     return spec.scale * z
 
 
+def stream_prefixes(streams, tag: int) -> np.ndarray:
+    """``(R,)`` prefixes ``mix_key(stream.base_seed, tag)`` of R streams,
+    for drawing under ``tag`` with :func:`reward_draws`."""
+    return np.array([mix_key(s.base_seed, tag) for s in streams], dtype=np.uint64)
+
+
+def initial_draws(
+    spec: PerturbationSpec, prefixes, n_models: int, dim: int, lam: float
+) -> np.ndarray:
+    """``(R, n_models, dim)`` initial perturbations under R ``TAG_INIT``
+    prefixes, with per-coordinate standard-deviation target
+    ``sqrt(lam) * scale``. Row j reads models ``j*dim .. j*dim + dim - 1``,
+    so it is a pure function of ``(stream_seed, j)`` whatever ``n_models``
+    is."""
+    z = reward_draws(spec, prefixes, range(n_models * dim))
+    return math.sqrt(lam) * z.reshape(z.shape[:-1] + (n_models, dim))
+
+
+def history_draws(
+    spec: PerturbationSpec, prefixes, step: int, dim: int, n_rows: int, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed-history draws of ``step`` under R ``TAG_PHE`` prefixes:
+    the ``(R, dim)`` prior perturbation ``w`` with standard-deviation target
+    ``sqrt(lam) * scale``, and ``(R, n_rows)`` reward perturbations ``z``,
+    one per history row. ``w / sqrt(lam)`` is the gaussian closed form's
+    ``xi`` of the same step."""
+    z = reward_draws(spec, prefixes, range(dim + n_rows), step)
+    return math.sqrt(lam) * z[..., :dim], z[..., dim:]
+
+
 class Keying:
     """How reward perturbations are keyed in a stream."""
 
@@ -298,22 +322,17 @@ class Keying:
 
 
 class PerturbationStream:
-    """Keyed source of perturbation draws shared by an ensemble.
+    """Keyed source of one replication's perturbation draws.
 
-    Every draw is a pure function of ``(base_seed, key)``. Reward
-    perturbations for all models are produced as one vector per key by
-    :func:`reward_draws`, of which :meth:`reward_vector` is the case of
-    one replication; model ``j`` owns component ``j``, so a draw depends
-    only on ``(base_seed, j, key)`` regardless of the ensemble size.
-    ``reward_prefix`` is the stream's part of that hash, which batched
-    policies stack to draw for all their replications in one call.
-
-    The initial matrix and the O(t) perturbed-history draws come from one
-    Philox generator owned by the stream and reset to counter 0 under each
-    new key, which draws exactly what a fresh
-    ``keyed_generator(base_seed, tag, *key)`` would at a tenth of its cost.
-    That generator never leaves the stream; :meth:`generator` hands out
-    fresh, independent generators for long-lived uses.
+    Every draw is a pure function of ``(base_seed, key)``: a batch of one
+    of :func:`reward_draws` under the prefix ``mix_key(base_seed, tag)``.
+    Batched policies stack those prefixes over their streams with
+    :func:`stream_prefixes` and draw for all their replications in one
+    call, so each method here is the case of one replication and serves
+    as their oracle. Reward perturbations for all models come as one
+    vector per key; model ``j`` owns component ``j``, so a draw depends
+    only on ``(base_seed, j, key)`` regardless of the ensemble size. The
+    stream holds no generator.
     """
 
     def __init__(self, base_seed: int, keying: str = Keying.BY_STEP):
@@ -321,42 +340,13 @@ class PerturbationStream:
             raise ValueError(f"unknown keying mode {keying!r}")
         self.base_seed = int(base_seed)
         self.keying = keying
-        self.reward_prefix = mix_key(self.base_seed, TAG_REWARD)
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._rng = np.random.Generator(self._bitgen)
-        self._prefix: dict[int, int] = {}  # tag -> mix_key(base_seed, tag)
-
-    def generator(self, *parts: int) -> np.random.Generator:
-        return keyed_generator(self.base_seed, *parts)
-
-    def _keyed(self, tag: int, *parts: int) -> np.random.Generator:
-        """The stream's own generator, reset to the fresh state of
-        ``keyed_generator(base_seed, tag, *parts)``."""
-        h = self._prefix.get(tag)
-        if h is None:
-            h = self._prefix[tag] = mix_key(self.base_seed, tag)
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO4, "key": _philox_key(_fold(h, parts))},
-            "buffer": _ZERO4,
-            "buffer_pos": 4,  # buffer exhausted: the next draw computes block 0
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._rng
 
     def initial_matrix(
         self, spec: PerturbationSpec, n_models: int, dim: int, lam: float
     ) -> np.ndarray:
         """(n_models, dim) matrix of initial perturbations; per-coordinate
         standard-deviation target is ``sqrt(lam) * scale``."""
-        return math.sqrt(lam) * spec.sample(self._keyed(TAG_INIT), (n_models, dim))
-
-    def initial_vector(
-        self, spec: PerturbationSpec, model: int, dim: int, lam: float
-    ) -> np.ndarray:
-        """Initial perturbation of one model (row ``model`` of the matrix)."""
-        return self.initial_matrix(spec, model + 1, dim, lam)[model]
+        return initial_draws(spec, stream_prefixes([self], TAG_INIT), n_models, dim, lam)[0]
 
     def _reward_key(self, key: tuple) -> tuple:
         if self.keying == Keying.BY_STEP:
@@ -370,30 +360,27 @@ class PerturbationStream:
     def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
         """(n_models,) vector of reward perturbations for one key."""
         parts = self._reward_key(key)
-        return reward_draws(spec, [self.reward_prefix], range(n_models), *parts)[0]
+        prefixes = stream_prefixes([self], TAG_REWARD)
+        return reward_draws(spec, prefixes, range(n_models), *parts)[0]
 
     def reward_perturbation(self, spec: PerturbationSpec, model: int, *key: int) -> float:
         """Reward perturbation of one model for one key."""
-        parts = self._reward_key(key)
-        models = range(model, model + 1)
-        return float(reward_draws(spec, [self.reward_prefix], models, *parts)[0, 0])
+        return float(self.reward_vector(spec, model + 1, *key)[model])
 
     def history_perturbation(
         self, spec: PerturbationSpec, step: int, dim: int, n_rows: int, lam: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fresh perturbed-history draws for ``step``: the (dim,) prior
-        perturbation with standard-deviation target ``sqrt(lam) * scale``,
-        then one reward perturbation per history row, in that order from
-        the key ``(TAG_PHE, step)``.
+        perturbation with standard-deviation target ``sqrt(lam) * scale``
+        and one reward perturbation per history row (:func:`history_draws`).
 
         Unshared perturbed-history exploration draws these for the
         non-gaussian families. A gaussian policy needs only their sum
         ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
-        ``d`` hashed values (see :class:`~linens.policies.LinPHE`); these
-        draws stay its test oracle."""
-        rng = self._keyed(TAG_PHE, step)
-        w = math.sqrt(lam) * spec.sample(rng, dim)
-        return w, spec.sample(rng, n_rows)
+        ``w / sqrt(lam)`` alone (see :class:`~linens.policies.LinPHE`);
+        these draws stay its test oracle."""
+        w, z = history_draws(spec, stream_prefixes([self], TAG_PHE), step, dim, n_rows, lam)
+        return w[0], z[0]
 
 
 #: Steps that a :class:`StepDraws` draws from its generators at a time.

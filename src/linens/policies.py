@@ -23,7 +23,9 @@ import numpy as np
 from . import _kernels_py as kernels
 from .linalg import GramState, matvec, pick, unwrap
 from .perturb import (
+    TAG_INIT,
     TAG_PHE,
+    TAG_REWARD,
     ConfidenceParams,
     Keying,
     PerturbationFamily,
@@ -31,8 +33,10 @@ from .perturb import (
     PerturbationStream,
     StepDraws,
     beta,
-    mix_key,
+    history_draws,
+    initial_draws,
     reward_draws,
+    stream_prefixes,
 )
 
 
@@ -96,10 +100,6 @@ class _RidgeBase:
     def batch_shape(self) -> tuple:
         return self.gram.batch_shape
 
-    def _stacked(self, values: list) -> np.ndarray:
-        """Per-replication values stacked into the batch shape."""
-        return np.stack(values).reshape(self.batch_shape + np.shape(values[0]))
-
     def _selection(self, scores: np.ndarray, theta: np.ndarray, model=-1) -> Selection:
         """The argmax of ``scores``, for the estimator ``theta`` of ``model``."""
         model = unwrap(np.broadcast_to(model, self.batch_shape))
@@ -130,11 +130,14 @@ class EnsembleSampling(_RidgeBase):
     """Linear ensemble sampling.
 
     Maintains ``n_models`` perturbed running sums over one shared Gram
-    state. Each step samples a model index, acts greedily on that model's
-    estimator, then updates every model's sum with the observed reward
-    plus a fresh keyed reward perturbation; one
-    :func:`~linens.perturb.reward_draws` call draws them for every model
-    and replication of the batch.
+    state. Each sum starts at its model's keyed initial perturbation. Each
+    step samples a model index, acts greedily on that model's estimator,
+    then updates every model's sum with the observed reward plus a fresh
+    keyed reward perturbation. Both draws are one
+    :func:`~linens.perturb.reward_draws` call for every model and
+    replication of the batch: the initial matrices at construction
+    (:func:`~linens.perturb.initial_draws`), the reward perturbations at
+    each step.
 
     Uniform model choice reads ``model_rng`` ahead in blocks (see
     :class:`~linens.perturb.StepDraws`), so the generator must be the
@@ -171,10 +174,9 @@ class EnsembleSampling(_RidgeBase):
             self._models = StepDraws(
                 rngs, lambda g, n: g.integers(self.n_models, size=n), batch is not None
             )
-        self.s_vectors = self._stacked(
-            [s.initial_matrix(spec, n_models, dim, lam) for s in streams]
-        )
-        self._prefixes = np.array([s.reward_prefix for s in streams], dtype=np.uint64)
+        w = initial_draws(spec, stream_prefixes(streams, TAG_INIT), n_models, dim, lam)
+        self.s_vectors = w.reshape(self.batch_shape + (n_models, dim))
+        self._prefixes = stream_prefixes(streams, TAG_REWARD)
         # (R, arms seen so far): pulls of each arm, for by-arm-count keys
         self._arm_counts = np.zeros((len(streams), 0), dtype=np.int64)
 
@@ -240,17 +242,19 @@ class LinPHE(_RidgeBase):
     :func:`~linens.perturb.reward_draws` under each stream's ``TAG_PHE``
     prefix and the key ``t``, one call for the batch. The other families'
     sums are not of their family, so they re-perturb the O(t) history with
-    :meth:`~linens.perturb.PerturbationStream.history_perturbation`.
+    :func:`~linens.perturb.history_draws`, one call for the batch whose
+    first ``d`` values are that same ``xi``.
 
     With ``shared_model_axis = m`` set, the fresh draws at step ``t`` are
     read from model ``t - 1`` of an m-model keyed stream instead of an
     independent per-step key. Against an ensemble run on the same stream
     with round-robin model choice, this reproduces the ensemble's draws
-    exactly and the two policies become the same algorithm. The reward
-    perturbations of steps ``1..t-1`` are hashed afresh at step ``t`` by
-    the ensemble's own :func:`~linens.perturb.reward_draws`, one call for
-    the batch, so the replay keeps no draws; it does keep the history, for
-    every family.
+    exactly and the two policies become the same algorithm. The initial
+    matrix is drawn at construction by the ensemble's own call, and the
+    reward perturbations of steps ``1..t-1`` are hashed afresh at step
+    ``t`` by the ensemble's own :func:`~linens.perturb.reward_draws`, one
+    call for the batch, so the replay keeps no reward draws; it does keep
+    the history, for every family.
     """
 
     def __init__(
@@ -269,18 +273,20 @@ class LinPHE(_RidgeBase):
             if any(s.keying != Keying.BY_STEP for s in streams):
                 raise ValueError("shared-stream replay requires by-step keying")
         self.spec = spec
-        self.streams = streams
         self.shared_model_axis = shared_model_axis
-        self._initial_cache: np.ndarray | None = None
-        self._prefixes = np.array([s.reward_prefix for s in streams], dtype=np.uint64)
+        if shared_model_axis is None:
+            # each step's own draws
+            self._prefixes = stream_prefixes(streams, TAG_PHE)
+        else:
+            # the ensemble's draws, replayed
+            m = shared_model_axis
+            w = initial_draws(spec, stream_prefixes(streams, TAG_INIT), m, dim, lam)
+            self._initial = w.reshape(self.batch_shape + (m, dim))
+            self._prefixes = stream_prefixes(streams, TAG_REWARD)
         # the history is kept only where it is re-perturbed: the gaussian
         # family draws the perturbation of the whole history in closed form
         self._xs = self._ys = None
-        if shared_model_axis is None and spec.family == PerturbationFamily.GAUSSIAN:
-            self._phe_prefixes = np.array(
-                [mix_key(s.base_seed, TAG_PHE) for s in streams], dtype=np.uint64
-            )
-        else:
+        if shared_model_axis is not None or spec.family != PerturbationFamily.GAUSSIAN:
             # a shared-axis replay selects at most m steps, so m rows suffice
             rows = 8 if shared_model_axis is None else shared_model_axis
             self._xs = np.empty(self.batch_shape + (rows, dim))
@@ -302,7 +308,7 @@ class LinPHE(_RidgeBase):
                 f"step {t} inconsistent with history length {self.step}"
             )
         if self._xs is None:
-            xi = reward_draws(self.spec, self._phe_prefixes, range(self.dim), t)
+            xi = reward_draws(self.spec, self._prefixes, range(self.dim), t)
             xi = xi.reshape(self.batch_shape + (self.dim,))
             return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), xi)
         n = self.step
@@ -312,10 +318,6 @@ class LinPHE(_RidgeBase):
             if t > m:
                 raise InvalidStateError(
                     f"shared-stream replay exhausted: step {t} > model axis {m}"
-                )
-            if self._initial_cache is None:
-                self._initial_cache = self._stacked(
-                    [s.initial_matrix(self.spec, m, self.dim, self.lam) for s in self.streams]
                 )
             # model t - 1's perturbation of each step so far, as the
             # ensemble drew it
@@ -327,15 +329,12 @@ class LinPHE(_RidgeBase):
             # add.accumulate adds the rows one after another, where a sum
             # or a matrix product would pair them
             terms = xs * (ys + z)[..., None]
-            rows = np.concatenate([self._initial_cache[..., t - 1 : t, :], terms], axis=-2)
+            rows = np.concatenate([self._initial[..., t - 1 : t, :], terms], axis=-2)
             s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         else:
-            draws = [
-                s.history_perturbation(self.spec, t, self.dim, n, self.lam)
-                for s in self.streams
-            ]
-            w = self._stacked([d[0] for d in draws])
-            z = self._stacked([d[1] for d in draws])
+            w, z = history_draws(self.spec, self._prefixes, t, self.dim, n, self.lam)
+            w = w.reshape(self.batch_shape + (self.dim,))
+            z = z.reshape(self.batch_shape + (n,))
             s = w + matvec(np.swapaxes(xs, -1, -2), ys + z)
         return self.gram.solve(np.ascontiguousarray(s))
 

@@ -239,6 +239,8 @@ workers = 2
             ("phe", "keying = by_arm_count", "by_arm_count"),
             ("lints", "lints_scale = 0.5", 0.5),
             ("linucb", "linucb_bonus = 1.5", 1.5),
+            ("phe", "family = uniform", "uniform"),
+            ("lints", "scale = 0.5", 0.5),
         ],
     )
     def test_policy_only_fields_are_read_for_their_policy(self, tmp_path, policy, key, value):
@@ -257,6 +259,10 @@ workers = 2
             ("greedy", "keying = by_arm_count"),
             ("ensemble", "lints_scale = 0.5"),
             ("phe", "linucb_bonus = 1.5"),
+            ("linucb", "family = rademacher"),
+            ("greedy", "scale = 2.0"),
+            ("lints", "family = gaussian"),  # lints samples gaussian whatever it says
+            ("linucb", "scale_mode = auto"),
         ],
     )
     def test_policy_keys_the_policy_never_reads_are_rejected(self, tmp_path, policy, key):
@@ -637,6 +643,22 @@ SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
 def test_the_shipped_configs_are_found():
     # an empty list would skip the smoke test below without a word
     assert {p.stem for p in SHIPPED_CONFIGS} >= {"ensemble", "phe", "explicit", "equivalence"}
+
+
+BENCHMARK_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.ini")
+)
+
+
+@pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.stem)
+def test_benchmark_config_loads(path):
+    # tier-1 does not collect perfbench/, so a load-time rejection of a
+    # benchmark config would otherwise go unseen
+    load_config(path)
+
+
+def test_the_benchmark_configs_are_found():
+    assert {p.stem for p in BENCHMARK_CONFIGS} >= {"equivalence-c1", "rates-c4"}
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)

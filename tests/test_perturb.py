@@ -6,7 +6,6 @@ import pytest
 
 from linens.perturb import (
     TAG_INIT,
-    TAG_NOISE,
     TAG_PHE,
     TAG_REWARD,
     ConfidenceParams,
@@ -19,10 +18,12 @@ from linens.perturb import (
     gamma,
     gamma_tilde,
     _splitmix64,
+    initial_draws,
     keyed_generator,
     mix_key,
     p_n,
     reward_draws,
+    stream_prefixes,
 )
 
 mpmath.mp.dps = 30
@@ -176,12 +177,6 @@ class TestKeyedStreams:
         np.testing.assert_array_equal(small, large[:4])
         assert stream.reward_perturbation(spec, 2, 17) == small[2]
 
-    def test_initial_vector_matches_matrix_row(self):
-        stream = PerturbationStream(5)
-        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 0.8)
-        mat = stream.initial_matrix(spec, 6, 3, 2.0)
-        np.testing.assert_array_equal(stream.initial_vector(spec, 4, 3, 2.0), mat[4])
-
     def test_reward_key_arity_enforced(self):
         spec = PerturbationSpec()
         by_step = PerturbationStream(1, keying=Keying.BY_STEP)
@@ -207,47 +202,6 @@ class TestKeyedStreams:
             PerturbationStream(0, keying="nope")
 
 
-class TestReusedGenerator:
-    """A stream's initial-matrix and perturbed-history draws reuse one
-    generator reset under each key; they must equal a fresh
-    ``keyed_generator`` draw bit for bit. Odd sizes leave half-used uint32
-    buffers (rademacher, binomial) behind, which the next reset must
-    clear."""
-
-    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_initial_matrix(self, family):
-        spec = PerturbationSpec(family, 0.9)
-        stream = PerturbationStream(5)
-        stream.history_perturbation(spec, 1, 3, 1, 1.0)  # leave the generator mid-stream
-        want = math.sqrt(2.0) * spec.sample(keyed_generator(5, TAG_INIT), (7, 3))
-        np.testing.assert_array_equal(stream.initial_matrix(spec, 7, 3, 2.0), want)
-
-    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_history_perturbation_splits_one_key(self, family):
-        spec = PerturbationSpec(family, 1.1)
-        stream = PerturbationStream(8)
-        for step, n in ((1, 0), (4, 3), (9, 8)):
-            g = keyed_generator(8, TAG_PHE, step)
-            want_w = math.sqrt(1.5) * spec.sample(g, 3)
-            want_z = spec.sample(g, n)
-            w, z = stream.history_perturbation(spec, step, 3, n, 1.5)
-            np.testing.assert_array_equal(w, want_w)
-            np.testing.assert_array_equal(z, want_z)
-
-    def test_long_lived_generator_unaffected_by_short_lived_draws(self):
-        spec = PerturbationSpec(PerturbationFamily.RADEMACHER, 1.0)
-        stream = PerturbationStream(21)
-        ref = keyed_generator(21, TAG_NOISE, 4)
-        want = np.concatenate([ref.integers(0, 2, size=5), ref.standard_normal(4)])
-        g = stream.generator(TAG_NOISE, 4)
-        a = g.integers(0, 2, size=5)  # odd count: g keeps a buffered uint32
-        stream.reward_vector(spec, 3, 1)
-        stream.history_perturbation(spec, 2, 2, 1, 1.0)
-        stream.initial_matrix(spec, 2, 2, 1.0)
-        b = g.standard_normal(4)
-        np.testing.assert_array_equal(np.concatenate([a, b]), want)
-
-
 GOLDEN = 0x9E3779B97F4A7C15
 
 #: reward perturbation at scale 1 of each (seed, key, model) of KNOWN_KEYS
@@ -267,9 +221,9 @@ KNOWN_ANSWERS = {
 }
 
 
-def reference_draw(family: str, seed: int, key: tuple, model: int) -> float:
-    """The documented reward-draw recipe, one value at a time in Python."""
-    h = mix_key(seed, TAG_REWARD, *key)
+def reference_draw(family: str, seed: int, key: tuple, model: int, tag=TAG_REWARD) -> float:
+    """The documented draw recipe, one value at a time in Python."""
+    h = mix_key(seed, tag, *key)
     a, b = (_splitmix64((h + c * GOLDEN) & (2**64 - 1)) for c in (2 * model, 2 * model + 1))
     u = (a >> 11) * 2.0**-53
     if family == "gaussian":
@@ -353,6 +307,85 @@ class TestRewardDraws:
         for row, seed, key in zip(batch, seeds, keys):
             alone = PerturbationStream(seed, keying).reward_vector(spec, 33, *key)
             assert row.tobytes() == alone.tobytes()
+
+
+#: at scale 1 and lambda 1: seed 5's (2, 2) initial matrix, row by row, then
+#: seed 8's step-3 history draws for dim 2 and one row, w before z
+KNOWN_INITIAL_AND_HISTORY = {
+    "gaussian": (
+        -1.374911093634068, 0.7019724493419698, 2.11095641489143, 0.09475281851266436,
+        0.3011684944242208, -1.2582334188132471, 0.5872366922875165,
+    ),
+    "uniform": (
+        -0.4250130878569902, 0.9707309035527532, -1.5176404931448975, 0.6089352326669406,
+        1.426569192138433, -1.5732655141929084, 0.14006930790111127,
+    ),
+    "rademacher": (-1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0),
+    "spherical": (
+        -1.0144039219570153, 0.2669684438382643, 1.3086110314241364, -0.6358209603710403,
+        1.2026240580912666, 1.3559656954292432, -1.368818122446942,
+    ),
+    "binomial": (0.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0),
+}
+
+
+class TestInitialAndHistoryDraws:
+    """Initial matrices and perturbed-history draws are ``reward_draws``
+    calls too: under the ``TAG_INIT`` prefix with no key, where coordinate
+    c of row j is model ``j*dim + c``, and under the ``TAG_PHE`` prefix
+    keyed by the step, where the prior's ``dim`` coordinates come first and
+    history row i is model ``dim + i``."""
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_known_answers(self, family):
+        spec = PerturbationSpec(family, 1.0)
+        w, z = PerturbationStream(8).history_perturbation(spec, 3, 2, 1, 1.0)
+        initial = PerturbationStream(5).initial_matrix(spec, 2, 2, 1.0)
+        got = np.concatenate([initial.ravel(), w, z])
+        # exact for the bit-built families; numpy's log and cos may round a
+        # last bit differently in another build
+        np.testing.assert_allclose(got, KNOWN_INITIAL_AND_HISTORY[family], rtol=1e-15, atol=0)
+        want = [reference_draw(family, 5, (), j, TAG_INIT) for j in range(4)]
+        want += [reference_draw(family, 8, (3,), j, TAG_PHE) for j in range(3)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_initial_matrix(self, family):
+        spec = PerturbationSpec(family, 0.9)
+        got = PerturbationStream(5).initial_matrix(spec, 7, 3, 4.0)
+        flat = reward_draws(spec, [mix_key(5, TAG_INIT)], range(21))[0]
+        assert got.shape == (7, 3)
+        np.testing.assert_array_equal(got, 2.0 * flat.reshape(7, 3))
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_history_perturbation_splits_one_key(self, family):
+        spec = PerturbationSpec(family, 1.1)
+        prefix = [mix_key(8, TAG_PHE)]
+        for step, n in ((1, 0), (4, 3), (9, 8)):
+            w, z = PerturbationStream(8).history_perturbation(spec, step, 3, n, 4.0)
+            flat = reward_draws(spec, prefix, range(3 + n), step)[0]
+            assert w.shape == (3,) and z.shape == (n,)
+            np.testing.assert_array_equal(w, 2.0 * flat[:3])
+            np.testing.assert_array_equal(z, flat[3:])
+            # w / sqrt(lam) is the d values the gaussian closed form draws
+            np.testing.assert_array_equal(w / 2.0, reward_draws(spec, prefix, range(3), step)[0])
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_initial_row_is_pure_in_seed_and_model(self, family):
+        # row j is the same bits whatever the ensemble size, the batch and
+        # the position in it
+        spec = PerturbationSpec(family, 0.8)
+        full = PerturbationStream(5).initial_matrix(spec, 6, 3, 2.0)
+        for n in (1, 4):
+            np.testing.assert_array_equal(
+                PerturbationStream(5).initial_matrix(spec, n, 3, 2.0), full[:n]
+            )
+        streams = [PerturbationStream(s) for s in (9, 5, 2**63 + 1, 5)]
+        batch = initial_draws(spec, stream_prefixes(streams, TAG_INIT), 40, 3, 2.0)
+        assert batch.shape == (4, 40, 3)
+        for r in (1, 3):
+            assert batch[r, :6].tobytes() == full.tobytes()
+        assert not np.array_equal(batch[0, :6], full)
 
 
 def hashed(family: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:

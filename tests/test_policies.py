@@ -215,8 +215,7 @@ class TestLinPHE:
     def test_first_estimator_is_initial_draw_over_lam(self):
         lam = 2.0
         policy, spec, stream = self.make(dim=3, lam=lam, scale=1.3, seed=8, family="rademacher")
-        rng = stream.generator(TAG_PHE, 1)
-        w = np.sqrt(lam) * spec.sample(rng, 3)
+        w, _ = stream.history_perturbation(spec, 1, 3, 0, lam)
         np.testing.assert_allclose(policy.estimator(1), w / lam, atol=1e-12)
 
     def test_zero_scale_equals_ridge(self, rng):
@@ -231,9 +230,7 @@ class TestLinPHE:
         policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.8, seed=13, family="uniform")
         xs, ys = drive(policy, rng, dim, steps)
         got = policy.estimator(steps + 1)
-        g = stream.generator(TAG_PHE, steps + 1)
-        w = np.sqrt(lam) * spec.sample(g, dim)
-        z = spec.sample(g, steps)
+        w, z = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
         want = np.linalg.solve(lam * np.eye(dim) + xs.T @ xs, w + xs.T @ (ys + z))
         np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -275,11 +272,21 @@ class TestLinPHE:
         assert sizes[gaussian, 10] == sizes[gaussian, 200]
         assert sizes[rademacher, 10] < sizes[rademacher, 200]
 
-        def no_generator(*args):
-            raise AssertionError("the gaussian path reset a keyed generator")
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the gaussian path built a Philox generator")
 
-        monkeypatch.setattr(PerturbationStream, "_keyed", no_generator)
+        monkeypatch.setattr(np.random, "Philox", no_generator)
         assert np.isfinite(gaussian.estimator(201)).all()
+
+    def test_history_prior_is_the_gaussian_xi(self, rng):
+        # the prior draw w of a step's O(t) history draws, over sqrt(lam), is
+        # the xi that the gaussian closed form draws for that step
+        dim, lam, steps = 3, 4.0, 7
+        policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.9, seed=12)
+        drive(policy, rng, dim, steps)
+        w, _ = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
+        want = policy.ridge_estimate() + policy.gram.inverse_sqrt() @ (w / 2.0)
+        np.testing.assert_allclose(policy.estimator(steps + 1), want, rtol=1e-12, atol=1e-15)
 
     def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
         # over 20,000 streams on one fixed history, both theta~ - theta^ of
@@ -363,6 +370,33 @@ class TestLinPHE:
             y = float(rng.standard_normal())
             es.update(sel_es.arm_index, arms[sel_es.arm_index], y)
             phe.update(sel_phe.arm_index, arms[sel_phe.arm_index], y)
+
+
+class TestPerturbationsUseNoGenerator:
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_no_policy_builds_a_philox_generator(self, family, monkeypatch):
+        # every perturbation is a reward_draws call: with Philox gone, a
+        # round-robin ensemble and perturbed-history exploration, unshared
+        # and shared-axis, still step, and the replay still is the ensemble
+        def no_philox(*args, **kwargs):
+            raise AssertionError("a perturbation built a Philox generator")
+
+        monkeypatch.setattr(np.random, "Philox", no_philox)
+        dim, horizon = 3, 10
+        spec = PerturbationSpec(family, 0.7)
+        streams = [PerturbationStream(s) for s in (4, 19, 4)]
+        arms = random_unit_ball(np.random.default_rng(8), dim, count=5)
+        ys = np.random.default_rng(9).standard_normal((horizon, len(streams)))
+        ensemble = EnsembleSampling(dim, 1.0, horizon, spec, streams, sampler=Sampler.ROUND_ROBIN)
+        replay = LinPHE(dim, 1.0, spec, streams, shared_model_axis=horizon)
+        phe = LinPHE(dim, 1.0, spec, streams)
+        policies = (ensemble, replay, phe)
+        for y in ys:
+            sels = [p.select(arms) for p in policies]
+            np.testing.assert_array_equal(sels[0].theta, sels[1].theta)
+            for policy, sel in zip(policies, sels):
+                policy.update(sel.arm_index, arms[sel.arm_index], y)
+        assert np.isfinite(phe.estimator(horizon + 1)).all()
 
 
 class TestLinUCB:
