@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import LinearBanditEnv
-from .linalg import GramState, Metric, dot, matvec, pick, unwrap
+from .linalg import GramState, Metric, dot, matvec, unwrap
 from .perturb import ConfidenceParams, beta, gamma_tilde
 from .policies import Selection, _RidgeBase
 
@@ -130,7 +130,9 @@ class StepMonitor:
         self.anti_conc_hits = unwrap(zeros)
         self.optimism_hits = unwrap(zeros)
         self._gamma_tilde = gamma_tilde(self.params)
-        self._x_star = self.env.arm(self.env.optimal_arm_index)
+        # the optimal arm of each replication, broadcast once for every step
+        x_star = self.env.arm(self.env.optimal_arm_index)
+        self._x_star = np.ascontiguousarray(np.broadcast_to(x_star, shape + (self.env.dim,)))
         self._optimal_value = self.env.optimal_value
         # step-0 concentration: the ridge estimate is zero, so the deviation
         # is sqrt(lam) * ||theta*|| which the radius covers by construction
@@ -143,15 +145,16 @@ class StepMonitor:
         return self._gamma_tilde
 
     def observe(
-        self, policy: _RidgeBase, selection: Selection, arms: np.ndarray
+        self, policy: _RidgeBase, selection: Selection, chosen: np.ndarray
     ) -> StepDiagnostics:
         """Evaluate all event indicators for the upcoming step; call after
-        ``select`` and before ``update`` so the Gram state is pre-step."""
+        ``select`` and before ``update`` so the Gram state is pre-step.
+        ``chosen`` is the vector of the selected arm, one per replication."""
         gram = policy.gram
         t = gram.step_count + 1
         beta_prev = beta(self.params, t - 1)
         theta_hat = policy.ridge_estimate()
-        x_star = np.broadcast_to(self._x_star, theta_hat.shape)
+        x_star = self._x_star
 
         ridge_dev = gram.weighted_norm(theta_hat - self.env.theta_star, Metric.GRAM)
         concentration_ok = ridge_dev <= beta_prev
@@ -166,7 +169,6 @@ class StepMonitor:
         directional = dot(x_star, theta_tilde)
         anti_conc_ok = directional >= beta_prev * x_star_width
 
-        chosen = pick(arms, selection.arm_index, 2)
         optimism_margin = dot(chosen, selection.theta) - self._optimal_value
         optimism_ok = optimism_margin >= 0.0
 

@@ -114,6 +114,12 @@ class LinearBanditEnv:
         self._check_index(arm_index)
         return pick(self.arms, arm_index, 2)
 
+    def pull(self, arm_index):
+        """The arm vectors at ``arm_index`` and their mean rewards, one per
+        replication, behind one index check."""
+        self._check_index(arm_index)
+        return pick(self.arms, arm_index, 2), unwrap(pick(self._means, arm_index, 1))
+
     def mean_reward(self, arm_index):
         self._check_index(arm_index)
         return unwrap(pick(self._means, arm_index, 1))
@@ -156,8 +162,9 @@ class RegretLedger:
     env: LinearBanditEnv
     cumulative: float = 0.0
 
-    def record(self, arm_index):
-        """Add the regret of pulling ``arm_index``; returns the increment."""
-        gap = self.env.optimal_value - self.env.mean_reward(arm_index)
+    def record(self, mean_reward):
+        """Add the regret of pulling an arm of ``mean_reward``; returns the
+        increment."""
+        gap = self.env.optimal_value - mean_reward
         self.cumulative = self.cumulative + gap
         return gap

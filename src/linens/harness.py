@@ -160,10 +160,10 @@ def interact(
 ) -> tuple[dict, np.ndarray]:
     """The interaction loop: step a batched policy for ``horizon`` steps.
 
-    Each step selects an arm per replication, lets the monitor (if any)
-    observe the pre-step state, draws the rewards (``noise`` yields one
-    noise value per replication and step), scores regret and updates the
-    policy. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
+    Each step selects an arm per replication, gathers its vector and mean
+    reward once, lets the monitor (if any) observe the pre-step state, draws
+    the rewards (``noise`` yields one noise value per replication and
+    step), scores regret and updates the policy. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
     ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
     cumulative regret of each replication.
     """
@@ -173,10 +173,11 @@ def interact(
     arms = env.arms
     for i in range(horizon):
         sel = policy.select(arms)
-        diag = monitor.observe(policy, sel, arms) if monitor is not None else None
-        y = env.mean_reward(sel.arm_index) + noise.next()
-        instant = ledger.record(sel.arm_index)
-        policy.update(sel.arm_index, env.arm(sel.arm_index), y)
+        x, mean = env.pull(sel.arm_index)
+        diag = monitor.observe(policy, sel, x) if monitor is not None else None
+        y = mean + noise.next()
+        instant = ledger.record(mean)
+        policy.update(sel.arm_index, x, y)
         if cols:
             step = {
                 "arm": sel.arm_index,
@@ -198,7 +199,7 @@ def interact(
 
 def _noise_draws(env: LinearBanditEnv, keys: list[tuple]) -> StepDraws:
     """Reward noise of each replication from its own keyed generator."""
-    return StepDraws([keyed_generator(*key) for key in keys], env.noise.sample)
+    return StepDraws.generators([keyed_generator(*key) for key in keys], env.noise.sample)
 
 
 def run_batch(
@@ -293,10 +294,13 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     config = cfg.to_dict()
     for key in _UNECHOED_RUN_KEYS:
         del config["run"][key]
+    p = cfg.policy
+    # the perturbation scale is read by ensemble, phe, and lints without lints_scale
+    reads_scale = p.name in ("ensemble", "phe") or (p.name == "lints" and p.lints_scale is None)
     summary = {
         "config": config,
-        "resolved_m": cfg.resolved_ensemble_size() if cfg.policy.name == "ensemble" else None,
-        "resolved_scale": cfg.perturbation_spec().scale,
+        "resolved_m": cfg.resolved_ensemble_size() if p.name == "ensemble" else None,
+        "resolved_scale": cfg.perturbation_spec().scale if reads_scale else None,
         "replications": len(records),
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": theoretical_regret_bound(

@@ -10,10 +10,12 @@ perturbed-history equivalence test relies on.
 Every perturbation (the initial matrices, the reward perturbations, and
 perturbed-history exploration's draws, closed-form or O(t)) comes from
 :func:`reward_draws`, a splitmix64 counter hash in numpy ``uint64`` that
-draws a whole batch of replications in one call. Only the long-lived
+draws a whole batch of replications in one call. Draws keyed by step are
+made one call per block of steps (:meth:`StepDraws.keyed`), with the
+block length bounded by ``DRAW_VALUES`` values. Only the long-lived
 sequential streams (observation noise, uniform model choice, Thompson
 sampling's draws, the random environment) come from keyed Philox
-generators.
+generators, read a block of steps at a time by the same reader.
 """
 
 from __future__ import annotations
@@ -383,32 +385,69 @@ class PerturbationStream:
         return w[0], z[0]
 
 
-#: Steps that a :class:`StepDraws` draws from its generators at a time.
+#: Most steps that a :class:`StepDraws` draws at a time.
 DRAW_BLOCK = 64
+
+#: Most values (over all steps, replications and models) in one block of a
+#: :class:`StepDraws`; wide steps get shorter blocks, so memory stays flat.
+DRAW_VALUES = 2**14
 
 
 class StepDraws:
-    """Per-step values from long-lived generators, one per replication.
+    """Per-step values of a batch, read a block of consecutive steps at a time.
 
-    ``draw(rng, n)`` returns ``n`` steps' values from one generator. They
-    are drawn ``DRAW_BLOCK`` steps at a time; a generator fills a sized
-    draw value by value, so :meth:`next` yields exactly what one call per
-    step would. The generators are read ahead and must not be shared.
-    ``batched`` keeps the leading replication axis; without it there is
-    one generator and no such axis.
+    ``fill(first_step, n)`` returns the ``(n, R, ...)`` values of steps
+    ``first_step .. first_step + n - 1``. A block holds
+    ``max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))`` steps.
+    :meth:`next` reads the steps in order from step 1, and :meth:`at` reads
+    any step of a keyed fill. ``batched`` keeps the leading replication
+    axis; without it the batch is one replication and has no such axis.
+    Build one with :meth:`generators` or :meth:`keyed`.
     """
 
-    def __init__(self, rngs: list, draw, batched: bool = True):
-        self._rngs = rngs
-        self._draw = draw
+    def __init__(self, fill, values_per_step: int, batched: bool = True):
+        self._fill = fill
+        self._steps = max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))
         self._batched = batched
         self._block = np.empty((0,))
-        self._pos = 0
+        self._first = 1  # the step of the block's first row
+        self._step = 0  # the last step next() returned
+
+    @classmethod
+    def generators(cls, rngs: list, draw, width: int = 1, batched: bool = True):
+        """Values from long-lived generators, one per replication:
+        ``draw(rng, n)`` returns ``n`` steps of ``width`` values each. A
+        generator fills a sized draw value by value, so a block yields
+        exactly what one call per step would. The generators are read ahead
+        and must not be shared, and the steps must be read with :meth:`next`."""
+
+        def fill(first_step: int, n: int) -> np.ndarray:
+            return np.stack([draw(g, n) for g in rngs], axis=1)
+
+        return cls(fill, len(rngs) * width, batched)
+
+    @classmethod
+    def keyed(cls, spec: PerturbationSpec, prefixes, models: range, batched: bool = True):
+        """:func:`reward_draws` of ``models`` keyed by step: one call per
+        block of steps, whose row for step t is the same bits as the call
+        keyed by t alone."""
+
+        def fill(first_step: int, n: int) -> np.ndarray:
+            steps = np.arange(first_step, first_step + n)[:, None]
+            return reward_draws(spec, prefixes, models, steps)
+
+        return cls(fill, len(prefixes) * len(models), batched)
+
+    def at(self, step: int) -> np.ndarray:
+        """The values of ``step``."""
+        i = step - self._first
+        if not 0 <= i < len(self._block):
+            self._block = self._fill(step, self._steps)
+            self._first, i = step, 0
+        values = self._block[i]
+        return values if self._batched else values[0]
 
     def next(self) -> np.ndarray:
-        if self._pos == len(self._block):
-            self._block = np.stack([self._draw(g, DRAW_BLOCK) for g in self._rngs], axis=1)
-            self._pos = 0
-        values = self._block[self._pos]
-        self._pos += 1
-        return values if self._batched else values[0]
+        """The values of the step after the one last read by ``next``."""
+        self._step += 1
+        return self.at(self._step)

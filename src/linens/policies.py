@@ -133,11 +133,14 @@ class EnsembleSampling(_RidgeBase):
     state. Each sum starts at its model's keyed initial perturbation. Each
     step samples a model index, acts greedily on that model's estimator,
     then updates every model's sum with the observed reward plus a fresh
-    keyed reward perturbation. Both draws are one
-    :func:`~linens.perturb.reward_draws` call for every model and
-    replication of the batch: the initial matrices at construction
-    (:func:`~linens.perturb.initial_draws`), the reward perturbations at
-    each step.
+    keyed reward perturbation. Both draws are
+    :func:`~linens.perturb.reward_draws` calls for every model and
+    replication of the batch: the initial matrices in one call at
+    construction (:func:`~linens.perturb.initial_draws`), and the reward
+    perturbations keyed by step in one call per block of steps
+    (:meth:`~linens.perturb.StepDraws.keyed`, whose block length is bounded
+    by ``DRAW_VALUES`` values). Keys by ``(arm, count)`` depend on the
+    pulls, so that keying draws one call per step.
 
     Uniform model choice reads ``model_rng`` ahead in blocks (see
     :class:`~linens.perturb.StepDraws`), so the generator must be the
@@ -171,12 +174,17 @@ class EnsembleSampling(_RidgeBase):
         self._models = None
         if sampler == Sampler.UNIFORM:
             rngs, _ = _per_replication(model_rng)
-            self._models = StepDraws(
-                rngs, lambda g, n: g.integers(self.n_models, size=n), batch is not None
+            self._models = StepDraws.generators(
+                rngs, lambda g, n: g.integers(self.n_models, size=n), batched=batch is not None
             )
         w = initial_draws(spec, stream_prefixes(streams, TAG_INIT), n_models, dim, lam)
         self.s_vectors = w.reshape(self.batch_shape + (n_models, dim))
         self._prefixes = stream_prefixes(streams, TAG_REWARD)
+        self._rewards = None
+        if self.keying == Keying.BY_STEP:
+            self._rewards = StepDraws.keyed(
+                spec, self._prefixes, range(self.n_models), batched=batch is not None
+            )
         # (R, arms seen so far): pulls of each arm, for by-arm-count keys
         self._arm_counts = np.zeros((len(streams), 0), dtype=np.int64)
 
@@ -200,27 +208,28 @@ class EnsembleSampling(_RidgeBase):
         theta = self.model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
-    def _reward_key(self, arm_index) -> tuple:
-        """This step's reward key per replication; under by-arm-count
-        keying, counts the pull of ``arm_index``."""
-        if self.keying == Keying.BY_STEP:
-            return (self.step + 1,)
+    def _reward_draws(self, arm_index) -> np.ndarray:
+        """This step's reward perturbations; under by-arm-count keying,
+        counts the pull of ``arm_index`` and keys each replication by it."""
+        if self._rewards is not None:
+            return self._rewards.at(self.step + 1)
         arms = np.broadcast_to(arm_index, self.batch_shape).reshape(-1)
         seen = self._arm_counts.shape[1]
         if arms.max() >= seen:
             self._arm_counts = np.pad(self._arm_counts, ((0, 0), (0, arms.max() + 1 - seen)))
         rows = np.arange(len(arms))
         self._arm_counts[rows, arms] += 1
-        return arms, self._arm_counts[rows, arms]
+        z = reward_draws(
+            self.spec, self._prefixes, range(self.n_models), arms, self._arm_counts[rows, arms]
+        )
+        return z.reshape(self.batch_shape + (self.n_models,))
 
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-        z = reward_draws(
-            self.spec, self._prefixes, range(self.n_models), *self._reward_key(arm_index)
-        )
+        z = self._reward_draws(arm_index)
         self.gram.update(x)
         y = np.asarray(y)
-        yz = y[..., None] + z.reshape(self.batch_shape + (self.n_models,))
+        yz = y[..., None] + z
         kernels.accumulate_perturbed(self.s_vectors, x, yz)
         self.reward_sum += y[..., None] * x
 
@@ -240,10 +249,12 @@ class LinPHE(_RidgeBase):
     sampling's draw. The policy draws exactly that, in O(d^2) per step and
     with no stored history: ``xi`` is ``d`` values of
     :func:`~linens.perturb.reward_draws` under each stream's ``TAG_PHE``
-    prefix and the key ``t``, one call for the batch. The other families'
-    sums are not of their family, so they re-perturb the O(t) history with
-    :func:`~linens.perturb.history_draws`, one call for the batch whose
-    first ``d`` values are that same ``xi``.
+    prefix and the key ``t``, drawn for the batch in one call per block of
+    steps (:meth:`~linens.perturb.StepDraws.keyed`, whose block length is
+    bounded by ``DRAW_VALUES`` values). The other families' sums are not of
+    their family, so they re-perturb the O(t) history with
+    :func:`~linens.perturb.history_draws`, one call per step for the batch,
+    whose first ``d`` values are that same ``xi``.
 
     With ``shared_model_axis = m`` set, the fresh draws at step ``t`` are
     read from model ``t - 1`` of an m-model keyed stream instead of an
@@ -277,6 +288,10 @@ class LinPHE(_RidgeBase):
         if shared_model_axis is None:
             # each step's own draws
             self._prefixes = stream_prefixes(streams, TAG_PHE)
+            if spec.family == PerturbationFamily.GAUSSIAN:
+                self._xi = StepDraws.keyed(
+                    spec, self._prefixes, range(dim), batched=batch is not None
+                )
         else:
             # the ensemble's draws, replayed
             m = shared_model_axis
@@ -308,8 +323,7 @@ class LinPHE(_RidgeBase):
                 f"step {t} inconsistent with history length {self.step}"
             )
         if self._xs is None:
-            xi = reward_draws(self.spec, self._prefixes, range(self.dim), t)
-            xi = xi.reshape(self.batch_shape + (self.dim,))
+            xi = self._xi.at(t)
             return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), xi)
         n = self.step
         xs, ys = self._xs[..., :n, :], self._ys[..., :n]
@@ -409,8 +423,8 @@ class LinTS(_RidgeBase):
         if scale < 0:
             raise ValueError("scale must be non-negative")
         self.scale = scale
-        self._xi = StepDraws(
-            rngs, lambda g, n: g.standard_normal((n, self.dim)), batch is not None
+        self._xi = StepDraws.generators(
+            rngs, lambda g, n: g.standard_normal((n, dim)), dim, batched=batch is not None
         )
 
     def sample_estimator(self) -> np.ndarray:

@@ -179,7 +179,7 @@ class TestStepMonitor:
         diags = []
         for _ in range(horizon):
             sel = policy.select(env.arms)
-            diags.append(monitor.observe(policy, sel, env.arms))
+            diags.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
             y = env.sample_reward(sel.arm_index, noise_rng)
             policy.update(sel.arm_index, env.arms[sel.arm_index], y)
         return monitor, diags
@@ -238,7 +238,7 @@ class TestStepMonitor:
                 ok_dir = float(x_star @ tilde) >= beta_prev * width
                 ok_norm = policy.gram.weighted_norm(tilde, Metric.GRAM) <= gt
                 manual += ok_dir and ok_norm
-            monitor.observe(policy, sel, env.arms)
+            monitor.observe(policy, sel, env.arm(sel.arm_index))
             assert monitor.ensemble_fractions[-1] == pytest.approx(manual / 16, abs=1e-12)
             y = env.sample_reward(sel.arm_index, rng)
             policy.update(sel.arm_index, env.arms[sel.arm_index], y)
@@ -256,7 +256,7 @@ class TestStepMonitor:
         policy = GreedyRidge(2, 1.0)
         bogus = Selection(arm_index=1, model_index=-1, theta=np.array([5.0, 0.0]))
         with pytest.raises(InvariantViolation, match="optimism implication"):
-            monitor.observe(policy, bogus, env.arms)
+            monitor.observe(policy, bogus, env.arm(bogus.arm_index))
 
     def test_diag_counters_are_consistent(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)

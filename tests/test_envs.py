@@ -115,9 +115,9 @@ class TestRegretLedger:
         env = two_arm_env()
         ledger = RegretLedger(env)
         # gaps: arm0 is optimal (0), arm1 gap 0.6, arm2 gap 0.9 - 0.72 = 0.18
-        assert ledger.record(0) == pytest.approx(0.0)
-        assert ledger.record(1) == pytest.approx(0.6)
-        assert ledger.record(2) == pytest.approx(0.18)
+        assert ledger.record(env.mean_reward(0)) == pytest.approx(0.0)
+        assert ledger.record(env.mean_reward(1)) == pytest.approx(0.6)
+        assert ledger.record(env.mean_reward(2)) == pytest.approx(0.18)
         assert ledger.cumulative == pytest.approx(0.78)
 
     def test_cumulative_is_prefix_sum_and_monotone(self, rng):
@@ -126,7 +126,7 @@ class TestRegretLedger:
         prev = 0.0
         gaps = []
         for _ in range(200):
-            gaps.append(ledger.record(int(rng.integers(3))))
+            gaps.append(ledger.record(env.mean_reward(int(rng.integers(3)))))
             assert ledger.cumulative >= prev - 1e-15
             prev = ledger.cumulative
         assert ledger.cumulative == pytest.approx(sum(gaps))
@@ -135,4 +135,4 @@ class TestRegretLedger:
         env = LinearBanditEnv.random(3, 12, NoiseModel(), 1.0, rng)
         ledger = RegretLedger(env)
         for k in range(12):
-            assert ledger.record(k) >= 0.0
+            assert ledger.record(env.mean_reward(k)) >= 0.0

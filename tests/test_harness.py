@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import json
 import os
 import subprocess
@@ -21,12 +22,14 @@ from linens.harness import (
     checkpoints,
     emit_outputs,
     estimate_event_rates,
+    interact,
     run_equivalence_suite,
     run_batch,
     run_monte_carlo,
 )
-from linens.perturb import beta, ensemble_size
-from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB
+from linens.diagnostics import StepMonitor
+from linens.perturb import StepDraws, beta, ensemble_size
+from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
 
 BASE_INI = """\
 [env]
@@ -336,6 +339,25 @@ class TestPolicyResolution:
     def test_build_policy_types(self, name, cls):
         cfg = small_cfg(policy__name=name)
         assert isinstance(build_policy(cfg, range(1)), cls)
+
+    @pytest.mark.parametrize(
+        "overrides,reads_scale",
+        [
+            ({"policy__name": "linucb"}, False),
+            ({"policy__name": "greedy"}, False),
+            ({"policy__name": "lints", "policy__lints_scale": 0.5}, False),
+            ({"policy__name": "lints"}, True),
+            ({"policy__name": "ensemble"}, True),
+            ({"policy__name": "phe"}, True),
+        ],
+        ids=["linucb", "greedy", "lints-own-scale", "lints", "ensemble", "phe"],
+    )
+    def test_resolved_scale_is_reported_only_where_it_is_read(self, overrides, reads_scale):
+        cfg = small_cfg(**overrides)
+        _, summary = run_monte_carlo(cfg)
+        params = cfg.confidence_params()
+        want = beta(params, params.horizon) if reads_scale else None
+        assert summary["resolved_scale"] == want
 
     def test_environment_fixed_across_replications(self):
         cfg = small_cfg()
@@ -679,3 +701,59 @@ def test_shipped_config_loads_and_runs(tmp_path, path):
     assert summary["config"]["env"] == cfg.to_dict()["env"]
     assert summary["config"]["policy"] == cfg.to_dict()["policy"]
     assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 * 5
+
+
+#: sha256 of ``trace.csv`` and ``summary.json`` of each shipped config run by
+#: ``linens run`` at horizon 300 with ``--reps 3``. They move only with a
+#: deliberate output change, logged with its old and new hashes in
+#: CHANGES.md. numpy's log and cos may round a last bit differently in
+#: another build, which would move them too.
+PINNED_OUTPUTS = {
+    "ensemble": (
+        "dbfd345d1b976fe5f28678efd669485b9083e7abd67110e78381697a46db078a",
+        "b8d8e61c0bd142eb9e77d6ee7013e61829f41a2e0b5a4834843da68d0a30ceca",
+    ),
+    "phe": (
+        "d6512afa4b3b721f35c6f3d1e404a2050c881099b64aa6d99014dfb7bb174edd",
+        "e07a4a44baa22ff3829671f4d888863e9eab85f59495823977a8ec8a5bf8f0f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_run_outputs_match_their_pinned_bytes(tmp_path, name):
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
+    parser["run"]["horizon"] = "300"
+    short = tmp_path / f"{name}.ini"
+    with short.open("w") as f:
+        parser.write(f)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(short), "--reps", "3", "--out", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("trace.csv", "summary.json")
+    )
+    assert got == PINNED_OUTPUTS[name]
+
+
+class OutOfRangePolicy(GreedyRidge):
+    """Greedy ridge that selects a given arm index, valid or not."""
+
+    def __init__(self, arm_index, batch):
+        super().__init__(2, 1.0, batch=batch)
+        self.arm_index = arm_index
+
+    def select(self, arms):
+        return Selection(np.full(self.batch_shape, self.arm_index), -1, self.ridge_estimate())
+
+
+@pytest.mark.parametrize("arm_index", [4, -1], ids=["K", "negative"])
+def test_interact_rejects_an_out_of_range_arm(arm_index):
+    cfg = small_cfg(run__diagnostics="monitors")
+    env = build_environment(cfg)
+    noise = StepDraws.generators([np.random.default_rng(r) for r in range(2)], env.noise.sample)
+    monitor = StepMonitor(env, cfg.confidence_params(), batch=2)
+    policy = OutOfRangePolicy(arm_index, batch=2)
+    with pytest.raises(ValueError, match="out of range"):
+        interact(policy, env, noise, 3, monitor)
+    assert policy.step == 0

@@ -4,7 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from linens import _kernels_py as kernels
+from linens import perturb, policies
 from linens.perturb import (
+    DRAW_BLOCK,
+    DRAW_VALUES,
     TAG_INIT,
     TAG_PHE,
     TAG_REWARD,
@@ -13,6 +17,7 @@ from linens.perturb import (
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
+    StepDraws,
     beta,
     ensemble_size,
     gamma,
@@ -393,6 +398,85 @@ def hashed(family: str, rows: int, cols: int, seed: int = 0) -> np.ndarray:
     keyed by step 1, and one model per column."""
     prefixes = reward_prefixes(range(seed * rows, (seed + 1) * rows))
     return reward_draws(PerturbationSpec(family, 1.0), prefixes, range(cols), 1)
+
+
+class TestKeyedStepDraws:
+    """By-step keyed perturbations are drawn a block of steps at a time,
+    and each step's row is the bits of the call keyed by that step alone."""
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    @pytest.mark.parametrize("seeds", [[6], [6, 2**64 - 1, 13]], ids=["R1", "R3"])
+    @pytest.mark.parametrize("models", [range(5), range(3, 1003)], ids=["long", "short"])
+    def test_block_rows_equal_per_step_draws(self, family, seeds, models):
+        # long blocks hold 64 steps, short ones 16384 // (R * 1000) steps;
+        # both runs cross at least two block boundaries
+        spec = PerturbationSpec(family, 1.7)
+        prefixes = reward_prefixes(seeds)
+        batched = len(seeds) > 1
+        draws = StepDraws.keyed(spec, prefixes, models, batched=batched)
+        steps = 2 * max(1, min(DRAW_BLOCK, DRAW_VALUES // (len(seeds) * len(models)))) + 3
+        for t in range(1, steps + 1):
+            want = reward_draws(spec, prefixes, models, t)
+            got = draws.next()
+            assert got.tobytes() == (want if batched else want[0]).tobytes()
+        # a keyed block is read at any step, in any order
+        for t in (2, steps, 1, DRAW_BLOCK + 1):
+            want = reward_draws(spec, prefixes, models, t)
+            assert draws.at(t).tobytes() == (want if batched else want[0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "width,block",
+        [(1, DRAW_BLOCK), (DRAW_VALUES // 5, 5), (DRAW_VALUES // 2, 2), (DRAW_VALUES + 1, 1)],
+    )
+    def test_block_length_is_bounded_by_the_value_budget(self, monkeypatch, width, block):
+        calls = []
+
+        def spy(spec, prefixes, models, *key):
+            calls.append(np.shape(key[0]))
+            return reward_draws(spec, prefixes, models, *key)
+
+        monkeypatch.setattr(perturb, "reward_draws", spy)
+        draws = StepDraws.keyed(PerturbationSpec(), reward_prefixes([1]), range(width))
+        for _ in range(block + 1):
+            draws.next()
+        assert calls == [(block, 1), (block, 1)]
+
+    @pytest.mark.parametrize("keying", Keying.ALL)
+    def test_an_ensemble_draws_by_step_in_blocks_and_by_arm_count_per_step(
+        self, monkeypatch, keying
+    ):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[3:])
+            return reward_draws(*args)
+
+        monkeypatch.setattr(perturb, "reward_draws", spy)
+        monkeypatch.setattr(policies, "reward_draws", spy)
+        spec = PerturbationSpec("gaussian", 0.5)
+        streams = [PerturbationStream(s, keying) for s in (3, 4)]
+        policy = policies.EnsembleSampling(
+            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN
+        )
+        calls.clear()  # the initial matrices
+        x = np.array([[0.6, 0.0], [0.0, 0.6]])
+        for _ in range(DRAW_BLOCK + 1):
+            policy.update(np.array([0, 1]), x, np.zeros(2))
+        if keying == Keying.BY_STEP:
+            # one (64, 1) array of steps, then the next block's
+            assert [np.shape(key[0]) for key in calls] == [(DRAW_BLOCK, 1)] * 2
+        else:
+            assert len(calls) == DRAW_BLOCK + 1
+            assert all(len(key) == 2 and np.shape(key[0]) == (2,) for key in calls)
+        monkeypatch.undo()
+        oracle = policies.EnsembleSampling(
+            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN
+        )
+        for t in range(1, DRAW_BLOCK + 2):
+            key = (t,) if keying == Keying.BY_STEP else (np.array([0, 1]), t)
+            z = reward_draws(spec, stream_prefixes(streams, TAG_REWARD), range(8), *key)
+            kernels.accumulate_perturbed(oracle.s_vectors, x, z)
+        assert policy.s_vectors.tobytes() == oracle.s_vectors.tobytes()
 
 
 class TestRewardDrawDistribution:
