@@ -73,12 +73,12 @@ def _cmd_rates(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if args.param == "m" and cfg.policy.name != "ensemble":
-        raise ValueError(
-            f"sweep --param m varies the ensemble size, which policy.name = "
-            f"{cfg.policy.name} does not use"
-        )
     section, key = SWEEP_FIELDS[args.param]
+    if section == "policy" and not cfg.reads(key):
+        raise ValueError(
+            f"sweep --param {args.param} varies policy.{key}, which policy.name = "
+            f"{cfg.policy.name} does not read"
+        )
     # every swept config is validated before the first run writes anything
     runs = []
     for value in (int(v) for v in args.values.split(",")):

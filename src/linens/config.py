@@ -2,7 +2,8 @@
 
 Each section's keys are the fields of its dataclass (``lambda`` for
 ``lam``), read by field type. Unknown sections or keys are rejected so that
-typos fail fast, and so are policy keys that the chosen policy never reads.
+typos fail fast, and so are policy keys that a run would not read
+(:meth:`ExperimentConfig.reads`).
 """
 
 from __future__ import annotations
@@ -147,6 +148,25 @@ class ExperimentConfig:
                 )
         return self
 
+    def reads(self, key: str) -> bool:
+        """Whether a run of this experiment reads the ``[policy]`` field
+        ``key``; a file that sets a field the run would ignore is rejected
+        at load, and ``summary.json`` resolves ``m`` and the scale only
+        where they are read."""
+        p = self.policy
+        scaled = p.name in ("ensemble", "phe") or (p.name == "lints" and p.lints_scale is None)
+        rule = {
+            "m": p.name == "ensemble",
+            "sampler": p.name == "ensemble",
+            "keying": p.name == "ensemble",
+            "family": p.name in ("ensemble", "phe"),
+            "scale_mode": scaled,
+            "scale": scaled and p.scale_mode == "explicit",
+            "lints_scale": p.name == "lints",
+            "linucb_bonus": p.name == "linucb",
+        }
+        return rule.get(key, True)
+
     def confidence_params(self) -> ConfidenceParams:
         """Inputs to the confidence radii of this experiment; after
         :meth:`validate`, ``env.dim`` is the dimension of every arm."""
@@ -202,20 +222,6 @@ _FIELD_PARSERS = {
 #: INI keys that differ from their field's name.
 _INI_KEYS = {"lam": "lambda"}
 
-#: [policy] keys that only some policies read, with those policies. A file
-#: that sets one for another policy is rejected: the run would ignore it.
-_POLICY_READERS = {
-    "m": ("ensemble",),
-    "sampler": ("ensemble",),
-    "keying": ("ensemble", "phe"),
-    "family": ("ensemble", "phe"),
-    "scale_mode": ("ensemble", "phe", "lints"),
-    "scale": ("ensemble", "phe", "lints"),
-    "lints_scale": ("lints",),
-    "linucb_bonus": ("linucb",),
-}
-
-
 def _read_section(section: configparser.SectionProxy, target) -> None:
     """Set each field of ``target`` that the section gives, in field order."""
     keys = {_INI_KEYS.get(f.name, f.name): f for f in fields(target)}
@@ -249,11 +255,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if "dim" not in parser["env"]:
             e.dim = len(e.arms[0])
     cfg.validate()
-    name = cfg.policy.name
-    for key, readers in _POLICY_READERS.items():
-        if parser.has_option("policy", key) and name not in readers:
-            raise ValueError(
-                f"policy.{key} is read only by policy.name = {' or '.join(readers)}, "
-                f"but this file sets it for policy.name = {name}"
-            )
+    if parser.has_section("policy"):
+        for key in parser["policy"]:
+            if not cfg.reads(key):
+                raise ValueError(
+                    f"this file sets policy.{key}, which policy.name = {cfg.policy.name} "
+                    "does not read with the other [policy] settings: a run would ignore it"
+                )
     return cfg

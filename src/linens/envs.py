@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matvec, pick, unwrap
-
-_NORM_SLACK = 1e-9
+from .linalg import NORM_SLACK, matvec, pick, unwrap
 
 
 class NoiseFamily:
@@ -80,9 +78,9 @@ class LinearBanditEnv:
         if param_bound <= 0:
             raise ValueError("param_bound must be positive")
         norms = np.linalg.norm(arms, axis=-1)
-        if np.any(norms > 1.0 + _NORM_SLACK):
+        if np.any(norms > 1.0 + NORM_SLACK):
             raise ValueError("every arm must satisfy ||x|| <= 1")
-        if np.any(np.linalg.norm(theta_star, axis=-1) > param_bound + _NORM_SLACK):
+        if np.any(np.linalg.norm(theta_star, axis=-1) > param_bound + NORM_SLACK):
             raise ValueError("||theta_star|| must not exceed param_bound")
         self.arms = arms
         self.theta_star = theta_star

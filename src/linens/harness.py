@@ -118,10 +118,7 @@ def build_policy(cfg: ExperimentConfig, replications: range):
     spec = cfg.perturbation_spec()
 
     def streams():
-        return [
-            PerturbationStream(mix_key(base_seed, TAG_REPLICATION, r), keying=p.keying)
-            for r in replications
-        ]
+        return [PerturbationStream(mix_key(base_seed, TAG_REPLICATION, r)) for r in replications]
 
     def policy_rngs():
         return [keyed_generator(base_seed, TAG_POLICY, r) for r in replications]
@@ -135,6 +132,7 @@ def build_policy(cfg: ExperimentConfig, replications: range):
             streams(),
             sampler=p.sampler,
             model_rng=policy_rngs() if p.sampler == Sampler.UNIFORM else None,
+            keying=p.keying,
         )
     if p.name == "phe":
         return LinPHE(dim, p.lam, spec, streams())
@@ -294,13 +292,10 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     config = cfg.to_dict()
     for key in _UNECHOED_RUN_KEYS:
         del config["run"][key]
-    p = cfg.policy
-    # the perturbation scale is read by ensemble, phe, and lints without lints_scale
-    reads_scale = p.name in ("ensemble", "phe") or (p.name == "lints" and p.lints_scale is None)
     summary = {
         "config": config,
-        "resolved_m": cfg.resolved_ensemble_size() if p.name == "ensemble" else None,
-        "resolved_scale": cfg.perturbation_spec().scale if reads_scale else None,
+        "resolved_m": cfg.resolved_ensemble_size() if cfg.reads("m") else None,
+        "resolved_scale": cfg.perturbation_spec().scale if cfg.reads("scale_mode") else None,
         "replications": len(records),
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": theoretical_regret_bound(
@@ -381,6 +376,8 @@ def run_equivalence_suite(
     Each seed runs on its own random instance, so a config with explicit
     arms is rejected rather than silently replaced.
     """
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be at least 1")
     if cfg.env.arm_mode == "explicit":
         raise ValueError(
             "the equivalence suite draws random instances (one per seed, from "

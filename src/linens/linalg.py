@@ -27,7 +27,8 @@ from . import _kernels_py as kernels
 #: Updates between full re-inversions of the Gram matrix.
 REINVERT_PERIOD = 1024
 
-#: Slack allowed on the unit-norm precondition of update vectors.
+#: Slack allowed on the norm preconditions: unit-ball update vectors and
+#: arms, and the parameter bound of an environment.
 NORM_SLACK = 1e-9
 
 

@@ -315,7 +315,9 @@ def history_draws(
 
 
 class Keying:
-    """How reward perturbations are keyed in a stream."""
+    """How an ensemble keys its reward perturbations: by step, or by the
+    chosen arm and its pull count (an argument of
+    :class:`~linens.policies.EnsembleSampling`)."""
 
     BY_STEP = "by_step"
     BY_ARM_COUNT = "by_arm_count"
@@ -332,16 +334,14 @@ class PerturbationStream:
     :func:`stream_prefixes` and draw for all their replications in one
     call, so each method here is the case of one replication and serves
     as their oracle. Reward perturbations for all models come as one
-    vector per key; model ``j`` owns component ``j``, so a draw depends
-    only on ``(base_seed, j, key)`` regardless of the ensemble size. The
-    stream holds no generator.
+    vector per key, a step or an ``(arm, count)`` pair; which of the two
+    an ensemble uses is its own ``keying``. Model ``j`` owns component
+    ``j``, so a draw depends only on ``(base_seed, j, key)`` regardless of
+    the ensemble size. The stream holds no generator.
     """
 
-    def __init__(self, base_seed: int, keying: str = Keying.BY_STEP):
-        if keying not in Keying.ALL:
-            raise ValueError(f"unknown keying mode {keying!r}")
+    def __init__(self, base_seed: int):
         self.base_seed = int(base_seed)
-        self.keying = keying
 
     def initial_matrix(
         self, spec: PerturbationSpec, n_models: int, dim: int, lam: float
@@ -350,20 +350,13 @@ class PerturbationStream:
         standard-deviation target is ``sqrt(lam) * scale``."""
         return initial_draws(spec, stream_prefixes([self], TAG_INIT), n_models, dim, lam)[0]
 
-    def _reward_key(self, key: tuple) -> tuple:
-        if self.keying == Keying.BY_STEP:
-            if len(key) != 1:
-                raise ValueError("by-step keying expects a single step key")
-        else:
-            if len(key) != 2:
-                raise ValueError("by-arm-count keying expects an (arm, count) key")
-        return key
-
     def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
-        """(n_models,) vector of reward perturbations for one key."""
-        parts = self._reward_key(key)
+        """(n_models,) vector of reward perturbations for one key: a step,
+        or an ``(arm, count)`` pair."""
+        if len(key) not in (1, 2):
+            raise ValueError("a reward key is a step or an (arm, count) pair")
         prefixes = stream_prefixes([self], TAG_REWARD)
-        return reward_draws(spec, prefixes, range(n_models), *parts)[0]
+        return reward_draws(spec, prefixes, range(n_models), *key)[0]
 
     def reward_perturbation(self, spec: PerturbationSpec, model: int, *key: int) -> float:
         """Reward perturbation of one model for one key."""

@@ -139,8 +139,10 @@ class EnsembleSampling(_RidgeBase):
     construction (:func:`~linens.perturb.initial_draws`), and the reward
     perturbations keyed by step in one call per block of steps
     (:meth:`~linens.perturb.StepDraws.keyed`, whose block length is bounded
-    by ``DRAW_VALUES`` values). Keys by ``(arm, count)`` depend on the
-    pulls, so that keying draws one call per step.
+    by ``DRAW_VALUES`` values). ``keying`` says what keys a reward
+    perturbation: the step (``Keying.BY_STEP``), or the chosen arm and its
+    pull count (``Keying.BY_ARM_COUNT``). Keys by ``(arm, count)`` depend
+    on the pulls, so that keying draws one call per step.
 
     Uniform model choice reads ``model_rng`` ahead in blocks (see
     :class:`~linens.perturb.StepDraws`), so the generator must be the
@@ -156,6 +158,7 @@ class EnsembleSampling(_RidgeBase):
         stream: PerturbationStream | list[PerturbationStream],
         sampler: str = Sampler.UNIFORM,
         model_rng: np.random.Generator | list | None = None,
+        keying: str = Keying.BY_STEP,
     ):
         streams, batch = _per_replication(stream)
         super().__init__(dim, lam, batch)
@@ -165,11 +168,11 @@ class EnsembleSampling(_RidgeBase):
             raise ValueError(f"unknown sampler {sampler!r}")
         if sampler == Sampler.UNIFORM and model_rng is None:
             raise ValueError("uniform sampling requires a model_rng")
-        if len({s.keying for s in streams}) != 1:
-            raise ValueError("the streams of a batch must share one keying")
+        if keying not in Keying.ALL:
+            raise ValueError(f"unknown keying {keying!r}")
         self.n_models = int(n_models)
         self.spec = spec
-        self.keying = streams[0].keying
+        self.keying = keying
         self.sampler = sampler
         self._models = None
         if sampler == Sampler.UNIFORM:
@@ -181,7 +184,7 @@ class EnsembleSampling(_RidgeBase):
         self.s_vectors = w.reshape(self.batch_shape + (n_models, dim))
         self._prefixes = stream_prefixes(streams, TAG_REWARD)
         self._rewards = None
-        if self.keying == Keying.BY_STEP:
+        if keying == Keying.BY_STEP:
             self._rewards = StepDraws.keyed(
                 spec, self._prefixes, range(self.n_models), batched=batch is not None
             )
@@ -258,7 +261,8 @@ class LinPHE(_RidgeBase):
 
     With ``shared_model_axis = m`` set, the fresh draws at step ``t`` are
     read from model ``t - 1`` of an m-model keyed stream instead of an
-    independent per-step key. Against an ensemble run on the same stream
+    independent per-step key, keyed by step as a ``Keying.BY_STEP``
+    ensemble keys them. Against such an ensemble run on the same stream
     with round-robin model choice, this reproduces the ensemble's draws
     exactly and the two policies become the same algorithm. The initial
     matrix is drawn at construction by the ensemble's own call, and the
@@ -278,11 +282,8 @@ class LinPHE(_RidgeBase):
     ):
         streams, batch = _per_replication(stream)
         super().__init__(dim, lam, batch)
-        if shared_model_axis is not None:
-            if shared_model_axis < 1:
-                raise ValueError("shared_model_axis must be at least 1")
-            if any(s.keying != Keying.BY_STEP for s in streams):
-                raise ValueError("shared-stream replay requires by-step keying")
+        if shared_model_axis is not None and shared_model_axis < 1:
+            raise ValueError("shared_model_axis must be at least 1")
         self.spec = spec
         self.shared_model_axis = shared_model_axis
         if shared_model_axis is None:

@@ -1,9 +1,11 @@
 import configparser
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import linens
 from linens import cli
-from linens.config import ExperimentConfig, load_config
+from linens.config import ExperimentConfig, PolicyConfig, load_config
 from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
@@ -95,6 +97,44 @@ def small_cfg(**overrides) -> ExperimentConfig:
         section, attr = key.split("__")
         setattr(getattr(cfg, section), attr, value)
     return cfg.validate()
+
+
+#: The policies, as the [policy] settings that choose them.
+POLICY_SETTINGS = {
+    "ensemble": {"name": "ensemble"},
+    "phe": {"name": "phe"},
+    "linucb": {"name": "linucb"},
+    "lints": {"name": "lints"},
+    "lints-own-scale": {"name": "lints", "lints_scale": 0.5},
+    "greedy": {"name": "greedy"},
+}
+
+#: Each [policy] field but the name, a value other than ``small_cfg``'s, and
+#: the other settings it is varied under.
+POLICY_VARIATIONS = [
+    ("lam", 2.0, {}),
+    ("delta", 0.3, {}),
+    ("m", 5, {}),
+    ("sampler", "round_robin", {"m": 10}),
+    ("family", "uniform", {}),
+    ("scale_mode", "explicit", {}),
+    ("scale", 0.3, {}),
+    ("scale", 0.3, {"scale_mode": "explicit"}),
+    ("keying", "by_arm_count", {}),
+    ("lints_scale", 0.3, {}),
+    ("linucb_bonus", 0.3, {}),
+]
+
+
+def run_outputs(cfg: ExperimentConfig) -> tuple:
+    """What ``trace.csv`` and ``summary.json`` record of a run, but the
+    config echo and ``resolved_m``/``resolved_scale``, which are reported
+    where ``ExperimentConfig.reads`` says and so would echo that rule."""
+    records, summary = run_monte_carlo(cfg)
+    for key in ("config", "resolved_m", "resolved_scale"):
+        del summary[key]
+    columns = [col.tobytes() for rec in records for col in rec.columns.values()]
+    return columns, json.dumps(summary, sort_keys=True)
 
 
 class TestConfig:
@@ -239,11 +279,11 @@ workers = 2
     @pytest.mark.parametrize(
         "policy,key,value",
         [
-            ("phe", "keying = by_arm_count", "by_arm_count"),
+            ("ensemble", "keying = by_arm_count", "by_arm_count"),
             ("lints", "lints_scale = 0.5", 0.5),
             ("linucb", "linucb_bonus = 1.5", 1.5),
             ("phe", "family = uniform", "uniform"),
-            ("lints", "scale = 0.5", 0.5),
+            ("lints", "scale_mode = explicit", "explicit"),
         ],
     )
     def test_policy_only_fields_are_read_for_their_policy(self, tmp_path, policy, key, value):
@@ -266,15 +306,45 @@ workers = 2
             ("greedy", "scale = 2.0"),
             ("lints", "family = gaussian"),  # lints samples gaussian whatever it says
             ("linucb", "scale_mode = auto"),
+            ("phe", "keying = by_arm_count"),  # a perturbed history is keyed by step
+            ("lints", "lints_scale = 0.5\nscale_mode = explicit"),
+            ("lints", "lints_scale = 0.5\nscale = 0.5"),
+            ("lints", "scale = 0.5"),  # under scale_mode = auto
+            ("ensemble", "scale_mode = auto\nscale = 0.5"),
         ],
     )
     def test_policy_keys_the_policy_never_reads_are_rejected(self, tmp_path, policy, key):
-        # a run would ignore them silently
+        # a run would ignore them silently; the last line sets the ignored key
         text = f"[policy]\nname = {policy}\n{key}\n"
-        field = key.partition(" ")[0]
-        message = f"policy.{field} is read only by .* policy.name = {policy}"
+        field = key.splitlines()[-1].partition(" ")[0]
+        message = f"policy.{field}, which policy.name = {policy} does not read"
         with pytest.raises(ValueError, match=message):
             load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "field,value,settings",
+        POLICY_VARIATIONS,
+        ids=["-".join([f, *(f"{k}={v}" for k, v in s.items())]) for f, _, s in POLICY_VARIATIONS],
+    )
+    @pytest.mark.parametrize("policy", sorted(POLICY_SETTINGS))
+    def test_a_policy_field_changes_the_outputs_exactly_where_it_is_read(
+        self, policy, field, value, settings
+    ):
+        # the rule of ExperimentConfig.reads, run: another value of a field
+        # that is read changes trace.csv or summary.json (the config echo
+        # aside), and another value of a field that is not read changes neither
+        settings = {**POLICY_SETTINGS[policy], **settings}
+        overrides = {f"policy__{key}": v for key, v in settings.items()}
+        base = small_cfg(run__horizon=10, run__diagnostics="monitors", **overrides)
+        varied = copy.deepcopy(base)
+        setattr(varied.policy, field, value)
+        assert getattr(varied.policy, field) != getattr(base.policy, field)
+        changed = run_outputs(varied.validate()) != run_outputs(base)
+        assert changed == varied.reads(field)
+
+    def test_every_policy_field_is_varied(self):
+        varied = {field for field, _, _ in POLICY_VARIATIONS}
+        assert varied == {f.name for f in fields(PolicyConfig)} - {"name"}
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -535,6 +605,11 @@ class TestEquivalenceSuite:
         assert report.failures == []
         assert report.matches == 2
 
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_rejects_fewer_than_one_seed(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds must be at least 1"):
+            run_equivalence_suite(small_cfg(), n_seeds=n_seeds)
+
     def test_desynchronized_streams_diverge(self):
         # negative control: offsetting one stream must break the equality
         cfg = small_cfg(run__horizon=20)
@@ -562,6 +637,17 @@ class TestEventRates:
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
             estimate_event_rates(small_cfg(), reps=0)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``linens`` run as a process, so that a failure shows as its exit code."""
+    src = Path(linens.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "linens.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestCli:
@@ -595,16 +681,19 @@ class TestCli:
         # the suite draws its own random instances; an explicit arm set
         # would be ignored, so the command fails instead of printing PASS
         cfg_path = write_cfg(tmp_path, EXPLICIT_INI)
-        src = Path(linens.__file__).resolve().parents[1]
-        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-m", "linens.cli", "equivalence", "--config", str(cfg_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_cli("equivalence", "--config", str(cfg_path))
         assert done.returncode != 0
         assert "draws random instances" in done.stderr
         assert "arm_mode = explicit" in done.stderr
+        assert "PASS" not in done.stdout
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_equivalence_command_rejects_fewer_than_one_seed(self, tmp_path, seeds):
+        # zero seeds would pass the bit-identity contract vacuously
+        cfg_path = write_cfg(tmp_path)
+        done = run_cli("equivalence", "--config", str(cfg_path), "--seeds", seeds)
+        assert done.returncode != 0
+        assert "n_seeds must be at least 1" in done.stderr
         assert "PASS" not in done.stdout
 
     def test_rates_command(self, tmp_path, capsys):
@@ -639,8 +728,10 @@ class TestCli:
 
     @pytest.mark.parametrize("policy", ["phe", "linucb", "lints", "greedy"])
     def test_sweep_rejects_m_for_policies_without_an_ensemble(self, tmp_path, policy):
-        cfg_path = write_cfg(tmp_path, BASE_INI.replace("name = ensemble", f"name = {policy}"))
-        with pytest.raises(ValueError, match=f"policy.name = {policy}"):
+        # the file leaves m out, so it loads; the sweep would set it
+        text = BASE_INI.replace("name = ensemble", f"name = {policy}").replace("m = 4\n", "")
+        cfg_path = write_cfg(tmp_path, text)
+        with pytest.raises(ValueError, match=f"varies policy.m, which policy.name = {policy}"):
             cli.main([
                 "sweep", "--config", str(cfg_path), "--param", "m",
                 "--values", "3,7", "--out", str(tmp_path / "sweep"),

@@ -183,18 +183,17 @@ class TestKeyedStreams:
         assert stream.reward_perturbation(spec, 2, 17) == small[2]
 
     def test_reward_key_arity_enforced(self):
+        # a key is a step or an (arm, count) pair
         spec = PerturbationSpec()
-        by_step = PerturbationStream(1, keying=Keying.BY_STEP)
-        with pytest.raises(ValueError):
-            by_step.reward_vector(spec, 2, 3, 1)
-        by_arm = PerturbationStream(1, keying=Keying.BY_ARM_COUNT)
-        with pytest.raises(ValueError):
-            by_arm.reward_vector(spec, 2, 3)
+        stream = PerturbationStream(1)
+        for key in ((), (3, 1, 2)):
+            with pytest.raises(ValueError, match="a step or an"):
+                stream.reward_vector(spec, 2, *key)
 
     def test_by_arm_count_keying_independent_of_step(self):
         # the draw for (arm, pull-count) must be replayable regardless of when
         # the pull happens
-        stream = PerturbationStream(3, keying=Keying.BY_ARM_COUNT)
+        stream = PerturbationStream(3)
         spec = PerturbationSpec()
         first = stream.reward_vector(spec, 8, 2, 1)
         again = stream.reward_vector(spec, 8, 2, 1)
@@ -203,8 +202,12 @@ class TestKeyedStreams:
         assert not np.array_equal(first, other)
 
     def test_unknown_keying_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbationStream(0, keying="nope")
+        # keying is the ensemble's argument, not the stream's
+        with pytest.raises(ValueError, match="unknown keying 'nope'"):
+            policies.EnsembleSampling(
+                2, 1.0, 3, PerturbationSpec(), PerturbationStream(0),
+                sampler=policies.Sampler.ROUND_ROBIN, keying="nope",
+            )
 
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -244,8 +247,7 @@ def reference_draw(family: str, seed: int, key: tuple, model: int, tag=TAG_REWAR
 
 
 def stream_draw(spec, seed: int, key: tuple, model: int) -> float:
-    keying = Keying.BY_STEP if len(key) == 1 else Keying.BY_ARM_COUNT
-    return PerturbationStream(seed, keying).reward_perturbation(spec, model, *key)
+    return PerturbationStream(seed).reward_perturbation(spec, model, *key)
 
 
 def reward_prefixes(seeds) -> np.ndarray:
@@ -310,7 +312,7 @@ class TestRewardDraws:
             batch_key = tuple(np.array(part) for part in zip(*keys))
         batch = reward_draws(spec, reward_prefixes(seeds), range(33), *batch_key)
         for row, seed, key in zip(batch, seeds, keys):
-            alone = PerturbationStream(seed, keying).reward_vector(spec, 33, *key)
+            alone = PerturbationStream(seed).reward_vector(spec, 33, *key)
             assert row.tobytes() == alone.tobytes()
 
 
@@ -454,9 +456,9 @@ class TestKeyedStepDraws:
         monkeypatch.setattr(perturb, "reward_draws", spy)
         monkeypatch.setattr(policies, "reward_draws", spy)
         spec = PerturbationSpec("gaussian", 0.5)
-        streams = [PerturbationStream(s, keying) for s in (3, 4)]
+        streams = [PerturbationStream(s) for s in (3, 4)]
         policy = policies.EnsembleSampling(
-            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN
+            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN, keying=keying
         )
         calls.clear()  # the initial matrices
         x = np.array([[0.6, 0.0], [0.0, 0.6]])
@@ -470,7 +472,7 @@ class TestKeyedStepDraws:
             assert all(len(key) == 2 and np.shape(key[0]) == (2,) for key in calls)
         monkeypatch.undo()
         oracle = policies.EnsembleSampling(
-            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN
+            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN, keying=keying
         )
         for t in range(1, DRAW_BLOCK + 2):
             key = (t,) if keying == Keying.BY_STEP else (np.array([0, 1]), t)

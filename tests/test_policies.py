@@ -186,9 +186,10 @@ class TestEnsembleUpdate:
 
     def test_by_arm_count_keying_replayable(self, rng):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        stream = PerturbationStream(7, keying=Keying.BY_ARM_COUNT)
+        stream = PerturbationStream(7)
         policy = EnsembleSampling(
-            2, 1.0, 3, spec, stream, model_rng=np.random.default_rng(0)
+            2, 1.0, 3, spec, stream, model_rng=np.random.default_rng(0),
+            keying=Keying.BY_ARM_COUNT,
         )
         x = np.array([0.5, 0.1])
         # pulls: arm 0 twice, arm 1 once
@@ -345,11 +346,6 @@ class TestLinPHE:
             policy.update(sel.arm_index, arms[sel.arm_index], 0.0)
         with pytest.raises(InvalidStateError, match="exhausted"):
             policy.select(arms)
-
-    def test_shared_axis_requires_by_step_keying(self):
-        stream = PerturbationStream(0, keying=Keying.BY_ARM_COUNT)
-        with pytest.raises(ValueError, match="by-step"):
-            LinPHE(2, 1.0, PerturbationSpec(), stream, shared_model_axis=4)
 
     def test_shared_replay_matches_round_robin_ensemble_exactly(self, rng):
         # the core equality: same stream, round-robin ensemble of size T vs
