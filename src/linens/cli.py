@@ -133,8 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. An input it rejects (a ``ValueError``, or an
+    ``OSError`` such as a missing config file) ends in one line on stderr
+    and exit status 2, as a bad argument does."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"linens: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ arrays then carry a leading batch axis, ``(R, K, d)`` arms and so on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import NORM_SLACK, matvec, pick, unwrap
+from .perturb import TAG_NOISE, PerturbationSpec, StepDraws, mix_key, reward_draws
 
 
 class NoiseFamily:
@@ -32,7 +34,10 @@ class NoiseModel:
 
     ``gaussian`` is N(0, sigma^2); ``uniform`` is Unif[-sigma, sigma]
     (variance sigma^2/3, proxy sigma); ``rademacher`` is +/- sigma with
-    equal probability.
+    equal probability. Each is a perturbation family times a scale
+    (:attr:`spec`), drawn by :func:`~linens.perturb.reward_draws` under a
+    replication's ``mix_key(seed, TAG_NOISE)`` prefix, keyed by step, one
+    model: the noise of step t is a pure function of ``(seed, t)``.
     """
 
     family: str = NoiseFamily.GAUSSIAN
@@ -44,14 +49,35 @@ class NoiseModel:
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if self.sigma == 0.0:
-            return 0.0 if size is None else np.zeros(size)
-        if self.family == NoiseFamily.GAUSSIAN:
-            return rng.normal(0.0, self.sigma, size=size)
+    @property
+    def spec(self) -> PerturbationSpec:
+        """The noise as a normalized family at a scale: sigma, or for the
+        uniform family, whose extreme value is -sqrt(3), the largest scale
+        at most sigma / sqrt(3) that keeps ``scale * sqrt(3) <= sigma`` in
+        floating point."""
+        scale = self.sigma
         if self.family == NoiseFamily.UNIFORM:
-            return rng.uniform(-self.sigma, self.sigma, size=size)
-        return self.sigma * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+            scale /= math.sqrt(3.0)
+            while scale * math.sqrt(3.0) > self.sigma:
+                scale = math.nextafter(scale, 0.0)
+        return PerturbationSpec(self.family, scale)
+
+    def draws(self, seeds) -> StepDraws:
+        """The noise of one stream per replication, read by step: ``at(t)``
+        holds each replication's noise of step t as model 0."""
+        prefixes = np.array([mix_key(s, TAG_NOISE) for s in seeds], dtype=np.uint64)
+        return StepDraws.keyed(self.spec, prefixes, range(1))
+
+    def at(self, seed: int, steps):
+        """The noise of stream ``seed`` at ``steps``, an integer or an
+        integer array, in the shape of ``steps``."""
+        z = reward_draws(self.spec, [mix_key(seed, TAG_NOISE)], range(1), np.ravel(steps))
+        return z.reshape(np.shape(steps))
+
+    def sample(self, seed: int, size) -> np.ndarray:
+        """The noise of steps ``1, 2, ...`` of stream ``seed``, ``size``
+        values in all."""
+        return self.at(seed, np.arange(1, math.prod(np.atleast_1d(size)) + 1)).reshape(size)
 
 
 class LinearBanditEnv:
@@ -122,9 +148,10 @@ class LinearBanditEnv:
         self._check_index(arm_index)
         return unwrap(pick(self._means, arm_index, 1))
 
-    def sample_reward(self, arm_index: int, rng: np.random.Generator) -> float:
-        """Mean reward of the arm plus one noise draw from ``rng``."""
-        return self.mean_reward(arm_index) + float(self.noise.sample(rng))
+    def sample_reward(self, arm_index: int, seed: int, step):
+        """Mean reward of the arm plus the noise of ``step`` of stream
+        ``seed``; an array of steps gives the rewards of each."""
+        return self.mean_reward(arm_index) + self.noise.at(seed, step)
 
     def _check_index(self, arm_index) -> None:
         index = np.asarray(arm_index)

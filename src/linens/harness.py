@@ -30,7 +30,6 @@ from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, NoiseModel, RegretLedger
 from .perturb import (
     TAG_ENV,
-    TAG_NOISE,
     TAG_POLICY,
     TAG_REPLICATION,
     PerturbationStream,
@@ -109,40 +108,38 @@ def build_environment(cfg: ExperimentConfig) -> LinearBanditEnv:
     return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, rng)
 
 
+def replication_seeds(cfg: ExperimentConfig, replications: range) -> list[int]:
+    """Seed ``mix_key(base_seed, TAG_REPLICATION, r)`` of each replication r:
+    its policy's stream seed, and the seed of its reward noise."""
+    return [mix_key(cfg.run.base_seed, TAG_REPLICATION, r) for r in replications]
+
+
 def build_policy(cfg: ExperimentConfig, replications: range):
     """The configured policy for a batch of replications stepped in lockstep."""
     p = cfg.policy
     dim = cfg.env.dim
-    base_seed = cfg.run.base_seed
     batch = len(replications)
     spec = cfg.perturbation_spec()
-
-    def streams():
-        return [PerturbationStream(mix_key(base_seed, TAG_REPLICATION, r)) for r in replications]
-
-    def policy_rngs():
-        return [keyed_generator(base_seed, TAG_POLICY, r) for r in replications]
-
+    streams = [PerturbationStream(k) for k in replication_seeds(cfg, replications)]
     if p.name == "ensemble":
         return EnsembleSampling(
             dim,
             p.lam,
             cfg.resolved_ensemble_size(),
             spec,
-            streams(),
+            streams,
             sampler=p.sampler,
-            model_rng=policy_rngs() if p.sampler == Sampler.UNIFORM else None,
             keying=p.keying,
         )
     if p.name == "phe":
-        return LinPHE(dim, p.lam, spec, streams())
+        return LinPHE(dim, p.lam, spec, streams)
     if p.name == "linucb":
         if p.linucb_bonus is not None:
             return LinUCB(dim, p.lam, bonus=p.linucb_bonus, batch=batch)
         return LinUCB(dim, p.lam, params=cfg.confidence_params(), batch=batch)
     if p.name == "lints":
         lints_scale = p.lints_scale if p.lints_scale is not None else spec.scale
-        return LinTS(dim, p.lam, lints_scale, policy_rngs())
+        return LinTS(dim, p.lam, lints_scale, streams)
     if p.name == "greedy":
         return GreedyRidge(dim, p.lam, batch=batch)
     raise ValueError(f"unknown policy {p.name!r}")
@@ -159,9 +156,10 @@ def interact(
     """The interaction loop: step a batched policy for ``horizon`` steps.
 
     Each step selects an arm per replication, gathers its vector and mean
-    reward once, lets the monitor (if any) observe the pre-step state, draws
-    the rewards (``noise`` yields one noise value per replication and
-    step), scores regret and updates the policy. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
+    reward once, lets the monitor (if any) observe the pre-step state, adds
+    the noise of the step (``noise.at(t)``, one value per replication, from
+    :meth:`~linens.envs.NoiseModel.draws`), scores regret and updates the
+    policy. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
     ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
     cumulative regret of each replication.
     """
@@ -173,7 +171,7 @@ def interact(
         sel = policy.select(arms)
         x, mean = env.pull(sel.arm_index)
         diag = monitor.observe(policy, sel, x) if monitor is not None else None
-        y = mean + noise.next()
+        y = mean + noise.at(i + 1)[:, 0]
         instant = ledger.record(mean)
         policy.update(sel.arm_index, x, y)
         if cols:
@@ -195,11 +193,6 @@ def interact(
     return cols, ledger.cumulative
 
 
-def _noise_draws(env: LinearBanditEnv, keys: list[tuple]) -> StepDraws:
-    """Reward noise of each replication from its own keyed generator."""
-    return StepDraws.generators([keyed_generator(*key) for key in keys], env.noise.sample)
-
-
 def run_batch(
     cfg: ExperimentConfig, replications: range, trace: bool = True
 ) -> list[RunRecord]:
@@ -208,7 +201,7 @@ def run_batch(
     records carry summaries only."""
     env = build_environment(cfg)
     policy = build_policy(cfg, replications)
-    noise = _noise_draws(env, [(cfg.run.base_seed, TAG_NOISE, r) for r in replications])
+    noise = env.noise.draws(replication_seeds(cfg, replications))
     monitor = None
     if cfg.run.diagnostics != "off":
         monitor = StepMonitor(
@@ -402,7 +395,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     """Arm sequences of both policies for a block of seeds, each on its own
     random instance: two ``(R, T)`` arrays."""
     horizon = cfg.run.horizon
-    keys = [mix_key(cfg.run.base_seed, TAG_REPLICATION, s) for s in seeds]
+    keys = replication_seeds(cfg, seeds)
     noise = NoiseModel(cfg.env.noise_family, cfg.env.sigma)
     envs = [
         LinearBanditEnv.random(
@@ -428,10 +421,9 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
         [PerturbationStream(k + 1 if desync else k) for k in stream_seeds],
         shared_model_axis=horizon,
     )
-    noise_keys = [(k, TAG_NOISE) for k in keys]
+    draws = noise.draws(keys)
     return tuple(
-        interact(policy, env, _noise_draws(env, noise_keys), horizon, columns=("arm",))[0]["arm"]
-        for policy in (es, phe)
+        interact(policy, env, draws, horizon, columns=("arm",))[0]["arm"] for policy in (es, phe)
     )
 
 

@@ -1,4 +1,4 @@
-"""Perturbation calibration and keyed random streams.
+"""Perturbation calibration and keyed random draws.
 
 This module holds the confidence-radius formulas, the perturbation
 distribution families with their anti-concentration floors, the
@@ -7,21 +7,21 @@ function of ``(base_seed, structured key)``. Purity makes draws
 replayable and order-independent, which the round-robin-ensemble /
 perturbed-history equivalence test relies on.
 
-Every perturbation (the initial matrices, the reward perturbations, and
-perturbed-history exploration's draws, closed-form or O(t)) comes from
-:func:`reward_draws`, a splitmix64 counter hash in numpy ``uint64`` that
-draws a whole batch of replications in one call. Draws keyed by step are
-made one call per block of steps (:meth:`StepDraws.keyed`), with the
-block length bounded by ``DRAW_VALUES`` values. Only the long-lived
-sequential streams (observation noise, uniform model choice, Thompson
-sampling's draws, the random environment) come from keyed Philox
-generators, read a block of steps at a time by the same reader.
+Every per-step value (the initial matrices, the reward perturbations,
+perturbed-history exploration's and Thompson sampling's draws, the reward
+noise and uniform model choice) comes from :func:`reward_draws`, a
+splitmix64 counter hash in numpy ``uint64`` that draws a whole batch of
+replications in one call. Draws keyed by step are made one call per block
+of steps (:class:`StepDraws`), with the block length bounded by
+``DRAW_VALUES`` values. Only the random environment is drawn by a keyed
+Philox generator (:func:`keyed_generator`), once per instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +35,7 @@ TAG_POLICY = 0xA4
 TAG_ENV = 0xA5
 TAG_PHE = 0xA6
 TAG_REPLICATION = 0xA7
+TAG_MODEL = 0xA8
 
 
 def _splitmix64(z: int) -> int:
@@ -57,7 +58,8 @@ def mix_key(base_seed: int, *parts: int) -> int:
 
 
 def keyed_generator(base_seed: int, *parts: int) -> np.random.Generator:
-    """Counter-based generator that is a pure function of its key.
+    """Counter-based generator that is a pure function of its key; it
+    builds the random environment, and nothing else draws from Philox.
 
     The key parts are folded into a 128-bit Philox key via splitmix64, so
     identical keys reproduce identical streams across runs and processes.
@@ -147,30 +149,6 @@ class PerturbationFamily:
     ALL = (GAUSSIAN, UNIFORM, RADEMACHER, SPHERICAL, BINOMIAL)
 
 
-def _sample_normalized(family: str, rng: np.random.Generator, size) -> np.ndarray:
-    """Draw from the family normalized to be symmetric, 1-sub-Gaussian,
-    with variance at least 1/2.
-
-    gaussian:   N(0, 1)
-    uniform:    Unif[-sqrt(3), sqrt(3)]          (variance 1, proxy 1)
-    rademacher: +/- 1                            (variance 1, proxy 1)
-    spherical:  sqrt(2) * cos(2*pi*U)            (circle coordinate; variance 1)
-    binomial:   Binomial(2, 1/2) - 1             (variance 1/2, proxy <= 1)
-    """
-    if family == PerturbationFamily.GAUSSIAN:
-        return rng.standard_normal(size)
-    if family == PerturbationFamily.UNIFORM:
-        bound = math.sqrt(3.0)
-        return rng.uniform(-bound, bound, size=size)
-    if family == PerturbationFamily.RADEMACHER:
-        return 2.0 * rng.integers(0, 2, size=size) - 1.0
-    if family == PerturbationFamily.SPHERICAL:
-        return math.sqrt(2.0) * np.cos(2.0 * math.pi * rng.random(size))
-    if family == PerturbationFamily.BINOMIAL:
-        return rng.binomial(2, 0.5, size=size) - 1.0
-    raise ValueError(f"unknown perturbation family {family!r}")
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """A perturbation distribution: family plus per-coordinate scale.
@@ -203,8 +181,58 @@ class PerturbationSpec:
             return p_n()
         return 0.01
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.scale * _sample_normalized(self.family, rng, size)
+    @property
+    def words(self) -> int:
+        """64-bit hash words per value: Box-Muller takes two."""
+        return 2 if self.family == PerturbationFamily.GAUSSIAN else 1
+
+    def values(self, w: np.ndarray) -> np.ndarray:
+        """The family at this scale from ``(..., words)`` hash words.
+
+        Each family is normalized to be symmetric, 1-sub-Gaussian, with
+        variance at least 1/2: gaussian N(0, 1) by Box-Muller; uniform on
+        [-sqrt(3), sqrt(3)] from the top 53 bits; rademacher +/- 1 from one
+        bit; spherical ``sqrt(2) cos(2 pi U)``, a circle coordinate;
+        binomial Binomial(2, 1/2) - 1, the sum of two bits minus 1.
+        """
+        family = self.family
+        a = w[..., 0]
+        if family == PerturbationFamily.GAUSSIAN:
+            # Box-Muller on (0, 1] x [0, 1): the log never sees 0
+            radius = np.sqrt(-2.0 * np.log(((a >> 11) + 1) * _UNIT))
+            z = radius * np.cos((w[..., 1] >> 11) * (2.0 * math.pi * _UNIT))
+        elif family == PerturbationFamily.UNIFORM:
+            z = (a >> 11) * (2.0 * math.sqrt(3.0) * _UNIT) - math.sqrt(3.0)
+        elif family == PerturbationFamily.RADEMACHER:
+            z = 2.0 * (a >> 63) - 1.0
+        elif family == PerturbationFamily.SPHERICAL:
+            z = math.sqrt(2.0) * np.cos((a >> 11) * (2.0 * math.pi * _UNIT))
+        else:  # binomial: __post_init__ admits no other family
+            z = (a >> 63) + ((a >> 62) & 1) - 1.0
+        return self.scale * z
+
+    def sample(self, seed: int, size) -> np.ndarray:
+        """``size`` values under the ``TAG_INIT`` prefix of ``seed``: the
+        flattened initial perturbations of a stream of that seed at
+        ``lam = 1`` (:func:`initial_draws`)."""
+        z = reward_draws(self, [mix_key(seed, TAG_INIT)], range(math.prod(np.atleast_1d(size))))
+        return z.reshape(size)
+
+
+@dataclass(frozen=True)
+class ModelChoice:
+    """Uniform choice of one of ``n_models`` models, as a law of
+    :func:`reward_draws`: ``floor(u * n_models)`` of the 53-bit uniform
+    ``u`` in the top bits of one word, capped at ``n_models - 1`` so that
+    no rounding of the product can reach ``n_models``. Its bias is at most
+    ``n_models / 2**53``."""
+
+    n_models: int
+    words = 1
+
+    def values(self, w: np.ndarray) -> np.ndarray:
+        u = (w[..., 0] >> 11) * _UNIT
+        return np.minimum((u * self.n_models).astype(np.int64), self.n_models - 1)
 
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -240,48 +268,33 @@ def _counter_offsets(models: range) -> np.ndarray:
     return counters.reshape(-1, 2) * np.uint64(_GAMMA)  # wraps mod 2^64
 
 
-def reward_draws(spec: PerturbationSpec, prefixes, models: range, *key) -> np.ndarray:
-    """Perturbations of ``models`` under one key per replication.
+def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
+    """Values of ``models`` under one key per replication.
 
-    ``prefixes`` holds each replication's ``mix_key(stream_seed, tag)``,
-    and the tag says what a "model" is: ``TAG_REWARD``, keyed by step or
-    ``(arm, count)``, for reward perturbations, where model j is ensemble
-    member j; ``TAG_INIT``, with no key, for initial matrices, where model
-    ``j*dim + c`` is coordinate c of member j (:func:`initial_draws`);
-    ``TAG_PHE``, keyed by step, for a perturbed-history step, where models
-    ``0..dim-1`` are the prior's coordinates and model ``dim + i`` is
-    history row i (:func:`history_draws`). Each key part is an integer or
-    an integer array, and all of them broadcast together. The key is
-    folded into the prefix with :func:`mix_key`'s rule, then model j reads
-    counters ``2j`` and ``2j + 1`` of a splitmix64 sequence started at the
-    folded hash, so each value is a pure function of
-    ``(stream_seed, j, key)``: independent of the other models asked for,
-    of the batch, and of its position in either. The words map onto the
-    family elementwise: gaussian by Box-Muller, uniform from the top 53
-    bits, rademacher from one bit, spherical as ``sqrt(2) cos(2 pi U)``,
-    binomial as the sum of two bits minus 1. Returns shape
-    ``broadcast(prefixes, *key) + (len(models),)``.
+    ``spec`` is the law the hash words map onto: a
+    :class:`PerturbationSpec` (:meth:`PerturbationSpec.values`) or a
+    :class:`ModelChoice`. ``prefixes`` holds each replication's
+    ``mix_key(stream_seed, tag)``, and the tag says what a "model" is:
+    ``TAG_REWARD``, keyed by step or ``(arm, count)``, for reward
+    perturbations, where model j is ensemble member j; ``TAG_INIT``, with
+    no key, for initial matrices, where model ``j*dim + c`` is coordinate c
+    of member j (:func:`initial_draws`); ``TAG_PHE``, keyed by step, for a
+    perturbed-history step, where models ``0..dim-1`` are the prior's
+    coordinates and model ``dim + i`` is history row i
+    (:func:`history_draws`); ``TAG_NOISE`` and ``TAG_MODEL``, keyed by
+    step, for the reward noise and uniform model choice, one model each.
+    Each key part is an integer or an integer array, and all of them
+    broadcast together. The key is folded into the prefix with
+    :func:`mix_key`'s rule, then model j reads counters ``2j`` and
+    ``2j + 1`` of a splitmix64 sequence started at the folded hash, so each
+    value is a pure function of ``(stream_seed, j, key)``: independent of
+    the other models asked for, of the batch, and of its position in
+    either. Returns shape ``broadcast(prefixes, *key) + (len(models),)``.
     """
     h = np.array(prefixes, dtype=np.uint64)
     for part in key:
         h = _fold_array(h, part)
-    family = spec.family
-    words = 2 if family == PerturbationFamily.GAUSSIAN else 1
-    w = _mix(h[..., None, None] + _counter_offsets(models)[:, :words])
-    a = w[..., 0]
-    if family == PerturbationFamily.GAUSSIAN:
-        # Box-Muller on (0, 1] x [0, 1): the log never sees 0
-        radius = np.sqrt(-2.0 * np.log(((a >> 11) + 1) * _UNIT))
-        z = radius * np.cos((w[..., 1] >> 11) * (2.0 * math.pi * _UNIT))
-    elif family == PerturbationFamily.UNIFORM:
-        z = (a >> 11) * (2.0 * math.sqrt(3.0) * _UNIT) - math.sqrt(3.0)
-    elif family == PerturbationFamily.RADEMACHER:
-        z = 2.0 * (a >> 63) - 1.0
-    elif family == PerturbationFamily.SPHERICAL:
-        z = math.sqrt(2.0) * np.cos((a >> 11) * (2.0 * math.pi * _UNIT))
-    else:  # binomial: PerturbationSpec admits no other family
-        z = (a >> 63) + ((a >> 62) & 1) - 1.0
-    return spec.scale * z
+    return spec.values(_mix(h[..., None, None] + _counter_offsets(models)[:, : spec.words]))
 
 
 def stream_prefixes(streams, tag: int) -> np.ndarray:
@@ -387,60 +400,36 @@ DRAW_VALUES = 2**14
 
 
 class StepDraws:
-    """Per-step values of a batch, read a block of consecutive steps at a time.
+    """Values of a batch keyed by step, read a block of consecutive steps at a time.
 
-    ``fill(first_step, n)`` returns the ``(n, R, ...)`` values of steps
-    ``first_step .. first_step + n - 1``. A block holds
-    ``max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))`` steps.
-    :meth:`next` reads the steps in order from step 1, and :meth:`at` reads
-    any step of a keyed fill. ``batched`` keeps the leading replication
-    axis; without it the batch is one replication and has no such axis.
-    Build one with :meth:`generators` or :meth:`keyed`.
+    ``draw(steps)`` returns the ``(n, R, ...)`` values of an ``(n, 1)``
+    array of consecutive steps (for :meth:`keyed`, one :func:`reward_draws`
+    call, whose row for step t is the same bits as the call keyed by t
+    alone). A block holds
+    ``max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))`` steps, and
+    :meth:`at` reads any step, in any order. ``batched`` keeps the leading
+    replication axis; without it the batch is one replication and has no
+    such axis.
     """
 
-    def __init__(self, fill, values_per_step: int, batched: bool = True):
-        self._fill = fill
+    def __init__(self, draw, values_per_step: int, batched: bool = True):
+        self._draw = draw
         self._steps = max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))
         self._batched = batched
         self._block = np.empty((0,))
         self._first = 1  # the step of the block's first row
-        self._step = 0  # the last step next() returned
 
     @classmethod
-    def generators(cls, rngs: list, draw, width: int = 1, batched: bool = True):
-        """Values from long-lived generators, one per replication:
-        ``draw(rng, n)`` returns ``n`` steps of ``width`` values each. A
-        generator fills a sized draw value by value, so a block yields
-        exactly what one call per step would. The generators are read ahead
-        and must not be shared, and the steps must be read with :meth:`next`."""
-
-        def fill(first_step: int, n: int) -> np.ndarray:
-            return np.stack([draw(g, n) for g in rngs], axis=1)
-
-        return cls(fill, len(rngs) * width, batched)
-
-    @classmethod
-    def keyed(cls, spec: PerturbationSpec, prefixes, models: range, batched: bool = True):
-        """:func:`reward_draws` of ``models`` keyed by step: one call per
-        block of steps, whose row for step t is the same bits as the call
-        keyed by t alone."""
-
-        def fill(first_step: int, n: int) -> np.ndarray:
-            steps = np.arange(first_step, first_step + n)[:, None]
-            return reward_draws(spec, prefixes, models, steps)
-
-        return cls(fill, len(prefixes) * len(models), batched)
+    def keyed(cls, spec, prefixes, models: range, batched: bool = True):
+        """:func:`reward_draws` of ``models`` under ``spec``, keyed by step."""
+        draw = partial(reward_draws, spec, prefixes, models)
+        return cls(draw, len(prefixes) * len(models), batched)
 
     def at(self, step: int) -> np.ndarray:
         """The values of ``step``."""
         i = step - self._first
         if not 0 <= i < len(self._block):
-            self._block = self._fill(step, self._steps)
+            self._block = self._draw(np.arange(step, step + self._steps)[:, None])
             self._first, i = step, 0
         values = self._block[i]
         return values if self._batched else values[0]
-
-    def next(self) -> np.ndarray:
-        """The values of the step after the one last read by ``next``."""
-        self._step += 1
-        return self.at(self._step)

@@ -7,8 +7,8 @@ Argmax ties are broken toward the smallest arm index everywhere, which
 makes the cross-policy equality tests exact.
 
 A policy steps one replication, or a batch of R replications in lockstep
-when it is given a list of R per-replication streams or generators (or
-``batch=R`` when it has none). Batched, every array gains a leading axis of
+when it is given a list of R per-replication streams (or ``batch=R``
+when it has none). Batched, every array gains a leading axis of
 length R and ``select``/``update`` take and return one arm, reward and
 estimator per replication; see :mod:`linens.linalg` for why each
 replication's numbers are the same bits in any batch.
@@ -24,10 +24,12 @@ from . import _kernels_py as kernels
 from .linalg import GramState, matvec, pick, unwrap
 from .perturb import (
     TAG_INIT,
+    TAG_MODEL,
     TAG_PHE,
     TAG_REWARD,
     ConfidenceParams,
     Keying,
+    ModelChoice,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
@@ -142,11 +144,9 @@ class EnsembleSampling(_RidgeBase):
     by ``DRAW_VALUES`` values). ``keying`` says what keys a reward
     perturbation: the step (``Keying.BY_STEP``), or the chosen arm and its
     pull count (``Keying.BY_ARM_COUNT``). Keys by ``(arm, count)`` depend
-    on the pulls, so that keying draws one call per step.
-
-    Uniform model choice reads ``model_rng`` ahead in blocks (see
-    :class:`~linens.perturb.StepDraws`), so the generator must be the
-    policy's own.
+    on the pulls, so that keying draws one call per step. Uniform model
+    choice is a :class:`~linens.perturb.ModelChoice` draw under each
+    stream's ``TAG_MODEL`` prefix, keyed by step in the same blocks.
     """
 
     def __init__(
@@ -157,7 +157,6 @@ class EnsembleSampling(_RidgeBase):
         spec: PerturbationSpec,
         stream: PerturbationStream | list[PerturbationStream],
         sampler: str = Sampler.UNIFORM,
-        model_rng: np.random.Generator | list | None = None,
         keying: str = Keying.BY_STEP,
     ):
         streams, batch = _per_replication(stream)
@@ -166,8 +165,6 @@ class EnsembleSampling(_RidgeBase):
             raise ValueError("n_models must be at least 1")
         if sampler not in Sampler.ALL:
             raise ValueError(f"unknown sampler {sampler!r}")
-        if sampler == Sampler.UNIFORM and model_rng is None:
-            raise ValueError("uniform sampling requires a model_rng")
         if keying not in Keying.ALL:
             raise ValueError(f"unknown keying {keying!r}")
         self.n_models = int(n_models)
@@ -176,9 +173,11 @@ class EnsembleSampling(_RidgeBase):
         self.sampler = sampler
         self._models = None
         if sampler == Sampler.UNIFORM:
-            rngs, _ = _per_replication(model_rng)
-            self._models = StepDraws.generators(
-                rngs, lambda g, n: g.integers(self.n_models, size=n), batched=batch is not None
+            self._models = StepDraws.keyed(
+                ModelChoice(self.n_models),
+                stream_prefixes(streams, TAG_MODEL),
+                range(1),
+                batched=batch is not None,
             )
         w = initial_draws(spec, stream_prefixes(streams, TAG_INIT), n_models, dim, lam)
         self.s_vectors = w.reshape(self.batch_shape + (n_models, dim))
@@ -207,7 +206,7 @@ class EnsembleSampling(_RidgeBase):
                 )
             j = np.broadcast_to(t - 1, self.batch_shape)
         else:
-            j = self._models.next()
+            j = self._models.at(t)[..., 0]
         theta = self.model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
@@ -407,34 +406,15 @@ class LinUCB(_RidgeBase):
         self._observe(np.asarray(x, dtype=np.float64), y)
 
 
-class LinTS(_RidgeBase):
+class LinTS(LinPHE):
     """Gaussian linear Thompson sampling: greedy on
-    ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)``.
+    ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)`` (Agrawal & Goyal,
+    ICML 2013).
 
-    ``V^{-1/2}`` is :meth:`~linens.linalg.GramState.inverse_sqrt`. The
-    ``xi`` draws read ``rng`` ahead in blocks, so it must be the policy's
-    own generator.
+    That is gaussian perturbed-history exploration's closed form, so LinTS
+    is :class:`LinPHE` with a gaussian spec at ``scale``: the same
+    ``TAG_PHE`` draw of ``d`` models per step, under its own scale rule.
     """
 
-    def __init__(
-        self, dim: int, lam: float, scale: float, rng: np.random.Generator | list
-    ):
-        rngs, batch = _per_replication(rng)
-        super().__init__(dim, lam, batch)
-        if scale < 0:
-            raise ValueError("scale must be non-negative")
-        self.scale = scale
-        self._xi = StepDraws.generators(
-            rngs, lambda g, n: g.standard_normal((n, dim)), dim, batched=batch is not None
-        )
-
-    def sample_estimator(self) -> np.ndarray:
-        xi = self.scale * self._xi.next()
-        return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), xi)
-
-    def select(self, arms: np.ndarray) -> Selection:
-        theta = self.sample_estimator()
-        return self._selection(matvec(arms, theta), theta)
-
-    def update(self, arm_index, x: np.ndarray, y) -> None:
-        self._observe(np.asarray(x, dtype=np.float64), y)
+    def __init__(self, dim: int, lam: float, scale: float, stream):
+        super().__init__(dim, lam, PerturbationSpec(PerturbationFamily.GAUSSIAN, scale), stream)

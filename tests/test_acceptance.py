@@ -28,7 +28,7 @@ from linens.perturb import (
     PerturbationSpec,
     PerturbationStream,
     gamma,
-    keyed_generator,
+    mix_key,
     p_n,
 )
 from linens.policies import (
@@ -85,9 +85,7 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
     dim, m, lam, steps = 4, 8, 1.0, 200
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
     stream = PerturbationStream(2024)
-    policy = EnsembleSampling(
-        dim, lam, m, spec, stream, model_rng=np.random.default_rng(0)
-    )
+    policy = EnsembleSampling(dim, lam, m, spec, stream)
     rng = np.random.default_rng(5)
     xs, ys = [], []
     for _ in range(steps):
@@ -162,8 +160,7 @@ def test_criterion_05_directional_anti_concentration_floors():
         hits = np.zeros(10)
         total = 0
         for chunk in range(10):
-            rng = keyed_generator(555, chunk)
-            z = spec.sample(rng, (100_000, n_dim))
+            z = spec.sample(mix_key(555, chunk), (100_000, n_dim))
             proj = z @ directions.T  # (chunk, 10)
             hits += np.sum(proj >= spec.anti_conc_threshold, axis=0)
             total += z.shape[0]
@@ -256,19 +253,17 @@ def test_criterion_09_zero_perturbation_zero_noise_collapse():
         stream = PerturbationStream(seed)
         policies = {
             "greedy": GreedyRidge(2, 1.0),
-            "ensemble": EnsembleSampling(
-                2, 1.0, 3, ZERO_SPEC, stream, model_rng=np.random.default_rng(seed)
-            ),
+            "ensemble": EnsembleSampling(2, 1.0, 3, ZERO_SPEC, stream),
             "phe": LinPHE(2, 1.0, ZERO_SPEC, stream),
             "linucb": LinUCB(2, 1.0, bonus=0.0),
-            "lints": LinTS(2, 1.0, 0.0, np.random.default_rng(seed)),
+            "lints": LinTS(2, 1.0, 0.0, stream),
         }
         sequences = {}
         for name, policy in policies.items():
             seq = []
-            for _ in range(60):
+            for t in range(1, 61):
                 sel = policy.select(env.arms)
-                y = env.sample_reward(sel.arm_index, rng)
+                y = env.sample_reward(sel.arm_index, seed, t)
                 policy.update(sel.arm_index, env.arms[sel.arm_index], y)
                 seq.append(sel.arm_index)
             sequences[name] = seq

@@ -173,21 +173,21 @@ class TestOptimismGeometry:
 
 
 class TestStepMonitor:
-    def run_greedy(self, env, params, horizon, noise_rng, track=False):
+    def run_greedy(self, env, params, horizon, noise_seed, track=False):
         monitor = StepMonitor(env, params, track_ensemble_fraction=track)
         policy = GreedyRidge(env.dim, params.lam)
         diags = []
-        for _ in range(horizon):
+        for t in range(1, horizon + 1):
             sel = policy.select(env.arms)
             diags.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
-            y = env.sample_reward(sel.arm_index, noise_rng)
+            y = env.sample_reward(sel.arm_index, noise_seed, t)
             policy.update(sel.arm_index, env.arms[sel.arm_index], y)
         return monitor, diags
 
     def test_noiseless_greedy_always_concentrated(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.0), 1.0, rng)
         params = make_params(sigma=0.0, horizon=50)
-        monitor, diags = self.run_greedy(env, params, 50, rng)
+        monitor, diags = self.run_greedy(env, params, 50, 0)
         assert monitor.all_concentrated
         assert monitor.concentration_failures == 0
         assert monitor.perturb_concentration_failures == 0
@@ -198,15 +198,15 @@ class TestStepMonitor:
         # one arm x = 1 in dimension 1 with lam = 1: widths^2 are 1, 1/2, 1/3
         env = LinearBanditEnv(np.array([[1.0]]), np.array([0.5]), NoiseModel(sigma=0.0), 1.0)
         params = make_params(dim=1, horizon=3)
-        monitor, _ = self.run_greedy(env, params, 3, np.random.default_rng(0))
+        monitor, _ = self.run_greedy(env, params, 3, 0)
         assert monitor.elliptical_sum == pytest.approx(11.0 / 6.0, abs=1e-12)
         assert monitor.elliptical_ok()
 
     def test_elliptical_bound_holds_on_random_runs(self, rng):
-        for _ in range(5):
+        for noise_seed in range(5):
             env = LinearBanditEnv.random(3, 8, NoiseModel(sigma=1.0), 1.0, rng)
             params = make_params(dim=3, horizon=200)
-            monitor, _ = self.run_greedy(env, params, 200, rng)
+            monitor, _ = self.run_greedy(env, params, 200, noise_seed)
             assert monitor.elliptical_sum <= elliptical_potential_bound(3, 200, 1.0)
 
     def test_step0_concentration_boundary(self):
@@ -220,13 +220,11 @@ class TestStepMonitor:
         params = make_params(horizon=20)
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, 20))
         stream = PerturbationStream(4)
-        policy = EnsembleSampling(
-            2, 1.0, 16, spec, stream, model_rng=np.random.default_rng(1)
-        )
+        policy = EnsembleSampling(2, 1.0, 16, spec, stream)
         monitor = StepMonitor(env, params, track_ensemble_fraction=True)
         gt = monitor.gamma_tilde_value
         x_star = env.arms[env.optimal_arm_index]
-        for _ in range(20):
+        for t in range(1, 21):
             sel = policy.select(env.arms)
             # independent recomputation of the member fraction
             theta_hat = policy.ridge_estimate()
@@ -240,7 +238,7 @@ class TestStepMonitor:
                 manual += ok_dir and ok_norm
             monitor.observe(policy, sel, env.arm(sel.arm_index))
             assert monitor.ensemble_fractions[-1] == pytest.approx(manual / 16, abs=1e-12)
-            y = env.sample_reward(sel.arm_index, rng)
+            y = env.sample_reward(sel.arm_index, 4, t)
             policy.update(sel.arm_index, env.arms[sel.arm_index], y)
         assert len(monitor.ensemble_fractions) == 20
         assert all(0.0 <= f <= 1.0 for f in monitor.ensemble_fractions)
@@ -261,7 +259,7 @@ class TestStepMonitor:
     def test_diag_counters_are_consistent(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
         params = make_params(horizon=100)
-        monitor, diags = self.run_greedy(env, params, 100, rng)
+        monitor, diags = self.run_greedy(env, params, 100, 0)
         assert monitor.checks == 100
         assert monitor.anti_conc_hits == sum(d.anti_conc_ok for d in diags)
         assert monitor.optimism_hits == sum(d.optimism_ok for d in diags)

@@ -4,17 +4,30 @@ it runs in, nor on the number of worker processes."""
 import numpy as np
 import pytest
 
+from linens import harness
 from linens.config import ExperimentConfig
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.harness import (
     BATCH_SIZE,
     batches,
+    build_environment,
     estimate_event_rates,
+    replication_seeds,
     run_batch,
     run_equivalence_suite,
+    run_replications,
 )
 from linens.linalg import REINVERT_PERIOD
-from linens.perturb import Keying, PerturbationFamily, PerturbationSpec, PerturbationStream
+from linens.perturb import (
+    TAG_ENV,
+    TAG_REPLICATION,
+    Keying,
+    PerturbationFamily,
+    PerturbationSpec,
+    PerturbationStream,
+    keyed_generator,
+    mix_key,
+)
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Sampler
 
 
@@ -95,13 +108,10 @@ def _policies(batch: int | None):
 
     spec = PerturbationSpec("gaussian", 0.8)
     return {
-        "ensemble": EnsembleSampling(
-            2, 1.0, 5, spec, each(PerturbationStream),
-            model_rng=each(np.random.default_rng),
-        ),
+        "ensemble": EnsembleSampling(2, 1.0, 5, spec, each(PerturbationStream)),
         "phe": LinPHE(2, 1.0, spec, each(PerturbationStream)),
         "linucb": LinUCB(2, 1.0, bonus=0.7, batch=batch),
-        "lints": LinTS(2, 1.0, 0.5, each(np.random.default_rng)),
+        "lints": LinTS(2, 1.0, 0.5, each(PerturbationStream)),
         "greedy": GreedyRidge(2, 1.0, batch=batch),
     }
 
@@ -154,3 +164,69 @@ def test_equivalence_across_batches_and_workers():
     for seed, step, seq_es, seq_phe in desync.failures:
         assert seq_es[: step - 1] == seq_phe[: step - 1]
         assert seq_es[step - 1] != seq_phe[step - 1]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform", "rademacher"])
+def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, family):
+    # the reward of step t is the mean of the chosen arm plus the noise of
+    # (base_seed, r, t), whatever the batch width or the worker count
+    reps, horizon = 5, 12
+    cfg = make_cfg(env__noise_family=family, run__horizon=horizon, run__workers=2)
+    env = build_environment(cfg)
+    noise = {
+        r: env.noise.sample(mix_key(cfg.run.base_seed, TAG_REPLICATION, r), horizon)
+        for r in range(reps)
+    }
+    monkeypatch.setattr(harness, "BATCH_SIZE", 2)  # three batches over two workers
+    runs = {
+        "workers": run_replications(cfg, range(reps)),
+        "one batch": run_batch(cfg, range(reps)),
+        "batches of one": [run_batch(cfg, range(r, r + 1))[0] for r in range(reps)],
+    }
+    for name, records in runs.items():
+        assert [rec.replication for rec in records] == list(range(reps)), name
+        for rec in records:
+            want = env.mean_reward(rec.columns["arm"]) + noise[rec.replication]
+            assert bits(rec.columns["reward"]) == bits(want), name
+
+
+def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):
+    seen = []
+    draws = NoiseModel.draws
+
+    def spy(self, seeds):
+        seen.append(list(seeds))
+        return draws(self, seeds)
+
+    monkeypatch.setattr(NoiseModel, "draws", spy)
+    cfg = make_cfg(run__horizon=5, policy__m="auto")
+    run_batch(cfg, range(3))
+    run_equivalence_suite(cfg, n_seeds=3)
+    assert seen == [replication_seeds(cfg, range(3))] * 2
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_keyed_generator_builds_only_the_random_instances(monkeypatch, case):
+    # Philox draws the random environment, once per instance, and nothing
+    # per step: every other draw is the counter hash
+    keys, philox = [], []
+    real_philox = np.random.Philox
+
+    def spy(*key):
+        keys.append(key)
+        return keyed_generator(*key)
+
+    def counted_philox(*args, **kwargs):
+        philox.append(args)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "keyed_generator", spy)
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    # more steps than one block of keyed draws holds
+    cfg = make_cfg(**{**CASES[case], "run__horizon": 70, "policy__m": 70})
+    run_batch(cfg, range(3))
+    assert keys == [(cfg.run.base_seed, TAG_ENV)]
+    keys.clear()
+    run_equivalence_suite(cfg, n_seeds=4)
+    assert keys == [(k, TAG_ENV) for k in replication_seeds(cfg, range(4))]
+    assert len(philox) == 5

@@ -30,7 +30,7 @@ from linens.harness import (
     run_monte_carlo,
 )
 from linens.diagnostics import StepMonitor
-from linens.perturb import StepDraws, beta, ensemble_size
+from linens.perturb import beta, ensemble_size
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
 
 BASE_INI = """\
@@ -429,6 +429,25 @@ class TestPolicyResolution:
         want = beta(params, params.horizon) if reads_scale else None
         assert summary["resolved_scale"] == want
 
+    def test_lints_is_gaussian_phe_at_its_scale(self, tmp_path):
+        # Thompson sampling at lints_scale = s is gaussian perturbed-history
+        # exploration at scale = s: the same trace.csv, byte for byte
+        base = BASE_INI.replace("m = 4\n", "").replace(
+            "base_seed = 11", "base_seed = 11\ndiagnostics = monitors"
+        )
+        policies = {
+            "lints": "name = lints\nlints_scale = 0.37",
+            "phe": "name = phe\nfamily = gaussian\nscale_mode = explicit\nscale = 0.37",
+        }
+        traces = []
+        for name, policy in policies.items():
+            path = write_cfg(tmp_path, base.replace("name = ensemble", policy), f"{name}.ini")
+            out = tmp_path / name
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+        assert traces[0].split(b"\n", 1)[0].endswith(b",conc_ok,anticonc_ok,optimism_ok")
+
     def test_environment_fixed_across_replications(self):
         cfg = small_cfg()
         a, b = build_environment(cfg), build_environment(cfg)
@@ -682,7 +701,7 @@ class TestCli:
         # would be ignored, so the command fails instead of printing PASS
         cfg_path = write_cfg(tmp_path, EXPLICIT_INI)
         done = run_cli("equivalence", "--config", str(cfg_path))
-        assert done.returncode != 0
+        assert done.returncode == 2
         assert "draws random instances" in done.stderr
         assert "arm_mode = explicit" in done.stderr
         assert "PASS" not in done.stdout
@@ -692,9 +711,44 @@ class TestCli:
         # zero seeds would pass the bit-identity contract vacuously
         cfg_path = write_cfg(tmp_path)
         done = run_cli("equivalence", "--config", str(cfg_path), "--seeds", seeds)
-        assert done.returncode != 0
-        assert "n_seeds must be at least 1" in done.stderr
-        assert "PASS" not in done.stdout
+        assert done.returncode == 2
+        assert done.stderr == "linens: n_seeds must be at least 1\n"
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command,args,message",
+        [
+            ("run", ["--config", "missing.ini"], "config file not found: missing.ini"),
+            ("equivalence", ["--seeds", "0"], "n_seeds must be at least 1"),
+            ("rates", ["--reps", "0"], "reps must be at least 1"),
+            ("sweep", ["--param", "m", "--values", "3"], "varies policy.m"),
+        ],
+    )
+    def test_a_rejected_input_ends_in_one_line(
+        self, tmp_path, capsys, monkeypatch, command, args, message
+    ):
+        # a ValueError or OSError of any subcommand is one line on stderr
+        # and exit status 2, as a bad argument is
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_cfg(tmp_path, BASE_INI.replace("name = ensemble\nm = 4", "name = phe"))
+        if "--config" not in args:
+            args = ["--config", str(cfg_path), *args]
+        assert cli.main([command, *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("linens: ") and message in err and err.count("\n") == 1
+
+    def test_other_errors_pass_through(self, tmp_path, monkeypatch):
+        # only rejected inputs are caught: anything else still propagates
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(path):
+            raise Interrupted
+
+        monkeypatch.setattr(cli, "load_config", interrupted)
+        with pytest.raises(Interrupted):
+            cli.main(["rates", "--config", str(write_cfg(tmp_path))])
 
     def test_rates_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
@@ -716,37 +770,38 @@ class TestCli:
         assert (out / "sweep_T_10" / "summary.json").exists()
 
     @pytest.mark.parametrize("param,message", [("K", "arm_count"), ("d", "env.dim")])
-    def test_sweep_rejects_explicit_arm_shape_changes(self, tmp_path, param, message):
+    def test_sweep_rejects_explicit_arm_shape_changes(self, tmp_path, capsys, param, message):
         # explicit arms fix K and d; a sweep over either fails before any run
         cfg_path = write_cfg(tmp_path, EXPLICIT_INI)
-        with pytest.raises(ValueError, match=message):
-            cli.main([
-                "sweep", "--config", str(cfg_path), "--param", param,
-                "--values", "4,5", "--out", str(tmp_path / "sweep"),
-            ])
+        code = cli.main([
+            "sweep", "--config", str(cfg_path), "--param", param,
+            "--values", "4,5", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2 and message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("policy", ["phe", "linucb", "lints", "greedy"])
-    def test_sweep_rejects_m_for_policies_without_an_ensemble(self, tmp_path, policy):
+    def test_sweep_rejects_m_for_policies_without_an_ensemble(self, tmp_path, capsys, policy):
         # the file leaves m out, so it loads; the sweep would set it
         text = BASE_INI.replace("name = ensemble", f"name = {policy}").replace("m = 4\n", "")
         cfg_path = write_cfg(tmp_path, text)
-        with pytest.raises(ValueError, match=f"varies policy.m, which policy.name = {policy}"):
-            cli.main([
-                "sweep", "--config", str(cfg_path), "--param", "m",
-                "--values", "3,7", "--out", str(tmp_path / "sweep"),
-            ])
+        code = cli.main([
+            "sweep", "--config", str(cfg_path), "--param", "m",
+            "--values", "3,7", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2
+        assert f"varies policy.m, which policy.name = {policy}" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
-    def test_sweep_rejects_a_horizon_past_the_round_robin_ensemble(self, tmp_path):
+    def test_sweep_rejects_a_horizon_past_the_round_robin_ensemble(self, tmp_path, capsys):
         # T = 4 alone could run; T = 10 outruns m = 4, so nothing runs or is written
         text = BASE_INI.replace("m = 4", "m = 4\nsampler = round_robin")
         cfg_path = write_cfg(tmp_path, text.replace("horizon = 30", "horizon = 4"))
-        with pytest.raises(ValueError, match="run.horizon = 10"):
-            cli.main([
-                "sweep", "--config", str(cfg_path), "--param", "T",
-                "--values", "4,10", "--out", str(tmp_path / "sweep"),
-            ])
+        code = cli.main([
+            "sweep", "--config", str(cfg_path), "--param", "T",
+            "--values", "4,10", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 2 and "run.horizon = 10" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
 
@@ -801,12 +856,12 @@ def test_shipped_config_loads_and_runs(tmp_path, path):
 #: another build, which would move them too.
 PINNED_OUTPUTS = {
     "ensemble": (
-        "dbfd345d1b976fe5f28678efd669485b9083e7abd67110e78381697a46db078a",
-        "b8d8e61c0bd142eb9e77d6ee7013e61829f41a2e0b5a4834843da68d0a30ceca",
+        "d8d205710384d87361c7ec544da4f901e548b97935bafc4f4f0eea44c315c236",
+        "06cfd97d632984741a6fcd4696633673ae580cedb9a8a432bf45909b131b0b52",
     ),
     "phe": (
-        "d6512afa4b3b721f35c6f3d1e404a2050c881099b64aa6d99014dfb7bb174edd",
-        "e07a4a44baa22ff3829671f4d888863e9eab85f59495823977a8ec8a5bf8f0f7",
+        "09ebda14733536a0f7e556d4febad010dac8efb5e66844af80be60cf43026ffe",
+        "4462ca7e126d418580b127aa9a1234eaf721cacd00e53f2af5b9673fd20d2812",
     ),
 }
 
@@ -842,7 +897,7 @@ class OutOfRangePolicy(GreedyRidge):
 def test_interact_rejects_an_out_of_range_arm(arm_index):
     cfg = small_cfg(run__diagnostics="monitors")
     env = build_environment(cfg)
-    noise = StepDraws.generators([np.random.default_rng(r) for r in range(2)], env.noise.sample)
+    noise = env.noise.draws(range(2))
     monitor = StepMonitor(env, cfg.confidence_params(), batch=2)
     policy = OutOfRangePolicy(arm_index, batch=2)
     with pytest.raises(ValueError, match="out of range"):

@@ -6,7 +6,7 @@ import pytest
 
 import linens
 from linens import _kernels_py as kernels
-from linens.linalg import GramState, Metric
+from linens.linalg import REINVERT_PERIOD, GramState, Metric
 
 from conftest import random_unit_ball
 
@@ -88,6 +88,29 @@ class TestUpdate:
         for _ in range(3000):
             st.update(random_unit_ball(rng, 8))
         assert st.inverse_drift() <= 1e-8
+
+    def test_drift_before_each_reinversion_on_an_ill_conditioned_state(self, rng, monkeypatch):
+        # lam = 1e-3, d = 8, arms along one axis: the Gram matrix's condition
+        # number passes 10^6, and the Sherman-Morrison inverse still drifts
+        # less than 1e-10 from it just before each re-inversion
+        drifts = []
+        reinvert = GramState.reinvert
+
+        def measured(state):
+            drifts.append(state.inverse_drift())
+            reinvert(state)
+
+        monkeypatch.setattr(GramState, "reinvert", measured)
+        batch, dim = 16, 8
+        st = GramState(dim, 1e-3, batch=batch)
+        for _ in range(4 * REINVERT_PERIOD):
+            x = np.zeros((batch, dim))
+            x[:, 0] = rng.uniform(0.5, 1.0, batch)
+            x[:, 1:] = 1e-4 * rng.standard_normal((batch, dim - 1))
+            st.update(x / np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None])
+        assert len(drifts) == 4
+        assert max(drifts) <= 1e-10
+        assert np.linalg.cond(st.gram).min() > 1e6
 
 
 class TestWeightedNorm:

@@ -10,10 +10,12 @@ from linens.perturb import (
     DRAW_BLOCK,
     DRAW_VALUES,
     TAG_INIT,
+    TAG_MODEL,
     TAG_PHE,
     TAG_REWARD,
     ConfidenceParams,
     Keying,
+    ModelChoice,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
@@ -419,7 +421,7 @@ class TestKeyedStepDraws:
         steps = 2 * max(1, min(DRAW_BLOCK, DRAW_VALUES // (len(seeds) * len(models)))) + 3
         for t in range(1, steps + 1):
             want = reward_draws(spec, prefixes, models, t)
-            got = draws.next()
+            got = draws.at(t)
             assert got.tobytes() == (want if batched else want[0]).tobytes()
         # a keyed block is read at any step, in any order
         for t in (2, steps, 1, DRAW_BLOCK + 1):
@@ -439,8 +441,8 @@ class TestKeyedStepDraws:
 
         monkeypatch.setattr(perturb, "reward_draws", spy)
         draws = StepDraws.keyed(PerturbationSpec(), reward_prefixes([1]), range(width))
-        for _ in range(block + 1):
-            draws.next()
+        for t in range(1, block + 2):
+            draws.at(t)
         assert calls == [(block, 1), (block, 1)]
 
     @pytest.mark.parametrize("keying", Keying.ALL)
@@ -551,15 +553,22 @@ class TestPerturbationSpec:
             assert s.anti_conc_threshold == pytest.approx(2.0 / 3.0)
             assert s.anti_conc_floor == 0.01
 
-    def test_zero_scale_samples_zero(self, rng):
+    def test_zero_scale_samples_zero(self):
         for fam in PerturbationFamily.ALL:
             s = PerturbationSpec(fam, 0.0)
-            np.testing.assert_array_equal(s.sample(rng, 100), np.zeros(100))
+            np.testing.assert_array_equal(s.sample(1, 100), np.zeros(100))
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_symmetry_and_variance(self, family, rng):
+    def test_sample_is_the_initial_draws_at_unit_lambda(self, family):
+        spec = PerturbationSpec(family, 1.3)
+        w = PerturbationStream(17).initial_matrix(spec, 6, 4, 1.0)
+        assert spec.sample(17, (6, 4)).tobytes() == w.tobytes()
+        assert spec.sample(17, 24).tobytes() == w.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_symmetry_and_variance(self, family):
         # normalized families are symmetric with variance in [1/2, 1]
-        x = PerturbationSpec(family, 1.0).sample(rng, 200_000)
+        x = PerturbationSpec(family, 1.0).sample(2, 200_000)
         assert abs(np.mean(x)) < 0.01
         v = np.var(x)
         assert 0.48 <= v <= 1.02
@@ -567,38 +576,70 @@ class TestPerturbationSpec:
         assert abs(np.mean(x**3)) < 0.02
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_sub_gaussian_tails(self, family, rng):
+    def test_sub_gaussian_tails(self, family):
         # P(|Z| >= x) <= 2 exp(-x^2/2) for a 1-sub-Gaussian variable; allow
         # Monte-Carlo slack via the factor 1.25
-        x = np.abs(PerturbationSpec(family, 1.0).sample(rng, 1_000_000))
+        x = np.abs(PerturbationSpec(family, 1.0).sample(3, 1_000_000))
         for thr in (1.0, 2.0, 3.0):
             emp = np.mean(x >= thr)
             assert emp <= 2.5 * math.exp(-thr * thr / 2.0)
 
-    def test_scale_is_per_coordinate_std_bound(self, rng):
+    def test_scale_is_per_coordinate_std_bound(self):
         # gaussian at scale 2: per-coordinate variance 4
-        x = PerturbationSpec(PerturbationFamily.GAUSSIAN, 2.0).sample(rng, 400_000)
+        x = PerturbationSpec(PerturbationFamily.GAUSSIAN, 2.0).sample(4, 400_000)
         assert np.var(x) == pytest.approx(4.0, rel=0.02)
 
-    def test_rademacher_support(self, rng):
-        x = PerturbationSpec(PerturbationFamily.RADEMACHER, 1.0).sample(rng, 1000)
+    def test_rademacher_support(self):
+        x = PerturbationSpec(PerturbationFamily.RADEMACHER, 1.0).sample(5, 1000)
         assert set(np.unique(x)) == {-1.0, 1.0}
 
-    def test_binomial_support(self, rng):
-        x = PerturbationSpec(PerturbationFamily.BINOMIAL, 1.0).sample(rng, 1000)
+    def test_binomial_support(self):
+        x = PerturbationSpec(PerturbationFamily.BINOMIAL, 1.0).sample(6, 1000)
         assert set(np.unique(x)) <= {-1.0, 0.0, 1.0}
 
-    def test_uniform_support(self, rng):
-        x = PerturbationSpec(PerturbationFamily.UNIFORM, 1.0).sample(rng, 100_000)
+    def test_uniform_support(self):
+        x = PerturbationSpec(PerturbationFamily.UNIFORM, 1.0).sample(7, 100_000)
         b = math.sqrt(3.0)
         assert np.all(np.abs(x) <= b)
         assert np.max(np.abs(x)) > 0.99 * b
 
-    def test_spherical_support(self, rng):
-        x = PerturbationSpec(PerturbationFamily.SPHERICAL, 1.0).sample(rng, 100_000)
+    def test_spherical_support(self):
+        x = PerturbationSpec(PerturbationFamily.SPHERICAL, 1.0).sample(8, 100_000)
         b = math.sqrt(2.0)
         assert np.all(np.abs(x) <= b + 1e-12)
         assert np.max(np.abs(x)) > 0.999 * b
+
+
+class TestModelChoice:
+    """Uniform model choice: ``floor(u * m)`` of a 53-bit uniform."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 8, 32, 100])
+    def test_chi_square_over_m_bins(self, m):
+        # 200 draws per bin on average, one per (stream, step)
+        n = 200 * m
+        prefixes = np.array([mix_key(s, TAG_MODEL) for s in range(n // 10)], dtype=np.uint64)
+        steps = np.arange(1, 11)[:, None]
+        j = reward_draws(ModelChoice(m), prefixes, range(1), steps).reshape(-1)
+        assert j.min() >= 0 and j.max() <= m - 1
+        counts = np.bincount(j, minlength=m)
+        expected = len(j) / m
+        chi2 = float(np.sum((counts - expected) ** 2) / expected)
+        p_value = float(mpmath.gammainc((m - 1) / 2.0, chi2 / 2.0, mpmath.inf, regularized=True))
+        assert p_value > 1e-3, (chi2, counts)
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 2**20 + 1, 2**40 + 3, 2**53 - 1])
+    def test_extreme_words_stay_in_range(self, m):
+        words = np.array([[0], [2**11 - 1], [2**64 - 2**11], [2**64 - 1]], dtype=np.uint64)
+        j = ModelChoice(m).values(words)
+        assert j.tolist() == [0, 0, m - 1, m - 1]
+
+    def test_known_answer(self):
+        # integer floor(m * k / 2^53) of the top 53 bits k of word 0
+        for seed, t, m in ((0, 1, 5), (9, 40, 33), (2**64 - 1, 7, 1000)):
+            prefix = mix_key(seed, TAG_MODEL)
+            word = _splitmix64(mix_key(seed, TAG_MODEL, t))
+            got = reward_draws(ModelChoice(m), [prefix], range(1), t)
+            assert got.tolist() == [[((word >> 11) * m) >> 53]]
 
 
 class TestInitialDrawCalibration:

@@ -3,6 +3,7 @@ import pytest
 
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.perturb import (
+    TAG_MODEL,
     TAG_PHE,
     ConfidenceParams,
     Keying,
@@ -10,8 +11,10 @@ from linens.perturb import (
     PerturbationSpec,
     PerturbationStream,
     beta,
+    _splitmix64,
     mix_key,
     reward_draws,
+    stream_prefixes,
 )
 from linens.policies import (
     EnsembleSampling,
@@ -32,8 +35,7 @@ ZERO = PerturbationSpec(PerturbationFamily.GAUSSIAN, 0.0)
 def make_ensemble(dim=2, lam=1.0, m=4, scale=1.0, seed=3, sampler=Sampler.UNIFORM):
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, scale)
     stream = PerturbationStream(seed)
-    rng = np.random.default_rng(100 + seed) if sampler == Sampler.UNIFORM else None
-    return EnsembleSampling(dim, lam, m, spec, stream, sampler=sampler, model_rng=rng), spec, stream
+    return EnsembleSampling(dim, lam, m, spec, stream, sampler=sampler), spec, stream
 
 
 def drive(policy, rng, dim, steps, reward_rng=None):
@@ -104,11 +106,9 @@ class TestEnsembleInit:
         spec = PerturbationSpec()
         stream = PerturbationStream(0)
         with pytest.raises(ValueError):
-            EnsembleSampling(2, 1.0, 0, spec, stream, model_rng=np.random.default_rng(0))
+            EnsembleSampling(2, 1.0, 0, spec, stream)
         with pytest.raises(ValueError):
             EnsembleSampling(2, 1.0, 2, spec, stream, sampler="bogus")
-        with pytest.raises(ValueError, match="model_rng"):
-            EnsembleSampling(2, 1.0, 2, spec, stream, sampler=Sampler.UNIFORM)
 
 
 class TestEnsembleSelect:
@@ -130,12 +130,28 @@ class TestEnsembleSelect:
         np.testing.assert_allclose(sel.theta, env.theta_star, atol=1e-12)
 
     def test_uniform_sampler_frequencies(self, rng):
-        policy, _, _ = make_ensemble(m=8)
+        # model choice is keyed by step: 2000 replications for 20 steps
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
+        streams = [PerturbationStream(s) for s in range(2000)]
+        policy = EnsembleSampling(2, 1.0, 8, spec, streams)
         arms = random_unit_ball(rng, 2, count=3)
         counts = np.zeros(8)
-        for _ in range(40_000):
-            counts[policy.select(arms).model_index] += 1
+        for _ in range(20):
+            sel = policy.select(arms)
+            counts += np.bincount(sel.model_index, minlength=8)
+            policy.update(sel.arm_index, arms[sel.arm_index], np.zeros(2000))
         np.testing.assert_allclose(counts / 40_000, np.full(8, 1 / 8), atol=0.01)
+
+    def test_uniform_choice_is_the_keyed_model_draw(self, rng):
+        # known answer: step t's model is floor(m * u) of the top 53 bits u
+        # of word 0 of the key (seed, TAG_MODEL, t), in integer arithmetic
+        policy, _, _ = make_ensemble(m=5, seed=21)
+        arms = random_unit_ball(rng, 2, count=3)
+        for t in range(1, 80):
+            word = _splitmix64(mix_key(21, TAG_MODEL, t))
+            sel = policy.select(arms)
+            assert sel.model_index == ((word >> 11) * 5) >> 53
+            policy.update(sel.arm_index, arms[sel.arm_index], 0.0)
 
     def test_round_robin_order_and_exhaustion(self, rng):
         policy, _, _ = make_ensemble(m=3, sampler=Sampler.ROUND_ROBIN)
@@ -188,8 +204,7 @@ class TestEnsembleUpdate:
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
         stream = PerturbationStream(7)
         policy = EnsembleSampling(
-            2, 1.0, 3, spec, stream, model_rng=np.random.default_rng(0),
-            keying=Keying.BY_ARM_COUNT,
+            2, 1.0, 3, spec, stream, keying=Keying.BY_ARM_COUNT,
         )
         x = np.array([0.5, 0.1])
         # pulls: arm 0 twice, arm 1 once
@@ -441,10 +456,10 @@ class TestLinUCB:
 class TestLinTS:
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
-            LinTS(2, 1.0, -1.0, np.random.default_rng(0))
+            LinTS(2, 1.0, -1.0, PerturbationStream(0))
 
     def test_zero_scale_equals_greedy(self, rng):
-        ts = LinTS(3, 1.0, 0.0, np.random.default_rng(1))
+        ts = LinTS(3, 1.0, 0.0, PerturbationStream(1))
         greedy = GreedyRidge(3, 1.0)
         arms = random_unit_ball(rng, 3, count=6)
         for _ in range(20):
@@ -457,22 +472,26 @@ class TestLinTS:
 
     def test_sample_norm_equals_noise_norm(self, rng):
         # ||theta - theta_hat||_V equals ||xi||_2: verify by replaying the
-        # generator to recover xi
-        ts = LinTS(3, 1.5, 0.8, np.random.default_rng(42))
-        oracle = np.random.default_rng(42)
+        # keyed draw to recover xi
+        stream = PerturbationStream(42)
+        ts = LinTS(3, 1.5, 0.8, stream)
+        prefixes = stream_prefixes([stream], TAG_PHE)
         drive(ts, rng, 3, 30)
         for _ in range(10):
-            theta = ts.sample_estimator()
-            xi = 0.8 * oracle.standard_normal(3)
+            t = ts.step + 1
+            theta = ts.estimator(t)
+            xi = reward_draws(PerturbationSpec("gaussian", 0.8), prefixes, range(3), t)[0]
             dev = theta - ts.ridge_estimate()
             got = np.sqrt(dev @ ts.gram.gram @ dev)
             assert got == pytest.approx(np.linalg.norm(xi), abs=1e-9)
+            drive(ts, rng, 3, 1)
 
     def test_posterior_coordinate_std(self):
         # at V = lam I the sampled deviation has std scale/sqrt(lam)
         lam, scale = 4.0, 1.0
-        ts = LinTS(2, lam, scale, np.random.default_rng(3))
-        devs = np.array([ts.sample_estimator() for _ in range(20_000)])
+        # xi is keyed by step: 20,000 replications at step 1
+        ts = LinTS(2, lam, scale, [PerturbationStream(s) for s in range(20_000)])
+        devs = ts.estimator(1)
         assert np.std(devs) == pytest.approx(scale / np.sqrt(lam), rel=0.03)
 
 
@@ -482,17 +501,17 @@ class TestZeroPerturbationCollapse:
         stream = PerturbationStream(17)
         policies = [
             GreedyRidge(2, 1.0),
-            EnsembleSampling(2, 1.0, 3, ZERO, stream, model_rng=np.random.default_rng(0)),
+            EnsembleSampling(2, 1.0, 3, ZERO, stream),
             LinPHE(2, 1.0, ZERO, stream),
             LinUCB(2, 1.0, bonus=0.0),
-            LinTS(2, 1.0, 0.0, np.random.default_rng(0)),
+            LinTS(2, 1.0, 0.0, stream),
         ]
         sequences = []
         for policy in policies:
             seq = []
-            for _ in range(30):
+            for t in range(1, 31):
                 sel = policy.select(env.arms)
-                y = env.sample_reward(sel.arm_index, rng)
+                y = env.sample_reward(sel.arm_index, 17, t)
                 policy.update(sel.arm_index, env.arms[sel.arm_index], y)
                 seq.append(sel.arm_index)
             sequences.append(seq)
