@@ -3,7 +3,9 @@
 Evaluates, during simulation, the quantities that drive the regret
 guarantee: the ridge concentration event, the perturbation concentration
 event, the directional anti-concentration event, optimism, and the
-elliptical potential. The implication
+elliptical potential. :class:`StepMonitor` records each step's pre-step
+state and evaluates the events a block of steps at a time, in one batched
+pass whose numbers are each step's own. The implication
 
     concentration AND anti-concentration  =>  optimism
 
@@ -14,13 +16,13 @@ it can only mean an implementation bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envs import LinearBanditEnv
-from .linalg import GramState, Metric, dot, matvec, unwrap
-from .perturb import ConfidenceParams, beta, gamma_tilde
+from .linalg import GramState, dot, matvec, unwrap, weighted_norm
+from .perturb import DRAW_BLOCK, DRAW_VALUES, ConfidenceParams, beta, gamma_tilde
 from .policies import Selection, _RidgeBase
 
 #: Numerical slack for the optimism implication (exact in real arithmetic).
@@ -93,16 +95,21 @@ def check_optimism_sufficiency(
 
 @dataclass
 class StepDiagnostics:
-    """One step's event indicators; arrays over the replications of a
-    batch."""
+    """The event indicators of a block of consecutive steps. Every field
+    but ``first`` is an ``(n,) + batch`` array (``beta_prev`` is ``(n,)``)
+    whose row i is step ``first + i``."""
 
-    t: int
-    beta_prev: float
-    concentration_ok: bool
-    perturb_concentration_ok: bool
-    anti_conc_ok: bool
-    optimism_ok: bool
-    elliptical_sum: float
+    first: int
+    beta_prev: np.ndarray
+    concentration_ok: np.ndarray
+    perturb_concentration_ok: np.ndarray
+    anti_conc_ok: np.ndarray
+    optimism_ok: np.ndarray
+    elliptical_sum: np.ndarray  # the running sum after each step
+    ensemble_fraction: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.beta_prev)
 
 
 @dataclass
@@ -112,6 +119,18 @@ class StepMonitor:
     Reads the hidden parameter by simulator privilege; policies never
     receive a reference to it. With ``batch = R`` it watches the R
     replications of a lockstep batch, and its counters are ``(R,)`` arrays.
+
+    :meth:`observe` records each step's pre-step state, and the events are
+    evaluated a block of steps at a time, in one batched pass over
+    ``(n,) + batch`` arrays, when the block is full and at :meth:`flush`.
+    Each step's numbers are those of the serial calls on that step alone
+    (see :mod:`linens.linalg`). A block holds
+    ``max(1, min(DRAW_BLOCK, DRAW_VALUES // (R * record)))`` steps, with
+    ``record`` the largest per-replication snapshot: ``d * d`` for a Gram
+    matrix, or ``m * d`` for an ensemble's estimators under
+    ``track_ensemble_fraction``. So memory stays flat at any batch width.
+    The counters cover the evaluated steps; call :meth:`flush` after the
+    last step before reading them.
     """
 
     env: LinearBanditEnv
@@ -119,7 +138,6 @@ class StepMonitor:
     track_ensemble_fraction: bool = False
     batch: int | None = None
     checks: int = 0
-    ensemble_fractions: list = field(default_factory=list)
 
     def __post_init__(self):
         self._shape = shape = () if self.batch is None else (self.batch,)
@@ -139,99 +157,156 @@ class StepMonitor:
         theta_star = self.env.theta_star
         dev0 = math.sqrt(self.params.lam) * np.sqrt(dot(theta_star, theta_star))
         self.all_concentrated = unwrap(np.broadcast_to(dev0 <= beta(self.params, 0), shape))
+        # the lowest per-step ensemble fraction of each replication, once
+        # an ensemble's steps are evaluated under track_ensemble_fraction
+        self.min_ensemble_fraction = None
+        self._record = None  # block buffers, sized at the first step
+        self._first = 1  # the step of the block's first row
+        self._held = 0  # rows recorded and not yet evaluated
 
     @property
     def gamma_tilde_value(self) -> float:
         return self._gamma_tilde
 
+    def _buffers(self, policy: _RidgeBase) -> dict:
+        """Empty ``(n,) + batch + record`` buffers of one block of
+        ``policy``'s pre-step states."""
+        d = self.env.dim
+        records = {
+            "gram": (d, d),
+            "gram_inv": (d, d),
+            "reward_sum": (d,),
+            "theta": (d,),
+            "chosen": (d,),
+        }
+        if self.track_ensemble_fraction and hasattr(policy, "thetas"):
+            records["thetas"] = (policy.n_models, d)
+        largest = math.prod(self._shape) * max(math.prod(r) for r in records.values())
+        steps = max(1, min(DRAW_BLOCK, DRAW_VALUES // largest))
+        return {name: np.empty((steps,) + self._shape + r) for name, r in records.items()}
+
     def observe(
         self, policy: _RidgeBase, selection: Selection, chosen: np.ndarray
-    ) -> StepDiagnostics:
-        """Evaluate all event indicators for the upcoming step; call after
-        ``select`` and before ``update`` so the Gram state is pre-step.
-        ``chosen`` is the vector of the selected arm, one per replication."""
-        gram = policy.gram
-        t = gram.step_count + 1
-        beta_prev = beta(self.params, t - 1)
-        theta_hat = policy.ridge_estimate()
-        x_star = self._x_star
+    ) -> StepDiagnostics | None:
+        """Record the pre-step state of the upcoming step; call after
+        ``select`` and before ``update``, once per step in step order.
+        ``chosen`` is the vector of the selected arm, one per replication.
+        Returns the diagnostics of the block that this step completes, or
+        None."""
+        if self._record is None:
+            self._record = self._buffers(policy)
+        rec, i = self._record, self._held
+        if i == 0:
+            self._first = policy.step + 1
+        elif policy.step + 1 != self._first + i:
+            raise ValueError(
+                f"observe records steps in order: expected step {self._first + i}, "
+                f"got {policy.step + 1}"
+            )
+        rec["gram"][i] = policy.gram.gram
+        rec["gram_inv"][i] = policy.gram.gram_inv
+        rec["reward_sum"][i] = policy.reward_sum
+        rec["theta"][i] = selection.theta
+        rec["chosen"][i] = chosen
+        if "thetas" in rec:
+            rec["thetas"][i] = policy.thetas()
+        self._held = i + 1
+        return self.flush() if self._held == len(rec["gram"]) else None
 
-        ridge_dev = gram.weighted_norm(theta_hat - self.env.theta_star, Metric.GRAM)
-        concentration_ok = ridge_dev <= beta_prev
+    def flush(self) -> StepDiagnostics | None:
+        """Evaluate every recorded step in one batched pass, fold it into
+        the counters and return its diagnostics (None when no step is
+        held). Raises :class:`InvariantViolation`, naming the first broken
+        step and replication, when the optimism implication fails."""
+        n, self._held = self._held, 0
+        if n == 0:
+            return None
+        rec = {name: buf[:n] for name, buf in self._record.items()}
+        gram, gram_inv = rec["gram"], rec["gram_inv"]
+        theta, chosen, x_star = rec["theta"], rec["chosen"], self._x_star
+        first = self._first
+        beta_prev = np.array([beta(self.params, t) for t in range(first - 1, first - 1 + n)])
+        beta_b = beta_prev.reshape((n,) + (1,) * len(self._shape))  # broadcast over the batch
 
-        theta_tilde = selection.theta - theta_hat
-        perturb_norm = gram.weighted_norm(theta_tilde, Metric.GRAM)
-        perturb_concentration_ok = perturb_norm <= self._gamma_tilde
+        theta_hat = matvec(gram_inv, rec["reward_sum"])
+        ridge_dev = weighted_norm(gram, theta_hat - self.env.theta_star)
+        concentration_ok = ridge_dev <= beta_b
+
+        theta_tilde = theta - theta_hat
+        perturb_concentration_ok = weighted_norm(gram, theta_tilde) <= self._gamma_tilde
 
         # u^T Z equals x*^T theta_tilde and ||u|| equals the inverse-Gram
         # norm of x*, so the directional event needs no materialized vectors
-        x_star_width = gram.weighted_norm(x_star, Metric.GRAM_INV)
+        x_star_width = weighted_norm(gram_inv, x_star)
         directional = dot(x_star, theta_tilde)
-        anti_conc_ok = directional >= beta_prev * x_star_width
+        threshold = beta_b * x_star_width
+        anti_conc_ok = directional >= threshold
 
-        optimism_margin = dot(chosen, selection.theta) - self._optimal_value
+        optimism_margin = dot(chosen, theta) - self._optimal_value
         optimism_ok = optimism_margin >= 0.0
 
         broken = concentration_ok & anti_conc_ok & (optimism_margin < -_IMPLICATION_SLACK)
-        if np.any(broken):
-            at = np.unravel_index(np.argmax(broken), np.shape(broken))
+        if broken.any():
+            at = np.unravel_index(np.argmax(broken), broken.shape)
+            where = f"step {first + at[0]}" + (f", replication {at[1]}" if self._shape else "")
             raise InvariantViolation(
-                "optimism implication failed at step "
-                f"{t}: margin {optimism_margin[at]}, ridge deviation "
-                f"{np.asarray(ridge_dev)[at]}, directional value {directional[at]}"
+                f"optimism implication failed at {where}: margin {optimism_margin[at]}, "
+                f"ridge deviation {ridge_dev[at]}, directional value {directional[at]}"
             )
 
-        width = gram.weighted_norm(chosen, Metric.GRAM_INV)
-        self.elliptical_sum = self.elliptical_sum + width * width
-        self.checks += 1
-        self.concentration_failures = (
-            self.concentration_failures + np.logical_not(concentration_ok)
+        # running sums in step order: add.accumulate adds one step after
+        # another, the bits of repeated addition
+        width = weighted_norm(gram_inv, chosen)
+        sums = np.concatenate([np.asarray(self.elliptical_sum)[None], width * width])
+        elliptical_sum = np.add.accumulate(sums, axis=0)[1:]
+        self.elliptical_sum = unwrap(elliptical_sum[-1])
+        self.checks += n
+        self.concentration_failures = unwrap(
+            self.concentration_failures + (~concentration_ok).sum(axis=0)
         )
-        self.all_concentrated = self.all_concentrated & concentration_ok
-        self.perturb_concentration_failures = (
-            self.perturb_concentration_failures + np.logical_not(perturb_concentration_ok)
+        self.all_concentrated = unwrap(self.all_concentrated & concentration_ok.all(axis=0))
+        self.perturb_concentration_failures = unwrap(
+            self.perturb_concentration_failures + (~perturb_concentration_ok).sum(axis=0)
         )
-        self.anti_conc_hits = self.anti_conc_hits + anti_conc_ok
-        self.optimism_hits = self.optimism_hits + optimism_ok
+        self.anti_conc_hits = unwrap(self.anti_conc_hits + anti_conc_ok.sum(axis=0))
+        self.optimism_hits = unwrap(self.optimism_hits + optimism_ok.sum(axis=0))
 
-        if self.track_ensemble_fraction and hasattr(policy, "thetas"):
-            self.ensemble_fractions.append(
-                self._ensemble_fraction(policy, theta_hat, beta_prev, x_star_width)
-            )
+        fraction = None
+        if "thetas" in rec:
+            fraction = self._ensemble_fraction(rec["thetas"], theta_hat, gram, threshold)
+            low = fraction.min(axis=0)
+            if self.min_ensemble_fraction is not None:
+                low = np.minimum(self.min_ensemble_fraction, low)
+            self.min_ensemble_fraction = unwrap(low)
 
         return StepDiagnostics(
-            t=t,
+            first=first,
             beta_prev=beta_prev,
             concentration_ok=concentration_ok,
             perturb_concentration_ok=perturb_concentration_ok,
             anti_conc_ok=anti_conc_ok,
             optimism_ok=optimism_ok,
-            elliptical_sum=self.elliptical_sum,
+            elliptical_sum=elliptical_sum,
+            ensemble_fraction=fraction,
         )
 
-    def _ensemble_fraction(
-        self,
-        policy,
-        theta_hat: np.ndarray,
-        beta_prev: float,
-        x_star_width,
-    ):
+    def _ensemble_fraction(self, thetas, theta_hat, gram, threshold) -> np.ndarray:
         """Fraction of ensemble members that are both directionally
-        anti-concentrated and within the perturbation radius."""
-        tilde_all = policy.thetas() - theta_hat[..., None, :]
+        anti-concentrated (past ``threshold``, ``beta * ||x*||_{V^-1}``) and
+        within the perturbation radius, per step and replication."""
+        tilde_all = thetas - theta_hat[..., None, :]
         directional = matvec(tilde_all, self._x_star)
-        norms_sq = np.einsum(
-            "...jd,...de,...je->...j", tilde_all, policy.gram.gram, tilde_all
-        )
-        hits = (directional >= beta_prev * np.asarray(x_star_width)[..., None]) & (
-            norms_sq <= self._gamma_tilde**2
-        )
-        return unwrap(np.mean(hits, axis=-1))
+        norms_sq = np.einsum("...jd,...de,...je->...j", tilde_all, gram, tilde_all)
+        hits = (directional >= threshold[..., None]) & (norms_sq <= self._gamma_tilde**2)
+        return np.mean(hits, axis=-1)
 
     def replication_summaries(self) -> list[dict]:
         """Each replication's counters as plain Python values, in batch
         order. ``elliptical_ok`` is None below lambda = 1, where the cap
-        does not apply and the check is disabled."""
+        does not apply and the check is disabled. Every recorded step must
+        have been evaluated (:meth:`flush`)."""
+        if self._held:
+            raise RuntimeError(f"{self._held} recorded steps are not evaluated; call flush()")
         counters = {
             "elliptical_sum": self.elliptical_sum,
             "elliptical_ok": self.elliptical_ok() if self.params.lam >= 1 else None,
@@ -241,8 +316,8 @@ class StepMonitor:
             "anti_conc_hits": self.anti_conc_hits,
             "optimism_hits": self.optimism_hits,
         }
-        if self.ensemble_fractions:
-            counters["min_ensemble_fraction"] = np.min(self.ensemble_fractions, axis=0)
+        if self.min_ensemble_fraction is not None:
+            counters["min_ensemble_fraction"] = self.min_ensemble_fraction
         columns = {
             k: np.broadcast_to(v, self._shape).reshape(-1).tolist() for k, v in counters.items()
         }

@@ -155,7 +155,7 @@ class LinearBanditEnv:
 
     def _check_index(self, arm_index) -> None:
         index = np.asarray(arm_index)
-        if np.any((index < 0) | (index >= self.arm_count)):
+        if ((index < 0) | (index >= self.arm_count)).any():
             raise ValueError(f"arm index {arm_index} out of range [0, {self.arm_count})")
 
     @classmethod

@@ -156,25 +156,30 @@ def interact(
     """The interaction loop: step a batched policy for ``horizon`` steps.
 
     Each step selects an arm per replication, gathers its vector and mean
-    reward once, lets the monitor (if any) observe the pre-step state, adds
+    reward once, lets the monitor (if any) record the pre-step state, adds
     the noise of the step (``noise.at(t)``, one value per replication, from
     :meth:`~linens.envs.NoiseModel.draws`), scores regret and updates the
-    policy. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
+    policy. The monitor evaluates a block of steps at a time; its flags are
+    written a block at a time, and its last block is flushed after the last
+    step. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
     ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
     cumulative regret of each replication.
     """
     shape = policy.batch_shape + (horizon,)
     cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
+    traced = [(name, cols[name]) for name in TRACE_COLUMNS if name in cols]
+    flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
     ledger = RegretLedger(env)
     arms = env.arms
     for i in range(horizon):
         sel = policy.select(arms)
         x, mean = env.pull(sel.arm_index)
-        diag = monitor.observe(policy, sel, x) if monitor is not None else None
+        if monitor is not None:
+            _write_flags(flags, monitor.observe(policy, sel, x))
         y = mean + noise.at(i + 1)[:, 0]
         instant = ledger.record(mean)
         policy.update(sel.arm_index, x, y)
-        if cols:
+        if traced:
             step = {
                 "arm": sel.arm_index,
                 "model": sel.model_index,
@@ -182,15 +187,21 @@ def interact(
                 "instant_regret": instant,
                 "cum_regret": ledger.cumulative,
             }
-            if diag is not None:
-                step.update(
-                    conc_ok=diag.concentration_ok,
-                    anticonc_ok=diag.anti_conc_ok,
-                    optimism_ok=diag.optimism_ok,
-                )
-            for name, col in cols.items():
+            for name, col in traced:
                 col[:, i] = step[name]
+    if monitor is not None:
+        _write_flags(flags, monitor.flush())
     return cols, ledger.cumulative
+
+
+def _write_flags(flags: list, diag) -> None:
+    """Write a block's ``FLAG_COLUMNS`` (``(n, R)`` arrays) into the
+    ``(R, horizon)`` flag columns, if any, at the block's steps."""
+    if diag is None or not flags:
+        return
+    at = slice(diag.first - 1, diag.first - 1 + len(diag))
+    for col, values in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
+        col[:, at] = values.T
 
 
 def run_batch(

@@ -46,11 +46,18 @@ def matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def pick(a: np.ndarray, index, core_ndim: int) -> np.ndarray:
     """``a[index]`` for each batch item. ``a`` is one ``core_ndim``-d array
-    that serves every item, or has the batch shape of ``index`` in front."""
+    that serves every item, or has the ``(R,)`` batch shape of ``index`` in
+    front."""
     index = np.asarray(index)
     if a.ndim == core_ndim:
         return a[index]
-    return a[(*np.indices(index.shape, sparse=True), index)]
+    return a[np.arange(len(index)), index]
+
+
+def weighted_norm(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sqrt(v^T mat v)`` per batch item, clipped at zero from below; any
+    leading axes of ``mat`` and ``v`` broadcast together."""
+    return np.sqrt(np.maximum(kernels.quad_form(mat, v), 0.0))
 
 
 def unwrap(a):
@@ -134,7 +141,7 @@ class GramState:
         """Return ``sqrt(v^T M v)`` with ``M`` the Gram matrix or its inverse."""
         v = self._check_vector(v)
         mat = self.gram if metric is Metric.GRAM else self.gram_inv
-        return unwrap(np.sqrt(np.maximum(kernels.quad_form(mat, v), 0.0)))
+        return unwrap(weighted_norm(mat, v))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return ``V^{-1} b`` using the maintained inverse."""

@@ -260,12 +260,13 @@ def _fold_array(h: np.ndarray, part) -> np.ndarray:
     return _mix(h ^ _mix(np.asarray(part).astype(np.uint64)))
 
 
-def _counter_offsets(models: range) -> np.ndarray:
-    """``(len(models), 2)`` offsets ``c * gamma`` of counters ``c = 2j``
-    and ``2j + 1`` of each model j: splitmix64 started at ``h`` gives
-    ``_mix(h + c * gamma)`` as its output ``c``."""
-    counters = np.arange(2 * models.start, 2 * models.stop, dtype=np.uint64)
-    return counters.reshape(-1, 2) * np.uint64(_GAMMA)  # wraps mod 2^64
+def _counter_offsets(models: range, words: int) -> np.ndarray:
+    """``(len(models), words)`` offsets ``c * gamma`` of counters
+    ``c = 2j .. 2j + words - 1`` of each model j (``words`` is 1 or 2):
+    splitmix64 started at ``h`` gives ``_mix(h + c * gamma)`` as its output
+    ``c``."""
+    counters = np.arange(2 * models.start, 2 * models.stop, 2 // words, dtype=np.uint64)
+    return counters.reshape(-1, words) * np.uint64(_GAMMA)  # wraps mod 2^64
 
 
 def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
@@ -294,7 +295,7 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     h = np.array(prefixes, dtype=np.uint64)
     for part in key:
         h = _fold_array(h, part)
-    return spec.values(_mix(h[..., None, None] + _counter_offsets(models)[:, : spec.words]))
+    return spec.values(_mix(h[..., None, None] + _counter_offsets(models, spec.words)))
 
 
 def stream_prefixes(streams, tag: int) -> np.ndarray:

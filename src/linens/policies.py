@@ -104,8 +104,9 @@ class _RidgeBase:
 
     def _selection(self, scores: np.ndarray, theta: np.ndarray, model=-1) -> Selection:
         """The argmax of ``scores``, for the estimator ``theta`` of ``model``."""
-        model = unwrap(np.broadcast_to(model, self.batch_shape))
-        return Selection(argmax_smallest_index(scores), model, theta)
+        if np.shape(model) != self.batch_shape:
+            model = np.full(self.batch_shape, model)
+        return Selection(argmax_smallest_index(scores), unwrap(np.asarray(model)), theta)
 
     def ridge_estimate(self) -> np.ndarray:
         """The unperturbed ridge estimator."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from linens.diagnostics import (
     InvariantViolation,
+    StepDiagnostics,
     StepMonitor,
     check_optimism_sufficiency,
     elliptical_potential_bound,
@@ -14,13 +16,16 @@ from linens.diagnostics import (
     theoretical_regret_bound,
 )
 from linens.envs import LinearBanditEnv, NoiseModel
-from linens.linalg import GramState, Metric
+from linens.linalg import GramState, Metric, dot
 from linens.perturb import (
+    DRAW_BLOCK,
+    DRAW_VALUES,
     ConfidenceParams,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
     beta,
+    gamma_tilde,
 )
 from linens.policies import EnsembleSampling, GreedyRidge, Selection
 
@@ -172,27 +177,48 @@ class TestOptimismGeometry:
         assert hits > 0  # the grid must actually exercise the passing branch
 
 
+def run_steps(monitor, policy, env, horizon, noise_seed=0):
+    """Step ``policy`` for ``horizon`` steps under ``monitor`` and flush it;
+    returns the per-step diagnostics of its blocks, joined."""
+    blocks = []
+    for t in range(1, horizon + 1):
+        sel = policy.select(env.arms)
+        blocks.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
+        y = env.sample_reward(sel.arm_index, noise_seed, t)
+        policy.update(sel.arm_index, env.arms[sel.arm_index], y)
+    blocks.append(monitor.flush())
+    return concatenate_blocks([b for b in blocks if b is not None], horizon)
+
+
+def concatenate_blocks(blocks, horizon):
+    """The fields of consecutive blocks covering steps 1..horizon, joined
+    along the step axis."""
+    assert [b.first for b in blocks] == list(np.cumsum([1] + [len(b) for b in blocks[:-1]]))
+    assert sum(len(b) for b in blocks) == horizon
+    names = [f.name for f in fields(StepDiagnostics) if f.name != "first"]
+    return {
+        name: np.concatenate([getattr(b, name) for b in blocks])
+        for name in names
+        if getattr(blocks[0], name) is not None
+    }
+
+
 class TestStepMonitor:
     def run_greedy(self, env, params, horizon, noise_seed, track=False):
         monitor = StepMonitor(env, params, track_ensemble_fraction=track)
         policy = GreedyRidge(env.dim, params.lam)
-        diags = []
-        for t in range(1, horizon + 1):
-            sel = policy.select(env.arms)
-            diags.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
-            y = env.sample_reward(sel.arm_index, noise_seed, t)
-            policy.update(sel.arm_index, env.arms[sel.arm_index], y)
-        return monitor, diags
+        return monitor, run_steps(monitor, policy, env, horizon, noise_seed)
 
     def test_noiseless_greedy_always_concentrated(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.0), 1.0, rng)
         params = make_params(sigma=0.0, horizon=50)
-        monitor, diags = self.run_greedy(env, params, 50, 0)
+        monitor, diag = self.run_greedy(env, params, 50, 0)
         assert monitor.all_concentrated
         assert monitor.concentration_failures == 0
         assert monitor.perturb_concentration_failures == 0
         assert monitor.checks == 50
-        assert all(d.concentration_ok for d in diags)
+        assert diag["concentration_ok"].shape == (50,)
+        assert diag["concentration_ok"].all()
 
     def test_harmonic_elliptical_sum(self):
         # one arm x = 1 in dimension 1 with lam = 1: widths^2 are 1, 1/2, 1/3
@@ -207,6 +233,7 @@ class TestStepMonitor:
             env = LinearBanditEnv.random(3, 8, NoiseModel(sigma=1.0), 1.0, rng)
             params = make_params(dim=3, horizon=200)
             monitor, _ = self.run_greedy(env, params, 200, noise_seed)
+            assert monitor.checks == 200
             assert monitor.elliptical_sum <= elliptical_potential_bound(3, 200, 1.0)
 
     def test_step0_concentration_boundary(self):
@@ -224,24 +251,33 @@ class TestStepMonitor:
         monitor = StepMonitor(env, params, track_ensemble_fraction=True)
         gt = monitor.gamma_tilde_value
         x_star = env.arms[env.optimal_arm_index]
+        manual = []
+        blocks = []
         for t in range(1, 21):
             sel = policy.select(env.arms)
             # independent recomputation of the member fraction
             theta_hat = policy.ridge_estimate()
             beta_prev = beta(params, policy.step)
             width = policy.gram.weighted_norm(x_star, Metric.GRAM_INV)
-            manual = 0
+            hits = 0
             for j in range(16):
                 tilde = policy.model_theta(j) - theta_hat
                 ok_dir = float(x_star @ tilde) >= beta_prev * width
                 ok_norm = policy.gram.weighted_norm(tilde, Metric.GRAM) <= gt
-                manual += ok_dir and ok_norm
-            monitor.observe(policy, sel, env.arm(sel.arm_index))
-            assert monitor.ensemble_fractions[-1] == pytest.approx(manual / 16, abs=1e-12)
+                hits += ok_dir and ok_norm
+            manual.append(hits / 16)
+            blocks.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
             y = env.sample_reward(sel.arm_index, 4, t)
             policy.update(sel.arm_index, env.arms[sel.arm_index], y)
-        assert len(monitor.ensemble_fractions) == 20
-        assert all(0.0 <= f <= 1.0 for f in monitor.ensemble_fractions)
+        blocks.append(monitor.flush())
+        fractions = concatenate_blocks([b for b in blocks if b is not None], 20)[
+            "ensemble_fraction"
+        ]
+        assert len(fractions) == 20
+        for got, want in zip(fractions, manual):
+            assert got == pytest.approx(want, abs=1e-12)
+        assert all(0.0 <= f <= 1.0 for f in fractions)
+        assert monitor.min_ensemble_fraction == min(fractions)
 
     def test_inconsistent_selection_triggers_hard_error(self):
         # the optimism implication is deterministic; feeding a selection whose
@@ -253,17 +289,215 @@ class TestStepMonitor:
         monitor = StepMonitor(env, params)
         policy = GreedyRidge(2, 1.0)
         bogus = Selection(arm_index=1, model_index=-1, theta=np.array([5.0, 0.0]))
-        with pytest.raises(InvariantViolation, match="optimism implication"):
-            monitor.observe(policy, bogus, env.arm(bogus.arm_index))
+        assert monitor.observe(policy, bogus, env.arm(bogus.arm_index)) is None
+        with pytest.raises(InvariantViolation, match="optimism implication failed at step 1:"):
+            monitor.flush()
+
+    def test_bogus_selection_mid_block_names_its_step_and_replication(self):
+        # replication 1 plays a bogus selection at step 5 of an 8-step block;
+        # the block's evaluation raises and names that step and replication
+        env = LinearBanditEnv(
+            np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.9, 0.0]), NoiseModel(sigma=0.0), 1.0
+        )
+        monitor = StepMonitor(env, make_params(delta=0.5), batch=3)
+        policy = GreedyRidge(2, 1.0, batch=3)
+        for t in range(1, 9):
+            sel = policy.select(env.arms)
+            if t == 5:
+                theta = sel.theta.copy()
+                theta[1] += [20.0, 0.0]
+                arm = sel.arm_index.copy()
+                arm[1] = 1
+                sel = Selection(arm, sel.model_index, theta)
+            x, mean = env.pull(sel.arm_index)
+            assert monitor.observe(policy, sel, x) is None
+            policy.update(sel.arm_index, x, mean)
+        with pytest.raises(
+            InvariantViolation, match="optimism implication failed at step 5, replication 1:"
+        ):
+            monitor.flush()
 
     def test_diag_counters_are_consistent(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
         params = make_params(horizon=100)
-        monitor, diags = self.run_greedy(env, params, 100, 0)
+        monitor, diag = self.run_greedy(env, params, 100, 0)
         assert monitor.checks == 100
-        assert monitor.anti_conc_hits == sum(d.anti_conc_ok for d in diags)
-        assert monitor.optimism_hits == sum(d.optimism_ok for d in diags)
-        assert monitor.concentration_failures == sum(
-            not d.concentration_ok for d in diags
+        assert monitor.anti_conc_hits == diag["anti_conc_ok"].sum()
+        assert monitor.optimism_hits == diag["optimism_ok"].sum()
+        assert monitor.concentration_failures == (~diag["concentration_ok"]).sum()
+        assert monitor.elliptical_sum == diag["elliptical_sum"][-1]
+
+    def test_steps_are_recorded_in_order(self, rng):
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
+        monitor = StepMonitor(env, make_params())
+        policy = GreedyRidge(2, 1.0)
+        sel = policy.select(env.arms)
+        monitor.observe(policy, sel, env.arm(sel.arm_index))
+        with pytest.raises(ValueError, match="expected step 2, got 1"):
+            monitor.observe(policy, sel, env.arm(sel.arm_index))
+
+    def test_summaries_refuse_unevaluated_steps(self, rng):
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
+        monitor = StepMonitor(env, make_params())
+        policy = GreedyRidge(2, 1.0)
+        sel = policy.select(env.arms)
+        monitor.observe(policy, sel, env.arm(sel.arm_index))
+        with pytest.raises(RuntimeError, match="call flush"):
+            monitor.replication_summaries()
+        monitor.flush()
+        assert monitor.replication_summaries()[0]["checks"] == 1
+
+
+def block_length(batch: int, dim: int, n_models: int | None) -> int:
+    """The monitor's block length: ``StepDraws``' rule over the largest
+    per-replication record of a step."""
+    record = max(dim * dim, n_models * dim if n_models else 0)
+    return max(1, min(DRAW_BLOCK, DRAW_VALUES // (batch * record)))
+
+
+class ReferenceMonitor:
+    """Per-step oracle of the blocked monitor: each step's events from the
+    live pre-step state, one step at a time, with
+    ``GramState.weighted_norm``."""
+
+    def __init__(self, env, params, batch, track):
+        self.env, self.params, self.track = env, params, track
+        shape = () if batch is None else (batch,)
+        self.x_star = np.broadcast_to(env.arm(env.optimal_arm_index), shape + (env.dim,))
+        self.gamma_tilde = gamma_tilde(params)
+        self.flags = []
+        self.elliptical_sum = np.zeros(shape)
+        self.fractions = []
+
+    def step(self, policy, sel, chosen):
+        gram = policy.gram
+        beta_prev = beta(self.params, gram.step_count)
+        theta_hat = policy.ridge_estimate()
+        ridge_dev = gram.weighted_norm(theta_hat - self.env.theta_star, Metric.GRAM)
+        tilde = sel.theta - theta_hat
+        width_star = gram.weighted_norm(self.x_star, Metric.GRAM_INV)
+        self.flags.append(
+            (
+                ridge_dev <= beta_prev,
+                gram.weighted_norm(tilde, Metric.GRAM) <= self.gamma_tilde,
+                dot(self.x_star, tilde) >= beta_prev * width_star,
+                dot(chosen, sel.theta) - self.env.optimal_value >= 0.0,
+            )
         )
-        assert monitor.elliptical_sum == pytest.approx(diags[-1].elliptical_sum)
+        width = gram.weighted_norm(chosen, Metric.GRAM_INV)
+        self.elliptical_sum = self.elliptical_sum + width * width
+        if self.track:
+            thetas = policy.thetas()
+            hits = 0
+            for j in range(policy.n_models):
+                tilde_j = thetas[..., j, :] - theta_hat
+                ok_dir = dot(self.x_star, tilde_j) >= beta_prev * width_star
+                ok_norm = np.square(gram.weighted_norm(tilde_j, Metric.GRAM)) <= (
+                    self.gamma_tilde**2
+                )
+                hits = hits + (ok_dir & ok_norm)
+            self.fractions.append(np.asarray(hits) / policy.n_models)
+
+
+HORIZONS = {
+    "1": lambda block: 1,
+    "block-1": lambda block: block - 1,
+    "block+1": lambda block: block + 1,
+    "2block+5": lambda block: 2 * block + 5,
+}
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "R3"])
+@pytest.mark.parametrize("track", [False, True], ids=["greedy", "ensemble-full-trace"])
+@pytest.mark.parametrize("horizon_name", sorted(HORIZONS))
+def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name):
+    dim, n_models = 4, 24
+    block = block_length(batch or 1, dim, n_models if track else None)
+    horizon = HORIZONS[horizon_name](block)
+    rng = np.random.default_rng(horizon)
+    env = LinearBanditEnv.random(dim, 7, NoiseModel(sigma=0.5), 1.0, rng)
+    # the monitor's sigma is below the noise's, so the ridge concentration
+    # event fails on some steps and holds on others
+    params = make_params(dim=dim, sigma=0.05, horizon=horizon, delta=0.2)
+    streams = [PerturbationStream(100 + r) for r in range(batch or 1)]
+    if track:
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, horizon))
+        stream = streams if batch else streams[0]
+        policy = EnsembleSampling(dim, params.lam, n_models, spec, stream)
+    else:
+        policy = GreedyRidge(dim, params.lam, batch=batch)
+    monitor = StepMonitor(env, params, track_ensemble_fraction=track, batch=batch)
+    oracle = ReferenceMonitor(env, params, batch, track)
+    noise = env.noise.draws(range(batch or 1))
+    blocks = []
+    for t in range(1, horizon + 1):
+        sel = policy.select(env.arms)
+        x, mean = env.pull(sel.arm_index)
+        oracle.step(policy, sel, x)
+        blocks.append(monitor.observe(policy, sel, x))
+        assert len(monitor._record["gram"]) == block
+        y = mean + (noise.at(t)[:, 0] if batch else noise.at(t)[0, 0])
+        policy.update(sel.arm_index, x, y)
+    blocks.append(monitor.flush())
+    diag = concatenate_blocks([b for b in blocks if b is not None], horizon)
+
+    conc, pert, anti, opt = (np.array(f) for f in zip(*oracle.flags))
+    for name, flags in zip(
+        ("concentration_ok", "perturb_concentration_ok", "anti_conc_ok", "optimism_ok"),
+        (conc, pert, anti, opt),
+    ):
+        np.testing.assert_array_equal(diag[name], flags, err_msg=name)
+    assert monitor.checks == horizon
+    np.testing.assert_array_equal(monitor.all_concentrated, conc.all(axis=0))
+    np.testing.assert_array_equal(monitor.concentration_failures, (~conc).sum(axis=0))
+    np.testing.assert_array_equal(monitor.perturb_concentration_failures, (~pert).sum(axis=0))
+    np.testing.assert_array_equal(monitor.anti_conc_hits, anti.sum(axis=0))
+    np.testing.assert_array_equal(monitor.optimism_hits, opt.sum(axis=0))
+    # exact: the blocked running sum adds the steps in the oracle's order
+    assert np.array_equal(monitor.elliptical_sum, oracle.elliptical_sum)
+    if track:
+        np.testing.assert_array_equal(diag["ensemble_fraction"], oracle.fractions)
+        np.testing.assert_array_equal(
+            monitor.min_ensemble_fraction, np.min(oracle.fractions, axis=0)
+        )
+    else:
+        assert monitor.min_ensemble_fraction is None
+    if horizon_name == "2block+5" and batch:
+        # not vacuous: both outcomes of each event occur, and a replication
+        # that failed concentration ends its run concentrated
+        assert (~conc.all(axis=0) & conc[-1]).any()
+        for flags in (anti, opt) if track else (conc,):
+            assert flags.any() and not flags.all()
+        if track:
+            assert np.ptp(oracle.fractions) > 0
+
+
+def test_block_buffers_stay_within_the_draw_budget(rng):
+    # R = 256, d = 8: the Gram snapshots, R * d * d values a step, fill the
+    # budget in one step. Under full-trace with m = 64 one step's ensemble
+    # estimators, R * m * d = 131072 values, pass it on their own (the policy
+    # builds as many each step), so no buffer holds more than one step
+    batch, dim, n_models = 256, 8, 64
+    env = LinearBanditEnv.random(dim, 10, NoiseModel(sigma=0.5), 1.0, rng)
+    spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
+    streams = [PerturbationStream(r) for r in range(batch)]
+    policy = EnsembleSampling(dim, 1.0, n_models, spec, streams)
+    sel = policy.select(env.arms)
+    for track in (True, False):
+        monitor = StepMonitor(env, make_params(dim=dim), track, batch=batch)
+        monitor.observe(policy, sel, env.arm(sel.arm_index))
+        record = monitor._record
+        assert ("thetas" in record) == track
+        assert record["gram"].size == DRAW_VALUES
+        for name, buf in record.items():
+            assert len(buf) == 1, name
+            assert buf.size <= max(DRAW_VALUES, batch * n_models * dim), name
+    # rates-c4's shape (R = 200, d = 3, m = 4) holds several steps a block,
+    # each buffer within the budget
+    env = LinearBanditEnv.random(3, 6, NoiseModel(sigma=1.0), 1.0, rng)
+    policy = EnsembleSampling(3, 1.0, 4, spec, streams[:200])
+    monitor = StepMonitor(env, make_params(dim=3), batch=200)
+    sel = policy.select(env.arms)
+    monitor.observe(policy, sel, env.arm(sel.arm_index))
+    assert len(monitor._record["gram"]) == DRAW_VALUES // (200 * 3 * 3) > 1
+    assert all(buf.size <= DRAW_VALUES for buf in monitor._record.values())

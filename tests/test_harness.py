@@ -882,6 +882,41 @@ def test_run_outputs_match_their_pinned_bytes(tmp_path, name):
     assert got == PINNED_OUTPUTS[name]
 
 
+#: sha256 of ``configs/ensemble.ini``'s outputs under ``diagnostics =
+#: full-trace`` at horizon 150 with 5 replications: the printed ``linens
+#: rates`` report, each replication's summary counters (``min_ensemble_fraction``
+#: among them) as sorted JSON, and ``linens run``'s ``trace.csv`` and
+#: ``summary.json``. ``PINNED_OUTPUTS`` runs monitors only, so these guard the
+#: ensemble fraction. They move only as ``PINNED_OUTPUTS`` do.
+PINNED_FULL_TRACE = {
+    "rates": "53f08848a137ab5bc2ab96942f606219466ded5932926966af569fd78e8bbfc8",
+    "summaries": "7a77159e43dadfa8c21c857290f439999bb502d735494835f99506c2ef69c798",
+    "trace.csv": "b421558e10258ede5d4ed27c4bd3954aee0c11ce6adfd157b422bf008146f582",
+    "summary.json": "9dca119095865bc75c460a045622b5bd3882c65dbb137c4b7b996aea31d2c88e",
+}
+
+
+def test_full_trace_outputs_match_their_pinned_bytes(tmp_path, capsys):
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parents[1] / "configs" / "ensemble.ini")
+    parser["run"]["horizon"] = "150"
+    parser["run"]["diagnostics"] = "full-trace"
+    path = tmp_path / "full-trace.ini"
+    with path.open("w") as f:
+        parser.write(f)
+    capsys.readouterr()
+    assert cli.main(["rates", "--config", str(path), "--reps", "5"]) == 0
+    got = {"rates": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    summaries = [r.summary for r in run_batch(load_config(path), range(5), trace=False)]
+    assert all("min_ensemble_fraction" in s for s in summaries)
+    got["summaries"] = hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest()
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--reps", "5", "--out", str(out)]) == 0
+    for f in ("trace.csv", "summary.json"):
+        got[f] = hashlib.sha256((out / f).read_bytes()).hexdigest()
+    assert got == PINNED_FULL_TRACE
+
+
 class OutOfRangePolicy(GreedyRidge):
     """Greedy ridge that selects a given arm index, valid or not."""
 
