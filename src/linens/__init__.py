@@ -11,7 +11,6 @@ from .envs import LinearBanditEnv, NoiseFamily, NoiseModel, RegretLedger
 from .linalg import GramState, Metric
 from .perturb import (
     ConfidenceParams,
-    Keying,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
@@ -27,6 +26,7 @@ from .policies import (
     EnsembleSampling,
     GreedyRidge,
     InvalidStateError,
+    Keying,
     LinPHE,
     LinTS,
     LinUCB,

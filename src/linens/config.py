@@ -9,20 +9,14 @@ typos fail fast, and so are policy keys that a run would not read
 from __future__ import annotations
 
 import configparser
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .envs import NoiseFamily
-from .perturb import (
-    ConfidenceParams,
-    Keying,
-    PerturbationFamily,
-    PerturbationSpec,
-    beta,
-    ensemble_size,
-)
-from .policies import Sampler
+from .envs import LinearBanditEnv, NoiseFamily, NoiseModel
+from .perturb import ConfidenceParams, PerturbationFamily, PerturbationSpec, beta, ensemble_size
+from .policies import Keying, Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
@@ -109,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"policy.scale_mode must be one of {SCALE_MODES}")
         if p.scale_mode == "explicit" and p.scale < 0:
             raise ValueError("policy.scale must be non-negative")
+        if p.lints_scale is not None and p.lints_scale < 0:
+            raise ValueError("policy.lints_scale must be non-negative")
         if p.keying not in Keying.ALL:
             raise ValueError(f"policy.keying must be one of {Keying.ALL}")
         if r.horizon < 1:
@@ -134,6 +130,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"env.theta_star has {len(e.theta_star)} entries, env.dim is {e.dim}"
                 )
+            # the instance checks its own norms: arms in the unit ball and
+            # ||theta_star|| <= s_bound
+            LinearBanditEnv(e.arms, e.theta_star, NoiseModel(e.noise_family, e.sigma), e.s_bound)
         elif e.arms or e.theta_star:
             raise ValueError(
                 "env.arms and env.theta_star need env.arm_mode = explicit; "
@@ -202,17 +201,25 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _parse_float(text: str) -> float:
+    """A finite float: no run can use a NaN or an infinite setting."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_vectors(text: str) -> list:
-    return [[float(v) for v in row.split()] for row in text.split(";") if row.strip()]
+    return [[_parse_float(v) for v in row.split()] for row in text.split(";") if row.strip()]
 
 
 def _parse_vector(text: str) -> list:
-    return [float(v) for v in text.split()]
+    return [_parse_float(v) for v in text.split()]
 
 
 #: Parser of an INI value by field type; the fields whose values are not a
 #: plain scalar name their own.
-_TYPE_PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
+_TYPE_PARSERS = {"int": int, "float": _parse_float, "float | None": _parse_float, "str": str}
 _FIELD_PARSERS = {
     "arms": _parse_vectors,
     "theta_star": _parse_vector,
@@ -231,7 +238,10 @@ def _read_section(section: configparser.SectionProxy, target) -> None:
     for key, f in keys.items():
         if key in section:
             parse = _FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[f.type]
-            setattr(target, f.name, parse(section[key]))
+            try:
+                setattr(target, f.name, parse(section[key]))
+            except ValueError as exc:
+                raise ValueError(f"{section.name}.{key}: {exc}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

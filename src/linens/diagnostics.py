@@ -22,7 +22,7 @@ import numpy as np
 
 from .envs import LinearBanditEnv
 from .linalg import GramState, dot, matvec, unwrap, weighted_norm
-from .perturb import DRAW_BLOCK, DRAW_VALUES, ConfidenceParams, beta, gamma_tilde
+from .perturb import ConfidenceParams, beta, block_steps, gamma_tilde
 from .policies import Selection, _RidgeBase
 
 #: Numerical slack for the optimism implication (exact in real arithmetic).
@@ -125,7 +125,7 @@ class StepMonitor:
     ``(n,) + batch`` arrays, when the block is full and at :meth:`flush`.
     Each step's numbers are those of the serial calls on that step alone
     (see :mod:`linens.linalg`). A block holds
-    ``max(1, min(DRAW_BLOCK, DRAW_VALUES // (R * record)))`` steps, with
+    :func:`~linens.perturb.block_steps` of ``R * record`` steps, with
     ``record`` the largest per-replication snapshot: ``d * d`` for a Gram
     matrix, or ``m * d`` for an ensemble's estimators under
     ``track_ensemble_fraction``. So memory stays flat at any batch width.
@@ -164,10 +164,6 @@ class StepMonitor:
         self._first = 1  # the step of the block's first row
         self._held = 0  # rows recorded and not yet evaluated
 
-    @property
-    def gamma_tilde_value(self) -> float:
-        return self._gamma_tilde
-
     def _buffers(self, policy: _RidgeBase) -> dict:
         """Empty ``(n,) + batch + record`` buffers of one block of
         ``policy``'s pre-step states."""
@@ -181,8 +177,7 @@ class StepMonitor:
         }
         if self.track_ensemble_fraction and hasattr(policy, "thetas"):
             records["thetas"] = (policy.n_models, d)
-        largest = math.prod(self._shape) * max(math.prod(r) for r in records.values())
-        steps = max(1, min(DRAW_BLOCK, DRAW_VALUES // largest))
+        steps = block_steps(math.prod(self._shape) * max(math.prod(r) for r in records.values()))
         return {name: np.empty((steps,) + self._shape + r) for name, r in records.items()}
 
     def observe(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NORM_SLACK, matvec, pick, unwrap
-from .perturb import TAG_NOISE, PerturbationSpec, StepDraws, mix_key, reward_draws
+from .perturb import TAG_NOISE, PerturbationSpec, StepDraws, reward_draws, seed_prefixes
 
 
 class NoiseFamily:
@@ -36,7 +36,7 @@ class NoiseModel:
     (variance sigma^2/3, proxy sigma); ``rademacher`` is +/- sigma with
     equal probability. Each is a perturbation family times a scale
     (:attr:`spec`), drawn by :func:`~linens.perturb.reward_draws` under a
-    replication's ``mix_key(seed, TAG_NOISE)`` prefix, keyed by step, one
+    replication's ``TAG_NOISE`` prefix of its seed, keyed by step, one
     model: the noise of step t is a pure function of ``(seed, t)``.
     """
 
@@ -65,13 +65,12 @@ class NoiseModel:
     def draws(self, seeds) -> StepDraws:
         """The noise of one stream per replication, read by step: ``at(t)``
         holds each replication's noise of step t as model 0."""
-        prefixes = np.array([mix_key(s, TAG_NOISE) for s in seeds], dtype=np.uint64)
-        return StepDraws.keyed(self.spec, prefixes, range(1))
+        return StepDraws(self.spec, seed_prefixes(seeds, TAG_NOISE), range(1))
 
     def at(self, seed: int, steps):
         """The noise of stream ``seed`` at ``steps``, an integer or an
         integer array, in the shape of ``steps``."""
-        z = reward_draws(self.spec, [mix_key(seed, TAG_NOISE)], range(1), np.ravel(steps))
+        z = reward_draws(self.spec, seed_prefixes([seed], TAG_NOISE), range(1), np.ravel(steps))
         return z.reshape(np.shape(steps))
 
     def sample(self, seed: int, size) -> np.ndarray:
@@ -128,10 +127,6 @@ class LinearBanditEnv:
             envs[0].noise,
             envs[0].param_bound,
         )
-
-    def best_arm(self) -> tuple[int, float]:
-        """Index and value of the arm maximizing the true mean reward."""
-        return self.optimal_arm_index, self.optimal_value
 
     def arm(self, arm_index):
         """The arm vectors at ``arm_index``, one per replication."""

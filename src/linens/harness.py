@@ -28,17 +28,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, NoiseModel, RegretLedger
-from .perturb import (
-    TAG_ENV,
-    TAG_POLICY,
-    TAG_REPLICATION,
-    PerturbationStream,
-    StepDraws,
-    gamma,
-    keyed_generator,
-    mix_key,
-    p_n,
-)
+from .perturb import TAG_ENV, TAG_REPLICATION, StepDraws, gamma, keyed_generator, mix_key, p_n
 from .policies import (
     EnsembleSampling,
     GreedyRidge,
@@ -110,7 +100,7 @@ def build_environment(cfg: ExperimentConfig) -> LinearBanditEnv:
 
 def replication_seeds(cfg: ExperimentConfig, replications: range) -> list[int]:
     """Seed ``mix_key(base_seed, TAG_REPLICATION, r)`` of each replication r:
-    its policy's stream seed, and the seed of its reward noise."""
+    its policy's seed, and the seed of its reward noise."""
     return [mix_key(cfg.run.base_seed, TAG_REPLICATION, r) for r in replications]
 
 
@@ -120,26 +110,26 @@ def build_policy(cfg: ExperimentConfig, replications: range):
     dim = cfg.env.dim
     batch = len(replications)
     spec = cfg.perturbation_spec()
-    streams = [PerturbationStream(k) for k in replication_seeds(cfg, replications)]
+    seeds = replication_seeds(cfg, replications)
     if p.name == "ensemble":
         return EnsembleSampling(
             dim,
             p.lam,
             cfg.resolved_ensemble_size(),
             spec,
-            streams,
+            seeds,
             sampler=p.sampler,
             keying=p.keying,
         )
     if p.name == "phe":
-        return LinPHE(dim, p.lam, spec, streams)
+        return LinPHE(dim, p.lam, spec, seeds)
     if p.name == "linucb":
         if p.linucb_bonus is not None:
             return LinUCB(dim, p.lam, bonus=p.linucb_bonus, batch=batch)
         return LinUCB(dim, p.lam, params=cfg.confidence_params(), batch=batch)
     if p.name == "lints":
         lints_scale = p.lints_scale if p.lints_scale is not None else spec.scale
-        return LinTS(dim, p.lam, lints_scale, streams)
+        return LinTS(dim, p.lam, lints_scale, seeds)
     if p.name == "greedy":
         return GreedyRidge(dim, p.lam, batch=batch)
     raise ValueError(f"unknown policy {p.name!r}")
@@ -375,7 +365,7 @@ def run_equivalence_suite(
     """Check that a horizon-sized round-robin ensemble and perturbed-history
     exploration choose identical arm sequences when they share keyed draws.
 
-    ``desync`` deliberately offsets the perturbed-history stream; it exists
+    ``desync`` deliberately offsets the perturbed-history seeds; it exists
     as a negative control for the test itself and must report failures.
     Each seed runs on its own random instance, so a config with explicit
     arms is rejected rather than silently replaced.
@@ -404,7 +394,9 @@ def run_equivalence_suite(
 
 def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     """Arm sequences of both policies for a block of seeds, each on its own
-    random instance: two ``(R, T)`` arrays."""
+    random instance: two ``(R, T)`` arrays. Each seed's replication seed
+    (:func:`replication_seeds`) keys its instance, its noise and both
+    policies, as ``run`` keys a replication."""
     horizon = cfg.run.horizon
     keys = replication_seeds(cfg, seeds)
     noise = NoiseModel(cfg.env.noise_family, cfg.env.sigma)
@@ -416,20 +408,14 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     ]
     env = LinearBanditEnv.stack(envs)
     spec = cfg.perturbation_spec()
-    stream_seeds = [mix_key(k, TAG_POLICY) for k in keys]
     es = EnsembleSampling(
-        env.dim,
-        cfg.policy.lam,
-        horizon,
-        spec,
-        [PerturbationStream(k) for k in stream_seeds],
-        sampler=Sampler.ROUND_ROBIN,
+        env.dim, cfg.policy.lam, horizon, spec, keys, sampler=Sampler.ROUND_ROBIN
     )
     phe = LinPHE(
         env.dim,
         cfg.policy.lam,
         spec,
-        [PerturbationStream(k + 1 if desync else k) for k in stream_seeds],
+        [k + 1 for k in keys] if desync else keys,
         shared_model_axis=horizon,
     )
     draws = noise.draws(keys)

@@ -8,12 +8,15 @@ identity (O(d^2) per step) and re-derived from scratch every
 
 Arrays carry a leading batch shape: ``()`` for one replication and
 ``(R,)`` for R replications stepped in lockstep. Each batched operation is
-the serial numpy call with the batch axis in front (stacked ``np.matmul``,
-batched ``np.linalg.inv``), which numpy evaluates item by item through the
+the serial numpy call with the batch axis in front: stacked ``np.matmul``,
+batched ``np.linalg.inv``, or an ``einsum`` whose serial subscripts gain a
+leading ``...`` (the widths of :meth:`linens.policies.LinUCB.select` and the
+monitor's ensemble fraction). Numpy evaluates each item by item through the
 serial call's kernel, so a replication's numbers do not depend on the batch
-it runs in. Other forms of the same arithmetic (``einsum`` for a product,
-``(a * b).sum``, a matrix product against transposed arms, or
-``np.linalg.norm`` along an axis) may round differently and are not used.
+it runs in. What is not used is another form in place of the one a value is
+defined by (``einsum`` for a matrix product, ``(a * b).sum`` for a dot, a
+matrix product against transposed arms, or ``np.linalg.norm`` along an
+axis): those may round differently.
 """
 
 from __future__ import annotations

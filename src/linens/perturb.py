@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# stream purpose tags (first component of every key)
+# purpose tags (first component of every key)
 TAG_INIT = 0xA1
 TAG_REWARD = 0xA2
 TAG_NOISE = 0xA3
-TAG_POLICY = 0xA4
 TAG_ENV = 0xA5
 TAG_PHE = 0xA6
 TAG_REPLICATION = 0xA7
@@ -213,10 +211,10 @@ class PerturbationSpec:
 
     def sample(self, seed: int, size) -> np.ndarray:
         """``size`` values under the ``TAG_INIT`` prefix of ``seed``: the
-        flattened initial perturbations of a stream of that seed at
-        ``lam = 1`` (:func:`initial_draws`)."""
-        z = reward_draws(self, [mix_key(seed, TAG_INIT)], range(math.prod(np.atleast_1d(size))))
-        return z.reshape(size)
+        flattened initial perturbations of that seed at ``lam = 1``
+        (:func:`initial_draws`)."""
+        count = math.prod(np.atleast_1d(size))
+        return reward_draws(self, seed_prefixes([seed], TAG_INIT), range(count)).reshape(size)
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,7 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     ``spec`` is the law the hash words map onto: a
     :class:`PerturbationSpec` (:meth:`PerturbationSpec.values`) or a
     :class:`ModelChoice`. ``prefixes`` holds each replication's
-    ``mix_key(stream_seed, tag)``, and the tag says what a "model" is:
+    :func:`seed_prefixes` under a tag, and the tag says what a "model" is:
     ``TAG_REWARD``, keyed by step or ``(arm, count)``, for reward
     perturbations, where model j is ensemble member j; ``TAG_INIT``, with
     no key, for initial matrices, where model ``j*dim + c`` is coordinate c
@@ -288,7 +286,7 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     broadcast together. The key is folded into the prefix with
     :func:`mix_key`'s rule, then model j reads counters ``2j`` and
     ``2j + 1`` of a splitmix64 sequence started at the folded hash, so each
-    value is a pure function of ``(stream_seed, j, key)``: independent of
+    value is a pure function of ``(seed, j, key)``: independent of
     the other models asked for, of the batch, and of its position in
     either. Returns shape ``broadcast(prefixes, *key) + (len(models),)``.
     """
@@ -298,10 +296,11 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     return spec.values(_mix(h[..., None, None] + _counter_offsets(models, spec.words)))
 
 
-def stream_prefixes(streams, tag: int) -> np.ndarray:
-    """``(R,)`` prefixes ``mix_key(stream.base_seed, tag)`` of R streams,
-    for drawing under ``tag`` with :func:`reward_draws`."""
-    return np.array([mix_key(s.base_seed, tag) for s in streams], dtype=np.uint64)
+def seed_prefixes(seeds, tag: int) -> np.ndarray:
+    """``(R,)`` prefixes ``mix_key(seed, tag)`` of R replications' seeds,
+    for drawing under ``tag`` with :func:`reward_draws`; the one place a
+    prefix is spelled."""
+    return np.array([mix_key(int(s), tag) for s in seeds], dtype=np.uint64)
 
 
 def initial_draws(
@@ -310,7 +309,7 @@ def initial_draws(
     """``(R, n_models, dim)`` initial perturbations under R ``TAG_INIT``
     prefixes, with per-coordinate standard-deviation target
     ``sqrt(lam) * scale``. Row j reads models ``j*dim .. j*dim + dim - 1``,
-    so it is a pure function of ``(stream_seed, j)`` whatever ``n_models``
+    so it is a pure function of ``(seed, j)`` whatever ``n_models``
     is."""
     z = reward_draws(spec, prefixes, range(n_models * dim))
     return math.sqrt(lam) * z.reshape(z.shape[:-1] + (n_models, dim))
@@ -328,30 +327,18 @@ def history_draws(
     return math.sqrt(lam) * z[..., :dim], z[..., dim:]
 
 
-class Keying:
-    """How an ensemble keys its reward perturbations: by step, or by the
-    chosen arm and its pull count (an argument of
-    :class:`~linens.policies.EnsembleSampling`)."""
-
-    BY_STEP = "by_step"
-    BY_ARM_COUNT = "by_arm_count"
-
-    ALL = (BY_STEP, BY_ARM_COUNT)
-
-
 class PerturbationStream:
-    """Keyed source of one replication's perturbation draws.
+    """One replication's draws, each a batch of one of the calls that the
+    policies make for a batch of seeds.
 
-    Every draw is a pure function of ``(base_seed, key)``: a batch of one
-    of :func:`reward_draws` under the prefix ``mix_key(base_seed, tag)``.
-    Batched policies stack those prefixes over their streams with
-    :func:`stream_prefixes` and draw for all their replications in one
-    call, so each method here is the case of one replication and serves
-    as their oracle. Reward perturbations for all models come as one
-    vector per key, a step or an ``(arm, count)`` pair; which of the two
-    an ensemble uses is its own ``keying``. Model ``j`` owns component
-    ``j``, so a draw depends only on ``(base_seed, j, key)`` regardless of
-    the ensemble size. The stream holds no generator.
+    The policies take their seeds directly and draw under
+    :func:`seed_prefixes`; this class only holds a ``base_seed`` and serves
+    the tests as the single-replication oracle of those calls. Reward
+    perturbations for all models come as one vector per key, a step or an
+    ``(arm, count)`` pair. Model ``j`` owns component ``j``, so a draw
+    depends only on ``(base_seed, j, key)`` regardless of the ensemble
+    size. The benchmark under ``perfbench/`` traces
+    :meth:`reward_vector` by name.
     """
 
     def __init__(self, base_seed: int):
@@ -362,19 +349,16 @@ class PerturbationStream:
     ) -> np.ndarray:
         """(n_models, dim) matrix of initial perturbations; per-coordinate
         standard-deviation target is ``sqrt(lam) * scale``."""
-        return initial_draws(spec, stream_prefixes([self], TAG_INIT), n_models, dim, lam)[0]
+        prefixes = seed_prefixes([self.base_seed], TAG_INIT)
+        return initial_draws(spec, prefixes, n_models, dim, lam)[0]
 
     def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
         """(n_models,) vector of reward perturbations for one key: a step,
         or an ``(arm, count)`` pair."""
         if len(key) not in (1, 2):
             raise ValueError("a reward key is a step or an (arm, count) pair")
-        prefixes = stream_prefixes([self], TAG_REWARD)
+        prefixes = seed_prefixes([self.base_seed], TAG_REWARD)
         return reward_draws(spec, prefixes, range(n_models), *key)[0]
-
-    def reward_perturbation(self, spec: PerturbationSpec, model: int, *key: int) -> float:
-        """Reward perturbation of one model for one key."""
-        return float(self.reward_vector(spec, model + 1, *key)[model])
 
     def history_perturbation(
         self, spec: PerturbationSpec, step: int, dim: int, n_rows: int, lam: float
@@ -388,7 +372,8 @@ class PerturbationStream:
         ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
         ``w / sqrt(lam)`` alone (see :class:`~linens.policies.LinPHE`);
         these draws stay its test oracle."""
-        w, z = history_draws(spec, stream_prefixes([self], TAG_PHE), step, dim, n_rows, lam)
+        prefixes = seed_prefixes([self.base_seed], TAG_PHE)
+        w, z = history_draws(spec, prefixes, step, dim, n_rows, lam)
         return w[0], z[0]
 
 
@@ -400,37 +385,37 @@ DRAW_BLOCK = 64
 DRAW_VALUES = 2**14
 
 
-class StepDraws:
-    """Values of a batch keyed by step, read a block of consecutive steps at a time.
+def block_steps(values_per_step: int) -> int:
+    """Steps in one block of ``values_per_step`` values each: at most
+    ``DRAW_BLOCK``, within ``DRAW_VALUES`` values, and at least one."""
+    return max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))
 
-    ``draw(steps)`` returns the ``(n, R, ...)`` values of an ``(n, 1)``
-    array of consecutive steps (for :meth:`keyed`, one :func:`reward_draws`
-    call, whose row for step t is the same bits as the call keyed by t
-    alone). A block holds
-    ``max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))`` steps, and
-    :meth:`at` reads any step, in any order. ``batched`` keeps the leading
+
+class StepDraws:
+    """:func:`reward_draws` of ``models`` under ``spec`` and ``prefixes``,
+    keyed by step and read a block of consecutive steps at a time.
+
+    A block is one call keyed by an ``(n, 1)`` array of consecutive steps,
+    whose row for step t is the same bits as the call keyed by t alone; it
+    holds :func:`block_steps` of ``R * len(models)`` steps, and :meth:`at`
+    reads any step, in any order. ``batched`` keeps the leading
     replication axis; without it the batch is one replication and has no
     such axis.
     """
 
-    def __init__(self, draw, values_per_step: int, batched: bool = True):
-        self._draw = draw
-        self._steps = max(1, min(DRAW_BLOCK, DRAW_VALUES // values_per_step))
+    def __init__(self, spec, prefixes, models: range, batched: bool = True):
+        self._spec, self._prefixes, self._models = spec, prefixes, models
+        self._steps = block_steps(len(prefixes) * len(models))
         self._batched = batched
         self._block = np.empty((0,))
         self._first = 1  # the step of the block's first row
-
-    @classmethod
-    def keyed(cls, spec, prefixes, models: range, batched: bool = True):
-        """:func:`reward_draws` of ``models`` under ``spec``, keyed by step."""
-        draw = partial(reward_draws, spec, prefixes, models)
-        return cls(draw, len(prefixes) * len(models), batched)
 
     def at(self, step: int) -> np.ndarray:
         """The values of ``step``."""
         i = step - self._first
         if not 0 <= i < len(self._block):
-            self._block = self._draw(np.arange(step, step + self._steps)[:, None])
+            steps = np.arange(step, step + self._steps)[:, None]
+            self._block = reward_draws(self._spec, self._prefixes, self._models, steps)
             self._first, i = step, 0
         values = self._block[i]
         return values if self._batched else values[0]

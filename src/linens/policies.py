@@ -7,8 +7,8 @@ Argmax ties are broken toward the smallest arm index everywhere, which
 makes the cross-policy equality tests exact.
 
 A policy steps one replication, or a batch of R replications in lockstep
-when it is given a list of R per-replication streams (or ``batch=R``
-when it has none). Batched, every array gains a leading axis of
+when it is given a list of R per-replication seeds (or ``batch=R``
+when it draws nothing). Batched, every array gains a leading axis of
 length R and ``select``/``update`` take and return one arm, reward and
 estimator per replication; see :mod:`linens.linalg` for why each
 replication's numbers are the same bits in any batch.
@@ -28,17 +28,15 @@ from .perturb import (
     TAG_PHE,
     TAG_REWARD,
     ConfidenceParams,
-    Keying,
     ModelChoice,
     PerturbationFamily,
     PerturbationSpec,
-    PerturbationStream,
     StepDraws,
     beta,
     history_draws,
     initial_draws,
     reward_draws,
-    stream_prefixes,
+    seed_prefixes,
 )
 
 
@@ -55,6 +53,16 @@ class Sampler:
     ALL = (UNIFORM, ROUND_ROBIN)
 
 
+class Keying:
+    """How an ensemble keys its reward perturbations: by step, or by the
+    chosen arm and its pull count."""
+
+    BY_STEP = "by_step"
+    BY_ARM_COUNT = "by_arm_count"
+
+    ALL = (BY_STEP, BY_ARM_COUNT)
+
+
 class Selection(NamedTuple):
     arm_index: int  # an (R,) array when batched
     model_index: int  # -1 for non-ensemble policies
@@ -66,12 +74,12 @@ def argmax_smallest_index(values: np.ndarray):
     return unwrap(np.argmax(values, axis=-1))
 
 
-def _per_replication(items) -> tuple[list, int | None]:
-    """A list or tuple holds one item per replication of a batch; anything
-    else is the one item of an unbatched policy."""
-    if isinstance(items, (list, tuple)):
-        return list(items), len(items)
-    return [items], None
+def _per_replication(seed) -> tuple[list, int | None]:
+    """A list or tuple holds one seed per replication of a batch; anything
+    else is the one seed of an unbatched policy."""
+    if isinstance(seed, (list, tuple)):
+        return list(seed), len(seed)
+    return [seed], None
 
 
 class _RidgeBase:
@@ -141,13 +149,15 @@ class EnsembleSampling(_RidgeBase):
     replication of the batch: the initial matrices in one call at
     construction (:func:`~linens.perturb.initial_draws`), and the reward
     perturbations keyed by step in one call per block of steps
-    (:meth:`~linens.perturb.StepDraws.keyed`, whose block length is bounded
-    by ``DRAW_VALUES`` values). ``keying`` says what keys a reward
+    (:class:`~linens.perturb.StepDraws`, whose block length is bounded
+    by ``DRAW_VALUES`` values). Each replication draws under the prefixes
+    of its seed (:func:`~linens.perturb.seed_prefixes`): ``seed`` is an
+    int, or a list of R ints for a batch. ``keying`` says what keys a reward
     perturbation: the step (``Keying.BY_STEP``), or the chosen arm and its
     pull count (``Keying.BY_ARM_COUNT``). Keys by ``(arm, count)`` depend
     on the pulls, so that keying draws one call per step. Uniform model
     choice is a :class:`~linens.perturb.ModelChoice` draw under each
-    stream's ``TAG_MODEL`` prefix, keyed by step in the same blocks.
+    seed's ``TAG_MODEL`` prefix, keyed by step in the same blocks.
     """
 
     def __init__(
@@ -156,11 +166,11 @@ class EnsembleSampling(_RidgeBase):
         lam: float,
         n_models: int,
         spec: PerturbationSpec,
-        stream: PerturbationStream | list[PerturbationStream],
+        seed: int | list[int],
         sampler: str = Sampler.UNIFORM,
         keying: str = Keying.BY_STEP,
     ):
-        streams, batch = _per_replication(stream)
+        seeds, batch = _per_replication(seed)
         super().__init__(dim, lam, batch)
         if n_models < 1:
             raise ValueError("n_models must be at least 1")
@@ -174,22 +184,22 @@ class EnsembleSampling(_RidgeBase):
         self.sampler = sampler
         self._models = None
         if sampler == Sampler.UNIFORM:
-            self._models = StepDraws.keyed(
+            self._models = StepDraws(
                 ModelChoice(self.n_models),
-                stream_prefixes(streams, TAG_MODEL),
+                seed_prefixes(seeds, TAG_MODEL),
                 range(1),
                 batched=batch is not None,
             )
-        w = initial_draws(spec, stream_prefixes(streams, TAG_INIT), n_models, dim, lam)
+        w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), n_models, dim, lam)
         self.s_vectors = w.reshape(self.batch_shape + (n_models, dim))
-        self._prefixes = stream_prefixes(streams, TAG_REWARD)
+        self._prefixes = seed_prefixes(seeds, TAG_REWARD)
         self._rewards = None
         if keying == Keying.BY_STEP:
-            self._rewards = StepDraws.keyed(
+            self._rewards = StepDraws(
                 spec, self._prefixes, range(self.n_models), batched=batch is not None
             )
         # (R, arms seen so far): pulls of each arm, for by-arm-count keys
-        self._arm_counts = np.zeros((len(streams), 0), dtype=np.int64)
+        self._arm_counts = np.zeros((len(seeds), 0), dtype=np.int64)
 
     def thetas(self) -> np.ndarray:
         """All ensemble estimators, shape (n_models, dim) per replication."""
@@ -251,18 +261,18 @@ class LinPHE(_RidgeBase):
     ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)``, Thompson
     sampling's draw. The policy draws exactly that, in O(d^2) per step and
     with no stored history: ``xi`` is ``d`` values of
-    :func:`~linens.perturb.reward_draws` under each stream's ``TAG_PHE``
+    :func:`~linens.perturb.reward_draws` under each seed's ``TAG_PHE``
     prefix and the key ``t``, drawn for the batch in one call per block of
-    steps (:meth:`~linens.perturb.StepDraws.keyed`, whose block length is
+    steps (:class:`~linens.perturb.StepDraws`, whose block length is
     bounded by ``DRAW_VALUES`` values). The other families' sums are not of
     their family, so they re-perturb the O(t) history with
     :func:`~linens.perturb.history_draws`, one call per step for the batch,
     whose first ``d`` values are that same ``xi``.
 
     With ``shared_model_axis = m`` set, the fresh draws at step ``t`` are
-    read from model ``t - 1`` of an m-model keyed stream instead of an
-    independent per-step key, keyed by step as a ``Keying.BY_STEP``
-    ensemble keys them. Against such an ensemble run on the same stream
+    read from model ``t - 1`` of an m-model ensemble's reward draws instead
+    of an independent per-step key, keyed by step as a ``Keying.BY_STEP``
+    ensemble keys them. Against such an ensemble run on the same seed
     with round-robin model choice, this reproduces the ensemble's draws
     exactly and the two policies become the same algorithm. The initial
     matrix is drawn at construction by the ensemble's own call, and the
@@ -277,10 +287,10 @@ class LinPHE(_RidgeBase):
         dim: int,
         lam: float,
         spec: PerturbationSpec,
-        stream: PerturbationStream | list[PerturbationStream],
+        seed: int | list[int],
         shared_model_axis: int | None = None,
     ):
-        streams, batch = _per_replication(stream)
+        seeds, batch = _per_replication(seed)
         super().__init__(dim, lam, batch)
         if shared_model_axis is not None and shared_model_axis < 1:
             raise ValueError("shared_model_axis must be at least 1")
@@ -288,17 +298,15 @@ class LinPHE(_RidgeBase):
         self.shared_model_axis = shared_model_axis
         if shared_model_axis is None:
             # each step's own draws
-            self._prefixes = stream_prefixes(streams, TAG_PHE)
+            self._prefixes = seed_prefixes(seeds, TAG_PHE)
             if spec.family == PerturbationFamily.GAUSSIAN:
-                self._xi = StepDraws.keyed(
-                    spec, self._prefixes, range(dim), batched=batch is not None
-                )
+                self._xi = StepDraws(spec, self._prefixes, range(dim), batched=batch is not None)
         else:
             # the ensemble's draws, replayed
             m = shared_model_axis
-            w = initial_draws(spec, stream_prefixes(streams, TAG_INIT), m, dim, lam)
+            w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), m, dim, lam)
             self._initial = w.reshape(self.batch_shape + (m, dim))
-            self._prefixes = stream_prefixes(streams, TAG_REWARD)
+            self._prefixes = seed_prefixes(seeds, TAG_REWARD)
         # the history is kept only where it is re-perturbed: the gaussian
         # family draws the perturbation of the whole history in closed form
         self._xs = self._ys = None
@@ -307,10 +315,6 @@ class LinPHE(_RidgeBase):
             rows = 8 if shared_model_axis is None else shared_model_axis
             self._xs = np.empty(self.batch_shape + (rows, dim))
             self._ys = np.empty(self.batch_shape + (rows,))
-
-    @property
-    def history_length(self) -> int:
-        return self.step
 
     def _grow(self) -> None:
         if self.step == self._xs.shape[-2]:
@@ -417,5 +421,5 @@ class LinTS(LinPHE):
     ``TAG_PHE`` draw of ``d`` models per step, under its own scale rule.
     """
 
-    def __init__(self, dim: int, lam: float, scale: float, stream):
-        super().__init__(dim, lam, PerturbationSpec(PerturbationFamily.GAUSSIAN, scale), stream)
+    def __init__(self, dim: int, lam: float, scale: float, seed: int | list[int]):
+        super().__init__(dim, lam, PerturbationSpec(PerturbationFamily.GAUSSIAN, scale), seed)

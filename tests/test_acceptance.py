@@ -84,8 +84,8 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
     """After 200 steps every member matches the batch minimizer to 1e-8."""
     dim, m, lam, steps = 4, 8, 1.0, 200
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-    stream = PerturbationStream(2024)
-    policy = EnsembleSampling(dim, lam, m, spec, stream)
+    policy = EnsembleSampling(dim, lam, m, spec, 2024)
+    stream = PerturbationStream(2024)  # the oracle of the policy's draws
     rng = np.random.default_rng(5)
     xs, ys = [], []
     for _ in range(steps):
@@ -250,20 +250,20 @@ def test_criterion_09_zero_perturbation_zero_noise_collapse():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, rng)
-        stream = PerturbationStream(seed)
         policies = {
             "greedy": GreedyRidge(2, 1.0),
-            "ensemble": EnsembleSampling(2, 1.0, 3, ZERO_SPEC, stream),
-            "phe": LinPHE(2, 1.0, ZERO_SPEC, stream),
+            "ensemble": EnsembleSampling(2, 1.0, 3, ZERO_SPEC, seed),
+            "phe": LinPHE(2, 1.0, ZERO_SPEC, seed),
             "linucb": LinUCB(2, 1.0, bonus=0.0),
-            "lints": LinTS(2, 1.0, 0.0, stream),
+            "lints": LinTS(2, 1.0, 0.0, seed),
         }
+        noise = env.noise.draws([seed])
         sequences = {}
         for name, policy in policies.items():
             seq = []
             for t in range(1, 61):
                 sel = policy.select(env.arms)
-                y = env.sample_reward(sel.arm_index, seed, t)
+                y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
                 policy.update(sel.arm_index, env.arms[sel.arm_index], y)
                 seq.append(sel.arm_index)
             sequences[name] = seq

@@ -23,7 +23,6 @@ from linens.perturb import (
     ConfidenceParams,
     PerturbationFamily,
     PerturbationSpec,
-    PerturbationStream,
     beta,
     gamma_tilde,
 )
@@ -180,11 +179,12 @@ class TestOptimismGeometry:
 def run_steps(monitor, policy, env, horizon, noise_seed=0):
     """Step ``policy`` for ``horizon`` steps under ``monitor`` and flush it;
     returns the per-step diagnostics of its blocks, joined."""
+    noise = env.noise.draws([noise_seed])
     blocks = []
     for t in range(1, horizon + 1):
         sel = policy.select(env.arms)
         blocks.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
-        y = env.sample_reward(sel.arm_index, noise_seed, t)
+        y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
         policy.update(sel.arm_index, env.arms[sel.arm_index], y)
     blocks.append(monitor.flush())
     return concatenate_blocks([b for b in blocks if b is not None], horizon)
@@ -246,11 +246,11 @@ class TestStepMonitor:
         env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, rng)
         params = make_params(horizon=20)
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, 20))
-        stream = PerturbationStream(4)
-        policy = EnsembleSampling(2, 1.0, 16, spec, stream)
+        policy = EnsembleSampling(2, 1.0, 16, spec, 4)
         monitor = StepMonitor(env, params, track_ensemble_fraction=True)
-        gt = monitor.gamma_tilde_value
+        gt = gamma_tilde(params)
         x_star = env.arms[env.optimal_arm_index]
+        noise = env.noise.draws([4])
         manual = []
         blocks = []
         for t in range(1, 21):
@@ -267,7 +267,7 @@ class TestStepMonitor:
                 hits += ok_dir and ok_norm
             manual.append(hits / 16)
             blocks.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
-            y = env.sample_reward(sel.arm_index, 4, t)
+            y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
             policy.update(sel.arm_index, env.arms[sel.arm_index], y)
         blocks.append(monitor.flush())
         fractions = concatenate_blocks([b for b in blocks if b is not None], 20)[
@@ -349,8 +349,8 @@ class TestStepMonitor:
 
 
 def block_length(batch: int, dim: int, n_models: int | None) -> int:
-    """The monitor's block length: ``StepDraws``' rule over the largest
-    per-replication record of a step."""
+    """The monitor's block length: ``perturb.block_steps``' rule over the
+    largest per-replication record of a step."""
     record = max(dim * dim, n_models * dim if n_models else 0)
     return max(1, min(DRAW_BLOCK, DRAW_VALUES // (batch * record)))
 
@@ -419,11 +419,10 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
     # the monitor's sigma is below the noise's, so the ridge concentration
     # event fails on some steps and holds on others
     params = make_params(dim=dim, sigma=0.05, horizon=horizon, delta=0.2)
-    streams = [PerturbationStream(100 + r) for r in range(batch or 1)]
     if track:
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, horizon))
-        stream = streams if batch else streams[0]
-        policy = EnsembleSampling(dim, params.lam, n_models, spec, stream)
+        seed = [100 + r for r in range(batch)] if batch else 100
+        policy = EnsembleSampling(dim, params.lam, n_models, spec, seed)
     else:
         policy = GreedyRidge(dim, params.lam, batch=batch)
     monitor = StepMonitor(env, params, track_ensemble_fraction=track, batch=batch)
@@ -480,8 +479,8 @@ def test_block_buffers_stay_within_the_draw_budget(rng):
     batch, dim, n_models = 256, 8, 64
     env = LinearBanditEnv.random(dim, 10, NoiseModel(sigma=0.5), 1.0, rng)
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-    streams = [PerturbationStream(r) for r in range(batch)]
-    policy = EnsembleSampling(dim, 1.0, n_models, spec, streams)
+    seeds = list(range(batch))
+    policy = EnsembleSampling(dim, 1.0, n_models, spec, seeds)
     sel = policy.select(env.arms)
     for track in (True, False):
         monitor = StepMonitor(env, make_params(dim=dim), track, batch=batch)
@@ -495,7 +494,7 @@ def test_block_buffers_stay_within_the_draw_budget(rng):
     # rates-c4's shape (R = 200, d = 3, m = 4) holds several steps a block,
     # each buffer within the budget
     env = LinearBanditEnv.random(3, 6, NoiseModel(sigma=1.0), 1.0, rng)
-    policy = EnsembleSampling(3, 1.0, 4, spec, streams[:200])
+    policy = EnsembleSampling(3, 1.0, 4, spec, seeds[:200])
     monitor = StepMonitor(env, make_params(dim=3), batch=200)
     sel = policy.select(env.arms)
     monitor.observe(policy, sel, env.arm(sel.arm_index))

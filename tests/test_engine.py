@@ -21,14 +21,12 @@ from linens.linalg import REINVERT_PERIOD
 from linens.perturb import (
     TAG_ENV,
     TAG_REPLICATION,
-    Keying,
     PerturbationFamily,
     PerturbationSpec,
-    PerturbationStream,
     keyed_generator,
     mix_key,
 )
-from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Sampler
+from linens.policies import EnsembleSampling, GreedyRidge, Keying, LinPHE, LinTS, LinUCB, Sampler
 
 
 def make_cfg(**overrides) -> ExperimentConfig:
@@ -100,18 +98,13 @@ def test_ensemble_reward_draws_do_not_depend_on_the_batch(family, keying):
 def _policies(batch: int | None):
     """Each policy kind, unbatched (``batch=None``) or for ``batch``
     replications; replication r always draws from seed r."""
-    seeds = range(batch or 1)
-
-    def each(make):
-        items = [make(r) for r in seeds]
-        return items if batch else items[0]
-
+    seed = list(range(batch)) if batch else 0
     spec = PerturbationSpec("gaussian", 0.8)
     return {
-        "ensemble": EnsembleSampling(2, 1.0, 5, spec, each(PerturbationStream)),
-        "phe": LinPHE(2, 1.0, spec, each(PerturbationStream)),
+        "ensemble": EnsembleSampling(2, 1.0, 5, spec, seed),
+        "phe": LinPHE(2, 1.0, spec, seed),
         "linucb": LinUCB(2, 1.0, bonus=0.7, batch=batch),
-        "lints": LinTS(2, 1.0, 0.5, each(PerturbationStream)),
+        "lints": LinTS(2, 1.0, 0.5, seed),
         "greedy": GreedyRidge(2, 1.0, batch=batch),
     }
 

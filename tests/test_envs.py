@@ -18,7 +18,7 @@ def two_arm_env(sigma=0.0, family=NoiseFamily.GAUSSIAN):
 class TestConstruction:
     def test_best_arm_example(self):
         env = two_arm_env()
-        idx, val = env.best_arm()
+        idx, val = env.optimal_arm_index, env.optimal_value
         assert idx == 0
         assert val == pytest.approx(0.9)
 

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -70,6 +71,36 @@ name = greedy
 [run]
 horizon = 5
 """
+
+
+#: Files that no run can use, each rejected at load: (file text, what the
+#: message says). Non-finite floats name their key; an explicit instance
+#: names the norm check it fails.
+LOAD_REJECTIONS = {
+    "sigma-nan": (BASE_INI.replace("sigma = 0.5", "sigma = nan"), "env.sigma: 'nan' is not"),
+    "sigma-inf": (BASE_INI.replace("sigma = 0.5", "sigma = inf"), "env.sigma: 'inf' is not"),
+    "s-bound-nan": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = nan"),
+        "env.s_bound: 'nan' is not",
+    ),
+    "lambda-nan": (
+        BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = nan"),
+        "policy.lambda: 'nan' is not",
+    ),
+    "lints-scale-negative": (
+        BASE_INI.replace("name = ensemble\nm = 4", "name = lints\nlints_scale = -0.5"),
+        "policy.lints_scale must be non-negative",
+    ),
+    "arm-nan": (EXPLICIT_INI.replace("arms = 1 0;", "arms = nan 0;"), "env.arms: 'nan' is not"),
+    "arm-norm-2": (
+        EXPLICIT_INI.replace("arms = 1 0;", "arms = 2 0;"),
+        r"every arm must satisfy \|\|x\|\| <= 1",
+    ),
+    "theta-star-past-s-bound": (
+        EXPLICIT_INI.replace("sigma = 0", "sigma = 0\ns_bound = 0.5"),
+        r"\|\|theta_star\|\| must not exceed",
+    ),
+}
 
 
 def run_one(cfg: ExperimentConfig, replication: int):
@@ -359,6 +390,12 @@ workers = 2
         path = write_cfg(tmp_path, BASE_INI.replace(key, value))
         with pytest.raises(ValueError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize("case", sorted(LOAD_REJECTIONS))
+    def test_a_file_that_cannot_run_is_rejected_at_load(self, tmp_path, case):
+        text, message = LOAD_REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            load_config(write_cfg(tmp_path, text))
 
     def test_small_lambda_warns(self, tmp_path):
         path = write_cfg(tmp_path, BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5"))
@@ -737,6 +774,18 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("linens: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(LOAD_REJECTIONS))
+    def test_run_rejects_a_file_that_cannot_run_and_writes_nothing(
+        self, tmp_path, capsys, case
+    ):
+        text, message = LOAD_REJECTIONS[case]
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("linens: ") and err.count("\n") == 1
+        assert re.search(message, err)
+        assert not out.exists()
 
     def test_other_errors_pass_through(self, tmp_path, monkeypatch):
         # only rejected inputs are caught: anything else still propagates

@@ -14,13 +14,13 @@ from linens.perturb import (
     TAG_PHE,
     TAG_REWARD,
     ConfidenceParams,
-    Keying,
     ModelChoice,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
     StepDraws,
     beta,
+    block_steps,
     ensemble_size,
     gamma,
     gamma_tilde,
@@ -30,8 +30,9 @@ from linens.perturb import (
     mix_key,
     p_n,
     reward_draws,
-    stream_prefixes,
+    seed_prefixes,
 )
+from linens.policies import Keying
 
 mpmath.mp.dps = 30
 
@@ -182,7 +183,7 @@ class TestKeyedStreams:
         small = stream.reward_vector(spec, 4, 17)
         large = stream.reward_vector(spec, 64, 17)
         np.testing.assert_array_equal(small, large[:4])
-        assert stream.reward_perturbation(spec, 2, 17) == small[2]
+        assert stream.reward_vector(spec, 3, 17)[2] == small[2]
 
     def test_reward_key_arity_enforced(self):
         # a key is a step or an (arm, count) pair
@@ -207,7 +208,7 @@ class TestKeyedStreams:
         # keying is the ensemble's argument, not the stream's
         with pytest.raises(ValueError, match="unknown keying 'nope'"):
             policies.EnsembleSampling(
-                2, 1.0, 3, PerturbationSpec(), PerturbationStream(0),
+                2, 1.0, 3, PerturbationSpec(), 0,
                 sampler=policies.Sampler.ROUND_ROBIN, keying="nope",
             )
 
@@ -249,7 +250,7 @@ def reference_draw(family: str, seed: int, key: tuple, model: int, tag=TAG_REWAR
 
 
 def stream_draw(spec, seed: int, key: tuple, model: int) -> float:
-    return PerturbationStream(seed).reward_perturbation(spec, model, *key)
+    return PerturbationStream(seed).reward_vector(spec, model + 1, *key)[model]
 
 
 def reward_prefixes(seeds) -> np.ndarray:
@@ -272,6 +273,14 @@ class TestRewardDraws:
             assert got == pytest.approx(want, rel=1e-15, abs=0)
             assert got == pytest.approx(reference_draw(family, seed, key, model), rel=1e-13)
             assert stream_draw(scaled, seed, key, model) == 0.7 * got
+
+    def test_seed_prefixes_read_each_seed_as_an_int(self):
+        # numpy integers, a uint64 seed past 2**63 among them, have the
+        # prefixes of the same Python ints
+        got = seed_prefixes([np.uint64(2**64 - 1), np.int64(5), 7], TAG_REWARD)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_key(s, TAG_REWARD) for s in (2**64 - 1, 5, 7)]
+        np.testing.assert_array_equal(reward_prefixes([2**64 - 1, 5, 7]), got)
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_component_is_pure_in_seed_model_and_key(self, family):
@@ -389,8 +398,7 @@ class TestInitialAndHistoryDraws:
             np.testing.assert_array_equal(
                 PerturbationStream(5).initial_matrix(spec, n, 3, 2.0), full[:n]
             )
-        streams = [PerturbationStream(s) for s in (9, 5, 2**63 + 1, 5)]
-        batch = initial_draws(spec, stream_prefixes(streams, TAG_INIT), 40, 3, 2.0)
+        batch = initial_draws(spec, seed_prefixes([9, 5, 2**63 + 1, 5], TAG_INIT), 40, 3, 2.0)
         assert batch.shape == (4, 40, 3)
         for r in (1, 3):
             assert batch[r, :6].tobytes() == full.tobytes()
@@ -417,8 +425,8 @@ class TestKeyedStepDraws:
         spec = PerturbationSpec(family, 1.7)
         prefixes = reward_prefixes(seeds)
         batched = len(seeds) > 1
-        draws = StepDraws.keyed(spec, prefixes, models, batched=batched)
-        steps = 2 * max(1, min(DRAW_BLOCK, DRAW_VALUES // (len(seeds) * len(models)))) + 3
+        draws = StepDraws(spec, prefixes, models, batched=batched)
+        steps = 2 * block_steps(len(seeds) * len(models)) + 3
         for t in range(1, steps + 1):
             want = reward_draws(spec, prefixes, models, t)
             got = draws.at(t)
@@ -440,10 +448,11 @@ class TestKeyedStepDraws:
             return reward_draws(spec, prefixes, models, *key)
 
         monkeypatch.setattr(perturb, "reward_draws", spy)
-        draws = StepDraws.keyed(PerturbationSpec(), reward_prefixes([1]), range(width))
+        draws = StepDraws(PerturbationSpec(), reward_prefixes([1]), range(width))
         for t in range(1, block + 2):
             draws.at(t)
         assert calls == [(block, 1), (block, 1)]
+        assert block_steps(width) == block
 
     @pytest.mark.parametrize("keying", Keying.ALL)
     def test_an_ensemble_draws_by_step_in_blocks_and_by_arm_count_per_step(
@@ -458,9 +467,8 @@ class TestKeyedStepDraws:
         monkeypatch.setattr(perturb, "reward_draws", spy)
         monkeypatch.setattr(policies, "reward_draws", spy)
         spec = PerturbationSpec("gaussian", 0.5)
-        streams = [PerturbationStream(s) for s in (3, 4)]
         policy = policies.EnsembleSampling(
-            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN, keying=keying
+            2, 1.0, 8, spec, [3, 4], sampler=policies.Sampler.ROUND_ROBIN, keying=keying
         )
         calls.clear()  # the initial matrices
         x = np.array([[0.6, 0.0], [0.0, 0.6]])
@@ -474,11 +482,11 @@ class TestKeyedStepDraws:
             assert all(len(key) == 2 and np.shape(key[0]) == (2,) for key in calls)
         monkeypatch.undo()
         oracle = policies.EnsembleSampling(
-            2, 1.0, 8, spec, streams, sampler=policies.Sampler.ROUND_ROBIN, keying=keying
+            2, 1.0, 8, spec, [3, 4], sampler=policies.Sampler.ROUND_ROBIN, keying=keying
         )
         for t in range(1, DRAW_BLOCK + 2):
             key = (t,) if keying == Keying.BY_STEP else (np.array([0, 1]), t)
-            z = reward_draws(spec, stream_prefixes(streams, TAG_REWARD), range(8), *key)
+            z = reward_draws(spec, reward_prefixes([3, 4]), range(8), *key)
             kernels.accumulate_perturbed(oracle.s_vectors, x, z)
         assert policy.s_vectors.tobytes() == oracle.s_vectors.tobytes()
 

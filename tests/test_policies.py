@@ -6,7 +6,6 @@ from linens.perturb import (
     TAG_MODEL,
     TAG_PHE,
     ConfidenceParams,
-    Keying,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
@@ -14,12 +13,13 @@ from linens.perturb import (
     _splitmix64,
     mix_key,
     reward_draws,
-    stream_prefixes,
+    seed_prefixes,
 )
 from linens.policies import (
     EnsembleSampling,
     GreedyRidge,
     InvalidStateError,
+    Keying,
     LinPHE,
     LinTS,
     LinUCB,
@@ -34,8 +34,8 @@ ZERO = PerturbationSpec(PerturbationFamily.GAUSSIAN, 0.0)
 
 def make_ensemble(dim=2, lam=1.0, m=4, scale=1.0, seed=3, sampler=Sampler.UNIFORM):
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, scale)
-    stream = PerturbationStream(seed)
-    return EnsembleSampling(dim, lam, m, spec, stream, sampler=sampler), spec, stream
+    policy = EnsembleSampling(dim, lam, m, spec, seed, sampler=sampler)
+    return policy, spec, PerturbationStream(seed)
 
 
 def drive(policy, rng, dim, steps, reward_rng=None):
@@ -104,11 +104,10 @@ class TestEnsembleInit:
 
     def test_invalid_args(self):
         spec = PerturbationSpec()
-        stream = PerturbationStream(0)
         with pytest.raises(ValueError):
-            EnsembleSampling(2, 1.0, 0, spec, stream)
+            EnsembleSampling(2, 1.0, 0, spec, 0)
         with pytest.raises(ValueError):
-            EnsembleSampling(2, 1.0, 2, spec, stream, sampler="bogus")
+            EnsembleSampling(2, 1.0, 2, spec, 0, sampler="bogus")
 
 
 class TestEnsembleSelect:
@@ -132,8 +131,7 @@ class TestEnsembleSelect:
     def test_uniform_sampler_frequencies(self, rng):
         # model choice is keyed by step: 2000 replications for 20 steps
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        streams = [PerturbationStream(s) for s in range(2000)]
-        policy = EnsembleSampling(2, 1.0, 8, spec, streams)
+        policy = EnsembleSampling(2, 1.0, 8, spec, list(range(2000)))
         arms = random_unit_ball(rng, 2, count=3)
         counts = np.zeros(8)
         for _ in range(20):
@@ -203,9 +201,7 @@ class TestEnsembleUpdate:
     def test_by_arm_count_keying_replayable(self, rng):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
         stream = PerturbationStream(7)
-        policy = EnsembleSampling(
-            2, 1.0, 3, spec, stream, keying=Keying.BY_ARM_COUNT,
-        )
+        policy = EnsembleSampling(2, 1.0, 3, spec, 7, keying=Keying.BY_ARM_COUNT)
         x = np.array([0.5, 0.1])
         # pulls: arm 0 twice, arm 1 once
         policy.update(0, x, 1.0)
@@ -223,8 +219,8 @@ class TestEnsembleUpdate:
 class TestLinPHE:
     def make(self, dim=2, lam=1.0, scale=1.0, seed=5, shared=None, family="gaussian"):
         spec = PerturbationSpec(family, scale)
-        stream = PerturbationStream(seed)
-        return LinPHE(dim, lam, spec, stream, shared_model_axis=shared), spec, stream
+        policy = LinPHE(dim, lam, spec, seed, shared_model_axis=shared)
+        return policy, spec, PerturbationStream(seed)
 
     # the O(t) path: every family but gaussian re-perturbs the stored history
 
@@ -305,12 +301,11 @@ class TestLinPHE:
         np.testing.assert_allclose(policy.estimator(steps + 1), want, rtol=1e-12, atol=1e-15)
 
     def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
-        # over 20,000 streams on one fixed history, both theta~ - theta^ of
+        # over 20,000 seeds on one fixed history, both theta~ - theta^ of
         # the gaussian policy and the O(t) history oracle are N(0, s^2 V^-1)
         dim, lam, scale, steps, reps = 3, 1.0, 0.7, 30, 20_000
         spec = PerturbationSpec("gaussian", scale)
-        streams = [PerturbationStream(r) for r in range(reps)]
-        policy = LinPHE(dim, lam, spec, streams)
+        policy = LinPHE(dim, lam, spec, list(range(reps)))
         # an anisotropic history: V's condition number is about 7
         xs = random_unit_ball(np.random.default_rng(21), dim, count=steps) * [1.0, 0.5, 0.1]
         ys = np.linspace(-1.0, 1.0, steps)
@@ -319,8 +314,8 @@ class TestLinPHE:
         v = lam * np.eye(dim) + xs.T @ xs
         collapsed = policy.estimator(steps + 1) - policy.ridge_estimate()
         oracle = np.empty((reps, dim))
-        for r, stream in enumerate(streams):
-            w, z = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
+        for r in range(reps):
+            w, z = PerturbationStream(r).history_perturbation(spec, steps + 1, dim, steps, lam)
             oracle[r] = np.linalg.solve(v, w + xs.T @ z)
         # whitened by V^{1/2} / s, a N(0, s^2 V^-1) draw is standard normal
         evals, evecs = np.linalg.eigh(v)
@@ -343,7 +338,7 @@ class TestLinPHE:
     def test_history_growth_beyond_initial_capacity(self, rng):
         policy, _, _ = self.make(dim=2, scale=0.5, family="binomial")
         drive(policy, rng, 2, 100)  # initial buffer is 8
-        assert policy.history_length == 100
+        assert policy.step == 100
         assert np.isfinite(policy.estimator(101)).all()
 
     def test_wrong_step_rejected(self, rng):
@@ -363,15 +358,12 @@ class TestLinPHE:
             policy.select(arms)
 
     def test_shared_replay_matches_round_robin_ensemble_exactly(self, rng):
-        # the core equality: same stream, round-robin ensemble of size T vs
+        # the core equality: same seed, round-robin ensemble of size T vs
         # shared-axis re-perturbation; identical estimators bit for bit
         horizon, dim = 12, 2
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.1)
-        stream = PerturbationStream(77)
-        es = EnsembleSampling(
-            dim, 1.0, horizon, spec, stream, sampler=Sampler.ROUND_ROBIN
-        )
-        phe = LinPHE(dim, 1.0, spec, stream, shared_model_axis=horizon)
+        es = EnsembleSampling(dim, 1.0, horizon, spec, 77, sampler=Sampler.ROUND_ROBIN)
+        phe = LinPHE(dim, 1.0, spec, 77, shared_model_axis=horizon)
         arms = random_unit_ball(rng, dim, count=5)
         for t in range(1, horizon + 1):
             sel_es = es.select(arms)
@@ -395,12 +387,12 @@ class TestPerturbationsUseNoGenerator:
         monkeypatch.setattr(np.random, "Philox", no_philox)
         dim, horizon = 3, 10
         spec = PerturbationSpec(family, 0.7)
-        streams = [PerturbationStream(s) for s in (4, 19, 4)]
+        seeds = [4, 19, 4]
         arms = random_unit_ball(np.random.default_rng(8), dim, count=5)
-        ys = np.random.default_rng(9).standard_normal((horizon, len(streams)))
-        ensemble = EnsembleSampling(dim, 1.0, horizon, spec, streams, sampler=Sampler.ROUND_ROBIN)
-        replay = LinPHE(dim, 1.0, spec, streams, shared_model_axis=horizon)
-        phe = LinPHE(dim, 1.0, spec, streams)
+        ys = np.random.default_rng(9).standard_normal((horizon, len(seeds)))
+        ensemble = EnsembleSampling(dim, 1.0, horizon, spec, seeds, sampler=Sampler.ROUND_ROBIN)
+        replay = LinPHE(dim, 1.0, spec, seeds, shared_model_axis=horizon)
+        phe = LinPHE(dim, 1.0, spec, seeds)
         policies = (ensemble, replay, phe)
         for y in ys:
             sels = [p.select(arms) for p in policies]
@@ -456,10 +448,10 @@ class TestLinUCB:
 class TestLinTS:
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
-            LinTS(2, 1.0, -1.0, PerturbationStream(0))
+            LinTS(2, 1.0, -1.0, 0)
 
     def test_zero_scale_equals_greedy(self, rng):
-        ts = LinTS(3, 1.0, 0.0, PerturbationStream(1))
+        ts = LinTS(3, 1.0, 0.0, 1)
         greedy = GreedyRidge(3, 1.0)
         arms = random_unit_ball(rng, 3, count=6)
         for _ in range(20):
@@ -473,9 +465,8 @@ class TestLinTS:
     def test_sample_norm_equals_noise_norm(self, rng):
         # ||theta - theta_hat||_V equals ||xi||_2: verify by replaying the
         # keyed draw to recover xi
-        stream = PerturbationStream(42)
-        ts = LinTS(3, 1.5, 0.8, stream)
-        prefixes = stream_prefixes([stream], TAG_PHE)
+        ts = LinTS(3, 1.5, 0.8, 42)
+        prefixes = seed_prefixes([42], TAG_PHE)
         drive(ts, rng, 3, 30)
         for _ in range(10):
             t = ts.step + 1
@@ -490,7 +481,7 @@ class TestLinTS:
         # at V = lam I the sampled deviation has std scale/sqrt(lam)
         lam, scale = 4.0, 1.0
         # xi is keyed by step: 20,000 replications at step 1
-        ts = LinTS(2, lam, scale, [PerturbationStream(s) for s in range(20_000)])
+        ts = LinTS(2, lam, scale, list(range(20_000)))
         devs = ts.estimator(1)
         assert np.std(devs) == pytest.approx(scale / np.sqrt(lam), rel=0.03)
 
@@ -498,20 +489,20 @@ class TestLinTS:
 class TestZeroPerturbationCollapse:
     def test_all_policies_match_greedy_without_noise(self, rng):
         env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, rng)
-        stream = PerturbationStream(17)
         policies = [
             GreedyRidge(2, 1.0),
-            EnsembleSampling(2, 1.0, 3, ZERO, stream),
-            LinPHE(2, 1.0, ZERO, stream),
+            EnsembleSampling(2, 1.0, 3, ZERO, 17),
+            LinPHE(2, 1.0, ZERO, 17),
             LinUCB(2, 1.0, bonus=0.0),
-            LinTS(2, 1.0, 0.0, stream),
+            LinTS(2, 1.0, 0.0, 17),
         ]
+        noise = env.noise.draws([17])
         sequences = []
         for policy in policies:
             seq = []
             for t in range(1, 31):
                 sel = policy.select(env.arms)
-                y = env.sample_reward(sel.arm_index, 17, t)
+                y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
                 policy.update(sel.arm_index, env.arms[sel.arm_index], y)
                 seq.append(sel.arm_index)
             sequences.append(seq)

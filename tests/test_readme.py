@@ -1,9 +1,20 @@
-"""README's examples run as written."""
+"""README's examples run as written, and the names that README and the
+docstrings refer to exist."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
+import linens
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
+
+#: ``linens`` and its modules, by the name README writes them under.
+MODULES = {"linens"} | {info.name for info in pkgutil.iter_modules(linens.__path__)}
 
 
 def python_block(heading: str) -> str:
@@ -20,3 +31,48 @@ def test_library_example_runs():
     policy = namespace["policy"]
     assert policy.step == 1000
     assert policy.s_vectors.shape == (32, 3)
+
+
+def resolve(name: str):
+    """The object a dotted name refers to: a module of ``linens``, or a
+    name exported by ``linens``, then attributes."""
+    head, *attrs = name.split(".")
+    if head in MODULES:
+        obj = linens if head == "linens" else importlib.import_module(f"linens.{head}")
+    else:
+        obj = getattr(linens, head)
+    for attr in attrs:
+        if not hasattr(obj, attr) and hasattr(obj, "__path__"):
+            importlib.import_module(f"{obj.__name__}.{attr}")
+        obj = getattr(obj, attr)
+    return obj
+
+
+def readme_names() -> list[str]:
+    """Every backticked dotted name in README whose head is a ``linens``
+    module or a name that ``linens`` exports."""
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text())
+    return sorted({s for s in spans if s.split(".")[0] in MODULES | set(linens.__all__)})
+
+
+def docstring_roles() -> list[str]:
+    """Every fully qualified ``linens.…`` Sphinx role target in the
+    package's source."""
+    pattern = r":[a-z]+:`~?(linens(?:\.\w+)+)`"
+    return sorted({t for path in SOURCES for t in re.findall(pattern, path.read_text())})
+
+
+def test_the_reference_checks_see_names():
+    # the extraction itself must find the names it is meant to check
+    assert {"perturb.reward_draws", "PerturbationStream.reward_vector"} <= set(readme_names())
+    assert "linens.perturb.reward_draws" in docstring_roles()
+
+
+@pytest.mark.parametrize("name", readme_names())
+def test_readme_name_resolves(name):
+    resolve(name)
+
+
+@pytest.mark.parametrize("target", docstring_roles())
+def test_docstring_role_resolves(target):
+    resolve(target)
