@@ -1,9 +1,12 @@
 """Experiment configuration: INI-style files with [env], [policy], [run].
 
 Each section's keys are the fields of its dataclass (``lambda`` for
-``lam``), read by field type. Unknown sections or keys are rejected so that
-typos fail fast, and so are policy keys that a run would not read
-(:meth:`ExperimentConfig.reads`).
+``lam``), read by field type. A file that is not valid INI, unknown sections
+or keys, and policy keys that a run would not read
+(:meth:`ExperimentConfig.reads`) are rejected so that typos fail fast.
+Value ranges are not restated here: :meth:`ExperimentConfig.validate`
+builds the objects a run is made of, and their constructors reject what
+cannot run, NaN and +/-inf included.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .envs import LinearBanditEnv, NoiseFamily, NoiseModel
-from .perturb import ConfidenceParams, PerturbationFamily, PerturbationSpec, beta, ensemble_size
+from .perturb import TAG_ENV, ConfidenceParams, PerturbationFamily, PerturbationSpec, beta
+from .perturb import ensemble_size, keyed_generator
 from .policies import Keying, Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
@@ -68,47 +72,30 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
     def validate(self) -> "ExperimentConfig":
+        """Check the settings that no object of a run owns, then build those
+        objects (:meth:`confidence_params`, :meth:`perturbation_spec` and
+        :meth:`environment`), whose constructors reject every value no run
+        can use, NaN and +/-inf included. Returns the config."""
         e, p, r = self.env, self.policy, self.run
-        if e.dim < 1:
-            raise ValueError("env.dim must be at least 1")
         if e.arm_count < 1:
             raise ValueError("env.arm_count must be at least 1")
         if e.arm_mode not in ARM_MODES:
             raise ValueError(f"env.arm_mode must be one of {ARM_MODES}")
-        if e.sigma < 0:
-            raise ValueError("env.sigma must be non-negative")
-        if e.s_bound <= 0:
-            raise ValueError("env.s_bound must be positive")
-        if e.noise_family not in NoiseFamily.ALL:
-            raise ValueError(f"env.noise_family must be one of {NoiseFamily.ALL}")
         if p.name not in POLICY_NAMES:
             raise ValueError(f"policy.name must be one of {POLICY_NAMES}")
-        if p.lam <= 0:
-            raise ValueError("policy.lambda must be positive")
-        if p.lam < 1:
-            warnings.warn(
-                "policy.lambda < 1: the elliptical-potential monitor presumes "
-                "lambda >= 1 and is disabled",
-                stacklevel=2,
-            )
-        if not 0 < p.delta <= 1:
-            raise ValueError("policy.delta must lie in (0, 1]")
         if p.m != "auto" and (not isinstance(p.m, int) or p.m < 1):
             raise ValueError("policy.m must be 'auto' or a positive integer")
         if p.sampler not in Sampler.ALL:
             raise ValueError(f"policy.sampler must be one of {Sampler.ALL}")
-        if p.family not in PerturbationFamily.ALL:
-            raise ValueError(f"policy.family must be one of {PerturbationFamily.ALL}")
         if p.scale_mode not in SCALE_MODES:
             raise ValueError(f"policy.scale_mode must be one of {SCALE_MODES}")
-        if p.scale_mode == "explicit" and p.scale < 0:
-            raise ValueError("policy.scale must be non-negative")
-        if p.lints_scale is not None and p.lints_scale < 0:
-            raise ValueError("policy.lints_scale must be non-negative")
+        # LinTS builds its perturbation per batch, so its scale is checked here
+        if p.lints_scale is not None and not 0 <= p.lints_scale < math.inf:
+            raise ValueError(
+                f"policy.lints_scale must be non-negative and finite, got {p.lints_scale}"
+            )
         if p.keying not in Keying.ALL:
             raise ValueError(f"policy.keying must be one of {Keying.ALL}")
-        if r.horizon < 1:
-            raise ValueError("run.horizon must be at least 1")
         if r.replications < 1:
             raise ValueError("run.replications must be at least 1")
         if r.diagnostics not in DIAGNOSTIC_LEVELS:
@@ -130,14 +117,16 @@ class ExperimentConfig:
                 raise ValueError(
                     f"env.theta_star has {len(e.theta_star)} entries, env.dim is {e.dim}"
                 )
-            # the instance checks its own norms: arms in the unit ball and
-            # ||theta_star|| <= s_bound
-            LinearBanditEnv(e.arms, e.theta_star, NoiseModel(e.noise_family, e.sigma), e.s_bound)
         elif e.arms or e.theta_star:
             raise ValueError(
                 "env.arms and env.theta_star need env.arm_mode = explicit; "
                 "random arm mode draws its own instance"
             )
+        # the confidence parameters first: they check env.dim, which the
+        # random instance divides by
+        self.confidence_params()
+        self.perturbation_spec()
+        self.environment()
         if p.name == "ensemble" and p.sampler == Sampler.ROUND_ROBIN:
             m = self.resolved_ensemble_size()
             if m < r.horizon:
@@ -145,6 +134,12 @@ class ExperimentConfig:
                     f"round-robin sampling uses one model per step, but policy.m = {p.m} "
                     f"gives {m} models for run.horizon = {r.horizon} steps"
                 )
+        if p.lam < 1:
+            warnings.warn(
+                "policy.lambda < 1: the elliptical-potential monitor presumes "
+                "lambda >= 1 and is disabled",
+                stacklevel=2,
+            )
         return self
 
     def reads(self, key: str) -> bool:
@@ -197,6 +192,19 @@ class ExperimentConfig:
             return PerturbationSpec(p.family, beta(params, params.horizon))
         return PerturbationSpec(p.family, p.scale)
 
+    def environment(self, seed: int | None = None) -> LinearBanditEnv:
+        """The instance a run plays, and the only place one is built: the
+        explicit ``env.arms`` and ``env.theta_star``, or a random instance
+        drawn by the Philox generator ``keyed_generator(seed, TAG_ENV)``,
+        where ``seed`` defaults to ``run.base_seed`` (``equivalence`` passes
+        each seed's replication seed, to give each seed its own instance)."""
+        e = self.env
+        noise = NoiseModel(e.noise_family, e.sigma)
+        if e.arm_mode == "explicit":
+            return LinearBanditEnv(e.arms, e.theta_star, noise, e.s_bound)
+        rng = keyed_generator(self.run.base_seed if seed is None else seed, TAG_ENV)
+        return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, rng)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -247,7 +255,11 @@ def _read_section(section: configparser.SectionProxy, target) -> None:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # some of configparser's messages span lines; a rejection is one line
+        raise ValueError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     extra_sections = set(parser.sections()) - {f.name for f in fields(ExperimentConfig)}

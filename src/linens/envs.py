@@ -45,9 +45,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.family not in NoiseFamily.ALL:
-            raise ValueError(f"unknown noise family {self.family!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+            raise ValueError(f"noise family must be one of {NoiseFamily.ALL}, got {self.family!r}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
 
     @property
     def spec(self) -> PerturbationSpec:
@@ -100,13 +100,15 @@ class LinearBanditEnv:
             raise ValueError("arms must be a non-empty (K, d) array")
         if theta_star.shape != arms.shape[:-2] + arms.shape[-1:]:
             raise ValueError("theta_star dimension must match the arms")
-        if param_bound <= 0:
-            raise ValueError("param_bound must be positive")
+        if not 0 < param_bound < math.inf:
+            raise ValueError(f"param_bound must be positive and finite, got {param_bound}")
+        # a NaN norm fails each check too
         norms = np.linalg.norm(arms, axis=-1)
-        if np.any(norms > 1.0 + NORM_SLACK):
-            raise ValueError("every arm must satisfy ||x|| <= 1")
-        if np.any(np.linalg.norm(theta_star, axis=-1) > param_bound + NORM_SLACK):
-            raise ValueError("||theta_star|| must not exceed param_bound")
+        if not np.all(norms <= 1.0 + NORM_SLACK):
+            raise ValueError(f"every arm must satisfy ||x|| <= 1, got ||x|| = {np.max(norms)}")
+        norm = np.max(np.linalg.norm(theta_star, axis=-1))
+        if not norm <= param_bound + NORM_SLACK:
+            raise ValueError(f"||theta_star|| must not exceed param_bound, got {norm}")
         self.arms = arms
         self.theta_star = theta_star
         self.noise = noise

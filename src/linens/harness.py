@@ -1,6 +1,6 @@
 """Experiment orchestration.
 
-Builds environments and policies from a configuration, runs seeded
+Builds policies from a configuration, runs seeded
 Monte-Carlo replications, aggregates regret curves and monitor rates, and
 persists traces and summaries. Everything downstream of
 ``(config, base_seed)`` is deterministic; replication seeds derive from the
@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
-from .envs import LinearBanditEnv, NoiseModel, RegretLedger
-from .perturb import TAG_ENV, TAG_REPLICATION, StepDraws, gamma, keyed_generator, mix_key, p_n
+from .envs import LinearBanditEnv, RegretLedger
+from .perturb import TAG_REPLICATION, StepDraws, gamma, mix_key, p_n
 from .policies import (
     EnsembleSampling,
     GreedyRidge,
@@ -81,21 +81,6 @@ def _map_batches(fn, blocks: list[range], workers: int) -> list:
         ) as pool:
             return list(pool.map(fn, blocks))
     return [fn(block) for block in blocks]
-
-
-def build_environment(cfg: ExperimentConfig) -> LinearBanditEnv:
-    """Environment fixed for the whole experiment, seeded from the base seed."""
-    e = cfg.env
-    noise = NoiseModel(e.noise_family, e.sigma)
-    if e.arm_mode == "explicit":
-        return LinearBanditEnv(
-            np.asarray(e.arms, dtype=np.float64),
-            np.asarray(e.theta_star, dtype=np.float64),
-            noise,
-            e.s_bound,
-        )
-    rng = keyed_generator(cfg.run.base_seed, TAG_ENV)
-    return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, rng)
 
 
 def replication_seeds(cfg: ExperimentConfig, replications: range) -> list[int]:
@@ -200,7 +185,7 @@ def run_batch(
     """Run a block of replications in lockstep; deterministic in
     (config, replication) whatever the block. Without ``trace`` the
     records carry summaries only."""
-    env = build_environment(cfg)
+    env = cfg.environment()
     policy = build_policy(cfg, replications)
     noise = env.noise.draws(replication_seeds(cfg, replications))
     monitor = None
@@ -399,14 +384,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     policies, as ``run`` keys a replication."""
     horizon = cfg.run.horizon
     keys = replication_seeds(cfg, seeds)
-    noise = NoiseModel(cfg.env.noise_family, cfg.env.sigma)
-    envs = [
-        LinearBanditEnv.random(
-            cfg.env.dim, cfg.env.arm_count, noise, cfg.env.s_bound, keyed_generator(k, TAG_ENV)
-        )
-        for k in keys
-    ]
-    env = LinearBanditEnv.stack(envs)
+    env = LinearBanditEnv.stack([cfg.environment(k) for k in keys])
     spec = cfg.perturbation_spec()
     es = EnsembleSampling(
         env.dim, cfg.policy.lam, horizon, spec, keys, sampler=Sampler.ROUND_ROBIN
@@ -418,7 +396,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
         [k + 1 for k in keys] if desync else keys,
         shared_model_axis=horizon,
     )
-    draws = noise.draws(keys)
+    draws = env.noise.draws(keys)
     return tuple(
         interact(policy, env, draws, horizon, columns=("arm",))[0]["arm"] for policy in (es, phe)
     )

@@ -83,7 +83,7 @@ class GramState:
     dim : int
         Ambient dimension ``d`` (>= 1).
     lam : float
-        Regularization strength (> 0); the state starts at ``lam * I``.
+        Regularization strength (> 0 and finite); the state starts at ``lam * I``.
     batch : int, optional
         Replications stepped together; ``gram`` is then ``(batch, d, d)``
         and vectors are ``(batch, d)``. Without it the state is one
@@ -95,8 +95,8 @@ class GramState:
     def __init__(self, dim: int, lam: float, batch: int | None = None):
         if not isinstance(dim, (int, np.integer)) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam!r}")
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         if batch is not None and batch < 1:
             raise ValueError(f"batch must be at least 1, got {batch!r}")
         self.dim = int(dim)

@@ -80,18 +80,19 @@ class ConfidenceParams:
     delta: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.s_bound <= 0:
-            raise ValueError("s_bound must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        # each rule fails on NaN: every comparison with NaN is false
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.s_bound < math.inf:
+            raise ValueError(f"s_bound must be positive and finite, got {self.s_bound}")
+        if not self.dim >= 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
+        if not self.horizon >= 1:
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
 
 
 def beta(params: ConfidenceParams, t: int) -> float:
@@ -163,9 +164,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.family not in PerturbationFamily.ALL:
-            raise ValueError(f"unknown perturbation family {self.family!r}")
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
+            raise ValueError(
+                f"perturbation family must be one of {PerturbationFamily.ALL}, got {self.family!r}"
+            )
+        if not 0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be non-negative and finite, got {self.scale}")
 
     @property
     def anti_conc_threshold(self) -> float:

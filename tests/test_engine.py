@@ -4,13 +4,12 @@ it runs in, nor on the number of worker processes."""
 import numpy as np
 import pytest
 
-from linens import harness
+from linens import config, harness
 from linens.config import ExperimentConfig
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.harness import (
     BATCH_SIZE,
     batches,
-    build_environment,
     estimate_event_rates,
     replication_seeds,
     run_batch,
@@ -165,7 +164,7 @@ def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, fami
     # (base_seed, r, t), whatever the batch width or the worker count
     reps, horizon = 5, 12
     cfg = make_cfg(env__noise_family=family, run__horizon=horizon, run__workers=2)
-    env = build_environment(cfg)
+    env = cfg.environment()
     noise = {
         r: env.noise.sample(mix_key(cfg.run.base_seed, TAG_REPLICATION, r), horizon)
         for r in range(reps)
@@ -213,10 +212,11 @@ def test_keyed_generator_builds_only_the_random_instances(monkeypatch, case):
         philox.append(args)
         return real_philox(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "keyed_generator", spy)
-    monkeypatch.setattr(np.random, "Philox", counted_philox)
-    # more steps than one block of keyed draws holds
+    # more steps than one block of keyed draws holds; validating the config
+    # builds its instance too, so it is built before the spies go in
     cfg = make_cfg(**{**CASES[case], "run__horizon": 70, "policy__m": 70})
+    monkeypatch.setattr(config, "keyed_generator", spy)
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
     run_batch(cfg, range(3))
     assert keys == [(cfg.run.base_seed, TAG_ENV)]
     keys.clear()

@@ -37,22 +37,29 @@ class TestConstruction:
         assert env.optimal_value == pytest.approx(means[best], abs=1e-15)
 
     def test_rejects_oversized_arm(self):
-        with pytest.raises(ValueError, match=r"\|\|x\|\|"):
-            LinearBanditEnv(np.array([[1.1, 0.0]]), np.zeros(2) + 0.1, NoiseModel(), 1.0)
+        for arm in ([1.1, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match=r"\|\|x\|\|"):
+                LinearBanditEnv(np.array([arm]), np.zeros(2) + 0.1, NoiseModel(), 1.0)
 
     def test_rejects_oversized_parameter(self):
         with pytest.raises(ValueError, match="param_bound"):
             LinearBanditEnv(np.array([[1.0, 0.0]]), np.array([1.0, 1.0]), NoiseModel(), 1.0)
+        with pytest.raises(ValueError, match="theta_star.*, got nan"):
+            LinearBanditEnv(np.array([[1.0, 0.0]]), np.array([np.nan, 0.0]), NoiseModel(), 1.0)
+        for bound in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"param_bound must .*, got {bound}"):
+                LinearBanditEnv(np.array([[1.0, 0.0]]), np.array([0.5, 0.0]), NoiseModel(), bound)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             LinearBanditEnv(np.array([[1.0, 0.0]]), np.array([1.0]), NoiseModel(), 1.0)
 
     def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise family must be one of .*, got 'laplace'"):
             NoiseModel("laplace", 1.0)
-        with pytest.raises(ValueError):
-            NoiseModel(NoiseFamily.GAUSSIAN, -0.5)
+        for sigma in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"sigma must .*, got {sigma}"):
+                NoiseModel(NoiseFamily.GAUSSIAN, sigma)
 
 
 class TestRewards:

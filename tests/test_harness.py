@@ -2,6 +2,7 @@ import configparser
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,6 @@ from linens.harness import (
     FLAG_COLUMNS,
     TRACE_COLUMNS,
     aggregate,
-    build_environment,
     build_policy,
     checkpoints,
     emit_outputs,
@@ -75,7 +75,7 @@ horizon = 5
 
 #: Files that no run can use, each rejected at load: (file text, what the
 #: message says). Non-finite floats name their key; an explicit instance
-#: names the norm check it fails.
+#: names the norm check it fails; a file configparser cannot read is named.
 LOAD_REJECTIONS = {
     "sigma-nan": (BASE_INI.replace("sigma = 0.5", "sigma = nan"), "env.sigma: 'nan' is not"),
     "sigma-inf": (BASE_INI.replace("sigma = 0.5", "sigma = inf"), "env.sigma: 'inf' is not"),
@@ -100,6 +100,31 @@ LOAD_REJECTIONS = {
         EXPLICIT_INI.replace("sigma = 0", "sigma = 0\ns_bound = 0.5"),
         r"\|\|theta_star\|\| must not exceed",
     ),
+    "duplicate-key": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\nsigma = 0.7"),
+        r"malformed config file .*exp\.ini.*option 'sigma' in section 'env' already exists",
+    ),
+    "duplicate-section": (
+        BASE_INI + "\n[env]\ndim = 3\n",
+        r"malformed config file .*section 'env' already exists",
+    ),
+    "no-section-header": (
+        "sigma = 0.5\n" + BASE_INI,
+        r"malformed config file .*no section headers",
+    ),
+    "key-without-value": (
+        BASE_INI.replace("sigma = 0.5", "sigma"),
+        r"malformed config file .*parsing errors.*'sigma\\n'",
+    ),
+}
+
+
+#: ``small_cfg`` settings of a valid explicit instance with one arm.
+ONE_EXPLICIT_ARM = {
+    "env__arm_mode": "explicit",
+    "env__arm_count": 1,
+    "env__arms": [[1.0, 0.0]],
+    "env__theta_star": [0.5, 0.0],
 }
 
 
@@ -200,7 +225,7 @@ class TestConfig:
         assert cfg.env.arm_count == 3
         assert cfg.env.dim == 2
         assert cfg.env.arms[2] == [0.6, 0.6]
-        env = build_environment(cfg)
+        env = cfg.environment()
         assert env.optimal_arm_index == 0
 
     def test_explicit_mode_requires_arms(self):
@@ -384,12 +409,54 @@ workers = 2
             ("delta = 0.1", "delta = 1.5", "delta"),
             ("name = ensemble", "name = bogus", "policy.name"),
             ("m = 4", "m = 0", "policy.m"),
+            ("sigma = 0.5", "sigma = -1", "sigma"),
+            ("sigma = 0.5", "sigma = 0.5\ns_bound = 0", "s_bound"),
+            ("sigma = 0.5", "sigma = 0.5\nnoise_family = laplace", "family"),
+            ("dim = 2", "dim = 0", "dim"),
+            ("delta = 0.1", "delta = 0.1\nlambda = 0", "lam"),
+            ("delta = 0.1", "delta = 0.1\nfamily = cauchy", "family"),
+            ("delta = 0.1", "delta = 0.1\nscale_mode = explicit\nscale = -1", "scale"),
+            ("horizon = 30", "horizon = 0", "horizon"),
         ],
     )
     def test_invalid_values(self, tmp_path, key, value, message):
         path = write_cfg(tmp_path, BASE_INI.replace(key, value))
         with pytest.raises(ValueError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"env__dim": 0}, "dim"),
+            ({"env__sigma": -1.0}, "sigma"),
+            ({"env__sigma": math.nan}, "sigma"),
+            ({"env__s_bound": 0.0}, "s_bound"),
+            ({"env__s_bound": math.nan}, "s_bound"),
+            ({"env__noise_family": "laplace"}, "family"),
+            ({"policy__lam": 0.0}, "lam"),
+            ({"policy__lam": math.nan}, "lam"),
+            ({"policy__delta": 2.0}, "delta"),
+            ({"policy__delta": math.nan}, "delta"),
+            ({"policy__family": "cauchy"}, "family"),
+            ({"policy__scale_mode": "explicit", "policy__scale": -1.0}, "scale"),
+            ({"policy__scale_mode": "explicit", "policy__scale": math.nan}, "scale"),
+            ({"policy__name": "lints", "policy__lints_scale": math.nan}, "lints_scale"),
+            ({"run__horizon": 0}, "horizon"),
+            ({**ONE_EXPLICIT_ARM, "env__arms": [[2.0, 0.0]]}, r"\|\|x\|\|"),
+            ({**ONE_EXPLICIT_ARM, "env__arms": [[math.nan, 0.0]]}, r"\|\|x\|\|"),
+            ({**ONE_EXPLICIT_ARM, "env__theta_star": [2.0, 0.0]}, "theta_star"),
+            ({**ONE_EXPLICIT_ARM, "env__theta_star": [math.nan, 0.0]}, "theta_star"),
+        ],
+    )
+    def test_validate_rejects_what_no_run_can_use(self, settings, message):
+        # the objects a run is built from own these rules; a config made in
+        # Python, where no INI parser rejects NaN, must meet them as well
+        cfg = small_cfg()
+        for key, value in settings.items():
+            section, attr = key.split("__")
+            setattr(getattr(cfg, section), attr, value)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
 
     @pytest.mark.parametrize("case", sorted(LOAD_REJECTIONS))
     def test_a_file_that_cannot_run_is_rejected_at_load(self, tmp_path, case):
@@ -487,7 +554,7 @@ class TestPolicyResolution:
 
     def test_environment_fixed_across_replications(self):
         cfg = small_cfg()
-        a, b = build_environment(cfg), build_environment(cfg)
+        a, b = cfg.environment(), cfg.environment()
         np.testing.assert_array_equal(a.arms, b.arms)
         np.testing.assert_array_equal(a.theta_star, b.theta_star)
 
@@ -868,10 +935,26 @@ BENCHMARK_CONFIGS = sorted(
 
 
 @pytest.mark.parametrize("path", BENCHMARK_CONFIGS, ids=lambda p: p.stem)
-def test_benchmark_config_loads(path):
-    # tier-1 does not collect perfbench/, so a load-time rejection of a
-    # benchmark config would otherwise go unseen
-    load_config(path)
+def test_benchmark_config_runs_its_command(tmp_path, capsys, path):
+    # tier-1 does not collect perfbench/, so a rejection of a benchmark
+    # config, at load or in its run, would otherwise show only as a refused
+    # benchmark run. The files set keys their command never reads
+    # (equivalence reads neither policy.name nor run.workers), as the
+    # benchmark's copies of them do; they must still be accepted.
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    parser["run"]["horizon"] = "5"
+    short = tmp_path / path.name
+    with short.open("w") as f:
+        parser.write(f)
+    command = path.stem.split("-")[0]
+    args = {"rates": ["--reps", "2"], "equivalence": ["--seeds", "2"]}[command]
+    assert cli.main([command, "--config", str(short), *args]) == 0
+    out = capsys.readouterr().out
+    if command == "equivalence":
+        assert out.startswith("PASS: 2/2 ")
+    else:
+        assert json.loads(out)["replications"] == 2
 
 
 def test_the_benchmark_configs_are_found():
@@ -980,7 +1063,7 @@ class OutOfRangePolicy(GreedyRidge):
 @pytest.mark.parametrize("arm_index", [4, -1], ids=["K", "negative"])
 def test_interact_rejects_an_out_of_range_arm(arm_index):
     cfg = small_cfg(run__diagnostics="monitors")
-    env = build_environment(cfg)
+    env = cfg.environment()
     noise = env.noise.draws(range(2))
     monitor = StepMonitor(env, cfg.confidence_params(), batch=2)
     policy = OutOfRangePolicy(arm_index, batch=2)

@@ -28,7 +28,9 @@ class TestInit:
         np.testing.assert_allclose(st.gram, 0.5 * np.eye(3))
         np.testing.assert_allclose(st.gram_inv, 2.0 * np.eye(3))
 
-    @pytest.mark.parametrize("dim,lam", [(0, 1.0), (-1, 1.0), (2, 0.0), (2, -0.5)])
+    @pytest.mark.parametrize(
+        "dim,lam", [(0, 1.0), (-1, 1.0), (2, 0.0), (2, -0.5), (2, np.nan), (2, np.inf)]
+    )
     def test_invalid_args(self, dim, lam):
         with pytest.raises(ValueError):
             GramState(dim, lam)

@@ -54,10 +54,17 @@ class TestConfidenceParams:
             ("horizon", 0),
             ("delta", 0.0),
             ("delta", 1.5),
+            ("sigma", math.nan),
+            ("lam", math.nan),
+            ("s_bound", math.nan),
+            ("delta", math.nan),
+            ("sigma", math.inf),
+            ("lam", math.inf),
+            ("s_bound", math.inf),
         ],
     )
     def test_rejects_invalid(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{field} must .*, got {value}"):
             make_params(**{field: value})
 
     def test_delta_one_allowed(self):
@@ -542,10 +549,11 @@ class TestRewardDrawDistribution:
 
 class TestPerturbationSpec:
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="perturbation family must be one of .*, got 'cauchy'"):
             PerturbationSpec("cauchy", 1.0)
-        with pytest.raises(ValueError):
-            PerturbationSpec(PerturbationFamily.GAUSSIAN, -1.0)
+        for scale in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"scale must .*, got {scale}"):
+                PerturbationSpec(PerturbationFamily.GAUSSIAN, scale)
 
     def test_anti_concentration_parameters(self):
         g = PerturbationSpec(PerturbationFamily.GAUSSIAN, 2.0)
