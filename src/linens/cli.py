@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .config import load_config
@@ -135,13 +136,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. An input it rejects (a ``ValueError``, or an
     ``OSError`` such as a missing config file) ends in one line on stderr
-    and exit status 2, as a bad argument does."""
+    and exit status 2, as a bad argument does. Each distinct warning is
+    one line on stderr, ``linens: warning: <message>``, shown once however
+    often the config that raises it is validated."""
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"linens: {exc}", file=sys.stderr)
-        return 2
+    shown = set()
+
+    def show(message, *_):
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"linens: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"linens: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ Each section's keys are the fields of its dataclass (``lambda`` for
 ``lam``), read by field type. A file that is not valid INI, unknown sections
 or keys, and policy keys that a run would not read
 (:meth:`ExperimentConfig.reads`) are rejected so that typos fail fast.
-Value ranges are not restated here: :meth:`ExperimentConfig.validate`
-builds the objects a run is made of, and their constructors reject what
-cannot run, NaN and +/-inf included.
+The config builds what a run is made of, its policy included
+(:meth:`ExperimentConfig.build_policy`, beside ``reads``). Value ranges are
+not restated here: :meth:`ExperimentConfig.validate` builds those objects,
+and their constructors reject what cannot run, NaN and +/-inf included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from .envs import LinearBanditEnv, NoiseFamily, NoiseModel
 from .perturb import TAG_ENV, ConfidenceParams, PerturbationFamily, PerturbationSpec, beta
 from .perturb import ensemble_size, keyed_generator
-from .policies import Keying, Sampler
+from .policies import EnsembleSampling, GreedyRidge, Keying, LinPHE, LinTS, LinUCB, Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
@@ -73,29 +74,19 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check the settings that no object of a run owns, then build those
-        objects (:meth:`confidence_params`, :meth:`perturbation_spec` and
-        :meth:`environment`), whose constructors reject every value no run
-        can use, NaN and +/-inf included. Returns the config."""
+        objects (:meth:`confidence_params`, :meth:`perturbation_spec`,
+        :meth:`environment` and, for one replication, :meth:`build_policy`),
+        whose constructors reject every value no run can use, NaN and
+        +/-inf included. Returns the config."""
         e, p, r = self.env, self.policy, self.run
         if e.arm_count < 1:
             raise ValueError("env.arm_count must be at least 1")
         if e.arm_mode not in ARM_MODES:
             raise ValueError(f"env.arm_mode must be one of {ARM_MODES}")
-        if p.name not in POLICY_NAMES:
-            raise ValueError(f"policy.name must be one of {POLICY_NAMES}")
         if p.m != "auto" and (not isinstance(p.m, int) or p.m < 1):
             raise ValueError("policy.m must be 'auto' or a positive integer")
-        if p.sampler not in Sampler.ALL:
-            raise ValueError(f"policy.sampler must be one of {Sampler.ALL}")
         if p.scale_mode not in SCALE_MODES:
             raise ValueError(f"policy.scale_mode must be one of {SCALE_MODES}")
-        # LinTS builds its perturbation per batch, so its scale is checked here
-        if p.lints_scale is not None and not 0 <= p.lints_scale < math.inf:
-            raise ValueError(
-                f"policy.lints_scale must be non-negative and finite, got {p.lints_scale}"
-            )
-        if p.keying not in Keying.ALL:
-            raise ValueError(f"policy.keying must be one of {Keying.ALL}")
         if r.replications < 1:
             raise ValueError("run.replications must be at least 1")
         if r.diagnostics not in DIAGNOSTIC_LEVELS:
@@ -127,6 +118,8 @@ class ExperimentConfig:
         self.confidence_params()
         self.perturbation_spec()
         self.environment()
+        # any seed will do: only the policy constructors' checks matter here
+        self.build_policy([r.base_seed])
         if p.name == "ensemble" and p.sampler == Sampler.ROUND_ROBIN:
             m = self.resolved_ensemble_size()
             if m < r.horizon:
@@ -160,6 +153,37 @@ class ExperimentConfig:
             "linucb_bonus": p.name == "linucb",
         }
         return rule.get(key, True)
+
+    def build_policy(self, seeds: list[int]):
+        """The configured policy for a batch of replications stepped in
+        lockstep, one seed per replication; it reads the ``[policy]`` fields
+        that :meth:`reads` names."""
+        p = self.policy
+        dim = self.env.dim
+        batch = len(seeds)
+        spec = self.perturbation_spec()
+        if p.name == "ensemble":
+            return EnsembleSampling(
+                dim,
+                p.lam,
+                self.resolved_ensemble_size(),
+                spec,
+                seeds,
+                sampler=p.sampler,
+                keying=p.keying,
+            )
+        if p.name == "phe":
+            return LinPHE(dim, p.lam, spec, seeds)
+        if p.name == "linucb":
+            if p.linucb_bonus is not None:
+                return LinUCB(dim, p.lam, bonus=p.linucb_bonus, batch=batch)
+            return LinUCB(dim, p.lam, params=self.confidence_params(), batch=batch)
+        if p.name == "lints":
+            lints_scale = p.lints_scale if p.lints_scale is not None else spec.scale
+            return LinTS(dim, p.lam, lints_scale, seeds)
+        if p.name == "greedy":
+            return GreedyRidge(dim, p.lam, batch=batch)
+        raise ValueError(f"policy.name must be one of {POLICY_NAMES}, got {p.name!r}")
 
     def confidence_params(self) -> ConfidenceParams:
         """Inputs to the confidence radii of this experiment; after

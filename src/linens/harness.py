@@ -1,10 +1,10 @@
 """Experiment orchestration.
 
-Builds policies from a configuration, runs seeded
-Monte-Carlo replications, aggregates regret curves and monitor rates, and
-persists traces and summaries. Everything downstream of
-``(config, base_seed)`` is deterministic; replication seeds derive from the
-base seed through a fixed 64-bit mixing function (see
+Runs seeded Monte-Carlo replications of the policy a configuration builds
+(:meth:`~linens.config.ExperimentConfig.build_policy`), aggregates regret
+curves and monitor rates, and persists traces and summaries. Everything
+downstream of ``(config, base_seed)`` is deterministic; replication seeds
+derive from the base seed through a fixed 64-bit mixing function (see
 :func:`linens.perturb.mix_key`).
 
 Replications run in lockstep batches: one interaction loop,
@@ -29,14 +29,7 @@ from .config import ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
 from .perturb import TAG_REPLICATION, StepDraws, gamma, mix_key, p_n
-from .policies import (
-    EnsembleSampling,
-    GreedyRidge,
-    LinPHE,
-    LinTS,
-    LinUCB,
-    Sampler,
-)
+from .policies import EnsembleSampling, LinPHE, Sampler
 
 #: Most replications stepped together in one lockstep batch.
 BATCH_SIZE = 256
@@ -87,37 +80,6 @@ def replication_seeds(cfg: ExperimentConfig, replications: range) -> list[int]:
     """Seed ``mix_key(base_seed, TAG_REPLICATION, r)`` of each replication r:
     its policy's seed, and the seed of its reward noise."""
     return [mix_key(cfg.run.base_seed, TAG_REPLICATION, r) for r in replications]
-
-
-def build_policy(cfg: ExperimentConfig, replications: range):
-    """The configured policy for a batch of replications stepped in lockstep."""
-    p = cfg.policy
-    dim = cfg.env.dim
-    batch = len(replications)
-    spec = cfg.perturbation_spec()
-    seeds = replication_seeds(cfg, replications)
-    if p.name == "ensemble":
-        return EnsembleSampling(
-            dim,
-            p.lam,
-            cfg.resolved_ensemble_size(),
-            spec,
-            seeds,
-            sampler=p.sampler,
-            keying=p.keying,
-        )
-    if p.name == "phe":
-        return LinPHE(dim, p.lam, spec, seeds)
-    if p.name == "linucb":
-        if p.linucb_bonus is not None:
-            return LinUCB(dim, p.lam, bonus=p.linucb_bonus, batch=batch)
-        return LinUCB(dim, p.lam, params=cfg.confidence_params(), batch=batch)
-    if p.name == "lints":
-        lints_scale = p.lints_scale if p.lints_scale is not None else spec.scale
-        return LinTS(dim, p.lam, lints_scale, seeds)
-    if p.name == "greedy":
-        return GreedyRidge(dim, p.lam, batch=batch)
-    raise ValueError(f"unknown policy {p.name!r}")
 
 
 def interact(
@@ -186,8 +148,9 @@ def run_batch(
     (config, replication) whatever the block. Without ``trace`` the
     records carry summaries only."""
     env = cfg.environment()
-    policy = build_policy(cfg, replications)
-    noise = env.noise.draws(replication_seeds(cfg, replications))
+    seeds = replication_seeds(cfg, replications)
+    policy = cfg.build_policy(seeds)
+    noise = env.noise.draws(seeds)
     monitor = None
     if cfg.run.diagnostics != "off":
         monitor = StepMonitor(

@@ -124,6 +124,9 @@ class _RidgeBase:
         self.gram.update(x)
         self.reward_sum += np.asarray(y)[..., None] * x
 
+    def update(self, arm_index, x: np.ndarray, y) -> None:
+        self._observe(np.asarray(x, dtype=np.float64), y)
+
 
 class GreedyRidge(_RidgeBase):
     """Plays the argmax of the plain ridge estimator; the reference policy
@@ -132,9 +135,6 @@ class GreedyRidge(_RidgeBase):
     def select(self, arms: np.ndarray) -> Selection:
         theta = self.ridge_estimate()
         return self._selection(matvec(arms, theta), theta)
-
-    def update(self, arm_index, x: np.ndarray, y) -> None:
-        self._observe(np.asarray(x, dtype=np.float64), y)
 
 
 class EnsembleSampling(_RidgeBase):
@@ -175,9 +175,9 @@ class EnsembleSampling(_RidgeBase):
         if n_models < 1:
             raise ValueError("n_models must be at least 1")
         if sampler not in Sampler.ALL:
-            raise ValueError(f"unknown sampler {sampler!r}")
+            raise ValueError(f"unknown sampler {sampler!r}: must be one of {Sampler.ALL}")
         if keying not in Keying.ALL:
-            raise ValueError(f"unknown keying {keying!r}")
+            raise ValueError(f"unknown keying {keying!r}: must be one of {Keying.ALL}")
         self.n_models = int(n_models)
         self.spec = spec
         self.keying = keying
@@ -240,11 +240,8 @@ class EnsembleSampling(_RidgeBase):
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
         z = self._reward_draws(arm_index)
-        self.gram.update(x)
-        y = np.asarray(y)
-        yz = y[..., None] + z
-        kernels.accumulate_perturbed(self.s_vectors, x, yz)
-        self.reward_sum += y[..., None] * x
+        self._observe(x, y)
+        kernels.accumulate_perturbed(self.s_vectors, x, np.asarray(y)[..., None] + z)
 
 
 class LinPHE(_RidgeBase):
@@ -374,8 +371,9 @@ class LinUCB(_RidgeBase):
     """Optimism in the face of uncertainty: greedy on the ridge estimate
     plus a width bonus in the inverse-Gram norm.
 
-    The bonus radius is either a fixed number or, when ``params`` is
-    given, the ridge confidence radius evaluated at the current step.
+    The bonus radius is either a fixed non-negative number or, when
+    ``params`` is given, the ridge confidence radius evaluated at the
+    current step.
     """
 
     def __init__(
@@ -389,6 +387,8 @@ class LinUCB(_RidgeBase):
         super().__init__(dim, lam, batch)
         if (bonus is None) == (params is None):
             raise ValueError("provide exactly one of bonus or params")
+        if bonus is not None and not 0 <= bonus < np.inf:
+            raise ValueError(f"bonus must be non-negative and finite, got {bonus}")
         self.bonus = bonus
         self.params = params
 
@@ -406,9 +406,6 @@ class LinUCB(_RidgeBase):
         )
         scores = matvec(arms, theta) + self.current_bonus() * widths
         return self._selection(scores, theta)
-
-    def update(self, arm_index, x: np.ndarray, y) -> None:
-        self._observe(np.asarray(x, dtype=np.float64), y)
 
 
 class LinTS(LinPHE):

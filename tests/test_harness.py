@@ -21,17 +21,17 @@ from linens.harness import (
     FLAG_COLUMNS,
     TRACE_COLUMNS,
     aggregate,
-    build_policy,
     checkpoints,
     emit_outputs,
     estimate_event_rates,
     interact,
+    replication_seeds,
     run_equivalence_suite,
     run_batch,
     run_monte_carlo,
 )
 from linens.diagnostics import StepMonitor
-from linens.perturb import beta, ensemble_size
+from linens.perturb import PerturbationFamily, beta, ensemble_size
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
 
 BASE_INI = """\
@@ -89,7 +89,11 @@ LOAD_REJECTIONS = {
     ),
     "lints-scale-negative": (
         BASE_INI.replace("name = ensemble\nm = 4", "name = lints\nlints_scale = -0.5"),
-        "policy.lints_scale must be non-negative",
+        "scale must be non-negative and finite, got -0.5",
+    ),
+    "linucb-bonus-negative": (
+        BASE_INI.replace("name = ensemble\nm = 4", "name = linucb\nlinucb_bonus = -5"),
+        "bonus must be non-negative and finite, got -5.0",
     ),
     "arm-nan": (EXPLICIT_INI.replace("arms = 1 0;", "arms = nan 0;"), "env.arms: 'nan' is not"),
     "arm-norm-2": (
@@ -118,6 +122,9 @@ LOAD_REJECTIONS = {
     ),
 }
 
+
+#: ``PerturbationSpec``'s rejection, which LinTS's scale reaches at load.
+NEGATIVE_SCALE = "scale must be non-negative"
 
 #: ``small_cfg`` settings of a valid explicit instance with one arm.
 ONE_EXPLICIT_ARM = {
@@ -440,7 +447,14 @@ workers = 2
             ({"policy__family": "cauchy"}, "family"),
             ({"policy__scale_mode": "explicit", "policy__scale": -1.0}, "scale"),
             ({"policy__scale_mode": "explicit", "policy__scale": math.nan}, "scale"),
-            ({"policy__name": "lints", "policy__lints_scale": math.nan}, "lints_scale"),
+            ({"policy__name": "lints", "policy__lints_scale": math.nan}, NEGATIVE_SCALE),
+            ({"policy__name": "lints", "policy__lints_scale": -0.5}, NEGATIVE_SCALE),
+            ({"policy__name": "linucb", "policy__linucb_bonus": math.nan}, "bonus"),
+            ({"policy__name": "linucb", "policy__linucb_bonus": math.inf}, "bonus"),
+            ({"policy__name": "linucb", "policy__linucb_bonus": -1.0}, "bonus"),
+            ({"policy__name": "bogus"}, "policy.name"),
+            ({"policy__sampler": "bogus"}, "sampler"),
+            ({"policy__keying": "bogus"}, "keying"),
             ({"run__horizon": 0}, "horizon"),
             ({**ONE_EXPLICIT_ARM, "env__arms": [[2.0, 0.0]]}, r"\|\|x\|\|"),
             ({**ONE_EXPLICIT_ARM, "env__arms": [[math.nan, 0.0]]}, r"\|\|x\|\|"),
@@ -512,7 +526,7 @@ class TestPolicyResolution:
     )
     def test_build_policy_types(self, name, cls):
         cfg = small_cfg(policy__name=name)
-        assert isinstance(build_policy(cfg, range(1)), cls)
+        assert isinstance(cfg.build_policy(replication_seeds(cfg, range(1))), cls)
 
     @pytest.mark.parametrize(
         "overrides,reads_scale",
@@ -560,8 +574,8 @@ class TestPolicyResolution:
 
     def test_policy_streams_differ_across_replications(self):
         cfg = small_cfg()
-        p0 = build_policy(cfg, range(0, 1))
-        p1 = build_policy(cfg, range(1, 2))
+        p0 = cfg.build_policy(replication_seeds(cfg, range(0, 1)))
+        p1 = cfg.build_policy(replication_seeds(cfg, range(1, 2)))
         assert not np.array_equal(p0.s_vectors, p1.s_vectors)
 
 
@@ -713,8 +727,9 @@ class TestOutputs:
 
 
 class TestEquivalenceSuite:
-    def test_shared_streams_match(self):
-        cfg = small_cfg(run__horizon=20)
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_shared_streams_match(self, family):
+        cfg = small_cfg(run__horizon=20, policy__family=family)
         report = run_equivalence_suite(cfg, n_seeds=8)
         assert report.passed
         assert report.matches == 8
@@ -884,6 +899,18 @@ class TestCli:
         combined = json.loads((out / "sweep_T.json").read_text())
         assert [c["value"] for c in combined] == [10, 20]
         assert (out / "sweep_T_10" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,args", [("run", []), ("sweep", ["--param", "T", "--values", "10,20"])]
+    )
+    def test_a_warning_is_one_line_shown_once(self, tmp_path, capsys, command, args):
+        # the file and the command's overrides are both validated, and each
+        # warns of lambda < 1; the warning reads as a rejection does, once
+        text = BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5")
+        args = ["--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o"), *args]
+        assert cli.main([command, *args]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("linens: warning: policy.lambda < 1") and err.count("\n") == 1
 
     @pytest.mark.parametrize("param,message", [("K", "arm_count"), ("d", "env.dim")])
     def test_sweep_rejects_explicit_arm_shape_changes(self, tmp_path, capsys, param, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,11 @@ class TestLinUCB:
             LinUCB(2, 1.0)
         with pytest.raises(ValueError):
             LinUCB(2, 1.0, bonus=1.0, params=params)
+        # the bonus is a confidence radius: zero is greedy, and a negative or
+        # non-finite one has no meaning
+        for bonus in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"bonus must be non-negative .*, got {bonus}"):
+                LinUCB(2, 1.0, bonus=bonus)
 
     def test_zero_bonus_equals_greedy(self, rng):
         ucb = LinUCB(3, 1.0, bonus=0.0)

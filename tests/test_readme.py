@@ -4,11 +4,13 @@ docstrings refer to exist."""
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import linens
+from linens import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
@@ -17,20 +19,39 @@ SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
 MODULES = {"linens"} | {info.name for info in pkgutil.iter_modules(linens.__path__)}
 
 
-def python_block(heading: str) -> str:
-    """The first python code block under a ``## heading`` of README."""
+def code_block(heading: str, language: str = "python") -> str:
+    """The first code block in ``language`` under a ``## heading`` of README."""
     section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match, f"no python block under ## {heading}"
+    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert match, f"no {language} block under ## {heading}"
     return match.group(1)
+
+
+def cli_examples() -> list[str]:
+    """Every ``linens …`` command of the bash block under ``## CLI``, with
+    its comment stripped."""
+    lines = (line.split("#", 1)[0].strip() for line in code_block("CLI", "bash").splitlines())
+    return [line for line in lines if line.startswith("linens ")]
 
 
 def test_library_example_runs():
     namespace = {}
-    exec(compile(python_block("Library"), "README.md", "exec"), namespace)
+    exec(compile(code_block("Library"), "README.md", "exec"), namespace)
     policy = namespace["policy"]
     assert policy.step == 1000
     assert policy.s_vectors.shape == (32, 3)
+
+
+def test_the_cli_examples_are_found():
+    # every subcommand has an example to check
+    commands = {line.split()[1] for line in cli_examples()}
+    assert commands == {"run", "equivalence", "rates", "sweep"}
+
+
+@pytest.mark.parametrize("line", cli_examples())
+def test_cli_example_parses(line):
+    # a renamed or removed flag fails here instead of leaving README wrong
+    cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def resolve(name: str):
