@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 import warnings
@@ -83,7 +84,7 @@ def _cmd_sweep(args) -> int:
     # every swept config is validated before the first run writes anything
     runs = []
     for value in (int(v) for v in args.values.split(",")):
-        sub = load_config(args.config)
+        sub = copy.deepcopy(cfg)
         setattr(getattr(sub, section), key, value)
         runs.append((value, sub.validate()))
     out_root = Path(args.out if args.out else cfg.run.out_dir)

@@ -1,11 +1,12 @@
 """Experiment orchestration.
 
 Runs seeded Monte-Carlo replications of the policy a configuration builds
-(:meth:`~linens.config.ExperimentConfig.build_policy`), aggregates regret
-curves and monitor rates, and persists traces and summaries. Everything
-downstream of ``(config, base_seed)`` is deterministic; replication seeds
-derive from the base seed through a fixed 64-bit mixing function (see
-:func:`linens.perturb.mix_key`).
+(:meth:`~linens.config.ExperimentConfig.build_policy`), or a round-robin
+ensemble against :class:`~linens.policies.PerturbedHistoryReplay` at m = T,
+aggregates regret curves and monitor rates, and persists traces and
+summaries. Everything downstream of ``(config, base_seed)`` is deterministic;
+replication seeds derive from the base seed through a fixed 64-bit mixing
+function (see :func:`linens.perturb.mix_key`).
 
 Replications run in lockstep batches: one interaction loop,
 :func:`interact`, steps a batched policy for every replication of a
@@ -29,7 +30,7 @@ from .config import ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
 from .perturb import TAG_REPLICATION, StepDraws, gamma, mix_key, p_n
-from .policies import EnsembleSampling, LinPHE, Sampler
+from .policies import EnsembleSampling, PerturbedHistoryReplay, Sampler
 
 #: Most replications stepped together in one lockstep batch.
 BATCH_SIZE = 256
@@ -352,12 +353,8 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     es = EnsembleSampling(
         env.dim, cfg.policy.lam, horizon, spec, keys, sampler=Sampler.ROUND_ROBIN
     )
-    phe = LinPHE(
-        env.dim,
-        cfg.policy.lam,
-        spec,
-        [k + 1 for k in keys] if desync else keys,
-        shared_model_axis=horizon,
+    phe = PerturbedHistoryReplay(
+        env.dim, cfg.policy.lam, spec, [k + 1 for k in keys] if desync else keys, horizon
     )
     draws = env.noise.draws(keys)
     return tuple(

@@ -370,7 +370,7 @@ class PerturbationStream:
         perturbation with standard-deviation target ``sqrt(lam) * scale``
         and one reward perturbation per history row (:func:`history_draws`).
 
-        Unshared perturbed-history exploration draws these for the
+        :class:`~linens.policies.LinPHE` draws these for the
         non-gaussian families. A gaussian policy needs only their sum
         ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
         ``w / sqrt(lam)`` alone (see :class:`~linens.policies.LinPHE`);

@@ -244,6 +244,62 @@ class EnsembleSampling(_RidgeBase):
         kernels.accumulate_perturbed(self.s_vectors, x, np.asarray(y)[..., None] + z)
 
 
+class PerturbedHistoryReplay(_RidgeBase):
+    """Perturbed-history exploration on an m-model ensemble's draws: LinPHE
+    is linear ensemble sampling with ensemble size m = T.
+
+    At step ``t`` it re-perturbs the history with model ``t - 1``'s
+    ``TAG_INIT`` row and ``TAG_REWARD`` perturbations, drawn by the calls of
+    a ``Keying.BY_STEP`` :class:`EnsembleSampling` on the same seed. Against
+    that ensemble with round-robin model choice, its estimators are the
+    ensemble's bit for bit. It selects at most m steps.
+    """
+
+    def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seed: int | list[int], m: int):
+        seeds, batch = _per_replication(seed)
+        super().__init__(dim, lam, batch)
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        self.m = int(m)
+        self.spec = spec
+        w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), m, dim, lam)
+        self._initial = w.reshape(self.batch_shape + (m, dim))
+        self._prefixes = seed_prefixes(seeds, TAG_REWARD)
+        self._xs = np.empty(self.batch_shape + (m, dim))
+        self._ys = np.empty(self.batch_shape + (m,))
+
+    def estimator(self) -> np.ndarray:
+        """Ensemble model ``t - 1``'s estimator at step ``t = step + 1``."""
+        t = self.step + 1
+        if t > self.m:
+            raise InvalidStateError(
+                f"shared-stream replay exhausted: step {t} > model axis {self.m}"
+            )
+        # model t - 1's perturbation of each step so far, as the
+        # ensemble drew it
+        z = reward_draws(
+            self.spec, self._prefixes[:, None], range(t - 1, t), np.arange(1, t)
+        ).reshape(self.batch_shape + (t - 1,))
+        # accumulate in step order with the ensemble's exact draws so
+        # the float operations match the incremental path bit for bit:
+        # add.accumulate adds the rows one after another, where a sum
+        # or a matrix product would pair them
+        terms = self._xs[..., : t - 1, :] * (self._ys[..., : t - 1] + z)[..., None]
+        rows = np.concatenate([self._initial[..., t - 1 : t, :], terms], axis=-2)
+        s = np.add.accumulate(rows, axis=-2)[..., -1, :]
+        return self.gram.solve(np.ascontiguousarray(s))
+
+    def select(self, arms: np.ndarray) -> Selection:
+        theta = self.estimator()
+        return self._selection(matvec(arms, theta), theta)
+
+    def update(self, arm_index, x: np.ndarray, y) -> None:
+        x = np.asarray(x, dtype=np.float64)
+        self._xs[..., self.step, :] = x
+        self._ys[..., self.step] = y
+        self._observe(x, y)
+
+
 class LinPHE(_RidgeBase):
     """Linear perturbed-history exploration.
 
@@ -264,98 +320,43 @@ class LinPHE(_RidgeBase):
     bounded by ``DRAW_VALUES`` values). The other families' sums are not of
     their family, so they re-perturb the O(t) history with
     :func:`~linens.perturb.history_draws`, one call per step for the batch,
-    whose first ``d`` values are that same ``xi``.
-
-    With ``shared_model_axis = m`` set, the fresh draws at step ``t`` are
-    read from model ``t - 1`` of an m-model ensemble's reward draws instead
-    of an independent per-step key, keyed by step as a ``Keying.BY_STEP``
-    ensemble keys them. Against such an ensemble run on the same seed
-    with round-robin model choice, this reproduces the ensemble's draws
-    exactly and the two policies become the same algorithm. The initial
-    matrix is drawn at construction by the ensemble's own call, and the
-    reward perturbations of steps ``1..t-1`` are hashed afresh at step
-    ``t`` by the ensemble's own :func:`~linens.perturb.reward_draws`, one
-    call for the batch, so the replay keeps no reward draws; it does keep
-    the history, for every family.
+    whose first ``d`` values are that same ``xi``. On the draws of an
+    m = T ensemble, LinPHE is :class:`PerturbedHistoryReplay`.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        lam: float,
-        spec: PerturbationSpec,
-        seed: int | list[int],
-        shared_model_axis: int | None = None,
-    ):
+    def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seed: int | list[int]):
         seeds, batch = _per_replication(seed)
         super().__init__(dim, lam, batch)
-        if shared_model_axis is not None and shared_model_axis < 1:
-            raise ValueError("shared_model_axis must be at least 1")
         self.spec = spec
-        self.shared_model_axis = shared_model_axis
-        if shared_model_axis is None:
-            # each step's own draws
-            self._prefixes = seed_prefixes(seeds, TAG_PHE)
-            if spec.family == PerturbationFamily.GAUSSIAN:
-                self._xi = StepDraws(spec, self._prefixes, range(dim), batched=batch is not None)
-        else:
-            # the ensemble's draws, replayed
-            m = shared_model_axis
-            w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), m, dim, lam)
-            self._initial = w.reshape(self.batch_shape + (m, dim))
-            self._prefixes = seed_prefixes(seeds, TAG_REWARD)
+        self._prefixes = seed_prefixes(seeds, TAG_PHE)
         # the history is kept only where it is re-perturbed: the gaussian
         # family draws the perturbation of the whole history in closed form
         self._xs = self._ys = None
-        if shared_model_axis is not None or spec.family != PerturbationFamily.GAUSSIAN:
-            # a shared-axis replay selects at most m steps, so m rows suffice
-            rows = 8 if shared_model_axis is None else shared_model_axis
-            self._xs = np.empty(self.batch_shape + (rows, dim))
-            self._ys = np.empty(self.batch_shape + (rows,))
+        if spec.family == PerturbationFamily.GAUSSIAN:
+            self._xi = StepDraws(spec, self._prefixes, range(dim), batched=batch is not None)
+        else:
+            self._xs = np.empty(self.batch_shape + (8, dim))
+            self._ys = np.empty(self.batch_shape + (8,))
 
     def _grow(self) -> None:
         if self.step == self._xs.shape[-2]:
             self._xs = np.concatenate([self._xs, np.empty_like(self._xs)], axis=-2)
             self._ys = np.concatenate([self._ys, np.empty_like(self._ys)], axis=-1)
 
-    def estimator(self, t: int) -> np.ndarray:
-        """The freshly perturbed estimator for step ``t``."""
-        if t != self.step + 1:
-            raise InvalidStateError(
-                f"step {t} inconsistent with history length {self.step}"
-            )
+    def estimator(self) -> np.ndarray:
+        """The freshly perturbed estimator for step ``t = step + 1``."""
+        t = self.step + 1
         if self._xs is None:
-            xi = self._xi.at(t)
-            return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), xi)
+            return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), self._xi.at(t))
         n = self.step
-        xs, ys = self._xs[..., :n, :], self._ys[..., :n]
-        if self.shared_model_axis is not None:
-            m = self.shared_model_axis
-            if t > m:
-                raise InvalidStateError(
-                    f"shared-stream replay exhausted: step {t} > model axis {m}"
-                )
-            # model t - 1's perturbation of each step so far, as the
-            # ensemble drew it
-            z = reward_draws(
-                self.spec, self._prefixes[:, None], range(t - 1, t), np.arange(1, t)
-            ).reshape(self.batch_shape + (n,))
-            # accumulate in step order with the ensemble's exact draws so
-            # the float operations match the incremental path bit for bit:
-            # add.accumulate adds the rows one after another, where a sum
-            # or a matrix product would pair them
-            terms = xs * (ys + z)[..., None]
-            rows = np.concatenate([self._initial[..., t - 1 : t, :], terms], axis=-2)
-            s = np.add.accumulate(rows, axis=-2)[..., -1, :]
-        else:
-            w, z = history_draws(self.spec, self._prefixes, t, self.dim, n, self.lam)
-            w = w.reshape(self.batch_shape + (self.dim,))
-            z = z.reshape(self.batch_shape + (n,))
-            s = w + matvec(np.swapaxes(xs, -1, -2), ys + z)
+        w, z = history_draws(self.spec, self._prefixes, t, self.dim, n, self.lam)
+        w = w.reshape(self.batch_shape + (self.dim,))
+        z = z.reshape(self.batch_shape + (n,))
+        s = w + matvec(np.swapaxes(self._xs[..., :n, :], -1, -2), self._ys[..., :n] + z)
         return self.gram.solve(np.ascontiguousarray(s))
 
     def select(self, arms: np.ndarray) -> Selection:
-        theta = self.estimator(self.step + 1)
+        theta = self.estimator()
         return self._selection(matvec(arms, theta), theta)
 
     def update(self, arm_index, x: np.ndarray, y) -> None:

@@ -67,7 +67,8 @@ def base_config(**overrides) -> ExperimentConfig:
 
 
 def test_criterion_01_round_robin_ensemble_equals_perturbed_history():
-    """50/50 seeds with identical arm sequences at two problem shapes."""
+    """50/50 seeds with identical arm sequences at two problem shapes, and
+    0/50 under the desynchronized negative control."""
     for dim, arms, horizon in ((2, 4, 20), (4, 8, 50)):
         cfg = base_config(
             env__dim=dim, env__arm_count=arms, run__horizon=horizon
@@ -77,7 +78,15 @@ def test_criterion_01_round_robin_ensemble_equals_perturbed_history():
             f"shape (d={dim}, K={arms}, T={horizon}): "
             f"{len(report.failures)} diverging seeds, first={report.failures[:1]}"
         )
-    print("[criterion 1] PASS: 50/50 seeds identical at (2,4,20) and (4,8,50)")
+        desync = run_equivalence_suite(cfg, n_seeds=50, desync=True)
+        assert desync.matches == 0, (
+            f"shape (d={dim}, K={arms}, T={horizon}): the desynchronized control "
+            f"matched on {desync.matches}/50 seeds"
+        )
+    print(
+        "[criterion 1] PASS: 50/50 seeds identical at (2,4,20) and (4,8,50); "
+        "desynchronized control 0/50"
+    )
 
 
 def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():

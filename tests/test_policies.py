@@ -25,6 +25,7 @@ from linens.policies import (
     LinPHE,
     LinTS,
     LinUCB,
+    PerturbedHistoryReplay,
     Sampler,
     argmax_smallest_index,
 )
@@ -219,9 +220,9 @@ class TestEnsembleUpdate:
 
 
 class TestLinPHE:
-    def make(self, dim=2, lam=1.0, scale=1.0, seed=5, shared=None, family="gaussian"):
+    def make(self, dim=2, lam=1.0, scale=1.0, seed=5, family="gaussian"):
         spec = PerturbationSpec(family, scale)
-        policy = LinPHE(dim, lam, spec, seed, shared_model_axis=shared)
+        policy = LinPHE(dim, lam, spec, seed)
         return policy, spec, PerturbationStream(seed)
 
     # the O(t) path: every family but gaussian re-perturbs the stored history
@@ -230,20 +231,20 @@ class TestLinPHE:
         lam = 2.0
         policy, spec, stream = self.make(dim=3, lam=lam, scale=1.3, seed=8, family="rademacher")
         w, _ = stream.history_perturbation(spec, 1, 3, 0, lam)
-        np.testing.assert_allclose(policy.estimator(1), w / lam, atol=1e-12)
+        np.testing.assert_allclose(policy.estimator(), w / lam, atol=1e-12)
 
     def test_zero_scale_equals_ridge(self, rng):
         policy, _, _ = self.make(scale=0.0)
         drive(policy, rng, 2, 25)
         np.testing.assert_allclose(
-            policy.estimator(26), policy.ridge_estimate(), atol=1e-12
+            policy.estimator(), policy.ridge_estimate(), atol=1e-12
         )
 
     def test_batch_formula_oracle(self, rng):
         dim, lam, steps = 3, 1.5, 40
         policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.8, seed=13, family="uniform")
         xs, ys = drive(policy, rng, dim, steps)
-        got = policy.estimator(steps + 1)
+        got = policy.estimator()
         w, z = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
         want = np.linalg.solve(lam * np.eye(dim) + xs.T @ xs, w + xs.T @ (ys + z))
         np.testing.assert_allclose(got, want, atol=1e-8)
@@ -254,7 +255,7 @@ class TestLinPHE:
         # at V = lam I the estimator is xi / sqrt(lam), xi hashed from (seed, 1, j)
         policy, _, _ = self.make(dim=3, lam=2.0, scale=1.3, seed=8)
         np.testing.assert_allclose(
-            policy.estimator(1),
+            policy.estimator(),
             [-0.35865464197510677, -0.5679346362393916, -0.9295358057428681],
             rtol=1e-13,
         )
@@ -263,7 +264,7 @@ class TestLinPHE:
         dim, lam, scale, steps, seed = 3, 1.5, 0.8, 40, 13
         policy, spec, _ = self.make(dim=dim, lam=lam, scale=scale, seed=seed)
         xs, ys = drive(policy, rng, dim, steps)
-        got = policy.estimator(steps + 1)
+        got = policy.estimator()
         xi = reward_draws(spec, [mix_key(seed, TAG_PHE)], range(dim), steps + 1)[0]
         v = lam * np.eye(dim) + xs.T @ xs
         evals, evecs = np.linalg.eigh(v)
@@ -290,7 +291,7 @@ class TestLinPHE:
             raise AssertionError("the gaussian path built a Philox generator")
 
         monkeypatch.setattr(np.random, "Philox", no_generator)
-        assert np.isfinite(gaussian.estimator(201)).all()
+        assert np.isfinite(gaussian.estimator()).all()
 
     def test_history_prior_is_the_gaussian_xi(self, rng):
         # the prior draw w of a step's O(t) history draws, over sqrt(lam), is
@@ -300,7 +301,7 @@ class TestLinPHE:
         drive(policy, rng, dim, steps)
         w, _ = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
         want = policy.ridge_estimate() + policy.gram.inverse_sqrt() @ (w / 2.0)
-        np.testing.assert_allclose(policy.estimator(steps + 1), want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(policy.estimator(), want, rtol=1e-12, atol=1e-15)
 
     def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
         # over 20,000 seeds on one fixed history, both theta~ - theta^ of
@@ -314,7 +315,7 @@ class TestLinPHE:
         for x, y in zip(xs, ys):
             policy.update(0, np.broadcast_to(x, (reps, dim)), np.full(reps, y))
         v = lam * np.eye(dim) + xs.T @ xs
-        collapsed = policy.estimator(steps + 1) - policy.ridge_estimate()
+        collapsed = policy.estimator() - policy.ridge_estimate()
         oracle = np.empty((reps, dim))
         for r in range(reps):
             w, z = PerturbationStream(r).history_perturbation(spec, steps + 1, dim, steps, lam)
@@ -330,28 +331,28 @@ class TestLinPHE:
     def test_fresh_draws_differ_across_steps(self, rng):
         policy, _, _ = self.make(dim=2, scale=1.0)
         drive(policy, rng, 2, 5)
-        a = policy.estimator(6)
-        b = policy.estimator(6)
+        a = policy.estimator()
+        b = policy.estimator()
         np.testing.assert_array_equal(a, b)  # same step: same key, same draw
         policy.update(0, random_unit_ball(rng, 2), 0.0)
-        c = policy.estimator(7)
+        c = policy.estimator()
         assert not np.allclose(a, c)
 
     def test_history_growth_beyond_initial_capacity(self, rng):
         policy, _, _ = self.make(dim=2, scale=0.5, family="binomial")
         drive(policy, rng, 2, 100)  # initial buffer is 8
         assert policy.step == 100
-        assert np.isfinite(policy.estimator(101)).all()
+        assert np.isfinite(policy.estimator()).all()
 
-    def test_wrong_step_rejected(self, rng):
-        policy, _, _ = self.make()
-        drive(policy, rng, 2, 4)
-        for bad in (4, 6, 0):
-            with pytest.raises(InvalidStateError, match="inconsistent"):
-                policy.estimator(bad)
+    def test_replay_rejects_an_empty_model_axis(self):
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
+        for m in (0, -3):
+            with pytest.raises(ValueError, match="m must be at least 1"):
+                PerturbedHistoryReplay(2, 1.0, spec, 5, m)
 
     def test_shared_axis_exhaustion(self, rng):
-        policy, _, _ = self.make(shared=2)
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
+        policy = PerturbedHistoryReplay(2, 1.0, spec, 5, 2)
         arms = random_unit_ball(rng, 2, count=3)
         for _ in range(2):
             sel = policy.select(arms)
@@ -365,7 +366,7 @@ class TestLinPHE:
         horizon, dim = 12, 2
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.1)
         es = EnsembleSampling(dim, 1.0, horizon, spec, 77, sampler=Sampler.ROUND_ROBIN)
-        phe = LinPHE(dim, 1.0, spec, 77, shared_model_axis=horizon)
+        phe = PerturbedHistoryReplay(dim, 1.0, spec, 77, horizon)
         arms = random_unit_ball(rng, dim, count=5)
         for t in range(1, horizon + 1):
             sel_es = es.select(arms)
@@ -381,8 +382,9 @@ class TestPerturbationsUseNoGenerator:
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_no_policy_builds_a_philox_generator(self, family, monkeypatch):
         # every perturbation is a reward_draws call: with Philox gone, a
-        # round-robin ensemble and perturbed-history exploration, unshared
-        # and shared-axis, still step, and the replay still is the ensemble
+        # round-robin ensemble, perturbed-history exploration and its replay
+        # of the ensemble's draws still step, and the replay still is the
+        # ensemble
         def no_philox(*args, **kwargs):
             raise AssertionError("a perturbation built a Philox generator")
 
@@ -393,7 +395,7 @@ class TestPerturbationsUseNoGenerator:
         arms = random_unit_ball(np.random.default_rng(8), dim, count=5)
         ys = np.random.default_rng(9).standard_normal((horizon, len(seeds)))
         ensemble = EnsembleSampling(dim, 1.0, horizon, spec, seeds, sampler=Sampler.ROUND_ROBIN)
-        replay = LinPHE(dim, 1.0, spec, seeds, shared_model_axis=horizon)
+        replay = PerturbedHistoryReplay(dim, 1.0, spec, seeds, horizon)
         phe = LinPHE(dim, 1.0, spec, seeds)
         policies = (ensemble, replay, phe)
         for y in ys:
@@ -401,7 +403,7 @@ class TestPerturbationsUseNoGenerator:
             np.testing.assert_array_equal(sels[0].theta, sels[1].theta)
             for policy, sel in zip(policies, sels):
                 policy.update(sel.arm_index, arms[sel.arm_index], y)
-        assert np.isfinite(phe.estimator(horizon + 1)).all()
+        assert np.isfinite(phe.estimator()).all()
 
 
 class TestLinUCB:
@@ -477,7 +479,7 @@ class TestLinTS:
         drive(ts, rng, 3, 30)
         for _ in range(10):
             t = ts.step + 1
-            theta = ts.estimator(t)
+            theta = ts.estimator()
             xi = reward_draws(PerturbationSpec("gaussian", 0.8), prefixes, range(3), t)[0]
             dev = theta - ts.ridge_estimate()
             got = np.sqrt(dev @ ts.gram.gram @ dev)
@@ -489,7 +491,7 @@ class TestLinTS:
         lam, scale = 4.0, 1.0
         # xi is keyed by step: 20,000 replications at step 1
         ts = LinTS(2, lam, scale, list(range(20_000)))
-        devs = ts.estimator(1)
+        devs = ts.estimator()
         assert np.std(devs) == pytest.approx(scale / np.sqrt(lam), rel=0.03)
 
 
