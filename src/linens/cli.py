@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 import warnings
@@ -24,27 +23,13 @@ from .harness import (
     run_monte_carlo,
 )
 
-#: Sweepable parameter -> (config section, field).
-SWEEP_FIELDS = {
-    "T": ("run", "horizon"),
-    "d": ("env", "dim"),
-    "m": ("policy", "m"),
-    "K": ("env", "arm_count"),
-}
-
-
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg.run.base_seed = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg.run.replications = args.reps
-    if getattr(args, "out", None) is not None:
-        cfg.run.out_dir = args.out
-    return cfg.validate()
+#: Sweepable parameter -> the config field it sets.
+SWEEP_FIELDS = {"T": "horizon", "d": "dim", "m": "m", "K": "arm_count"}
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    given = {"base_seed": args.seed, "replications": args.reps, "out_dir": args.out}
+    cfg = load_config(args.config, **{k: v for k, v in given.items() if v is not None})
     records, summary = run_monte_carlo(cfg)
     trace_path, summary_path = emit_outputs(records, summary, cfg.run.out_dir)
     final = summary["checkpoints"][-1]
@@ -74,19 +59,18 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    section, key = SWEEP_FIELDS[args.param]
-    if section == "policy" and not cfg.reads(key):
-        raise ValueError(
-            f"sweep --param {args.param} varies policy.{key}, which policy.name = "
-            f"{cfg.policy.name} does not read"
-        )
-    # every swept config is validated before the first run writes anything
+    key = SWEEP_FIELDS[args.param]
+    # every swept config is loaded, and so validated, before the first run
+    # writes anything
     runs = []
-    for value in (int(v) for v in args.values.split(",")):
-        sub = copy.deepcopy(cfg)
-        setattr(getattr(sub, section), key, value)
-        runs.append((value, sub.validate()))
+    for value in map(int, args.values.split(",")):
+        cfg = load_config(args.config, **{key: value})
+        if not cfg.reads(key):
+            raise ValueError(
+                f"sweep --param {args.param} varies policy.{key}, which policy.name = "
+                f"{cfg.policy.name} does not read"
+            )
+        runs.append((value, cfg))
     out_root = Path(args.out if args.out else cfg.run.out_dir)
     combined = []
     for value, sub in runs:
@@ -139,7 +123,7 @@ def main(argv=None) -> int:
     ``OSError`` such as a missing config file) ends in one line on stderr
     and exit status 2, as a bad argument does. Each distinct warning is
     one line on stderr, ``linens: warning: <message>``, shown once however
-    often the config that raises it is validated."""
+    many of the command's configs raise it (``sweep`` loads one per value)."""
     args = build_parser().parse_args(argv)
     shown = set()
 

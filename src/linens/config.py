@@ -4,6 +4,9 @@ Each section's keys are the fields of its dataclass (``lambda`` for
 ``lam``), read by field type. A file that is not valid INI, unknown sections
 or keys, and policy keys that a run would not read
 (:meth:`ExperimentConfig.reads`) are rejected so that typos fail fast.
+:func:`load_config` finishes a config in one place: it reads the file, sets
+the fields that a command's own arguments give, by field name (no two
+sections share one), and validates the result once.
 The config builds what a run is made of, its policy included
 (:meth:`ExperimentConfig.build_policy`, beside ``reads``). Value ranges are
 not restated here: :meth:`ExperimentConfig.validate` builds those objects,
@@ -15,7 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .envs import LinearBanditEnv, NoiseFamily, NoiseModel
@@ -75,9 +78,11 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check the settings that no object of a run owns, then build those
         objects (:meth:`confidence_params`, :meth:`perturbation_spec`,
-        :meth:`environment` and, for one replication, :meth:`build_policy`),
-        whose constructors reject every value no run can use, NaN and
-        +/-inf included. Returns the config."""
+        :meth:`environment` and, for one replication and one model,
+        :meth:`build_policy`), whose constructors reject every value no run
+        can use, NaN and +/-inf included. No constructor check reads the
+        ensemble size, which the rules here check, so validation builds no
+        ensemble at full size. Returns the config."""
         e, p, r = self.env, self.policy, self.run
         if e.arm_count < 1:
             raise ValueError("env.arm_count must be at least 1")
@@ -118,8 +123,9 @@ class ExperimentConfig:
         self.confidence_params()
         self.perturbation_spec()
         self.environment()
-        # any seed will do: only the policy constructors' checks matter here
-        self.build_policy([r.base_seed])
+        # any seed and one model will do: only the policy constructors'
+        # checks matter here, and none of them reads the ensemble size
+        replace(self, policy=replace(p, m=1)).build_policy([r.base_seed])
         if p.name == "ensemble" and p.sampler == Sampler.ROUND_ROBIN:
             m = self.resolved_ensemble_size()
             if m < r.horizon:
@@ -136,10 +142,11 @@ class ExperimentConfig:
         return self
 
     def reads(self, key: str) -> bool:
-        """Whether a run of this experiment reads the ``[policy]`` field
-        ``key``; a file that sets a field the run would ignore is rejected
-        at load, and ``summary.json`` resolves ``m`` and the scale only
-        where they are read."""
+        """Whether a run of this experiment reads the field ``key``; only
+        the ``[policy]`` fields that the rule names can go unread. A file
+        that sets a field the run would ignore is rejected at load, and
+        ``summary.json`` resolves ``m`` and the scale only where they are
+        read."""
         p = self.policy
         scaled = p.name in ("ensemble", "phe") or (p.name == "lints" and p.lints_scale is None)
         rule = {
@@ -276,8 +283,12 @@ def _read_section(section: configparser.SectionProxy, target) -> None:
                 raise ValueError(f"{section.name}.{key}: {exc}") from None
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file."""
+def load_config(path: str | Path, **settings) -> ExperimentConfig:
+    """Parse an experiment configuration file, set the fields that
+    ``settings`` names (a command's own arguments, such as ``base_seed=3``),
+    and validate the result once. The settings replace the file's values
+    after the explicit rows give the arm shape a file leaves out, so a
+    setting that clashes with the rows is rejected as a file's would be."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -300,6 +311,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
             e.arm_count = len(e.arms)
         if "dim" not in parser["env"]:
             e.dim = len(e.arms[0])
+    # no two sections share a field name, so a setting names its field
+    parts = [getattr(cfg, section.name) for section in fields(cfg)]
+    owner = {f.name: part for part in parts for f in fields(part)}
+    for name, value in settings.items():
+        setattr(owner[name], name, value)
     cfg.validate()
     if parser.has_section("policy"):
         for key in parser["policy"]:

@@ -120,6 +120,15 @@ class _RidgeBase:
         """The unperturbed ridge estimator."""
         return self.gram.solve(self.reward_sum)
 
+    def estimator(self) -> np.ndarray:
+        """The estimator that :meth:`select` is greedy on: the ridge
+        estimate, which the perturbed-history policies override."""
+        return self.ridge_estimate()
+
+    def select(self, arms: np.ndarray) -> Selection:
+        theta = self.estimator()
+        return self._selection(matvec(arms, theta), theta)
+
     def _observe(self, x: np.ndarray, y) -> None:
         self.gram.update(x)
         self.reward_sum += np.asarray(y)[..., None] * x
@@ -131,10 +140,6 @@ class _RidgeBase:
 class GreedyRidge(_RidgeBase):
     """Plays the argmax of the plain ridge estimator; the reference policy
     for the zero-perturbation collapse checks."""
-
-    def select(self, arms: np.ndarray) -> Selection:
-        theta = self.ridge_estimate()
-        return self._selection(matvec(arms, theta), theta)
 
 
 class EnsembleSampling(_RidgeBase):
@@ -289,10 +294,6 @@ class PerturbedHistoryReplay(_RidgeBase):
         s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         return self.gram.solve(np.ascontiguousarray(s))
 
-    def select(self, arms: np.ndarray) -> Selection:
-        theta = self.estimator()
-        return self._selection(matvec(arms, theta), theta)
-
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64)
         self._xs[..., self.step, :] = x
@@ -354,10 +355,6 @@ class LinPHE(_RidgeBase):
         z = z.reshape(self.batch_shape + (n,))
         s = w + matvec(np.swapaxes(self._xs[..., :n, :], -1, -2), self._ys[..., :n] + z)
         return self.gram.solve(np.ascontiguousarray(s))
-
-    def select(self, arms: np.ndarray) -> Selection:
-        theta = self.estimator()
-        return self._selection(matvec(arms, theta), theta)
 
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64)

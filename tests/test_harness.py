@@ -503,6 +503,43 @@ workers = 2
     def test_to_dict_json_serializable(self):
         json.dumps(small_cfg().to_dict())
 
+    def test_no_two_sections_share_a_field_name(self):
+        # load_config sets a command's settings by field name alone
+        cfg = ExperimentConfig()
+        names = [f.name for s in fields(cfg) for f in fields(getattr(cfg, s.name))]
+        assert len(names) == len(set(names))
+
+    def test_settings_replace_the_files_fields(self, tmp_path):
+        path = write_cfg(tmp_path)
+        want = load_config(path)
+        want.run.base_seed, want.run.out_dir = 99, "elsewhere"
+        assert load_config(path, base_seed=99, out_dir="elsewhere") == want
+
+    def test_settings_are_checked_in_place_of_the_files_values(self, tmp_path):
+        # one validation, after the settings: a file value they replace is not checked
+        path = write_cfg(tmp_path, BASE_INI.replace("replications = 2", "replications = 0"))
+        assert load_config(path, replications=1).run.replications == 1
+        with pytest.raises(ValueError, match="run.replications must be at least 1"):
+            load_config(write_cfg(tmp_path), replications=0)
+
+    @pytest.mark.parametrize("sampler", ["uniform", "round_robin"])
+    def test_loading_builds_at_most_a_one_model_ensemble(self, tmp_path, monkeypatch, sampler):
+        # validation runs the policy constructors' checks, none of which
+        # reads the ensemble size, so it never builds the m = auto ensemble
+        text = BASE_INI.replace("m = 4", f"m = auto\nsampler = {sampler}")
+        path = write_cfg(tmp_path, text.replace("horizon = 30", "horizon = 50"))
+        built = []
+        init = EnsembleSampling.__init__
+
+        def spy(self, dim, lam, n_models, *args, **kwargs):
+            built.append(n_models)
+            init(self, dim, lam, n_models, *args, **kwargs)
+
+        monkeypatch.setattr(EnsembleSampling, "__init__", spy)
+        cfg = load_config(path)
+        assert cfg.resolved_ensemble_size() > 1000
+        assert built and max(built) == 1
+
 
 class TestPolicyResolution:
     def test_auto_scale_is_horizon_radius(self):
@@ -904,13 +941,60 @@ class TestCli:
         "command,args", [("run", []), ("sweep", ["--param", "T", "--values", "10,20"])]
     )
     def test_a_warning_is_one_line_shown_once(self, tmp_path, capsys, command, args):
-        # the file and the command's overrides are both validated, and each
-        # warns of lambda < 1; the warning reads as a rejection does, once
+        # run validates one config and sweep one per value, each warning of
+        # lambda < 1; the warning reads as a rejection does, once
         text = BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5")
         args = ["--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o"), *args]
         assert cli.main([command, *args]) == 0
         err = capsys.readouterr().err
         assert err.startswith("linens: warning: policy.lambda < 1") and err.count("\n") == 1
+
+    def test_run_validates_once_and_a_sweep_once_per_value(self, tmp_path, monkeypatch):
+        calls = []
+        validate = ExperimentConfig.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            return validate(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        cfg_path = str(write_cfg(tmp_path))
+        out = str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg_path, "--out", out, "--seed", "3"]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        sweep = ["sweep", "--config", cfg_path, "--param", "T", "--values", "5,6,7", "--out", out]
+        assert cli.main(sweep) == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("run", ["--reps", "1"]),
+            ("rates", ["--reps", "2"]),
+            ("equivalence", ["--seeds", "2"]),
+            ("sweep", ["--param", "T", "--values", "5,6"]),
+        ],
+    )
+    def test_each_command_loads_through_cli_load_config(self, tmp_path, monkeypatch, command, args):
+        # the benchmark marks the end of set-up where cli.load_config returns
+        # and its set-up-only probe stops there, so every command loads through it
+        calls = []
+        load = cli.load_config
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return load(*a, **kw)
+
+        monkeypatch.setattr(cli, "load_config", counted)
+        cfg_path = write_cfg(tmp_path, BASE_INI.replace("horizon = 30", "horizon = 5"))
+        if command in ("run", "sweep"):
+            args = [*args, "--out", str(tmp_path / "o")]
+        assert cli.main([command, "--config", str(cfg_path), *args]) == 0
+        if command == "sweep":
+            assert calls  # one load per swept value
+        else:
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("param,message", [("K", "arm_count"), ("d", "env.dim")])
     def test_sweep_rejects_explicit_arm_shape_changes(self, tmp_path, capsys, param, message):
@@ -966,8 +1050,8 @@ def test_benchmark_config_runs_its_command(tmp_path, capsys, path):
     # tier-1 does not collect perfbench/, so a rejection of a benchmark
     # config, at load or in its run, would otherwise show only as a refused
     # benchmark run. The files set keys their command never reads
-    # (equivalence reads neither policy.name nor run.workers), as the
-    # benchmark's copies of them do; they must still be accepted.
+    # (equivalence does not read policy.name), as the benchmark's copies of
+    # them do; they must still be accepted.
     parser = configparser.ConfigParser()
     parser.read(path)
     parser["run"]["horizon"] = "5"
