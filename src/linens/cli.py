@@ -52,8 +52,8 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    cfg = load_config(args.config)
-    report = estimate_event_rates(cfg, reps=args.reps)
+    given = {} if args.reps is None else {"replications": args.reps}
+    report = estimate_event_rates(load_config(args.config, **given))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

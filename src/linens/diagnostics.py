@@ -118,7 +118,8 @@ class StepMonitor:
 
     Reads the hidden parameter by simulator privilege; policies never
     receive a reference to it. With ``batch = R`` it watches the R
-    replications of a lockstep batch, and its counters are ``(R,)`` arrays.
+    replications of a lockstep batch, and its counters are ``(R,)`` arrays
+    (:meth:`counters`).
 
     :meth:`observe` records each step's pre-step state, and the events are
     evaluated a block of steps at a time, in one batched pass over
@@ -295,31 +296,28 @@ class StepMonitor:
         hits = (directional >= threshold[..., None]) & (norms_sq <= self._gamma_tilde**2)
         return np.mean(hits, axis=-1)
 
-    def replication_summaries(self) -> list[dict]:
-        """Each replication's counters as plain Python values, in batch
-        order. ``elliptical_ok`` is None below lambda = 1, where the cap
-        does not apply and the check is disabled. Every recorded step must
-        have been evaluated (:meth:`flush`)."""
+    def counters(self) -> dict:
+        """The counters, each a batch-shaped array (``(R,)``, or 0-d
+        unbatched), ``checks`` included. ``elliptical_ok`` is left out
+        below lambda = 1, where the cap does not apply and the check is
+        disabled. Every recorded step must have been evaluated
+        (:meth:`flush`)."""
         if self._held:
             raise RuntimeError(f"{self._held} recorded steps are not evaluated; call flush()")
         counters = {
+            "checks": self.checks,
             "elliptical_sum": self.elliptical_sum,
-            "elliptical_ok": self.elliptical_ok() if self.params.lam >= 1 else None,
             "all_concentrated": self.all_concentrated,
             "concentration_failures": self.concentration_failures,
             "perturb_concentration_failures": self.perturb_concentration_failures,
             "anti_conc_hits": self.anti_conc_hits,
             "optimism_hits": self.optimism_hits,
         }
+        if self.params.lam >= 1:
+            counters["elliptical_ok"] = self.elliptical_ok()
         if self.min_ensemble_fraction is not None:
             counters["min_ensemble_fraction"] = self.min_ensemble_fraction
-        columns = {
-            k: np.broadcast_to(v, self._shape).reshape(-1).tolist() for k, v in counters.items()
-        }
-        return [
-            {"checks": self.checks, **{k: values[i] for k, values in columns.items()}}
-            for i in range(len(columns["elliptical_sum"]))
-        ]
+        return {k: np.broadcast_to(v, self._shape) for k, v in counters.items()}
 
     def elliptical_ok(self):
         """Whether the elliptical potential stayed under its cap (meaningful

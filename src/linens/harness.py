@@ -13,6 +13,9 @@ Replications run in lockstep batches: one interaction loop,
 contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
 ``sweep``, ``rates`` and ``equivalence`` all go through it; ``run.workers``
 only maps the fixed batches over a process pool, so no output depends on it.
+A batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
+trace columns and ``(R,)`` counters, pooled across batches by concatenation
+and written to ``trace.csv`` one replication row at a time.
 """
 
 from __future__ import annotations
@@ -51,12 +54,15 @@ _UNECHOED_RUN_KEYS = ("out_dir", "workers")
 
 @dataclass
 class RunRecord:
-    """One replication's trace columns (one entry per step, ``t = 1..T``)
-    and summary counters."""
+    """One lockstep batch's results. Row i of every array is replication
+    ``replications[i]``: ``columns`` maps each trace column to an ``(R, T)``
+    array (step ``t = 1..T`` in column ``t - 1``), and ``counters`` maps
+    ``final_regret`` and the monitor's counters
+    (:meth:`~linens.diagnostics.StepMonitor.counters`) to ``(R,)`` arrays."""
 
-    replication: int
+    replications: range
     columns: dict
-    summary: dict
+    counters: dict
 
 
 def batches(replications: range) -> list[range]:
@@ -66,9 +72,11 @@ def batches(replications: range) -> list[range]:
     ]
 
 
-def _map_batches(fn, blocks: list[range], workers: int) -> list:
-    """``fn`` over the blocks, in order; across processes when ``workers > 1``.
-    Workers are spawned, not forked: the parent may hold BLAS threads."""
+def _map_batches(fn, items: range, workers: int) -> list:
+    """``fn`` over the fixed batches of ``items``, in order; across processes
+    when ``workers > 1``. Workers are spawned, not forked: the parent may
+    hold BLAS threads."""
+    blocks = batches(items)
     if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(blocks)), mp_context=get_context("spawn")
@@ -142,12 +150,10 @@ def _write_flags(flags: list, diag) -> None:
         col[:, at] = values.T
 
 
-def run_batch(
-    cfg: ExperimentConfig, replications: range, trace: bool = True
-) -> list[RunRecord]:
-    """Run a block of replications in lockstep; deterministic in
-    (config, replication) whatever the block. Without ``trace`` the
-    records carry summaries only."""
+def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) -> RunRecord:
+    """Run a block of replications in lockstep; each row is deterministic
+    in (config, replication) whatever the block. Without ``trace`` the
+    record carries counters only."""
     env = cfg.environment()
     seeds = replication_seeds(cfg, replications)
     policy = cfg.build_policy(seeds)
@@ -162,21 +168,16 @@ def run_batch(
         )
     columns = TRACE_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
     cols, regret = interact(policy, env, noise, cfg.run.horizon, monitor, columns)
-    summaries = [{"final_regret": r} for r in regret.tolist()]
+    counters = {"final_regret": regret}
     if monitor is not None:
-        for summary, counters in zip(summaries, monitor.replication_summaries()):
-            summary.update(counters)
-    return [
-        RunRecord(rep, {k: v[i] for k, v in cols.items()}, summary)
-        for i, (rep, summary) in enumerate(zip(replications, summaries))
-    ]
+        counters.update(monitor.counters())
+    return RunRecord(replications, cols, counters)
 
 
 def run_replications(cfg: ExperimentConfig, replications: range) -> list[RunRecord]:
-    """Run replications in their fixed batches, mapped over ``run.workers``."""
-    blocks = batches(replications)
-    results = _map_batches(partial(run_batch, cfg), blocks, cfg.run.workers)
-    return [record for block in results for record in block]
+    """Run replications in their fixed batches, mapped over ``run.workers``:
+    one record per batch, in replication order."""
+    return _map_batches(partial(run_batch, cfg), replications, cfg.run.workers)
 
 
 def checkpoints(horizon: int) -> list[int]:
@@ -196,20 +197,28 @@ def run_monte_carlo(cfg: ExperimentConfig) -> tuple[list[RunRecord], dict]:
     return records, aggregate(cfg, records)
 
 
-def monitor_rates(summaries: list[dict]) -> dict:
-    """Rates of the monitored events pooled over replications: the share of
-    replications concentrated at every step, and per-step rates."""
-    total_checks = sum(s["checks"] for s in summaries)
+def _pooled(records: list[RunRecord]) -> dict:
+    """Each counter of ``records``, its batches concatenated in replication
+    order: name -> ``(N,)``."""
+    names = records[0].counters
+    return {name: np.concatenate([rec.counters[name] for rec in records]) for name in names}
 
-    def pooled(key: str) -> int:
-        return sum(s[key] for s in summaries)
 
+def monitor_rates(counters: dict) -> dict:
+    """Rates of the monitored events over the pooled counters
+    (:func:`_pooled`): the share of replications concentrated at every
+    step, and per-step rates. Each is a Python int over an int."""
+
+    def total(name: str) -> int:
+        return int(counters[name].sum())
+
+    total_checks = total("checks")
     return {
-        "all_concentrated_rate": pooled("all_concentrated") / len(summaries),
+        "all_concentrated_rate": total("all_concentrated") / len(counters["checks"]),
         "perturb_concentration_rate": 1.0
-        - pooled("perturb_concentration_failures") / total_checks,
-        "anti_conc_rate": pooled("anti_conc_hits") / total_checks,
-        "optimism_rate": pooled("optimism_hits") / total_checks,
+        - total("perturb_concentration_failures") / total_checks,
+        "anti_conc_rate": total("anti_conc_hits") / total_checks,
+        "optimism_rate": total("optimism_hits") / total_checks,
         "total_checks": total_checks,
     }
 
@@ -217,9 +226,7 @@ def monitor_rates(summaries: list[dict]) -> dict:
 def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     params = cfg.confidence_params()
     grid = checkpoints(cfg.run.horizon)
-    cum = np.array(
-        [rec.columns["cum_regret"][np.array(grid) - 1] for rec in records], dtype=np.float64
-    )
+    cum = np.concatenate([rec.columns["cum_regret"][:, np.array(grid) - 1] for rec in records])
     per_checkpoint = []
     for i, t in enumerate(grid):
         col = cum[:, i]
@@ -239,22 +246,20 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         "config": config,
         "resolved_m": cfg.resolved_ensemble_size() if cfg.reads("m") else None,
         "resolved_scale": cfg.perturbation_spec().scale if cfg.reads("scale_mode") else None,
-        "replications": len(records),
+        "replications": len(cum),
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": theoretical_regret_bound(
             gamma(params), p_n() / 4.0, params
         ),
     }
-    if records and "checks" in records[0].summary:
-        summaries = [r.summary for r in records]
-        monitors = monitor_rates(summaries)
-        monitors["concentration_rate"] = 1.0 - sum(
-            s["concentration_failures"] for s in summaries
-        ) / monitors["total_checks"]
+    counters = _pooled(records)
+    if "checks" in counters:
+        monitors = monitor_rates(counters)
+        monitors["concentration_rate"] = (
+            1.0 - int(counters["concentration_failures"].sum()) / monitors["total_checks"]
+        )
         monitors["elliptical_pass_rate"] = (
-            None
-            if params.lam < 1
-            else sum(s["elliptical_ok"] for s in summaries) / len(summaries)
+            None if params.lam < 1 else int(counters["elliptical_ok"].sum()) / len(cum)
         )
         if params.lam < 1:
             monitors["elliptical_note"] = (
@@ -267,8 +272,8 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
 def emit_outputs(
     records: list[RunRecord], summary: dict, out_dir: str | Path
 ) -> tuple[Path, Path]:
-    """Write the trace CSV, one replication at a time, and the summary
-    JSON; byte-stable for equal inputs."""
+    """Write the trace CSV, one replication row of each batch at a time,
+    and the summary JSON; byte-stable for equal inputs."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -281,11 +286,11 @@ def emit_outputs(
         with open(trace_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
-                cols = [rec.columns[name].tolist() for name in names]
-                fh.writelines(
-                    fmt % (rec.replication, t, *row) + "\n"
-                    for t, row in enumerate(zip(*cols), start=1)
-                )
+                for i, rep in enumerate(rec.replications):
+                    cols = [rec.columns[name][i].tolist() for name in names]
+                    fh.writelines(
+                        fmt % (rep, t, *row) + "\n" for t, row in enumerate(zip(*cols), start=1)
+                    )
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
@@ -326,18 +331,17 @@ def run_equivalence_suite(
             "the equivalence suite draws random instances (one per seed, from "
             "env.dim and env.arm_count); it cannot run on arm_mode = explicit"
         )
-    blocks = batches(range(n_seeds))
     results = _map_batches(
-        partial(_equivalence_batch, cfg, desync), blocks, cfg.run.workers
+        partial(_equivalence_batch, cfg, desync), range(n_seeds), cfg.run.workers
     )
     report = EquivalenceReport(seeds=n_seeds, matches=0)
-    for block, (seq_es, seq_phe) in zip(blocks, results):
-        for s, a, b in zip(block, seq_es, seq_phe):
-            if np.array_equal(a, b):
-                report.matches += 1
-            else:
-                first = int(np.argmax(a != b))
-                report.failures.append((s, first + 1, a.tolist(), b.tolist()))
+    pairs = ((a, b) for seq_es, seq_phe in results for a, b in zip(seq_es, seq_phe))
+    for s, (a, b) in enumerate(pairs):
+        if np.array_equal(a, b):
+            report.matches += 1
+        else:
+            first = int(np.argmax(a != b))
+            report.failures.append((s, first + 1, a.tolist(), b.tolist()))
     return report
 
 
@@ -375,7 +379,8 @@ def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict
     perturbation staying inside its radius, and, for ensemble runs under
     full-trace diagnostics, (c) the worst per-step fraction of ensemble
     members that are simultaneously anti-concentrated and concentrated.
-    Monitors run even when the configuration switches them off.
+    Monitors run even when the configuration switches them off. Each
+    rate pools the batches' ``(R,)`` counters (:func:`_pooled`).
     """
     if reps is None:
         reps = cfg.run.replications
@@ -383,21 +388,12 @@ def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict
         raise ValueError("reps must be at least 1")
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
-    blocks = batches(range(reps))
-    results = _map_batches(partial(_batch_summaries, cfg), blocks, cfg.run.workers)
-    summaries = [summary for block in results for summary in block]
-    report = {"replications": reps, **monitor_rates(summaries)}
-    fractions = [
-        s["min_ensemble_fraction"] for s in summaries if "min_ensemble_fraction" in s
-    ]
-    if fractions:
+    records = _map_batches(partial(run_batch, cfg, trace=False), range(reps), cfg.run.workers)
+    counters = _pooled(records)
+    report = {"replications": reps, **monitor_rates(counters)}
+    if "min_ensemble_fraction" in counters:
         threshold = p_n() / 4.0
+        passed = counters["min_ensemble_fraction"] >= threshold
         report["ensemble_fraction_threshold"] = threshold
-        report["min_ensemble_fraction_pass_rate"] = sum(
-            f >= threshold for f in fractions
-        ) / len(fractions)
+        report["min_ensemble_fraction_pass_rate"] = int(passed.sum()) / reps
     return report
-
-
-def _batch_summaries(cfg: ExperimentConfig, replications: range) -> list[dict]:
-    return [record.summary for record in run_batch(cfg, replications, trace=False)]

@@ -187,8 +187,10 @@ def test_criterion_05_directional_anti_concentration_floors():
 
 def _mean_regret_curve(cfg: ExperimentConfig, reps: int, grid):
     sums = np.zeros(len(grid))
+    # one replication after another, so the sum adds in replication order
     for rec in run_replications(cfg, range(reps)):
-        sums += rec.columns["cum_regret"][np.array(grid) - 1]
+        for row in rec.columns["cum_regret"][:, np.array(grid) - 1]:
+            sums += row
     return sums / reps
 
 

@@ -343,9 +343,9 @@ class TestStepMonitor:
         sel = policy.select(env.arms)
         monitor.observe(policy, sel, env.arm(sel.arm_index))
         with pytest.raises(RuntimeError, match="call flush"):
-            monitor.replication_summaries()
+            monitor.counters()
         monitor.flush()
-        assert monitor.replication_summaries()[0]["checks"] == 1
+        assert monitor.counters()["checks"] == 1
 
 
 def block_length(batch: int, dim: int, n_models: int | None) -> int:

@@ -10,10 +10,12 @@ from linens.envs import LinearBanditEnv, NoiseModel
 from linens.harness import (
     BATCH_SIZE,
     batches,
+    emit_outputs,
     estimate_event_rates,
     replication_seeds,
     run_batch,
     run_equivalence_suite,
+    run_monte_carlo,
     run_replications,
 )
 from linens.linalg import REINVERT_PERIOD
@@ -70,15 +72,17 @@ CASES = {
 
 def assert_batch_of_r_equals_r_batches_of_one(cfg: ExperimentConfig) -> None:
     together = run_batch(cfg, range(3))
-    for r, rec in enumerate(together):
-        (alone,) = run_batch(cfg, range(r, r + 1))
-        assert rec.replication == alone.replication == r
-        assert rec.columns.keys() == alone.columns.keys()
-        for name in rec.columns:
-            assert bits(rec.columns[name]) == bits(alone.columns[name]), name
-        assert rec.summary == alone.summary
+    assert together.replications == range(3)
+    for r in range(3):
+        alone = run_batch(cfg, range(r, r + 1))
+        for field in ("columns", "counters"):
+            rows, row = getattr(together, field), getattr(alone, field)
+            assert rows.keys() == row.keys()
+            for name in rows:
+                assert bits(rows[name][r : r + 1]) == bits(row[name]), name
     # the replications really differ, so the comparison is not vacuous
-    assert bits(together[0].columns["reward"]) != bits(together[1].columns["reward"])
+    reward = together.columns["reward"]
+    assert bits(reward[0]) != bits(reward[1])
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -143,6 +147,27 @@ def test_rates_report_is_independent_of_workers():
     assert serial["total_checks"] == reps * 6
 
 
+def test_outputs_do_not_depend_on_how_replications_are_batched(monkeypatch, tmp_path):
+    # five replications in one batch, then in three batches of at most two,
+    # in one process and over two workers: the files and the report are the
+    # same bytes, so pooling and writing across batches keeps replication order
+    cfg = make_cfg(run__diagnostics="full-trace", run__replications=5, run__horizon=20)
+
+    def outputs(workers: int) -> tuple:
+        cfg.run.workers = workers
+        records, summary = run_monte_carlo(cfg)
+        paths = emit_outputs(records, summary, tmp_path / f"{harness.BATCH_SIZE}-{workers}")
+        return len(records), [p.read_bytes() for p in paths], estimate_event_rates(cfg)
+
+    n_batches, *default = outputs(1)
+    assert n_batches == 1
+    monkeypatch.setattr(harness, "BATCH_SIZE", 2)
+    for workers in (1, 2):
+        n_batches, *got = outputs(workers)
+        assert n_batches == 3
+        assert got == default, workers
+
+
 def test_equivalence_across_batches_and_workers():
     seeds = BATCH_SIZE + 5
     cfg = make_cfg(env__dim=2, env__arm_count=4, run__horizon=10, run__workers=2)
@@ -172,14 +197,14 @@ def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, fami
     monkeypatch.setattr(harness, "BATCH_SIZE", 2)  # three batches over two workers
     runs = {
         "workers": run_replications(cfg, range(reps)),
-        "one batch": run_batch(cfg, range(reps)),
-        "batches of one": [run_batch(cfg, range(r, r + 1))[0] for r in range(reps)],
+        "one batch": [run_batch(cfg, range(reps))],
+        "batches of one": [run_batch(cfg, range(r, r + 1)) for r in range(reps)],
     }
     for name, records in runs.items():
-        assert [rec.replication for rec in records] == list(range(reps)), name
+        assert [r for rec in records for r in rec.replications] == list(range(reps)), name
         for rec in records:
-            want = env.mean_reward(rec.columns["arm"]) + noise[rec.replication]
-            assert bits(rec.columns["reward"]) == bits(want), name
+            for r, arm, reward in zip(rec.replications, rec.columns["arm"], rec.columns["reward"]):
+                assert bits(reward) == bits(env.mean_reward(arm) + noise[r]), name
 
 
 def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):

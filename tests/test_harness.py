@@ -136,9 +136,8 @@ ONE_EXPLICIT_ARM = {
 
 
 def run_one(cfg: ExperimentConfig, replication: int):
-    """One replication, run as a batch of one."""
-    (record,) = run_batch(cfg, range(replication, replication + 1))
-    return record
+    """One replication, run as a batch of one: every array has one row."""
+    return run_batch(cfg, range(replication, replication + 1))
 
 
 def same_columns(a, b) -> bool:
@@ -622,7 +621,8 @@ class TestRunReplication:
         a = run_one(cfg, 0)
         b = run_one(cfg, 0)
         assert same_columns(a, b)
-        assert a.summary == b.summary
+        assert a.counters.keys() == b.counters.keys()
+        assert all(np.array_equal(a.counters[k], b.counters[k]) for k in a.counters)
 
     def test_replications_differ(self):
         cfg = small_cfg()
@@ -631,28 +631,29 @@ class TestRunReplication:
     def test_single_arm_zero_regret(self):
         cfg = small_cfg(env__arm_count=1)
         rec = run_one(cfg, 0)
-        assert rec.summary["final_regret"] == 0.0
+        assert rec.counters["final_regret"][0] == 0.0
         assert np.all(rec.columns["instant_regret"] == 0.0)
 
     def test_cumulative_regret_is_prefix_sum(self):
         rec = run_one(small_cfg(), 0)
         cum = 0.0
-        for instant, cum_regret in zip(rec.columns["instant_regret"], rec.columns["cum_regret"]):
+        columns = rec.columns["instant_regret"][0], rec.columns["cum_regret"][0]
+        for instant, cum_regret in zip(*columns):
             cum += instant
             assert cum_regret == pytest.approx(cum, abs=1e-12)
-        assert rec.summary["final_regret"] == pytest.approx(cum)
+        assert rec.counters["final_regret"][0] == pytest.approx(cum)
 
     def test_monitor_columns_present_when_enabled(self):
         off = run_one(small_cfg(), 0)
         on = run_one(small_cfg(run__diagnostics="monitors"), 0)
         assert tuple(off.columns) == TRACE_COLUMNS
         assert tuple(on.columns) == TRACE_COLUMNS + FLAG_COLUMNS
-        assert all(len(col) == 30 for col in on.columns.values())
-        assert on.summary["checks"] == 30
+        assert all(col.shape == (1, 30) for col in on.columns.values())
+        assert on.counters["checks"].tolist() == [30]
 
     def test_full_trace_tracks_ensemble_fraction(self):
         rec = run_one(small_cfg(run__diagnostics="full-trace"), 0)
-        assert 0.0 <= rec.summary["min_ensemble_fraction"] <= 1.0
+        assert 0.0 <= rec.counters["min_ensemble_fraction"][0] <= 1.0
 
 
 class TestMonteCarlo:
@@ -666,7 +667,7 @@ class TestMonteCarlo:
         records, summary = run_monte_carlo(cfg)
         final = summary["checkpoints"][-1]
         assert final["t"] == 30
-        assert final["mean"] == records[0].columns["cum_regret"][-1]
+        assert final["mean"] == records[0].columns["cum_regret"][0, -1]
         assert final["median"] == final["q10"] == final["q90"] == final["mean"]
 
     def test_zero_regret_quantiles(self):
@@ -697,7 +698,7 @@ class TestMonteCarlo:
         with pytest.warns(UserWarning, match="lambda"):
             cfg = small_cfg(run__diagnostics="monitors", policy__lam=0.5)
         records, summary = run_monte_carlo(cfg)
-        assert all(rec.summary["elliptical_ok"] is None for rec in records)
+        assert all("elliptical_ok" not in rec.counters for rec in records)
         mon = summary["monitors"]
         assert mon["elliptical_pass_rate"] is None
         assert "disabled" in mon["elliptical_note"]
@@ -711,7 +712,7 @@ class TestMonteCarlo:
         # at most a few standard errors
         cfg = small_cfg(run__replications=120, env__sigma=1.0)
         records, _ = run_monte_carlo(cfg)
-        finals = np.array([r.columns["cum_regret"][-1] for r in records])
+        finals = np.concatenate([r.columns["cum_regret"][:, -1] for r in records])
         a, b = finals[:60], finals[60:]
         se = np.sqrt(np.var(finals) * (1 / 60 + 1 / 60))
         assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se + 1e-12
@@ -750,8 +751,8 @@ class TestOutputs:
         records, summary = run_monte_carlo(cfg)
         t, _ = emit_outputs(records, summary, tmp_path)
         row = t.read_text().splitlines()[1].split(",")
-        assert float(row[4]) == records[0].columns["reward"][0]  # exact via %.17g
-        assert float(row[6]) == records[0].columns["cum_regret"][0]
+        assert float(row[4]) == records[0].columns["reward"][0, 0]  # exact via %.17g
+        assert float(row[6]) == records[0].columns["cum_regret"][0, 0]
 
     def test_summary_json_round_trips(self, tmp_path):
         cfg = small_cfg(run__diagnostics="monitors")
@@ -876,7 +877,7 @@ class TestCli:
         [
             ("run", ["--config", "missing.ini"], "config file not found: missing.ini"),
             ("equivalence", ["--seeds", "0"], "n_seeds must be at least 1"),
-            ("rates", ["--reps", "0"], "reps must be at least 1"),
+            ("rates", ["--reps", "0"], "run.replications must be at least 1"),
             ("sweep", ["--param", "m", "--values", "3"], "varies policy.m"),
         ],
     )
@@ -924,6 +925,12 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["replications"] == 2
+
+    def test_rates_reps_is_checked_in_place_of_the_files_count(self, tmp_path, capsys):
+        # --reps is a setting, as run's is: the file's count that it replaces is not checked
+        cfg_path = write_cfg(tmp_path, BASE_INI.replace("replications = 2", "replications = 0"))
+        assert cli.main(["rates", "--config", str(cfg_path), "--reps", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["replications"] == 2
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
@@ -1150,8 +1157,11 @@ def test_full_trace_outputs_match_their_pinned_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["rates", "--config", str(path), "--reps", "5"]) == 0
     got = {"rates": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
-    summaries = [r.summary for r in run_batch(load_config(path), range(5), trace=False)]
-    assert all("min_ensemble_fraction" in s for s in summaries)
+    counters = run_batch(load_config(path), range(5), trace=False).counters
+    assert "min_ensemble_fraction" in counters
+    # each replication's counters as the dict that the pinned hash was taken of
+    values = {name: counter.tolist() for name, counter in counters.items()}
+    summaries = [{name: column[i] for name, column in values.items()} for i in range(5)]
     got["summaries"] = hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest()
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--reps", "5", "--out", str(out)]) == 0
