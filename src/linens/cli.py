@@ -1,8 +1,10 @@
 """Command-line entry points.
 
-Subcommands:
+Subcommands, each loading its config under its own name, which rejects a
+key it would not read (:meth:`~linens.config.ExperimentConfig.reads`):
   run          Monte-Carlo experiment from a config file.
-  equivalence  Round-robin-ensemble vs perturbed-history equality check.
+  equivalence  Round-robin-ensemble vs perturbed-history equality check over
+               ``run.replications`` seeds (``--seeds``).
   rates        Empirical event-rate study.
   sweep        Re-run the experiment across values of one parameter.
 """
@@ -40,8 +42,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    cfg = load_config(args.config)
-    report = run_equivalence_suite(cfg, n_seeds=args.seeds)
+    given = {} if args.seeds is None else {"replications": args.seeds}
+    report = run_equivalence_suite(load_config(args.config, "equivalence", **given))
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: {report.matches}/{report.seeds} seeds with identical arm sequences")
     for seed, step, seq_a, seq_b in report.failures:
@@ -53,7 +55,7 @@ def _cmd_equivalence(args) -> int:
 
 def _cmd_rates(args) -> int:
     given = {} if args.reps is None else {"replications": args.reps}
-    report = estimate_event_rates(load_config(args.config, **given))
+    report = estimate_event_rates(load_config(args.config, "rates", **given))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -64,12 +66,7 @@ def _cmd_sweep(args) -> int:
     # writes anything
     runs = []
     for value in map(int, args.values.split(",")):
-        cfg = load_config(args.config, **{key: value})
-        if not cfg.reads(key):
-            raise ValueError(
-                f"sweep --param {args.param} varies policy.{key}, which policy.name = "
-                f"{cfg.policy.name} does not read"
-            )
+        cfg = load_config(args.config, "sweep", **{key: value})
         runs.append((value, cfg))
     out_root = Path(args.out if args.out else cfg.run.out_dir)
     combined = []
@@ -101,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equivalence", help="run the policy-equality suite")
     p_eq.add_argument("--config", required=True)
-    p_eq.add_argument("--seeds", type=int, default=50)
+    p_eq.add_argument("--seeds", type=int)
     p_eq.set_defaults(func=_cmd_equivalence)
 
     p_rates = sub.add_parser("rates", help="estimate event rates")

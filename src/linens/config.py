@@ -2,11 +2,12 @@
 
 Each section's keys are the fields of its dataclass (``lambda`` for
 ``lam``), read by field type. A file that is not valid INI, unknown sections
-or keys, and policy keys that a run would not read
-(:meth:`ExperimentConfig.reads`) are rejected so that typos fail fast.
-:func:`load_config` finishes a config in one place: it reads the file, sets
-the fields that a command's own arguments give, by field name (no two
-sections share one), and validates the result once.
+or keys, and keys that the command would not read
+(:meth:`ExperimentConfig.reads`, one rule for every command) are rejected so
+that typos fail fast. :func:`load_config` finishes a config in one place: it
+reads the file, sets the fields that a command's own arguments give, by
+field name (no two sections share one), validates the result once, and
+checks every given field against the command's rule once.
 The config builds what a run is made of, its policy included
 (:meth:`ExperimentConfig.build_policy`, beside ``reads``). Value ranges are
 not restated here: :meth:`ExperimentConfig.validate` builds those objects,
@@ -141,24 +142,34 @@ class ExperimentConfig:
             )
         return self
 
-    def reads(self, key: str) -> bool:
-        """Whether a run of this experiment reads the field ``key``; only
-        the ``[policy]`` fields that the rule names can go unread. A file
-        that sets a field the run would ignore is rejected at load, and
+    def reads(self, key: str, command: str = "run") -> bool:
+        """Whether ``linens <command>`` on this experiment reads the field
+        ``key``: the one rule for every section and every command. ``run``,
+        ``rates`` and ``sweep`` read the same fields, and only ``[policy]``
+        fields of the policy that :meth:`build_policy` builds can go unread.
+        ``equivalence`` runs its own round-robin, by-step ensemble at m = T,
+        unmonitored, so it reads ``policy.name`` only as ``ensemble`` and
+        never ``m``, ``sampler``, ``keying``, ``lints_scale``,
+        ``linucb_bonus`` or ``run.diagnostics``. :func:`load_config` rejects
+        a file or setting that gives a field the command would ignore, and
         ``summary.json`` resolves ``m`` and the scale only where they are
         read."""
         p = self.policy
-        scaled = p.name in ("ensemble", "phe") or (p.name == "lints" and p.lints_scale is None)
+        name = "ensemble" if command == "equivalence" else p.name
+        scaled = name in ("ensemble", "phe") or (name == "lints" and p.lints_scale is None)
         rule = {
-            "m": p.name == "ensemble",
-            "sampler": p.name == "ensemble",
-            "keying": p.name == "ensemble",
-            "family": p.name in ("ensemble", "phe"),
+            "m": name == "ensemble",
+            "sampler": name == "ensemble",
+            "keying": name == "ensemble",
+            "family": name in ("ensemble", "phe"),
             "scale_mode": scaled,
             "scale": scaled and p.scale_mode == "explicit",
-            "lints_scale": p.name == "lints",
-            "linucb_bonus": p.name == "linucb",
+            "lints_scale": name == "lints",
+            "linucb_bonus": name == "linucb",
         }
+        if command == "equivalence":
+            unread = dict.fromkeys(("m", "sampler", "keying", "diagnostics"), False)
+            rule.update(unread, name=p.name == "ensemble")
         return rule.get(key, True)
 
     def build_policy(self, seeds: list[int]):
@@ -283,10 +294,12 @@ def _read_section(section: configparser.SectionProxy, target) -> None:
                 raise ValueError(f"{section.name}.{key}: {exc}") from None
 
 
-def load_config(path: str | Path, **settings) -> ExperimentConfig:
-    """Parse an experiment configuration file, set the fields that
-    ``settings`` names (a command's own arguments, such as ``base_seed=3``),
-    and validate the result once. The settings replace the file's values
+def load_config(path: str | Path, command: str = "run", **settings) -> ExperimentConfig:
+    """Parse an experiment configuration file for ``linens <command>``, set
+    the fields that ``settings`` names (the command's own arguments, such as
+    ``base_seed=3``), validate the result once, and then reject every field
+    that the file or a setting gives and the command would not read
+    (:meth:`ExperimentConfig.reads`). The settings replace the file's values
     after the explicit rows give the arm shape a file leaves out, so a
     setting that clashes with the rows is rejected as a file's would be."""
     parser = configparser.ConfigParser()
@@ -312,16 +325,27 @@ def load_config(path: str | Path, **settings) -> ExperimentConfig:
         if "dim" not in parser["env"]:
             e.dim = len(e.arms[0])
     # no two sections share a field name, so a setting names its field
-    parts = [getattr(cfg, section.name) for section in fields(cfg)]
-    owner = {f.name: part for part in parts for f in fields(part)}
+    section_of = {f.name: s.name for s in fields(cfg) for f in fields(getattr(cfg, s.name))}
     for name, value in settings.items():
-        setattr(owner[name], name, value)
+        setattr(getattr(cfg, section_of[name]), name, value)
     cfg.validate()
-    if parser.has_section("policy"):
-        for key in parser["policy"]:
-            if not cfg.reads(key):
-                raise ValueError(
-                    f"this file sets policy.{key}, which policy.name = {cfg.policy.name} "
-                    "does not read with the other [policy] settings: a run would ignore it"
-                )
+    field_of = {key: name for name, key in _INI_KEYS.items()}
+    ignored = " with the other [policy] settings: a run would ignore it"
+    keys = [key for section in parser.sections() for key in parser[section]]
+    given = [
+        *((field_of.get(key, key), "this file sets", ignored) for key in keys),
+        *((name, f"{command} varies", "") for name in settings),
+    ]
+    for name, source, tail in given:
+        if cfg.reads(name, command):
+            continue
+        if cfg.reads(name):  # a run would read it; this command does not
+            section = section_of[name]
+            value = getattr(getattr(cfg, section), name)
+            raise ValueError(
+                f"{source} {section}.{name} = {value}, which linens {command} does not read"
+            )
+        raise ValueError(
+            f"{source} policy.{name}, which policy.name = {cfg.policy.name} does not read{tail}"
+        )
     return cfg

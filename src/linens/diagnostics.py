@@ -16,7 +16,7 @@ it can only mean an implementation bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class StepMonitor:
     params: ConfidenceParams
     track_ensemble_fraction: bool = False
     batch: int | None = None
-    checks: int = 0
+    checks: int = field(default=0, init=False)  # steps evaluated so far
 
     def __post_init__(self):
         self._shape = shape = () if self.batch is None else (self.batch,)

@@ -313,19 +313,22 @@ class EquivalenceReport:
         return self.matches == self.seeds
 
 
-def run_equivalence_suite(
-    cfg: ExperimentConfig, n_seeds: int = 50, desync: bool = False
-) -> EquivalenceReport:
+def run_equivalence_suite(cfg: ExperimentConfig, desync: bool = False) -> EquivalenceReport:
     """Check that a horizon-sized round-robin ensemble and perturbed-history
-    exploration choose identical arm sequences when they share keyed draws.
+    exploration choose identical arm sequences when they share keyed draws,
+    on each of ``run.replications`` seeds (the replication seeds of
+    :func:`replication_seeds`).
 
     ``desync`` deliberately offsets the perturbed-history seeds; it exists
     as a negative control for the test itself and must report failures.
     Each seed runs on its own random instance, so a config with explicit
-    arms is rejected rather than silently replaced.
+    arms is rejected rather than silently replaced. The suite reads the
+    fields that ``ExperimentConfig.reads(key, "equivalence")`` names.
     """
+    n_seeds = cfg.run.replications
     if n_seeds < 1:
-        raise ValueError("n_seeds must be at least 1")
+        # an unvalidated config must not pass vacuously, 0/0
+        raise ValueError("run.replications must be at least 1")
     if cfg.env.arm_mode == "explicit":
         raise ValueError(
             "the equivalence suite draws random instances (one per seed, from "
@@ -371,8 +374,9 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
 # ---------------------------------------------------------------------------
 
 
-def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict:
-    """Empirical frequencies of the monitored probabilistic events.
+def estimate_event_rates(cfg: ExperimentConfig) -> dict:
+    """Empirical frequencies of the monitored probabilistic events over
+    ``run.replications`` replications.
 
     Reports (a) the fraction of runs whose ridge estimate stays inside its
     confidence radius at every step, (b) the per-step frequency of the
@@ -382,10 +386,9 @@ def estimate_event_rates(cfg: ExperimentConfig, reps: int | None = None) -> dict
     Monitors run even when the configuration switches them off. Each
     rate pools the batches' ``(R,)`` counters (:func:`_pooled`).
     """
-    if reps is None:
-        reps = cfg.run.replications
+    reps = cfg.run.replications
     if reps < 1:
-        raise ValueError("reps must be at least 1")
+        raise ValueError("run.replications must be at least 1")
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
     records = _map_batches(partial(run_batch, cfg, trace=False), range(reps), cfg.run.workers)

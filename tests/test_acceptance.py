@@ -71,14 +71,14 @@ def test_criterion_01_round_robin_ensemble_equals_perturbed_history():
     0/50 under the desynchronized negative control."""
     for dim, arms, horizon in ((2, 4, 20), (4, 8, 50)):
         cfg = base_config(
-            env__dim=dim, env__arm_count=arms, run__horizon=horizon
+            env__dim=dim, env__arm_count=arms, run__horizon=horizon, run__replications=50
         )
-        report = run_equivalence_suite(cfg, n_seeds=50)
+        report = run_equivalence_suite(cfg)
         assert report.matches == 50, (
             f"shape (d={dim}, K={arms}, T={horizon}): "
             f"{len(report.failures)} diverging seeds, first={report.failures[:1]}"
         )
-        desync = run_equivalence_suite(cfg, n_seeds=50, desync=True)
+        desync = run_equivalence_suite(cfg, desync=True)
         assert desync.matches == 0, (
             f"shape (d={dim}, K={arms}, T={horizon}): the desynchronized control "
             f"matched on {desync.matches}/50 seeds"
@@ -147,8 +147,9 @@ def test_criterion_04_ridge_concentration_rate_meets_its_guarantee():
         run__horizon=200,
         run__diagnostics="monitors",
         run__base_seed=41,
+        run__replications=5000,
     )
-    report = estimate_event_rates(cfg, reps=5000)
+    report = estimate_event_rates(cfg)
     MONITORED["checks"] += report["total_checks"]
     rate = report["all_concentrated_rate"]
     assert rate >= 1.0 - 0.2 - 0.02, f"all-step concentration rate {rate:.4f} < 0.78"
@@ -243,8 +244,9 @@ def test_criterion_08_perturbation_concentration_rate():
         run__horizon=100,
         run__diagnostics="monitors",
         run__base_seed=63,
+        run__replications=50,
     )
-    report = estimate_event_rates(cfg, reps=50)
+    report = estimate_event_rates(cfg)
     MONITORED["checks"] += report["total_checks"]
     assert report["total_checks"] == 5000
     rate = report["perturb_concentration_rate"]
@@ -323,8 +325,9 @@ def test_criterion_06_million_monitored_steps_without_implication_failures():
             run__horizon=200,
             run__diagnostics="monitors",
             run__base_seed=MONITORED["checks"] % 7919,
+            run__replications=250,
         )
-        report = estimate_event_rates(cfg, reps=250)
+        report = estimate_event_rates(cfg)
         MONITORED["checks"] += report["total_checks"]
     assert MONITORED["checks"] >= 1_000_000
     print(

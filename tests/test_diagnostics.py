@@ -220,6 +220,13 @@ class TestStepMonitor:
         assert diag["concentration_ok"].shape == (50,)
         assert diag["concentration_ok"].all()
 
+    def test_checks_is_counted_state_not_an_option(self, rng):
+        # flush counts the evaluated steps; no caller may start the count
+        env = LinearBanditEnv.random(2, 3, NoiseModel(sigma=0.0), 1.0, rng)
+        with pytest.raises(TypeError, match="checks"):
+            StepMonitor(env, make_params(), checks=5)
+        assert StepMonitor(env, make_params()).checks == 0
+
     def test_harmonic_elliptical_sum(self):
         # one arm x = 1 in dimension 1 with lam = 1: widths^2 are 1, 1/2, 1/3
         env = LinearBanditEnv(np.array([[1.0]]), np.array([0.5]), NoiseModel(sigma=0.0), 1.0)

@@ -138,10 +138,10 @@ def test_batches_are_fixed_contiguous_blocks():
 def test_rates_report_is_independent_of_workers():
     # more replications than one batch holds, so two workers share the work
     reps = BATCH_SIZE + 20
-    cfg = make_cfg(run__horizon=6, run__diagnostics="full-trace")
-    serial = estimate_event_rates(cfg, reps=reps)
+    cfg = make_cfg(run__horizon=6, run__diagnostics="full-trace", run__replications=reps)
+    serial = estimate_event_rates(cfg)
     cfg.run.workers = 2
-    parallel = estimate_event_rates(cfg, reps=reps)
+    parallel = estimate_event_rates(cfg)
     assert serial == parallel
     assert serial["replications"] == reps
     assert serial["total_checks"] == reps * 6
@@ -170,11 +170,13 @@ def test_outputs_do_not_depend_on_how_replications_are_batched(monkeypatch, tmp_
 
 def test_equivalence_across_batches_and_workers():
     seeds = BATCH_SIZE + 5
-    cfg = make_cfg(env__dim=2, env__arm_count=4, run__horizon=10, run__workers=2)
-    report = run_equivalence_suite(cfg, n_seeds=seeds)
+    cfg = make_cfg(
+        env__dim=2, env__arm_count=4, run__horizon=10, run__workers=2, run__replications=seeds
+    )
+    report = run_equivalence_suite(cfg)
     assert report.matches == seeds and report.failures == []
     # the negative control still fails, in every batch
-    desync = run_equivalence_suite(cfg, n_seeds=seeds, desync=True)
+    desync = run_equivalence_suite(cfg, desync=True)
     assert not desync.passed
     failed = [seed for seed, *_ in desync.failures]
     assert min(failed) < BATCH_SIZE <= max(failed)
@@ -216,9 +218,9 @@ def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):
         return draws(self, seeds)
 
     monkeypatch.setattr(NoiseModel, "draws", spy)
-    cfg = make_cfg(run__horizon=5, policy__m="auto")
+    cfg = make_cfg(run__horizon=5, policy__m="auto", run__replications=3)
     run_batch(cfg, range(3))
-    run_equivalence_suite(cfg, n_seeds=3)
+    run_equivalence_suite(cfg)
     assert seen == [replication_seeds(cfg, range(3))] * 2
 
 
@@ -245,6 +247,7 @@ def test_keyed_generator_builds_only_the_random_instances(monkeypatch, case):
     run_batch(cfg, range(3))
     assert keys == [(cfg.run.base_seed, TAG_ENV)]
     keys.clear()
-    run_equivalence_suite(cfg, n_seeds=4)
+    cfg.run.replications = 4
+    run_equivalence_suite(cfg)
     assert keys == [(k, TAG_ENV) for k in replication_seeds(cfg, range(4))]
     assert len(philox) == 5

@@ -20,6 +20,7 @@ from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
     TRACE_COLUMNS,
+    _equivalence_batch,
     aggregate,
     checkpoints,
     emit_outputs,
@@ -50,6 +51,11 @@ horizon = 30
 replications = 2
 base_seed = 11
 """
+
+
+#: ``BASE_INI`` as ``linens equivalence`` reads it: the suite runs its own
+#: horizon-sized ensemble, so a file for it sets no ``m``.
+EQUIVALENCE_INI = BASE_INI.replace("m = 4\n", "")
 
 
 def write_cfg(tmp_path, text=BASE_INI, name="exp.ini"):
@@ -403,6 +409,31 @@ workers = 2
         assert getattr(varied.policy, field) != getattr(base.policy, field)
         changed = run_outputs(varied.validate()) != run_outputs(base)
         assert changed == varied.reads(field)
+
+    @pytest.mark.parametrize("field,value,settings", [*POLICY_VARIATIONS, ("name", "phe", {})])
+    def test_a_policy_field_changes_the_equivalence_arms_exactly_where_it_is_read(
+        self, field, value, settings
+    ):
+        # the rule of ExperimentConfig.reads, equivalence: on name = ensemble,
+        # another value of a field that the suite reads changes the arm
+        # sequences of its two policies, and another value of one it does
+        # not read (the name among them) changes neither. delta moves the
+        # scale by 7%, which flips few arms, hence 16 seeds
+        overrides = {f"policy__{key}": v for key, v in settings.items()}
+        base = small_cfg(run__horizon=10, **overrides)
+        varied = copy.deepcopy(base)
+        setattr(varied.policy, field, value)
+        assert getattr(varied.policy, field) != getattr(base.policy, field)
+        varied.validate()
+        arms = [np.stack(_equivalence_batch(c, False, range(16))) for c in (varied, base)]
+        assert (not np.array_equal(*arms)) == varied.reads(field, "equivalence")
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_SETTINGS))
+    def test_rates_and_sweep_read_what_run_reads(self, policy):
+        cfg = small_cfg(**{f"policy__{k}": v for k, v in POLICY_SETTINGS[policy].items()})
+        for section in fields(cfg):
+            for f in fields(getattr(cfg, section.name)):
+                assert cfg.reads(f.name, "rates") == cfg.reads(f.name, "sweep") == cfg.reads(f.name)
 
     def test_every_policy_field_is_varied(self):
         varied = {field for field, _, _ in POLICY_VARIATIONS}
@@ -767,8 +798,8 @@ class TestOutputs:
 class TestEquivalenceSuite:
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_shared_streams_match(self, family):
-        cfg = small_cfg(run__horizon=20, policy__family=family)
-        report = run_equivalence_suite(cfg, n_seeds=8)
+        cfg = small_cfg(run__horizon=20, policy__family=family, run__replications=8)
+        report = run_equivalence_suite(cfg)
         assert report.passed
         assert report.matches == 8
         assert report.failures == []
@@ -776,20 +807,25 @@ class TestEquivalenceSuite:
     def test_shared_streams_match_at_long_horizon(self):
         # the shared-axis replay draws each step's reward vector once, so the
         # bit-identity can be checked far past criterion 1's T = 50
-        cfg = small_cfg(env__dim=4, env__arm_count=8, env__sigma=1.0, run__horizon=2000)
-        report = run_equivalence_suite(cfg, n_seeds=2)
+        cfg = small_cfg(
+            env__dim=4, env__arm_count=8, env__sigma=1.0, run__horizon=2000, run__replications=2
+        )
+        report = run_equivalence_suite(cfg)
         assert report.failures == []
         assert report.matches == 2
 
     @pytest.mark.parametrize("n_seeds", [0, -2])
     def test_rejects_fewer_than_one_seed(self, n_seeds):
-        with pytest.raises(ValueError, match="n_seeds must be at least 1"):
-            run_equivalence_suite(small_cfg(), n_seeds=n_seeds)
+        # a config built in Python is not validated: it must not pass 0/0
+        cfg = small_cfg()
+        cfg.run.replications = n_seeds
+        with pytest.raises(ValueError, match="run.replications must be at least 1"):
+            run_equivalence_suite(cfg)
 
     def test_desynchronized_streams_diverge(self):
         # negative control: offsetting one stream must break the equality
-        cfg = small_cfg(run__horizon=20)
-        report = run_equivalence_suite(cfg, n_seeds=5, desync=True)
+        cfg = small_cfg(run__horizon=20, run__replications=5)
+        report = run_equivalence_suite(cfg, desync=True)
         assert not report.passed
         assert report.failures
         for seed, step, seq_a, seq_b in report.failures:
@@ -799,8 +835,8 @@ class TestEquivalenceSuite:
 
 class TestEventRates:
     def test_report_structure_and_ranges(self):
-        cfg = small_cfg(run__horizon=25, run__diagnostics="full-trace")
-        report = estimate_event_rates(cfg, reps=6)
+        cfg = small_cfg(run__horizon=25, run__diagnostics="full-trace", run__replications=6)
+        report = estimate_event_rates(cfg)
         assert report["replications"] == 6
         assert report["total_checks"] == 150
         for key in ("all_concentrated_rate", "perturb_concentration_rate", "anti_conc_rate"):
@@ -811,8 +847,10 @@ class TestEventRates:
         assert 0.0 <= report["min_ensemble_fraction_pass_rate"] <= 1.0
 
     def test_rejects_zero_reps(self):
+        cfg = small_cfg()
+        cfg.run.replications = 0
         with pytest.raises(ValueError):
-            estimate_event_rates(small_cfg(), reps=0)
+            estimate_event_rates(cfg)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -848,7 +886,8 @@ class TestCli:
         assert summary["config"]["run"]["base_seed"] == 99
 
     def test_equivalence_command(self, tmp_path, capsys):
-        cfg_path = write_cfg(tmp_path, BASE_INI.replace("horizon = 30", "horizon = 15"))
+        text = EQUIVALENCE_INI.replace("horizon = 30", "horizon = 15")
+        cfg_path = write_cfg(tmp_path, text)
         code = cli.main(["equivalence", "--config", str(cfg_path), "--seeds", "4"])
         assert code == 0
         assert "PASS: 4/4" in capsys.readouterr().out
@@ -856,8 +895,8 @@ class TestCli:
     def test_equivalence_command_rejects_explicit_arms(self, tmp_path):
         # the suite draws its own random instances; an explicit arm set
         # would be ignored, so the command fails instead of printing PASS
-        cfg_path = write_cfg(tmp_path, EXPLICIT_INI)
-        done = run_cli("equivalence", "--config", str(cfg_path))
+        text = EXPLICIT_INI.replace("name = greedy", "name = ensemble")
+        done = run_cli("equivalence", "--config", str(write_cfg(tmp_path, text)))
         assert done.returncode == 2
         assert "draws random instances" in done.stderr
         assert "arm_mode = explicit" in done.stderr
@@ -866,17 +905,51 @@ class TestCli:
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_equivalence_command_rejects_fewer_than_one_seed(self, tmp_path, seeds):
         # zero seeds would pass the bit-identity contract vacuously
-        cfg_path = write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path, EQUIVALENCE_INI)
         done = run_cli("equivalence", "--config", str(cfg_path), "--seeds", seeds)
         assert done.returncode == 2
-        assert done.stderr == "linens: n_seeds must be at least 1\n"
+        assert done.stderr == "linens: run.replications must be at least 1\n"
         assert done.stdout == ""
+
+    @pytest.mark.parametrize(
+        "key,old,new",
+        [
+            ("policy.m", "delta = 0.1", "delta = 0.1\nm = 3"),
+            ("policy.sampler", "delta = 0.1", "delta = 0.1\nsampler = uniform"),
+            ("policy.keying", "delta = 0.1", "delta = 0.1\nkeying = by_arm_count"),
+            ("policy.lints_scale", "delta = 0.1", "delta = 0.1\nlints_scale = 0.5"),
+            ("policy.linucb_bonus", "delta = 0.1", "delta = 0.1\nlinucb_bonus = 1.5"),
+            ("run.diagnostics", "horizon = 30", "horizon = 30\ndiagnostics = off"),
+            ("policy.name", "name = ensemble", "name = phe"),
+        ],
+    )
+    def test_equivalence_rejects_a_key_it_does_not_read(self, tmp_path, capsys, key, old, new):
+        # the suite runs its own round-robin, by-step ensemble at m = T,
+        # unmonitored: a file that sets any of these, even at its default,
+        # asks for something the suite would not do
+        cfg_path = write_cfg(tmp_path, EQUIVALENCE_INI.replace(old, new))
+        assert cli.main(["equivalence", "--config", str(cfg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("linens: ") and key in err and err.count("\n") == 1
+
+    def test_equivalence_accepts_only_what_it_reads(self, tmp_path, capsys):
+        # a file that sets m and a sampler is rejected; without them its
+        # replications are the seeds, and out_dir, which says where to
+        # write and not what to run, is accepted by every command
+        seven = "replications = 7\nout_dir = /nonexistent/x"
+        text = EQUIVALENCE_INI.replace("replications = 2", seven)
+        unread = text.replace("delta = 0.1", "delta = 0.1\nm = 3\nsampler = uniform")
+        assert cli.main(["equivalence", "--config", str(write_cfg(tmp_path, unread))]) == 2
+        assert "policy.m" in capsys.readouterr().err
+        assert cli.main(["equivalence", "--config", str(write_cfg(tmp_path, text))]) == 0
+        assert capsys.readouterr().out.startswith("PASS: 7/7 seeds")
 
     @pytest.mark.parametrize(
         "command,args,message",
         [
             ("run", ["--config", "missing.ini"], "config file not found: missing.ini"),
-            ("equivalence", ["--seeds", "0"], "n_seeds must be at least 1"),
+            ("equivalence", ["--seeds", "0"], "run.replications must be at least 1"),
             ("rates", ["--reps", "0"], "run.replications must be at least 1"),
             ("sweep", ["--param", "m", "--values", "3"], "varies policy.m"),
         ],
@@ -912,7 +985,7 @@ class TestCli:
         class Interrupted(Exception):
             pass
 
-        def interrupted(path):
+        def interrupted(*args, **kwargs):
             raise Interrupted
 
         monkeypatch.setattr(cli, "load_config", interrupted)
@@ -994,7 +1067,8 @@ class TestCli:
             return load(*a, **kw)
 
         monkeypatch.setattr(cli, "load_config", counted)
-        cfg_path = write_cfg(tmp_path, BASE_INI.replace("horizon = 30", "horizon = 5"))
+        text = EQUIVALENCE_INI if command == "equivalence" else BASE_INI
+        cfg_path = write_cfg(tmp_path, text.replace("horizon = 30", "horizon = 5"))
         if command in ("run", "sweep"):
             args = [*args, "--out", str(tmp_path / "o")]
         assert cli.main([command, "--config", str(cfg_path), *args]) == 0
@@ -1056,9 +1130,9 @@ BENCHMARK_CONFIGS = sorted(
 def test_benchmark_config_runs_its_command(tmp_path, capsys, path):
     # tier-1 does not collect perfbench/, so a rejection of a benchmark
     # config, at load or in its run, would otherwise show only as a refused
-    # benchmark run. The files set keys their command never reads
-    # (equivalence does not read policy.name), as the benchmark's copies of
-    # them do; they must still be accepted.
+    # benchmark run. Each file sets only keys its command reads: the
+    # equivalence file's policy.name = ensemble, and run.workers, which the
+    # benchmark's copies of them set too.
     parser = configparser.ConfigParser()
     parser.read(path)
     parser["run"]["horizon"] = "5"

@@ -54,6 +54,34 @@ def test_cli_example_parses(line):
     cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
+class _Loaded(Exception):
+    """Raised in place of the run that a command would start after its load."""
+
+
+@pytest.mark.parametrize("line", cli_examples())
+def test_cli_example_loads_its_config(line, monkeypatch):
+    # each line loads its file under its own command, with its settings,
+    # through cli.load_config; the run it would start is stopped, so a
+    # shipped example that its command rejects fails here, not in a shell
+    monkeypatch.chdir(README.parent)
+    loads = []
+    load = cli.load_config
+
+    def recorded(path, command="run", **settings):
+        loads.append(command)
+        return load(path, command, **settings)
+
+    def stop(*args, **kwargs):
+        raise _Loaded
+
+    monkeypatch.setattr(cli, "load_config", recorded)
+    for name in ("run_monte_carlo", "run_equivalence_suite", "estimate_event_rates"):
+        monkeypatch.setattr(cli, name, stop)
+    with pytest.raises(_Loaded):
+        cli.main(shlex.split(line)[1:])
+    assert loads and set(loads) == {line.split()[1]}
+
+
 def resolve(name: str):
     """The object a dotted name refers to: a module of ``linens``, or a
     name exported by ``linens``, then attributes."""
