@@ -56,7 +56,6 @@ class PolicyConfig:
     scale_mode: str = "auto"
     scale: float = 1.0
     keying: str = Keying.BY_STEP
-    lints_scale: float | None = None
     linucb_bonus: float | None = None
 
 
@@ -149,14 +148,13 @@ class ExperimentConfig:
         fields of the policy that :meth:`build_policy` builds can go unread.
         ``equivalence`` runs its own round-robin, by-step ensemble at m = T,
         unmonitored, so it reads ``policy.name`` only as ``ensemble`` and
-        never ``m``, ``sampler``, ``keying``, ``lints_scale``,
-        ``linucb_bonus`` or ``run.diagnostics``. :func:`load_config` rejects
-        a file or setting that gives a field the command would ignore, and
-        ``summary.json`` resolves ``m`` and the scale only where they are
-        read."""
+        never ``m``, ``sampler``, ``keying``, ``linucb_bonus`` or
+        ``run.diagnostics``. :func:`load_config` rejects a file or setting
+        that gives a field the command would ignore, and ``summary.json``
+        resolves ``m`` and the scale only where they are read."""
         p = self.policy
         name = "ensemble" if command == "equivalence" else p.name
-        scaled = name in ("ensemble", "phe") or (name == "lints" and p.lints_scale is None)
+        scaled = name in ("ensemble", "phe", "lints")
         rule = {
             "m": name == "ensemble",
             "sampler": name == "ensemble",
@@ -164,7 +162,6 @@ class ExperimentConfig:
             "family": name in ("ensemble", "phe"),
             "scale_mode": scaled,
             "scale": scaled and p.scale_mode == "explicit",
-            "lints_scale": name == "lints",
             "linucb_bonus": name == "linucb",
         }
         if command == "equivalence":
@@ -197,8 +194,7 @@ class ExperimentConfig:
                 return LinUCB(dim, p.lam, bonus=p.linucb_bonus, batch=batch)
             return LinUCB(dim, p.lam, params=self.confidence_params(), batch=batch)
         if p.name == "lints":
-            lints_scale = p.lints_scale if p.lints_scale is not None else spec.scale
-            return LinTS(dim, p.lam, lints_scale, seeds)
+            return LinTS(dim, p.lam, spec.scale, seeds)
         if p.name == "greedy":
             return GreedyRidge(dim, p.lam, batch=batch)
         raise ValueError(f"policy.name must be one of {POLICY_NAMES}, got {p.name!r}")
@@ -299,9 +295,11 @@ def load_config(path: str | Path, command: str = "run", **settings) -> Experimen
     the fields that ``settings`` names (the command's own arguments, such as
     ``base_seed=3``), validate the result once, and then reject every field
     that the file or a setting gives and the command would not read
-    (:meth:`ExperimentConfig.reads`). The settings replace the file's values
-    after the explicit rows give the arm shape a file leaves out, so a
-    setting that clashes with the rows is rejected as a file's would be."""
+    (:meth:`ExperimentConfig.reads`), and a ``run.diagnostics = off`` given
+    to ``rates``, which always runs the monitors. The settings replace the
+    file's values after the explicit rows give the arm shape a file leaves
+    out, so a setting that clashes with the rows is rejected as a file's
+    would be."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -337,6 +335,12 @@ def load_config(path: str | Path, command: str = "run", **settings) -> Experimen
         *((name, f"{command} varies", "") for name in settings),
     ]
     for name, source, tail in given:
+        # a value rule: rates reports the monitors' rates, so it always runs them
+        if command == "rates" and name == "diagnostics" and cfg.run.diagnostics == "off":
+            raise ValueError(
+                f"{source} run.diagnostics = off, but linens rates reports the monitors' "
+                "rates: set monitors or full-trace"
+            )
         if cfg.reads(name, command):
             continue
         if cfg.reads(name):  # a run would read it; this command does not

@@ -51,6 +51,10 @@ _COLUMN_DTYPES = {"arm": np.int64, "model": np.int64, **dict.fromkeys(FLAG_COLUM
 #: depend on the experiment alone.
 _UNECHOED_RUN_KEYS = ("out_dir", "workers")
 
+#: Policies that the paper's regret theorem covers; ``summary.json`` gives
+#: ``theoretical_regret_bound`` for these and ``null`` for the others.
+_BOUNDED_POLICIES = ("ensemble", "phe")
+
 
 @dataclass
 class RunRecord:
@@ -248,8 +252,10 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         "resolved_scale": cfg.perturbation_spec().scale if cfg.reads("scale_mode") else None,
         "replications": len(cum),
         "checkpoints": per_checkpoint,
-        "theoretical_regret_bound": theoretical_regret_bound(
-            gamma(params), p_n() / 4.0, params
+        "theoretical_regret_bound": (
+            theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
+            if cfg.policy.name in _BOUNDED_POLICIES
+            else None
         ),
     }
     counters = _pooled(records)

@@ -9,14 +9,15 @@ identity (O(d^2) per step) and re-derived from scratch every
 Arrays carry a leading batch shape: ``()`` for one replication and
 ``(R,)`` for R replications stepped in lockstep. Each batched operation is
 the serial numpy call with the batch axis in front: stacked ``np.matmul``,
-batched ``np.linalg.inv``, or an ``einsum`` whose serial subscripts gain a
-leading ``...`` (the widths of :meth:`linens.policies.LinUCB.select` and the
-monitor's ensemble fraction). Numpy evaluates each item by item through the
-serial call's kernel, so a replication's numbers do not depend on the batch
-it runs in. What is not used is another form in place of the one a value is
-defined by (``einsum`` for a matrix product, ``(a * b).sum`` for a dot, a
-matrix product against transposed arms, or ``np.linalg.norm`` along an
-axis): those may round differently.
+batched ``np.linalg.inv`` or ``np.linalg.cholesky``, or an ``einsum`` whose
+serial subscripts gain a leading ``...`` (the widths of
+:meth:`linens.policies.LinUCB.select` and the monitor's ensemble fraction).
+Numpy evaluates each item by item through the serial call's kernel, so a
+replication's numbers do not depend on the batch it runs in. What is not
+used is another form in place of the one a value is defined by (``einsum``
+for a matrix product, ``(a * b).sum`` for a dot, a matrix product against
+transposed arms, or ``np.linalg.norm`` along an axis): those may round
+differently.
 """
 
 from __future__ import annotations
@@ -150,12 +151,13 @@ class GramState:
         """Return ``V^{-1} b`` using the maintained inverse."""
         return matvec(self.gram_inv, self._check_vector(b))
 
-    def inverse_sqrt(self) -> np.ndarray:
-        """``V^{-1/2}``, the symmetric inverse square root of the Gram
-        matrix, from its symmetric eigendecomposition: ``V^{-1/2} xi`` with
-        ``xi ~ N(0, s^2 I)`` is a draw from ``N(0, s^2 V^{-1})``."""
-        evals, evecs = np.linalg.eigh(self.gram)
-        return np.matmul(evecs / np.sqrt(evals)[..., None, :], np.swapaxes(evecs, -1, -2))
+    def inverse_cholesky(self) -> np.ndarray:
+        """``L``, the lower-triangular Cholesky factor of the maintained
+        inverse, ``L L^T = V^{-1}``: ``L xi`` with ``xi ~ N(0, s^2 I)`` is a
+        draw from ``N(0, s^2 V^{-1})``. ``np.linalg.cholesky`` factors each
+        batch item on its own, so a replication's factor does not depend on
+        its batch."""
+        return np.linalg.cholesky(self.gram_inv)
 
     def inverse_drift(self) -> float:
         """Max absolute entry of ``gram @ gram_inv - I`` over the batch

@@ -312,14 +312,16 @@ class LinPHE(_RidgeBase):
 
     For the gaussian family the re-perturbation has a closed form:
     ``w + X^T z ~ N(0, scale^2 V)``, so the estimator is distributed as
-    ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)``, Thompson
-    sampling's draw. The policy draws exactly that, in O(d^2) per step and
-    with no stored history: ``xi`` is ``d`` values of
-    :func:`~linens.perturb.reward_draws` under each seed's ``TAG_PHE``
-    prefix and the key ``t``, drawn for the batch in one call per block of
-    steps (:class:`~linens.perturb.StepDraws`, whose block length is
-    bounded by ``DRAW_VALUES`` values). The other families' sums are not of
-    their family, so they re-perturb the O(t) history with
+    ``ridge + L xi`` with ``xi ~ N(0, scale^2 I)`` and any ``L`` with
+    ``L L^T = V^{-1}``, Thompson sampling's draw. The policy draws exactly
+    that with ``L`` the Cholesky factor of the maintained inverse
+    (:meth:`~linens.linalg.GramState.inverse_cholesky`), at a cost per step
+    that does not grow with ``t`` and with no stored history: ``xi`` is
+    ``d`` values of :func:`~linens.perturb.reward_draws` under each seed's
+    ``TAG_PHE`` prefix and the key ``t``, drawn for the batch in one call
+    per block of steps (:class:`~linens.perturb.StepDraws`, whose block
+    length is bounded by ``DRAW_VALUES`` values). The other families' sums
+    are not of their family, so they re-perturb the O(t) history with
     :func:`~linens.perturb.history_draws`, one call per step for the batch,
     whose first ``d`` values are that same ``xi``. On the draws of an
     m = T ensemble, LinPHE is :class:`PerturbedHistoryReplay`.
@@ -348,7 +350,7 @@ class LinPHE(_RidgeBase):
         """The freshly perturbed estimator for step ``t = step + 1``."""
         t = self.step + 1
         if self._xs is None:
-            return self.ridge_estimate() + matvec(self.gram.inverse_sqrt(), self._xi.at(t))
+            return self.ridge_estimate() + matvec(self.gram.inverse_cholesky(), self._xi.at(t))
         n = self.step
         w, z = history_draws(self.spec, self._prefixes, t, self.dim, n, self.lam)
         w = w.reshape(self.batch_shape + (self.dim,))
@@ -407,9 +409,9 @@ class LinUCB(_RidgeBase):
 
 
 class LinTS(LinPHE):
-    """Gaussian linear Thompson sampling: greedy on
-    ``ridge + V^{-1/2} xi`` with ``xi ~ N(0, scale^2 I)`` (Agrawal & Goyal,
-    ICML 2013).
+    """Gaussian linear Thompson sampling: greedy on a draw from
+    ``N(ridge, scale^2 V^{-1})`` (Agrawal & Goyal, ICML 2013), taken as
+    ``ridge + L xi`` with ``L L^T = V^{-1}`` and ``xi ~ N(0, scale^2 I)``.
 
     That is gaussian perturbed-history exploration's closed form, so LinTS
     is :class:`LinPHE` with a gaussian spec at ``scale``: the same

@@ -15,7 +15,7 @@ import pytest
 
 import linens
 from linens import cli
-from linens.config import ExperimentConfig, PolicyConfig, load_config
+from linens.config import POLICY_NAMES, ExperimentConfig, PolicyConfig, load_config
 from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
@@ -31,8 +31,8 @@ from linens.harness import (
     run_batch,
     run_monte_carlo,
 )
-from linens.diagnostics import StepMonitor
-from linens.perturb import PerturbationFamily, beta, ensemble_size
+from linens.diagnostics import StepMonitor, theoretical_regret_bound
+from linens.perturb import PerturbationFamily, beta, ensemble_size, gamma, p_n
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
 
 BASE_INI = """\
@@ -94,7 +94,9 @@ LOAD_REJECTIONS = {
         "policy.lambda: 'nan' is not",
     ),
     "lints-scale-negative": (
-        BASE_INI.replace("name = ensemble\nm = 4", "name = lints\nlints_scale = -0.5"),
+        BASE_INI.replace(
+            "name = ensemble\nm = 4", "name = lints\nscale_mode = explicit\nscale = -0.5"
+        ),
         "scale must be non-negative and finite, got -0.5",
     ),
     "linucb-bonus-negative": (
@@ -173,7 +175,6 @@ POLICY_SETTINGS = {
     "phe": {"name": "phe"},
     "linucb": {"name": "linucb"},
     "lints": {"name": "lints"},
-    "lints-own-scale": {"name": "lints", "lints_scale": 0.5},
     "greedy": {"name": "greedy"},
 }
 
@@ -188,8 +189,8 @@ POLICY_VARIATIONS = [
     ("scale_mode", "explicit", {}),
     ("scale", 0.3, {}),
     ("scale", 0.3, {"scale_mode": "explicit"}),
+    ("scale_mode", "auto", {"scale_mode": "explicit"}),
     ("keying", "by_arm_count", {}),
-    ("lints_scale", 0.3, {}),
     ("linucb_bonus", 0.3, {}),
 ]
 
@@ -336,7 +337,7 @@ workers = 2
             "policy": {
                 "name": "ensemble", "lam": 2.0, "delta": 0.3, "m": 9, "sampler": "round_robin",
                 "family": "rademacher", "scale_mode": "explicit", "scale": 0.75,
-                "keying": "by_arm_count", "lints_scale": None, "linucb_bonus": None,
+                "keying": "by_arm_count", "linucb_bonus": None,
             },
             "run": {
                 "horizon": 8, "replications": 3, "base_seed": 17,
@@ -348,7 +349,7 @@ workers = 2
         "policy,key,value",
         [
             ("ensemble", "keying = by_arm_count", "by_arm_count"),
-            ("lints", "lints_scale = 0.5", 0.5),
+            ("lints", "scale = 0.5\nscale_mode = explicit", 0.5),
             ("linucb", "linucb_bonus = 1.5", 1.5),
             ("phe", "family = uniform", "uniform"),
             ("lints", "scale_mode = explicit", "explicit"),
@@ -368,15 +369,15 @@ workers = 2
             ("greedy", "sampler = uniform"),
             ("lints", "keying = by_step"),
             ("greedy", "keying = by_arm_count"),
-            ("ensemble", "lints_scale = 0.5"),
+            ("ensemble", "linucb_bonus = 0.5"),
             ("phe", "linucb_bonus = 1.5"),
             ("linucb", "family = rademacher"),
             ("greedy", "scale = 2.0"),
             ("lints", "family = gaussian"),  # lints samples gaussian whatever it says
             ("linucb", "scale_mode = auto"),
             ("phe", "keying = by_arm_count"),  # a perturbed history is keyed by step
-            ("lints", "lints_scale = 0.5\nscale_mode = explicit"),
-            ("lints", "lints_scale = 0.5\nscale = 0.5"),
+            ("lints", "scale_mode = explicit\nscale = 0.5\nkeying = by_step"),
+            ("lints", "scale_mode = explicit\nscale = 0.5\nfamily = gaussian"),
             ("lints", "scale = 0.5"),  # under scale_mode = auto
             ("ensemble", "scale_mode = auto\nscale = 0.5"),
         ],
@@ -408,6 +409,13 @@ workers = 2
         setattr(varied.policy, field, value)
         assert getattr(varied.policy, field) != getattr(base.policy, field)
         changed = run_outputs(varied.validate()) != run_outputs(base)
+        if (policy, field) == ("greedy", "delta"):
+            # greedy reads delta only in the monitors' concentration radius;
+            # no run this size leaves that radius, and summary.json's regret
+            # bound, which once showed delta, is null outside ensemble and
+            # phe, so the radius itself is compared
+            radii = [beta(c.confidence_params(), 10) for c in (varied, base)]
+            changed = radii[0] != radii[1]
         assert changed == varied.reads(field)
 
     @pytest.mark.parametrize("field,value,settings", [*POLICY_VARIATIONS, ("name", "phe", {})])
@@ -477,8 +485,14 @@ workers = 2
             ({"policy__family": "cauchy"}, "family"),
             ({"policy__scale_mode": "explicit", "policy__scale": -1.0}, "scale"),
             ({"policy__scale_mode": "explicit", "policy__scale": math.nan}, "scale"),
-            ({"policy__name": "lints", "policy__lints_scale": math.nan}, NEGATIVE_SCALE),
-            ({"policy__name": "lints", "policy__lints_scale": -0.5}, NEGATIVE_SCALE),
+            (
+                dict(policy__name="lints", policy__scale_mode="explicit", policy__scale=math.nan),
+                NEGATIVE_SCALE,
+            ),
+            (
+                dict(policy__name="lints", policy__scale_mode="explicit", policy__scale=-0.5),
+                NEGATIVE_SCALE,
+            ),
             ({"policy__name": "linucb", "policy__linucb_bonus": math.nan}, "bonus"),
             ({"policy__name": "linucb", "policy__linucb_bonus": math.inf}, "bonus"),
             ({"policy__name": "linucb", "policy__linucb_bonus": -1.0}, "bonus"),
@@ -596,32 +610,47 @@ class TestPolicyResolution:
         assert isinstance(cfg.build_policy(replication_seeds(cfg, range(1))), cls)
 
     @pytest.mark.parametrize(
-        "overrides,reads_scale",
+        "overrides,want",
         [
-            ({"policy__name": "linucb"}, False),
-            ({"policy__name": "greedy"}, False),
-            ({"policy__name": "lints", "policy__lints_scale": 0.5}, False),
-            ({"policy__name": "lints"}, True),
-            ({"policy__name": "ensemble"}, True),
-            ({"policy__name": "phe"}, True),
+            ({"policy__name": "linucb"}, None),
+            ({"policy__name": "greedy"}, None),
+            (
+                dict(policy__name="lints", policy__scale_mode="explicit", policy__scale=0.5),
+                0.5,
+            ),
+            ({"policy__name": "lints"}, "beta"),
+            ({"policy__name": "ensemble"}, "beta"),
+            ({"policy__name": "phe"}, "beta"),
         ],
-        ids=["linucb", "greedy", "lints-own-scale", "lints", "ensemble", "phe"],
+        ids=["linucb", "greedy", "lints-explicit-scale", "lints", "ensemble", "phe"],
     )
-    def test_resolved_scale_is_reported_only_where_it_is_read(self, overrides, reads_scale):
+    def test_resolved_scale_is_reported_only_where_it_is_read(self, overrides, want):
         cfg = small_cfg(**overrides)
         _, summary = run_monte_carlo(cfg)
         params = cfg.confidence_params()
-        want = beta(params, params.horizon) if reads_scale else None
+        if want == "beta":
+            want = beta(params, params.horizon)
         assert summary["resolved_scale"] == want
 
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_regret_bound_is_reported_only_where_the_theorem_covers(self, name):
+        # the paper's regret theorem is about ensemble sampling and
+        # perturbed-history exploration; the other policies get null
+        cfg = small_cfg(policy__name=name, run__horizon=5)
+        _, summary = run_monte_carlo(cfg)
+        params = cfg.confidence_params()
+        want = theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
+        covered = name in ("ensemble", "phe")
+        assert summary["theoretical_regret_bound"] == (want if covered else None)
+
     def test_lints_is_gaussian_phe_at_its_scale(self, tmp_path):
-        # Thompson sampling at lints_scale = s is gaussian perturbed-history
+        # Thompson sampling at an explicit scale = s is gaussian perturbed-history
         # exploration at scale = s: the same trace.csv, byte for byte
         base = BASE_INI.replace("m = 4\n", "").replace(
             "base_seed = 11", "base_seed = 11\ndiagnostics = monitors"
         )
         policies = {
-            "lints": "name = lints\nlints_scale = 0.37",
+            "lints": "name = lints\nscale_mode = explicit\nscale = 0.37",
             "phe": "name = phe\nfamily = gaussian\nscale_mode = explicit\nscale = 0.37",
         }
         traces = []
@@ -917,7 +946,7 @@ class TestCli:
             ("policy.m", "delta = 0.1", "delta = 0.1\nm = 3"),
             ("policy.sampler", "delta = 0.1", "delta = 0.1\nsampler = uniform"),
             ("policy.keying", "delta = 0.1", "delta = 0.1\nkeying = by_arm_count"),
-            ("policy.lints_scale", "delta = 0.1", "delta = 0.1\nlints_scale = 0.5"),
+            ("policy.m", "delta = 0.1", "delta = 0.1\nm = auto"),
             ("policy.linucb_bonus", "delta = 0.1", "delta = 0.1\nlinucb_bonus = 1.5"),
             ("run.diagnostics", "horizon = 30", "horizon = 30\ndiagnostics = off"),
             ("policy.name", "name = ensemble", "name = phe"),
@@ -998,6 +1027,20 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["replications"] == 2
+
+    def test_rates_rejects_a_file_that_switches_the_monitors_off(self, tmp_path, capsys):
+        # rates reports the monitors' rates, so a file that says off is
+        # rejected at load rather than run with the monitors on
+        off = BASE_INI.replace("horizon = 30", "horizon = 30\ndiagnostics = off")
+        assert cli.main(["rates", "--config", str(write_cfg(tmp_path, off))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "linens: this file sets run.diagnostics = off, but linens rates reports "
+            "the monitors' rates: set monitors or full-trace\n"
+        )
+        monitors = off.replace("diagnostics = off", "diagnostics = monitors")
+        assert cli.main(["rates", "--config", str(write_cfg(tmp_path, monitors))]) == 0
 
     def test_rates_reps_is_checked_in_place_of_the_files_count(self, tmp_path, capsys):
         # --reps is a setting, as run's is: the file's count that it replaces is not checked
@@ -1181,11 +1224,11 @@ def test_shipped_config_loads_and_runs(tmp_path, path):
 PINNED_OUTPUTS = {
     "ensemble": (
         "d8d205710384d87361c7ec544da4f901e548b97935bafc4f4f0eea44c315c236",
-        "06cfd97d632984741a6fcd4696633673ae580cedb9a8a432bf45909b131b0b52",
+        "f3c721492b916cbff807a939ed294138fbafae81391460ee970e9e34d3277539",
     ),
     "phe": (
-        "09ebda14733536a0f7e556d4febad010dac8efb5e66844af80be60cf43026ffe",
-        "4462ca7e126d418580b127aa9a1234eaf721cacd00e53f2af5b9673fd20d2812",
+        "9c4f2e86ecfe5d36d5fa17f7eabd5921c02547d3ed5eca344e80caf5f1061714",
+        "2a171ab11fef923531b48a7db284d45375903a0156c042c3a76eb043edf2c445",
     ),
 }
 
@@ -1216,7 +1259,7 @@ PINNED_FULL_TRACE = {
     "rates": "53f08848a137ab5bc2ab96942f606219466ded5932926966af569fd78e8bbfc8",
     "summaries": "7a77159e43dadfa8c21c857290f439999bb502d735494835f99506c2ef69c798",
     "trace.csv": "b421558e10258ede5d4ed27c4bd3954aee0c11ce6adfd157b422bf008146f582",
-    "summary.json": "9dca119095865bc75c460a045622b5bd3882c65dbb137c4b7b996aea31d2c88e",
+    "summary.json": "87d3881509aa5975f7ef7d2dc0c7b33dffac0d91ca6484400ed1ccdd56d1cacd",
 }
 
 

@@ -180,6 +180,28 @@ class TestSolve:
             GramState(3, 1.0).solve(np.ones(2))
 
 
+class TestInverseCholesky:
+    def test_lower_factor_of_the_inverse_across_both_reinversions(self, rng):
+        st = GramState(4, 1.0)
+        for _ in range(2 * REINVERT_PERIOD + 52):
+            st.update(random_unit_ball(rng, 4))
+            chol = st.inverse_cholesky()
+            np.testing.assert_array_equal(chol, np.tril(chol))
+            np.testing.assert_allclose(chol @ chol.T, st.gram_inv, rtol=1e-12)
+        assert st.step_count == 2100
+
+    def test_a_batch_factors_each_replication_as_it_would_alone(self, rng):
+        batched = GramState(3, 1.5, batch=3)
+        alone = [GramState(3, 1.5) for _ in range(3)]
+        for _ in range(60):
+            xs = random_unit_ball(rng, 3, count=3)
+            batched.update(xs)
+            for st, x in zip(alone, xs):
+                st.update(x)
+            want = np.stack([st.inverse_cholesky() for st in alone])
+            np.testing.assert_array_equal(batched.inverse_cholesky(), want)
+
+
 def test_benchmark_reads_the_one_kernel_module():
     # perfbench traces linens.backend.kernels and records HAVE_COMPILED_KERNELS
     assert linens.backend.kernels is linens._kernels_py

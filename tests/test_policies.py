@@ -260,17 +260,16 @@ class TestLinPHE:
             rtol=1e-13,
         )
 
-    def test_gaussian_estimator_is_ridge_plus_inverse_sqrt_of_hashed_draws(self, rng):
+    def test_gaussian_estimator_is_ridge_plus_cholesky_of_v_inverse_times_hashed_draws(self, rng):
         dim, lam, scale, steps, seed = 3, 1.5, 0.8, 40, 13
         policy, spec, _ = self.make(dim=dim, lam=lam, scale=scale, seed=seed)
         xs, ys = drive(policy, rng, dim, steps)
         got = policy.estimator()
         xi = reward_draws(spec, [mix_key(seed, TAG_PHE)], range(dim), steps + 1)[0]
         v = lam * np.eye(dim) + xs.T @ xs
-        evals, evecs = np.linalg.eigh(v)
-        inv_half = evecs @ np.diag(evals**-0.5) @ evecs.T
-        np.testing.assert_allclose(inv_half @ v @ inv_half, np.eye(dim), atol=1e-12)
-        want = np.linalg.solve(v, xs.T @ ys) + inv_half @ xi
+        chol = np.linalg.cholesky(np.linalg.inv(v))
+        np.testing.assert_allclose(chol.T @ v @ chol, np.eye(dim), atol=1e-12)
+        want = np.linalg.solve(v, xs.T @ ys) + chol @ xi
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_gaussian_path_keeps_no_history_and_no_generator(self, rng, monkeypatch):
@@ -293,6 +292,29 @@ class TestLinPHE:
         monkeypatch.setattr(np.random, "Philox", no_generator)
         assert np.isfinite(gaussian.estimator()).all()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LinPHE(3, 1.0, PerturbationSpec("gaussian", 0.5), 4),
+            lambda: LinPHE(3, 1.0, PerturbationSpec("gaussian", 0.5), [4, 5]),
+            lambda: LinTS(3, 1.0, 0.5, [4, 5]),
+        ],
+        ids=["phe", "phe-batched", "lints-batched"],
+    )
+    def test_gaussian_path_runs_no_eigendecomposition(self, rng, monkeypatch, make):
+        # the closed form factors V^-1 by Cholesky; an eigh per step costs
+        # several times as much and would come back without failing a law check
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the gaussian path ran np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        policy = make()
+        arms = random_unit_ball(rng, 3, count=4)
+        for _ in range(5):
+            arm = policy.select(arms).arm_index
+            policy.update(arm, arms[arm], np.zeros(policy.batch_shape))
+        assert np.isfinite(policy.estimator()).all()
+
     def test_history_prior_is_the_gaussian_xi(self, rng):
         # the prior draw w of a step's O(t) history draws, over sqrt(lam), is
         # the xi that the gaussian closed form draws for that step
@@ -300,7 +322,7 @@ class TestLinPHE:
         policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.9, seed=12)
         drive(policy, rng, dim, steps)
         w, _ = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
-        want = policy.ridge_estimate() + policy.gram.inverse_sqrt() @ (w / 2.0)
+        want = policy.ridge_estimate() + policy.gram.inverse_cholesky() @ (w / 2.0)
         np.testing.assert_allclose(policy.estimator(), want, rtol=1e-12, atol=1e-15)
 
     def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
