@@ -143,18 +143,21 @@ class ExperimentConfig:
 
     def reads(self, key: str, command: str = "run") -> bool:
         """Whether ``linens <command>`` on this experiment reads the field
-        ``key``: the one rule for every section and every command. ``run``,
-        ``rates`` and ``sweep`` read the same fields, and only ``[policy]``
-        fields of the policy that :meth:`build_policy` builds can go unread.
-        ``equivalence`` runs its own round-robin, by-step ensemble at m = T,
-        unmonitored, so it reads ``policy.name`` only as ``ensemble`` and
-        never ``m``, ``sampler``, ``keying``, ``linucb_bonus`` or
+        ``key``: the one rule for every section and every command. ``run``
+        and ``sweep`` read the same fields, and only ``[policy]`` fields of
+        the policy that :meth:`build_policy` builds can go unread, with
+        ``delta`` read also by the monitors; ``rates`` always runs them, so
+        it reads what a monitored run reads. ``equivalence`` runs its own
+        round-robin, by-step ensemble at m = T, unmonitored, so it reads
+        ``policy.name`` only as ``ensemble``, ``delta`` only in the auto
+        scale, and never ``m``, ``sampler``, ``keying``, ``linucb_bonus`` or
         ``run.diagnostics``. :func:`load_config` rejects a file or setting
         that gives a field the command would ignore, and ``summary.json``
         resolves ``m`` and the scale only where they are read."""
         p = self.policy
         name = "ensemble" if command == "equivalence" else p.name
         scaled = name in ("ensemble", "phe", "lints")
+        auto_scaled = scaled and p.scale_mode == "auto"
         rule = {
             "m": name == "ensemble",
             "sampler": name == "ensemble",
@@ -163,10 +166,19 @@ class ExperimentConfig:
             "scale_mode": scaled,
             "scale": scaled and p.scale_mode == "explicit",
             "linucb_bonus": name == "linucb",
+            # the regret bound, LinUCB's radius, the auto scale and the
+            # monitors' radii, which rates always runs
+            "delta": (
+                name in ("ensemble", "phe")
+                or (name == "linucb" and p.linucb_bonus is None)
+                or auto_scaled
+                or command == "rates"
+                or self.run.diagnostics != "off"
+            ),
         }
         if command == "equivalence":
             unread = dict.fromkeys(("m", "sampler", "keying", "diagnostics"), False)
-            rule.update(unread, name=p.name == "ensemble")
+            rule.update(unread, name=p.name == "ensemble", delta=auto_scaled)
         return rule.get(key, True)
 
     def build_policy(self, seeds: list[int]):
@@ -327,20 +339,20 @@ def load_config(path: str | Path, command: str = "run", **settings) -> Experimen
     for name, value in settings.items():
         setattr(getattr(cfg, section_of[name]), name, value)
     cfg.validate()
-    field_of = {key: name for name, key in _INI_KEYS.items()}
-    ignored = " with the other [policy] settings: a run would ignore it"
     keys = [key for section in parser.sections() for key in parser[section]]
+    # a value rule: rates reports the monitors' rates, so it always runs them
+    if command == "rates" and "diagnostics" in keys and cfg.run.diagnostics == "off":
+        raise ValueError(
+            "this file sets run.diagnostics = off, but linens rates reports the monitors' "
+            "rates: set monitors or full-trace"
+        )
+    field_of = {key: name for name, key in _INI_KEYS.items()}
+    ignored = " with the other settings: a run would ignore it"
     given = [
         *((field_of.get(key, key), "this file sets", ignored) for key in keys),
         *((name, f"{command} varies", "") for name in settings),
     ]
     for name, source, tail in given:
-        # a value rule: rates reports the monitors' rates, so it always runs them
-        if command == "rates" and name == "diagnostics" and cfg.run.diagnostics == "off":
-            raise ValueError(
-                f"{source} run.diagnostics = off, but linens rates reports the monitors' "
-                "rates: set monitors or full-trace"
-            )
         if cfg.reads(name, command):
             continue
         if cfg.reads(name):  # a run would read it; this command does not

@@ -182,7 +182,9 @@ POLICY_SETTINGS = {
 #: the other settings it is varied under.
 POLICY_VARIATIONS = [
     ("lam", 2.0, {}),
-    ("delta", 0.3, {}),
+    ("delta", 1.0, {}),
+    ("delta", 1.0, {"scale_mode": "explicit"}),
+    ("delta", 1.0, {"linucb_bonus": 0.3}),
     ("m", 5, {}),
     ("sampler", "round_robin", {"m": 10}),
     ("family", "uniform", {}),
@@ -396,26 +398,30 @@ workers = 2
         ids=["-".join([f, *(f"{k}={v}" for k, v in s.items())]) for f, _, s in POLICY_VARIATIONS],
     )
     @pytest.mark.parametrize("policy", sorted(POLICY_SETTINGS))
+    @pytest.mark.parametrize("diagnostics", ["off", "monitors"])
     def test_a_policy_field_changes_the_outputs_exactly_where_it_is_read(
-        self, policy, field, value, settings
+        self, diagnostics, policy, field, value, settings
     ):
         # the rule of ExperimentConfig.reads, run: another value of a field
         # that is read changes trace.csv or summary.json (the config echo
-        # aside), and another value of a field that is not read changes neither
+        # aside), and another value of a field that is not read changes
+        # neither. The monitors read delta in their concentration radius;
+        # at sigma = 3 a ridge estimate leaves the delta = 1 radius on a
+        # step where it stays inside the delta = 0.1 one, so a monitored
+        # greedy run, which reads delta nowhere else, shows it in conc_ok
         settings = {**POLICY_SETTINGS[policy], **settings}
         overrides = {f"policy__{key}": v for key, v in settings.items()}
-        base = small_cfg(run__horizon=10, run__diagnostics="monitors", **overrides)
+        base = small_cfg(
+            env__sigma=3.0,
+            run__horizon=10,
+            run__replications=4,
+            run__diagnostics=diagnostics,
+            **overrides,
+        )
         varied = copy.deepcopy(base)
         setattr(varied.policy, field, value)
         assert getattr(varied.policy, field) != getattr(base.policy, field)
         changed = run_outputs(varied.validate()) != run_outputs(base)
-        if (policy, field) == ("greedy", "delta"):
-            # greedy reads delta only in the monitors' concentration radius;
-            # no run this size leaves that radius, and summary.json's regret
-            # bound, which once showed delta, is null outside ensemble and
-            # phe, so the radius itself is compared
-            radii = [beta(c.confidence_params(), 10) for c in (varied, base)]
-            changed = radii[0] != radii[1]
         assert changed == varied.reads(field)
 
     @pytest.mark.parametrize("field,value,settings", [*POLICY_VARIATIONS, ("name", "phe", {})])
@@ -425,8 +431,8 @@ workers = 2
         # the rule of ExperimentConfig.reads, equivalence: on name = ensemble,
         # another value of a field that the suite reads changes the arm
         # sequences of its two policies, and another value of one it does
-        # not read (the name among them) changes neither. delta moves the
-        # scale by 7%, which flips few arms, hence 16 seeds
+        # not read (the name among them) changes neither. A field that
+        # moves the scale a little flips few arms, hence 16 seeds
         overrides = {f"policy__{key}": v for key, v in settings.items()}
         base = small_cfg(run__horizon=10, **overrides)
         varied = copy.deepcopy(base)
@@ -436,12 +442,18 @@ workers = 2
         arms = [np.stack(_equivalence_batch(c, False, range(16))) for c in (varied, base)]
         assert (not np.array_equal(*arms)) == varied.reads(field, "equivalence")
 
+    @pytest.mark.parametrize("diagnostics", ["off", "monitors"])
     @pytest.mark.parametrize("policy", sorted(POLICY_SETTINGS))
-    def test_rates_and_sweep_read_what_run_reads(self, policy):
-        cfg = small_cfg(**{f"policy__{k}": v for k, v in POLICY_SETTINGS[policy].items()})
+    def test_rates_and_sweep_read_what_run_reads(self, policy, diagnostics):
+        # sweep runs what run runs; rates always runs the monitors, so it
+        # reads what a monitored run reads
+        overrides = {f"policy__{k}": v for k, v in POLICY_SETTINGS[policy].items()}
+        cfg = small_cfg(run__diagnostics=diagnostics, **overrides)
+        monitored = small_cfg(run__diagnostics="monitors", **overrides)
         for section in fields(cfg):
             for f in fields(getattr(cfg, section.name)):
-                assert cfg.reads(f.name, "rates") == cfg.reads(f.name, "sweep") == cfg.reads(f.name)
+                assert cfg.reads(f.name, "sweep") == cfg.reads(f.name)
+                assert cfg.reads(f.name, "rates") == monitored.reads(f.name)
 
     def test_every_policy_field_is_varied(self):
         varied = {field for field, _, _ in POLICY_VARIATIONS}
@@ -948,6 +960,7 @@ class TestCli:
             ("policy.keying", "delta = 0.1", "delta = 0.1\nkeying = by_arm_count"),
             ("policy.m", "delta = 0.1", "delta = 0.1\nm = auto"),
             ("policy.linucb_bonus", "delta = 0.1", "delta = 0.1\nlinucb_bonus = 1.5"),
+            ("policy.delta", "delta = 0.1", "delta = 0.1\nscale_mode = explicit"),
             ("run.diagnostics", "horizon = 30", "horizon = 30\ndiagnostics = off"),
             ("policy.name", "name = ensemble", "name = phe"),
         ],
@@ -1027,6 +1040,24 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["replications"] == 2
+
+    def test_run_rejects_a_delta_that_only_the_monitors_would_read(self, tmp_path, capsys):
+        # greedy's arms and its null regret bound never read delta; a run
+        # with the monitors on reads it, and so does rates, which runs them
+        greedy = BASE_INI.replace("name = ensemble\nm = 4", "name = greedy")
+        out = tmp_path / "out"
+        args = ["--config", str(write_cfg(tmp_path, greedy)), "--out", str(out)]
+        assert cli.main(["run", *args]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == (
+            "linens: this file sets policy.delta, which policy.name = greedy does not read "
+            "with the other settings: a run would ignore it\n"
+        )
+        assert not out.exists()
+        assert cli.main(["rates", *args[:2]]) == 0
+        monitored = greedy.replace("horizon = 30", "horizon = 30\ndiagnostics = monitors")
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path, monitored)), *args[2:]]) == 0
 
     def test_rates_rejects_a_file_that_switches_the_monitors_off(self, tmp_path, capsys):
         # rates reports the monitors' rates, so a file that says off is
@@ -1133,8 +1164,10 @@ class TestCli:
 
     @pytest.mark.parametrize("policy", ["phe", "linucb", "lints", "greedy"])
     def test_sweep_rejects_m_for_policies_without_an_ensemble(self, tmp_path, capsys, policy):
-        # the file leaves m out, so it loads; the sweep would set it
-        text = BASE_INI.replace("name = ensemble", f"name = {policy}").replace("m = 4\n", "")
+        # the file leaves m out, and delta, which greedy does not read, so
+        # it loads; the sweep would set m
+        text = BASE_INI.replace("name = ensemble", f"name = {policy}")
+        text = text.replace("m = 4\ndelta = 0.1\n", "")
         cfg_path = write_cfg(tmp_path, text)
         code = cli.main([
             "sweep", "--config", str(cfg_path), "--param", "m",
