@@ -31,5 +31,10 @@ def quad_form(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def accumulate_perturbed(s: np.ndarray, x: np.ndarray, yz: np.ndarray) -> None:
-    """Add ``x * yz[j]`` to row ``j`` of ``s``, for every row."""
-    s += yz[..., :, None] * x[..., None, :]
+    """Add ``x * yz[j]`` to column ``j`` of ``s``, for every column.
+
+    ``s`` holds an ensemble's sums model-last, ``(d, m)`` per replication,
+    so the inner loop of the in-place add runs over the m models. Each
+    entry gains the one product ``x[k] * yz[j]``, the bits of the
+    model-first ``yz[j] * x[k]``."""
+    s += x[..., :, None] * yz[..., None, :]

@@ -152,7 +152,7 @@ class LinearBanditEnv:
 
     def _check_index(self, arm_index) -> None:
         index = np.asarray(arm_index)
-        if ((index < 0) | (index >= self.arm_count)).any():
+        if index.min() < 0 or index.max() >= self.arm_count:
             raise ValueError(f"arm index {arm_index} out of range [0, {self.arm_count})")
 
     @classmethod

@@ -15,16 +15,14 @@ contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
 only maps the fixed batches over a process pool, so no output depends on it.
 A batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
 trace columns and ``(R,)`` counters, pooled across batches by concatenation
-and written to ``trace.csv`` one replication row at a time.
+and written to ``trace.csv`` one replication at a time.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +77,13 @@ def batches(replications: range) -> list[range]:
 def _map_batches(fn, items: range, workers: int) -> list:
     """``fn`` over the fixed batches of ``items``, in order; across processes
     when ``workers > 1``. Workers are spawned, not forked: the parent may
-    hold BLAS threads."""
+    hold BLAS threads. The process pool is imported only here, where it is
+    used."""
     blocks = batches(items)
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(
             max_workers=min(workers, len(blocks)), mp_context=get_context("spawn")
         ) as pool:
@@ -117,7 +119,8 @@ def interact(
     """
     shape = policy.batch_shape + (horizon,)
     cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
-    traced = [(name, cols[name]) for name in TRACE_COLUMNS if name in cols]
+    # (position in a step's TRACE_COLUMNS values, column) of each traced one
+    traced = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS) if name in cols]
     flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
     ledger = RegretLedger(env)
     arms = env.arms
@@ -130,15 +133,9 @@ def interact(
         instant = ledger.record(mean)
         policy.update(sel.arm_index, x, y)
         if traced:
-            step = {
-                "arm": sel.arm_index,
-                "model": sel.model_index,
-                "reward": y,
-                "instant_regret": instant,
-                "cum_regret": ledger.cumulative,
-            }
-            for name, col in traced:
-                col[:, i] = step[name]
+            step = (sel.arm_index, sel.model_index, y, instant, ledger.cumulative)
+            for k, col in traced:
+                col[:, i] = step[k]
     if monitor is not None:
         _write_flags(flags, monitor.flush())
     return cols, ledger.cumulative
@@ -278,8 +275,13 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
 def emit_outputs(
     records: list[RunRecord], summary: dict, out_dir: str | Path
 ) -> tuple[Path, Path]:
-    """Write the trace CSV, one replication row of each batch at a time,
-    and the summary JSON; byte-stable for equal inputs."""
+    """Write the trace CSV and the summary JSON; byte-stable for equal
+    inputs.
+
+    Each replication's ``T`` rows are one ``%`` over a ``T``-row template,
+    built once, that spells out each row's step ``t`` and leaves a field
+    for the replication and each trace column. The values go in row-major
+    order, each column's as its Python ints, floats or bools."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -288,15 +290,18 @@ def emit_outputs(
         names = TRACE_COLUMNS
         if records and FLAG_COLUMNS[0] in records[0].columns:
             names += FLAG_COLUMNS
-        fmt = "%d,%d,%d,%d,%.17g,%.17g,%.17g" + ",%d" * (len(names) - len(TRACE_COLUMNS))
+        fields = ",%d,%d,%.17g,%.17g,%.17g" + ",%d" * (len(names) - len(TRACE_COLUMNS))
+        horizon = records[0].columns[names[0]].shape[-1] if records else 0
+        template = "".join(f"%d,{t}{fields}\n" for t in range(1, horizon + 1))
+        width = 1 + len(names)  # the replication, then each column
         with open(trace_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
                 for i, rep in enumerate(rec.replications):
-                    cols = [rec.columns[name][i].tolist() for name in names]
-                    fh.writelines(
-                        fmt % (rep, t, *row) + "\n" for t, row in enumerate(zip(*cols), start=1)
-                    )
+                    values = [rep] * (width * horizon)
+                    for k, name in enumerate(names, start=1):
+                        values[k::width] = rec.columns[name][i].tolist()
+                    fh.write(template % tuple(values))
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc

@@ -17,11 +17,16 @@ replication's numbers do not depend on the batch it runs in. What is not
 used is another form in place of the one a value is defined by (``einsum``
 for a matrix product, ``(a * b).sum`` for a dot, a matrix product against
 transposed arms, or ``np.linalg.norm`` along an axis): those may round
-differently.
+differently. Storage order is free where no value depends on it: an
+ensemble keeps its perturbed sums model-last, ``(..., d, m)``, so the
+per-step update of every sum runs along the m models, and hands a matrix
+product a contiguous ``(..., m, d)`` copy, the operand layout of its
+definition.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -50,9 +55,8 @@ def matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def pick(a: np.ndarray, index, core_ndim: int) -> np.ndarray:
     """``a[index]`` for each batch item. ``a`` is one ``core_ndim``-d array
-    that serves every item, or has the ``(R,)`` batch shape of ``index`` in
-    front."""
-    index = np.asarray(index)
+    that serves every item, and is indexed directly, or has the ``(R,)``
+    batch shape of ``index`` in front."""
     if a.ndim == core_ndim:
         return a[index]
     return a[np.arange(len(index)), index]
@@ -112,25 +116,25 @@ class GramState:
         return self.gram.shape[:-2]
 
     def _check_vector(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64, order="C")
         if v.shape != self.gram.shape[:-1]:
             raise ValueError(
                 f"expected vector of dimension {self.dim} per replication, got shape {v.shape}"
             )
-        return np.ascontiguousarray(v)
+        return v
 
     def update(self, x: np.ndarray) -> None:
         """Apply the rank-1 update ``V += x x^T`` and maintain the inverse.
 
         ``x`` must have 2-norm at most 1 (up to slack); the zero vector is
-        allowed and still counts as a step.
+        allowed and still counts as a step. One reduction checks the whole
+        batch: ``sqrt`` is monotone, so the largest norm is the root of the
+        largest ``x . x``.
         """
         x = self._check_vector(x)
-        norm = np.sqrt(dot(x, x))
-        if (norm > 1.0 + NORM_SLACK).any():
-            raise ValueError(
-                f"update vector must satisfy ||x|| <= 1, got ||x|| = {norm.max()}"
-            )
+        norm = math.sqrt(dot(x, x).max())
+        if norm > 1.0 + NORM_SLACK:
+            raise ValueError(f"update vector must satisfy ||x|| <= 1, got ||x|| = {norm}")
         kernels.rank1_update(self.gram, self.gram_inv, x)
         self.step_count += 1
         if self.step_count % REINVERT_PERIOD == 0:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels_py as kernels
-from .linalg import GramState, matvec, pick, unwrap
+from .linalg import GramState, matvec, unwrap
 from .perturb import (
     TAG_INIT,
     TAG_MODEL,
@@ -93,6 +93,8 @@ class _RidgeBase:
     def __init__(self, dim: int, lam: float, batch: int | None = None):
         self.gram = GramState(dim, lam, batch)
         self.reward_sum = np.zeros(self.batch_shape + (dim,))
+        # the model index of every selection of a policy without models
+        self._no_model = np.broadcast_to(np.int64(-1), self.batch_shape)
 
     @property
     def dim(self) -> int:
@@ -110,11 +112,12 @@ class _RidgeBase:
     def batch_shape(self) -> tuple:
         return self.gram.batch_shape
 
-    def _selection(self, scores: np.ndarray, theta: np.ndarray, model=-1) -> Selection:
-        """The argmax of ``scores``, for the estimator ``theta`` of ``model``."""
-        if np.shape(model) != self.batch_shape:
-            model = np.full(self.batch_shape, model)
-        return Selection(argmax_smallest_index(scores), unwrap(np.asarray(model)), theta)
+    def _selection(self, scores: np.ndarray, theta: np.ndarray, model=None) -> Selection:
+        """The argmax of ``scores``, for the estimator ``theta`` of
+        ``model``: one index per replication, or none (-1)."""
+        if model is None:
+            model = self._no_model
+        return Selection(argmax_smallest_index(scores), unwrap(model), theta)
 
     def ridge_estimate(self) -> np.ndarray:
         """The unperturbed ridge estimator."""
@@ -146,7 +149,10 @@ class EnsembleSampling(_RidgeBase):
     """Linear ensemble sampling.
 
     Maintains ``n_models`` perturbed running sums over one shared Gram
-    state. Each sum starts at its model's keyed initial perturbation. Each
+    state, stored model-last, ``(d, n_models)`` per replication, so that
+    each step's update of every sum runs along the models;
+    :attr:`s_vectors` is their ``(n_models, d)`` view. Each sum starts at
+    its model's keyed initial perturbation. Each
     step samples a model index, acts greedily on that model's estimator,
     then updates every model's sum with the observed reward plus a fresh
     keyed reward perturbation. Both draws are
@@ -196,7 +202,9 @@ class EnsembleSampling(_RidgeBase):
                 batched=batch is not None,
             )
         w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), n_models, dim, lam)
-        self.s_vectors = w.reshape(self.batch_shape + (n_models, dim))
+        w = w.reshape(self.batch_shape + (n_models, dim))
+        self._sums = np.ascontiguousarray(w.swapaxes(-1, -2))
+        self._rows = np.arange(len(seeds))
         self._prefixes = seed_prefixes(seeds, TAG_REWARD)
         self._rewards = None
         if keying == Keying.BY_STEP:
@@ -206,12 +214,22 @@ class EnsembleSampling(_RidgeBase):
         # (R, arms seen so far): pulls of each arm, for by-arm-count keys
         self._arm_counts = np.zeros((len(seeds), 0), dtype=np.int64)
 
+    @property
+    def s_vectors(self) -> np.ndarray:
+        """The perturbed sums, shape (n_models, dim) per replication: a
+        writable view of the model-last storage."""
+        return self._sums.swapaxes(-1, -2)
+
     def thetas(self) -> np.ndarray:
-        """All ensemble estimators, shape (n_models, dim) per replication."""
-        return np.matmul(self.s_vectors, self.gram.gram_inv)
+        """All ensemble estimators, shape (n_models, dim) per replication;
+        the product takes a contiguous copy of the sums."""
+        return np.matmul(np.ascontiguousarray(self.s_vectors), self.gram.gram_inv)
 
     def model_theta(self, model) -> np.ndarray:
-        return self.gram.solve(pick(self.s_vectors, model, 2))
+        """The estimator of ``model``, one index per replication."""
+        if self._sums.ndim == 2:
+            return self.gram.solve(self._sums[:, model])
+        return self.gram.solve(self._sums[self._rows, :, model])
 
     def select(self, arms: np.ndarray) -> Selection:
         t = self.step + 1
@@ -243,10 +261,10 @@ class EnsembleSampling(_RidgeBase):
         return z.reshape(self.batch_shape + (self.n_models,))
 
     def update(self, arm_index, x: np.ndarray, y) -> None:
-        x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64, order="C")
         z = self._reward_draws(arm_index)
         self._observe(x, y)
-        kernels.accumulate_perturbed(self.s_vectors, x, np.asarray(y)[..., None] + z)
+        kernels.accumulate_perturbed(self._sums, x, np.asarray(y)[..., None] + z)
 
 
 class PerturbedHistoryReplay(_RidgeBase):

@@ -116,21 +116,52 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
     print(f"[criterion 2] PASS: worst member deviation {worst:.3e} <= 1e-8")
 
 
+def elliptical_potentials(dim: int, runs: list) -> np.ndarray:
+    """Each run's sum over its steps of ``||x_t||^2`` in the inverse-Gram
+    norm before step t, at lam = 1. ``runs`` holds ``(T, dim)`` vector
+    arrays; they step in lockstep on one batched state, each padded past
+    its horizon with zero vectors, which leave V unchanged and add a zero
+    width, so nothing, to its sum. Batch items carry the serial bits, so
+    each sum is the one-run loop's."""
+    xs = np.zeros((max(len(vecs) for vecs in runs), len(runs), dim))
+    for k, vecs in enumerate(runs):
+        xs[: len(vecs), k] = vecs
+    state = GramState(dim, 1.0, batch=len(runs))
+    totals = np.zeros(len(runs))
+    for x in xs:
+        width = state.weighted_norm(x, Metric.GRAM_INV)
+        totals += width * width
+        state.update(x)
+    return totals
+
+
 def test_criterion_03_elliptical_potential_never_exceeds_its_cap():
     """1000 random runs (d <= 8, T <= 2000, lam = 1): exact inequality."""
     rng = np.random.default_rng(99)
-    worst_slack = math.inf
+    runs = []
     for _ in range(1000):
         dim = int(rng.integers(1, 9))
         horizon = int(rng.integers(50, 2001))
-        state = GramState(dim, 1.0)
-        total = 0.0
         vecs = rng.standard_normal((horizon, dim))
         vecs /= np.maximum(1.0, np.linalg.norm(vecs, axis=1))[:, None]
+        runs.append(vecs)
+    # the runs of each dimension step in lockstep, one batch per dimension
+    totals = {}
+    for dim in range(1, 9):
+        ids = [i for i, vecs in enumerate(runs) if vecs.shape[1] == dim]
+        totals.update(zip(ids, elliptical_potentials(dim, [runs[i] for i in ids]).tolist()))
+    # the one-run loop gives the same bits on a few runs
+    for i, vecs in enumerate(runs[:3]):
+        state = GramState(vecs.shape[1], 1.0)
+        total = 0.0
         for x in vecs:
             width = state.weighted_norm(x, Metric.GRAM_INV)
             total += width * width
             state.update(x)
+        assert total == totals[i], f"run {i}: serial {total!r} != lockstep {totals[i]!r}"
+    worst_slack = math.inf
+    for i, vecs in enumerate(runs):
+        (horizon, dim), total = vecs.shape, totals[i]
         bound = elliptical_potential_bound(dim, horizon, 1.0)
         assert total <= bound, f"potential {total} exceeded cap {bound} (d={dim}, T={horizon})"
         worst_slack = min(worst_slack, bound - total)

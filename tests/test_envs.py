@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,39 @@ class TestRewards:
             env.mean_reward(3)
         with pytest.raises(ValueError):
             env.sample_reward(-1, 0, 1)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+class TestPull:
+    """``pull`` on a batch of arm indices, against one ``(K, d)`` arm set
+    that serves every replication and against one set per replication."""
+
+    @staticmethod
+    def batch_env(rng, stacked):
+        envs = [LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, rng) for _ in range(4)]
+        return LinearBanditEnv.stack(envs) if stacked else envs[0]
+
+    def test_rejects_an_out_of_range_index_in_a_batch(self, rng, stacked):
+        env = self.batch_env(rng, stacked)
+        for bad in (-1, env.arm_count):
+            index = np.array([0, bad, 2, 1])
+            message = f"arm index {index} out of range [0, {env.arm_count})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                env.pull(index)
+
+    def test_gives_the_bits_of_arm_and_mean_reward(self, rng, stacked):
+        env = self.batch_env(rng, stacked)
+        index = rng.integers(0, env.arm_count, size=4)
+        x, mean = env.pull(index)
+        assert x.tobytes() == env.arm(index).tobytes()
+        assert mean.tobytes() == env.mean_reward(index).tobytes()
+
+
+def test_unbatched_pull_gives_a_vector_and_a_float():
+    env = two_arm_env()
+    x, mean = env.pull(2)
+    np.testing.assert_array_equal(x, env.arms[2])
+    assert type(mean) is float and mean == env.mean_reward(2)
 
 
 def noise_words(seed: int, t: int) -> tuple[int, int]:

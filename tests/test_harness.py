@@ -894,15 +894,31 @@ class TestEventRates:
             estimate_event_rates(cfg)
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``linens`` run as a process, so that a failure shows as its exit code."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A Python process that imports this checkout's ``linens``."""
     src = Path(linens.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "linens.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``linens`` run as a process, so that a failure shows as its exit code."""
+    return run_python("-m", "linens.cli", *args)
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # the harness imports the pool only where run.workers > 1 maps batches
+    # over it (test_engine's workers = 2 tests run that path)
+    code = (
+        "import sys, linens.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCli:

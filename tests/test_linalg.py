@@ -1,4 +1,5 @@
 import importlib
+import math
 import operator
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import linens
 from linens import _kernels_py as kernels
-from linens.linalg import REINVERT_PERIOD, GramState, Metric
+from linens.linalg import NORM_SLACK, REINVERT_PERIOD, GramState, Metric
 
 from conftest import random_unit_ball
 
@@ -72,6 +73,26 @@ class TestUpdate:
         st = GramState(2, 1.0)
         with pytest.raises(ValueError, match=r"\|\|x\|\|"):
             st.update(np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
+    def test_norm_bound_is_exact_at_the_slack(self, batch):
+        # sqrt(fl(a * a)) is a, so a row (a, 0, 0) has norm exactly a: the
+        # bound itself passes and the next float above it fails, alone or
+        # between in-range rows
+        edge = 1.0 + NORM_SLACK
+        assert math.sqrt(edge * edge) == edge
+        for a, ok in ((edge, True), (np.nextafter(edge, 2.0), False)):
+            st = GramState(3, 1.0, batch)
+            row = np.array([a, 0.0, 0.0])
+            x = row if batch is None else np.array([[0.6, 0.0, 0.0], row, [0.0, 0.5, 0.5]])
+            if ok:
+                st.update(x)
+                assert st.step_count == 1
+            else:
+                with pytest.raises(ValueError, match=r"\|\|x\|\|"):
+                    st.update(x)
+                assert st.step_count == 0
+                np.testing.assert_array_equal(st.gram, np.broadcast_to(np.eye(3), st.gram.shape))
 
     def test_dimension_mismatch(self):
         st = GramState(2, 1.0)
@@ -244,12 +265,14 @@ class TestKernels:
     for an ``(R, ...)`` batch."""
 
     def test_accumulate_perturbed_is_outer_product(self, rng, batch):
-        s = np.zeros(batch + (16, 5))
+        # the sums are model-last, (d, m): column j gains x * yz[j]
+        s = np.zeros(batch + (5, 16))
         x = rng.standard_normal(batch + (5,))
         yz = rng.standard_normal(batch + (16,))
         kernels.accumulate_perturbed(s, x, yz)
         for i in np.ndindex(batch):
-            np.testing.assert_array_equal(s[i], np.outer(yz[i], x[i]))
+            np.testing.assert_array_equal(s[i], np.outer(x[i], yz[i]))
+            np.testing.assert_array_equal(s[i].T, np.outer(yz[i], x[i]))
 
     def test_quad_form(self, rng, batch):
         a = rng.standard_normal(batch + (4, 4))

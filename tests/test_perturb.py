@@ -494,7 +494,7 @@ class TestKeyedStepDraws:
         for t in range(1, DRAW_BLOCK + 2):
             key = (t,) if keying == Keying.BY_STEP else (np.array([0, 1]), t)
             z = reward_draws(spec, reward_prefixes([3, 4]), range(8), *key)
-            kernels.accumulate_perturbed(oracle.s_vectors, x, z)
+            kernels.accumulate_perturbed(oracle.s_vectors.swapaxes(-1, -2), x, z)
         assert policy.s_vectors.tobytes() == oracle.s_vectors.tobytes()
 
 

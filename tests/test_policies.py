@@ -105,6 +105,30 @@ class TestEnsembleInit:
         b, _, _ = make_ensemble(seed=9)
         np.testing.assert_array_equal(a.s_vectors, b.s_vectors)
 
+    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
+    def test_s_vectors_write_through_to_the_sums(self, batch):
+        # s_vectors is an (m, d) view of the model-last sums; at step 0 and
+        # lam = 1 each estimator is its sum exactly
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
+        policy = EnsembleSampling(2, 1.0, 3, spec, 3 if batch is None else [3, 4, 5])
+        policy.s_vectors[..., 1, :] = [0.5, -0.25]
+        want = np.broadcast_to([0.5, -0.25], policy.batch_shape + (2,))
+        np.testing.assert_array_equal(policy.s_vectors[..., 1, :], want)
+        model = np.broadcast_to(1, policy.batch_shape)
+        np.testing.assert_array_equal(policy.model_theta(model), want)
+        np.testing.assert_array_equal(policy.thetas()[..., 1, :], want)
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
+    def test_thetas_multiply_a_contiguous_copy_of_the_sums(self, rng, batch):
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
+        policy = EnsembleSampling(3, 1.0, 6, spec, 3 if batch is None else [3, 4, 5])
+        for _ in range(5):
+            x = random_unit_ball(rng, 3, count=3)
+            policy.update(0, x[0] if batch is None else x, rng.standard_normal(policy.batch_shape))
+        assert not policy.s_vectors.flags.c_contiguous
+        want = np.matmul(np.array(policy.s_vectors), policy.gram.gram_inv)
+        assert policy.thetas().tobytes() == want.tobytes()
+
     def test_invalid_args(self):
         spec = PerturbationSpec()
         with pytest.raises(ValueError):
