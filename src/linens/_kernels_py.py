@@ -1,10 +1,10 @@
 """Numpy implementations of the per-step simulation kernels.
 
-Every argument carries a leading batch shape, ``()`` for one replication
-or ``(R,)`` for R replications stepped in lockstep. A batched call is the
-serial numpy call with the batch axis in front (stacked ``np.matmul``,
-broadcast elementwise products), which numpy evaluates item by item through
-the serial kernel, so each replication gets the same bits in any batch.
+Every argument carries a leading ``(R,)`` batch axis for the R
+replications stepped in lockstep. A batched call is the serial numpy call
+with the batch axis in front (stacked ``np.matmul``, broadcast elementwise
+products), which numpy evaluates item by item through the serial kernel,
+so each replication gets the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def quad_form(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 def accumulate_perturbed(s: np.ndarray, x: np.ndarray, yz: np.ndarray) -> None:
     """Add ``x * yz[j]`` to column ``j`` of ``s``, for every column.
 
-    ``s`` holds an ensemble's sums model-last, ``(d, m)`` per replication,
+    ``s`` holds an ensemble's sums model-last, ``(R, d, m)``,
     so the inner loop of the in-place add runs over the m models. Each
     entry gains the one product ``x[k] * yz[j]``, the bits of the
     model-first ``yz[j] * x[k]``."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import LinearBanditEnv
-from .linalg import GramState, dot, matvec, unwrap, weighted_norm
+from .linalg import GramState, dot, matvec, weighted_norm
 from .perturb import ConfidenceParams, beta, block_steps, gamma_tilde
 from .policies import Selection, _RidgeBase
 
@@ -62,13 +62,14 @@ def optimism_direction(
     """The direction in perturbation space whose positive excursions force
     optimism: ``[sqrt(lam) I, X_1, ..., X_{t-1}]^T V^{-1} x_star``.
 
-    Its 2-norm equals the inverse-Gram norm of the optimal arm.
+    ``gram`` is one replication's state, a batch of one. Its 2-norm equals
+    the inverse-Gram norm of the optimal arm.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     if x_star.shape != (gram.dim,):
         raise ValueError("x_star dimension mismatch")
     arm_history = np.asarray(arm_history, dtype=np.float64).reshape(-1, gram.dim)
-    v = gram.solve(x_star)
+    v = gram.solve(x_star[None])[0]
     return np.concatenate([math.sqrt(gram.lam) * v, arm_history @ v])
 
 
@@ -96,8 +97,8 @@ def check_optimism_sufficiency(
 @dataclass
 class StepDiagnostics:
     """The event indicators of a block of consecutive steps. Every field
-    but ``first`` is an ``(n,) + batch`` array (``beta_prev`` is ``(n,)``)
-    whose row i is step ``first + i``."""
+    but ``first`` is an ``(n, R)`` array (``beta_prev`` is ``(n,)``) whose
+    row i is step ``first + i``."""
 
     first: int
     beta_prev: np.ndarray
@@ -117,13 +118,13 @@ class StepMonitor:
     """Per-replication monitor of the theory-level events.
 
     Reads the hidden parameter by simulator privilege; policies never
-    receive a reference to it. With ``batch = R`` it watches the R
-    replications of a lockstep batch, and its counters are ``(R,)`` arrays
-    (:meth:`counters`).
+    receive a reference to it. It watches the R replications of a lockstep
+    batch, ``replications`` (by default the one replication 0), and its
+    counters are ``(R,)`` arrays (:meth:`counters`).
 
     :meth:`observe` records each step's pre-step state, and the events are
     evaluated a block of steps at a time, in one batched pass over
-    ``(n,) + batch`` arrays, when the block is full and at :meth:`flush`.
+    ``(n, R)`` arrays, when the block is full and at :meth:`flush`.
     Each step's numbers are those of the serial calls on that step alone
     (see :mod:`linens.linalg`). A block holds
     :func:`~linens.perturb.block_steps` of ``R * record`` steps, with
@@ -137,27 +138,27 @@ class StepMonitor:
     env: LinearBanditEnv
     params: ConfidenceParams
     track_ensemble_fraction: bool = False
-    batch: int | None = None
+    replications: range = range(1)
     checks: int = field(default=0, init=False)  # steps evaluated so far
 
     def __post_init__(self):
-        self._shape = shape = () if self.batch is None else (self.batch,)
+        self._shape = shape = (len(self.replications),)
         zeros = np.zeros(shape, dtype=np.int64)
-        self.elliptical_sum = unwrap(np.zeros(shape))
-        self.concentration_failures = unwrap(zeros)
-        self.perturb_concentration_failures = unwrap(zeros)
-        self.anti_conc_hits = unwrap(zeros)
-        self.optimism_hits = unwrap(zeros)
+        self.elliptical_sum = np.zeros(shape)
+        self.concentration_failures = zeros
+        self.perturb_concentration_failures = zeros
+        self.anti_conc_hits = zeros
+        self.optimism_hits = zeros
         self._gamma_tilde = gamma_tilde(self.params)
         # the optimal arm of each replication, broadcast once for every step
-        x_star = self.env.arm(self.env.optimal_arm_index)
+        x_star = self.env.pull(self.env.optimal_arm_index)[0]
         self._x_star = np.ascontiguousarray(np.broadcast_to(x_star, shape + (self.env.dim,)))
         self._optimal_value = self.env.optimal_value
         # step-0 concentration: the ridge estimate is zero, so the deviation
         # is sqrt(lam) * ||theta*|| which the radius covers by construction
         theta_star = self.env.theta_star
         dev0 = math.sqrt(self.params.lam) * np.sqrt(dot(theta_star, theta_star))
-        self.all_concentrated = unwrap(np.broadcast_to(dev0 <= beta(self.params, 0), shape))
+        self.all_concentrated = np.broadcast_to(dev0 <= beta(self.params, 0), shape)
         # the lowest per-step ensemble fraction of each replication, once
         # an ensemble's steps are evaluated under track_ensemble_fraction
         self.min_ensemble_fraction = None
@@ -166,8 +167,8 @@ class StepMonitor:
         self._held = 0  # rows recorded and not yet evaluated
 
     def _buffers(self, policy: _RidgeBase) -> dict:
-        """Empty ``(n,) + batch + record`` buffers of one block of
-        ``policy``'s pre-step states."""
+        """Empty ``(n, R) + record`` buffers of one block of ``policy``'s
+        pre-step states."""
         d = self.env.dim
         records = {
             "gram": (d, d),
@@ -178,7 +179,7 @@ class StepMonitor:
         }
         if self.track_ensemble_fraction and hasattr(policy, "thetas"):
             records["thetas"] = (policy.n_models, d)
-        steps = block_steps(math.prod(self._shape) * max(math.prod(r) for r in records.values()))
+        steps = block_steps(len(self.replications) * max(math.prod(r) for r in records.values()))
         return {name: np.empty((steps,) + self._shape + r) for name, r in records.items()}
 
     def observe(
@@ -222,7 +223,7 @@ class StepMonitor:
         theta, chosen, x_star = rec["theta"], rec["chosen"], self._x_star
         first = self._first
         beta_prev = np.array([beta(self.params, t) for t in range(first - 1, first - 1 + n)])
-        beta_b = beta_prev.reshape((n,) + (1,) * len(self._shape))  # broadcast over the batch
+        beta_b = beta_prev[:, None]  # broadcast over the batch
 
         theta_hat = matvec(gram_inv, rec["reward_sum"])
         ridge_dev = weighted_norm(gram, theta_hat - self.env.theta_star)
@@ -244,28 +245,26 @@ class StepMonitor:
         broken = concentration_ok & anti_conc_ok & (optimism_margin < -_IMPLICATION_SLACK)
         if broken.any():
             at = np.unravel_index(np.argmax(broken), broken.shape)
-            where = f"step {first + at[0]}" + (f", replication {at[1]}" if self._shape else "")
             raise InvariantViolation(
-                f"optimism implication failed at {where}: margin {optimism_margin[at]}, "
+                f"optimism implication failed at step {first + at[0]}, "
+                f"replication {self.replications[at[1]]}: margin {optimism_margin[at]}, "
                 f"ridge deviation {ridge_dev[at]}, directional value {directional[at]}"
             )
 
         # running sums in step order: add.accumulate adds one step after
         # another, the bits of repeated addition
         width = weighted_norm(gram_inv, chosen)
-        sums = np.concatenate([np.asarray(self.elliptical_sum)[None], width * width])
+        sums = np.concatenate([self.elliptical_sum[None], width * width])
         elliptical_sum = np.add.accumulate(sums, axis=0)[1:]
-        self.elliptical_sum = unwrap(elliptical_sum[-1])
+        self.elliptical_sum = elliptical_sum[-1]
         self.checks += n
-        self.concentration_failures = unwrap(
-            self.concentration_failures + (~concentration_ok).sum(axis=0)
-        )
-        self.all_concentrated = unwrap(self.all_concentrated & concentration_ok.all(axis=0))
-        self.perturb_concentration_failures = unwrap(
+        self.concentration_failures = self.concentration_failures + (~concentration_ok).sum(axis=0)
+        self.all_concentrated = self.all_concentrated & concentration_ok.all(axis=0)
+        self.perturb_concentration_failures = (
             self.perturb_concentration_failures + (~perturb_concentration_ok).sum(axis=0)
         )
-        self.anti_conc_hits = unwrap(self.anti_conc_hits + anti_conc_ok.sum(axis=0))
-        self.optimism_hits = unwrap(self.optimism_hits + optimism_ok.sum(axis=0))
+        self.anti_conc_hits = self.anti_conc_hits + anti_conc_ok.sum(axis=0)
+        self.optimism_hits = self.optimism_hits + optimism_ok.sum(axis=0)
 
         fraction = None
         if "thetas" in rec:
@@ -273,7 +272,7 @@ class StepMonitor:
             low = fraction.min(axis=0)
             if self.min_ensemble_fraction is not None:
                 low = np.minimum(self.min_ensemble_fraction, low)
-            self.min_ensemble_fraction = unwrap(low)
+            self.min_ensemble_fraction = low
 
         return StepDiagnostics(
             first=first,
@@ -297,11 +296,10 @@ class StepMonitor:
         return np.mean(hits, axis=-1)
 
     def counters(self) -> dict:
-        """The counters, each a batch-shaped array (``(R,)``, or 0-d
-        unbatched), ``checks`` included. ``elliptical_ok`` is left out
-        below lambda = 1, where the cap does not apply and the check is
-        disabled. Every recorded step must have been evaluated
-        (:meth:`flush`)."""
+        """The counters, each an ``(R,)`` array, ``checks`` included.
+        ``elliptical_ok`` is left out below lambda = 1, where the cap does
+        not apply and the check is disabled. Every recorded step must have
+        been evaluated (:meth:`flush`)."""
         if self._held:
             raise RuntimeError(f"{self._held} recorded steps are not evaluated; call flush()")
         counters = {

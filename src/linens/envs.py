@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NORM_SLACK, matvec, pick, unwrap
+from .linalg import NORM_SLACK, matvec, pick
 from .perturb import TAG_NOISE, PerturbationSpec, StepDraws, reward_draws, seed_prefixes
 
 
@@ -116,9 +116,10 @@ class LinearBanditEnv:
         self.dim = arms.shape[-1]
         self.arm_count = arms.shape[-2]
         self._means = matvec(arms, theta_star)
-        # ties broken toward the smallest index (argmax returns the first max)
-        self.optimal_arm_index = unwrap(np.argmax(self._means, axis=-1))
-        self.optimal_value = unwrap(pick(self._means, self.optimal_arm_index, 1))
+        # ties broken toward the smallest index (argmax returns the first max);
+        # numpy scalars for one shared instance, (R,) arrays for stacked ones
+        self.optimal_arm_index = np.argmax(self._means, axis=-1)
+        self.optimal_value = pick(self._means, self.optimal_arm_index, 1)
 
     @classmethod
     def stack(cls, envs: list["LinearBanditEnv"]) -> "LinearBanditEnv":
@@ -130,25 +131,16 @@ class LinearBanditEnv:
             envs[0].param_bound,
         )
 
-    def arm(self, arm_index):
-        """The arm vectors at ``arm_index``, one per replication."""
-        self._check_index(arm_index)
-        return pick(self.arms, arm_index, 2)
-
     def pull(self, arm_index):
         """The arm vectors at ``arm_index`` and their mean rewards, one per
         replication, behind one index check."""
         self._check_index(arm_index)
-        return pick(self.arms, arm_index, 2), unwrap(pick(self._means, arm_index, 1))
-
-    def mean_reward(self, arm_index):
-        self._check_index(arm_index)
-        return unwrap(pick(self._means, arm_index, 1))
+        return pick(self.arms, arm_index, 2), pick(self._means, arm_index, 1)
 
     def sample_reward(self, arm_index: int, seed: int, step):
         """Mean reward of the arm plus the noise of ``step`` of stream
         ``seed``; an array of steps gives the rewards of each."""
-        return self.mean_reward(arm_index) + self.noise.at(seed, step)
+        return self.pull(arm_index)[1] + self.noise.at(seed, step)
 
     def _check_index(self, arm_index) -> None:
         index = np.asarray(arm_index)
@@ -178,8 +170,8 @@ class LinearBanditEnv:
 
 @dataclass
 class RegretLedger:
-    """Cumulative regret of one replication, or of each replication of a
-    batch when ``arm_index`` has a batch axis."""
+    """Cumulative regret of each replication of a batch: ``record`` takes
+    the ``(R,)`` mean rewards of a step's pulls."""
 
     env: LinearBanditEnv
     cumulative: float = 0.0

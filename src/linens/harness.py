@@ -117,7 +117,7 @@ def interact(
     ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
     cumulative regret of each replication.
     """
-    shape = policy.batch_shape + (horizon,)
+    shape = (policy.batch, horizon)
     cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
     # (position in a step's TRACE_COLUMNS values, column) of each traced one
     traced = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS) if name in cols]
@@ -165,7 +165,7 @@ def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) ->
             env,
             cfg.confidence_params(),
             track_ensemble_fraction=(cfg.run.diagnostics == "full-trace"),
-            batch=len(replications),
+            replications=replications,
         )
     columns = TRACE_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
     cols, regret = interact(policy, env, noise, cfg.run.horizon, monitor, columns)

@@ -6,9 +6,9 @@ rank-1 updates. The inverse is kept current with the Sherman-Morrison
 identity (O(d^2) per step) and re-derived from scratch every
 ``REINVERT_PERIOD`` updates to keep drift bounded.
 
-Arrays carry a leading batch shape: ``()`` for one replication and
-``(R,)`` for R replications stepped in lockstep. Each batched operation is
-the serial numpy call with the batch axis in front: stacked ``np.matmul``,
+Arrays carry a leading ``(R,)`` batch axis for the R replications stepped
+in lockstep; a lone replication is a batch of one. Each batched operation
+is the serial numpy call with the batch axis in front: stacked ``np.matmul``,
 batched ``np.linalg.inv`` or ``np.linalg.cholesky``, or an ``einsum`` whose
 serial subscripts gain a leading ``...`` (the widths of
 :meth:`linens.policies.LinUCB.select` and the monitor's ensemble fraction).
@@ -68,11 +68,6 @@ def weighted_norm(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(kernels.quad_form(mat, v), 0.0))
 
 
-def unwrap(a):
-    """A 0-d numpy result as a Python scalar; a batched result as it is."""
-    return a.item() if a.ndim == 0 else a
-
-
 class Metric(Enum):
     """Which matrix weights a quadratic form."""
 
@@ -90,30 +85,28 @@ class GramState:
     lam : float
         Regularization strength (> 0 and finite); the state starts at ``lam * I``.
     batch : int, optional
-        Replications stepped together; ``gram`` is then ``(batch, d, d)``
-        and vectors are ``(batch, d)``. Without it the state is one
-        replication's and carries no batch axis.
+        Replications stepped together (>= 1, default 1): ``gram`` is
+        ``(batch, d, d)`` and vectors are ``(batch, d)``.
     """
 
     __slots__ = ("dim", "lam", "gram", "gram_inv", "step_count")
 
-    def __init__(self, dim: int, lam: float, batch: int | None = None):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    def __init__(self, dim: int, lam: float, batch: int = 1):
+        for name, value in (("dim", dim), ("batch", batch)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0 < lam < np.inf:
             raise ValueError(f"lam must be positive and finite, got {lam}")
-        if batch is not None and batch < 1:
-            raise ValueError(f"batch must be at least 1, got {batch!r}")
         self.dim = int(dim)
         self.lam = float(lam)
-        shape = () if batch is None else (int(batch),)
-        self.gram = np.broadcast_to(np.eye(self.dim) * self.lam, shape + (dim, dim)).copy()
-        self.gram_inv = np.broadcast_to(np.eye(self.dim) / self.lam, shape + (dim, dim)).copy()
+        shape = (int(batch), self.dim, self.dim)
+        self.gram = np.broadcast_to(np.eye(self.dim) * self.lam, shape).copy()
+        self.gram_inv = np.broadcast_to(np.eye(self.dim) / self.lam, shape).copy()
         self.step_count = 0
 
     @property
-    def batch_shape(self) -> tuple:
-        return self.gram.shape[:-2]
+    def batch(self) -> int:
+        return len(self.gram)
 
     def _check_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64, order="C")
@@ -145,11 +138,12 @@ class GramState:
         inv = np.linalg.inv(self.gram)
         self.gram_inv = np.ascontiguousarray((inv + inv.swapaxes(-1, -2)) / 2.0)
 
-    def weighted_norm(self, v: np.ndarray, metric: Metric = Metric.GRAM):
-        """Return ``sqrt(v^T M v)`` with ``M`` the Gram matrix or its inverse."""
+    def weighted_norm(self, v: np.ndarray, metric: Metric = Metric.GRAM) -> np.ndarray:
+        """Return ``sqrt(v^T M v)`` with ``M`` the Gram matrix or its inverse,
+        one per replication."""
         v = self._check_vector(v)
         mat = self.gram if metric is Metric.GRAM else self.gram_inv
-        return unwrap(weighted_norm(mat, v))
+        return weighted_norm(mat, v)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Return ``V^{-1} b`` using the maintained inverse."""

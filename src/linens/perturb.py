@@ -401,24 +401,20 @@ class StepDraws:
     A block is one call keyed by an ``(n, 1)`` array of consecutive steps,
     whose row for step t is the same bits as the call keyed by t alone; it
     holds :func:`block_steps` of ``R * len(models)`` steps, and :meth:`at`
-    reads any step, in any order. ``batched`` keeps the leading
-    replication axis; without it the batch is one replication and has no
-    such axis.
+    reads any step, in any order.
     """
 
-    def __init__(self, spec, prefixes, models: range, batched: bool = True):
+    def __init__(self, spec, prefixes, models: range):
         self._spec, self._prefixes, self._models = spec, prefixes, models
         self._steps = block_steps(len(prefixes) * len(models))
-        self._batched = batched
         self._block = np.empty((0,))
         self._first = 1  # the step of the block's first row
 
     def at(self, step: int) -> np.ndarray:
-        """The values of ``step``."""
+        """The ``(R, len(models))`` values of ``step``."""
         i = step - self._first
         if not 0 <= i < len(self._block):
             steps = np.arange(step, step + self._steps)[:, None]
             self._block = reward_draws(self._spec, self._prefixes, self._models, steps)
             self._first, i = step, 0
-        values = self._block[i]
-        return values if self._batched else values[0]
+        return self._block[i]

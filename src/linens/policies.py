@@ -6,10 +6,10 @@ the chosen arm (plus the estimator used, for diagnostics), and
 Argmax ties are broken toward the smallest arm index everywhere, which
 makes the cross-policy equality tests exact.
 
-A policy steps one replication, or a batch of R replications in lockstep
-when it is given a list of R per-replication seeds (or ``batch=R``
-when it draws nothing). Batched, every array gains a leading axis of
-length R and ``select``/``update`` take and return one arm, reward and
+A policy steps a batch of R replications in lockstep: it is given a list
+of R per-replication seeds (or ``batch=R`` when it draws nothing), and a
+lone replication is a batch of one. Every array has a leading axis of
+length R, and ``select``/``update`` take and return one arm, reward and
 estimator per replication; see :mod:`linens.linalg` for why each
 replication's numbers are the same bits in any batch.
 """
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels_py as kernels
-from .linalg import GramState, matvec, unwrap
+from .linalg import GramState, matvec
 from .perturb import (
     TAG_INIT,
     TAG_MODEL,
@@ -64,22 +64,14 @@ class Keying:
 
 
 class Selection(NamedTuple):
-    arm_index: int  # an (R,) array when batched
-    model_index: int  # -1 for non-ensemble policies
-    theta: np.ndarray  # estimator the arm was greedy against
+    arm_index: np.ndarray  # (R,)
+    model_index: np.ndarray  # (R,); -1 for non-ensemble policies
+    theta: np.ndarray  # (R, d): the estimator the arm was greedy against
 
 
-def argmax_smallest_index(values: np.ndarray):
+def argmax_smallest_index(values: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximizer, i.e. the smallest index
-    return unwrap(np.argmax(values, axis=-1))
-
-
-def _per_replication(seed) -> tuple[list, int | None]:
-    """A list or tuple holds one seed per replication of a batch; anything
-    else is the one seed of an unbatched policy."""
-    if isinstance(seed, (list, tuple)):
-        return list(seed), len(seed)
-    return [seed], None
+    return np.argmax(values, axis=-1)
 
 
 class _RidgeBase:
@@ -90,11 +82,11 @@ class _RidgeBase:
     without re-solves.
     """
 
-    def __init__(self, dim: int, lam: float, batch: int | None = None):
+    def __init__(self, dim: int, lam: float, batch: int = 1):
         self.gram = GramState(dim, lam, batch)
-        self.reward_sum = np.zeros(self.batch_shape + (dim,))
+        self.reward_sum = np.zeros((self.batch, dim))
         # the model index of every selection of a policy without models
-        self._no_model = np.broadcast_to(np.int64(-1), self.batch_shape)
+        self._no_model = np.broadcast_to(np.int64(-1), (self.batch,))
 
     @property
     def dim(self) -> int:
@@ -109,15 +101,15 @@ class _RidgeBase:
         return self.gram.step_count
 
     @property
-    def batch_shape(self) -> tuple:
-        return self.gram.batch_shape
+    def batch(self) -> int:
+        return self.gram.batch
 
     def _selection(self, scores: np.ndarray, theta: np.ndarray, model=None) -> Selection:
         """The argmax of ``scores``, for the estimator ``theta`` of
         ``model``: one index per replication, or none (-1)."""
         if model is None:
             model = self._no_model
-        return Selection(argmax_smallest_index(scores), unwrap(model), theta)
+        return Selection(argmax_smallest_index(scores), model, theta)
 
     def ridge_estimate(self) -> np.ndarray:
         """The unperturbed ridge estimator."""
@@ -162,8 +154,8 @@ class EnsembleSampling(_RidgeBase):
     perturbations keyed by step in one call per block of steps
     (:class:`~linens.perturb.StepDraws`, whose block length is bounded
     by ``DRAW_VALUES`` values). Each replication draws under the prefixes
-    of its seed (:func:`~linens.perturb.seed_prefixes`): ``seed`` is an
-    int, or a list of R ints for a batch. ``keying`` says what keys a reward
+    of its seed (:func:`~linens.perturb.seed_prefixes`): ``seeds`` holds
+    one int per replication of the batch. ``keying`` says what keys a reward
     perturbation: the step (``Keying.BY_STEP``), or the chosen arm and its
     pull count (``Keying.BY_ARM_COUNT``). Keys by ``(arm, count)`` depend
     on the pulls, so that keying draws one call per step. Uniform model
@@ -177,12 +169,11 @@ class EnsembleSampling(_RidgeBase):
         lam: float,
         n_models: int,
         spec: PerturbationSpec,
-        seed: int | list[int],
+        seeds: list[int],
         sampler: str = Sampler.UNIFORM,
         keying: str = Keying.BY_STEP,
     ):
-        seeds, batch = _per_replication(seed)
-        super().__init__(dim, lam, batch)
+        super().__init__(dim, lam, len(seeds))
         if n_models < 1:
             raise ValueError("n_models must be at least 1")
         if sampler not in Sampler.ALL:
@@ -196,23 +187,17 @@ class EnsembleSampling(_RidgeBase):
         self._models = None
         if sampler == Sampler.UNIFORM:
             self._models = StepDraws(
-                ModelChoice(self.n_models),
-                seed_prefixes(seeds, TAG_MODEL),
-                range(1),
-                batched=batch is not None,
+                ModelChoice(self.n_models), seed_prefixes(seeds, TAG_MODEL), range(1)
             )
         w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), n_models, dim, lam)
-        w = w.reshape(self.batch_shape + (n_models, dim))
         self._sums = np.ascontiguousarray(w.swapaxes(-1, -2))
-        self._rows = np.arange(len(seeds))
+        self._rows = np.arange(self.batch)
         self._prefixes = seed_prefixes(seeds, TAG_REWARD)
         self._rewards = None
         if keying == Keying.BY_STEP:
-            self._rewards = StepDraws(
-                spec, self._prefixes, range(self.n_models), batched=batch is not None
-            )
+            self._rewards = StepDraws(spec, self._prefixes, range(self.n_models))
         # (R, arms seen so far): pulls of each arm, for by-arm-count keys
-        self._arm_counts = np.zeros((len(seeds), 0), dtype=np.int64)
+        self._arm_counts = np.zeros((self.batch, 0), dtype=np.int64)
 
     @property
     def s_vectors(self) -> np.ndarray:
@@ -227,8 +212,6 @@ class EnsembleSampling(_RidgeBase):
 
     def model_theta(self, model) -> np.ndarray:
         """The estimator of ``model``, one index per replication."""
-        if self._sums.ndim == 2:
-            return self.gram.solve(self._sums[:, model])
         return self.gram.solve(self._sums[self._rows, :, model])
 
     def select(self, arms: np.ndarray) -> Selection:
@@ -238,7 +221,7 @@ class EnsembleSampling(_RidgeBase):
                 raise InvalidStateError(
                     f"round-robin sampling exhausted: step {t} > ensemble size {self.n_models}"
                 )
-            j = np.broadcast_to(t - 1, self.batch_shape)
+            j = np.broadcast_to(t - 1, (self.batch,))
         else:
             j = self._models.at(t)[..., 0]
         theta = self.model_theta(j)
@@ -249,16 +232,14 @@ class EnsembleSampling(_RidgeBase):
         counts the pull of ``arm_index`` and keys each replication by it."""
         if self._rewards is not None:
             return self._rewards.at(self.step + 1)
-        arms = np.broadcast_to(arm_index, self.batch_shape).reshape(-1)
+        arms, rows = np.asarray(arm_index), self._rows
         seen = self._arm_counts.shape[1]
         if arms.max() >= seen:
             self._arm_counts = np.pad(self._arm_counts, ((0, 0), (0, arms.max() + 1 - seen)))
-        rows = np.arange(len(arms))
         self._arm_counts[rows, arms] += 1
-        z = reward_draws(
+        return reward_draws(
             self.spec, self._prefixes, range(self.n_models), arms, self._arm_counts[rows, arms]
         )
-        return z.reshape(self.batch_shape + (self.n_models,))
 
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64, order="C")
@@ -278,18 +259,16 @@ class PerturbedHistoryReplay(_RidgeBase):
     ensemble's bit for bit. It selects at most m steps.
     """
 
-    def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seed: int | list[int], m: int):
-        seeds, batch = _per_replication(seed)
-        super().__init__(dim, lam, batch)
+    def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seeds: list[int], m: int):
+        super().__init__(dim, lam, len(seeds))
         if m < 1:
             raise ValueError("m must be at least 1")
         self.m = int(m)
         self.spec = spec
-        w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), m, dim, lam)
-        self._initial = w.reshape(self.batch_shape + (m, dim))
+        self._initial = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), m, dim, lam)
         self._prefixes = seed_prefixes(seeds, TAG_REWARD)
-        self._xs = np.empty(self.batch_shape + (m, dim))
-        self._ys = np.empty(self.batch_shape + (m,))
+        self._xs = np.empty((self.batch, m, dim))
+        self._ys = np.empty((self.batch, m))
 
     def estimator(self) -> np.ndarray:
         """Ensemble model ``t - 1``'s estimator at step ``t = step + 1``."""
@@ -302,7 +281,7 @@ class PerturbedHistoryReplay(_RidgeBase):
         # ensemble drew it
         z = reward_draws(
             self.spec, self._prefixes[:, None], range(t - 1, t), np.arange(1, t)
-        ).reshape(self.batch_shape + (t - 1,))
+        )[..., 0]
         # accumulate in step order with the ensemble's exact draws so
         # the float operations match the incremental path bit for bit:
         # add.accumulate adds the rows one after another, where a sum
@@ -345,19 +324,18 @@ class LinPHE(_RidgeBase):
     m = T ensemble, LinPHE is :class:`PerturbedHistoryReplay`.
     """
 
-    def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seed: int | list[int]):
-        seeds, batch = _per_replication(seed)
-        super().__init__(dim, lam, batch)
+    def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seeds: list[int]):
+        super().__init__(dim, lam, len(seeds))
         self.spec = spec
         self._prefixes = seed_prefixes(seeds, TAG_PHE)
         # the history is kept only where it is re-perturbed: the gaussian
         # family draws the perturbation of the whole history in closed form
         self._xs = self._ys = None
         if spec.family == PerturbationFamily.GAUSSIAN:
-            self._xi = StepDraws(spec, self._prefixes, range(dim), batched=batch is not None)
+            self._xi = StepDraws(spec, self._prefixes, range(dim))
         else:
-            self._xs = np.empty(self.batch_shape + (8, dim))
-            self._ys = np.empty(self.batch_shape + (8,))
+            self._xs = np.empty((self.batch, 8, dim))
+            self._ys = np.empty((self.batch, 8))
 
     def _grow(self) -> None:
         if self.step == self._xs.shape[-2]:
@@ -371,8 +349,6 @@ class LinPHE(_RidgeBase):
             return self.ridge_estimate() + matvec(self.gram.inverse_cholesky(), self._xi.at(t))
         n = self.step
         w, z = history_draws(self.spec, self._prefixes, t, self.dim, n, self.lam)
-        w = w.reshape(self.batch_shape + (self.dim,))
-        z = z.reshape(self.batch_shape + (n,))
         s = w + matvec(np.swapaxes(self._xs[..., :n, :], -1, -2), self._ys[..., :n] + z)
         return self.gram.solve(np.ascontiguousarray(s))
 
@@ -400,7 +376,7 @@ class LinUCB(_RidgeBase):
         lam: float,
         bonus: float | None = None,
         params: ConfidenceParams | None = None,
-        batch: int | None = None,
+        batch: int = 1,
     ):
         super().__init__(dim, lam, batch)
         if (bonus is None) == (params is None):
@@ -436,5 +412,5 @@ class LinTS(LinPHE):
     ``TAG_PHE`` draw of ``d`` models per step, under its own scale rule.
     """
 
-    def __init__(self, dim: int, lam: float, scale: float, seed: int | list[int]):
-        super().__init__(dim, lam, PerturbationSpec(PerturbationFamily.GAUSSIAN, scale), seed)
+    def __init__(self, dim: int, lam: float, scale: float, seeds: list[int]):
+        super().__init__(dim, lam, PerturbationSpec(PerturbationFamily.GAUSSIAN, scale), seeds)

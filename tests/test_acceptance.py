@@ -93,7 +93,7 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
     """After 200 steps every member matches the batch minimizer to 1e-8."""
     dim, m, lam, steps = 4, 8, 1.0, 200
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-    policy = EnsembleSampling(dim, lam, m, spec, 2024)
+    policy = EnsembleSampling(dim, lam, m, spec, [2024])
     stream = PerturbationStream(2024)  # the oracle of the policy's draws
     rng = np.random.default_rng(5)
     xs, ys = [], []
@@ -101,7 +101,7 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
         x = rng.standard_normal(dim)
         x /= max(1.0, np.linalg.norm(x))
         y = float(rng.standard_normal())
-        policy.update(0, x, y)
+        policy.update(np.array([0]), x[None], np.array([y]))
         xs.append(x)
         ys.append(y)
     xs, ys = np.array(xs), np.array(ys)
@@ -111,7 +111,7 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
     worst = 0.0
     for j in range(m):
         batch = np.linalg.solve(v, w[j] + xs.T @ (ys + z[:, j]))
-        worst = max(worst, float(np.linalg.norm(policy.model_theta(j) - batch)))
+        worst = max(worst, float(np.linalg.norm(policy.model_theta([j])[0] - batch)))
     assert worst <= 1e-8, f"worst member deviation {worst:.3e} exceeds 1e-8"
     print(f"[criterion 2] PASS: worst member deviation {worst:.3e} <= 1e-8")
 
@@ -150,14 +150,14 @@ def test_criterion_03_elliptical_potential_never_exceeds_its_cap():
     for dim in range(1, 9):
         ids = [i for i, vecs in enumerate(runs) if vecs.shape[1] == dim]
         totals.update(zip(ids, elliptical_potentials(dim, [runs[i] for i in ids]).tolist()))
-    # the one-run loop gives the same bits on a few runs
+    # the one-run loop, a batch of one, gives the same bits on a few runs
     for i, vecs in enumerate(runs[:3]):
         state = GramState(vecs.shape[1], 1.0)
         total = 0.0
         for x in vecs:
-            width = state.weighted_norm(x, Metric.GRAM_INV)
+            width = state.weighted_norm(x[None], Metric.GRAM_INV)[0]
             total += width * width
-            state.update(x)
+            state.update(x[None])
         assert total == totals[i], f"run {i}: serial {total!r} != lockstep {totals[i]!r}"
     worst_slack = math.inf
     for i, vecs in enumerate(runs):
@@ -296,10 +296,10 @@ def test_criterion_09_zero_perturbation_zero_noise_collapse():
         env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, rng)
         policies = {
             "greedy": GreedyRidge(2, 1.0),
-            "ensemble": EnsembleSampling(2, 1.0, 3, ZERO_SPEC, seed),
-            "phe": LinPHE(2, 1.0, ZERO_SPEC, seed),
+            "ensemble": EnsembleSampling(2, 1.0, 3, ZERO_SPEC, [seed]),
+            "phe": LinPHE(2, 1.0, ZERO_SPEC, [seed]),
             "linucb": LinUCB(2, 1.0, bonus=0.0),
-            "lints": LinTS(2, 1.0, 0.0, seed),
+            "lints": LinTS(2, 1.0, 0.0, [seed]),
         }
         noise = env.noise.draws([seed])
         sequences = {}
@@ -307,9 +307,9 @@ def test_criterion_09_zero_perturbation_zero_noise_collapse():
             seq = []
             for t in range(1, 61):
                 sel = policy.select(env.arms)
-                y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
-                policy.update(sel.arm_index, env.arms[sel.arm_index], y)
-                seq.append(sel.arm_index)
+                x, mean = env.pull(sel.arm_index)
+                policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
+                seq.append(int(sel.arm_index[0]))
             sequences[name] = seq
         for name, seq in sequences.items():
             assert seq == sequences["greedy"], f"seed {seed}: {name} diverged from greedy"

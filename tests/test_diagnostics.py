@@ -110,12 +110,12 @@ class TestOptimismGeometry:
         gram = GramState(3, lam)
         hist = random_unit_ball(rng, 3, count=20)
         for x in hist:
-            gram.update(x)
+            gram.update(x[None])
         x_star = random_unit_ball(rng, 3)
         u = optimism_direction(gram, hist, x_star)
         assert u.shape == (3 + 20,)
         assert np.linalg.norm(u) == pytest.approx(
-            gram.weighted_norm(x_star, Metric.GRAM_INV), abs=1e-10
+            gram.weighted_norm(x_star[None], Metric.GRAM_INV)[0], abs=1e-10
         )
 
     def test_inner_product_equals_directional_perturbation(self, rng):
@@ -124,13 +124,13 @@ class TestOptimismGeometry:
         gram = GramState(2, lam)
         hist = random_unit_ball(rng, 2, count=8)
         for x in hist:
-            gram.update(x)
+            gram.update(x[None])
         x_star = random_unit_ball(rng, 2)
         w = rng.standard_normal(2)
         z = rng.standard_normal(8)
         u = optimism_direction(gram, hist, x_star)
         z_vec = perturbation_vector(w, z, lam)
-        theta_tilde = gram.solve(w + hist.T @ z)
+        theta_tilde = gram.solve((w + hist.T @ z)[None])[0]
         assert float(u @ z_vec) == pytest.approx(float(x_star @ theta_tilde), abs=1e-10)
 
     def test_direction_dim_mismatch(self):
@@ -158,10 +158,10 @@ class TestOptimismGeometry:
         hist = env.arms[[0, 1]]
         ys = np.array([0.3, -0.2])
         for x in hist:
-            gram.update(x)
-        theta_hat = gram.solve(hist.T @ ys)
+            gram.update(x[None])
+        theta_hat = gram.solve((hist.T @ ys)[None])[0]
         x_star = env.arms[env.optimal_arm_index]
-        dev = gram.weighted_norm(theta_hat - env.theta_star, Metric.GRAM)
+        dev = gram.weighted_norm((theta_hat - env.theta_star)[None], Metric.GRAM)[0]
         c = dev + 0.3
         u = optimism_direction(gram, hist, x_star)
         hits = 0
@@ -170,22 +170,23 @@ class TestOptimismGeometry:
             if not check_optimism_sufficiency(u, z_vec, c, dev):
                 continue
             w = math.sqrt(lam) * z_vec[:2]
-            theta = theta_hat + gram.solve(w + hist.T @ z_vec[2:])
+            theta = theta_hat + gram.solve((w + hist.T @ z_vec[2:])[None])[0]
             assert float(x_star @ theta) >= env.optimal_value - 1e-9
             hits += 1
         assert hits > 0  # the grid must actually exercise the passing branch
 
 
 def run_steps(monitor, policy, env, horizon, noise_seed=0):
-    """Step ``policy`` for ``horizon`` steps under ``monitor`` and flush it;
-    returns the per-step diagnostics of its blocks, joined."""
+    """Step a batch-of-one ``policy`` for ``horizon`` steps under
+    ``monitor`` and flush it; returns the per-step diagnostics of its
+    blocks, joined."""
     noise = env.noise.draws([noise_seed])
     blocks = []
     for t in range(1, horizon + 1):
         sel = policy.select(env.arms)
-        blocks.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
-        y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
-        policy.update(sel.arm_index, env.arms[sel.arm_index], y)
+        x, mean = env.pull(sel.arm_index)
+        blocks.append(monitor.observe(policy, sel, x))
+        policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
     blocks.append(monitor.flush())
     return concatenate_blocks([b for b in blocks if b is not None], horizon)
 
@@ -213,11 +214,11 @@ class TestStepMonitor:
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.0), 1.0, rng)
         params = make_params(sigma=0.0, horizon=50)
         monitor, diag = self.run_greedy(env, params, 50, 0)
-        assert monitor.all_concentrated
-        assert monitor.concentration_failures == 0
-        assert monitor.perturb_concentration_failures == 0
+        assert monitor.all_concentrated.tolist() == [True]
+        assert monitor.concentration_failures.tolist() == [0]
+        assert monitor.perturb_concentration_failures.tolist() == [0]
         assert monitor.checks == 50
-        assert diag["concentration_ok"].shape == (50,)
+        assert diag["concentration_ok"].shape == (50, 1)
         assert diag["concentration_ok"].all()
 
     def test_checks_is_counted_state_not_an_option(self, rng):
@@ -232,8 +233,8 @@ class TestStepMonitor:
         env = LinearBanditEnv(np.array([[1.0]]), np.array([0.5]), NoiseModel(sigma=0.0), 1.0)
         params = make_params(dim=1, horizon=3)
         monitor, _ = self.run_greedy(env, params, 3, 0)
-        assert monitor.elliptical_sum == pytest.approx(11.0 / 6.0, abs=1e-12)
-        assert monitor.elliptical_ok()
+        assert monitor.elliptical_sum[0] == pytest.approx(11.0 / 6.0, abs=1e-12)
+        assert monitor.elliptical_ok()[0]
 
     def test_elliptical_bound_holds_on_random_runs(self, rng):
         for noise_seed in range(5):
@@ -241,19 +242,19 @@ class TestStepMonitor:
             params = make_params(dim=3, horizon=200)
             monitor, _ = self.run_greedy(env, params, 200, noise_seed)
             assert monitor.checks == 200
-            assert monitor.elliptical_sum <= elliptical_potential_bound(3, 200, 1.0)
+            assert monitor.elliptical_sum[0] <= elliptical_potential_bound(3, 200, 1.0)
 
     def test_step0_concentration_boundary(self):
         # the zero estimate deviates by sqrt(lam)||theta*||, inside the radius
         env = LinearBanditEnv(np.array([[1.0, 0.0]]), np.array([0.9, 0.0]), NoiseModel(), 1.0)
         monitor = StepMonitor(env, make_params())
-        assert monitor.all_concentrated
+        assert monitor.all_concentrated.tolist() == [True]
 
     def test_ensemble_fraction_tracked_and_cross_checked(self, rng):
         env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, rng)
         params = make_params(horizon=20)
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, 20))
-        policy = EnsembleSampling(2, 1.0, 16, spec, 4)
+        policy = EnsembleSampling(2, 1.0, 16, spec, [4])
         monitor = StepMonitor(env, params, track_ensemble_fraction=True)
         gt = gamma_tilde(params)
         x_star = env.arms[env.optimal_arm_index]
@@ -265,26 +266,27 @@ class TestStepMonitor:
             # independent recomputation of the member fraction
             theta_hat = policy.ridge_estimate()
             beta_prev = beta(params, policy.step)
-            width = policy.gram.weighted_norm(x_star, Metric.GRAM_INV)
+            width = policy.gram.weighted_norm(x_star[None], Metric.GRAM_INV)[0]
             hits = 0
             for j in range(16):
-                tilde = policy.model_theta(j) - theta_hat
-                ok_dir = float(x_star @ tilde) >= beta_prev * width
-                ok_norm = policy.gram.weighted_norm(tilde, Metric.GRAM) <= gt
+                tilde = policy.model_theta([j]) - theta_hat
+                ok_dir = float(x_star @ tilde[0]) >= beta_prev * width
+                ok_norm = policy.gram.weighted_norm(tilde, Metric.GRAM)[0] <= gt
                 hits += ok_dir and ok_norm
             manual.append(hits / 16)
-            blocks.append(monitor.observe(policy, sel, env.arm(sel.arm_index)))
-            y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
-            policy.update(sel.arm_index, env.arms[sel.arm_index], y)
+            x, mean = env.pull(sel.arm_index)
+            blocks.append(monitor.observe(policy, sel, x))
+            policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
         blocks.append(monitor.flush())
         fractions = concatenate_blocks([b for b in blocks if b is not None], 20)[
             "ensemble_fraction"
         ]
-        assert len(fractions) == 20
+        assert fractions.shape == (20, 1)
+        fractions = fractions[:, 0]
         for got, want in zip(fractions, manual):
             assert got == pytest.approx(want, abs=1e-12)
         assert all(0.0 <= f <= 1.0 for f in fractions)
-        assert monitor.min_ensemble_fraction == min(fractions)
+        assert monitor.min_ensemble_fraction.tolist() == [min(fractions)]
 
     def test_inconsistent_selection_triggers_hard_error(self):
         # the optimism implication is deterministic; feeding a selection whose
@@ -295,18 +297,23 @@ class TestStepMonitor:
         params = make_params(delta=0.5)
         monitor = StepMonitor(env, params)
         policy = GreedyRidge(2, 1.0)
-        bogus = Selection(arm_index=1, model_index=-1, theta=np.array([5.0, 0.0]))
-        assert monitor.observe(policy, bogus, env.arm(bogus.arm_index)) is None
-        with pytest.raises(InvariantViolation, match="optimism implication failed at step 1:"):
+        bogus = Selection(
+            arm_index=np.array([1]), model_index=np.array([-1]), theta=np.array([[5.0, 0.0]])
+        )
+        assert monitor.observe(policy, bogus, env.pull(bogus.arm_index)[0]) is None
+        with pytest.raises(
+            InvariantViolation, match="optimism implication failed at step 1, replication 0:"
+        ):
             monitor.flush()
 
-    def test_bogus_selection_mid_block_names_its_step_and_replication(self):
-        # replication 1 plays a bogus selection at step 5 of an 8-step block;
-        # the block's evaluation raises and names that step and replication
+    @staticmethod
+    def flush_a_bogus_row_1(replications: range):
+        """Row 1 of a three-replication batch plays a bogus selection at step
+        5 of an 8-step block; flushing the block evaluates it."""
         env = LinearBanditEnv(
             np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.9, 0.0]), NoiseModel(sigma=0.0), 1.0
         )
-        monitor = StepMonitor(env, make_params(delta=0.5), batch=3)
+        monitor = StepMonitor(env, make_params(delta=0.5), replications=replications)
         policy = GreedyRidge(2, 1.0, batch=3)
         for t in range(1, 9):
             sel = policy.select(env.arms)
@@ -319,40 +326,52 @@ class TestStepMonitor:
             x, mean = env.pull(sel.arm_index)
             assert monitor.observe(policy, sel, x) is None
             policy.update(sel.arm_index, x, mean)
+        monitor.flush()
+
+    def test_bogus_selection_mid_block_names_its_step_and_replication(self):
+        # the block's evaluation raises and names that step and replication
         with pytest.raises(
             InvariantViolation, match="optimism implication failed at step 5, replication 1:"
         ):
-            monitor.flush()
+            self.flush_a_bogus_row_1(range(3))
+
+    def test_a_violation_names_the_replication_not_its_row_in_the_batch(self):
+        # in the second batch of a run, row 1 is replication 257
+        with pytest.raises(
+            InvariantViolation, match="optimism implication failed at step 5, replication 257:"
+        ):
+            self.flush_a_bogus_row_1(range(256, 259))
 
     def test_diag_counters_are_consistent(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
         params = make_params(horizon=100)
         monitor, diag = self.run_greedy(env, params, 100, 0)
         assert monitor.checks == 100
-        assert monitor.anti_conc_hits == diag["anti_conc_ok"].sum()
-        assert monitor.optimism_hits == diag["optimism_ok"].sum()
-        assert monitor.concentration_failures == (~diag["concentration_ok"]).sum()
-        assert monitor.elliptical_sum == diag["elliptical_sum"][-1]
+        assert monitor.anti_conc_hits.tolist() == [diag["anti_conc_ok"].sum()]
+        assert monitor.optimism_hits.tolist() == [diag["optimism_ok"].sum()]
+        assert monitor.concentration_failures.tolist() == [(~diag["concentration_ok"]).sum()]
+        assert monitor.elliptical_sum.tolist() == diag["elliptical_sum"][-1].tolist()
 
     def test_steps_are_recorded_in_order(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
         monitor = StepMonitor(env, make_params())
         policy = GreedyRidge(2, 1.0)
         sel = policy.select(env.arms)
-        monitor.observe(policy, sel, env.arm(sel.arm_index))
+        x = env.pull(sel.arm_index)[0]
+        monitor.observe(policy, sel, x)
         with pytest.raises(ValueError, match="expected step 2, got 1"):
-            monitor.observe(policy, sel, env.arm(sel.arm_index))
+            monitor.observe(policy, sel, x)
 
     def test_summaries_refuse_unevaluated_steps(self, rng):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
         monitor = StepMonitor(env, make_params())
         policy = GreedyRidge(2, 1.0)
         sel = policy.select(env.arms)
-        monitor.observe(policy, sel, env.arm(sel.arm_index))
+        monitor.observe(policy, sel, env.pull(sel.arm_index)[0])
         with pytest.raises(RuntimeError, match="call flush"):
             monitor.counters()
         monitor.flush()
-        assert monitor.counters()["checks"] == 1
+        assert monitor.counters()["checks"].tolist() == [1]
 
 
 def block_length(batch: int, dim: int, n_models: int | None) -> int:
@@ -369,11 +388,11 @@ class ReferenceMonitor:
 
     def __init__(self, env, params, batch, track):
         self.env, self.params, self.track = env, params, track
-        shape = () if batch is None else (batch,)
-        self.x_star = np.broadcast_to(env.arm(env.optimal_arm_index), shape + (env.dim,))
+        x_star = env.pull(env.optimal_arm_index)[0]
+        self.x_star = np.broadcast_to(x_star, (batch, env.dim))
         self.gamma_tilde = gamma_tilde(params)
         self.flags = []
-        self.elliptical_sum = np.zeros(shape)
+        self.elliptical_sum = np.zeros(batch)
         self.fractions = []
 
     def step(self, policy, sel, chosen):
@@ -397,13 +416,13 @@ class ReferenceMonitor:
             thetas = policy.thetas()
             hits = 0
             for j in range(policy.n_models):
-                tilde_j = thetas[..., j, :] - theta_hat
+                tilde_j = thetas[:, j, :] - theta_hat
                 ok_dir = dot(self.x_star, tilde_j) >= beta_prev * width_star
                 ok_norm = np.square(gram.weighted_norm(tilde_j, Metric.GRAM)) <= (
                     self.gamma_tilde**2
                 )
                 hits = hits + (ok_dir & ok_norm)
-            self.fractions.append(np.asarray(hits) / policy.n_models)
+            self.fractions.append(hits / policy.n_models)
 
 
 HORIZONS = {
@@ -414,12 +433,11 @@ HORIZONS = {
 }
 
 
-@pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "R3"])
 @pytest.mark.parametrize("track", [False, True], ids=["greedy", "ensemble-full-trace"])
 @pytest.mark.parametrize("horizon_name", sorted(HORIZONS))
-def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name):
-    dim, n_models = 4, 24
-    block = block_length(batch or 1, dim, n_models if track else None)
+def test_blocked_monitor_matches_the_per_step_oracle(track, horizon_name):
+    batch, dim, n_models = 3, 4, 24
+    block = block_length(batch, dim, n_models if track else None)
     horizon = HORIZONS[horizon_name](block)
     rng = np.random.default_rng(horizon)
     env = LinearBanditEnv.random(dim, 7, NoiseModel(sigma=0.5), 1.0, rng)
@@ -428,13 +446,13 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
     params = make_params(dim=dim, sigma=0.05, horizon=horizon, delta=0.2)
     if track:
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, horizon))
-        seed = [100 + r for r in range(batch)] if batch else 100
-        policy = EnsembleSampling(dim, params.lam, n_models, spec, seed)
+        seeds = [100 + r for r in range(batch)]
+        policy = EnsembleSampling(dim, params.lam, n_models, spec, seeds)
     else:
         policy = GreedyRidge(dim, params.lam, batch=batch)
-    monitor = StepMonitor(env, params, track_ensemble_fraction=track, batch=batch)
+    monitor = StepMonitor(env, params, track_ensemble_fraction=track, replications=range(batch))
     oracle = ReferenceMonitor(env, params, batch, track)
-    noise = env.noise.draws(range(batch or 1))
+    noise = env.noise.draws(range(batch))
     blocks = []
     for t in range(1, horizon + 1):
         sel = policy.select(env.arms)
@@ -442,8 +460,7 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
         oracle.step(policy, sel, x)
         blocks.append(monitor.observe(policy, sel, x))
         assert len(monitor._record["gram"]) == block
-        y = mean + (noise.at(t)[:, 0] if batch else noise.at(t)[0, 0])
-        policy.update(sel.arm_index, x, y)
+        policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
     blocks.append(monitor.flush())
     diag = concatenate_blocks([b for b in blocks if b is not None], horizon)
 
@@ -468,7 +485,7 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
         )
     else:
         assert monitor.min_ensemble_fraction is None
-    if horizon_name == "2block+5" and batch:
+    if horizon_name == "2block+5":
         # not vacuous: both outcomes of each event occur, and a replication
         # that failed concentration ends its run concentrated
         assert (~conc.all(axis=0) & conc[-1]).any()
@@ -490,8 +507,8 @@ def test_block_buffers_stay_within_the_draw_budget(rng):
     policy = EnsembleSampling(dim, 1.0, n_models, spec, seeds)
     sel = policy.select(env.arms)
     for track in (True, False):
-        monitor = StepMonitor(env, make_params(dim=dim), track, batch=batch)
-        monitor.observe(policy, sel, env.arm(sel.arm_index))
+        monitor = StepMonitor(env, make_params(dim=dim), track, replications=range(batch))
+        monitor.observe(policy, sel, env.pull(sel.arm_index)[0])
         record = monitor._record
         assert ("thetas" in record) == track
         assert record["gram"].size == DRAW_VALUES
@@ -502,8 +519,8 @@ def test_block_buffers_stay_within_the_draw_budget(rng):
     # each buffer within the budget
     env = LinearBanditEnv.random(3, 6, NoiseModel(sigma=1.0), 1.0, rng)
     policy = EnsembleSampling(3, 1.0, 4, spec, seeds[:200])
-    monitor = StepMonitor(env, make_params(dim=3), batch=200)
+    monitor = StepMonitor(env, make_params(dim=3), replications=range(200))
     sel = policy.select(env.arms)
-    monitor.observe(policy, sel, env.arm(sel.arm_index))
+    monitor.observe(policy, sel, env.pull(sel.arm_index)[0])
     assert len(monitor._record["gram"]) == DRAW_VALUES // (200 * 3 * 3) > 1
     assert all(buf.size <= DRAW_VALUES for buf in monitor._record.values())

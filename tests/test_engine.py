@@ -6,7 +6,7 @@ import pytest
 
 from linens import config, harness
 from linens.config import ExperimentConfig
-from linens.envs import LinearBanditEnv, NoiseModel
+from linens.envs import NoiseModel
 from linens.harness import (
     BATCH_SIZE,
     batches,
@@ -23,11 +23,10 @@ from linens.perturb import (
     TAG_ENV,
     TAG_REPLICATION,
     PerturbationFamily,
-    PerturbationSpec,
     keyed_generator,
     mix_key,
 )
-from linens.policies import EnsembleSampling, GreedyRidge, Keying, LinPHE, LinTS, LinUCB, Sampler
+from linens.policies import Keying
 
 
 def make_cfg(**overrides) -> ExperimentConfig:
@@ -96,37 +95,6 @@ def test_ensemble_reward_draws_do_not_depend_on_the_batch(family, keying):
     # one reward-draw call per step covers the whole batch
     cfg = make_cfg(policy__family=family, policy__keying=keying, run__horizon=25)
     assert_batch_of_r_equals_r_batches_of_one(cfg)
-
-
-def _policies(batch: int | None):
-    """Each policy kind, unbatched (``batch=None``) or for ``batch``
-    replications; replication r always draws from seed r."""
-    seed = list(range(batch)) if batch else 0
-    spec = PerturbationSpec("gaussian", 0.8)
-    return {
-        "ensemble": EnsembleSampling(2, 1.0, 5, spec, seed),
-        "phe": LinPHE(2, 1.0, spec, seed),
-        "linucb": LinUCB(2, 1.0, bonus=0.7, batch=batch),
-        "lints": LinTS(2, 1.0, 0.5, seed),
-        "greedy": GreedyRidge(2, 1.0, batch=batch),
-    }
-
-
-@pytest.mark.parametrize("name", ["ensemble", "phe", "linucb", "lints", "greedy"])
-def test_unbatched_policy_is_the_batch_of_one(name):
-    # the single-replication API runs the same arithmetic as a batch
-    env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.3), 1.0, np.random.default_rng(4))
-    single, batched = _policies(None)[name], _policies(2)[name]
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        a, b = single.select(env.arms), batched.select(env.arms)
-        assert isinstance(a.arm_index, int) and isinstance(a.model_index, int)
-        assert a.arm_index == b.arm_index[0] and a.model_index == b.model_index[0]
-        assert bits(a.theta) == bits(b.theta[0])
-        ys = env.mean_reward(b.arm_index) + rng.standard_normal(2)
-        single.update(a.arm_index, env.arm(a.arm_index), float(ys[0]))
-        batched.update(b.arm_index, env.arm(b.arm_index), ys)
-    assert bits(single.gram.gram_inv) == bits(batched.gram.gram_inv[0])
 
 
 def test_batches_are_fixed_contiguous_blocks():
@@ -206,7 +174,7 @@ def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, fami
         assert [r for rec in records for r in rec.replications] == list(range(reps)), name
         for rec in records:
             for r, arm, reward in zip(rec.replications, rec.columns["arm"], rec.columns["reward"]):
-                assert bits(reward) == bits(env.mean_reward(arm) + noise[r]), name
+                assert bits(reward) == bits(env.pull(arm)[1] + noise[r]), name
 
 
 def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linens.envs import LinearBanditEnv, NoiseFamily, NoiseModel, RegretLedger
+from linens.linalg import matvec
 from linens.perturb import TAG_NOISE, PerturbationSpec, _splitmix64, mix_key
 
 from conftest import random_unit_ball
@@ -14,6 +15,11 @@ def two_arm_env(sigma=0.0, family=NoiseFamily.GAUSSIAN):
     arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
     theta = np.array([0.9, 0.3])
     return LinearBanditEnv(arms, theta, NoiseModel(family, sigma), 1.0)
+
+
+def mean_reward(env, k):
+    """The mean reward of arm ``k`` for a batch of one, an ``(1,)`` array."""
+    return env.pull(np.array([k]))[1]
 
 
 class TestConstruction:
@@ -68,7 +74,7 @@ class TestRewards:
         env = two_arm_env(sigma=0.0)
         for k in range(3):
             for t in (1, 2, 3):
-                assert env.sample_reward(k, 0, t) == env.mean_reward(k)
+                assert env.sample_reward(k, 0, t) == mean_reward(env, k)[0]
 
     def test_gaussian_noise_moments(self):
         env = two_arm_env(sigma=0.7)
@@ -100,7 +106,7 @@ class TestRewards:
     def test_index_out_of_range(self):
         env = two_arm_env()
         with pytest.raises(ValueError):
-            env.mean_reward(3)
+            env.pull(np.array([3]))
         with pytest.raises(ValueError):
             env.sample_reward(-1, 0, 1)
 
@@ -123,19 +129,16 @@ class TestPull:
             with pytest.raises(ValueError, match=re.escape(message)):
                 env.pull(index)
 
-    def test_gives_the_bits_of_arm_and_mean_reward(self, rng, stacked):
+    def test_gathers_each_replications_arm_and_mean_reward(self, rng, stacked):
         env = self.batch_env(rng, stacked)
         index = rng.integers(0, env.arm_count, size=4)
         x, mean = env.pull(index)
-        assert x.tobytes() == env.arm(index).tobytes()
-        assert mean.tobytes() == env.mean_reward(index).tobytes()
-
-
-def test_unbatched_pull_gives_a_vector_and_a_float():
-    env = two_arm_env()
-    x, mean = env.pull(2)
-    np.testing.assert_array_equal(x, env.arms[2])
-    assert type(mean) is float and mean == env.mean_reward(2)
+        # the gather of the arms and of their means, each a product of the
+        # whole arm set
+        at = index if not stacked else (np.arange(4), index)
+        assert x.shape == (4, 3) and mean.shape == (4,)
+        assert x.tobytes() == env.arms[at].tobytes()
+        assert mean.tobytes() == matvec(env.arms, env.theta_star)[at].tobytes()
 
 
 def noise_words(seed: int, t: int) -> tuple[int, int]:
@@ -231,10 +234,11 @@ class TestRegretLedger:
         env = two_arm_env()
         ledger = RegretLedger(env)
         # gaps: arm0 is optimal (0), arm1 gap 0.6, arm2 gap 0.9 - 0.72 = 0.18
-        assert ledger.record(env.mean_reward(0)) == pytest.approx(0.0)
-        assert ledger.record(env.mean_reward(1)) == pytest.approx(0.6)
-        assert ledger.record(env.mean_reward(2)) == pytest.approx(0.18)
-        assert ledger.cumulative == pytest.approx(0.78)
+        assert ledger.record(mean_reward(env, 0))[0] == pytest.approx(0.0)
+        assert ledger.record(mean_reward(env, 1))[0] == pytest.approx(0.6)
+        assert ledger.record(mean_reward(env, 2))[0] == pytest.approx(0.18)
+        assert ledger.cumulative.shape == (1,)
+        assert ledger.cumulative[0] == pytest.approx(0.78)
 
     def test_cumulative_is_prefix_sum_and_monotone(self, rng):
         env = two_arm_env()
@@ -242,13 +246,13 @@ class TestRegretLedger:
         prev = 0.0
         gaps = []
         for _ in range(200):
-            gaps.append(ledger.record(env.mean_reward(int(rng.integers(3)))))
-            assert ledger.cumulative >= prev - 1e-15
-            prev = ledger.cumulative
-        assert ledger.cumulative == pytest.approx(sum(gaps))
+            gaps.append(ledger.record(mean_reward(env, int(rng.integers(3))))[0])
+            assert ledger.cumulative[0] >= prev - 1e-15
+            prev = ledger.cumulative[0]
+        assert ledger.cumulative[0] == pytest.approx(sum(gaps))
 
     def test_gaps_are_non_negative(self, rng):
         env = LinearBanditEnv.random(3, 12, NoiseModel(), 1.0, rng)
         ledger = RegretLedger(env)
         for k in range(12):
-            assert ledger.record(env.mean_reward(k)) >= 0.0
+            assert ledger.record(mean_reward(env, k))[0] >= 0.0

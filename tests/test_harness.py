@@ -1107,6 +1107,7 @@ class TestCli:
         assert [c["value"] for c in combined] == [10, 20]
         assert (out / "sweep_T_10" / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("default")
     @pytest.mark.parametrize(
         "command,args", [("run", []), ("sweep", ["--param", "T", "--values", "10,20"])]
     )
@@ -1344,7 +1345,7 @@ class OutOfRangePolicy(GreedyRidge):
         self.arm_index = arm_index
 
     def select(self, arms):
-        return Selection(np.full(self.batch_shape, self.arm_index), -1, self.ridge_estimate())
+        return Selection(np.full(self.batch, self.arm_index), -1, self.ridge_estimate())
 
 
 @pytest.mark.parametrize("arm_index", [4, -1], ids=["K", "negative"])
@@ -1352,7 +1353,7 @@ def test_interact_rejects_an_out_of_range_arm(arm_index):
     cfg = small_cfg(run__diagnostics="monitors")
     env = cfg.environment()
     noise = env.noise.draws(range(2))
-    monitor = StepMonitor(env, cfg.confidence_params(), batch=2)
+    monitor = StepMonitor(env, cfg.confidence_params(), replications=range(2))
     policy = OutOfRangePolicy(arm_index, batch=2)
     with pytest.raises(ValueError, match="out of range"):
         interact(policy, env, noise, 3, monitor)

@@ -15,19 +15,19 @@ from conftest import random_unit_ball
 class TestInit:
     def test_identity(self):
         st = GramState(2, 1.0)
-        np.testing.assert_array_equal(st.gram, np.eye(2))
-        np.testing.assert_array_equal(st.gram_inv, np.eye(2))
+        np.testing.assert_array_equal(st.gram, [np.eye(2)])
+        np.testing.assert_array_equal(st.gram_inv, [np.eye(2)])
         assert st.step_count == 0
 
     def test_scalar_inverse(self):
         st = GramState(1, 4.0)
-        assert st.gram[0, 0] == 4.0
-        assert st.gram_inv[0, 0] == 0.25
+        assert st.gram[0, 0, 0] == 4.0
+        assert st.gram_inv[0, 0, 0] == 0.25
 
     def test_diagonal_inverse(self):
         st = GramState(3, 0.5)
-        np.testing.assert_allclose(st.gram, 0.5 * np.eye(3))
-        np.testing.assert_allclose(st.gram_inv, 2.0 * np.eye(3))
+        np.testing.assert_allclose(st.gram, [0.5 * np.eye(3)])
+        np.testing.assert_allclose(st.gram_inv, [2.0 * np.eye(3)])
 
     @pytest.mark.parametrize(
         "dim,lam", [(0, 1.0), (-1, 1.0), (2, 0.0), (2, -0.5), (2, np.nan), (2, np.inf)]
@@ -36,55 +36,65 @@ class TestInit:
         with pytest.raises(ValueError):
             GramState(dim, lam)
 
+    @pytest.mark.parametrize("batch", [0, -1, 2.5, 2.0, "2"])
+    def test_batch_must_be_a_positive_integer(self, batch):
+        # checked as dim is: a float batch, even a whole one, is rejected
+        with pytest.raises(ValueError, match="batch must be a positive integer"):
+            GramState(2, 1.0, batch)
+
+    def test_a_lone_replication_is_a_batch_of_one(self):
+        st = GramState(3, 1.0)
+        assert st.batch == 1
+        assert st.gram.shape == (1, 3, 3)
+        assert GramState(3, 1.0, np.int64(4)).gram.shape == (4, 3, 3)
+
 
 class TestUpdate:
     def test_axis_aligned(self):
         st = GramState(2, 1.0)
-        st.update(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(st.gram, np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(st.gram_inv, np.diag([0.5, 1.0]))
+        st.update(np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(st.gram, [np.diag([2.0, 1.0])])
+        np.testing.assert_allclose(st.gram_inv, [np.diag([0.5, 1.0])])
         assert st.step_count == 1
 
     def test_against_direct_inverse(self):
         st = GramState(2, 1.0)
-        st.update(np.array([0.6, 0.8]))
+        st.update(np.array([[0.6, 0.8]]))
         np.testing.assert_allclose(st.gram_inv, np.linalg.inv(st.gram), atol=1e-10)
 
     def test_hundred_random_updates(self, rng):
         st = GramState(5, 1.0)
         for _ in range(100):
-            st.update(random_unit_ball(rng, 5))
+            st.update(random_unit_ball(rng, 5)[None])
         assert st.step_count == 100
-        np.testing.assert_allclose(st.gram_inv @ st.gram, np.eye(5), atol=1e-8)
+        np.testing.assert_allclose(st.gram_inv[0] @ st.gram[0], np.eye(5), atol=1e-8)
 
     def test_gram_symmetric(self, rng):
         st = GramState(4, 2.0)
         for _ in range(50):
-            st.update(random_unit_ball(rng, 4))
-        np.testing.assert_allclose(st.gram, st.gram.T, atol=1e-10)
+            st.update(random_unit_ball(rng, 4)[None])
+        np.testing.assert_allclose(st.gram[0], st.gram[0].T, atol=1e-10)
 
     def test_eigenvalues_at_least_lambda(self, rng):
         st = GramState(3, 0.7)
         for _ in range(30):
-            st.update(random_unit_ball(rng, 3))
-        assert np.linalg.eigvalsh(st.gram).min() >= 0.7 - 1e-12
+            st.update(random_unit_ball(rng, 3)[None])
+        assert np.linalg.eigvalsh(st.gram[0]).min() >= 0.7 - 1e-12
 
     def test_norm_violation(self):
         st = GramState(2, 1.0)
         with pytest.raises(ValueError, match=r"\|\|x\|\|"):
-            st.update(np.array([1.0, 0.5]))
+            st.update(np.array([[1.0, 0.5]]))
 
-    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
-    def test_norm_bound_is_exact_at_the_slack(self, batch):
+    def test_norm_bound_is_exact_at_the_slack(self):
         # sqrt(fl(a * a)) is a, so a row (a, 0, 0) has norm exactly a: the
-        # bound itself passes and the next float above it fails, alone or
-        # between in-range rows
+        # bound itself passes and the next float above it fails, between
+        # in-range rows
         edge = 1.0 + NORM_SLACK
         assert math.sqrt(edge * edge) == edge
         for a, ok in ((edge, True), (np.nextafter(edge, 2.0), False)):
-            st = GramState(3, 1.0, batch)
-            row = np.array([a, 0.0, 0.0])
-            x = row if batch is None else np.array([[0.6, 0.0, 0.0], row, [0.0, 0.5, 0.5]])
+            st = GramState(3, 1.0, 3)
+            x = np.array([[0.6, 0.0, 0.0], [a, 0.0, 0.0], [0.0, 0.5, 0.5]])
             if ok:
                 st.update(x)
                 assert st.step_count == 1
@@ -97,19 +107,19 @@ class TestUpdate:
     def test_dimension_mismatch(self):
         st = GramState(2, 1.0)
         with pytest.raises(ValueError, match="dimension"):
-            st.update(np.array([1.0, 0.0, 0.0]))
+            st.update(np.array([[1.0, 0.0, 0.0]]))
 
     def test_zero_vector_counts_a_step(self):
         st = GramState(2, 1.0)
-        st.update(np.zeros(2))
+        st.update(np.zeros((1, 2)))
         assert st.step_count == 1
-        np.testing.assert_array_equal(st.gram, np.eye(2))
+        np.testing.assert_array_equal(st.gram, [np.eye(2)])
 
     def test_long_run_drift_with_reinversion(self, rng):
         # crosses several re-inversion periods
         st = GramState(8, 1.0)
         for _ in range(3000):
-            st.update(random_unit_ball(rng, 8))
+            st.update(random_unit_ball(rng, 8)[None])
         assert st.inverse_drift() <= 1e-8
 
     def test_drift_before_each_reinversion_on_an_ill_conditioned_state(self, rng, monkeypatch):
@@ -139,76 +149,82 @@ class TestUpdate:
 class TestWeightedNorm:
     def test_diagonal_case(self):
         st = GramState(2, 1.0)
-        st.update(np.array([1.0, 0.0]))
-        got = st.weighted_norm(np.array([1.0, 0.0]), Metric.GRAM_INV)
-        assert got == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        st.update(np.array([[1.0, 0.0]]))
+        got = st.weighted_norm(np.array([[1.0, 0.0]]), Metric.GRAM_INV)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
     def test_zero_vector(self, rng):
         st = GramState(3, 2.0)
-        st.update(random_unit_ball(rng, 3))
-        assert st.weighted_norm(np.zeros(3), Metric.GRAM) == 0.0
-        assert st.weighted_norm(np.zeros(3), Metric.GRAM_INV) == 0.0
+        st.update(random_unit_ball(rng, 3)[None])
+        assert st.weighted_norm(np.zeros((1, 3)), Metric.GRAM)[0] == 0.0
+        assert st.weighted_norm(np.zeros((1, 3)), Metric.GRAM_INV)[0] == 0.0
 
     def test_against_long_double_oracle(self, rng):
         st = GramState(6, 1.5)
         for _ in range(40):
-            st.update(random_unit_ball(rng, 6))
+            st.update(random_unit_ball(rng, 6)[None])
         for _ in range(10):
             v = rng.standard_normal(6)
-            for metric, mat in ((Metric.GRAM, st.gram), (Metric.GRAM_INV, st.gram_inv)):
+            for metric, mat in ((Metric.GRAM, st.gram[0]), (Metric.GRAM_INV, st.gram_inv[0])):
                 vl = v.astype(np.longdouble)
                 ml = mat.astype(np.longdouble)
                 want = float(np.sqrt(vl @ ml @ vl))
-                assert st.weighted_norm(v, metric) == pytest.approx(want, abs=1e-10)
+                assert st.weighted_norm(v[None], metric)[0] == pytest.approx(want, abs=1e-10)
 
     def test_inverse_norm_max_eigenvalue_bound(self, rng):
         lam = 2.0
         st = GramState(4, lam)
         for _ in range(60):
-            st.update(random_unit_ball(rng, 4))
+            st.update(random_unit_ball(rng, 4)[None])
         for _ in range(20):
             x = rng.standard_normal(4)
-            assert st.weighted_norm(x, Metric.GRAM_INV) <= np.linalg.norm(x) / np.sqrt(lam) + 1e-12
+            width = st.weighted_norm(x[None], Metric.GRAM_INV)[0]
+            assert width <= np.linalg.norm(x) / np.sqrt(lam) + 1e-12
 
 
 class TestSolve:
     def test_identity(self):
         st = GramState(2, 1.0)
-        np.testing.assert_array_equal(st.solve(np.array([3.0, -2.0])), [3.0, -2.0])
+        np.testing.assert_array_equal(st.solve(np.array([[3.0, -2.0]])), [[3.0, -2.0]])
 
     def test_diagonal(self):
         st = GramState(2, 1.0)
-        st.update(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(st.solve(np.array([2.0, 3.0])), [1.0, 3.0])
+        st.update(np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(st.solve(np.array([[2.0, 3.0]])), [[1.0, 3.0]])
 
     def test_against_pivoted_solve(self, rng):
         st = GramState(5, 1.0)
         for _ in range(80):
-            st.update(random_unit_ball(rng, 5))
+            st.update(random_unit_ball(rng, 5)[None])
         b = rng.standard_normal(5)
-        np.testing.assert_allclose(st.solve(b), np.linalg.solve(st.gram, b), atol=1e-9)
+        np.testing.assert_allclose(st.solve(b[None])[0], np.linalg.solve(st.gram[0], b), atol=1e-9)
 
     def test_residual_contract(self, rng):
         st = GramState(4, 1.0)
         for _ in range(200):
-            st.update(random_unit_ball(rng, 4))
+            st.update(random_unit_ball(rng, 4)[None])
         b = rng.standard_normal(4)
-        res = np.linalg.norm(st.gram @ st.solve(b) - b)
+        res = np.linalg.norm(st.gram[0] @ st.solve(b[None])[0] - b)
         assert res <= 1e-8 * (1.0 + np.linalg.norm(b))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            GramState(3, 1.0).solve(np.ones(2))
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (3,), (2, 3)], ids=["dim", "no-batch-axis", "batch"]
+    )
+    def test_dimension_mismatch(self, shape):
+        # a vector without its batch axis is rejected as a wrong one is
+        with pytest.raises(ValueError, match="dimension"):
+            GramState(3, 1.0).solve(np.ones(shape))
 
 
 class TestInverseCholesky:
     def test_lower_factor_of_the_inverse_across_both_reinversions(self, rng):
         st = GramState(4, 1.0)
         for _ in range(2 * REINVERT_PERIOD + 52):
-            st.update(random_unit_ball(rng, 4))
-            chol = st.inverse_cholesky()
+            st.update(random_unit_ball(rng, 4)[None])
+            chol = st.inverse_cholesky()[0]
             np.testing.assert_array_equal(chol, np.tril(chol))
-            np.testing.assert_allclose(chol @ chol.T, st.gram_inv, rtol=1e-12)
+            np.testing.assert_allclose(chol @ chol.T, st.gram_inv[0], rtol=1e-12)
         assert st.step_count == 2100
 
     def test_a_batch_factors_each_replication_as_it_would_alone(self, rng):
@@ -218,8 +234,8 @@ class TestInverseCholesky:
             xs = random_unit_ball(rng, 3, count=3)
             batched.update(xs)
             for st, x in zip(alone, xs):
-                st.update(x)
-            want = np.stack([st.inverse_cholesky() for st in alone])
+                st.update(x[None])
+            want = np.concatenate([st.inverse_cholesky() for st in alone])
             np.testing.assert_array_equal(batched.inverse_cholesky(), want)
 
 
@@ -259,12 +275,14 @@ def test_benchmark_reads_these_names():
         assert callable(operator.attrgetter(attr)(owner)), name
 
 
-@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
 class TestKernels:
-    """The per-step kernels against closed forms, for one replication and
-    for an ``(R, ...)`` batch."""
+    """The per-step kernels against closed forms, for an ``(R, ...)``
+    batch."""
 
-    def test_accumulate_perturbed_is_outer_product(self, rng, batch):
+    batch = (3,)
+
+    def test_accumulate_perturbed_is_outer_product(self, rng):
+        batch = self.batch
         # the sums are model-last, (d, m): column j gains x * yz[j]
         s = np.zeros(batch + (5, 16))
         x = rng.standard_normal(batch + (5,))
@@ -274,7 +292,8 @@ class TestKernels:
             np.testing.assert_array_equal(s[i], np.outer(x[i], yz[i]))
             np.testing.assert_array_equal(s[i].T, np.outer(yz[i], x[i]))
 
-    def test_quad_form(self, rng, batch):
+    def test_quad_form(self, rng):
+        batch = self.batch
         a = rng.standard_normal(batch + (4, 4))
         mat = np.matmul(a, a.swapaxes(-1, -2)) + np.eye(4)
         v = rng.standard_normal(batch + (4,))
@@ -283,7 +302,8 @@ class TestKernels:
         for i in np.ndindex(batch):
             assert got[i] == pytest.approx(v[i] @ mat[i] @ v[i], rel=1e-12)
 
-    def test_rank1_update_keeps_the_inverse(self, rng, batch):
+    def test_rank1_update_keeps_the_inverse(self, rng):
+        batch = self.batch
         identity = np.broadcast_to(np.eye(4), batch + (4, 4))
         gram, gram_inv, want = identity.copy(), identity.copy(), identity.copy()
         for _ in range(50):

@@ -215,7 +215,7 @@ class TestKeyedStreams:
         # keying is the ensemble's argument, not the stream's
         with pytest.raises(ValueError, match="unknown keying 'nope'"):
             policies.EnsembleSampling(
-                2, 1.0, 3, PerturbationSpec(), 0,
+                2, 1.0, 3, PerturbationSpec(), [0],
                 sampler=policies.Sampler.ROUND_ROBIN, keying="nope",
             )
 
@@ -431,17 +431,17 @@ class TestKeyedStepDraws:
         # both runs cross at least two block boundaries
         spec = PerturbationSpec(family, 1.7)
         prefixes = reward_prefixes(seeds)
-        batched = len(seeds) > 1
-        draws = StepDraws(spec, prefixes, models, batched=batched)
+        draws = StepDraws(spec, prefixes, models)
         steps = 2 * block_steps(len(seeds) * len(models)) + 3
         for t in range(1, steps + 1):
             want = reward_draws(spec, prefixes, models, t)
             got = draws.at(t)
-            assert got.tobytes() == (want if batched else want[0]).tobytes()
+            assert got.shape == (len(seeds), len(models))
+            assert got.tobytes() == want.tobytes()
         # a keyed block is read at any step, in any order
         for t in (2, steps, 1, DRAW_BLOCK + 1):
             want = reward_draws(spec, prefixes, models, t)
-            assert draws.at(t).tobytes() == (want if batched else want[0]).tobytes()
+            assert draws.at(t).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "width,block",

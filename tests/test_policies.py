@@ -37,18 +37,22 @@ ZERO = PerturbationSpec(PerturbationFamily.GAUSSIAN, 0.0)
 
 def make_ensemble(dim=2, lam=1.0, m=4, scale=1.0, seed=3, sampler=Sampler.UNIFORM):
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, scale)
-    policy = EnsembleSampling(dim, lam, m, spec, seed, sampler=sampler)
+    policy = EnsembleSampling(dim, lam, m, spec, [seed], sampler=sampler)
     return policy, spec, PerturbationStream(seed)
 
 
+ARM_0 = np.array([0])  # arm 0, for a batch of one
+
+
 def drive(policy, rng, dim, steps, reward_rng=None):
-    """Feed `steps` random unit-ball observations; returns (xs, ys)."""
+    """Feed a batch-of-one policy `steps` random unit-ball observations;
+    returns (xs, ys), one row per step."""
     reward_rng = reward_rng or rng
     xs, ys = [], []
     for _ in range(steps):
         x = random_unit_ball(rng, dim)
         y = float(reward_rng.standard_normal())
-        policy.update(0, x, y)
+        policy.update(ARM_0, x[None], np.array([y]))
         xs.append(x)
         ys.append(y)
     return np.array(xs), np.array(ys)
@@ -64,67 +68,65 @@ class TestArgmax:
 class TestGreedyRidge:
     def test_initial_estimate_is_zero(self):
         g = GreedyRidge(3, 1.0)
-        np.testing.assert_array_equal(g.ridge_estimate(), np.zeros(3))
+        np.testing.assert_array_equal(g.ridge_estimate(), np.zeros((1, 3)))
 
     def test_closed_form_ridge(self, rng):
         g = GreedyRidge(3, 2.0)
         xs, ys = drive(g, rng, 3, 40)
         want = np.linalg.solve(2.0 * np.eye(3) + xs.T @ xs, xs.T @ ys)
-        np.testing.assert_allclose(g.ridge_estimate(), want, atol=1e-9)
+        np.testing.assert_allclose(g.ridge_estimate()[0], want, atol=1e-9)
 
     def test_select_is_greedy(self, rng):
         g = GreedyRidge(2, 1.0)
         drive(g, rng, 2, 10)
         arms = random_unit_ball(rng, 2, count=6)
         sel = g.select(arms)
-        assert sel.arm_index == int(np.argmax(arms @ g.ridge_estimate()))
-        assert sel.model_index == -1
+        assert sel.arm_index.shape == sel.model_index.shape == (1,)
+        assert sel.arm_index[0] == int(np.argmax(arms @ g.ridge_estimate()[0]))
+        assert sel.model_index[0] == -1
 
 
 class TestEnsembleInit:
     def test_initial_sums_are_the_keyed_draws(self):
         policy, spec, stream = make_ensemble(dim=3, lam=2.0, m=5, scale=1.4)
         np.testing.assert_array_equal(
-            policy.s_vectors, stream.initial_matrix(spec, 5, 3, 2.0)
+            policy.s_vectors[0], stream.initial_matrix(spec, 5, 3, 2.0)
         )
 
     def test_initial_thetas_are_draws_over_lam(self):
         lam = 2.0
         policy, spec, stream = make_ensemble(dim=3, lam=lam, m=5, scale=1.4)
         w = stream.initial_matrix(spec, 5, 3, lam)
-        np.testing.assert_allclose(policy.thetas(), w / lam, atol=1e-12)
+        np.testing.assert_allclose(policy.thetas()[0], w / lam, atol=1e-12)
         for j in range(5):
-            np.testing.assert_allclose(policy.model_theta(j), w[j] / lam, atol=1e-12)
+            np.testing.assert_allclose(policy.model_theta([j])[0], w[j] / lam, atol=1e-12)
 
     def test_zero_scale_starts_at_zero(self):
         policy, _, _ = make_ensemble(scale=0.0)
-        np.testing.assert_array_equal(policy.s_vectors, np.zeros((4, 2)))
+        np.testing.assert_array_equal(policy.s_vectors, np.zeros((1, 4, 2)))
 
     def test_same_seed_identical_state(self):
         a, _, _ = make_ensemble(seed=9)
         b, _, _ = make_ensemble(seed=9)
         np.testing.assert_array_equal(a.s_vectors, b.s_vectors)
 
-    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
-    def test_s_vectors_write_through_to_the_sums(self, batch):
-        # s_vectors is an (m, d) view of the model-last sums; at step 0 and
-        # lam = 1 each estimator is its sum exactly
+    def test_s_vectors_write_through_to_the_sums(self):
+        # s_vectors is an (R, m, d) view of the model-last sums; at step 0
+        # and lam = 1 each estimator is its sum exactly
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        policy = EnsembleSampling(2, 1.0, 3, spec, 3 if batch is None else [3, 4, 5])
-        policy.s_vectors[..., 1, :] = [0.5, -0.25]
-        want = np.broadcast_to([0.5, -0.25], policy.batch_shape + (2,))
-        np.testing.assert_array_equal(policy.s_vectors[..., 1, :], want)
-        model = np.broadcast_to(1, policy.batch_shape)
-        np.testing.assert_array_equal(policy.model_theta(model), want)
-        np.testing.assert_array_equal(policy.thetas()[..., 1, :], want)
+        policy = EnsembleSampling(2, 1.0, 3, spec, [3, 4, 5])
+        policy.s_vectors[:, 1, :] = [0.5, -0.25]
+        want = np.broadcast_to([0.5, -0.25], (3, 2))
+        np.testing.assert_array_equal(policy.s_vectors[:, 1, :], want)
+        np.testing.assert_array_equal(policy.model_theta(np.full(3, 1)), want)
+        np.testing.assert_array_equal(policy.thetas()[:, 1, :], want)
 
-    @pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
-    def test_thetas_multiply_a_contiguous_copy_of_the_sums(self, rng, batch):
+    def test_thetas_multiply_a_contiguous_copy_of_the_sums(self, rng):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        policy = EnsembleSampling(3, 1.0, 6, spec, 3 if batch is None else [3, 4, 5])
+        policy = EnsembleSampling(3, 1.0, 6, spec, [3, 4, 5])
         for _ in range(5):
             x = random_unit_ball(rng, 3, count=3)
-            policy.update(0, x[0] if batch is None else x, rng.standard_normal(policy.batch_shape))
+            policy.update(np.zeros(3, dtype=int), x, rng.standard_normal(3))
         assert not policy.s_vectors.flags.c_contiguous
         want = np.matmul(np.array(policy.s_vectors), policy.gram.gram_inv)
         assert policy.thetas().tobytes() == want.tobytes()
@@ -132,9 +134,9 @@ class TestEnsembleInit:
     def test_invalid_args(self):
         spec = PerturbationSpec()
         with pytest.raises(ValueError):
-            EnsembleSampling(2, 1.0, 0, spec, 0)
+            EnsembleSampling(2, 1.0, 0, spec, [0])
         with pytest.raises(ValueError):
-            EnsembleSampling(2, 1.0, 2, spec, 0, sampler="bogus")
+            EnsembleSampling(2, 1.0, 2, spec, [0], sampler="bogus")
 
 
 class TestEnsembleSelect:
@@ -143,8 +145,8 @@ class TestEnsembleSelect:
         arms = random_unit_ball(rng, 2, count=4)
         for _ in range(5):
             sel = policy.select(arms)
-            assert sel.model_index == 0
-            policy.update(sel.arm_index, arms[sel.arm_index], 0.0)
+            assert sel.model_index[0] == 0
+            policy.update(sel.arm_index, arms[sel.arm_index], np.zeros(1))
 
     def test_true_parameter_selects_true_best_arm(self, rng):
         env = LinearBanditEnv.random(2, 8, NoiseModel(sigma=0.0), 1.0, rng)
@@ -152,8 +154,8 @@ class TestEnsembleSelect:
         # plant the true parameter: s = lam * theta* gives theta_j = theta*
         policy.s_vectors[:] = policy.lam * env.theta_star
         sel = policy.select(env.arms)
-        assert sel.arm_index == env.optimal_arm_index
-        np.testing.assert_allclose(sel.theta, env.theta_star, atol=1e-12)
+        assert sel.arm_index[0] == env.optimal_arm_index
+        np.testing.assert_allclose(sel.theta[0], env.theta_star, atol=1e-12)
 
     def test_uniform_sampler_frequencies(self, rng):
         # model choice is keyed by step: 2000 replications for 20 steps
@@ -175,16 +177,16 @@ class TestEnsembleSelect:
         for t in range(1, 80):
             word = _splitmix64(mix_key(21, TAG_MODEL, t))
             sel = policy.select(arms)
-            assert sel.model_index == ((word >> 11) * 5) >> 53
-            policy.update(sel.arm_index, arms[sel.arm_index], 0.0)
+            assert sel.model_index[0] == ((word >> 11) * 5) >> 53
+            policy.update(sel.arm_index, arms[sel.arm_index], np.zeros(1))
 
     def test_round_robin_order_and_exhaustion(self, rng):
         policy, _, _ = make_ensemble(m=3, sampler=Sampler.ROUND_ROBIN)
         arms = random_unit_ball(rng, 2, count=4)
         for expect in range(3):
             sel = policy.select(arms)
-            assert sel.model_index == expect
-            policy.update(sel.arm_index, arms[sel.arm_index], 0.0)
+            assert sel.model_index[0] == expect
+            policy.update(sel.arm_index, arms[sel.arm_index], np.zeros(1))
         with pytest.raises(InvalidStateError, match="exhausted"):
             policy.select(arms)
 
@@ -193,9 +195,9 @@ class TestEnsembleUpdate:
     def test_one_step_closed_form(self):
         # lam=1, zero perturbations, x=(1,0), y=3: V=diag(2,1), s=(3,0)
         policy, _, _ = make_ensemble(dim=2, lam=1.0, m=2, scale=0.0)
-        policy.update(0, np.array([1.0, 0.0]), 3.0)
-        np.testing.assert_allclose(policy.model_theta(0), [1.5, 0.0], atol=1e-12)
-        np.testing.assert_allclose(policy.model_theta(1), [1.5, 0.0], atol=1e-12)
+        policy.update(ARM_0, np.array([[1.0, 0.0]]), np.array([3.0]))
+        np.testing.assert_allclose(policy.model_theta([0]), [[1.5, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(policy.model_theta([1]), [[1.5, 0.0]], atol=1e-12)
 
     def test_batch_least_squares_oracle(self, rng):
         # every member equals the ridge solution of its perturbed history
@@ -208,8 +210,8 @@ class TestEnsembleUpdate:
         for j in range(m):
             target = w[j] + xs.T @ (ys + z[:, j])
             want = np.linalg.solve(v, target)
-            np.testing.assert_allclose(policy.model_theta(j), want, atol=1e-8)
-        np.testing.assert_allclose(policy.thetas()[3], policy.model_theta(3), atol=1e-10)
+            np.testing.assert_allclose(policy.model_theta([j])[0], want, atol=1e-8)
+        np.testing.assert_allclose(policy.thetas()[:, 3], policy.model_theta([3]), atol=1e-10)
 
     def test_decomposition_into_ridge_plus_perturbation(self, rng):
         dim, m, lam, steps = 3, 5, 1.0, 30
@@ -222,31 +224,30 @@ class TestEnsembleUpdate:
         for j in range(m):
             tilde = np.linalg.solve(v, w[j] + xs.T @ z[:, j])
             np.testing.assert_allclose(
-                policy.model_theta(j) - theta_hat, tilde, atol=1e-9
+                policy.model_theta([j])[0] - theta_hat[0], tilde, atol=1e-9
             )
 
     def test_by_arm_count_keying_replayable(self, rng):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
         stream = PerturbationStream(7)
-        policy = EnsembleSampling(2, 1.0, 3, spec, 7, keying=Keying.BY_ARM_COUNT)
+        policy = EnsembleSampling(2, 1.0, 3, spec, [7], keying=Keying.BY_ARM_COUNT)
         x = np.array([0.5, 0.1])
         # pulls: arm 0 twice, arm 1 once
-        policy.update(0, x, 1.0)
-        policy.update(1, x, 1.0)
-        policy.update(0, x, 1.0)
+        for arm in (0, 1, 0):
+            policy.update(np.array([arm]), x[None], np.array([1.0]))
         # reconstruct with (arm, count) keys
         z1 = stream.reward_vector(spec, 3, 0, 1)
         z2 = stream.reward_vector(spec, 3, 1, 1)
         z3 = stream.reward_vector(spec, 3, 0, 2)
         w = stream.initial_matrix(spec, 3, 2, 1.0)
         want = w + np.outer(3.0 + z1 + z2 + z3, x)
-        np.testing.assert_allclose(policy.s_vectors, want, atol=1e-12)
+        np.testing.assert_allclose(policy.s_vectors[0], want, atol=1e-12)
 
 
 class TestLinPHE:
     def make(self, dim=2, lam=1.0, scale=1.0, seed=5, family="gaussian"):
         spec = PerturbationSpec(family, scale)
-        policy = LinPHE(dim, lam, spec, seed)
+        policy = LinPHE(dim, lam, spec, [seed])
         return policy, spec, PerturbationStream(seed)
 
     # the O(t) path: every family but gaussian re-perturbs the stored history
@@ -255,7 +256,7 @@ class TestLinPHE:
         lam = 2.0
         policy, spec, stream = self.make(dim=3, lam=lam, scale=1.3, seed=8, family="rademacher")
         w, _ = stream.history_perturbation(spec, 1, 3, 0, lam)
-        np.testing.assert_allclose(policy.estimator(), w / lam, atol=1e-12)
+        np.testing.assert_allclose(policy.estimator()[0], w / lam, atol=1e-12)
 
     def test_zero_scale_equals_ridge(self, rng):
         policy, _, _ = self.make(scale=0.0)
@@ -268,7 +269,7 @@ class TestLinPHE:
         dim, lam, steps = 3, 1.5, 40
         policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.8, seed=13, family="uniform")
         xs, ys = drive(policy, rng, dim, steps)
-        got = policy.estimator()
+        got = policy.estimator()[0]
         w, z = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
         want = np.linalg.solve(lam * np.eye(dim) + xs.T @ xs, w + xs.T @ (ys + z))
         np.testing.assert_allclose(got, want, atol=1e-8)
@@ -280,7 +281,7 @@ class TestLinPHE:
         policy, _, _ = self.make(dim=3, lam=2.0, scale=1.3, seed=8)
         np.testing.assert_allclose(
             policy.estimator(),
-            [-0.35865464197510677, -0.5679346362393916, -0.9295358057428681],
+            [[-0.35865464197510677, -0.5679346362393916, -0.9295358057428681]],
             rtol=1e-13,
         )
 
@@ -288,7 +289,7 @@ class TestLinPHE:
         dim, lam, scale, steps, seed = 3, 1.5, 0.8, 40, 13
         policy, spec, _ = self.make(dim=dim, lam=lam, scale=scale, seed=seed)
         xs, ys = drive(policy, rng, dim, steps)
-        got = policy.estimator()
+        got = policy.estimator()[0]
         xi = reward_draws(spec, [mix_key(seed, TAG_PHE)], range(dim), steps + 1)[0]
         v = lam * np.eye(dim) + xs.T @ xs
         chol = np.linalg.cholesky(np.linalg.inv(v))
@@ -319,7 +320,7 @@ class TestLinPHE:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: LinPHE(3, 1.0, PerturbationSpec("gaussian", 0.5), 4),
+            lambda: LinPHE(3, 1.0, PerturbationSpec("gaussian", 0.5), [4]),
             lambda: LinPHE(3, 1.0, PerturbationSpec("gaussian", 0.5), [4, 5]),
             lambda: LinTS(3, 1.0, 0.5, [4, 5]),
         ],
@@ -336,7 +337,7 @@ class TestLinPHE:
         arms = random_unit_ball(rng, 3, count=4)
         for _ in range(5):
             arm = policy.select(arms).arm_index
-            policy.update(arm, arms[arm], np.zeros(policy.batch_shape))
+            policy.update(arm, arms[arm], np.zeros(policy.batch))
         assert np.isfinite(policy.estimator()).all()
 
     def test_history_prior_is_the_gaussian_xi(self, rng):
@@ -346,8 +347,8 @@ class TestLinPHE:
         policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.9, seed=12)
         drive(policy, rng, dim, steps)
         w, _ = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
-        want = policy.ridge_estimate() + policy.gram.inverse_cholesky() @ (w / 2.0)
-        np.testing.assert_allclose(policy.estimator(), want, rtol=1e-12, atol=1e-15)
+        want = policy.ridge_estimate()[0] + policy.gram.inverse_cholesky()[0] @ (w / 2.0)
+        np.testing.assert_allclose(policy.estimator()[0], want, rtol=1e-12, atol=1e-15)
 
     def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
         # over 20,000 seeds on one fixed history, both theta~ - theta^ of
@@ -380,7 +381,7 @@ class TestLinPHE:
         a = policy.estimator()
         b = policy.estimator()
         np.testing.assert_array_equal(a, b)  # same step: same key, same draw
-        policy.update(0, random_unit_ball(rng, 2), 0.0)
+        policy.update(ARM_0, random_unit_ball(rng, 2)[None], np.zeros(1))
         c = policy.estimator()
         assert not np.allclose(a, c)
 
@@ -394,15 +395,15 @@ class TestLinPHE:
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
         for m in (0, -3):
             with pytest.raises(ValueError, match="m must be at least 1"):
-                PerturbedHistoryReplay(2, 1.0, spec, 5, m)
+                PerturbedHistoryReplay(2, 1.0, spec, [5], m)
 
     def test_shared_axis_exhaustion(self, rng):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        policy = PerturbedHistoryReplay(2, 1.0, spec, 5, 2)
+        policy = PerturbedHistoryReplay(2, 1.0, spec, [5], 2)
         arms = random_unit_ball(rng, 2, count=3)
         for _ in range(2):
             sel = policy.select(arms)
-            policy.update(sel.arm_index, arms[sel.arm_index], 0.0)
+            policy.update(sel.arm_index, arms[sel.arm_index], np.zeros(1))
         with pytest.raises(InvalidStateError, match="exhausted"):
             policy.select(arms)
 
@@ -411,15 +412,15 @@ class TestLinPHE:
         # shared-axis re-perturbation; identical estimators bit for bit
         horizon, dim = 12, 2
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.1)
-        es = EnsembleSampling(dim, 1.0, horizon, spec, 77, sampler=Sampler.ROUND_ROBIN)
-        phe = PerturbedHistoryReplay(dim, 1.0, spec, 77, horizon)
+        es = EnsembleSampling(dim, 1.0, horizon, spec, [77], sampler=Sampler.ROUND_ROBIN)
+        phe = PerturbedHistoryReplay(dim, 1.0, spec, [77], horizon)
         arms = random_unit_ball(rng, dim, count=5)
         for t in range(1, horizon + 1):
             sel_es = es.select(arms)
             sel_phe = phe.select(arms)
             np.testing.assert_array_equal(sel_es.theta, sel_phe.theta)
-            assert sel_es.arm_index == sel_phe.arm_index
-            y = float(rng.standard_normal())
+            np.testing.assert_array_equal(sel_es.arm_index, sel_phe.arm_index)
+            y = np.array([rng.standard_normal()])
             es.update(sel_es.arm_index, arms[sel_es.arm_index], y)
             phe.update(sel_phe.arm_index, arms[sel_phe.arm_index], y)
 
@@ -471,8 +472,8 @@ class TestLinUCB:
         arms = random_unit_ball(rng, 3, count=7)
         for _ in range(30):
             a, b = ucb.select(arms), greedy.select(arms)
-            assert a.arm_index == b.arm_index
-            y = float(rng.standard_normal())
+            np.testing.assert_array_equal(a.arm_index, b.arm_index)
+            y = np.array([rng.standard_normal()])
             ucb.update(a.arm_index, arms[a.arm_index], y)
             greedy.update(b.arm_index, arms[b.arm_index], y)
 
@@ -481,16 +482,16 @@ class TestLinUCB:
         ucb = LinUCB(2, 1.0, bonus=1.0)
         arms = random_unit_ball(rng, 2, count=9)
         sel = ucb.select(arms)
-        assert sel.arm_index == int(np.argmax(np.linalg.norm(arms, axis=1)))
+        assert sel.arm_index[0] == int(np.argmax(np.linalg.norm(arms, axis=1)))
 
     def test_score_oracle(self, rng):
         ucb = LinUCB(3, 2.0, bonus=0.7)
         drive(ucb, rng, 3, 25)
         arms = random_unit_ball(rng, 3, count=11)
-        v_inv = np.linalg.inv(ucb.gram.gram)
-        theta = ucb.ridge_estimate()
+        v_inv = np.linalg.inv(ucb.gram.gram[0])
+        theta = ucb.ridge_estimate()[0]
         scores = arms @ theta + 0.7 * np.sqrt(np.einsum("kd,de,ke->k", arms, v_inv, arms))
-        assert ucb.select(arms).arm_index == int(np.argmax(scores))
+        assert ucb.select(arms).arm_index[0] == int(np.argmax(scores))
 
     def test_adaptive_bonus_follows_confidence_radius(self, rng):
         params = ConfidenceParams(1.0, 1.0, 1.0, 2, 100, 0.1)
@@ -503,32 +504,32 @@ class TestLinUCB:
 class TestLinTS:
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
-            LinTS(2, 1.0, -1.0, 0)
+            LinTS(2, 1.0, -1.0, [0])
 
     def test_zero_scale_equals_greedy(self, rng):
-        ts = LinTS(3, 1.0, 0.0, 1)
+        ts = LinTS(3, 1.0, 0.0, [1])
         greedy = GreedyRidge(3, 1.0)
         arms = random_unit_ball(rng, 3, count=6)
         for _ in range(20):
             a, b = ts.select(arms), greedy.select(arms)
-            assert a.arm_index == b.arm_index
+            np.testing.assert_array_equal(a.arm_index, b.arm_index)
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
-            y = float(rng.standard_normal())
+            y = np.array([rng.standard_normal()])
             ts.update(a.arm_index, arms[a.arm_index], y)
             greedy.update(b.arm_index, arms[b.arm_index], y)
 
     def test_sample_norm_equals_noise_norm(self, rng):
         # ||theta - theta_hat||_V equals ||xi||_2: verify by replaying the
         # keyed draw to recover xi
-        ts = LinTS(3, 1.5, 0.8, 42)
+        ts = LinTS(3, 1.5, 0.8, [42])
         prefixes = seed_prefixes([42], TAG_PHE)
         drive(ts, rng, 3, 30)
         for _ in range(10):
             t = ts.step + 1
             theta = ts.estimator()
             xi = reward_draws(PerturbationSpec("gaussian", 0.8), prefixes, range(3), t)[0]
-            dev = theta - ts.ridge_estimate()
-            got = np.sqrt(dev @ ts.gram.gram @ dev)
+            dev = (theta - ts.ridge_estimate())[0]
+            got = np.sqrt(dev @ ts.gram.gram[0] @ dev)
             assert got == pytest.approx(np.linalg.norm(xi), abs=1e-9)
             drive(ts, rng, 3, 1)
 
@@ -546,10 +547,10 @@ class TestZeroPerturbationCollapse:
         env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, rng)
         policies = [
             GreedyRidge(2, 1.0),
-            EnsembleSampling(2, 1.0, 3, ZERO, 17),
-            LinPHE(2, 1.0, ZERO, 17),
+            EnsembleSampling(2, 1.0, 3, ZERO, [17]),
+            LinPHE(2, 1.0, ZERO, [17]),
             LinUCB(2, 1.0, bonus=0.0),
-            LinTS(2, 1.0, 0.0, 17),
+            LinTS(2, 1.0, 0.0, [17]),
         ]
         noise = env.noise.draws([17])
         sequences = []
@@ -557,9 +558,9 @@ class TestZeroPerturbationCollapse:
             seq = []
             for t in range(1, 31):
                 sel = policy.select(env.arms)
-                y = env.mean_reward(sel.arm_index) + noise.at(t)[0, 0]
-                policy.update(sel.arm_index, env.arms[sel.arm_index], y)
-                seq.append(sel.arm_index)
+                x, mean = env.pull(sel.arm_index)
+                policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
+                seq.append(int(sel.arm_index[0]))
             sequences.append(seq)
         for seq in sequences[1:]:
             assert seq == sequences[0]

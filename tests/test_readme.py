@@ -39,7 +39,7 @@ def test_library_example_runs():
     exec(compile(code_block("Library"), "README.md", "exec"), namespace)
     policy = namespace["policy"]
     assert policy.step == 1000
-    assert policy.s_vectors.shape == (32, 3)
+    assert policy.s_vectors.shape == (1, 32, 3)
 
 
 def test_the_cli_examples_are_found():
