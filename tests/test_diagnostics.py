@@ -433,10 +433,11 @@ HORIZONS = {
 }
 
 
+@pytest.mark.parametrize("batch", [1, 3], ids=["R1", "R3"])
 @pytest.mark.parametrize("track", [False, True], ids=["greedy", "ensemble-full-trace"])
 @pytest.mark.parametrize("horizon_name", sorted(HORIZONS))
-def test_blocked_monitor_matches_the_per_step_oracle(track, horizon_name):
-    batch, dim, n_models = 3, 4, 24
+def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name):
+    dim, n_models = 4, 24
     block = block_length(batch, dim, n_models if track else None)
     horizon = HORIZONS[horizon_name](block)
     rng = np.random.default_rng(horizon)
@@ -485,7 +486,7 @@ def test_blocked_monitor_matches_the_per_step_oracle(track, horizon_name):
         )
     else:
         assert monitor.min_ensemble_fraction is None
-    if horizon_name == "2block+5":
+    if horizon_name == "2block+5" and batch > 1:
         # not vacuous: both outcomes of each event occur, and a replication
         # that failed concentration ends its run concentrated
         assert (~conc.all(axis=0) & conc[-1]).any()

@@ -86,15 +86,17 @@ class TestUpdate:
         with pytest.raises(ValueError, match=r"\|\|x\|\|"):
             st.update(np.array([[1.0, 0.5]]))
 
-    def test_norm_bound_is_exact_at_the_slack(self):
+    @pytest.mark.parametrize("batch", [1, 3], ids=["R1", "R3"])
+    def test_norm_bound_is_exact_at_the_slack(self, batch):
         # sqrt(fl(a * a)) is a, so a row (a, 0, 0) has norm exactly a: the
-        # bound itself passes and the next float above it fails, between
-        # in-range rows
+        # bound itself passes and the next float above it fails, alone or
+        # between in-range rows
         edge = 1.0 + NORM_SLACK
         assert math.sqrt(edge * edge) == edge
         for a, ok in ((edge, True), (np.nextafter(edge, 2.0), False)):
-            st = GramState(3, 1.0, 3)
-            x = np.array([[0.6, 0.0, 0.0], [a, 0.0, 0.0], [0.0, 0.5, 0.5]])
+            st = GramState(3, 1.0, batch)
+            row = [a, 0.0, 0.0]
+            x = np.array([row] if batch == 1 else [[0.6, 0.0, 0.0], row, [0.0, 0.5, 0.5]])
             if ok:
                 st.update(x)
                 assert st.step_count == 1
@@ -275,14 +277,12 @@ def test_benchmark_reads_these_names():
         assert callable(operator.attrgetter(attr)(owner)), name
 
 
+@pytest.mark.parametrize("batch", [(1,), (3,)], ids=["R1", "R3"])
 class TestKernels:
     """The per-step kernels against closed forms, for an ``(R, ...)``
-    batch."""
+    batch, a lone replication's batch of one among them."""
 
-    batch = (3,)
-
-    def test_accumulate_perturbed_is_outer_product(self, rng):
-        batch = self.batch
+    def test_accumulate_perturbed_is_outer_product(self, rng, batch):
         # the sums are model-last, (d, m): column j gains x * yz[j]
         s = np.zeros(batch + (5, 16))
         x = rng.standard_normal(batch + (5,))
@@ -292,8 +292,7 @@ class TestKernels:
             np.testing.assert_array_equal(s[i], np.outer(x[i], yz[i]))
             np.testing.assert_array_equal(s[i].T, np.outer(yz[i], x[i]))
 
-    def test_quad_form(self, rng):
-        batch = self.batch
+    def test_quad_form(self, rng, batch):
         a = rng.standard_normal(batch + (4, 4))
         mat = np.matmul(a, a.swapaxes(-1, -2)) + np.eye(4)
         v = rng.standard_normal(batch + (4,))
@@ -302,8 +301,7 @@ class TestKernels:
         for i in np.ndindex(batch):
             assert got[i] == pytest.approx(v[i] @ mat[i] @ v[i], rel=1e-12)
 
-    def test_rank1_update_keeps_the_inverse(self, rng):
-        batch = self.batch
+    def test_rank1_update_keeps_the_inverse(self, rng, batch):
         identity = np.broadcast_to(np.eye(4), batch + (4, 4))
         gram, gram_inv, want = identity.copy(), identity.copy(), identity.copy()
         for _ in range(50):

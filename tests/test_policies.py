@@ -110,23 +110,27 @@ class TestEnsembleInit:
         b, _, _ = make_ensemble(seed=9)
         np.testing.assert_array_equal(a.s_vectors, b.s_vectors)
 
-    def test_s_vectors_write_through_to_the_sums(self):
+    @pytest.mark.parametrize("seeds", [[3], [3, 4, 5]], ids=["R1", "R3"])
+    def test_s_vectors_write_through_to_the_sums(self, seeds):
         # s_vectors is an (R, m, d) view of the model-last sums; at step 0
         # and lam = 1 each estimator is its sum exactly
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        policy = EnsembleSampling(2, 1.0, 3, spec, [3, 4, 5])
+        policy = EnsembleSampling(2, 1.0, 3, spec, seeds)
+        batch = len(seeds)
         policy.s_vectors[:, 1, :] = [0.5, -0.25]
-        want = np.broadcast_to([0.5, -0.25], (3, 2))
+        want = np.broadcast_to([0.5, -0.25], (batch, 2))
         np.testing.assert_array_equal(policy.s_vectors[:, 1, :], want)
-        np.testing.assert_array_equal(policy.model_theta(np.full(3, 1)), want)
+        np.testing.assert_array_equal(policy.model_theta(np.full(batch, 1)), want)
         np.testing.assert_array_equal(policy.thetas()[:, 1, :], want)
 
-    def test_thetas_multiply_a_contiguous_copy_of_the_sums(self, rng):
+    @pytest.mark.parametrize("seeds", [[3], [3, 4, 5]], ids=["R1", "R3"])
+    def test_thetas_multiply_a_contiguous_copy_of_the_sums(self, rng, seeds):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        policy = EnsembleSampling(3, 1.0, 6, spec, [3, 4, 5])
+        policy = EnsembleSampling(3, 1.0, 6, spec, seeds)
+        batch = len(seeds)
         for _ in range(5):
-            x = random_unit_ball(rng, 3, count=3)
-            policy.update(np.zeros(3, dtype=int), x, rng.standard_normal(3))
+            x = random_unit_ball(rng, 3, count=batch).reshape(batch, 3)
+            policy.update(np.zeros(batch, dtype=int), x, rng.standard_normal(batch))
         assert not policy.s_vectors.flags.c_contiguous
         want = np.matmul(np.array(policy.s_vectors), policy.gram.gram_inv)
         assert policy.thetas().tobytes() == want.tobytes()
