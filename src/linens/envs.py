@@ -67,17 +67,6 @@ class NoiseModel:
         holds each replication's noise of step t as model 0."""
         return StepDraws(self.spec, seed_prefixes(seeds, TAG_NOISE), range(1))
 
-    def at(self, seed: int, steps):
-        """The noise of stream ``seed`` at ``steps``, an integer or an
-        integer array, in the shape of ``steps``."""
-        z = reward_draws(self.spec, seed_prefixes([seed], TAG_NOISE), range(1), np.ravel(steps))
-        return z.reshape(np.shape(steps))
-
-    def sample(self, seed: int, size) -> np.ndarray:
-        """The noise of steps ``1, 2, ...`` of stream ``seed``, ``size``
-        values in all."""
-        return self.at(seed, np.arange(1, math.prod(np.atleast_1d(size)) + 1)).reshape(size)
-
 
 class LinearBanditEnv:
     """Fixed arm set, hidden parameter, and noisy linear rewards.
@@ -140,7 +129,9 @@ class LinearBanditEnv:
     def sample_reward(self, arm_index: int, seed: int, step):
         """Mean reward of the arm plus the noise of ``step`` of stream
         ``seed``; an array of steps gives the rewards of each."""
-        return self.pull(arm_index)[1] + self.noise.at(seed, step)
+        prefixes = seed_prefixes([seed], TAG_NOISE)
+        noise = reward_draws(self.noise.spec, prefixes, range(1), step)
+        return self.pull(arm_index)[1] + noise.reshape(np.shape(step))
 
     def _check_index(self, arm_index) -> None:
         index = np.asarray(arm_index)

@@ -261,10 +261,11 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         monitors["concentration_rate"] = (
             1.0 - int(counters["concentration_failures"].sum()) / monitors["total_checks"]
         )
-        monitors["elliptical_pass_rate"] = (
-            None if params.lam < 1 else int(counters["elliptical_ok"].sum()) / len(cum)
-        )
-        if params.lam < 1:
+        # the monitor leaves out elliptical_ok where the cap does not apply
+        if "elliptical_ok" in counters:
+            monitors["elliptical_pass_rate"] = int(counters["elliptical_ok"].sum()) / len(cum)
+        else:
+            monitors["elliptical_pass_rate"] = None
             monitors["elliptical_note"] = (
                 "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
             )

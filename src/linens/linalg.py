@@ -126,7 +126,8 @@ class GramState:
         """
         x = self._check_vector(x)
         norm = math.sqrt(dot(x, x).max())
-        if norm > 1.0 + NORM_SLACK:
+        # a NaN row makes the max NaN, and every comparison with NaN is false
+        if not norm <= 1.0 + NORM_SLACK:
             raise ValueError(f"update vector must satisfy ||x|| <= 1, got ||x|| = {norm}")
         kernels.rank1_update(self.gram, self.gram_inv, x)
         self.step_count += 1

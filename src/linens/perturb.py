@@ -324,36 +324,27 @@ def history_draws(
     """Perturbed-history draws of ``step`` under R ``TAG_PHE`` prefixes:
     the ``(R, dim)`` prior perturbation ``w`` with standard-deviation target
     ``sqrt(lam) * scale``, and ``(R, n_rows)`` reward perturbations ``z``,
-    one per history row. ``w / sqrt(lam)`` is the gaussian closed form's
-    ``xi`` of the same step."""
+    one per history row. :class:`~linens.policies.LinPHE` draws these for
+    the non-gaussian families; a gaussian policy needs only their sum
+    ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
+    ``w / sqrt(lam)``, its ``xi`` of the same step."""
     z = reward_draws(spec, prefixes, range(dim + n_rows), step)
     return math.sqrt(lam) * z[..., :dim], z[..., dim:]
 
 
 class PerturbationStream:
-    """One replication's draws, each a batch of one of the calls that the
-    policies make for a batch of seeds.
+    """One replication's reward perturbations: the batch of one of the
+    reward-perturbation call that the policies make for a batch of seeds.
 
     The policies take their seeds directly and draw under
-    :func:`seed_prefixes`; this class only holds a ``base_seed`` and serves
-    the tests as the single-replication oracle of those calls. Reward
-    perturbations for all models come as one vector per key, a step or an
-    ``(arm, count)`` pair. Model ``j`` owns component ``j``, so a draw
-    depends only on ``(base_seed, j, key)`` regardless of the ensemble
-    size. The benchmark under ``perfbench/`` traces
-    :meth:`reward_vector` by name.
+    :func:`seed_prefixes`; this class only holds a ``base_seed`` for the
+    tests. Model ``j`` owns component ``j``, so a draw depends only on
+    ``(base_seed, j, key)`` regardless of the ensemble size. The benchmark
+    under ``perfbench/`` traces :meth:`reward_vector` by name.
     """
 
     def __init__(self, base_seed: int):
         self.base_seed = int(base_seed)
-
-    def initial_matrix(
-        self, spec: PerturbationSpec, n_models: int, dim: int, lam: float
-    ) -> np.ndarray:
-        """(n_models, dim) matrix of initial perturbations; per-coordinate
-        standard-deviation target is ``sqrt(lam) * scale``."""
-        prefixes = seed_prefixes([self.base_seed], TAG_INIT)
-        return initial_draws(spec, prefixes, n_models, dim, lam)[0]
 
     def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
         """(n_models,) vector of reward perturbations for one key: a step,
@@ -362,22 +353,6 @@ class PerturbationStream:
             raise ValueError("a reward key is a step or an (arm, count) pair")
         prefixes = seed_prefixes([self.base_seed], TAG_REWARD)
         return reward_draws(spec, prefixes, range(n_models), *key)[0]
-
-    def history_perturbation(
-        self, spec: PerturbationSpec, step: int, dim: int, n_rows: int, lam: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh perturbed-history draws for ``step``: the (dim,) prior
-        perturbation with standard-deviation target ``sqrt(lam) * scale``
-        and one reward perturbation per history row (:func:`history_draws`).
-
-        :class:`~linens.policies.LinPHE` draws these for the
-        non-gaussian families. A gaussian policy needs only their sum
-        ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
-        ``w / sqrt(lam)`` alone (see :class:`~linens.policies.LinPHE`);
-        these draws stay its test oracle."""
-        prefixes = seed_prefixes([self.base_seed], TAG_PHE)
-        w, z = history_draws(spec, prefixes, step, dim, n_rows, lam)
-        return w[0], z[0]
 
 
 #: Most steps that a :class:`StepDraws` draws at a time.

@@ -23,13 +23,16 @@ from linens.harness import (
 )
 from linens.linalg import GramState, Metric
 from linens.perturb import (
+    TAG_INIT,
     ConfidenceParams,
     PerturbationFamily,
     PerturbationSpec,
     PerturbationStream,
     gamma,
+    initial_draws,
     mix_key,
     p_n,
+    seed_prefixes,
 )
 from linens.policies import (
     EnsembleSampling,
@@ -105,7 +108,7 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
         xs.append(x)
         ys.append(y)
     xs, ys = np.array(xs), np.array(ys)
-    w = stream.initial_matrix(spec, m, dim, lam)
+    w = initial_draws(spec, seed_prefixes([2024], TAG_INIT), m, dim, lam)[0]
     z = np.array([stream.reward_vector(spec, m, t) for t in range(1, steps + 1)])
     v = lam * np.eye(dim) + xs.T @ xs
     worst = 0.0

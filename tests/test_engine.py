@@ -21,10 +21,13 @@ from linens.harness import (
 from linens.linalg import REINVERT_PERIOD
 from linens.perturb import (
     TAG_ENV,
+    TAG_NOISE,
     TAG_REPLICATION,
     PerturbationFamily,
     keyed_generator,
     mix_key,
+    reward_draws,
+    seed_prefixes,
 )
 from linens.policies import Keying
 
@@ -160,10 +163,10 @@ def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, fami
     reps, horizon = 5, 12
     cfg = make_cfg(env__noise_family=family, run__horizon=horizon, run__workers=2)
     env = cfg.environment()
-    noise = {
-        r: env.noise.sample(mix_key(cfg.run.base_seed, TAG_REPLICATION, r), horizon)
-        for r in range(reps)
-    }
+    seeds = [mix_key(cfg.run.base_seed, TAG_REPLICATION, r) for r in range(reps)]
+    steps = np.arange(1, horizon + 1)[:, None]
+    draws = reward_draws(env.noise.spec, seed_prefixes(seeds, TAG_NOISE), range(1), steps)
+    noise = draws[..., 0].T  # row r: replication r's noise of steps 1..horizon
     monkeypatch.setattr(harness, "BATCH_SIZE", 2)  # three batches over two workers
     runs = {
         "workers": run_replications(cfg, range(reps)),

@@ -6,7 +6,14 @@ import pytest
 
 from linens.envs import LinearBanditEnv, NoiseFamily, NoiseModel, RegretLedger
 from linens.linalg import matvec
-from linens.perturb import TAG_NOISE, PerturbationSpec, _splitmix64, mix_key
+from linens.perturb import (
+    TAG_NOISE,
+    PerturbationSpec,
+    _splitmix64,
+    mix_key,
+    reward_draws,
+    seed_prefixes,
+)
 
 from conftest import random_unit_ball
 
@@ -98,8 +105,9 @@ class TestRewards:
         # every family at level sigma satisfies
         # P(|eta| >= sigma * x) <= 2 exp(-x^2/2), with Monte-Carlo slack
         sigma = 0.8
-        noise = NoiseModel(family, sigma)
-        draws = np.abs(noise.sample(12345, 1_000_000))
+        prefix = seed_prefixes([12345], TAG_NOISE)
+        steps = np.arange(1, 1_000_001)
+        draws = np.abs(reward_draws(NoiseModel(family, sigma).spec, prefix, range(1), steps))
         for x in (1.0, 2.0, 3.0):
             assert np.mean(draws >= sigma * x) <= 2.5 * math.exp(-x * x / 2.0)
 
@@ -157,13 +165,17 @@ class TestNoiseDraws:
     def test_known_answers(self, seed, t):
         w0, w1 = noise_words(seed, t)
         sigma = 0.7
+        prefix = seed_prefixes([seed], TAG_NOISE)
+
+        def noise_at(family):
+            return reward_draws(NoiseModel(family, sigma).spec, prefix, range(1), t)[0, 0]
+
         radius = math.sqrt(-2.0 * math.log(((w0 >> 11) + 1) * 2.0**-53))
         gaussian = sigma * (radius * math.cos((w1 >> 11) * (2.0 * math.pi * 2.0**-53)))
-        assert NoiseModel("gaussian", sigma).at(seed, t) == pytest.approx(gaussian, rel=1e-14)
+        assert noise_at("gaussian") == pytest.approx(gaussian, rel=1e-14)
         uniform = (w0 >> 11) * (2.0 * math.sqrt(3.0) * 2.0**-53) - math.sqrt(3.0)
-        noise = NoiseModel("uniform", sigma)
-        assert noise.at(seed, t) == noise.spec.scale * uniform
-        assert NoiseModel("rademacher", sigma).at(seed, t) == sigma * (2.0 * (w0 >> 63) - 1.0)
+        assert noise_at("uniform") == NoiseModel("uniform", sigma).spec.scale * uniform
+        assert noise_at("rademacher") == sigma * (2.0 * (w0 >> 63) - 1.0)
 
     @pytest.mark.parametrize("family", NoiseFamily.ALL)
     def test_pure_in_seed_and_step(self, family):
@@ -171,29 +183,35 @@ class TestNoiseDraws:
         # of steps, or a block of a batch at any position
         noise = NoiseModel(family, 0.9)
         seeds = [5, 2**63 + 1, 5, 11]
-        run = noise.sample(5, 200)
+        prefixes = seed_prefixes(seeds, TAG_NOISE)
+        steps = np.arange(1, 201)
+        run = reward_draws(noise.spec, prefixes[:1], range(1), steps)
         draws = noise.draws(seeds)
         for t in (1, 2, 65, 200, 3):
-            want = noise.at(5, t)
-            assert run[t - 1] == want
-            assert draws.at(t)[0, 0] == want and draws.at(t)[2, 0] == want
-            assert draws.at(t)[1, 0] == noise.at(2**63 + 1, t)
-        assert not np.array_equal(noise.sample(6, 200), run)
+            alone = reward_draws(noise.spec, prefixes[:2], range(1), t)
+            assert run[t - 1, 0] == alone[0, 0]
+            assert draws.at(t)[0, 0] == alone[0, 0] and draws.at(t)[2, 0] == alone[0, 0]
+            assert draws.at(t)[1, 0] == alone[1, 0]
+        other = reward_draws(noise.spec, seed_prefixes([6], TAG_NOISE), range(1), steps)
+        assert not np.array_equal(other, run)
 
     @pytest.mark.parametrize(
         "family,variance", [("gaussian", 1.0), ("uniform", 1.0 / 3.0), ("rademacher", 1.0)]
     )
     def test_mean_and_variance(self, family, variance):
         sigma = 0.6
-        x = NoiseModel(family, sigma).sample(3, 400_000)
+        prefix = seed_prefixes([3], TAG_NOISE)
+        x = reward_draws(NoiseModel(family, sigma).spec, prefix, range(1), np.arange(1, 400_001))
         assert abs(np.mean(x)) < 0.005
         assert np.var(x) == pytest.approx(variance * sigma**2, rel=0.01)
         assert abs(np.mean(x**3)) < 0.005
 
     def test_supports(self):
-        x = NoiseModel("rademacher", 0.3).sample(4, 1000)
+        prefix = seed_prefixes([4], TAG_NOISE)
+        x = reward_draws(NoiseModel("rademacher", 0.3).spec, prefix, range(1), np.arange(1, 1001))
         assert set(np.unique(x)) == {-0.3, 0.3}
-        x = np.abs(NoiseModel("uniform", 0.3).sample(4, 100_000))
+        steps = np.arange(1, 100_001)
+        x = np.abs(reward_draws(NoiseModel("uniform", 0.3).spec, prefix, range(1), steps))
         assert np.all(x <= 0.3) and np.max(x) > 0.99 * 0.3
 
     def test_uniform_extreme_words_stay_inside_sigma(self):

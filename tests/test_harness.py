@@ -1266,6 +1266,23 @@ def test_shipped_config_loads_and_runs(tmp_path, path):
     assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 * 5
 
 
+def numpy_platform() -> str:
+    """What a pinned hash depends on besides the code, for its failure
+    message: numpy's version, its active SIMD dispatch targets, its BLAS
+    build, and the environment variables that override either."""
+    from numpy._core import _multiarray_umath as umath
+
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    names = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    overrides = [f"{k}={os.environ[k]}" for k in names if k in os.environ]
+    return (
+        f"numpy {np.__version__}; SIMD {', '.join(simd) or 'none'}; "
+        f"BLAS {blas.get('openblas configuration', blas['name'])}; "
+        f"environment {' '.join(overrides) or 'default'}"
+    )
+
+
 #: sha256 of ``trace.csv`` and ``summary.json`` of each shipped config run by
 #: ``linens run`` at horizon 300 with ``--reps 3``. They move only with a
 #: deliberate output change, logged with its old and new hashes in
@@ -1296,7 +1313,7 @@ def test_run_outputs_match_their_pinned_bytes(tmp_path, name):
     got = tuple(
         hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("trace.csv", "summary.json")
     )
-    assert got == PINNED_OUTPUTS[name]
+    assert got == PINNED_OUTPUTS[name], numpy_platform()
 
 
 #: sha256 of ``configs/ensemble.ini``'s outputs under ``diagnostics =
@@ -1334,7 +1351,7 @@ def test_full_trace_outputs_match_their_pinned_bytes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--reps", "5", "--out", str(out)]) == 0
     for f in ("trace.csv", "summary.json"):
         got[f] = hashlib.sha256((out / f).read_bytes()).hexdigest()
-    assert got == PINNED_FULL_TRACE
+    assert got == PINNED_FULL_TRACE, numpy_platform()
 
 
 class OutOfRangePolicy(GreedyRidge):

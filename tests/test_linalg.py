@@ -106,6 +106,21 @@ class TestUpdate:
                 assert st.step_count == 0
                 np.testing.assert_array_equal(st.gram, np.broadcast_to(np.eye(3), st.gram.shape))
 
+    @pytest.mark.parametrize("batch", [1, 3], ids=["R1", "R3"])
+    def test_nan_row_is_rejected_and_leaves_the_state(self, batch):
+        # a NaN row, alone or between in-range rows, fails the norm check
+        # before any of the state moves
+        st = GramState(2, 1.0, batch)
+        st.update(np.full((batch, 2), 0.5))
+        gram, gram_inv = st.gram.copy(), st.gram_inv.copy()
+        row = [np.nan, 0.0]
+        x = np.array([row] if batch == 1 else [[0.6, 0.0], row, [0.0, 0.5]])
+        with pytest.raises(ValueError, match=r"\|\|x\|\|"):
+            st.update(x)
+        assert st.step_count == 1
+        assert st.gram.tobytes() == gram.tobytes()
+        assert st.gram_inv.tobytes() == gram_inv.tobytes()
+
     def test_dimension_mismatch(self):
         st = GramState(2, 1.0)
         with pytest.raises(ValueError, match="dimension"):

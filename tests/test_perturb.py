@@ -25,6 +25,7 @@ from linens.perturb import (
     gamma,
     gamma_tilde,
     _splitmix64,
+    history_draws,
     initial_draws,
     keyed_generator,
     mix_key,
@@ -364,9 +365,9 @@ class TestInitialAndHistoryDraws:
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_known_answers(self, family):
         spec = PerturbationSpec(family, 1.0)
-        w, z = PerturbationStream(8).history_perturbation(spec, 3, 2, 1, 1.0)
-        initial = PerturbationStream(5).initial_matrix(spec, 2, 2, 1.0)
-        got = np.concatenate([initial.ravel(), w, z])
+        w, z = history_draws(spec, seed_prefixes([8], TAG_PHE), 3, 2, 1, 1.0)
+        initial = initial_draws(spec, seed_prefixes([5], TAG_INIT), 2, 2, 1.0)
+        got = np.concatenate([initial.ravel(), w[0], z[0]])
         # exact for the bit-built families; numpy's log and cos may round a
         # last bit differently in another build
         np.testing.assert_allclose(got, KNOWN_INITIAL_AND_HISTORY[family], rtol=1e-15, atol=0)
@@ -375,36 +376,35 @@ class TestInitialAndHistoryDraws:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_initial_matrix(self, family):
+    def test_initial_draws_are_one_flat_call(self, family):
         spec = PerturbationSpec(family, 0.9)
-        got = PerturbationStream(5).initial_matrix(spec, 7, 3, 4.0)
+        got = initial_draws(spec, seed_prefixes([5], TAG_INIT), 7, 3, 4.0)
         flat = reward_draws(spec, [mix_key(5, TAG_INIT)], range(21))[0]
-        assert got.shape == (7, 3)
-        np.testing.assert_array_equal(got, 2.0 * flat.reshape(7, 3))
+        assert got.shape == (1, 7, 3)
+        np.testing.assert_array_equal(got[0], 2.0 * flat.reshape(7, 3))
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    def test_history_perturbation_splits_one_key(self, family):
+    def test_history_draws_split_one_key(self, family):
         spec = PerturbationSpec(family, 1.1)
         prefix = [mix_key(8, TAG_PHE)]
         for step, n in ((1, 0), (4, 3), (9, 8)):
-            w, z = PerturbationStream(8).history_perturbation(spec, step, 3, n, 4.0)
+            w, z = history_draws(spec, seed_prefixes([8], TAG_PHE), step, 3, n, 4.0)
             flat = reward_draws(spec, prefix, range(3 + n), step)[0]
-            assert w.shape == (3,) and z.shape == (n,)
-            np.testing.assert_array_equal(w, 2.0 * flat[:3])
-            np.testing.assert_array_equal(z, flat[3:])
+            assert w.shape == (1, 3) and z.shape == (1, n)
+            np.testing.assert_array_equal(w[0], 2.0 * flat[:3])
+            np.testing.assert_array_equal(z[0], flat[3:])
             # w / sqrt(lam) is the d values the gaussian closed form draws
-            np.testing.assert_array_equal(w / 2.0, reward_draws(spec, prefix, range(3), step)[0])
+            np.testing.assert_array_equal(w / 2.0, reward_draws(spec, prefix, range(3), step))
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_initial_row_is_pure_in_seed_and_model(self, family):
         # row j is the same bits whatever the ensemble size, the batch and
         # the position in it
         spec = PerturbationSpec(family, 0.8)
-        full = PerturbationStream(5).initial_matrix(spec, 6, 3, 2.0)
+        prefix = seed_prefixes([5], TAG_INIT)
+        full = initial_draws(spec, prefix, 6, 3, 2.0)[0]
         for n in (1, 4):
-            np.testing.assert_array_equal(
-                PerturbationStream(5).initial_matrix(spec, n, 3, 2.0), full[:n]
-            )
+            np.testing.assert_array_equal(initial_draws(spec, prefix, n, 3, 2.0)[0], full[:n])
         batch = initial_draws(spec, seed_prefixes([9, 5, 2**63 + 1, 5], TAG_INIT), 40, 3, 2.0)
         assert batch.shape == (4, 40, 3)
         for r in (1, 3):
@@ -577,7 +577,7 @@ class TestPerturbationSpec:
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_sample_is_the_initial_draws_at_unit_lambda(self, family):
         spec = PerturbationSpec(family, 1.3)
-        w = PerturbationStream(17).initial_matrix(spec, 6, 4, 1.0)
+        w = initial_draws(spec, seed_prefixes([17], TAG_INIT), 6, 4, 1.0)[0]
         assert spec.sample(17, (6, 4)).tobytes() == w.tobytes()
         assert spec.sample(17, 24).tobytes() == w.reshape(-1).tobytes()
 
@@ -660,21 +660,19 @@ class TestModelChoice:
 
 class TestInitialDrawCalibration:
     def test_initial_std_is_sqrt_lam_times_scale(self):
-        stream = PerturbationStream(11)
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 2.0)
-        w = stream.initial_matrix(spec, 50_000, 4, 3.0)
-        assert w.shape == (50_000, 4)
+        w = initial_draws(spec, seed_prefixes([11], TAG_INIT), 50_000, 4, 3.0)
+        assert w.shape == (1, 50_000, 4)
         want_var = 3.0 * 4.0  # lam * scale^2
         assert np.var(w) == pytest.approx(want_var, rel=0.02)
 
     def test_initial_norm_tail(self):
         # for the gaussian family,
         # P(||W|| >= sqrt(lam)*scale*(sqrt(d) + sqrt(2 log(2T/delta)))) <= delta/(2T)
-        stream = PerturbationStream(21)
         d, lam, scale = 4, 2.0, 1.5
         delta, horizon = 0.4, 3
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, scale)
-        w = stream.initial_matrix(spec, 1_000_000, d, lam)
+        w = initial_draws(spec, seed_prefixes([21], TAG_INIT), 1_000_000, d, lam)[0]
         radius = math.sqrt(lam) * scale * (
             math.sqrt(d) + math.sqrt(2.0 * math.log(2.0 * horizon / delta))
         )

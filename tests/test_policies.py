@@ -5,6 +5,7 @@ import pytest
 
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.perturb import (
+    TAG_INIT,
     TAG_MODEL,
     TAG_PHE,
     ConfidenceParams,
@@ -13,6 +14,8 @@ from linens.perturb import (
     PerturbationStream,
     beta,
     _splitmix64,
+    history_draws,
+    initial_draws,
     mix_key,
     reward_draws,
     seed_prefixes,
@@ -89,14 +92,13 @@ class TestGreedyRidge:
 class TestEnsembleInit:
     def test_initial_sums_are_the_keyed_draws(self):
         policy, spec, stream = make_ensemble(dim=3, lam=2.0, m=5, scale=1.4)
-        np.testing.assert_array_equal(
-            policy.s_vectors[0], stream.initial_matrix(spec, 5, 3, 2.0)
-        )
+        prefixes = seed_prefixes([stream.base_seed], TAG_INIT)
+        np.testing.assert_array_equal(policy.s_vectors, initial_draws(spec, prefixes, 5, 3, 2.0))
 
     def test_initial_thetas_are_draws_over_lam(self):
         lam = 2.0
         policy, spec, stream = make_ensemble(dim=3, lam=lam, m=5, scale=1.4)
-        w = stream.initial_matrix(spec, 5, 3, lam)
+        w = initial_draws(spec, seed_prefixes([stream.base_seed], TAG_INIT), 5, 3, lam)[0]
         np.testing.assert_allclose(policy.thetas()[0], w / lam, atol=1e-12)
         for j in range(5):
             np.testing.assert_allclose(policy.model_theta([j])[0], w[j] / lam, atol=1e-12)
@@ -207,7 +209,7 @@ class TestEnsembleUpdate:
         # every member equals the ridge solution of its perturbed history
         dim, m, lam, steps = 4, 8, 1.5, 50
         policy, spec, stream = make_ensemble(dim=dim, lam=lam, m=m, scale=0.9)
-        w = stream.initial_matrix(spec, m, dim, lam)
+        w = initial_draws(spec, seed_prefixes([stream.base_seed], TAG_INIT), m, dim, lam)[0]
         xs, ys = drive(policy, rng, dim, steps)
         z = np.array([stream.reward_vector(spec, m, t) for t in range(1, steps + 1)])
         v = lam * np.eye(dim) + xs.T @ xs
@@ -220,7 +222,7 @@ class TestEnsembleUpdate:
     def test_decomposition_into_ridge_plus_perturbation(self, rng):
         dim, m, lam, steps = 3, 5, 1.0, 30
         policy, spec, stream = make_ensemble(dim=dim, lam=lam, m=m, scale=1.2)
-        w = stream.initial_matrix(spec, m, dim, lam)
+        w = initial_draws(spec, seed_prefixes([stream.base_seed], TAG_INIT), m, dim, lam)[0]
         xs, _ = drive(policy, rng, dim, steps)
         z = np.array([stream.reward_vector(spec, m, t) for t in range(1, steps + 1)])
         theta_hat = policy.ridge_estimate()
@@ -243,24 +245,25 @@ class TestEnsembleUpdate:
         z1 = stream.reward_vector(spec, 3, 0, 1)
         z2 = stream.reward_vector(spec, 3, 1, 1)
         z3 = stream.reward_vector(spec, 3, 0, 2)
-        w = stream.initial_matrix(spec, 3, 2, 1.0)
+        w = initial_draws(spec, seed_prefixes([7], TAG_INIT), 3, 2, 1.0)[0]
         want = w + np.outer(3.0 + z1 + z2 + z3, x)
         np.testing.assert_allclose(policy.s_vectors[0], want, atol=1e-12)
 
 
 class TestLinPHE:
     def make(self, dim=2, lam=1.0, scale=1.0, seed=5, family="gaussian"):
+        """The policy, its spec, and the ``TAG_PHE`` prefix of its seed."""
         spec = PerturbationSpec(family, scale)
         policy = LinPHE(dim, lam, spec, [seed])
-        return policy, spec, PerturbationStream(seed)
+        return policy, spec, seed_prefixes([seed], TAG_PHE)
 
     # the O(t) path: every family but gaussian re-perturbs the stored history
 
     def test_first_estimator_is_initial_draw_over_lam(self):
         lam = 2.0
-        policy, spec, stream = self.make(dim=3, lam=lam, scale=1.3, seed=8, family="rademacher")
-        w, _ = stream.history_perturbation(spec, 1, 3, 0, lam)
-        np.testing.assert_allclose(policy.estimator()[0], w / lam, atol=1e-12)
+        policy, spec, prefix = self.make(dim=3, lam=lam, scale=1.3, seed=8, family="rademacher")
+        w, _ = history_draws(spec, prefix, 1, 3, 0, lam)
+        np.testing.assert_allclose(policy.estimator(), w / lam, atol=1e-12)
 
     def test_zero_scale_equals_ridge(self, rng):
         policy, _, _ = self.make(scale=0.0)
@@ -271,11 +274,11 @@ class TestLinPHE:
 
     def test_batch_formula_oracle(self, rng):
         dim, lam, steps = 3, 1.5, 40
-        policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.8, seed=13, family="uniform")
+        policy, spec, prefix = self.make(dim=dim, lam=lam, scale=0.8, seed=13, family="uniform")
         xs, ys = drive(policy, rng, dim, steps)
         got = policy.estimator()[0]
-        w, z = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
-        want = np.linalg.solve(lam * np.eye(dim) + xs.T @ xs, w + xs.T @ (ys + z))
+        w, z = history_draws(spec, prefix, steps + 1, dim, steps, lam)
+        want = np.linalg.solve(lam * np.eye(dim) + xs.T @ xs, w[0] + xs.T @ (ys + z[0]))
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     # the gaussian path: the history's perturbation drawn in closed form
@@ -348,10 +351,10 @@ class TestLinPHE:
         # the prior draw w of a step's O(t) history draws, over sqrt(lam), is
         # the xi that the gaussian closed form draws for that step
         dim, lam, steps = 3, 4.0, 7
-        policy, spec, stream = self.make(dim=dim, lam=lam, scale=0.9, seed=12)
+        policy, spec, prefix = self.make(dim=dim, lam=lam, scale=0.9, seed=12)
         drive(policy, rng, dim, steps)
-        w, _ = stream.history_perturbation(spec, steps + 1, dim, steps, lam)
-        want = policy.ridge_estimate()[0] + policy.gram.inverse_cholesky()[0] @ (w / 2.0)
+        w, _ = history_draws(spec, prefix, steps + 1, dim, steps, lam)
+        want = policy.ridge_estimate()[0] + policy.gram.inverse_cholesky()[0] @ (w[0] / 2.0)
         np.testing.assert_allclose(policy.estimator()[0], want, rtol=1e-12, atol=1e-15)
 
     def test_gaussian_and_history_draws_share_the_covariance_s2_v_inverse(self):
@@ -367,10 +370,8 @@ class TestLinPHE:
             policy.update(0, np.broadcast_to(x, (reps, dim)), np.full(reps, y))
         v = lam * np.eye(dim) + xs.T @ xs
         collapsed = policy.estimator() - policy.ridge_estimate()
-        oracle = np.empty((reps, dim))
-        for r in range(reps):
-            w, z = PerturbationStream(r).history_perturbation(spec, steps + 1, dim, steps, lam)
-            oracle[r] = np.linalg.solve(v, w + xs.T @ z)
+        w, z = history_draws(spec, seed_prefixes(range(reps), TAG_PHE), steps + 1, dim, steps, lam)
+        oracle = np.linalg.solve(v, (w + z @ xs).T).T
         # whitened by V^{1/2} / s, a N(0, s^2 V^-1) draw is standard normal
         evals, evecs = np.linalg.eigh(v)
         whiten = evecs @ np.diag(np.sqrt(evals)) @ evecs.T / scale
