@@ -188,10 +188,10 @@ class TestNoiseDraws:
         run = reward_draws(noise.spec, prefixes[:1], range(1), steps)
         draws = noise.draws(seeds)
         for t in (1, 2, 65, 200, 3):
-            alone = reward_draws(noise.spec, prefixes[:2], range(1), t)
-            assert run[t - 1, 0] == alone[0, 0]
-            assert draws.at(t)[0, 0] == alone[0, 0] and draws.at(t)[2, 0] == alone[0, 0]
-            assert draws.at(t)[1, 0] == alone[1, 0]
+            alone = reward_draws(noise.spec, prefixes[:1], range(1), t)[0, 0]
+            assert run[t - 1, 0] == alone
+            assert draws.at(t)[0, 0] == alone and draws.at(t)[2, 0] == alone
+            assert draws.at(t)[1, 0] == reward_draws(noise.spec, prefixes[1:2], range(1), t)[0, 0]
         other = reward_draws(noise.spec, seed_prefixes([6], TAG_NOISE), range(1), steps)
         assert not np.array_equal(other, run)
 

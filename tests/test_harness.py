@@ -1270,17 +1270,26 @@ def numpy_platform() -> str:
     """What a pinned hash depends on besides the code, for its failure
     message: numpy's version, its active SIMD dispatch targets, its BLAS
     build, and the environment variables that override either."""
-    from numpy._core import _multiarray_umath as umath
-
-    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     names = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
     overrides = [f"{k}={os.environ[k]}" for k in names if k in os.environ]
+    env = f"environment {' '.join(overrides) or 'default'}"
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (ImportError, TypeError, KeyError):
+        # numpy 1.x has neither numpy._core nor show_config's dict mode
+        return f"numpy {np.__version__}; {env}"
     return (
         f"numpy {np.__version__}; SIMD {', '.join(simd) or 'none'}; "
-        f"BLAS {blas.get('openblas configuration', blas['name'])}; "
-        f"environment {' '.join(overrides) or 'default'}"
+        f"BLAS {blas.get('openblas configuration', blas['name'])}; {env}"
     )
+
+
+def test_numpy_platform_names_the_numpy_version():
+    # the failure message of the pinned-byte tests is built on every run
+    assert f"numpy {np.__version__};" in numpy_platform()
 
 
 #: sha256 of ``trace.csv`` and ``summary.json`` of each shipped config run by

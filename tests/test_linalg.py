@@ -90,10 +90,10 @@ class TestUpdate:
     def test_norm_bound_is_exact_at_the_slack(self, batch):
         # sqrt(fl(a * a)) is a, so a row (a, 0, 0) has norm exactly a: the
         # bound itself passes and the next float above it fails, alone or
-        # between in-range rows
+        # between in-range rows; a NaN row fails too
         edge = 1.0 + NORM_SLACK
         assert math.sqrt(edge * edge) == edge
-        for a, ok in ((edge, True), (np.nextafter(edge, 2.0), False)):
+        for a, ok in ((edge, True), (np.nextafter(edge, 2.0), False), (np.nan, False)):
             st = GramState(3, 1.0, batch)
             row = [a, 0.0, 0.0]
             x = np.array([row] if batch == 1 else [[0.6, 0.0, 0.0], row, [0.0, 0.5, 0.5]])
@@ -105,21 +105,7 @@ class TestUpdate:
                     st.update(x)
                 assert st.step_count == 0
                 np.testing.assert_array_equal(st.gram, np.broadcast_to(np.eye(3), st.gram.shape))
-
-    @pytest.mark.parametrize("batch", [1, 3], ids=["R1", "R3"])
-    def test_nan_row_is_rejected_and_leaves_the_state(self, batch):
-        # a NaN row, alone or between in-range rows, fails the norm check
-        # before any of the state moves
-        st = GramState(2, 1.0, batch)
-        st.update(np.full((batch, 2), 0.5))
-        gram, gram_inv = st.gram.copy(), st.gram_inv.copy()
-        row = [np.nan, 0.0]
-        x = np.array([row] if batch == 1 else [[0.6, 0.0], row, [0.0, 0.5]])
-        with pytest.raises(ValueError, match=r"\|\|x\|\|"):
-            st.update(x)
-        assert st.step_count == 1
-        assert st.gram.tobytes() == gram.tobytes()
-        assert st.gram_inv.tobytes() == gram_inv.tobytes()
+                np.testing.assert_array_equal(st.gram_inv, st.gram)
 
     def test_dimension_mismatch(self):
         st = GramState(2, 1.0)
