@@ -129,8 +129,9 @@ class StepMonitor:
     (see :mod:`linens.linalg`). A block holds
     :func:`~linens.perturb.block_steps` of ``R * record`` steps, with
     ``record`` the largest per-replication snapshot: ``d * d`` for a Gram
-    matrix, or ``m * d`` for an ensemble's estimators under
-    ``track_ensemble_fraction``. So memory stays flat at any batch width.
+    matrix, or ``m * d`` for an ensemble's perturbed sums under
+    ``track_ensemble_fraction``, whose estimators a block forms in one
+    stacked product. So memory stays flat at any batch width.
     The counters cover the evaluated steps; call :meth:`flush` after the
     last step before reading them.
     """
@@ -177,8 +178,8 @@ class StepMonitor:
             "theta": (d,),
             "chosen": (d,),
         }
-        if self.track_ensemble_fraction and hasattr(policy, "thetas"):
-            records["thetas"] = (policy.n_models, d)
+        if self.track_ensemble_fraction and hasattr(policy, "s_vectors"):
+            records["sums"] = (policy.n_models, d)
         steps = block_steps(len(self.replications) * max(math.prod(r) for r in records.values()))
         return {name: np.empty((steps,) + self._shape + r) for name, r in records.items()}
 
@@ -205,8 +206,8 @@ class StepMonitor:
         rec["reward_sum"][i] = policy.reward_sum
         rec["theta"][i] = selection.theta
         rec["chosen"][i] = chosen
-        if "thetas" in rec:
-            rec["thetas"][i] = policy.thetas()
+        if "sums" in rec:
+            rec["sums"][i] = policy.s_vectors
         self._held = i + 1
         return self.flush() if self._held == len(rec["gram"]) else None
 
@@ -267,8 +268,10 @@ class StepMonitor:
         self.optimism_hits = self.optimism_hits + optimism_ok.sum(axis=0)
 
         fraction = None
-        if "thetas" in rec:
-            fraction = self._ensemble_fraction(rec["thetas"], theta_hat, gram, threshold)
+        if "sums" in rec:
+            # each item is the (m, d) by (d, d) product of policy.thetas()
+            thetas = np.matmul(rec["sums"], gram_inv)
+            fraction = self._ensemble_fraction(thetas, theta_hat, gram, threshold)
             low = fraction.min(axis=0)
             if self.min_ensemble_fraction is not None:
                 low = np.minimum(self.min_ensemble_fraction, low)

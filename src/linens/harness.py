@@ -42,6 +42,8 @@ TRACE_COLUMNS = ("arm", "model", "reward", "instant_regret", "cum_regret")
 #: Per-step monitor indicators, traced when diagnostics are on.
 FLAG_COLUMNS = ("conc_ok", "anticonc_ok", "optimism_ok")
 
+#: dtypes of the trace columns that are not floats; these are written
+#: ``%d`` and the float ones ``%.17g``.
 _COLUMN_DTYPES = {"arm": np.int64, "model": np.int64, **dict.fromkeys(FLAG_COLUMNS, bool)}
 
 #: Run settings that say where and how to run an experiment, not what it
@@ -270,6 +272,9 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
                 "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
             )
         summary["monitors"] = monitors
+    else:
+        # a switched-off monitor says so rather than leave its key out
+        summary["monitors"] = "disabled"
     return summary
 
 
@@ -279,10 +284,13 @@ def emit_outputs(
     """Write the trace CSV and the summary JSON; byte-stable for equal
     inputs.
 
-    Each replication's ``T`` rows are one ``%`` over a ``T``-row template,
-    built once, that spells out each row's step ``t`` and leaves a field
-    for the replication and each trace column. The values go in row-major
-    order, each column's as its Python ints, floats or bools."""
+    ``trace.csv`` has the header ``replication,t,`` then ``TRACE_COLUMNS``
+    and, when the records carry them, ``FLAG_COLUMNS``; ints and flags are
+    written ``%d`` and floats ``%.17g``, which round-trips. It is written
+    one replication at a time, so memory does not grow with batch width:
+    each column formats each of its distinct values once, with its leading
+    comma (:func:`_format_each_value`), and the replication's number, the
+    shared ``,t`` of each step and those strings are joined once."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -291,22 +299,34 @@ def emit_outputs(
         names = TRACE_COLUMNS
         if records and FLAG_COLUMNS[0] in records[0].columns:
             names += FLAG_COLUMNS
-        fields = ",%d,%d,%.17g,%.17g,%.17g" + ",%d" * (len(names) - len(TRACE_COLUMNS))
+        formats = [",%d" if name in _COLUMN_DTYPES else ",%.17g" for name in names]
+        formats[-1] += "\n"
         horizon = records[0].columns[names[0]].shape[-1] if records else 0
-        template = "".join(f"%d,{t}{fields}\n" for t in range(1, horizon + 1))
-        width = 1 + len(names)  # the replication, then each column
+        width = 2 + len(names)  # the replication, the step, then each column
+        row_text = [None] * (width * horizon)
+        row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
         with open(trace_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
                 for i, rep in enumerate(rec.replications):
-                    values = [rep] * (width * horizon)
-                    for k, name in enumerate(names, start=1):
-                        values[k::width] = rec.columns[name][i].tolist()
-                    fh.write(template % tuple(values))
+                    row_text[::width] = [str(rep)] * horizon
+                    for k, (name, fmt) in enumerate(zip(names, formats), start=2):
+                        row_text[k::width] = _format_each_value(rec.columns[name][i], fmt)
+                    fh.write("".join(row_text))
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
     return trace_path, summary_path
+
+
+def _format_each_value(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % v`` for each value of the 1-d ``values``, formatting each
+    distinct value once: floats are keyed by their int64 bits, so ``-0.0``
+    and ``0.0`` stay apart, and other dtypes by value."""
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([fmt % v for v in values[first].tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -511,7 +511,7 @@ def test_block_buffers_stay_within_the_draw_budget(rng):
         monitor = StepMonitor(env, make_params(dim=dim), track, replications=range(batch))
         monitor.observe(policy, sel, env.pull(sel.arm_index)[0])
         record = monitor._record
-        assert ("thetas" in record) == track
+        assert ("sums" in record) == track
         assert record["gram"].size == DRAW_VALUES
         for name, buf in record.items():
             assert len(buf) == 1, name

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
     TRACE_COLUMNS,
+    RunRecord,
     _equivalence_batch,
     aggregate,
     checkpoints,
@@ -764,6 +766,13 @@ class TestMonteCarlo:
         assert mon["elliptical_pass_rate"] == 1.0
         assert "elliptical_note" not in mon
 
+    def test_switched_off_monitors_read_as_disabled(self, tmp_path):
+        cfg = small_cfg(run__diagnostics="off")
+        records, summary = run_monte_carlo(cfg)
+        assert summary["monitors"] == "disabled"
+        _, summary_path = emit_outputs(records, summary, tmp_path)
+        assert json.loads(summary_path.read_text())["monitors"] == "disabled"
+
     def test_elliptical_monitor_reported_disabled_below_unit_lambda(self, tmp_path):
         # the elliptical cap presumes lambda >= 1; below it the check never
         # runs and must read as disabled (null), not as passed
@@ -834,6 +843,85 @@ class TestOutputs:
         assert loaded["replications"] == 2
         assert loaded["resolved_m"] == 4
         assert loaded["theoretical_regret_bound"] > 0
+
+    @staticmethod
+    def hand_records(flags: bool) -> list:
+        """Two batches built by hand: signed zeros in one column, a value
+        repeated within a replication and across replications and batches,
+        values that ``%.17g`` writes in exponent form, ``model = -1`` next
+        to model indices, and a column with no repeats."""
+        tiny, huge = 5e-324, 1e300
+        first = {
+            "arm": np.array([[0, 3, 3, 1], [2, 2, 2, 2]]),
+            "model": np.array([[-1, 0, 7, -1], [5, 5, -1, 0]]),
+            "reward": np.array([[0.0, -0.0, 0.5, -0.0], [0.5, tiny, -huge, 0.0]]),
+            "instant_regret": np.array([[0.25, 0.25, 0.0, 0.25], [0.0, 0.25, 0.25, 0.0]]),
+            "cum_regret": np.array([[0.1, 0.2, 0.30000000000000004, 1 / 3], [huge, tiny, -1.5, 2.0]]),
+        }
+        second = {
+            "arm": np.array([[9, 0, 9, 9]]),
+            "model": np.array([[-1, -1, 12, 3]]),
+            "reward": np.array([[0.5, 0.5, -0.0, huge]]),
+            "instant_regret": np.array([[0.25, 0.0, -0.0, tiny]]),
+            "cum_regret": np.array([[0.25, 0.5, 0.75, 1e-5]]),
+        }
+        records = []
+        for reps, cols in ((range(0, 2), first), (range(2, 3), second)):
+            if flags:
+                rows = len(reps)
+                cols["conc_ok"] = np.array([[True, False, True, True]] * rows)
+                cols["anticonc_ok"] = np.zeros((rows, 4), dtype=bool)
+                cols["optimism_ok"] = np.arange(rows * 4).reshape(rows, 4) % 3 == 0
+            records.append(RunRecord(reps, cols, {}))
+        return records
+
+    @staticmethod
+    def oracle_trace(records: list) -> str:
+        """``trace.csv`` written row by row, one ``%`` per row."""
+        names = list(records[0].columns)
+        flags = [name for name in FLAG_COLUMNS if name in names]
+        lines = ["replication,t," + ",".join(TRACE_COLUMNS + tuple(flags))]
+        for rec in records:
+            for i, rep in enumerate(rec.replications):
+                for t in range(rec.columns["arm"].shape[1]):
+                    row = (rep, t + 1) + tuple(rec.columns[n][i, t].item() for n in TRACE_COLUMNS)
+                    line = "%d,%d,%d,%d,%.17g,%.17g,%.17g" % row
+                    line += "".join(",%d" % rec.columns[n][i, t].item() for n in flags)
+                    lines.append(line)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
+    @pytest.mark.parametrize("horizon", [4, 1])
+    def test_trace_bytes_match_a_row_by_row_oracle(self, tmp_path, flags, horizon):
+        records = self.hand_records(flags)
+        for rec in records:
+            rec.columns = {n: col[:, :horizon] for n, col in rec.columns.items()}
+        want = self.oracle_trace(records)
+        if horizon == 4:
+            assert ",-0," in want and "e-324" in want and "e+300" in want and ",-1," in want
+        trace, _ = emit_outputs(records, {}, tmp_path)
+        assert trace.read_bytes() == want.encode()
+
+    def test_emission_memory_does_not_grow_with_batch_width(self, tmp_path):
+        # every value distinct, the most text per replication
+        def peak(width: int) -> int:
+            rng = np.random.default_rng(width)
+            cols = {
+                n: rng.integers(0, 50, (width, 2000)) if n in ("arm", "model")
+                else rng.standard_normal((width, 2000))
+                for n in TRACE_COLUMNS
+            }
+            cols.update({n: rng.random((width, 2000)) < 0.5 for n in FLAG_COLUMNS})
+            record = RunRecord(range(width), cols, {})
+            tracemalloc.start()
+            try:
+                emit_outputs([record], {}, tmp_path / str(width))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        narrow, wide = peak(2), peak(20)
+        assert wide < 1.5 * narrow, (narrow, wide)
 
 
 class TestEquivalenceSuite:

@@ -11,6 +11,7 @@ import pytest
 
 import linens
 from linens import cli
+from linens.harness import FLAG_COLUMNS, TRACE_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
@@ -46,6 +47,12 @@ def test_the_cli_examples_are_found():
     # every subcommand has an example to check
     commands = {line.split()[1] for line in cli_examples()}
     assert commands == {"run", "equivalence", "rates", "sweep"}
+
+
+def test_readme_gives_the_trace_header():
+    # the bracketed flag columns are written only with monitors on
+    header = code_block("CLI", "text").strip().replace("[", "").replace("]", "")
+    assert header == "replication,t," + ",".join(TRACE_COLUMNS + FLAG_COLUMNS)
 
 
 @pytest.mark.parametrize("line", cli_examples())
