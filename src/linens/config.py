@@ -11,7 +11,8 @@ checks every given field against the command's rule once.
 The config builds what a run is made of, its policy included
 (:meth:`ExperimentConfig.build_policy`, beside ``reads``). Value ranges are
 not restated here: :meth:`ExperimentConfig.validate` builds those objects,
-and their constructors reject what cannot run, NaN and +/-inf included.
+and their constructors reject what cannot run, NaN and +/-inf included;
+it checks only ``MAX_S_BOUND``, which no constructor owns.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
 ARM_MODES = ("random", "explicit")
 SCALE_MODES = ("auto", "explicit")
+
+#: Largest ``env.s_bound`` accepted: a run squares S in its radii and
+#: norms, and 1e150 leaves a factor of 1e8 below float64's largest value
+#: for the horizon, lambda and the radii's factors.
+MAX_S_BOUND = 1e150
 
 
 @dataclass
@@ -118,6 +124,9 @@ class ExperimentConfig:
                 "env.arms and env.theta_star need env.arm_mode = explicit; "
                 "random arm mode draws its own instance"
             )
+        # a NaN fails this comparison and is left to ConfidenceParams
+        if e.s_bound > MAX_S_BOUND:
+            raise ValueError(f"env.s_bound must be at most {MAX_S_BOUND:g}, got {e.s_bound}")
         # the confidence parameters first: they check env.dim, which the
         # random instance divides by
         self.confidence_params()

@@ -299,10 +299,10 @@ class StepMonitor:
         return np.mean(hits, axis=-1)
 
     def counters(self) -> dict:
-        """The counters, each an ``(R,)`` array, ``checks`` included.
-        ``elliptical_ok`` is left out below lambda = 1, where the cap does
-        not apply and the check is disabled. Every recorded step must have
-        been evaluated (:meth:`flush`)."""
+        """The ``(R,)`` counters, ``checks`` included, that
+        :func:`linens.harness.monitor_report` turns into the one report.
+        ``elliptical_ok`` is left out below lambda = 1, where the check is
+        disabled. Every recorded step must be evaluated (:meth:`flush`)."""
         if self._held:
             raise RuntimeError(f"{self._held} recorded steps are not evaluated; call flush()")
         counters = {

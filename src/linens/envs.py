@@ -91,11 +91,13 @@ class LinearBanditEnv:
             raise ValueError("theta_star dimension must match the arms")
         if not 0 < param_bound < math.inf:
             raise ValueError(f"param_bound must be positive and finite, got {param_bound}")
-        # a NaN norm fails each check too
-        norms = np.linalg.norm(arms, axis=-1)
+        # hypot squares nothing, so a huge entry cannot overflow; a norm past
+        # float64 reads inf, and a NaN norm fails each check too
+        with np.errstate(over="ignore"):
+            norms = np.hypot.reduce(arms, axis=-1)
+            norm = np.max(np.hypot.reduce(theta_star, axis=-1))
         if not np.all(norms <= 1.0 + NORM_SLACK):
             raise ValueError(f"every arm must satisfy ||x|| <= 1, got ||x|| = {np.max(norms)}")
-        norm = np.max(np.linalg.norm(theta_star, axis=-1))
         if not norm <= param_bound + NORM_SLACK:
             raise ValueError(f"||theta_star|| must not exceed param_bound, got {norm}")
         self.arms = arms

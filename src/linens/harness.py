@@ -207,26 +207,43 @@ def _pooled(records: list[RunRecord]) -> dict:
     return {name: np.concatenate([rec.counters[name] for rec in records]) for name in names}
 
 
-def monitor_rates(counters: dict) -> dict:
-    """Rates of the monitored events over the pooled counters
-    (:func:`_pooled`): the share of replications concentrated at every
-    step, and per-step rates. Each is a Python int over an int."""
+def monitor_report(counters: dict) -> dict:
+    """The one monitor report of ``run`` and ``rates``, built from the
+    pooled counters (:func:`_pooled`); README lists its fields. Each rate
+    is a Python int over an int."""
+    replications = len(counters["checks"])
 
     def total(name: str) -> int:
         return int(counters[name].sum())
 
     total_checks = total("checks")
-    return {
-        "all_concentrated_rate": total("all_concentrated") / len(counters["checks"]),
+    # the monitor leaves out elliptical_ok where the cap does not apply
+    elliptical = "elliptical_ok" in counters
+    report = {
+        "all_concentrated_rate": total("all_concentrated") / replications,
+        "concentration_rate": 1.0 - total("concentration_failures") / total_checks,
         "perturb_concentration_rate": 1.0
         - total("perturb_concentration_failures") / total_checks,
         "anti_conc_rate": total("anti_conc_hits") / total_checks,
         "optimism_rate": total("optimism_hits") / total_checks,
         "total_checks": total_checks,
+        "elliptical_pass_rate": total("elliptical_ok") / replications if elliptical else None,
     }
+    if not elliptical:
+        report["elliptical_note"] = (
+            "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
+        )
+    if "min_ensemble_fraction" in counters:
+        threshold = p_n() / 4.0
+        passed = counters["min_ensemble_fraction"] >= threshold
+        report["ensemble_fraction_threshold"] = threshold
+        report["min_ensemble_fraction_pass_rate"] = int(passed.sum()) / replications
+    return report
 
 
 def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
+    """``summary.json``'s table, whose ``monitors`` is the monitor report
+    (:func:`monitor_report`), or ``"disabled"`` when no monitor ran."""
     params = cfg.confidence_params()
     grid = checkpoints(cfg.run.horizon)
     cum = np.concatenate([rec.columns["cum_regret"][:, np.array(grid) - 1] for rec in records])
@@ -258,23 +275,8 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         ),
     }
     counters = _pooled(records)
-    if "checks" in counters:
-        monitors = monitor_rates(counters)
-        monitors["concentration_rate"] = (
-            1.0 - int(counters["concentration_failures"].sum()) / monitors["total_checks"]
-        )
-        # the monitor leaves out elliptical_ok where the cap does not apply
-        if "elliptical_ok" in counters:
-            monitors["elliptical_pass_rate"] = int(counters["elliptical_ok"].sum()) / len(cum)
-        else:
-            monitors["elliptical_pass_rate"] = None
-            monitors["elliptical_note"] = (
-                "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
-            )
-        summary["monitors"] = monitors
-    else:
-        # a switched-off monitor says so rather than leave its key out
-        summary["monitors"] = "disabled"
+    # a switched-off monitor says so rather than leave its key out
+    summary["monitors"] = monitor_report(counters) if "checks" in counters else "disabled"
     return summary
 
 
@@ -407,28 +409,14 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
 
 
 def estimate_event_rates(cfg: ExperimentConfig) -> dict:
-    """Empirical frequencies of the monitored probabilistic events over
-    ``run.replications`` replications.
-
-    Reports (a) the fraction of runs whose ridge estimate stays inside its
-    confidence radius at every step, (b) the per-step frequency of the
-    perturbation staying inside its radius, and, for ensemble runs under
-    full-trace diagnostics, (c) the worst per-step fraction of ensemble
-    members that are simultaneously anti-concentrated and concentrated.
-    Monitors run even when the configuration switches them off. Each
-    rate pools the batches' ``(R,)`` counters (:func:`_pooled`).
-    """
+    """``replications`` and the monitor report (:func:`monitor_report`)
+    that ``linens run`` writes under the same diagnostics, over
+    ``run.replications`` replications. Monitors run even when the
+    configuration switches them off."""
     reps = cfg.run.replications
     if reps < 1:
         raise ValueError("run.replications must be at least 1")
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
     records = _map_batches(partial(run_batch, cfg, trace=False), range(reps), cfg.run.workers)
-    counters = _pooled(records)
-    report = {"replications": reps, **monitor_rates(counters)}
-    if "min_ensemble_fraction" in counters:
-        threshold = p_n() / 4.0
-        passed = counters["min_ensemble_fraction"] >= threshold
-        report["ensemble_fraction_threshold"] = threshold
-        report["min_ensemble_fraction_pass_rate"] = int(passed.sum()) / reps
-    return report
+    return {"replications": reps, **monitor_report(_pooled(records))}

@@ -16,7 +16,13 @@ import pytest
 
 import linens
 from linens import cli
-from linens.config import POLICY_NAMES, ExperimentConfig, PolicyConfig, load_config
+from linens.config import (
+    MAX_S_BOUND,
+    POLICY_NAMES,
+    ExperimentConfig,
+    PolicyConfig,
+    load_config,
+)
 from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
@@ -113,6 +119,30 @@ LOAD_REJECTIONS = {
     "theta-star-past-s-bound": (
         EXPLICIT_INI.replace("sigma = 0", "sigma = 0\ns_bound = 0.5"),
         r"\|\|theta_star\|\| must not exceed",
+    ),
+    "s-bound-just-past-its-cap": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1.0000000000000002e150"),
+        r"env\.s_bound must be at most 1e\+150, got 1\.0000000000000002e\+150",
+    ),
+    "s-bound-1e170": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1e170"),
+        r"env\.s_bound must be at most 1e\+150, got 1e\+170",
+    ),
+    "s-bound-1e300": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1e300"),
+        r"env\.s_bound must be at most 1e\+150, got 1e\+300",
+    ),
+    "theta-star-entries-1e200": (
+        EXPLICIT_INI.replace("theta_star = 0.9 0.3", "theta_star = 1e200 1e200"),
+        r"\|\|theta_star\|\| must not exceed param_bound, got 1\.41421356\d*e\+200",
+    ),
+    "theta-star-norm-past-float64": (
+        EXPLICIT_INI.replace("theta_star = 0.9 0.3", "theta_star = 1.7e308 1.7e308"),
+        r"\|\|theta_star\|\| must not exceed param_bound, got inf",
+    ),
+    "arm-entry-1e200": (
+        EXPLICIT_INI.replace("arms = 1 0;", "arms = 1e200 0;"),
+        r"every arm must satisfy \|\|x\|\| <= 1, got \|\|x\|\| = 1e\+200",
     ),
     "duplicate-key": (
         BASE_INI.replace("sigma = 0.5", "sigma = 0.5\nsigma = 0.7"),
@@ -535,6 +565,17 @@ workers = 2
         text, message = LOAD_REJECTIONS[case]
         with pytest.raises(ValueError, match=message):
             load_config(write_cfg(tmp_path, text))
+
+    def test_the_largest_s_bound_completes_a_monitored_run(self, tmp_path):
+        # one past it is rejected (LOAD_REJECTIONS); at it, run and rates
+        # finish with no overflow warning, which the suite makes an error
+        text = BASE_INI.replace("sigma = 0.5", f"sigma = 0.5\ns_bound = {MAX_S_BOUND!r}")
+        text = text.replace("horizon = 30", "horizon = 30\ndiagnostics = full-trace")
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert cfg.env.s_bound == MAX_S_BOUND == 1e150
+        _, summary = run_monte_carlo(cfg)
+        assert np.isfinite([cp[q] for cp in summary["checkpoints"] for q in ("mean", "q90")]).all()
+        assert estimate_event_rates(cfg)["total_checks"] == 60
 
     def test_small_lambda_warns(self, tmp_path):
         path = write_cfg(tmp_path, BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5"))
@@ -1145,6 +1186,28 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["replications"] == 2
 
+    @pytest.mark.parametrize(
+        "lam", ["1.0", pytest.param("0.5", marks=pytest.mark.filterwarnings("default"))]
+    )
+    @pytest.mark.parametrize("diagnostics", ["monitors", "full-trace"])
+    def test_run_and_rates_report_the_same_numbers(self, tmp_path, capsys, diagnostics, lam):
+        # one report of the same counters: run's monitors block is the rates
+        # report without its replication count, ensemble fraction included
+        text = BASE_INI.replace("delta = 0.1", f"delta = 0.1\nlambda = {lam}").replace(
+            "horizon = 30", f"horizon = 30\ndiagnostics = {diagnostics}"
+        )
+        cfg_path = str(write_cfg(tmp_path, text))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg_path, "--reps", "3", "--out", str(out)]) == 0
+        monitors = json.loads((out / "summary.json").read_text())["monitors"]
+        capsys.readouterr()
+        assert cli.main(["rates", "--config", cfg_path, "--reps", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("replications") == 3
+        assert monitors == report
+        assert ("min_ensemble_fraction_pass_rate" in report) == (diagnostics == "full-trace")
+        assert (report["elliptical_pass_rate"] is None) == (lam == "0.5")
+
     def test_run_rejects_a_delta_that_only_the_monitors_would_read(self, tmp_path, capsys):
         # greedy's arms and its null regret bound never read delta; a run
         # with the monitors on reads it, and so does rates, which runs them
@@ -1418,12 +1481,14 @@ def test_run_outputs_match_their_pinned_bytes(tmp_path, name):
 #: rates`` report, each replication's summary counters (``min_ensemble_fraction``
 #: among them) as sorted JSON, and ``linens run``'s ``trace.csv`` and
 #: ``summary.json``. ``PINNED_OUTPUTS`` runs monitors only, so these guard the
-#: ensemble fraction. They move only as ``PINNED_OUTPUTS`` do.
+#: ensemble fraction. They move with ``PINNED_OUTPUTS``, and also when the
+#: monitor report's fields change (``harness.monitor_report``), which moves
+#: only ``rates`` and ``summary.json``; each move is logged in CHANGES.md.
 PINNED_FULL_TRACE = {
-    "rates": "53f08848a137ab5bc2ab96942f606219466ded5932926966af569fd78e8bbfc8",
+    "rates": "98df8c38ca7ce4fac95a81b636b43c4b1d36691500e5c66cd050d8e2d32c589b",
     "summaries": "7a77159e43dadfa8c21c857290f439999bb502d735494835f99506c2ef69c798",
     "trace.csv": "b421558e10258ede5d4ed27c4bd3954aee0c11ce6adfd157b422bf008146f582",
-    "summary.json": "87d3881509aa5975f7ef7d2dc0c7b33dffac0d91ca6484400ed1ccdd56d1cacd",
+    "summary.json": "bad48fe8becc43a01ef3ab632bbc29ca6a23a5cc9517ef60a6d41083eb0b9a83",
 }
 
 

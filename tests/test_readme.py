@@ -11,7 +11,8 @@ import pytest
 
 import linens
 from linens import cli
-from linens.harness import FLAG_COLUMNS, TRACE_COLUMNS
+from linens.config import ExperimentConfig
+from linens.harness import FLAG_COLUMNS, TRACE_COLUMNS, monitor_report, run_batch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
@@ -20,10 +21,14 @@ SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
 MODULES = {"linens"} | {info.name for info in pkgutil.iter_modules(linens.__path__)}
 
 
+def section(heading: str) -> str:
+    """The text under a ``## heading`` of README."""
+    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def code_block(heading: str, language: str = "python") -> str:
     """The first code block in ``language`` under a ``## heading`` of README."""
-    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    match = re.search(rf"```{language}\n(.*?)```", section(heading), re.DOTALL)
     assert match, f"no {language} block under ## {heading}"
     return match.group(1)
 
@@ -53,6 +58,21 @@ def test_readme_gives_the_trace_header():
     # the bracketed flag columns are written only with monitors on
     header = code_block("CLI", "text").strip().replace("[", "").replace("]", "")
     assert header == "replication,t," + ",".join(TRACE_COLUMNS + FLAG_COLUMNS)
+
+
+def test_readme_lists_the_monitor_report_fields():
+    # the bulleted `field`: items under ## CLI are the report's fields, each
+    # once; the counters of a full-trace ensemble give every field but the
+    # note, and without elliptical_ok, as below lambda = 1, the note
+    documented = re.findall(r"^- `(\w+)`:", section("CLI"), re.MULTILINE)
+    cfg = ExperimentConfig()
+    cfg.policy.m = 4
+    cfg.run.horizon = 5
+    cfg.run.diagnostics = "full-trace"
+    counters = run_batch(cfg.validate(), range(1), trace=False).counters
+    below_unit_lambda = {k: v for k, v in counters.items() if k != "elliptical_ok"}
+    fields = set(monitor_report(counters)) | set(monitor_report(below_unit_lambda))
+    assert sorted(documented) == sorted(fields)
 
 
 @pytest.mark.parametrize("line", cli_examples())
