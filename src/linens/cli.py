@@ -60,12 +60,29 @@ def _cmd_rates(args) -> int:
     return 0
 
 
+def _sweep_values(text: str) -> list[int]:
+    """The integers of ``--values``: each entry once, as each value has one
+    output directory."""
+    values = []
+    for entry in text.split(","):
+        if not entry.strip():
+            raise ValueError(f"--values {text!r} has an empty entry")
+        try:
+            value = int(entry)
+        except ValueError:
+            raise ValueError(f"--values entry {entry!r} is not an integer") from None
+        if value in values:
+            raise ValueError(f"--values entry {entry!r} repeats the value {value}")
+        values.append(value)
+    return values
+
+
 def _cmd_sweep(args) -> int:
     key = SWEEP_FIELDS[args.param]
     # every swept config is loaded, and so validated, before the first run
     # writes anything
     runs = []
-    for value in map(int, args.values.split(",")):
+    for value in _sweep_values(args.values):
         cfg = load_config(args.config, "sweep", **{key: value})
         runs.append((value, cfg))
     out_root = Path(args.out if args.out else cfg.run.out_dir)

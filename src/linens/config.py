@@ -12,7 +12,8 @@ The config builds what a run is made of, its policy included
 (:meth:`ExperimentConfig.build_policy`, beside ``reads``). Value ranges are
 not restated here: :meth:`ExperimentConfig.validate` builds those objects,
 and their constructors reject what cannot run, NaN and +/-inf included;
-it checks only ``MAX_S_BOUND``, which no constructor owns.
+it checks only ``MAX_S_BOUND``, which no constructor owns, against S, the
+horizon's confidence radius and the perturbation scale.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
 ARM_MODES = ("random", "explicit")
 SCALE_MODES = ("auto", "explicit")
 
-#: Largest ``env.s_bound`` accepted: a run squares S in its radii and
-#: norms, and 1e150 leaves a factor of 1e8 below float64's largest value
-#: for the horizon, lambda and the radii's factors.
+#: Largest ``env.s_bound``, horizon-level confidence radius and
+#: perturbation scale accepted: a run squares each of them in its radii
+#: and norms, and 1e150 leaves a factor of 1e8 below float64's largest
+#: value for the horizon and the radii's factors.
 MAX_S_BOUND = 1e150
 
 
@@ -126,11 +128,21 @@ class ExperimentConfig:
             )
         # a NaN fails this comparison and is left to ConfidenceParams
         if e.s_bound > MAX_S_BOUND:
-            raise ValueError(f"env.s_bound must be at most {MAX_S_BOUND:g}, got {e.s_bound}")
+            raise ValueError(f"env.s_bound must be at most {MAX_S_BOUND!r}, got {e.s_bound!r}")
         # the confidence parameters first: they check env.dim, which the
         # random instance divides by
-        self.confidence_params()
-        self.perturbation_spec()
+        params = self.confidence_params()
+        radius = beta(params, params.horizon)
+        if radius > MAX_S_BOUND:
+            raise ValueError(
+                "the confidence radius at run.horizon, sqrt(policy.lambda) * env.s_bound plus "
+                f"a term in env.sigma, must be at most {MAX_S_BOUND!r}, got {radius!r}"
+            )
+        scale = self.perturbation_spec().scale
+        if self.reads("scale_mode") and scale > MAX_S_BOUND:
+            raise ValueError(
+                f"the perturbation scale must be at most {MAX_S_BOUND!r}, got {scale!r}"
+            )
         self.environment()
         # any seed and one model will do: only the policy constructors'
         # checks matter here, and none of them reads the ensemble size

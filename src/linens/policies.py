@@ -116,8 +116,8 @@ class _RidgeBase:
         return self.gram.solve(self.reward_sum)
 
     def estimator(self) -> np.ndarray:
-        """The estimator that :meth:`select` is greedy on: the ridge
-        estimate, which the perturbed-history policies override."""
+        """The estimator that :meth:`select` acts on: the ridge estimate,
+        which the ensembles and perturbed-history exploration override."""
         return self.ridge_estimate()
 
     def select(self, arms: np.ndarray) -> Selection:
@@ -144,23 +144,21 @@ class EnsembleSampling(_RidgeBase):
     state, stored model-last, ``(d, n_models)`` per replication, so that
     each step's update of every sum runs along the models;
     :attr:`s_vectors` is their ``(n_models, d)`` view. Each sum starts at
-    its model's keyed initial perturbation. Each
-    step samples a model index, acts greedily on that model's estimator,
-    then updates every model's sum with the observed reward plus a fresh
-    keyed reward perturbation. Both draws are
-    :func:`~linens.perturb.reward_draws` calls for every model and
-    replication of the batch: the initial matrices in one call at
-    construction (:func:`~linens.perturb.initial_draws`), and the reward
-    perturbations keyed by step in one call per block of steps
-    (:class:`~linens.perturb.StepDraws`, whose block length is bounded
-    by ``DRAW_VALUES`` values). Each replication draws under the prefixes
-    of its seed (:func:`~linens.perturb.seed_prefixes`): ``seeds`` holds
-    one int per replication of the batch. ``keying`` says what keys a reward
-    perturbation: the step (``Keying.BY_STEP``), or the chosen arm and its
-    pull count (``Keying.BY_ARM_COUNT``). Keys by ``(arm, count)`` depend
-    on the pulls, so that keying draws one call per step. Uniform model
-    choice is a :class:`~linens.perturb.ModelChoice` draw under each
-    seed's ``TAG_MODEL`` prefix, keyed by step in the same blocks.
+    its model's keyed initial perturbation. Each step picks a model, in
+    turn (``Sampler.ROUND_ROBIN``, for at most ``n_models`` steps) or by a
+    :class:`~linens.perturb.ModelChoice` draw under each seed's
+    ``TAG_MODEL`` prefix, acts greedily on its :meth:`estimator`, then
+    updates every sum with the observed reward plus a fresh keyed reward
+    perturbation. Every draw is one :func:`~linens.perturb.reward_draws`
+    call for the batch: the initial matrices at construction
+    (:func:`~linens.perturb.initial_draws`), and draws keyed by step per
+    block of steps (:class:`~linens.perturb.StepDraws`, at most
+    ``DRAW_VALUES`` values). Each replication draws under the prefixes of
+    its seed (:func:`~linens.perturb.seed_prefixes`), one per replication
+    in ``seeds``. ``keying`` says what keys a reward perturbation: the step
+    (``Keying.BY_STEP``), or the chosen arm and its pull count
+    (``Keying.BY_ARM_COUNT``), one call per step. The lazy form is
+    :class:`PerturbedHistoryReplay`.
     """
 
     def __init__(
@@ -214,16 +212,22 @@ class EnsembleSampling(_RidgeBase):
         """The estimator of ``model``, one index per replication."""
         return self.gram.solve(self._sums[self._rows, :, model])
 
-    def select(self, arms: np.ndarray) -> Selection:
+    def _model_index(self) -> np.ndarray:
+        """Step ``t = step + 1``'s model, one index per replication."""
         t = self.step + 1
-        if self.sampler == Sampler.ROUND_ROBIN:
-            if t > self.n_models:
-                raise InvalidStateError(
-                    f"round-robin sampling exhausted: step {t} > ensemble size {self.n_models}"
-                )
-            j = np.broadcast_to(t - 1, (self.batch,))
-        else:
-            j = self._models.at(t)[..., 0]
+        if self.sampler == Sampler.UNIFORM:
+            return self._models.at(t)[..., 0]
+        if t > self.n_models:
+            raise InvalidStateError(
+                f"round-robin sampling exhausted: step {t} > ensemble size {self.n_models}"
+            )
+        return np.broadcast_to(t - 1, (self.batch,))
+
+    def estimator(self) -> np.ndarray:
+        return self.model_theta(self._model_index())
+
+    def select(self, arms: np.ndarray) -> Selection:
+        j = self._model_index()
         theta = self.model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
@@ -248,46 +252,41 @@ class EnsembleSampling(_RidgeBase):
         kernels.accumulate_perturbed(self._sums, x, np.asarray(y)[..., None] + z)
 
 
-class PerturbedHistoryReplay(_RidgeBase):
-    """Perturbed-history exploration on an m-model ensemble's draws: LinPHE
-    is linear ensemble sampling with ensemble size m = T.
+class PerturbedHistoryReplay(EnsembleSampling):
+    """The lazy form of a round-robin, by-step :class:`EnsembleSampling`
+    of ``m`` models: LinPHE is linear ensemble sampling with m = T.
 
-    At step ``t`` it re-perturbs the history with model ``t - 1``'s
-    ``TAG_INIT`` row and ``TAG_REWARD`` perturbations, drawn by the calls of
-    a ``Keying.BY_STEP`` :class:`EnsembleSampling` on the same seed. Against
-    that ensemble with round-robin model choice, its estimators are the
-    ensemble's bit for bit. It selects at most m steps.
+    It keeps the history instead of the sums, and rebuilds a model's sum
+    from its initial row and the ensemble's draws for it, so at step ``t``
+    it acts on model ``t - 1``'s estimator, the ensemble's bit for bit.
     """
 
     def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seeds: list[int], m: int):
-        super().__init__(dim, lam, len(seeds))
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        self.m = int(m)
-        self.spec = spec
-        self._initial = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), m, dim, lam)
-        self._prefixes = seed_prefixes(seeds, TAG_REWARD)
-        self._xs = np.empty((self.batch, m, dim))
-        self._ys = np.empty((self.batch, m))
+        super().__init__(dim, lam, m, spec, seeds, sampler=Sampler.ROUND_ROBIN)
+        self._xs = np.empty((self.batch, self.n_models, dim))
+        self._ys = np.empty((self.batch, self.n_models))
 
-    def estimator(self) -> np.ndarray:
-        """Ensemble model ``t - 1``'s estimator at step ``t = step + 1``."""
-        t = self.step + 1
-        if t > self.m:
-            raise InvalidStateError(
-                f"shared-stream replay exhausted: step {t} > model axis {self.m}"
-            )
-        # model t - 1's perturbation of each step so far, as the
-        # ensemble drew it
+    @property
+    def s_vectors(self) -> np.ndarray:
+        raise AttributeError("the lazy ensemble keeps no perturbed sums")
+
+    def model_theta(self, model) -> np.ndarray:
+        """The estimator of ``model``, one index for the whole batch; its
+        initial row is the constructor's sum, which is never updated."""
+        j = int(np.asarray(model).flat[0])
+        if np.any(np.asarray(model) != j):
+            raise ValueError(f"the lazy ensemble reads one model per batch, got {model}")
+        n = self.step
+        # model j's perturbation of each step so far, as the ensemble drew it
         z = reward_draws(
-            self.spec, self._prefixes[:, None], range(t - 1, t), np.arange(1, t)
+            self.spec, self._prefixes[:, None], range(j, j + 1), np.arange(1, n + 1)
         )[..., 0]
         # accumulate in step order with the ensemble's exact draws so
         # the float operations match the incremental path bit for bit:
         # add.accumulate adds the rows one after another, where a sum
         # or a matrix product would pair them
-        terms = self._xs[..., : t - 1, :] * (self._ys[..., : t - 1] + z)[..., None]
-        rows = np.concatenate([self._initial[..., t - 1 : t, :], terms], axis=-2)
+        terms = self._xs[..., :n, :] * (self._ys[..., :n] + z)[..., None]
+        rows = np.concatenate([self._sums[..., None, :, j], terms], axis=-2)
         s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         return self.gram.solve(np.ascontiguousarray(s))
 
@@ -320,8 +319,8 @@ class LinPHE(_RidgeBase):
     length is bounded by ``DRAW_VALUES`` values). The other families' sums
     are not of their family, so they re-perturb the O(t) history with
     :func:`~linens.perturb.history_draws`, one call per step for the batch,
-    whose first ``d`` values are that same ``xi``. On the draws of an
-    m = T ensemble, LinPHE is :class:`PerturbedHistoryReplay`.
+    whose first ``d`` values are that same ``xi``. Its estimator has the
+    law of the m = T ensemble's lazy form, :class:`PerturbedHistoryReplay`.
     """
 
     def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seeds: list[int]):

@@ -132,6 +132,32 @@ LOAD_REJECTIONS = {
         BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1e300"),
         r"env\.s_bound must be at most 1e\+150, got 1e\+300",
     ),
+    "radius-just-past-its-cap": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1e100").replace(
+            "delta = 0.1", "delta = 0.1\nlambda = 1e100"
+        ),
+        r"radius at run\.horizon, .* must be at most 1e\+150, got 1\.0000000000000002e\+150",
+    ),
+    "radius-lambda-1e8-s-bound-1e150": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1e150").replace(
+            "delta = 0.1", "delta = 0.1\nlambda = 1e8"
+        ),
+        r"radius at run\.horizon, .* must be at most 1e\+150, got 1e\+154",
+    ),
+    "radius-lambda-1e200-s-bound-1e60": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 0.5\ns_bound = 1e60").replace(
+            "delta = 0.1", "delta = 0.1\nlambda = 1e200"
+        ),
+        r"radius at run\.horizon, .* must be at most 1e\+150, got 1e\+160",
+    ),
+    "radius-sigma-1e155": (
+        BASE_INI.replace("sigma = 0.5", "sigma = 1e155"),
+        r"radius at run\.horizon, .* must be at most 1e\+150, got \d\.\d+e\+155",
+    ),
+    "phe-scale-1e155": (
+        BASE_INI.replace("name = ensemble\nm = 4", "name = phe\nscale_mode = explicit\nscale = 1e155"),
+        r"the perturbation scale must be at most 1e\+150, got 1e\+155",
+    ),
     "theta-star-entries-1e200": (
         EXPLICIT_INI.replace("theta_star = 0.9 0.3", "theta_star = 1e200 1e200"),
         r"\|\|theta_star\|\| must not exceed param_bound, got 1\.41421356\d*e\+200",
@@ -577,6 +603,21 @@ workers = 2
         assert np.isfinite([cp[q] for cp in summary["checkpoints"] for q in ("mean", "q90")]).all()
         assert estimate_event_rates(cfg)["total_checks"] == 60
 
+    @pytest.mark.parametrize(
+        "line,setting",
+        [("delta = 0.1", "delta = 0.1\nlambda = 1e300"), ("sigma = 0.5", "sigma = 1e140")],
+        ids=["lambda-1e300", "sigma-1e140"],
+    )
+    def test_a_radius_within_the_cap_completes_a_monitored_run(self, tmp_path, line, setting):
+        # sqrt(1e300) * S = 1 is the cap itself; sigma = 1e140 stays below it
+        text = BASE_INI.replace(line, setting)
+        text = text.replace("horizon = 30", "horizon = 30\ndiagnostics = full-trace")
+        cfg = load_config(write_cfg(tmp_path, text))
+        params = cfg.confidence_params()
+        assert beta(params, params.horizon) <= MAX_S_BOUND
+        _, summary = run_monte_carlo(cfg)
+        assert np.isfinite([cp[q] for cp in summary["checkpoints"] for q in ("mean", "q90")]).all()
+
     def test_small_lambda_warns(self, tmp_path):
         path = write_cfg(tmp_path, BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5"))
         with pytest.warns(UserWarning, match="lambda"):
@@ -975,7 +1016,7 @@ class TestEquivalenceSuite:
         assert report.failures == []
 
     def test_shared_streams_match_at_long_horizon(self):
-        # the shared-axis replay draws each step's reward vector once, so the
+        # the lazy replay rebuilds one model's sum per step, so the
         # bit-identity can be checked far past criterion 1's T = 50
         cfg = small_cfg(
             env__dim=4, env__arm_count=8, env__sigma=1.0, run__horizon=2000, run__replications=2
@@ -1257,6 +1298,31 @@ class TestCli:
         combined = json.loads((out / "sweep_T.json").read_text())
         assert [c["value"] for c in combined] == [10, 20]
         assert (out / "sweep_T_10" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ("10,", "--values '10,' has an empty entry"),
+            ("", "--values '' has an empty entry"),
+            ("10,,20", "--values '10,,20' has an empty entry"),
+            ("10,2.5", "--values entry '2.5' is not an integer"),
+            ("ten", "--values entry 'ten' is not an integer"),
+            ("10,10", "--values entry '10' repeats the value 10"),
+            ("10,20,010", "--values entry '010' repeats the value 10"),
+        ],
+        ids=["trailing-comma", "empty", "empty-middle", "float", "word", "repeat", "same-int"],
+    )
+    def test_sweep_rejects_bad_values_before_any_run(self, tmp_path, capsys, values, message):
+        # each value has its own output directory, so a repeat would run twice into one
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", str(write_cfg(tmp_path)), "--param", "T",
+            "--values", values, "--out", str(out),
+        ])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == ""
+        assert err == f"linens: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("default")
     @pytest.mark.parametrize(

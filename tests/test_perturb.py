@@ -309,7 +309,7 @@ class TestRewardDraws:
             alone = reward_draws(spec, prefixes[r : r + 1], range(64), 9)[0]
             assert alone.tobytes() == full[r].tobytes() == reversed_batch[4 - r].tobytes()
         # an array of keys hashes each key as its own call would: model 7
-        # over steps 1..40, as the shared-axis replay reads it
+        # over steps 1..40, as the lazy ensemble's replay reads it
         column = reward_draws(spec, prefixes[:, None], range(7, 8), np.arange(1, 41))[..., 0]
         for t in (1, 9, 40):
             np.testing.assert_array_equal(

@@ -1,8 +1,10 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from linens.diagnostics import StepMonitor
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.perturb import (
     TAG_INIT,
@@ -399,7 +401,7 @@ class TestLinPHE:
     def test_replay_rejects_an_empty_model_axis(self):
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
         for m in (0, -3):
-            with pytest.raises(ValueError, match="m must be at least 1"):
+            with pytest.raises(ValueError, match="n_models must be at least 1"):
                 PerturbedHistoryReplay(2, 1.0, spec, [5], m)
 
     def test_shared_axis_exhaustion(self, rng):
@@ -414,7 +416,7 @@ class TestLinPHE:
 
     def test_shared_replay_matches_round_robin_ensemble_exactly(self, rng):
         # the core equality: same seed, round-robin ensemble of size T vs
-        # shared-axis re-perturbation; identical estimators bit for bit
+        # its lazy form's re-perturbation; identical estimators bit for bit
         horizon, dim = 12, 2
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.1)
         es = EnsembleSampling(dim, 1.0, horizon, spec, [77], sampler=Sampler.ROUND_ROBIN)
@@ -456,6 +458,133 @@ class TestPerturbationsUseNoGenerator:
             for policy, sel in zip(policies, sels):
                 policy.update(sel.arm_index, arms[sel.arm_index], y)
         assert np.isfinite(phe.estimator()).all()
+
+
+class TestLazyEnsemble:
+    """:class:`PerturbedHistoryReplay` is the lazy form of a round-robin
+    :class:`EnsembleSampling`: the same models, held as a history."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("seeds", [[31], [31, 8, 31]], ids=["R1", "R3"])
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_every_model_is_the_eager_ensembles_bit_for_bit(self, family, seeds, dim):
+        # every model j < m at every step, not only the model t - 1 that a
+        # step reads; the replay acts on the same model as the ensemble. At
+        # d = 1 the rows are contiguous, where np.sum would pair them
+        horizon, batch = 12, len(seeds)
+        spec = PerturbationSpec(family, 0.9)
+        eager = EnsembleSampling(dim, 1.5, horizon, spec, seeds, sampler=Sampler.ROUND_ROBIN)
+        lazy = PerturbedHistoryReplay(dim, 1.5, spec, seeds, horizon)
+        rng = np.random.default_rng(5)
+        arms = random_unit_ball(rng, dim, count=6)
+        for t in range(1, horizon + 1):
+            for j in range(horizon):
+                model = np.full(batch, j)
+                assert lazy.model_theta(model).tobytes() == eager.model_theta(model).tobytes()
+            sel = eager.select(arms)
+            lazy_sel = lazy.select(arms)
+            assert sel.model_index.tolist() == lazy_sel.model_index.tolist() == [t - 1] * batch
+            assert sel.theta.tobytes() == lazy_sel.theta.tobytes()
+            y = rng.standard_normal(batch)
+            eager.update(sel.arm_index, arms[sel.arm_index], y)
+            lazy.update(sel.arm_index, arms[sel.arm_index], y)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda spec, seeds: EnsembleSampling(2, 1.0, 6, spec, seeds),
+            lambda spec, seeds: EnsembleSampling(
+                2, 1.0, 6, spec, seeds, sampler=Sampler.ROUND_ROBIN
+            ),
+            lambda spec, seeds: PerturbedHistoryReplay(2, 1.0, spec, seeds, 6),
+            lambda spec, seeds: LinPHE(2, 1.0, spec, seeds),
+            lambda spec, seeds: LinUCB(2, 1.0, bonus=0.5, batch=len(seeds)),
+            lambda spec, seeds: GreedyRidge(2, 1.0, batch=len(seeds)),
+        ],
+        ids=["uniform", "round-robin", "replay", "phe", "linucb", "greedy"],
+    )
+    def test_estimator_is_the_one_select_acts_on(self, rng, make):
+        spec = PerturbationSpec(PerturbationFamily.UNIFORM, 1.2)
+        seeds = [2, 40, 7]
+        policy = make(spec, seeds)
+        arms = random_unit_ball(rng, 2, count=4)
+        for _ in range(6):
+            theta = policy.estimator()
+            sel = policy.select(arms)
+            assert theta.tobytes() == sel.theta.tobytes()
+            policy.update(sel.arm_index, arms[sel.arm_index], rng.standard_normal(3))
+
+    def test_the_replay_keeps_no_perturbed_sums(self, rng):
+        # so a monitor tracking the ensemble fraction reports none for it
+        env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, rng)
+        params = ConfidenceParams(0.5, 1.0, 1.0, 2, 8, 0.1)
+        replay = PerturbedHistoryReplay(2, 1.0, PerturbationSpec(), [6], 8)
+        with pytest.raises(AttributeError, match="keeps no perturbed sums"):
+            replay.s_vectors
+        with pytest.raises(AttributeError, match="keeps no perturbed sums"):
+            replay.thetas()
+        monitor = StepMonitor(env, params, track_ensemble_fraction=True)
+        noise = env.noise.draws([6])
+        for t in range(1, 9):
+            sel = replay.select(env.arms)
+            x, mean = env.pull(sel.arm_index)
+            monitor.observe(replay, sel, x)
+            replay.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
+        monitor.flush()
+        assert monitor.checks == 8
+        assert monitor.min_ensemble_fraction is None
+        assert "min_ensemble_fraction" not in monitor.counters()
+
+    def test_the_replay_reads_one_model_for_the_whole_batch(self):
+        replay = PerturbedHistoryReplay(2, 1.0, PerturbationSpec(), [1, 2, 3], 4)
+        with pytest.raises(ValueError, match="one model per batch"):
+            replay.model_theta(np.array([0, 1, 0]))
+        assert replay.model_theta(np.array([2, 2, 2])).shape == (3, 2)
+
+
+class TestLinPHEHasTheReplaysLaw:
+    """At a fixed history, LinPHE's fresh perturbations and the m = T
+    replay's model t - 1 give estimators of one law."""
+
+    #: false-fail probability of the whole test, Bonferroni over its checks:
+    #: 3 coordinate means and 6 covariance entries for each of 5 families
+    FALSE_FAIL = 1e-6
+    CHECKS = 5 * (3 + 6)
+
+    @staticmethod
+    def z_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Two-sample z-scores of the column means of ``a`` and ``b``."""
+        se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+        return (a.mean(axis=0) - b.mean(axis=0)) / se
+
+    @staticmethod
+    def centred_products(theta: np.ndarray) -> np.ndarray:
+        """``(n, 6)`` products of centred coordinates, one column per entry
+        ``(i, k)``, ``i <= k``, of the 3 by 3 covariance."""
+        c = theta - theta.mean(axis=0)
+        i, k = np.triu_indices(theta.shape[1])
+        return c[:, i] * c[:, k]
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_step_ten_estimators_share_mean_and_covariance(self, family):
+        dim, lam, steps, n = 3, 2.0, 9, 20_000
+        limit = NormalDist().inv_cdf(1 - self.FALSE_FAIL / self.CHECKS / 2)
+        assert 5.58 < limit < 5.60
+        history = np.random.default_rng(2024)
+        xs = random_unit_ball(history, dim, count=steps).reshape(steps, dim)
+        ys = history.standard_normal(steps)
+        spec = PerturbationSpec(family, 0.8)
+        phe = LinPHE(dim, lam, spec, list(range(n)))
+        replay = PerturbedHistoryReplay(dim, lam, spec, list(range(n, 2 * n)), steps + 1)
+        for policy in (phe, replay):
+            for x, y in zip(xs, ys):
+                policy.update(np.zeros(n, dtype=int), np.broadcast_to(x, (n, dim)), np.full(n, y))
+        a, b = phe.estimator(), replay.estimator()
+        np.testing.assert_array_equal(phe.ridge_estimate(), replay.ridge_estimate())
+        z = np.concatenate(
+            [self.z_scores(a, b), self.z_scores(self.centred_products(a), self.centred_products(b))]
+        )
+        assert np.abs(z).max() <= limit, z
 
 
 class TestLinUCB:
