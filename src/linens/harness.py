@@ -30,7 +30,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
-from .perturb import TAG_REPLICATION, StepDraws, gamma, mix_key, p_n
+from .perturb import TAG_REPLICATION, StepDraws, _fold_array, gamma, p_n, seed_prefixes
 from .policies import EnsembleSampling, PerturbedHistoryReplay, Sampler
 
 #: Most replications stepped together in one lockstep batch.
@@ -94,9 +94,10 @@ def _map_batches(fn, items: range, workers: int) -> list:
 
 
 def replication_seeds(cfg: ExperimentConfig, replications: range) -> list[int]:
-    """Seed ``mix_key(base_seed, TAG_REPLICATION, r)`` of each replication r:
-    its policy's seed, and the seed of its reward noise."""
-    return [mix_key(cfg.run.base_seed, TAG_REPLICATION, r) for r in replications]
+    """Seed ``mix_key(base_seed, TAG_REPLICATION, r)`` of each replication r,
+    as a Python int: its policy's seed, and the seed of its reward noise."""
+    prefix = seed_prefixes([cfg.run.base_seed], TAG_REPLICATION)
+    return _fold_array(prefix, np.array(replications, dtype=np.int64)).tolist()
 
 
 def interact(

@@ -300,10 +300,11 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
 
 
 def seed_prefixes(seeds, tag: int) -> np.ndarray:
-    """``(R,)`` prefixes ``mix_key(seed, tag)`` of R replications' seeds,
-    for drawing under ``tag`` with :func:`reward_draws`; the one place a
-    prefix is spelled."""
-    return np.array([mix_key(int(s), tag) for s in seeds], dtype=np.uint64)
+    """``(R,)`` prefixes ``mix_key(seed, tag)`` of R replications' seeds
+    (mod 2^64), for drawing under ``tag`` with :func:`reward_draws`; the one
+    place a prefix is spelled."""
+    h = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    return _fold_array(_mix(h), tag)
 
 
 def initial_draws(

@@ -85,6 +85,9 @@ class _RidgeBase:
     def __init__(self, dim: int, lam: float, batch: int = 1):
         self.gram = GramState(dim, lam, batch)
         self.reward_sum = np.zeros((self.batch, dim))
+        # the observed rows, (R, n, d) and (R, n), of a policy that replays
+        # its history: it sets them to 8-row buffers, which double when full
+        self._xs = self._ys = None
         # the model index of every selection of a policy without models
         self._no_model = np.broadcast_to(np.int64(-1), (self.batch,))
 
@@ -125,6 +128,13 @@ class _RidgeBase:
         return self._selection(matvec(arms, theta), theta)
 
     def _observe(self, x: np.ndarray, y) -> None:
+        if self._xs is not None:
+            n = self.step
+            if n == self._xs.shape[-2]:
+                self._xs = np.concatenate([self._xs, np.empty_like(self._xs)], axis=-2)
+                self._ys = np.concatenate([self._ys, np.empty_like(self._ys)], axis=-1)
+            self._xs[..., n, :] = x
+            self._ys[..., n] = y
         self.gram.update(x)
         self.reward_sum += np.asarray(y)[..., None] * x
 
@@ -259,12 +269,14 @@ class PerturbedHistoryReplay(EnsembleSampling):
     It keeps the history instead of the sums, and rebuilds a model's sum
     from its initial row and the ensemble's draws for it, so at step ``t``
     it acts on model ``t - 1``'s estimator, the ensemble's bit for bit.
+    The history is the buffer that :meth:`_RidgeBase._observe` records, so
+    it grows with the steps taken, not with ``m``.
     """
 
     def __init__(self, dim: int, lam: float, spec: PerturbationSpec, seeds: list[int], m: int):
         super().__init__(dim, lam, m, spec, seeds, sampler=Sampler.ROUND_ROBIN)
-        self._xs = np.empty((self.batch, self.n_models, dim))
-        self._ys = np.empty((self.batch, self.n_models))
+        self._xs = np.empty((self.batch, 8, dim))
+        self._ys = np.empty((self.batch, 8))
 
     @property
     def s_vectors(self) -> np.ndarray:
@@ -290,11 +302,8 @@ class PerturbedHistoryReplay(EnsembleSampling):
         s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         return self.gram.solve(np.ascontiguousarray(s))
 
-    def update(self, arm_index, x: np.ndarray, y) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        self._xs[..., self.step, :] = x
-        self._ys[..., self.step] = y
-        self._observe(x, y)
+    # _observe records the history; there are no perturbed sums to update
+    update = _RidgeBase.update
 
 
 class LinPHE(_RidgeBase):
@@ -317,7 +326,8 @@ class LinPHE(_RidgeBase):
     ``TAG_PHE`` prefix and the key ``t``, drawn for the batch in one call
     per block of steps (:class:`~linens.perturb.StepDraws`, whose block
     length is bounded by ``DRAW_VALUES`` values). The other families' sums
-    are not of their family, so they re-perturb the O(t) history with
+    are not of their family, so they re-perturb the O(t) history, which
+    :meth:`_RidgeBase._observe` records, with
     :func:`~linens.perturb.history_draws`, one call per step for the batch,
     whose first ``d`` values are that same ``xi``. Its estimator has the
     law of the m = T ensemble's lazy form, :class:`PerturbedHistoryReplay`.
@@ -329,17 +339,11 @@ class LinPHE(_RidgeBase):
         self._prefixes = seed_prefixes(seeds, TAG_PHE)
         # the history is kept only where it is re-perturbed: the gaussian
         # family draws the perturbation of the whole history in closed form
-        self._xs = self._ys = None
         if spec.family == PerturbationFamily.GAUSSIAN:
             self._xi = StepDraws(spec, self._prefixes, range(dim))
         else:
             self._xs = np.empty((self.batch, 8, dim))
             self._ys = np.empty((self.batch, 8))
-
-    def _grow(self) -> None:
-        if self.step == self._xs.shape[-2]:
-            self._xs = np.concatenate([self._xs, np.empty_like(self._xs)], axis=-2)
-            self._ys = np.concatenate([self._ys, np.empty_like(self._ys)], axis=-1)
 
     def estimator(self) -> np.ndarray:
         """The freshly perturbed estimator for step ``t = step + 1``."""
@@ -350,14 +354,6 @@ class LinPHE(_RidgeBase):
         w, z = history_draws(self.spec, self._prefixes, t, self.dim, n, self.lam)
         s = w + matvec(np.swapaxes(self._xs[..., :n, :], -1, -2), self._ys[..., :n] + z)
         return self.gram.solve(np.ascontiguousarray(s))
-
-    def update(self, arm_index, x: np.ndarray, y) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        if self._xs is not None:
-            self._grow()
-            self._xs[..., self.step, :] = x
-            self._ys[..., self.step] = y
-        self._observe(x, y)
 
 
 class LinUCB(_RidgeBase):

@@ -195,6 +195,21 @@ def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):
     assert seen == [replication_seeds(cfg, range(3))] * 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, -1, -(2**63)])
+def test_batched_seeds_follow_the_per_seed_mix_key_rule(seed):
+    # one hash pass over a batch gives each seed's mix_key, with seeds taken
+    # mod 2**64 (the desynchronized control's k + 1 can reach 2**64), and
+    # the replication seeds stay Python ints for keyed_generator
+    seeds = [seed, seed + 1, 7]
+    assert seed_prefixes(seeds, TAG_NOISE).tolist() == [mix_key(s, TAG_NOISE) for s in seeds]
+    cfg = make_cfg()
+    cfg.run.base_seed = seed
+    for reps in (range(3), range(256, 260)):
+        got = replication_seeds(cfg, reps)
+        assert got == [mix_key(seed, TAG_REPLICATION, r) for r in reps]
+        assert all(type(k) is int for k in got)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_keyed_generator_builds_only_the_random_instances(monkeypatch, case):
     # Philox draws the random environment, once per instance, and nothing

@@ -470,8 +470,10 @@ class TestLazyEnsemble:
     def test_every_model_is_the_eager_ensembles_bit_for_bit(self, family, seeds, dim):
         # every model j < m at every step, not only the model t - 1 that a
         # step reads; the replay acts on the same model as the ensemble. At
-        # d = 1 the rows are contiguous, where np.sum would pair them
-        horizon, batch = 12, len(seeds)
+        # d = 1 the rows are contiguous, where np.sum would pair them. The
+        # history buffer doubles at the 9th and the 17th update, and the
+        # steps after each read across it
+        horizon, batch = 18, len(seeds)
         spec = PerturbationSpec(family, 0.9)
         eager = EnsembleSampling(dim, 1.5, horizon, spec, seeds, sampler=Sampler.ROUND_ROBIN)
         lazy = PerturbedHistoryReplay(dim, 1.5, spec, seeds, horizon)
@@ -534,6 +536,16 @@ class TestLazyEnsemble:
         assert monitor.checks == 8
         assert monitor.min_ensemble_fraction is None
         assert "min_ensemble_fraction" not in monitor.counters()
+
+    def test_the_replay_history_grows_with_the_steps_not_with_m(self, rng):
+        # only the initial rows are O(m); the history doubles from 8 rows
+        replay = PerturbedHistoryReplay(3, 1.0, PerturbationSpec(), [4, 9], 100_000)
+        assert replay._xs.shape == (2, 8, 3) and replay._ys.shape == (2, 8)
+        arms = random_unit_ball(rng, 3, count=5)
+        for _ in range(17):
+            sel = replay.select(arms)
+            replay.update(sel.arm_index, arms[sel.arm_index], rng.standard_normal(2))
+        assert replay._xs.shape == (2, 32, 3) and replay._ys.shape == (2, 32)
 
     def test_the_replay_reads_one_model_for_the_whole_batch(self):
         replay = PerturbedHistoryReplay(2, 1.0, PerturbationSpec(), [1, 2, 3], 4)
