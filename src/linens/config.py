@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .envs import LinearBanditEnv, NoiseFamily, NoiseModel
-from .perturb import TAG_ENV, ConfidenceParams, PerturbationFamily, PerturbationSpec, beta
-from .perturb import ensemble_size, keyed_generator
+from .perturb import ConfidenceParams, PerturbationFamily, PerturbationSpec, beta, ensemble_size
 from .policies import EnsembleSampling, GreedyRidge, Keying, LinPHE, LinTS, LinUCB, Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
@@ -263,18 +262,19 @@ class ExperimentConfig:
             return PerturbationSpec(p.family, beta(params, params.horizon))
         return PerturbationSpec(p.family, p.scale)
 
-    def environment(self, seed: int | None = None) -> LinearBanditEnv:
+    def environment(self, seeds=None) -> LinearBanditEnv:
         """The instance a run plays, and the only place one is built: the
-        explicit ``env.arms`` and ``env.theta_star``, or a random instance
-        drawn by the Philox generator ``keyed_generator(seed, TAG_ENV)``,
-        where ``seed`` defaults to ``run.base_seed`` (``equivalence`` passes
-        each seed's replication seed, to give each seed its own instance)."""
+        explicit ``env.arms`` and ``env.theta_star``, or random instances
+        (:meth:`LinearBanditEnv.random`). Without ``seeds`` that is the one
+        instance of ``run.base_seed`` that every replication shares; with a
+        sequence of R seeds it is R stacked ones, one per seed, which
+        ``equivalence`` asks for with each batch's replication seeds."""
         e = self.env
         noise = NoiseModel(e.noise_family, e.sigma)
         if e.arm_mode == "explicit":
             return LinearBanditEnv(e.arms, e.theta_star, noise, e.s_bound)
-        rng = keyed_generator(self.run.base_seed if seed is None else seed, TAG_ENV)
-        return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, rng)
+        seeds = self.run.base_seed if seeds is None else seeds
+        return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, seeds)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,9 +4,9 @@ The environment holds the hidden parameter and generates noisy linear
 rewards; policies never see the hidden parameter. Regret is scored
 against the true optimal arm.
 
-One instance can serve every replication of a lockstep batch, or
-:meth:`LinearBanditEnv.stack` can give each replication its own: the
-arrays then carry a leading batch axis, ``(R, K, d)`` arms and so on.
+One instance can serve every replication of a lockstep batch, or each
+replication can have its own: the arrays then carry a leading batch axis,
+``(R, K, d)`` arms and so on.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NORM_SLACK, matvec, pick
-from .perturb import TAG_NOISE, PerturbationSpec, StepDraws, reward_draws, seed_prefixes
+from .perturb import TAG_ENV, TAG_NOISE, PerturbationSpec, StepDraws, UnitUniform
+from .perturb import reward_draws, seed_prefixes
 
 
 class NoiseFamily:
@@ -112,16 +113,6 @@ class LinearBanditEnv:
         self.optimal_arm_index = np.argmax(self._means, axis=-1)
         self.optimal_value = pick(self._means, self.optimal_arm_index, 1)
 
-    @classmethod
-    def stack(cls, envs: list["LinearBanditEnv"]) -> "LinearBanditEnv":
-        """One instance per replication of a batch, in the order given."""
-        return cls(
-            np.stack([e.arms for e in envs]),
-            np.stack([e.theta_star for e in envs]),
-            envs[0].noise,
-            envs[0].param_bound,
-        )
-
     def pull(self, arm_index):
         """The arm vectors at ``arm_index`` and their mean rewards, one per
         replication, behind one index check."""
@@ -147,17 +138,32 @@ class LinearBanditEnv:
         arm_count: int,
         noise: NoiseModel,
         param_bound: float,
-        rng: np.random.Generator,
+        seeds,
     ) -> "LinearBanditEnv":
-        """Seeded random instance: unit-ball arms and a hidden parameter
-        rescaled to ``param_bound * u`` with ``u ~ Unif[0.5, 1]``."""
-        directions = rng.standard_normal((arm_count, dim))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = rng.uniform(0.0, 1.0, size=arm_count) ** (1.0 / dim)
-        arms = directions * radii[:, None]
-        theta_dir = rng.standard_normal(dim)
-        theta_dir /= np.linalg.norm(theta_dir)
-        theta_star = theta_dir * param_bound * rng.uniform(0.5, 1.0)
+        """Random instances, each a pure function of its seed: one
+        ``(K, d)`` instance for an integer seed, or ``(R, K, d)`` stacked
+        ones for a sequence of R seeds.
+
+        Arms are uniform in the unit ball: a gaussian direction times a
+        radius ``u ** (1 / d)``. The hidden parameter is a gaussian
+        direction of norm ``param_bound * (0.5 + 0.5 u)``. Each seed's
+        values are one :func:`~linens.perturb.reward_draws` batch under
+        its ``TAG_ENV`` prefix: models ``0 .. (K + 1) d - 1`` are the
+        directions' standard gaussian coordinates, arms first, and the next
+        K + 1 models are the uniforms ``u`` of :class:`UnitUniform`, radii
+        first.
+        """
+        one = np.ndim(seeds) == 0
+        prefixes = seed_prefixes([seeds] if one else seeds, TAG_ENV)
+        coords = (arm_count + 1) * dim
+        z = reward_draws(PerturbationSpec(), prefixes, range(coords))
+        u = reward_draws(UnitUniform(), prefixes, range(coords, coords + arm_count + 1))
+        directions = z.reshape(-1, arm_count + 1, dim)
+        directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+        arms = directions[:, :-1] * u[:, :-1, None] ** (1.0 / dim)
+        theta_star = directions[:, -1] * (param_bound * (0.5 + 0.5 * u[:, -1:]))
+        if one:
+            arms, theta_star = arms[0], theta_star[0]
         return cls(arms, theta_star, noise, param_bound)
 
 

@@ -390,7 +390,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     policies, as ``run`` keys a replication."""
     horizon = cfg.run.horizon
     keys = replication_seeds(cfg, seeds)
-    env = LinearBanditEnv.stack([cfg.environment(k) for k in keys])
+    env = cfg.environment(keys)
     spec = cfg.perturbation_spec()
     es = EnsembleSampling(
         env.dim, cfg.policy.lam, horizon, spec, keys, sampler=Sampler.ROUND_ROBIN

@@ -7,14 +7,14 @@ function of ``(base_seed, structured key)``. Purity makes draws
 replayable and order-independent, which the round-robin-ensemble /
 perturbed-history equivalence test relies on.
 
-Every per-step value (the initial matrices, the reward perturbations,
-perturbed-history exploration's and Thompson sampling's draws, the reward
-noise and uniform model choice) comes from :func:`reward_draws`, a
-splitmix64 counter hash in numpy ``uint64`` that draws a whole batch of
-replications in one call. Draws keyed by step are made one call per block
-of steps (:class:`StepDraws`), with the block length bounded by
-``DRAW_VALUES`` values. Only the random environment is drawn by a keyed
-Philox generator (:func:`keyed_generator`), once per instance.
+Every random value (the random instances, the initial matrices, the
+reward perturbations, perturbed-history exploration's and Thompson
+sampling's draws, the reward noise and uniform model choice) comes from
+:func:`reward_draws`, a splitmix64 counter hash in numpy ``uint64`` that
+draws a whole batch of replications in one call. Draws keyed by step are
+made one call per block of steps (:class:`StepDraws`), with the block
+length bounded by ``DRAW_VALUES`` values. No draw uses ``numpy.random``;
+:func:`keyed_generator` is kept only as a public helper.
 """
 
 from __future__ import annotations
@@ -56,11 +56,13 @@ def mix_key(base_seed: int, *parts: int) -> int:
 
 
 def keyed_generator(base_seed: int, *parts: int) -> np.random.Generator:
-    """Counter-based generator that is a pure function of its key; it
-    builds the random environment, and nothing else draws from Philox.
+    """Counter-based Philox generator that is a pure function of its key.
 
-    The key parts are folded into a 128-bit Philox key via splitmix64, so
-    identical keys reproduce identical streams across runs and processes.
+    No linens draw uses it: every random value is a :func:`reward_draws`
+    hash. It stays a public helper because the benchmark under
+    ``perfbench/`` traces it by name. The key parts are folded into a
+    128-bit Philox key via splitmix64, so identical keys reproduce
+    identical streams across runs and processes.
     """
     h = mix_key(base_seed, *parts)
     key = np.array([h, _splitmix64(h)], dtype=np.uint64)
@@ -220,19 +222,30 @@ class PerturbationSpec:
         return reward_draws(self, seed_prefixes([seed], TAG_INIT), range(count)).reshape(size)
 
 
+class UnitUniform:
+    """The 53-bit unit uniform ``u`` in the top bits of one word, on
+    [0, 1) in steps of ``2**-53``, as a law of :func:`reward_draws`."""
+
+    words = 1
+
+    @staticmethod
+    def values(w: np.ndarray) -> np.ndarray:
+        return (w[..., 0] >> 11) * _UNIT
+
+
 @dataclass(frozen=True)
 class ModelChoice:
     """Uniform choice of one of ``n_models`` models, as a law of
     :func:`reward_draws`: ``floor(u * n_models)`` of the 53-bit uniform
-    ``u`` in the top bits of one word, capped at ``n_models - 1`` so that
-    no rounding of the product can reach ``n_models``. Its bias is at most
+    ``u`` of :class:`UnitUniform`, capped at ``n_models - 1`` so that no
+    rounding of the product can reach ``n_models``. Its bias is at most
     ``n_models / 2**53``."""
 
     n_models: int
     words = 1
 
     def values(self, w: np.ndarray) -> np.ndarray:
-        u = (w[..., 0] >> 11) * _UNIT
+        u = UnitUniform.values(w)
         return np.minimum((u * self.n_models).astype(np.int64), self.n_models - 1)
 
 
@@ -274,17 +287,19 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     """Values of ``models`` under one key per replication.
 
     ``spec`` is the law the hash words map onto: a
-    :class:`PerturbationSpec` (:meth:`PerturbationSpec.values`) or a
-    :class:`ModelChoice`. ``prefixes`` holds each replication's
-    :func:`seed_prefixes` under a tag, and the tag says what a "model" is:
-    ``TAG_REWARD``, keyed by step or ``(arm, count)``, for reward
-    perturbations, where model j is ensemble member j; ``TAG_INIT``, with
-    no key, for initial matrices, where model ``j*dim + c`` is coordinate c
-    of member j (:func:`initial_draws`); ``TAG_PHE``, keyed by step, for a
-    perturbed-history step, where models ``0..dim-1`` are the prior's
-    coordinates and model ``dim + i`` is history row i
+    :class:`PerturbationSpec` (:meth:`PerturbationSpec.values`), a
+    :class:`ModelChoice` or a :class:`UnitUniform`. ``prefixes`` holds each
+    replication's :func:`seed_prefixes` under a tag, and the tag says what
+    a "model" is: ``TAG_REWARD``, keyed by step or ``(arm, count)``, for
+    reward perturbations, where model j is ensemble member j; ``TAG_INIT``,
+    with no key, for initial matrices, where model ``j*dim + c`` is
+    coordinate c of member j (:func:`initial_draws`); ``TAG_PHE``, keyed by
+    step, for a perturbed-history step, where models ``0..dim-1`` are the
+    prior's coordinates and model ``dim + i`` is history row i
     (:func:`history_draws`); ``TAG_NOISE`` and ``TAG_MODEL``, keyed by
-    step, for the reward noise and uniform model choice, one model each.
+    step, for the reward noise and uniform model choice, one model each;
+    ``TAG_ENV``, with no key, for a random instance's coordinates and
+    uniforms (:meth:`~linens.envs.LinearBanditEnv.random`).
     Each key part is an integer or an integer array, and all of them
     broadcast together. The key is folded into the prefix with
     :func:`mix_key`'s rule, then model j reads counters ``2j`` and

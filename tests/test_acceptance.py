@@ -295,8 +295,7 @@ def test_criterion_08_perturbation_concentration_rate():
 def test_criterion_09_zero_perturbation_zero_noise_collapse():
     """All policies reproduce the greedy arm sequence exactly on 20 seeds."""
     for seed in range(20):
-        rng = np.random.default_rng(1000 + seed)
-        env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, rng)
+        env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, 1000 + seed)
         policies = {
             "greedy": GreedyRidge(2, 1.0),
             "ensemble": EnsembleSampling(2, 1.0, 3, ZERO_SPEC, [seed]),

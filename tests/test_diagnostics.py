@@ -149,11 +149,11 @@ class TestOptimismGeometry:
         assert not check_optimism_sufficiency(u, np.array([0.5, 0.0]), 1.0, 0.5)
         assert not check_optimism_sufficiency(u, np.array([2.0, 0.0]), 1.0, 1.5)
 
-    def test_sufficiency_implies_realized_optimism(self, rng):
+    def test_sufficiency_implies_realized_optimism(self):
         # grid search over perturbations on a live state: whenever the check
         # passes, the perturbed estimator over-estimates the optimal value
         lam = 1.0
-        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.5), 1.0, rng)
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.5), 1.0, 12345)
         gram = GramState(2, lam)
         hist = env.arms[[0, 1]]
         ys = np.array([0.3, -0.2])
@@ -210,8 +210,8 @@ class TestStepMonitor:
         policy = GreedyRidge(env.dim, params.lam)
         return monitor, run_steps(monitor, policy, env, horizon, noise_seed)
 
-    def test_noiseless_greedy_always_concentrated(self, rng):
-        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.0), 1.0, rng)
+    def test_noiseless_greedy_always_concentrated(self):
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.0), 1.0, 12345)
         params = make_params(sigma=0.0, horizon=50)
         monitor, diag = self.run_greedy(env, params, 50, 0)
         assert monitor.all_concentrated.tolist() == [True]
@@ -221,9 +221,9 @@ class TestStepMonitor:
         assert diag["concentration_ok"].shape == (50, 1)
         assert diag["concentration_ok"].all()
 
-    def test_checks_is_counted_state_not_an_option(self, rng):
+    def test_checks_is_counted_state_not_an_option(self):
         # flush counts the evaluated steps; no caller may start the count
-        env = LinearBanditEnv.random(2, 3, NoiseModel(sigma=0.0), 1.0, rng)
+        env = LinearBanditEnv.random(2, 3, NoiseModel(sigma=0.0), 1.0, 12345)
         with pytest.raises(TypeError, match="checks"):
             StepMonitor(env, make_params(), checks=5)
         assert StepMonitor(env, make_params()).checks == 0
@@ -236,9 +236,9 @@ class TestStepMonitor:
         assert monitor.elliptical_sum[0] == pytest.approx(11.0 / 6.0, abs=1e-12)
         assert monitor.elliptical_ok()[0]
 
-    def test_elliptical_bound_holds_on_random_runs(self, rng):
+    def test_elliptical_bound_holds_on_random_runs(self):
         for noise_seed in range(5):
-            env = LinearBanditEnv.random(3, 8, NoiseModel(sigma=1.0), 1.0, rng)
+            env = LinearBanditEnv.random(3, 8, NoiseModel(sigma=1.0), 1.0, noise_seed)
             params = make_params(dim=3, horizon=200)
             monitor, _ = self.run_greedy(env, params, 200, noise_seed)
             assert monitor.checks == 200
@@ -250,8 +250,8 @@ class TestStepMonitor:
         monitor = StepMonitor(env, make_params())
         assert monitor.all_concentrated.tolist() == [True]
 
-    def test_ensemble_fraction_tracked_and_cross_checked(self, rng):
-        env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, rng)
+    def test_ensemble_fraction_tracked_and_cross_checked(self):
+        env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, 12345)
         params = make_params(horizon=20)
         spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, beta(params, 20))
         policy = EnsembleSampling(2, 1.0, 16, spec, [4])
@@ -342,8 +342,8 @@ class TestStepMonitor:
         ):
             self.flush_a_bogus_row_1(range(256, 259))
 
-    def test_diag_counters_are_consistent(self, rng):
-        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
+    def test_diag_counters_are_consistent(self):
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
         params = make_params(horizon=100)
         monitor, diag = self.run_greedy(env, params, 100, 0)
         assert monitor.checks == 100
@@ -352,8 +352,8 @@ class TestStepMonitor:
         assert monitor.concentration_failures.tolist() == [(~diag["concentration_ok"]).sum()]
         assert monitor.elliptical_sum.tolist() == diag["elliptical_sum"][-1].tolist()
 
-    def test_steps_are_recorded_in_order(self, rng):
-        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
+    def test_steps_are_recorded_in_order(self):
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
         monitor = StepMonitor(env, make_params())
         policy = GreedyRidge(2, 1.0)
         sel = policy.select(env.arms)
@@ -362,8 +362,8 @@ class TestStepMonitor:
         with pytest.raises(ValueError, match="expected step 2, got 1"):
             monitor.observe(policy, sel, x)
 
-    def test_summaries_refuse_unevaluated_steps(self, rng):
-        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, rng)
+    def test_summaries_refuse_unevaluated_steps(self):
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
         monitor = StepMonitor(env, make_params())
         policy = GreedyRidge(2, 1.0)
         sel = policy.select(env.arms)
@@ -440,8 +440,7 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
     dim, n_models = 4, 24
     block = block_length(batch, dim, n_models if track else None)
     horizon = HORIZONS[horizon_name](block)
-    rng = np.random.default_rng(horizon)
-    env = LinearBanditEnv.random(dim, 7, NoiseModel(sigma=0.5), 1.0, rng)
+    env = LinearBanditEnv.random(dim, 7, NoiseModel(sigma=0.5), 1.0, horizon)
     # the monitor's sigma is below the noise's, so the ridge concentration
     # event fails on some steps and holds on others
     params = make_params(dim=dim, sigma=0.05, horizon=horizon, delta=0.2)
@@ -496,13 +495,13 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
             assert np.ptp(oracle.fractions) > 0
 
 
-def test_block_buffers_stay_within_the_draw_budget(rng):
+def test_block_buffers_stay_within_the_draw_budget():
     # R = 256, d = 8: the Gram snapshots, R * d * d values a step, fill the
     # budget in one step. Under full-trace with m = 64 one step's ensemble
     # estimators, R * m * d = 131072 values, pass it on their own (the policy
     # builds as many each step), so no buffer holds more than one step
     batch, dim, n_models = 256, 8, 64
-    env = LinearBanditEnv.random(dim, 10, NoiseModel(sigma=0.5), 1.0, rng)
+    env = LinearBanditEnv.random(dim, 10, NoiseModel(sigma=0.5), 1.0, 12345)
     spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
     seeds = list(range(batch))
     policy = EnsembleSampling(dim, 1.0, n_models, spec, seeds)
@@ -518,7 +517,7 @@ def test_block_buffers_stay_within_the_draw_budget(rng):
             assert buf.size <= max(DRAW_VALUES, batch * n_models * dim), name
     # rates-c4's shape (R = 200, d = 3, m = 4) holds several steps a block,
     # each buffer within the budget
-    env = LinearBanditEnv.random(3, 6, NoiseModel(sigma=1.0), 1.0, rng)
+    env = LinearBanditEnv.random(3, 6, NoiseModel(sigma=1.0), 1.0, 12346)
     policy = EnsembleSampling(3, 1.0, 4, spec, seeds[:200])
     monitor = StepMonitor(env, make_params(dim=3), replications=range(200))
     sel = policy.select(env.arms)

@@ -4,9 +4,9 @@ it runs in, nor on the number of worker processes."""
 import numpy as np
 import pytest
 
-from linens import config, harness
+from linens import harness
 from linens.config import ExperimentConfig
-from linens.envs import NoiseModel
+from linens.envs import LinearBanditEnv, NoiseModel
 from linens.harness import (
     BATCH_SIZE,
     batches,
@@ -20,11 +20,9 @@ from linens.harness import (
 )
 from linens.linalg import REINVERT_PERIOD
 from linens.perturb import (
-    TAG_ENV,
     TAG_NOISE,
     TAG_REPLICATION,
     PerturbationFamily,
-    keyed_generator,
     mix_key,
     reward_draws,
     seed_prefixes,
@@ -199,7 +197,7 @@ def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):
 def test_batched_seeds_follow_the_per_seed_mix_key_rule(seed):
     # one hash pass over a batch gives each seed's mix_key, with seeds taken
     # mod 2**64 (the desynchronized control's k + 1 can reach 2**64), and
-    # the replication seeds stay Python ints for keyed_generator
+    # the replication seeds stay Python ints
     seeds = [seed, seed + 1, 7]
     assert seed_prefixes(seeds, TAG_NOISE).tolist() == [mix_key(s, TAG_NOISE) for s in seeds]
     cfg = make_cfg()
@@ -211,29 +209,61 @@ def test_batched_seeds_follow_the_per_seed_mix_key_rule(seed):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_keyed_generator_builds_only_the_random_instances(monkeypatch, case):
-    # Philox draws the random environment, once per instance, and nothing
-    # per step: every other draw is the counter hash
-    keys, philox = [], []
+def test_no_draw_builds_a_philox_generator(monkeypatch, case):
+    # every random value is the counter hash, the random instances too,
+    # which are drawn once per batch: the base seed's shared one for a run,
+    # and one per seed for the equivalence suite
+    instances, philox = [], []
+    random = LinearBanditEnv.random.__func__
     real_philox = np.random.Philox
 
-    def spy(*key):
-        keys.append(key)
-        return keyed_generator(*key)
+    def spy(cls, *args):
+        instances.append(args[-1])
+        return random(cls, *args)
 
     def counted_philox(*args, **kwargs):
         philox.append(args)
         return real_philox(*args, **kwargs)
 
-    # more steps than one block of keyed draws holds; validating the config
-    # builds its instance too, so it is built before the spies go in
+    # more steps than one block of keyed draws holds
     cfg = make_cfg(**{**CASES[case], "run__horizon": 70, "policy__m": 70})
-    monkeypatch.setattr(config, "keyed_generator", spy)
+    monkeypatch.setattr(LinearBanditEnv, "random", classmethod(spy))
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     run_batch(cfg, range(3))
-    assert keys == [(cfg.run.base_seed, TAG_ENV)]
-    keys.clear()
+    assert instances == [cfg.run.base_seed]
+    instances.clear()
     cfg.run.replications = 4
     run_equivalence_suite(cfg)
-    assert keys == [(k, TAG_ENV) for k in replication_seeds(cfg, range(4))]
-    assert len(philox) == 5
+    assert instances == [replication_seeds(cfg, range(4))]
+    assert philox == []
+
+
+def test_each_seeds_instance_is_the_same_in_any_batch(monkeypatch):
+    cfg = make_cfg()
+    seeds = replication_seeds(cfg, range(6))
+    stacked = cfg.environment(seeds)
+    assert stacked.arms.shape == (6, 5, 3)
+    for i, seed in enumerate(seeds):
+        alone = cfg.environment([seed])
+        assert bits(alone.arms[0]) == bits(stacked.arms[i])
+        assert bits(alone.theta_star[0]) == bits(stacked.theta_star[i])
+    shared, own = cfg.environment(), cfg.environment([cfg.run.base_seed])
+    assert bits(shared.arms) == bits(own.arms[0])
+    assert bits(shared.theta_star) == bits(own.theta_star[0])
+    # the equivalence suite's blocks draw the rows of the whole batch
+    built = []
+    environment = ExperimentConfig.environment
+
+    def spy(self, seeds=None):
+        built.append(environment(self, seeds))
+        return built[-1]
+
+    monkeypatch.setattr(ExperimentConfig, "environment", spy)
+    whole = harness._equivalence_batch(cfg, False, range(6))
+    blocks = [harness._equivalence_batch(cfg, False, r) for r in (range(1), range(1, 6))]
+    assert len(built) == 3
+    for name in ("arms", "theta_star"):
+        rows = np.concatenate([getattr(env, name) for env in built[1:]])
+        assert bits(rows) == bits(getattr(built[0], name)) == bits(getattr(stacked, name))
+    for k in range(2):
+        assert bits(np.concatenate([b[k] for b in blocks])) == bits(whole[k])

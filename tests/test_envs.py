@@ -7,6 +7,7 @@ import pytest
 from linens.envs import LinearBanditEnv, NoiseFamily, NoiseModel, RegretLedger
 from linens.linalg import matvec
 from linens.perturb import (
+    TAG_ENV,
     TAG_NOISE,
     PerturbationSpec,
     _splitmix64,
@@ -125,12 +126,12 @@ class TestPull:
     that serves every replication and against one set per replication."""
 
     @staticmethod
-    def batch_env(rng, stacked):
-        envs = [LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, rng) for _ in range(4)]
-        return LinearBanditEnv.stack(envs) if stacked else envs[0]
+    def batch_env(stacked):
+        seeds = [21, 22, 23, 24]
+        return LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, seeds if stacked else seeds[0])
 
-    def test_rejects_an_out_of_range_index_in_a_batch(self, rng, stacked):
-        env = self.batch_env(rng, stacked)
+    def test_rejects_an_out_of_range_index_in_a_batch(self, stacked):
+        env = self.batch_env(stacked)
         for bad in (-1, env.arm_count):
             index = np.array([0, bad, 2, 1])
             message = f"arm index {index} out of range [0, {env.arm_count})"
@@ -138,7 +139,7 @@ class TestPull:
                 env.pull(index)
 
     def test_gathers_each_replications_arm_and_mean_reward(self, rng, stacked):
-        env = self.batch_env(rng, stacked)
+        env = self.batch_env(stacked)
         index = rng.integers(0, env.arm_count, size=4)
         x, mean = env.pull(index)
         # the gather of the arms and of their means, each a product of the
@@ -233,18 +234,133 @@ class TestNoiseDraws:
 
 
 class TestRandomInstances:
-    def test_arms_in_unit_ball_and_theta_in_band(self, rng):
-        env = LinearBanditEnv.random(4, 30, NoiseModel(), 2.0, rng)
-        assert env.arms.shape == (30, 4)
-        assert np.all(np.linalg.norm(env.arms, axis=1) <= 1.0 + 1e-12)
-        n = np.linalg.norm(env.theta_star)
-        assert 1.0 - 1e-12 <= n <= 2.0 + 1e-12
+    def test_arms_in_unit_ball_and_theta_in_band(self):
+        env = LinearBanditEnv.random(4, 30, NoiseModel(), 2.0, range(200))
+        assert env.arms.shape == (200, 30, 4) and env.theta_star.shape == (200, 4)
+        assert np.all(np.linalg.norm(env.arms, axis=-1) <= 1.0 + 1e-12)
+        n = np.linalg.norm(env.theta_star, axis=-1)
+        assert np.all((1.0 - 1e-12 <= n) & (n <= 2.0 + 1e-12))
 
     def test_seeded_reproducibility(self):
-        a = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, np.random.default_rng(0))
-        b = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(a.arms, b.arms)
-        np.testing.assert_array_equal(a.theta_star, b.theta_star)
+        a = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, 0)
+        b = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, 0)
+        assert a.arms.tobytes() == b.arms.tobytes()
+        assert a.theta_star.tobytes() == b.theta_star.tobytes()
+        c = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, 1)
+        assert not np.array_equal(a.arms, c.arms)
+
+    @pytest.mark.parametrize("seeds", [[5], [0, 5, 2**64 - 1, -1], list(range(9, 1, -1))])
+    def test_each_instance_is_a_pure_function_of_its_seed(self, seeds):
+        # an integer seed gives its row of any batch, bit for bit, whatever
+        # the batch's size, order and other seeds
+        batch = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, seeds)
+        assert batch.arms.shape == (len(seeds), 5, 3)
+        for i, seed in enumerate(seeds):
+            one = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, seed)
+            assert one.arms.shape == (5, 3)
+            assert one.arms.tobytes() == batch.arms[i].tobytes()
+            assert one.theta_star.tobytes() == batch.theta_star[i].tobytes()
+            assert one.optimal_arm_index == batch.optimal_arm_index[i]
+
+    def test_layout_matches_a_plain_python_oracle(self):
+        # model j reads splitmix64 outputs 2j and 2j + 1 after the seed's
+        # TAG_ENV prefix: (K + 1) d gaussian coordinates by Box-Muller, arms
+        # first, then K + 1 top-53-bit uniforms, radii first
+        dim, arm_count, seed, bound = 3, 4, 29, 1.5
+        h = mix_key(seed, TAG_ENV)
+
+        def word(counter):
+            return _splitmix64((h + counter * 0x9E3779B97F4A7C15) & (2**64 - 1))
+
+        def gaussian(j):
+            radius = math.sqrt(-2.0 * math.log(((word(2 * j) >> 11) + 1) * 2.0**-53))
+            return radius * math.cos((word(2 * j + 1) >> 11) * 2.0**-53 * 2.0 * math.pi)
+
+        coords = (arm_count + 1) * dim
+        u = [(word(2 * (coords + i)) >> 11) * 2.0**-53 for i in range(arm_count + 1)]
+        z = np.array([gaussian(j) for j in range(coords)]).reshape(arm_count + 1, dim)
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        env = LinearBanditEnv.random(dim, arm_count, NoiseModel(), bound, seed)
+        want = z[:-1] * np.array(u[:-1])[:, None] ** (1.0 / dim)
+        np.testing.assert_allclose(env.arms, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            env.theta_star, z[-1] * bound * (0.5 + 0.5 * u[-1]), rtol=1e-13, atol=0
+        )
+
+    def test_seeds_are_taken_mod_2_to_the_64(self):
+        a = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, [5, 2**64 - 1])
+        b = LinearBanditEnv.random(3, 5, NoiseModel(), 1.0, [2**64 + 5, -1])
+        assert a.arms.tobytes() == b.arms.tobytes()
+        assert a.theta_star.tobytes() == b.theta_star.tobytes()
+
+
+def ks_uniform_pvalue(sample: np.ndarray) -> float:
+    """P-value of the one-sample Kolmogorov-Smirnov test of ``sample``
+    against U(0, 1): Kolmogorov's limiting law ``2 sum (-1)^(k-1)
+    exp(-2 k^2 t^2)`` at Stephens' (1970) finite-n statistic
+    ``t = (sqrt(n) + 0.12 + 0.11 / sqrt(n)) D``."""
+    x = np.sort(sample)
+    n = len(x)
+    rank = np.arange(1, n + 1)
+    d = max(np.max(rank / n - x), np.max(x - (rank - 1) / n))
+    t = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    tail = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * t * t) for k in range(1, 101))
+    return min(1.0, max(0.0, tail))
+
+
+def mean_direction_pvalue(directions: np.ndarray) -> float:
+    """P-value of Rayleigh's test that ``(n, 4)`` unit vectors are uniform
+    on the sphere: ``4 n ||mean||^2`` is chi-square with 4 degrees of
+    freedom in the limit, whose upper tail at x is ``exp(-x/2) (1 + x/2)``."""
+    n, dim = directions.shape
+    assert dim == 4
+    x = dim * n * float(np.sum(directions.mean(axis=0) ** 2))
+    return math.exp(-x / 2.0) * (1.0 + x / 2.0)
+
+
+class TestRandomInstanceLaw:
+    """The instances of 2,000 fixed seeds at criterion 1's shape, d = 4 and
+    K = 8, have the stated law: arms uniform in the unit ball, so
+    ``radius ** d`` ~ U(0, 1) and each direction uniform on the sphere, and
+    ``||theta*|| / S`` ~ U(1/2, 1) along a uniform direction."""
+
+    DIM, ARMS, SEEDS, S = 4, 8, range(2000), 2.5
+
+    #: false-fail probability of the whole class, Bonferroni over its four
+    #: checks: two Kolmogorov-Smirnov tests and two mean directions
+    FALSE_FAIL = 1e-6
+    CHECKS = 4
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        return LinearBanditEnv.random(self.DIM, self.ARMS, NoiseModel(), self.S, self.SEEDS)
+
+    def test_arm_radii_make_the_arms_uniform_in_the_ball(self, env):
+        radii = np.linalg.norm(env.arms, axis=-1).ravel()
+        assert len(radii) == 16_000
+        assert ks_uniform_pvalue(radii**self.DIM) >= self.FALSE_FAIL / self.CHECKS
+
+    def test_theta_norms_are_uniform_between_half_s_and_s(self, env):
+        norms = np.linalg.norm(env.theta_star, axis=-1) / self.S
+        assert np.all((0.5 <= norms) & (norms < 1.0 + 1e-12))
+        assert ks_uniform_pvalue(2.0 * norms - 1.0) >= self.FALSE_FAIL / self.CHECKS
+
+    def test_directions_have_no_mean(self, env):
+        arms = env.arms.reshape(-1, self.DIM)
+        theta = env.theta_star
+        for v in (arms, theta):
+            directions = v / np.linalg.norm(v, axis=-1, keepdims=True)
+            assert mean_direction_pvalue(directions) >= self.FALSE_FAIL / self.CHECKS
+
+    def test_the_tests_reject_the_wrong_laws(self, env):
+        # not vacuous: a radius u in place of u ** (1 / d), a norm S u in
+        # place of S (1 + u) / 2, and directions all in one orthant fail
+        radii = np.linalg.norm(env.arms, axis=-1).ravel()
+        assert ks_uniform_pvalue(radii) < 1e-12
+        norms = np.linalg.norm(env.theta_star, axis=-1) / self.S
+        assert ks_uniform_pvalue(norms) < 1e-12
+        arms = np.abs(env.arms.reshape(-1, self.DIM))
+        assert mean_direction_pvalue(arms / np.linalg.norm(arms, axis=-1, keepdims=True)) < 1e-12
 
 
 class TestRegretLedger:
@@ -269,8 +385,8 @@ class TestRegretLedger:
             prev = ledger.cumulative[0]
         assert ledger.cumulative[0] == pytest.approx(sum(gaps))
 
-    def test_gaps_are_non_negative(self, rng):
-        env = LinearBanditEnv.random(3, 12, NoiseModel(), 1.0, rng)
+    def test_gaps_are_non_negative(self):
+        env = LinearBanditEnv.random(3, 12, NoiseModel(), 1.0, 12345)
         ledger = RegretLedger(env)
         for k in range(12):
             assert ledger.record(mean_reward(env, k))[0] >= 0.0

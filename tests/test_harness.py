@@ -201,6 +201,15 @@ ONE_EXPLICIT_ARM = {
 }
 
 
+#: ``small_cfg`` settings of ``configs/explicit.ini``'s instance, whose four
+#: arms span the plane.
+SPANNING_ARMS = {
+    "env__arm_mode": "explicit",
+    "env__arms": [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6], [-0.5, 0.5]],
+    "env__theta_star": [0.9, 0.3],
+}
+
+
 def run_one(cfg: ExperimentConfig, replication: int):
     """One replication, run as a batch of one: every array has one row."""
     return run_batch(cfg, range(replication, replication + 1))
@@ -466,7 +475,10 @@ workers = 2
         # neither. The monitors read delta in their concentration radius;
         # at sigma = 3 a ridge estimate leaves the delta = 1 radius on a
         # step where it stays inside the delta = 0.1 one, so a monitored
-        # greedy run, which reads delta nowhere else, shows it in conc_ok
+        # greedy run, which reads delta nowhere else, shows it in conc_ok.
+        # The instance is fixed: on arms near one line through the origin
+        # a greedy choice is the sign of the estimate along it, which lambda
+        # only scales, and random instances can be drawn so
         settings = {**POLICY_SETTINGS[policy], **settings}
         overrides = {f"policy__{key}": v for key, v in settings.items()}
         base = small_cfg(
@@ -474,6 +486,7 @@ workers = 2
             run__horizon=10,
             run__replications=4,
             run__diagnostics=diagnostics,
+            **SPANNING_ARMS,
             **overrides,
         )
         varied = copy.deepcopy(base)
@@ -1091,6 +1104,34 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_command_imports_numpy_random(tmp_path):
+    # every random value is the counter hash, so no command on a shipped
+    # config loads numpy.random; each command's row reads (name, exit code,
+    # whether numpy.random is loaded after it)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+
+    def on(command, name, *args):
+        return [command, "--config", str(configs / f"{name}.ini"), *args]
+
+    commands = [
+        on("run", "ensemble", "--reps", "2", "--out", str(tmp_path / "ensemble")),
+        on("run", "phe", "--reps", "2", "--out", str(tmp_path / "phe")),
+        on("run", "explicit", "--reps", "2", "--out", str(tmp_path / "explicit")),
+        on("rates", "ensemble", "--reps", "2"),
+        on("equivalence", "equivalence"),
+        on("sweep", "phe", "--param", "T", "--values", "10,20", "--out", str(tmp_path / "sweep")),
+    ]
+    code = (
+        "import json, sys; from linens import cli; "
+        "rows = [[a[0], cli.main(a), 'numpy.random' in sys.modules] "
+        "for a in json.loads(sys.argv[1])]; print(json.dumps(rows))"
+    )
+    proc = run_python("-c", code, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rows == [[a[0], 0, False] for a in commands]
+
+
 class TestCli:
     def test_run_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
@@ -1516,12 +1557,12 @@ def test_numpy_platform_names_the_numpy_version():
 #: another build, which would move them too.
 PINNED_OUTPUTS = {
     "ensemble": (
-        "d8d205710384d87361c7ec544da4f901e548b97935bafc4f4f0eea44c315c236",
-        "f3c721492b916cbff807a939ed294138fbafae81391460ee970e9e34d3277539",
+        "51386eb2eb7024c7992bdda2b7a917ae15a906686c0fb51b2dd530e5ec926429",
+        "868c24673735729bf6a74a5da2a5078683930372130455ad88c93e676ece093c",
     ),
     "phe": (
-        "9c4f2e86ecfe5d36d5fa17f7eabd5921c02547d3ed5eca344e80caf5f1061714",
-        "2a171ab11fef923531b48a7db284d45375903a0156c042c3a76eb043edf2c445",
+        "92e99c7b40794eeef29ea01ae23ecf1b633abff8067a410e510cd6649eb04253",
+        "4a26ba6ddfae079d5e60aaa8643a6775baea2b54f4bbac5698e2b28da2114f31",
     ),
 }
 
@@ -1551,10 +1592,10 @@ def test_run_outputs_match_their_pinned_bytes(tmp_path, name):
 #: monitor report's fields change (``harness.monitor_report``), which moves
 #: only ``rates`` and ``summary.json``; each move is logged in CHANGES.md.
 PINNED_FULL_TRACE = {
-    "rates": "98df8c38ca7ce4fac95a81b636b43c4b1d36691500e5c66cd050d8e2d32c589b",
-    "summaries": "7a77159e43dadfa8c21c857290f439999bb502d735494835f99506c2ef69c798",
-    "trace.csv": "b421558e10258ede5d4ed27c4bd3954aee0c11ce6adfd157b422bf008146f582",
-    "summary.json": "bad48fe8becc43a01ef3ab632bbc29ca6a23a5cc9517ef60a6d41083eb0b9a83",
+    "rates": "b09608aa632d8ae31bcc2ab58849dff2419a7ec47bd0c184229e22ad888e8cd8",
+    "summaries": "9668c7aee1c3ef7c65fc71b4e9e59806c01dcd8edd11c01e9bdb518bfc7a26d3",
+    "trace.csv": "399f6139cbc545a54535ee3de96c41f0d7a4a98679af2e0d705f18207384c59e",
+    "summary.json": "a5a5388e1ce17e9097eaaca8c0e907d5b8c74465519d9ba29ab67f8cde0d2c42",
 }
 
 

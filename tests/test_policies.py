@@ -156,8 +156,8 @@ class TestEnsembleSelect:
             assert sel.model_index[0] == 0
             policy.update(sel.arm_index, arms[sel.arm_index], np.zeros(1))
 
-    def test_true_parameter_selects_true_best_arm(self, rng):
-        env = LinearBanditEnv.random(2, 8, NoiseModel(sigma=0.0), 1.0, rng)
+    def test_true_parameter_selects_true_best_arm(self):
+        env = LinearBanditEnv.random(2, 8, NoiseModel(sigma=0.0), 1.0, 12345)
         policy, _, _ = make_ensemble(m=3, scale=0.0)
         # plant the true parameter: s = lam * theta* gives theta_j = theta*
         policy.s_vectors[:] = policy.lam * env.theta_star
@@ -516,9 +516,9 @@ class TestLazyEnsemble:
             assert theta.tobytes() == sel.theta.tobytes()
             policy.update(sel.arm_index, arms[sel.arm_index], rng.standard_normal(3))
 
-    def test_the_replay_keeps_no_perturbed_sums(self, rng):
+    def test_the_replay_keeps_no_perturbed_sums(self):
         # so a monitor tracking the ensemble fraction reports none for it
-        env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, rng)
+        env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, 12345)
         params = ConfidenceParams(0.5, 1.0, 1.0, 2, 8, 0.1)
         replay = PerturbedHistoryReplay(2, 1.0, PerturbationSpec(), [6], 8)
         with pytest.raises(AttributeError, match="keeps no perturbed sums"):
@@ -689,8 +689,8 @@ class TestLinTS:
 
 
 class TestZeroPerturbationCollapse:
-    def test_all_policies_match_greedy_without_noise(self, rng):
-        env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, rng)
+    def test_all_policies_match_greedy_without_noise(self):
+        env = LinearBanditEnv.random(2, 6, NoiseModel(sigma=0.0), 1.0, 12345)
         policies = [
             GreedyRidge(2, 1.0),
             EnsembleSampling(2, 1.0, 3, ZERO, [17]),
