@@ -115,9 +115,15 @@ class LinearBanditEnv:
 
     def pull(self, arm_index):
         """The arm vectors at ``arm_index`` and their mean rewards, one per
-        replication, behind one index check."""
-        self._check_index(arm_index)
-        return pick(self.arms, arm_index, 2), pick(self._means, arm_index, 1)
+        replication. One reduction checks the range: ``min`` catches a
+        negative index, and the gather itself one at or past K."""
+        try:
+            if np.asarray(arm_index).min() < 0:
+                raise IndexError
+            return pick(self.arms, arm_index, 2), pick(self._means, arm_index, 1)
+        except IndexError:
+            message = f"arm index {arm_index} out of range [0, {self.arm_count})"
+            raise ValueError(message) from None
 
     def sample_reward(self, arm_index: int, seed: int, step):
         """Mean reward of the arm plus the noise of ``step`` of stream
@@ -125,11 +131,6 @@ class LinearBanditEnv:
         prefixes = seed_prefixes([seed], TAG_NOISE)
         noise = reward_draws(self.noise.spec, prefixes, range(1), step)
         return self.pull(arm_index)[1] + noise.reshape(np.shape(step))
-
-    def _check_index(self, arm_index) -> None:
-        index = np.asarray(arm_index)
-        if index.min() < 0 or index.max() >= self.arm_count:
-            raise ValueError(f"arm index {arm_index} out of range [0, {self.arm_count})")
 
     @classmethod
     def random(
@@ -169,15 +170,23 @@ class LinearBanditEnv:
 
 @dataclass
 class RegretLedger:
-    """Cumulative regret of each replication of a batch: ``record`` takes
-    the ``(R,)`` mean rewards of a step's pulls."""
+    """Cumulative regret of each replication of a batch, scored a block of
+    steps at a time: ``record`` takes the ``(R, n)`` mean rewards of n
+    consecutive steps' pulls, or the ``(R,)`` ones of one step."""
 
     env: LinearBanditEnv
     cumulative: float = 0.0
 
     def record(self, mean_reward):
-        """Add the regret of pulling an arm of ``mean_reward``; returns the
-        increment."""
-        gap = self.env.optimal_value - mean_reward
-        self.cumulative = self.cumulative + gap
-        return gap
+        """Add the regret of pulling arms of ``mean_reward``; returns each
+        step's gap and running sum, in the shape of ``mean_reward``. The
+        sums are ``add.accumulate`` seeded with the carried cumulative, one
+        step after another: the bits of ``cumulative + gap`` step by step."""
+        mean = np.asarray(mean_reward)
+        block = mean.reshape(len(mean), -1)
+        gap = np.reshape(self.env.optimal_value, (-1, 1)) - block
+        cum = gap.copy()
+        cum[:, 0] += self.cumulative
+        np.add.accumulate(cum, axis=1, out=cum)
+        self.cumulative = cum[:, -1].copy()
+        return gap.reshape(mean.shape), cum.reshape(mean.shape)

@@ -15,7 +15,9 @@ contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
 only maps the fixed batches over a process pool, so no output depends on it.
 A batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
 trace columns and ``(R,)`` counters, pooled across batches by concatenation
-and written to ``trace.csv`` one replication at a time.
+and written to ``trace.csv`` one replication at a time. Bookkeeping that no
+decision reads stays off the per-step path: regret is scored a block of
+steps at a time, and the monitor's flags are written a block at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
-from .perturb import TAG_REPLICATION, StepDraws, _fold_array, gamma, p_n, seed_prefixes
+from .perturb import TAG_REPLICATION, StepDraws, _fold_array, block_steps, gamma, p_n, seed_prefixes
 from .policies import EnsembleSampling, PerturbedHistoryReplay, Sampler
 
 #: Most replications stepped together in one lockstep batch.
@@ -113,42 +115,58 @@ def interact(
     Each step selects an arm per replication, gathers its vector and mean
     reward once, lets the monitor (if any) record the pre-step state, adds
     the noise of the step (``noise.at(t)``, one value per replication, from
-    :meth:`~linens.envs.NoiseModel.draws`), scores regret and updates the
-    policy. The monitor evaluates a block of steps at a time; its flags are
-    written a block at a time, and its last block is flushed after the last
+    :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. The mean
+    rewards wait in an ``(R, block_steps(R))`` buffer, which the
+    :class:`~linens.envs.RegretLedger` scores when it is full and after the
+    last step; ``instant_regret`` and ``cum_regret`` are written a block at
+    a time, so a run that traces neither holds no ``(R, horizon)`` regret.
+    The monitor evaluates a block of steps at a time; its flags are written
+    when a block completes, and its last block is flushed after the last
     step. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
     ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
     cumulative regret of each replication.
     """
     shape = (policy.batch, horizon)
     cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
-    # (position in a step's TRACE_COLUMNS values, column) of each traced one
-    traced = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS) if name in cols]
+    # (position in a step's (arm, model, reward), column) of each traced one,
+    # and (position in the ledger's (gaps, sums), column) of the regret ones
+    traced = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS[:3]) if name in cols]
+    scored = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS[3:]) if name in cols]
     flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
     ledger = RegretLedger(env)
     arms = env.arms
-    for i in range(horizon):
-        sel = policy.select(arms)
-        x, mean = env.pull(sel.arm_index)
-        if monitor is not None:
-            _write_flags(flags, monitor.observe(policy, sel, x))
-        y = mean + noise.at(i + 1)[:, 0]
-        instant = ledger.record(mean)
-        policy.update(sel.arm_index, x, y)
-        if traced:
-            step = (sel.arm_index, sel.model_index, y, instant, ledger.cumulative)
-            for k, col in traced:
-                col[:, i] = step[k]
+    steps = block_steps(policy.batch)
+    means = np.empty((policy.batch, steps))  # a block's mean rewards, step by step
+    for first in range(0, horizon, steps):
+        at = range(first, min(first + steps, horizon))
+        block = means[:, : len(at)]
+        for j, i in enumerate(at):
+            sel = policy.select(arms)
+            x, mean = env.pull(sel.arm_index)
+            if monitor is not None:
+                diag = monitor.observe(policy, sel, x)
+                if diag is not None:
+                    _write_flags(flags, diag)
+            y = mean + noise.at(i + 1)[:, 0]
+            block[:, j] = mean
+            policy.update(sel.arm_index, x, y)
+            if traced:
+                step = (sel.arm_index, sel.model_index, y)
+                for k, col in traced:
+                    col[:, i] = step[k]
+        regret = ledger.record(block)
+        for k, col in scored:
+            col[:, at.start : at.stop] = regret[k]
     if monitor is not None:
-        _write_flags(flags, monitor.flush())
+        diag = monitor.flush()
+        if diag is not None:
+            _write_flags(flags, diag)
     return cols, ledger.cumulative
 
 
 def _write_flags(flags: list, diag) -> None:
     """Write a block's ``FLAG_COLUMNS`` (``(n, R)`` arrays) into the
     ``(R, horizon)`` flag columns, if any, at the block's steps."""
-    if diag is None or not flags:
-        return
     at = slice(diag.first - 1, diag.first - 1 + len(diag))
     for col, values in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
         col[:, at] = values.T
@@ -291,9 +309,9 @@ def emit_outputs(
     and, when the records carry them, ``FLAG_COLUMNS``; ints and flags are
     written ``%d`` and floats ``%.17g``, which round-trips. It is written
     one replication at a time, so memory does not grow with batch width:
-    each column formats each of its distinct values once, with its leading
-    comma (:func:`_format_each_value`), and the replication's number, the
-    shared ``,t`` of each step and those strings are joined once."""
+    each column of a batch formats each of its distinct values once, with
+    its leading comma (:func:`_row_texts`), and the replication's number,
+    the shared ``,t`` of each step and those strings are joined once."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -311,10 +329,11 @@ def emit_outputs(
         with open(trace_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
+                texts = [_row_texts(rec.columns[name], fmt) for name, fmt in zip(names, formats)]
                 for i, rep in enumerate(rec.replications):
                     row_text[::width] = [str(rep)] * horizon
-                    for k, (name, fmt) in enumerate(zip(names, formats), start=2):
-                        row_text[k::width] = _format_each_value(rec.columns[name][i], fmt)
+                    for k, text in enumerate(texts, start=2):
+                        row_text[k::width] = text(i)
                     fh.write("".join(row_text))
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
@@ -322,14 +341,32 @@ def emit_outputs(
     return trace_path, summary_path
 
 
-def _format_each_value(values: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % v`` for each value of the 1-d ``values``, formatting each
-    distinct value once: floats are keyed by their int64 bits, so ``-0.0``
-    and ``0.0`` stay apart, and other dtypes by value."""
-    keys = values.view(np.int64) if values.dtype == np.float64 else values
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([fmt % v for v in values[first].tolist()], dtype=object)
-    return text[inverse].tolist()
+def _row_texts(column: np.ndarray, fmt: str):
+    """A function of a row index i that gives ``fmt % v`` for each value v
+    of ``column[i]``, an ``(R, T)`` column, formatting each distinct value
+    once.
+
+    A float row keys its values by their int64 bits, so ``-0.0`` and
+    ``0.0`` stay apart, and formats each unique key once. An int or flag
+    column formats each value that occurs in it once, into one table over
+    its ``[min, max]`` that every row indexes: no sort, and for arm and
+    model indices a table no longer than K or m."""
+    if column.dtype == np.float64:
+
+        def text(i: int) -> list[str]:
+            keys, inverse = np.unique(column[i].view(np.int64), return_inverse=True)
+            unique = np.array([fmt % v for v in keys.view(np.float64).tolist()], dtype=object)
+            return unique[inverse].tolist()
+
+        return text
+    low = int(column.min())
+    occurs = np.zeros(int(column.max()) - low + 1, dtype=bool)
+    for row in column:
+        occurs[row - low] = True
+    table = np.empty(len(occurs), dtype=object)
+    offsets = np.flatnonzero(occurs)
+    table[offsets] = [fmt % v for v in (offsets + low).tolist()]
+    return lambda i: table[column[i] - low].tolist()
 
 
 # ---------------------------------------------------------------------------

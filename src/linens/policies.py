@@ -70,8 +70,8 @@ class Selection(NamedTuple):
 
 
 def argmax_smallest_index(values: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first maximizer, i.e. the smallest index
-    return np.argmax(values, axis=-1)
+    # argmax returns the first maximizer, i.e. the smallest index
+    return values.argmax(axis=-1)
 
 
 class _RidgeBase:

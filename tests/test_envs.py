@@ -11,6 +11,7 @@ from linens.perturb import (
     TAG_NOISE,
     PerturbationSpec,
     _splitmix64,
+    block_steps,
     mix_key,
     reward_draws,
     seed_prefixes,
@@ -390,3 +391,30 @@ class TestRegretLedger:
         ledger = RegretLedger(env)
         for k in range(12):
             assert ledger.record(mean_reward(env, k))[0] >= 0.0
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("steps", [1, 7, block_steps(4)])
+    def test_blocks_have_the_bits_of_a_step_by_step_sum(self, rng, stacked, steps):
+        seeds = [31, 32, 33, 34]
+        env = LinearBanditEnv.random(3, 9, NoiseModel(), 1.0, seeds if stacked else seeds[0])
+        horizon = 2 * block_steps(4) + 9
+        index = rng.integers(0, env.arm_count, (4, horizon))
+        means = np.stack([env.pull(index[:, t])[1] for t in range(horizon)], axis=1)
+        ledger = RegretLedger(env)
+        blocks = [ledger.record(means[:, a : a + steps]) for a in range(0, horizon, steps)]
+        gap, cum = (np.concatenate([block[k] for block in blocks], axis=1) for k in (0, 1))
+        # the oracle: Python floats, cum = cum + gap one step after another
+        optimal = np.broadcast_to(env.optimal_value, (4,)).tolist()
+        want_gap, want_cum = [], []
+        for best, row in zip(optimal, means.tolist()):
+            total, gaps, sums = 0.0, [], []
+            for mean in row:
+                gaps.append(best - mean)
+                total = total + gaps[-1]
+                sums.append(total)
+            want_gap.append(gaps)
+            want_cum.append(sums)
+        assert gap.shape == cum.shape == (4, horizon)
+        assert np.array_equal(gap.view(np.int64), np.array(want_gap).view(np.int64))
+        assert np.array_equal(cum.view(np.int64), np.array(want_cum).view(np.int64))
+        assert ledger.cumulative.tolist() == [sums[-1] for sums in want_cum]

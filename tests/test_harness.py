@@ -29,6 +29,7 @@ from linens.harness import (
     TRACE_COLUMNS,
     RunRecord,
     _equivalence_batch,
+    _row_texts,
     aggregate,
     checkpoints,
     emit_outputs,
@@ -1019,6 +1020,43 @@ class TestOutputs:
         assert wide < 1.5 * narrow, (narrow, wide)
 
 
+class TestRowTexts:
+    """``_row_texts`` gives each row's ``fmt % v``, value by value."""
+
+    @staticmethod
+    def assert_rows_formatted(column: np.ndarray, fmt: str):
+        text = _row_texts(column, fmt)
+        for i, row in enumerate(column):
+            assert text(i) == [fmt % v for v in row.tolist()]
+
+    def test_floats_keep_signed_zeros_and_repeats(self):
+        column = np.array([[0.0, -0.0, 1.5, -0.0, 1.5, 5e-324], [-0.0, 0.0, 0.0, 1e300, 1.5, -2.0]])
+        self.assert_rows_formatted(column, ",%.17g")
+
+    def test_a_model_column_of_minus_ones(self):
+        self.assert_rows_formatted(np.full((3, 5), -1), ",%d")
+
+    def test_flags(self):
+        self.assert_rows_formatted(np.array([[True, False, True], [True, True, True]]), ",%d\n")
+        self.assert_rows_formatted(np.ones((2, 3), dtype=bool), ",%d")
+
+    def test_an_arm_column_formats_only_the_arms_that_occur(self):
+        # an arm range as wide as the K = 100,000 edge config that loads and runs
+        arms = 100_000
+        column = np.array([[0, arms - 1, 5, 5], [arms - 1, 77, 0, 0]])
+        formatted = []
+
+        class CountingFormat(str):
+            def __mod__(self, value):
+                formatted.append(value)
+                return str.__mod__(self, value)
+
+        text = _row_texts(column, CountingFormat(",%d"))
+        for i, row in enumerate(column):
+            assert text(i) == [",%d" % v for v in row.tolist()]
+        assert sorted(formatted) == [0, 5, 77, arms - 1]
+
+
 class TestEquivalenceSuite:
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_shared_streams_match(self, family):
@@ -1634,13 +1672,46 @@ class OutOfRangePolicy(GreedyRidge):
         return Selection(np.full(self.batch, self.arm_index), -1, self.ridge_estimate())
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
 @pytest.mark.parametrize("arm_index", [4, -1], ids=["K", "negative"])
-def test_interact_rejects_an_out_of_range_arm(arm_index):
+def test_interact_rejects_an_out_of_range_arm(arm_index, stacked):
     cfg = small_cfg(run__diagnostics="monitors")
-    env = cfg.environment()
+    env = cfg.environment(replication_seeds(cfg, range(2)) if stacked else None)
     noise = env.noise.draws(range(2))
     monitor = StepMonitor(env, cfg.confidence_params(), replications=range(2))
     policy = OutOfRangePolicy(arm_index, batch=2)
     with pytest.raises(ValueError, match="out of range"):
         interact(policy, env, noise, 3, monitor)
     assert policy.step == 0
+
+
+class CyclingPolicy:
+    """Pulls arm ``t mod K`` at step t in every replication; learns nothing."""
+
+    def __init__(self, batch: int, arm_count: int):
+        self.batch, self.arm_count, self.step = batch, arm_count, 0
+
+    def select(self, arms):
+        arm = np.full(self.batch, self.step % self.arm_count)
+        return Selection(arm, np.full(self.batch, -1), None)
+
+    def update(self, arm_index, x, y):
+        self.step += 1
+
+
+def test_interact_without_a_trace_holds_no_regret_array():
+    # regret is scored a block of steps at a time, so an untraced run (as
+    # in rates) never holds an (R, T) array of it
+    batch, horizon = 4, 20_000
+    env = small_cfg().environment()
+    noise = env.noise.draws(range(batch))
+    tracemalloc.start()
+    try:
+        _, regret = interact(CyclingPolicy(batch, env.arm_count), env, noise, horizon, columns=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_regret_array = batch * horizon * np.dtype(np.float64).itemsize
+    assert peak < one_regret_array / 2, (peak, one_regret_array)
+    gaps = env.optimal_value - env.pull(np.arange(env.arm_count))[1]
+    assert regret == pytest.approx(np.full(batch, gaps.sum() * horizon / env.arm_count))
