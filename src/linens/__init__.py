@@ -26,7 +26,6 @@ from .policies import (
     EnsembleSampling,
     GreedyRidge,
     InvalidStateError,
-    Keying,
     LinPHE,
     LinTS,
     LinUCB,
@@ -36,10 +35,7 @@ from .policies import (
 from .diagnostics import (
     InvariantViolation,
     StepMonitor,
-    check_optimism_sufficiency,
     elliptical_potential_bound,
-    optimism_direction,
-    perturbation_vector,
     theoretical_regret_bound,
 )
 
@@ -54,7 +50,6 @@ __all__ = [
     "GramState",
     "Metric",
     "ConfidenceParams",
-    "Keying",
     "PerturbationFamily",
     "PerturbationSpec",
     "PerturbationStream",
@@ -75,9 +70,6 @@ __all__ = [
     "Selection",
     "InvariantViolation",
     "StepMonitor",
-    "check_optimism_sufficiency",
     "elliptical_potential_bound",
-    "optimism_direction",
-    "perturbation_vector",
     "theoretical_regret_bound",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .envs import LinearBanditEnv, NoiseFamily, NoiseModel
 from .perturb import ConfidenceParams, PerturbationFamily, PerturbationSpec, beta, ensemble_size
-from .policies import EnsembleSampling, GreedyRidge, Keying, LinPHE, LinTS, LinUCB, Sampler
+from .policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
@@ -62,7 +62,8 @@ class PolicyConfig:
     family: str = PerturbationFamily.GAUSSIAN
     scale_mode: str = "auto"
     scale: float = 1.0
-    keying: str = Keying.BY_STEP
+    # every ensemble draws its reward perturbations by step, the one legal value
+    keying: str = "by_step"
     linucb_bonus: float | None = None
 
 
@@ -97,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"env.arm_mode must be one of {ARM_MODES}")
         if p.m != "auto" and (not isinstance(p.m, int) or p.m < 1):
             raise ValueError("policy.m must be 'auto' or a positive integer")
+        if p.keying != "by_step":
+            raise ValueError(f"policy.keying must be by_step, got {p.keying!r}")
         if p.scale_mode not in SCALE_MODES:
             raise ValueError(f"policy.scale_mode must be one of {SCALE_MODES}")
         if r.replications < 1:
@@ -168,7 +171,7 @@ class ExperimentConfig:
         the policy that :meth:`build_policy` builds can go unread, with
         ``delta`` read also by the monitors; ``rates`` always runs them, so
         it reads what a monitored run reads. ``equivalence`` runs its own
-        round-robin, by-step ensemble at m = T, unmonitored, so it reads
+        round-robin ensemble at m = T, unmonitored, so it reads
         ``policy.name`` only as ``ensemble``, ``delta`` only in the auto
         scale, and never ``m``, ``sampler``, ``keying``, ``linucb_bonus`` or
         ``run.diagnostics``. :func:`load_config` rejects a file or setting
@@ -217,7 +220,6 @@ class ExperimentConfig:
                 spec,
                 seeds,
                 sampler=p.sampler,
-                keying=p.keying,
             )
         if p.name == "phe":
             return LinPHE(dim, p.lam, spec, seeds)

@@ -290,12 +290,12 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     :class:`PerturbationSpec` (:meth:`PerturbationSpec.values`), a
     :class:`ModelChoice` or a :class:`UnitUniform`. ``prefixes`` holds each
     replication's :func:`seed_prefixes` under a tag, and the tag says what
-    a "model" is: ``TAG_REWARD``, keyed by step or ``(arm, count)``, for
-    reward perturbations, where model j is ensemble member j; ``TAG_INIT``,
-    with no key, for initial matrices, where model ``j*dim + c`` is
-    coordinate c of member j (:func:`initial_draws`); ``TAG_PHE``, keyed by
-    step, for a perturbed-history step, where models ``0..dim-1`` are the
-    prior's coordinates and model ``dim + i`` is history row i
+    a "model" is: ``TAG_REWARD``, keyed by step, for reward perturbations,
+    where model j is ensemble member j; ``TAG_INIT``, with no key, for
+    initial matrices, where model ``j*dim + c`` is coordinate c of member j
+    (:func:`initial_draws`); ``TAG_PHE``, keyed by step, for a
+    perturbed-history step, where models ``0..dim-1`` are the prior's
+    coordinates and model ``dim + i`` is history row i
     (:func:`history_draws`); ``TAG_NOISE`` and ``TAG_MODEL``, keyed by
     step, for the reward noise and uniform model choice, one model each;
     ``TAG_ENV``, with no key, for a random instance's coordinates and
@@ -355,20 +355,17 @@ class PerturbationStream:
     The policies take their seeds directly and draw under
     :func:`seed_prefixes`; this class only holds a ``base_seed`` for the
     tests. Model ``j`` owns component ``j``, so a draw depends only on
-    ``(base_seed, j, key)`` regardless of the ensemble size. The benchmark
+    ``(base_seed, j, step)`` regardless of the ensemble size. The benchmark
     under ``perfbench/`` traces :meth:`reward_vector` by name.
     """
 
     def __init__(self, base_seed: int):
         self.base_seed = int(base_seed)
 
-    def reward_vector(self, spec: PerturbationSpec, n_models: int, *key: int) -> np.ndarray:
-        """(n_models,) vector of reward perturbations for one key: a step,
-        or an ``(arm, count)`` pair."""
-        if len(key) not in (1, 2):
-            raise ValueError("a reward key is a step or an (arm, count) pair")
+    def reward_vector(self, spec: PerturbationSpec, n_models: int, step: int) -> np.ndarray:
+        """(n_models,) vector of reward perturbations of ``step``."""
         prefixes = seed_prefixes([self.base_seed], TAG_REWARD)
-        return reward_draws(spec, prefixes, range(n_models), *key)[0]
+        return reward_draws(spec, prefixes, range(n_models), step)[0]
 
 
 #: Most steps that a :class:`StepDraws` draws at a time.

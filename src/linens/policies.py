@@ -53,16 +53,6 @@ class Sampler:
     ALL = (UNIFORM, ROUND_ROBIN)
 
 
-class Keying:
-    """How an ensemble keys its reward perturbations: by step, or by the
-    chosen arm and its pull count."""
-
-    BY_STEP = "by_step"
-    BY_ARM_COUNT = "by_arm_count"
-
-    ALL = (BY_STEP, BY_ARM_COUNT)
-
-
 class Selection(NamedTuple):
     arm_index: np.ndarray  # (R,)
     model_index: np.ndarray  # (R,); -1 for non-ensemble policies
@@ -161,13 +151,11 @@ class EnsembleSampling(_RidgeBase):
     updates every sum with the observed reward plus a fresh keyed reward
     perturbation. Every draw is one :func:`~linens.perturb.reward_draws`
     call for the batch: the initial matrices at construction
-    (:func:`~linens.perturb.initial_draws`), and draws keyed by step per
-    block of steps (:class:`~linens.perturb.StepDraws`, at most
-    ``DRAW_VALUES`` values). Each replication draws under the prefixes of
-    its seed (:func:`~linens.perturb.seed_prefixes`), one per replication
-    in ``seeds``. ``keying`` says what keys a reward perturbation: the step
-    (``Keying.BY_STEP``), or the chosen arm and its pull count
-    (``Keying.BY_ARM_COUNT``), one call per step. The lazy form is
+    (:func:`~linens.perturb.initial_draws`), and the reward perturbations,
+    keyed by step, per block of steps (:class:`~linens.perturb.StepDraws`,
+    at most ``DRAW_VALUES`` values). Each replication draws under the
+    prefixes of its seed (:func:`~linens.perturb.seed_prefixes`), one per
+    replication in ``seeds``. The lazy form is
     :class:`PerturbedHistoryReplay`.
     """
 
@@ -179,18 +167,14 @@ class EnsembleSampling(_RidgeBase):
         spec: PerturbationSpec,
         seeds: list[int],
         sampler: str = Sampler.UNIFORM,
-        keying: str = Keying.BY_STEP,
     ):
         super().__init__(dim, lam, len(seeds))
         if n_models < 1:
             raise ValueError("n_models must be at least 1")
         if sampler not in Sampler.ALL:
             raise ValueError(f"unknown sampler {sampler!r}: must be one of {Sampler.ALL}")
-        if keying not in Keying.ALL:
-            raise ValueError(f"unknown keying {keying!r}: must be one of {Keying.ALL}")
         self.n_models = int(n_models)
         self.spec = spec
-        self.keying = keying
         self.sampler = sampler
         self._models = None
         if sampler == Sampler.UNIFORM:
@@ -201,11 +185,7 @@ class EnsembleSampling(_RidgeBase):
         self._sums = np.ascontiguousarray(w.swapaxes(-1, -2))
         self._rows = np.arange(self.batch)
         self._prefixes = seed_prefixes(seeds, TAG_REWARD)
-        self._rewards = None
-        if keying == Keying.BY_STEP:
-            self._rewards = StepDraws(spec, self._prefixes, range(self.n_models))
-        # (R, arms seen so far): pulls of each arm, for by-arm-count keys
-        self._arm_counts = np.zeros((self.batch, 0), dtype=np.int64)
+        self._rewards = StepDraws(spec, self._prefixes, range(self.n_models))
 
     @property
     def s_vectors(self) -> np.ndarray:
@@ -241,30 +221,16 @@ class EnsembleSampling(_RidgeBase):
         theta = self.model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
-    def _reward_draws(self, arm_index) -> np.ndarray:
-        """This step's reward perturbations; under by-arm-count keying,
-        counts the pull of ``arm_index`` and keys each replication by it."""
-        if self._rewards is not None:
-            return self._rewards.at(self.step + 1)
-        arms, rows = np.asarray(arm_index), self._rows
-        seen = self._arm_counts.shape[1]
-        if arms.max() >= seen:
-            self._arm_counts = np.pad(self._arm_counts, ((0, 0), (0, arms.max() + 1 - seen)))
-        self._arm_counts[rows, arms] += 1
-        return reward_draws(
-            self.spec, self._prefixes, range(self.n_models), arms, self._arm_counts[rows, arms]
-        )
-
     def update(self, arm_index, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64, order="C")
-        z = self._reward_draws(arm_index)
+        z = self._rewards.at(self.step + 1)
         self._observe(x, y)
         kernels.accumulate_perturbed(self._sums, x, np.asarray(y)[..., None] + z)
 
 
 class PerturbedHistoryReplay(EnsembleSampling):
-    """The lazy form of a round-robin, by-step :class:`EnsembleSampling`
-    of ``m`` models: LinPHE is linear ensemble sampling with m = T.
+    """The lazy form of a round-robin :class:`EnsembleSampling` of ``m``
+    models: LinPHE is linear ensemble sampling with m = T.
 
     It keeps the history instead of the sums, and rebuilds a model's sum
     from its initial row and the ensemble's draws for it, so at step ``t``

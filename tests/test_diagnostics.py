@@ -9,10 +9,7 @@ from linens.diagnostics import (
     InvariantViolation,
     StepDiagnostics,
     StepMonitor,
-    check_optimism_sufficiency,
     elliptical_potential_bound,
-    optimism_direction,
-    perturbation_vector,
     theoretical_regret_bound,
 )
 from linens.envs import LinearBanditEnv, NoiseModel
@@ -97,6 +94,49 @@ class TestEllipticalBound:
         assert elliptical_potential_bound(2, 100, 2.0) < elliptical_potential_bound(
             2, 100, 1.0
         )
+
+
+# The perturbation-space oracle of StepMonitor's shortcut: the monitor
+# reads u^T Z as x*^T theta_tilde and ||u|| as ||x*||_{V^-1}, and these
+# build u and Z themselves, so the tests below check those identities.
+
+
+def optimism_direction(
+    gram: GramState, arm_history: np.ndarray, x_star: np.ndarray
+) -> np.ndarray:
+    """The direction in perturbation space whose positive excursions force
+    optimism: ``[sqrt(lam) I, X_1, ..., X_{t-1}]^T V^{-1} x_star``.
+
+    ``gram`` is one replication's state, a batch of one. Its 2-norm equals
+    the inverse-Gram norm of the optimal arm.
+    """
+    x_star = np.asarray(x_star, dtype=np.float64)
+    if x_star.shape != (gram.dim,):
+        raise ValueError("x_star dimension mismatch")
+    arm_history = np.asarray(arm_history, dtype=np.float64).reshape(-1, gram.dim)
+    v = gram.solve(x_star[None])[0]
+    return np.concatenate([math.sqrt(gram.lam) * v, arm_history @ v])
+
+
+def perturbation_vector(w: np.ndarray, z_draws: np.ndarray, lam: float) -> np.ndarray:
+    """Stack one model's initial perturbation (scaled by 1/sqrt(lam)) on
+    top of its past reward perturbations."""
+    return np.concatenate([np.asarray(w, dtype=np.float64) / math.sqrt(lam), z_draws])
+
+
+def check_optimism_sufficiency(
+    u: np.ndarray, z_vec: np.ndarray, c: float, ridge_dev: float
+) -> bool:
+    """True iff the two-part sufficient condition for optimism holds:
+    the perturbation exceeds ``c`` in direction ``u`` and the ridge
+    estimator deviates by at most ``c``."""
+    u = np.asarray(u, dtype=np.float64)
+    z_vec = np.asarray(z_vec, dtype=np.float64)
+    if u.shape != z_vec.shape:
+        raise ValueError("direction and perturbation vector dimensions differ")
+    if c <= 0:
+        raise ValueError("c must be positive")
+    return bool(u @ z_vec >= c * np.linalg.norm(u)) and ridge_dev <= c
 
 
 class TestOptimismGeometry:

@@ -27,7 +27,6 @@ from linens.perturb import (
     reward_draws,
     seed_prefixes,
 )
-from linens.policies import Keying
 
 
 def make_cfg(**overrides) -> ExperimentConfig:
@@ -50,7 +49,6 @@ def bits(a: np.ndarray) -> tuple:
 
 CASES = {
     "ensemble": dict(run__diagnostics="off"),
-    "ensemble-by-arm-count": dict(run__diagnostics="monitors", policy__keying="by_arm_count"),
     "ensemble-round-robin": dict(
         run__diagnostics="full-trace", policy__sampler="round_robin", policy__m=40
     ),
@@ -91,10 +89,9 @@ def test_batch_of_r_equals_r_batches_of_one(case):
 
 
 @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-@pytest.mark.parametrize("keying", Keying.ALL)
-def test_ensemble_reward_draws_do_not_depend_on_the_batch(family, keying):
-    # one reward-draw call per step covers the whole batch
-    cfg = make_cfg(policy__family=family, policy__keying=keying, run__horizon=25)
+def test_ensemble_reward_draws_do_not_depend_on_the_batch(family):
+    # one reward-draw call per block of steps covers the whole batch
+    cfg = make_cfg(policy__family=family, run__horizon=25)
     assert_batch_of_r_equals_r_batches_of_one(cfg)
 
 

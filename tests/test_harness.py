@@ -260,7 +260,6 @@ POLICY_VARIATIONS = [
     ("scale", 0.3, {}),
     ("scale", 0.3, {"scale_mode": "explicit"}),
     ("scale_mode", "auto", {"scale_mode": "explicit"}),
-    ("keying", "by_arm_count", {}),
     ("linucb_bonus", 0.3, {}),
 ]
 
@@ -388,7 +387,7 @@ sampler = round_robin
 family = rademacher
 scale_mode = explicit
 scale = 0.75
-keying = by_arm_count
+keying = by_step
 
 [run]
 horizon = 8
@@ -407,7 +406,7 @@ workers = 2
             "policy": {
                 "name": "ensemble", "lam": 2.0, "delta": 0.3, "m": 9, "sampler": "round_robin",
                 "family": "rademacher", "scale_mode": "explicit", "scale": 0.75,
-                "keying": "by_arm_count", "linucb_bonus": None,
+                "keying": "by_step", "linucb_bonus": None,
             },
             "run": {
                 "horizon": 8, "replications": 3, "base_seed": 17,
@@ -418,7 +417,7 @@ workers = 2
     @pytest.mark.parametrize(
         "policy,key,value",
         [
-            ("ensemble", "keying = by_arm_count", "by_arm_count"),
+            ("ensemble", "keying = by_step", "by_step"),
             ("lints", "scale = 0.5\nscale_mode = explicit", 0.5),
             ("linucb", "linucb_bonus = 1.5", 1.5),
             ("phe", "family = uniform", "uniform"),
@@ -438,14 +437,14 @@ workers = 2
             ("linucb", "sampler = round_robin"),
             ("greedy", "sampler = uniform"),
             ("lints", "keying = by_step"),
-            ("greedy", "keying = by_arm_count"),
+            ("greedy", "keying = by_step"),
             ("ensemble", "linucb_bonus = 0.5"),
             ("phe", "linucb_bonus = 1.5"),
             ("linucb", "family = rademacher"),
             ("greedy", "scale = 2.0"),
             ("lints", "family = gaussian"),  # lints samples gaussian whatever it says
             ("linucb", "scale_mode = auto"),
-            ("phe", "keying = by_arm_count"),  # a perturbed history is keyed by step
+            ("phe", "keying = by_step"),  # a perturbed history has no ensemble to key
             ("lints", "scale_mode = explicit\nscale = 0.5\nkeying = by_step"),
             ("lints", "scale_mode = explicit\nscale = 0.5\nfamily = gaussian"),
             ("lints", "scale = 0.5"),  # under scale_mode = auto
@@ -528,8 +527,9 @@ workers = 2
                 assert cfg.reads(f.name, "rates") == monitored.reads(f.name)
 
     def test_every_policy_field_is_varied(self):
+        # keying has one legal value, by_step, so there is no other to vary to
         varied = {field for field, _, _ in POLICY_VARIATIONS}
-        assert varied == {f.name for f in fields(PolicyConfig)} - {"name"}
+        assert varied == {f.name for f in fields(PolicyConfig)} - {"name", "keying"}
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -1191,6 +1191,17 @@ class TestCli:
         assert summary["replications"] == 1
         assert summary["config"]["run"]["base_seed"] == 99
 
+    def test_run_rejects_by_arm_count_keying(self, tmp_path):
+        # every ensemble draws its reward perturbations by step: a file that
+        # asks for another keying stops at load, before anything is written
+        text = BASE_INI.replace("delta = 0.1", "delta = 0.1\nkeying = by_arm_count")
+        out = tmp_path / "out"
+        done = run_cli("run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out))
+        assert done.returncode == 2
+        assert done.stderr == "linens: policy.keying must be by_step, got 'by_arm_count'\n"
+        assert done.stdout == ""
+        assert not out.exists()
+
     def test_equivalence_command(self, tmp_path, capsys):
         text = EQUIVALENCE_INI.replace("horizon = 30", "horizon = 15")
         cfg_path = write_cfg(tmp_path, text)
@@ -1222,7 +1233,7 @@ class TestCli:
         [
             ("policy.m", "delta = 0.1", "delta = 0.1\nm = 3"),
             ("policy.sampler", "delta = 0.1", "delta = 0.1\nsampler = uniform"),
-            ("policy.keying", "delta = 0.1", "delta = 0.1\nkeying = by_arm_count"),
+            ("policy.keying", "delta = 0.1", "delta = 0.1\nkeying = by_step"),
             ("policy.m", "delta = 0.1", "delta = 0.1\nm = auto"),
             ("policy.linucb_bonus", "delta = 0.1", "delta = 0.1\nlinucb_bonus = 1.5"),
             ("policy.delta", "delta = 0.1", "delta = 0.1\nscale_mode = explicit"),

@@ -33,7 +33,6 @@ from linens.perturb import (
     reward_draws,
     seed_prefixes,
 )
-from linens.policies import Keying
 
 mpmath.mp.dps = 30
 
@@ -193,32 +192,6 @@ class TestKeyedStreams:
         np.testing.assert_array_equal(small, large[:4])
         assert stream.reward_vector(spec, 3, 17)[2] == small[2]
 
-    def test_reward_key_arity_enforced(self):
-        # a key is a step or an (arm, count) pair
-        spec = PerturbationSpec()
-        stream = PerturbationStream(1)
-        for key in ((), (3, 1, 2)):
-            with pytest.raises(ValueError, match="a step or an"):
-                stream.reward_vector(spec, 2, *key)
-
-    def test_by_arm_count_keying_independent_of_step(self):
-        # the draw for (arm, pull-count) must be replayable regardless of when
-        # the pull happens
-        stream = PerturbationStream(3)
-        spec = PerturbationSpec()
-        first = stream.reward_vector(spec, 8, 2, 1)
-        again = stream.reward_vector(spec, 8, 2, 1)
-        other = stream.reward_vector(spec, 8, 2, 2)
-        np.testing.assert_array_equal(first, again)
-        assert not np.array_equal(first, other)
-
-    def test_unknown_keying_rejected(self):
-        # keying is the ensemble's argument, not the stream's
-        with pytest.raises(ValueError, match="unknown keying 'nope'"):
-            policies.EnsembleSampling(
-                2, 1.0, 3, PerturbationSpec(), [0],
-                sampler=policies.Sampler.ROUND_ROBIN, keying="nope",
-            )
 
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -257,8 +230,10 @@ def reference_draw(family: str, seed: int, key: tuple, model: int, tag=TAG_REWAR
     return (a >> 63) + ((a >> 62) & 1) - 1.0
 
 
-def stream_draw(spec, seed: int, key: tuple, model: int) -> float:
-    return PerturbationStream(seed).reward_vector(spec, model + 1, *key)[model]
+def known_draw(spec, seed: int, key: tuple, model: int) -> float:
+    """Model ``model``'s reward draw under ``key``, a step or any other
+    tuple of key parts that :func:`reward_draws` folds."""
+    return reward_draws(spec, reward_prefixes([seed]), range(model + 1), *key)[0, model]
 
 
 def reward_prefixes(seeds) -> np.ndarray:
@@ -275,12 +250,12 @@ class TestRewardDraws:
         spec = PerturbationSpec(family, 1.0)
         scaled = PerturbationSpec(family, 0.7)
         for (seed, key, model), want in zip(KNOWN_KEYS, KNOWN_ANSWERS[family]):
-            got = stream_draw(spec, seed, key, model)
+            got = known_draw(spec, seed, key, model)
             # exact for the bit-built families; numpy's log and cos may
             # round a last bit differently in another build
             assert got == pytest.approx(want, rel=1e-15, abs=0)
             assert got == pytest.approx(reference_draw(family, seed, key, model), rel=1e-13)
-            assert stream_draw(scaled, seed, key, model) == 0.7 * got
+            assert known_draw(scaled, seed, key, model) == 0.7 * got
 
     def test_seed_prefixes_read_each_seed_as_an_int(self):
         # numpy integers, a uint64 seed past 2**63 among them, have the
@@ -319,19 +294,12 @@ class TestRewardDraws:
         assert not np.array_equal(full[0], reward_draws(spec, prefixes, range(64), 10)[0])
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
-    @pytest.mark.parametrize("keying", Keying.ALL)
-    def test_batch_of_r_equals_r_streams_of_one(self, family, keying):
+    def test_batch_of_r_equals_r_streams_of_one(self, family):
         spec = PerturbationSpec(family, 0.9)
         seeds = [3, 99, 12345, 7, 3]
-        if keying == Keying.BY_STEP:
-            keys = [(5,)] * len(seeds)
-            batch_key = (5,)
-        else:
-            keys = [(0, 1), (2, 1), (0, 2), (9, 4), (0, 2)]
-            batch_key = tuple(np.array(part) for part in zip(*keys))
-        batch = reward_draws(spec, reward_prefixes(seeds), range(33), *batch_key)
-        for row, seed, key in zip(batch, seeds, keys):
-            alone = PerturbationStream(seed).reward_vector(spec, 33, *key)
+        batch = reward_draws(spec, reward_prefixes(seeds), range(33), 5)
+        for row, seed in zip(batch, seeds):
+            alone = PerturbationStream(seed).reward_vector(spec, 33, 5)
             assert row.tobytes() == alone.tobytes()
 
 
@@ -461,10 +429,7 @@ class TestKeyedStepDraws:
         assert calls == [(block, 1), (block, 1)]
         assert block_steps(width) == block
 
-    @pytest.mark.parametrize("keying", Keying.ALL)
-    def test_an_ensemble_draws_by_step_in_blocks_and_by_arm_count_per_step(
-        self, monkeypatch, keying
-    ):
+    def test_an_ensemble_draws_by_step_in_blocks(self, monkeypatch):
         calls = []
 
         def spy(*args):
@@ -475,25 +440,20 @@ class TestKeyedStepDraws:
         monkeypatch.setattr(policies, "reward_draws", spy)
         spec = PerturbationSpec("gaussian", 0.5)
         policy = policies.EnsembleSampling(
-            2, 1.0, 8, spec, [3, 4], sampler=policies.Sampler.ROUND_ROBIN, keying=keying
+            2, 1.0, 8, spec, [3, 4], sampler=policies.Sampler.ROUND_ROBIN
         )
         calls.clear()  # the initial matrices
         x = np.array([[0.6, 0.0], [0.0, 0.6]])
         for _ in range(DRAW_BLOCK + 1):
             policy.update(np.array([0, 1]), x, np.zeros(2))
-        if keying == Keying.BY_STEP:
-            # one (64, 1) array of steps, then the next block's
-            assert [np.shape(key[0]) for key in calls] == [(DRAW_BLOCK, 1)] * 2
-        else:
-            assert len(calls) == DRAW_BLOCK + 1
-            assert all(len(key) == 2 and np.shape(key[0]) == (2,) for key in calls)
+        # one (64, 1) array of steps, then the next block's
+        assert [np.shape(key[0]) for key in calls] == [(DRAW_BLOCK, 1)] * 2
         monkeypatch.undo()
         oracle = policies.EnsembleSampling(
-            2, 1.0, 8, spec, [3, 4], sampler=policies.Sampler.ROUND_ROBIN, keying=keying
+            2, 1.0, 8, spec, [3, 4], sampler=policies.Sampler.ROUND_ROBIN
         )
         for t in range(1, DRAW_BLOCK + 2):
-            key = (t,) if keying == Keying.BY_STEP else (np.array([0, 1]), t)
-            z = reward_draws(spec, reward_prefixes([3, 4]), range(8), *key)
+            z = reward_draws(spec, reward_prefixes([3, 4]), range(8), t)
             kernels.accumulate_perturbed(oracle.s_vectors.swapaxes(-1, -2), x, z)
         assert policy.s_vectors.tobytes() == oracle.s_vectors.tobytes()
 

@@ -26,7 +26,6 @@ from linens.policies import (
     EnsembleSampling,
     GreedyRidge,
     InvalidStateError,
-    Keying,
     LinPHE,
     LinTS,
     LinUCB,
@@ -234,22 +233,6 @@ class TestEnsembleUpdate:
             np.testing.assert_allclose(
                 policy.model_theta([j])[0] - theta_hat[0], tilde, atol=1e-9
             )
-
-    def test_by_arm_count_keying_replayable(self, rng):
-        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 1.0)
-        stream = PerturbationStream(7)
-        policy = EnsembleSampling(2, 1.0, 3, spec, [7], keying=Keying.BY_ARM_COUNT)
-        x = np.array([0.5, 0.1])
-        # pulls: arm 0 twice, arm 1 once
-        for arm in (0, 1, 0):
-            policy.update(np.array([arm]), x[None], np.array([1.0]))
-        # reconstruct with (arm, count) keys
-        z1 = stream.reward_vector(spec, 3, 0, 1)
-        z2 = stream.reward_vector(spec, 3, 1, 1)
-        z3 = stream.reward_vector(spec, 3, 0, 2)
-        w = initial_draws(spec, seed_prefixes([7], TAG_INIT), 3, 2, 1.0)[0]
-        want = w + np.outer(3.0 + z1 + z2 + z3, x)
-        np.testing.assert_allclose(policy.s_vectors[0], want, atol=1e-12)
 
 
 class TestLinPHE:
