@@ -49,6 +49,7 @@ def bits(a: np.ndarray) -> tuple:
 
 CASES = {
     "ensemble": dict(run__diagnostics="off"),
+    "ensemble-rademacher": dict(run__diagnostics="monitors", policy__family="rademacher"),
     "ensemble-round-robin": dict(
         run__diagnostics="full-trace", policy__sampler="round_robin", policy__m=40
     ),

@@ -159,6 +159,24 @@ LOAD_REJECTIONS = {
         BASE_INI.replace("name = ensemble\nm = 4", "name = phe\nscale_mode = explicit\nscale = 1e155"),
         r"the perturbation scale must be at most 1e\+150, got 1e\+155",
     ),
+    # every ensemble draws its reward perturbations by step, and the one
+    # legal keying is spelt as written
+    "keying-by-arm-count": (
+        BASE_INI.replace("delta = 0.1", "delta = 0.1\nkeying = by_arm_count"),
+        r"policy\.keying must be by_step, got 'by_arm_count'",
+    ),
+    "keying-upper-case": (
+        BASE_INI.replace("delta = 0.1", "delta = 0.1\nkeying = BY_STEP"),
+        r"policy\.keying must be by_step, got 'BY_STEP'",
+    ),
+    "keying-hyphenated": (
+        BASE_INI.replace("delta = 0.1", "delta = 0.1\nkeying = by-step"),
+        r"policy\.keying must be by_step, got 'by-step'",
+    ),
+    "keying-empty": (
+        BASE_INI.replace("delta = 0.1", "delta = 0.1\nkeying ="),
+        r"policy\.keying must be by_step, got ''",
+    ),
     "theta-star-entries-1e200": (
         EXPLICIT_INI.replace("theta_star = 0.9 0.3", "theta_star = 1e200 1e200"),
         r"\|\|theta_star\|\| must not exceed param_bound, got 1\.41421356\d*e\+200",
@@ -1191,16 +1209,32 @@ class TestCli:
         assert summary["replications"] == 1
         assert summary["config"]["run"]["base_seed"] == 99
 
-    def test_run_rejects_by_arm_count_keying(self, tmp_path):
-        # every ensemble draws its reward perturbations by step: a file that
-        # asks for another keying stops at load, before anything is written
-        text = BASE_INI.replace("delta = 0.1", "delta = 0.1\nkeying = by_arm_count")
-        out = tmp_path / "out"
-        done = run_cli("run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out))
-        assert done.returncode == 2
-        assert done.stderr == "linens: policy.keying must be by_step, got 'by_arm_count'\n"
-        assert done.stdout == ""
-        assert not out.exists()
+    @pytest.mark.parametrize("sampler", ["uniform", "round_robin"])
+    @pytest.mark.parametrize(
+        "command,diagnostics",
+        [("run", "off"), ("run", "monitors"), ("run", "full-trace"), ("rates", "monitors")],
+    )
+    def test_the_default_keying_written_out_changes_no_output_byte(
+        self, tmp_path, capsys, command, diagnostics, sampler
+    ):
+        # keying = by_step is the default, which an ensemble file may leave
+        # out: the outputs, config echo included, are the same bytes
+        default = BASE_INI.replace("horizon = 30", f"horizon = 10\ndiagnostics = {diagnostics}")
+        default = default.replace("m = 4", f"m = 10\nsampler = {sampler}")
+        keyed = default.replace("delta = 0.1", "delta = 0.1\nkeying = by_step")
+        outputs = []
+        for name, text in (("default", default), ("keyed", keyed)):
+            cfg_path = str(write_cfg(tmp_path, text, f"{name}.ini"))
+            if command == "run":
+                out = tmp_path / name
+                assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+                outputs.append([(out / f).read_bytes() for f in ("trace.csv", "summary.json")])
+            else:
+                assert cli.main(["rates", "--config", cfg_path]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        if command == "run":
+            assert json.loads(outputs[0][1])["config"]["policy"]["keying"] == "by_step"
 
     def test_equivalence_command(self, tmp_path, capsys):
         text = EQUIVALENCE_INI.replace("horizon = 30", "horizon = 15")

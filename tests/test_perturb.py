@@ -192,6 +192,12 @@ class TestKeyedStreams:
         np.testing.assert_array_equal(small, large[:4])
         assert stream.reward_vector(spec, 3, 17)[2] == small[2]
 
+    def test_reward_vector_is_keyed_by_a_step_alone(self):
+        # reward perturbations are keyed by step; an (arm, count) pair is
+        # no key
+        stream = PerturbationStream(1)
+        with pytest.raises(TypeError):
+            stream.reward_vector(PerturbationSpec(), 2, 3, 1)
 
 
 GOLDEN = 0x9E3779B97F4A7C15

@@ -7,6 +7,7 @@ import pytest
 from linens.diagnostics import StepMonitor
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.perturb import (
+    DRAW_BLOCK,
     TAG_INIT,
     TAG_MODEL,
     TAG_PHE,
@@ -233,6 +234,35 @@ class TestEnsembleUpdate:
             np.testing.assert_allclose(
                 policy.model_theta([j])[0] - theta_hat[0], tilde, atol=1e-9
             )
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_sums_replay_from_the_per_step_stream(self, rng, family):
+        # every reward perturbation is keyed by its step alone: whichever
+        # arms were pulled, the sums are the initial draws plus each step's
+        # reward and stream vector, across more than one block of steps
+        dim, m, lam, steps = 3, 6, 1.5, 2 * DRAW_BLOCK + 5
+        spec = PerturbationSpec(family, 0.8)
+        stream = PerturbationStream(7)
+        policy = EnsembleSampling(dim, lam, m, spec, [7])
+        w = initial_draws(spec, seed_prefixes([7], TAG_INIT), m, dim, lam)[0]
+        xs, ys = drive(policy, rng, dim, steps)
+        z = np.array([stream.reward_vector(spec, m, t) for t in range(1, steps + 1)])
+        want = w + (ys[:, None] + z).T @ xs
+        np.testing.assert_allclose(policy.s_vectors[0], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", PerturbationFamily.ALL)
+    def test_the_first_models_do_not_depend_on_the_ensemble_size(self, rng, family):
+        # model j draws under (seed, j, step) alone: a larger ensemble, whose
+        # blocks hold fewer steps, holds the smaller one's sums bit for bit
+        spec = PerturbationSpec(family, 1.1)
+        small = EnsembleSampling(2, 1.0, 3, spec, [4, 9])
+        large = EnsembleSampling(2, 1.0, 700, spec, [4, 9])
+        for _ in range(40):
+            x = np.stack([random_unit_ball(rng, 2) for _ in range(2)])
+            y = rng.standard_normal(2)
+            for policy in (small, large):
+                policy.update(np.array([0, 1]), x, y)
+        assert small.s_vectors.tobytes() == large.s_vectors[:, :3].tobytes()
 
 
 class TestLinPHE:
