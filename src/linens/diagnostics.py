@@ -4,8 +4,8 @@ Evaluates, during simulation, the quantities that drive the regret
 guarantee: the ridge concentration event, the perturbation concentration
 event, the directional anti-concentration event, optimism, and the
 elliptical potential. :class:`StepMonitor` records each step's pre-step
-state and evaluates the events a block of steps at a time, in one batched
-pass whose numbers are each step's own. The implication
+state and evaluates the events at each :meth:`~StepMonitor.flush`, in one
+batched pass whose numbers are each step's own. The implication
 
     concentration AND anti-concentration  =>  optimism
 
@@ -16,7 +16,7 @@ it can only mean an implementation bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,14 @@ from .policies import Selection, _RidgeBase
 
 #: Numerical slack for the optimism implication (exact in real arithmetic).
 _IMPLICATION_SLACK = 1e-9
+
+#: The counters of :meth:`StepMonitor.counters` that count steps by event.
+_EVENT_COUNTS = (
+    "concentration_failures",
+    "perturb_concentration_failures",
+    "anti_conc_hits",
+    "optimism_hits",
+)
 
 
 class InvariantViolation(RuntimeError):
@@ -84,34 +92,26 @@ class StepMonitor:
     batch, ``replications`` (by default the one replication 0), and its
     counters are ``(R,)`` arrays (:meth:`counters`).
 
-    :meth:`observe` records each step's pre-step state, and the events are
-    evaluated a block of steps at a time, in one batched pass over
-    ``(n, R)`` arrays, when the block is full and at :meth:`flush`.
-    Each step's numbers are those of the serial calls on that step alone
-    (see :mod:`linens.linalg`). A block holds
-    :func:`~linens.perturb.block_steps` of ``R * record`` steps, with
-    ``record`` the largest per-replication snapshot: ``d * d`` for a Gram
-    matrix, or ``m * d`` for an ensemble's perturbed sums under
-    ``track_ensemble_fraction``, whose estimators a block forms in one
-    stacked product. So memory stays flat at any batch width.
-    The counters cover the evaluated steps; call :meth:`flush` after the
-    last step before reading them.
+    :meth:`observe` records each step's pre-step state, and :meth:`flush`
+    evaluates the recorded steps in one batched pass over ``(n, R)``
+    arrays, whose numbers are those of the serial calls on each step alone
+    (see :mod:`linens.linalg`). The caller flushes at most every
+    :meth:`block_length` steps: :func:`~linens.perturb.block_steps` of
+    ``R * record`` steps, with ``record`` the largest per-replication
+    snapshot: ``d * d`` for a Gram matrix, or ``m * d`` for an ensemble's
+    perturbed sums under ``track_ensemble_fraction``, whose estimators a
+    block forms in one stacked product. So memory stays flat at any batch
+    width. The counters cover the evaluated steps; call :meth:`flush`
+    after the last step before reading them.
     """
 
     env: LinearBanditEnv
     params: ConfidenceParams
     track_ensemble_fraction: bool = False
     replications: range = range(1)
-    checks: int = field(default=0, init=False)  # steps evaluated so far
 
     def __post_init__(self):
         self._shape = shape = (len(self.replications),)
-        zeros = np.zeros(shape, dtype=np.int64)
-        self.elliptical_sum = np.zeros(shape)
-        self.concentration_failures = zeros
-        self.perturb_concentration_failures = zeros
-        self.anti_conc_hits = zeros
-        self.optimism_hits = zeros
         self._gamma_tilde = gamma_tilde(self.params)
         # the optimal arm of each replication, broadcast once for every step
         x_star = self.env.pull(self.env.optimal_arm_index)[0]
@@ -121,41 +121,46 @@ class StepMonitor:
         # is sqrt(lam) * ||theta*|| which the radius covers by construction
         theta_star = self.env.theta_star
         dev0 = math.sqrt(self.params.lam) * np.sqrt(dot(theta_star, theta_star))
-        self.all_concentrated = np.broadcast_to(dev0 <= beta(self.params, 0), shape)
-        # the lowest per-step ensemble fraction of each replication, once
-        # an ensemble's steps are evaluated under track_ensemble_fraction
-        self.min_ensemble_fraction = None
-        self._record = None  # block buffers, sized at the first step
+        # the counters of the evaluated steps, which flush folds each block
+        # into; under track_ensemble_fraction an ensemble's steps add
+        # min_ensemble_fraction, each replication's lowest per-step fraction
+        self._counts = {
+            "checks": 0,
+            "elliptical_sum": np.zeros(shape),
+            "all_concentrated": np.broadcast_to(dev0 <= beta(self.params, 0), shape),
+            **dict.fromkeys(_EVENT_COUNTS, np.zeros(shape, dtype=np.int64)),
+        }
+        self._record = None  # block buffers, sized by block_length
         self._first = 1  # the step of the block's first row
         self._held = 0  # rows recorded and not yet evaluated
 
-    def _buffers(self, policy: _RidgeBase) -> dict:
-        """Empty ``(n, R) + record`` buffers of one block of ``policy``'s
-        pre-step states."""
-        d = self.env.dim
-        records = {
-            "gram": (d, d),
-            "gram_inv": (d, d),
-            "reward_sum": (d,),
-            "theta": (d,),
-            "chosen": (d,),
-        }
-        if self.track_ensemble_fraction and hasattr(policy, "s_vectors"):
-            records["sums"] = (policy.n_models, d)
-        steps = block_steps(len(self.replications) * max(math.prod(r) for r in records.values()))
-        return {name: np.empty((steps,) + self._shape + r) for name, r in records.items()}
+    def block_length(self, policy: _RidgeBase) -> int:
+        """The most steps of ``policy`` that :meth:`observe` records
+        between two calls of :meth:`flush`; the first call sizes the
+        ``(n, R) + record`` buffers of a block of pre-step states."""
+        if self._record is None:
+            d = self.env.dim
+            records = {
+                "gram": (d, d),
+                "gram_inv": (d, d),
+                "reward_sum": (d,),
+                "theta": (d,),
+                "chosen": (d,),
+            }
+            if self.track_ensemble_fraction and hasattr(policy, "s_vectors"):
+                records["sums"] = (policy.n_models, d)
+            n = block_steps(len(self.replications) * max(math.prod(r) for r in records.values()))
+            self._record = {name: np.empty((n,) + self._shape + r) for name, r in records.items()}
+        return len(self._record["gram"])
 
-    def observe(
-        self, policy: _RidgeBase, selection: Selection, chosen: np.ndarray
-    ) -> StepDiagnostics | None:
+    def observe(self, policy: _RidgeBase, selection: Selection, chosen: np.ndarray) -> None:
         """Record the pre-step state of the upcoming step; call after
         ``select`` and before ``update``, once per step in step order.
-        ``chosen`` is the vector of the selected arm, one per replication.
-        Returns the diagnostics of the block that this step completes, or
-        None."""
-        if self._record is None:
-            self._record = self._buffers(policy)
+        ``chosen`` is the vector of the selected arm, one per replication."""
+        full = self.block_length(policy)
         rec, i = self._record, self._held
+        if i == full:
+            raise ValueError(f"the block holds {full} recorded steps; call flush() first")
         if i == 0:
             self._first = policy.step + 1
         elif policy.step + 1 != self._first + i:
@@ -171,7 +176,6 @@ class StepMonitor:
         if "sums" in rec:
             rec["sums"][i] = policy.s_vectors
         self._held = i + 1
-        return self.flush() if self._held == len(rec["gram"]) else None
 
     def flush(self) -> StepDiagnostics | None:
         """Evaluate every recorded step in one batched pass, fold it into
@@ -216,18 +220,16 @@ class StepMonitor:
 
         # running sums in step order: add.accumulate adds one step after
         # another, the bits of repeated addition
+        counts = self._counts
         width = weighted_norm(gram_inv, chosen)
-        sums = np.concatenate([self.elliptical_sum[None], width * width])
+        sums = np.concatenate([counts["elliptical_sum"][None], width * width])
         elliptical_sum = np.add.accumulate(sums, axis=0)[1:]
-        self.elliptical_sum = elliptical_sum[-1]
-        self.checks += n
-        self.concentration_failures = self.concentration_failures + (~concentration_ok).sum(axis=0)
-        self.all_concentrated = self.all_concentrated & concentration_ok.all(axis=0)
-        self.perturb_concentration_failures = (
-            self.perturb_concentration_failures + (~perturb_concentration_ok).sum(axis=0)
-        )
-        self.anti_conc_hits = self.anti_conc_hits + anti_conc_ok.sum(axis=0)
-        self.optimism_hits = self.optimism_hits + optimism_ok.sum(axis=0)
+        counts["elliptical_sum"] = elliptical_sum[-1]
+        counts["checks"] += n
+        counts["all_concentrated"] = counts["all_concentrated"] & concentration_ok.all(axis=0)
+        events = (~concentration_ok, ~perturb_concentration_ok, anti_conc_ok, optimism_ok)
+        for name, hits in zip(_EVENT_COUNTS, events):
+            counts[name] = counts[name] + hits.sum(axis=0)
 
         fraction = None
         if "sums" in rec:
@@ -235,9 +237,9 @@ class StepMonitor:
             thetas = np.matmul(rec["sums"], gram_inv)
             fraction = self._ensemble_fraction(thetas, theta_hat, gram, threshold)
             low = fraction.min(axis=0)
-            if self.min_ensemble_fraction is not None:
-                low = np.minimum(self.min_ensemble_fraction, low)
-            self.min_ensemble_fraction = low
+            if "min_ensemble_fraction" in counts:
+                low = np.minimum(counts["min_ensemble_fraction"], low)
+            counts["min_ensemble_fraction"] = low
 
         return StepDiagnostics(
             first=first,
@@ -263,29 +265,15 @@ class StepMonitor:
     def counters(self) -> dict:
         """The ``(R,)`` counters, ``checks`` included, that
         :func:`linens.harness.monitor_report` turns into the one report.
-        ``elliptical_ok`` is left out below lambda = 1, where the check is
-        disabled. Every recorded step must be evaluated (:meth:`flush`)."""
+        ``elliptical_ok``, whether the elliptical potential stayed under its
+        cap, is left out below lambda = 1, where the cap does not apply.
+        Every recorded step must be evaluated (:meth:`flush`)."""
         if self._held:
             raise RuntimeError(f"{self._held} recorded steps are not evaluated; call flush()")
-        counters = {
-            "checks": self.checks,
-            "elliptical_sum": self.elliptical_sum,
-            "all_concentrated": self.all_concentrated,
-            "concentration_failures": self.concentration_failures,
-            "perturb_concentration_failures": self.perturb_concentration_failures,
-            "anti_conc_hits": self.anti_conc_hits,
-            "optimism_hits": self.optimism_hits,
-        }
+        counters = dict(self._counts)
         if self.params.lam >= 1:
-            counters["elliptical_ok"] = self.elliptical_ok()
-        if self.min_ensemble_fraction is not None:
-            counters["min_ensemble_fraction"] = self.min_ensemble_fraction
+            bound = elliptical_potential_bound(
+                self.env.dim, max(counters["checks"], 1), self.params.lam
+            )
+            counters["elliptical_ok"] = counters["elliptical_sum"] <= bound
         return {k: np.broadcast_to(v, self._shape) for k, v in counters.items()}
-
-    def elliptical_ok(self):
-        """Whether the elliptical potential stayed under its cap (meaningful
-        for lam >= 1)."""
-        bound = elliptical_potential_bound(
-            self.env.dim, max(self.checks, 1), self.params.lam
-        )
-        return self.elliptical_sum <= bound

@@ -16,8 +16,8 @@ only maps the fixed batches over a process pool, so no output depends on it.
 A batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
 trace columns and ``(R,)`` counters, pooled across batches by concatenation
 and written to ``trace.csv`` one replication at a time. Bookkeeping that no
-decision reads stays off the per-step path: regret is scored a block of
-steps at a time, and the monitor's flags are written a block at a time.
+decision reads stays off the per-step path: the loop ends a block of steps
+in one place, where it scores the regret and evaluates the monitor.
 """
 
 from __future__ import annotations
@@ -115,16 +115,15 @@ def interact(
     Each step selects an arm per replication, gathers its vector and mean
     reward once, lets the monitor (if any) record the pre-step state, adds
     the noise of the step (``noise.at(t)``, one value per replication, from
-    :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. The mean
-    rewards wait in an ``(R, block_steps(R))`` buffer, which the
-    :class:`~linens.envs.RegretLedger` scores when it is full and after the
-    last step; ``instant_regret`` and ``cum_regret`` are written a block at
-    a time, so a run that traces neither holds no ``(R, horizon)`` regret.
-    The monitor evaluates a block of steps at a time; its flags are written
-    when a block completes, and its last block is flushed after the last
-    step. Returns the named trace columns (of ``TRACE_COLUMNS``, and of
-    ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the final
-    cumulative regret of each replication.
+    :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. Steps
+    run in blocks of the monitor's ``block_length``, or of
+    ``block_steps(R)`` without one. At each block's end the
+    :class:`~linens.envs.RegretLedger` scores its mean rewards, the monitor
+    evaluates its steps (``flush``), and their columns are written at the
+    block's steps, so a run that traces no regret holds no
+    ``(R, horizon)`` regret. Returns the named trace columns (of
+    ``TRACE_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor), each
+    ``(R, horizon)``, and the final cumulative regret of each replication.
     """
     shape = (policy.batch, horizon)
     cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
@@ -135,7 +134,7 @@ def interact(
     flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
     ledger = RegretLedger(env)
     arms = env.arms
-    steps = block_steps(policy.batch)
+    steps = block_steps(policy.batch) if monitor is None else monitor.block_length(policy)
     means = np.empty((policy.batch, steps))  # a block's mean rewards, step by step
     for first in range(0, horizon, steps):
         at = range(first, min(first + steps, horizon))
@@ -144,12 +143,10 @@ def interact(
             sel = policy.select(arms)
             x, mean = env.pull(sel.arm_index)
             if monitor is not None:
-                diag = monitor.observe(policy, sel, x)
-                if diag is not None:
-                    _write_flags(flags, diag)
+                monitor.observe(policy, sel, x)
             y = mean + noise.at(i + 1)[:, 0]
             block[:, j] = mean
-            policy.update(sel.arm_index, x, y)
+            policy.update(x, y)
             if traced:
                 step = (sel.arm_index, sel.model_index, y)
                 for k, col in traced:
@@ -157,19 +154,11 @@ def interact(
         regret = ledger.record(block)
         for k, col in scored:
             col[:, at.start : at.stop] = regret[k]
-    if monitor is not None:
-        diag = monitor.flush()
-        if diag is not None:
-            _write_flags(flags, diag)
+        if monitor is not None:
+            diag = monitor.flush()
+            for col, ok in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
+                col[:, at.start : at.stop] = ok.T
     return cols, ledger.cumulative
-
-
-def _write_flags(flags: list, diag) -> None:
-    """Write a block's ``FLAG_COLUMNS`` (``(n, R)`` arrays) into the
-    ``(R, horizon)`` flag columns, if any, at the block's steps."""
-    at = slice(diag.first - 1, diag.first - 1 + len(diag))
-    for col, values in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
-        col[:, at] = values.T
 
 
 def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) -> RunRecord:

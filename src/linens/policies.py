@@ -2,7 +2,7 @@
 
 All policies share the same interaction surface: ``select(arms)`` returns
 the chosen arm (plus the estimator used, for diagnostics), and
-``update(arm_index, x, y)`` folds one observation into the state.
+``update(x, y)`` folds the pulled arm's vector and its reward into the state.
 Argmax ties are broken toward the smallest arm index everywhere, which
 makes the cross-policy equality tests exact.
 
@@ -117,7 +117,9 @@ class _RidgeBase:
         theta = self.estimator()
         return self._selection(matvec(arms, theta), theta)
 
-    def _observe(self, x: np.ndarray, y) -> None:
+    def update(self, x: np.ndarray, y) -> None:
+        """Record one step: the history (if kept), Gram state and reward sum."""
+        x = np.asarray(x, dtype=np.float64)
         if self._xs is not None:
             n = self.step
             if n == self._xs.shape[-2]:
@@ -127,9 +129,6 @@ class _RidgeBase:
             self._ys[..., n] = y
         self.gram.update(x)
         self.reward_sum += np.asarray(y)[..., None] * x
-
-    def update(self, arm_index, x: np.ndarray, y) -> None:
-        self._observe(np.asarray(x, dtype=np.float64), y)
 
 
 class GreedyRidge(_RidgeBase):
@@ -221,10 +220,10 @@ class EnsembleSampling(_RidgeBase):
         theta = self.model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
-    def update(self, arm_index, x: np.ndarray, y) -> None:
+    def update(self, x: np.ndarray, y) -> None:
         x = np.asarray(x, dtype=np.float64, order="C")
-        z = self._rewards.at(self.step + 1)
-        self._observe(x, y)
+        super().update(x, y)
+        z = self._rewards.at(self.step)
         kernels.accumulate_perturbed(self._sums, x, np.asarray(y)[..., None] + z)
 
 
@@ -235,7 +234,7 @@ class PerturbedHistoryReplay(EnsembleSampling):
     It keeps the history instead of the sums, and rebuilds a model's sum
     from its initial row and the ensemble's draws for it, so at step ``t``
     it acts on model ``t - 1``'s estimator, the ensemble's bit for bit.
-    The history is the buffer that :meth:`_RidgeBase._observe` records, so
+    The history is the buffer that :meth:`_RidgeBase.update` records, so
     it grows with the steps taken, not with ``m``.
     """
 
@@ -268,7 +267,7 @@ class PerturbedHistoryReplay(EnsembleSampling):
         s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         return self.gram.solve(np.ascontiguousarray(s))
 
-    # _observe records the history; there are no perturbed sums to update
+    # the base update records the history; there are no perturbed sums to update
     update = _RidgeBase.update
 
 
@@ -293,7 +292,7 @@ class LinPHE(_RidgeBase):
     per block of steps (:class:`~linens.perturb.StepDraws`, whose block
     length is bounded by ``DRAW_VALUES`` values). The other families' sums
     are not of their family, so they re-perturb the O(t) history, which
-    :meth:`_RidgeBase._observe` records, with
+    :meth:`_RidgeBase.update` records, with
     :func:`~linens.perturb.history_draws`, one call per step for the batch,
     whose first ``d`` values are that same ``xi``. Its estimator has the
     law of the m = T ensemble's lazy form, :class:`PerturbedHistoryReplay`.

@@ -104,7 +104,7 @@ def test_criterion_02_ensemble_members_solve_their_perturbed_ridge_problem():
         x = rng.standard_normal(dim)
         x /= max(1.0, np.linalg.norm(x))
         y = float(rng.standard_normal())
-        policy.update(np.array([0]), x[None], np.array([y]))
+        policy.update(x[None], np.array([y]))
         xs.append(x)
         ys.append(y)
     xs, ys = np.array(xs), np.array(ys)
@@ -310,7 +310,7 @@ def test_criterion_09_zero_perturbation_zero_noise_collapse():
             for t in range(1, 61):
                 sel = policy.select(env.arms)
                 x, mean = env.pull(sel.arm_index)
-                policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
+                policy.update(x, mean + noise.at(t)[:, 0])
                 seq.append(int(sel.arm_index[0]))
             sequences[name] = seq
         for name, seq in sequences.items():

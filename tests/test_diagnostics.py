@@ -218,15 +218,18 @@ class TestOptimismGeometry:
 
 def run_steps(monitor, policy, env, horizon, noise_seed=0):
     """Step a batch-of-one ``policy`` for ``horizon`` steps under
-    ``monitor`` and flush it; returns the per-step diagnostics of its
-    blocks, joined."""
+    ``monitor``, flushing it at each block's end and after the last step;
+    returns the per-step diagnostics of its blocks, joined."""
     noise = env.noise.draws([noise_seed])
+    block = monitor.block_length(policy)
     blocks = []
     for t in range(1, horizon + 1):
         sel = policy.select(env.arms)
         x, mean = env.pull(sel.arm_index)
-        blocks.append(monitor.observe(policy, sel, x))
-        policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
+        monitor.observe(policy, sel, x)
+        policy.update(x, mean + noise.at(t)[:, 0])
+        if t % block == 0:
+            blocks.append(monitor.flush())
     blocks.append(monitor.flush())
     return concatenate_blocks([b for b in blocks if b is not None], horizon)
 
@@ -254,10 +257,11 @@ class TestStepMonitor:
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=0.0), 1.0, 12345)
         params = make_params(sigma=0.0, horizon=50)
         monitor, diag = self.run_greedy(env, params, 50, 0)
-        assert monitor.all_concentrated.tolist() == [True]
-        assert monitor.concentration_failures.tolist() == [0]
-        assert monitor.perturb_concentration_failures.tolist() == [0]
-        assert monitor.checks == 50
+        counters = monitor.counters()
+        assert counters["all_concentrated"].tolist() == [True]
+        assert counters["concentration_failures"].tolist() == [0]
+        assert counters["perturb_concentration_failures"].tolist() == [0]
+        assert counters["checks"].tolist() == [50]
         assert diag["concentration_ok"].shape == (50, 1)
         assert diag["concentration_ok"].all()
 
@@ -266,29 +270,31 @@ class TestStepMonitor:
         env = LinearBanditEnv.random(2, 3, NoiseModel(sigma=0.0), 1.0, 12345)
         with pytest.raises(TypeError, match="checks"):
             StepMonitor(env, make_params(), checks=5)
-        assert StepMonitor(env, make_params()).checks == 0
+        assert StepMonitor(env, make_params()).counters()["checks"].tolist() == [0]
 
     def test_harmonic_elliptical_sum(self):
         # one arm x = 1 in dimension 1 with lam = 1: widths^2 are 1, 1/2, 1/3
         env = LinearBanditEnv(np.array([[1.0]]), np.array([0.5]), NoiseModel(sigma=0.0), 1.0)
         params = make_params(dim=1, horizon=3)
         monitor, _ = self.run_greedy(env, params, 3, 0)
-        assert monitor.elliptical_sum[0] == pytest.approx(11.0 / 6.0, abs=1e-12)
-        assert monitor.elliptical_ok()[0]
+        counters = monitor.counters()
+        assert counters["elliptical_sum"][0] == pytest.approx(11.0 / 6.0, abs=1e-12)
+        assert counters["elliptical_ok"][0]
 
     def test_elliptical_bound_holds_on_random_runs(self):
         for noise_seed in range(5):
             env = LinearBanditEnv.random(3, 8, NoiseModel(sigma=1.0), 1.0, noise_seed)
             params = make_params(dim=3, horizon=200)
             monitor, _ = self.run_greedy(env, params, 200, noise_seed)
-            assert monitor.checks == 200
-            assert monitor.elliptical_sum[0] <= elliptical_potential_bound(3, 200, 1.0)
+            counters = monitor.counters()
+            assert counters["checks"].tolist() == [200]
+            assert counters["elliptical_sum"][0] <= elliptical_potential_bound(3, 200, 1.0)
 
     def test_step0_concentration_boundary(self):
         # the zero estimate deviates by sqrt(lam)||theta*||, inside the radius
         env = LinearBanditEnv(np.array([[1.0, 0.0]]), np.array([0.9, 0.0]), NoiseModel(), 1.0)
         monitor = StepMonitor(env, make_params())
-        assert monitor.all_concentrated.tolist() == [True]
+        assert monitor.counters()["all_concentrated"].tolist() == [True]
 
     def test_ensemble_fraction_tracked_and_cross_checked(self):
         env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, 12345)
@@ -300,7 +306,6 @@ class TestStepMonitor:
         x_star = env.arms[env.optimal_arm_index]
         noise = env.noise.draws([4])
         manual = []
-        blocks = []
         for t in range(1, 21):
             sel = policy.select(env.arms)
             # independent recomputation of the member fraction
@@ -315,18 +320,15 @@ class TestStepMonitor:
                 hits += ok_dir and ok_norm
             manual.append(hits / 16)
             x, mean = env.pull(sel.arm_index)
-            blocks.append(monitor.observe(policy, sel, x))
-            policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
-        blocks.append(monitor.flush())
-        fractions = concatenate_blocks([b for b in blocks if b is not None], 20)[
-            "ensemble_fraction"
-        ]
+            monitor.observe(policy, sel, x)
+            policy.update(x, mean + noise.at(t)[:, 0])
+        fractions = concatenate_blocks([monitor.flush()], 20)["ensemble_fraction"]
         assert fractions.shape == (20, 1)
         fractions = fractions[:, 0]
         for got, want in zip(fractions, manual):
             assert got == pytest.approx(want, abs=1e-12)
         assert all(0.0 <= f <= 1.0 for f in fractions)
-        assert monitor.min_ensemble_fraction.tolist() == [min(fractions)]
+        assert monitor.counters()["min_ensemble_fraction"].tolist() == [min(fractions)]
 
     def test_inconsistent_selection_triggers_hard_error(self):
         # the optimism implication is deterministic; feeding a selection whose
@@ -365,7 +367,7 @@ class TestStepMonitor:
                 sel = Selection(arm, sel.model_index, theta)
             x, mean = env.pull(sel.arm_index)
             assert monitor.observe(policy, sel, x) is None
-            policy.update(sel.arm_index, x, mean)
+            policy.update(x, mean)
         monitor.flush()
 
     def test_bogus_selection_mid_block_names_its_step_and_replication(self):
@@ -386,11 +388,12 @@ class TestStepMonitor:
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
         params = make_params(horizon=100)
         monitor, diag = self.run_greedy(env, params, 100, 0)
-        assert monitor.checks == 100
-        assert monitor.anti_conc_hits.tolist() == [diag["anti_conc_ok"].sum()]
-        assert monitor.optimism_hits.tolist() == [diag["optimism_ok"].sum()]
-        assert monitor.concentration_failures.tolist() == [(~diag["concentration_ok"]).sum()]
-        assert monitor.elliptical_sum.tolist() == diag["elliptical_sum"][-1].tolist()
+        counters = monitor.counters()
+        assert counters["checks"].tolist() == [100]
+        assert counters["anti_conc_hits"].tolist() == [diag["anti_conc_ok"].sum()]
+        assert counters["optimism_hits"].tolist() == [diag["optimism_ok"].sum()]
+        assert counters["concentration_failures"].tolist() == [(~diag["concentration_ok"]).sum()]
+        assert counters["elliptical_sum"].tolist() == diag["elliptical_sum"][-1].tolist()
 
     def test_steps_are_recorded_in_order(self):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
@@ -401,6 +404,26 @@ class TestStepMonitor:
         monitor.observe(policy, sel, x)
         with pytest.raises(ValueError, match="expected step 2, got 1"):
             monitor.observe(policy, sel, x)
+
+    def test_a_full_block_is_flushed_before_the_next_step_is_recorded(self):
+        # observe only records: the caller ends each block with flush()
+        env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
+        monitor = StepMonitor(env, make_params())
+        policy = GreedyRidge(2, 1.0)
+        block = monitor.block_length(policy)
+        for t in range(1, block + 2):
+            sel = policy.select(env.arms)
+            x, mean = env.pull(sel.arm_index)
+            if t <= block:
+                assert monitor.observe(policy, sel, x) is None
+            else:
+                with pytest.raises(ValueError, match=r"call flush\(\) first"):
+                    monitor.observe(policy, sel, x)
+                assert len(monitor.flush()) == block
+                assert monitor.observe(policy, sel, x) is None
+            policy.update(x, mean)
+        assert len(monitor.flush()) == 1
+        assert monitor.counters()["checks"].tolist() == [block + 1]
 
     def test_summaries_refuse_unevaluated_steps(self):
         env = LinearBanditEnv.random(2, 5, NoiseModel(sigma=1.0), 1.0, 12345)
@@ -473,10 +496,27 @@ HORIZONS = {
 }
 
 
-@pytest.mark.parametrize("batch", [1, 3], ids=["R1", "R3"])
-@pytest.mark.parametrize("track", [False, True], ids=["greedy", "ensemble-full-trace"])
-@pytest.mark.parametrize("horizon_name", sorted(HORIZONS))
-def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name):
+#: Each case of the oracle test: the batch, whether an ensemble is tracked,
+#: the horizon, and every how many steps the caller flushes, None for at
+#: each block's end; a case flushing at another cadence is named for it.
+ORACLE_CASES = [
+    pytest.param(
+        batch,
+        track,
+        horizon_name,
+        every,
+        id=f"{horizon_name}-{track_id}-R{batch}" + (f"-flush-every-{every}" if every else ""),
+    )
+    for every in (None, 1, 5, 7)
+    for batch in (1, 3)
+    for track, track_id in ((False, "greedy"), (True, "ensemble-full-trace"))
+    for horizon_name in sorted(HORIZONS)
+]
+
+
+@pytest.mark.parametrize("batch, track, horizon_name, every", ORACLE_CASES)
+def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name, every):
+    # the monitor's numbers do not depend on where the caller ends a block
     dim, n_models = 4, 24
     block = block_length(batch, dim, n_models if track else None)
     horizon = HORIZONS[horizon_name](block)
@@ -493,14 +533,17 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
     monitor = StepMonitor(env, params, track_ensemble_fraction=track, replications=range(batch))
     oracle = ReferenceMonitor(env, params, batch, track)
     noise = env.noise.draws(range(batch))
+    assert monitor.block_length(policy) == block
+    every = every or block
     blocks = []
     for t in range(1, horizon + 1):
         sel = policy.select(env.arms)
         x, mean = env.pull(sel.arm_index)
         oracle.step(policy, sel, x)
-        blocks.append(monitor.observe(policy, sel, x))
-        assert len(monitor._record["gram"]) == block
-        policy.update(sel.arm_index, x, mean + noise.at(t)[:, 0])
+        monitor.observe(policy, sel, x)
+        policy.update(x, mean + noise.at(t)[:, 0])
+        if t % every == 0:
+            blocks.append(monitor.flush())
     blocks.append(monitor.flush())
     diag = concatenate_blocks([b for b in blocks if b is not None], horizon)
 
@@ -510,21 +553,22 @@ def test_blocked_monitor_matches_the_per_step_oracle(batch, track, horizon_name)
         (conc, pert, anti, opt),
     ):
         np.testing.assert_array_equal(diag[name], flags, err_msg=name)
-    assert monitor.checks == horizon
-    np.testing.assert_array_equal(monitor.all_concentrated, conc.all(axis=0))
-    np.testing.assert_array_equal(monitor.concentration_failures, (~conc).sum(axis=0))
-    np.testing.assert_array_equal(monitor.perturb_concentration_failures, (~pert).sum(axis=0))
-    np.testing.assert_array_equal(monitor.anti_conc_hits, anti.sum(axis=0))
-    np.testing.assert_array_equal(monitor.optimism_hits, opt.sum(axis=0))
+    counters = monitor.counters()
+    np.testing.assert_array_equal(counters["checks"], horizon)
+    np.testing.assert_array_equal(counters["all_concentrated"], conc.all(axis=0))
+    np.testing.assert_array_equal(counters["concentration_failures"], (~conc).sum(axis=0))
+    np.testing.assert_array_equal(counters["perturb_concentration_failures"], (~pert).sum(axis=0))
+    np.testing.assert_array_equal(counters["anti_conc_hits"], anti.sum(axis=0))
+    np.testing.assert_array_equal(counters["optimism_hits"], opt.sum(axis=0))
     # exact: the blocked running sum adds the steps in the oracle's order
-    assert np.array_equal(monitor.elliptical_sum, oracle.elliptical_sum)
+    assert np.array_equal(counters["elliptical_sum"], oracle.elliptical_sum)
     if track:
         np.testing.assert_array_equal(diag["ensemble_fraction"], oracle.fractions)
         np.testing.assert_array_equal(
-            monitor.min_ensemble_fraction, np.min(oracle.fractions, axis=0)
+            counters["min_ensemble_fraction"], np.min(oracle.fractions, axis=0)
         )
     else:
-        assert monitor.min_ensemble_fraction is None
+        assert "min_ensemble_fraction" not in counters
     if horizon_name == "2block+5" and batch > 1:
         # not vacuous: both outcomes of each event occur, and a replication
         # that failed concentration ends its run concentrated

@@ -41,6 +41,7 @@ from linens.harness import (
     run_monte_carlo,
 )
 from linens.diagnostics import StepMonitor, theoretical_regret_bound
+from linens.envs import RegretLedger
 from linens.perturb import PerturbationFamily, beta, ensemble_size, gamma, p_n
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
 
@@ -1740,8 +1741,47 @@ class CyclingPolicy:
         arm = np.full(self.batch, self.step % self.arm_count)
         return Selection(arm, np.full(self.batch, -1), None)
 
-    def update(self, arm_index, x, y):
+    def update(self, x, y):
         self.step += 1
+
+
+def test_the_ledger_and_the_monitor_end_the_same_blocks(monkeypatch):
+    # rates-c4's shape: R = 200, d = 3, m = 4, T = 200. The monitor's block
+    # holds 9 steps, so the ledger scores and the monitor evaluates
+    # ceil(200 / 9) = 23 blocks, the same ones, each once at its end
+    cfg = small_cfg(
+        env__dim=3,
+        env__arm_count=6,
+        env__sigma=1.0,
+        policy__delta=0.2,
+        run__horizon=200,
+        run__replications=200,
+        run__diagnostics="monitors",
+    )
+    replications = range(200)
+    policy = cfg.build_policy(replication_seeds(cfg, replications))
+    monitor = StepMonitor(cfg.environment(), cfg.confidence_params(), replications=replications)
+    block = monitor.block_length(policy)
+    assert block == 9
+    scored, evaluated = [], []
+    record, flush = RegretLedger.record, StepMonitor.flush
+
+    def recording(ledger, mean_reward):
+        scored.append(np.shape(mean_reward)[-1])
+        return record(ledger, mean_reward)
+
+    def flushing(monitor):
+        evaluated.append(range(monitor._first, monitor._first + monitor._held))
+        return flush(monitor)
+
+    monkeypatch.setattr(RegretLedger, "record", recording)
+    monkeypatch.setattr(StepMonitor, "flush", flushing)
+    run_batch(cfg, replications, trace=False)
+    ends = np.cumsum(scored).tolist()
+    blocks = [range(first, min(first + block, 201)) for first in range(1, 201, block)]
+    assert len(blocks) == math.ceil(200 / block) == 23
+    assert [range(end - n + 1, end + 1) for n, end in zip(scored, ends)] == blocks
+    assert evaluated == blocks
 
 
 def test_interact_without_a_trace_holds_no_regret_array():

@@ -451,7 +451,7 @@ class TestKeyedStepDraws:
         calls.clear()  # the initial matrices
         x = np.array([[0.6, 0.0], [0.0, 0.6]])
         for _ in range(DRAW_BLOCK + 1):
-            policy.update(np.array([0, 1]), x, np.zeros(2))
+            policy.update(x, np.zeros(2))
         # one (64, 1) array of steps, then the next block's
         assert [np.shape(key[0]) for key in calls] == [(DRAW_BLOCK, 1)] * 2
         monkeypatch.undo()

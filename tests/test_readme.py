@@ -188,3 +188,35 @@ def test_every_export_is_documented_or_read():
         if name not in read and not re.search(rf"\b{name}\b", readme)
     }
     assert unread == UNREAD_EXPORTS
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never loads; a name that its
+    ``__all__`` lists is used, as a re-export, and ``__future__`` imports
+    are directives, not names."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_unused_import_check_sees_an_unused_import():
+    source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = 0\n"
+    assert unused_imports(source) == ["field"]
+    assert unused_imports("from . import a as b\n__all__ = ['b']\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: unused_imports(path.read_text()) for path in SOURCES}
+    assert {name: names for name, names in unused.items() if names} == {}
