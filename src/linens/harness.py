@@ -23,8 +23,10 @@ in one place, where it scores the regret and evaluates the monitor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -251,22 +253,18 @@ def monitor_report(counters: dict) -> dict:
 
 def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     """``summary.json``'s table, whose ``monitors`` is the monitor report
-    (:func:`monitor_report`), or ``"disabled"`` when no monitor ran."""
+    (:func:`monitor_report`), or ``"disabled"`` when no monitor ran. Its
+    medians and q10/q90 are numpy's, read off one sort (:func:`_quantile`)."""
     params = cfg.confidence_params()
     grid = checkpoints(cfg.run.horizon)
     cum = np.concatenate([rec.columns["cum_regret"][:, np.array(grid) - 1] for rec in records])
-    per_checkpoint = []
-    for i, t in enumerate(grid):
-        col = cum[:, i]
-        per_checkpoint.append(
-            {
-                "t": t,
-                "mean": float(np.mean(col)),
-                "median": float(np.median(col)),
-                "q10": float(np.quantile(col, 0.10)),
-                "q90": float(np.quantile(col, 0.90)),
-            }
-        )
+    ranked = np.sort(cum, axis=0)
+    half = len(cum) // 2
+    # np.median is the mean of the middle values, whose sum starts at +0.0
+    median = ranked[half] + 0.0 if len(cum) % 2 else (0.0 + ranked[half - 1] + ranked[half]) / 2
+    stats = zip(grid, map(np.mean, cum.T), median, _quantile(ranked, 0.10), _quantile(ranked, 0.90))
+    keys = ("t", "mean", "median", "q10", "q90")
+    per_checkpoint = [dict(zip(keys, (t, *map(float, values)))) for t, *values in stats]
     config = cfg.to_dict()
     for key in _UNECHOED_RUN_KEYS:
         del config["run"][key]
@@ -288,6 +286,18 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
     return summary
 
 
+def _quantile(ranked: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(col, q)`` of each sorted column of ``ranked``, bit for
+    bit: numpy's ``_lerp`` at ``v = (n - 1) * q``, whose neighbours at the
+    last index both clip to it, weighed ``v + 1``."""
+    last = len(ranked) - 1
+    v = last * q
+    lo = min(int(v), last)
+    g = v + 1 if lo == last else v - lo
+    a, b = ranked[lo], ranked[min(lo + 1, last)]
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def emit_outputs(
     records: list[RunRecord], summary: dict, out_dir: str | Path
 ) -> tuple[Path, Path]:
@@ -298,9 +308,9 @@ def emit_outputs(
     and, when the records carry them, ``FLAG_COLUMNS``; ints and flags are
     written ``%d`` and floats ``%.17g``, which round-trips. It is written
     one replication at a time, so memory does not grow with batch width:
-    each column of a batch formats each of its distinct values once, with
-    its leading comma (:func:`_row_texts`), and the replication's number,
-    the shared ``,t`` of each step and those strings are joined once."""
+    each float column and each run of adjacent int and flag columns gives
+    a row's texts with their leading commas (:func:`_row_texts`), and the
+    replication's number, the shared ``,t`` and those texts are joined once."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -309,16 +319,18 @@ def emit_outputs(
         names = TRACE_COLUMNS
         if records and FLAG_COLUMNS[0] in records[0].columns:
             names += FLAG_COLUMNS
-        formats = [",%d" if name in _COLUMN_DTYPES else ",%.17g" for name in names]
-        formats[-1] += "\n"
+        # adjacent int and flag columns make one run, and each float column its own
+        runs = [list(run) for _, run in groupby(names, lambda name: name in _COLUMN_DTYPES or name)]
+        fmts = [[",%d" if name in _COLUMN_DTYPES else ",%.17g" for name in run] for run in runs]
+        fmts[-1][-1] += "\n"
         horizon = records[0].columns[names[0]].shape[-1] if records else 0
-        width = 2 + len(names)  # the replication, the step, then each column
+        width = 2 + len(runs)  # the replication, the step, then each run
         row_text = [None] * (width * horizon)
         row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
         with open(trace_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
-                texts = [_row_texts(rec.columns[name], fmt) for name, fmt in zip(names, formats)]
+                texts = [_row_texts([rec.columns[n] for n in r], f) for r, f in zip(runs, fmts)]
                 for i, rep in enumerate(rec.replications):
                     row_text[::width] = [str(rep)] * horizon
                     for k, text in enumerate(texts, start=2):
@@ -330,32 +342,45 @@ def emit_outputs(
     return trace_path, summary_path
 
 
-def _row_texts(column: np.ndarray, fmt: str):
-    """A function of a row index i that gives ``fmt % v`` for each value v
-    of ``column[i]``, an ``(R, T)`` column, formatting each distinct value
-    once.
+def _row_texts(columns: list[np.ndarray], formats: list[str]):
+    """A function of a row index i that gives each step's values in row i
+    of ``columns``, a run of ``(R, T)`` columns, each in its ``formats``
+    entry and joined.
 
-    A float row keys its values by their int64 bits, so ``-0.0`` and
-    ``0.0`` stay apart, and formats each unique key once. An int or flag
-    column formats each value that occurs in it once, into one table over
-    its ``[min, max]`` that every row indexes: no sort, and for arm and
-    model indices a table no longer than K or m."""
-    if column.dtype == np.float64:
+    A float column comes alone. A row of distinct values is formatted in
+    order; a row with repeats formats each of its int64 keys once, so
+    ``-0.0`` and ``0.0`` stay apart. Int and flag columns code each step in
+    the mixed radix of their ``[min, max]``, and every row indexes one table
+    of the codes, in which only the codes that occur are formatted: no sort.
+    Codes sparser than the steps and each range get a table per column."""
+    if columns[0].dtype == np.float64:
+        (column,), (fmt,) = columns, formats
 
         def text(i: int) -> list[str]:
             keys, inverse = np.unique(column[i].view(np.int64), return_inverse=True)
+            if len(keys) == len(inverse):
+                return [fmt % v for v in column[i].tolist()]
             unique = np.array([fmt % v for v in keys.view(np.float64).tolist()], dtype=object)
             return unique[inverse].tolist()
 
         return text
-    low = int(column.min())
-    occurs = np.zeros(int(column.max()) - low + 1, dtype=bool)
-    for row in column:
-        occurs[row - low] = True
+    lows = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(spans) > max(columns[0].size, *spans):
+        texts = [_row_texts([column], [fmt]) for column, fmt in zip(columns, formats)]
+        return lambda i: list(map("".join, zip(*(text(i) for text in texts))))
+
+    def code(i: int) -> np.ndarray:
+        return np.ravel_multi_index([c[i] - low for c, low in zip(columns, lows)], spans)
+
+    occurs = np.zeros(math.prod(spans), dtype=bool)
+    for i in range(len(columns[0])):
+        occurs[code(i)] = True
     table = np.empty(len(occurs), dtype=object)
     offsets = np.flatnonzero(occurs)
-    table[offsets] = [fmt % v for v in (offsets + low).tolist()]
-    return lambda i: table[column[i] - low].tolist()
+    values = zip(*[(d + low).tolist() for d, low in zip(np.unravel_index(offsets, spans), lows)])
+    table[offsets] = ["".join(f % v for f, v in zip(formats, value)) for value in values]
+    return lambda i: table[code(i)].tolist()
 
 
 # ---------------------------------------------------------------------------

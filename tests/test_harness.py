@@ -29,6 +29,7 @@ from linens.harness import (
     TRACE_COLUMNS,
     RunRecord,
     _equivalence_batch,
+    _quantile,
     _row_texts,
     aggregate,
     checkpoints,
@@ -859,6 +860,47 @@ class TestMonteCarlo:
         assert final["mean"] == records[0].columns["cum_regret"][0, -1]
         assert final["median"] == final["q10"] == final["q90"] == final["mean"]
 
+    def test_order_statistics_are_numpys_bit_for_bit(self):
+        # aggregate sorts the regret once and reads numpy's median and
+        # linear quantiles off it; checked through aggregate (median, q10,
+        # q90) and _quantile (every q), over columns with repeats, signed
+        # zeros and magnitudes 1e-300 to 1e300 at every n = 1..64
+        rng = np.random.default_rng(33)
+        grid = checkpoints(64)
+        cfg = small_cfg(run__horizon=64)
+
+        def bits(values) -> np.ndarray:
+            return np.asarray(values, dtype=np.float64).view(np.int64)
+
+        for n in range(1, 65):
+            magnitudes = 10.0 ** rng.uniform(-300, 300, 6) * rng.choice([-1.0, 1.0], 6)
+            pool = np.concatenate([magnitudes, [0.0, -0.0, 1.0, 1.5, -2.0]])
+            mixed = rng.choice(pool, (n, len(grid)))
+            # one sign of zero per column: numpy's partition and the sort may
+            # order a -0.0 and a 0.0 apart, which compare equal
+            zero = np.where(np.arange(len(grid)) % 2, 0.0, -0.0)
+            single = np.where(mixed == 0.0, zero, mixed)
+            for cols, exact in ((single, True), (mixed, False)):
+                cum = np.zeros((n, 64))
+                cum[:, np.array(grid) - 1] = cols
+                batches = [range(n // 2), range(n // 2, n)]
+                records = [RunRecord(b, {"cum_regret": cum[b]}, {}) for b in batches if len(b)]
+                rows = aggregate(cfg, records)["checkpoints"]
+                # the median is placement-free: numpy's mean sums from +0.0
+                medians = [r["median"] for r in rows]
+                assert np.array_equal(bits(medians), bits(np.median(cols, axis=0)))
+                for key, q in (("q10", 0.10), ("q90", 0.90)):
+                    got = [r[key] for r in rows]
+                    want = [np.quantile(col, q) for col in cols.T]
+                    assert np.array_equal(bits(got), bits(want)) if exact else got == want, key
+                ranked = np.sort(cols, axis=0)
+                for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+                    got = _quantile(ranked, q)
+                    want = [np.quantile(col, q) for col in cols.T]
+                    if exact:
+                        assert np.array_equal(bits(got), bits(want)), (n, q)
+                    assert got.tolist() == want, (n, q)
+
     def test_zero_regret_quantiles(self):
         cfg = small_cfg(env__arm_count=1, run__replications=3)
         _, summary = run_monte_carlo(cfg)
@@ -1017,6 +1059,23 @@ class TestOutputs:
         trace, _ = emit_outputs(records, {}, tmp_path)
         assert trace.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("policy", ["ensemble", "phe"])
+    @pytest.mark.parametrize("diagnostics", ["off", "monitors"])
+    def test_a_runs_trace_matches_a_plain_writer(self, tmp_path, diagnostics, policy):
+        # each value of a run written alone, %d or %.17g, joined by commas
+        cfg = small_cfg(run__replications=3, run__diagnostics=diagnostics, policy__name=policy)
+        records, summary = run_monte_carlo(cfg)
+        trace, _ = emit_outputs(records, summary, tmp_path)
+        names = TRACE_COLUMNS + (FLAG_COLUMNS if diagnostics == "monitors" else ())
+        lines = ["replication,t," + ",".join(names)]
+        for rec in records:
+            for i, rep in enumerate(rec.replications):
+                for t in range(cfg.run.horizon):
+                    values = [rep, t + 1] + [rec.columns[name][i, t].item() for name in names]
+                    texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
+                    lines.append(",".join(texts))
+        assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_emission_memory_does_not_grow_with_batch_width(self, tmp_path):
         # every value distinct, the most text per replication
         def peak(width: int) -> int:
@@ -1040,40 +1099,96 @@ class TestOutputs:
 
 
 class TestRowTexts:
-    """``_row_texts`` gives each row's ``fmt % v``, value by value."""
+    """``_row_texts`` gives each row's joined ``fmt % v``, step by step."""
 
     @staticmethod
-    def assert_rows_formatted(column: np.ndarray, fmt: str):
-        text = _row_texts(column, fmt)
-        for i, row in enumerate(column):
-            assert text(i) == [fmt % v for v in row.tolist()]
+    def assert_rows_formatted(columns: list, formats: list):
+        text = _row_texts(columns, formats)
+        for i in range(len(columns[0])):
+            steps = zip(*(column[i].tolist() for column in columns))
+            assert text(i) == ["".join(f % v for f, v in zip(formats, step)) for step in steps]
 
-    def test_floats_keep_signed_zeros_and_repeats(self):
-        column = np.array([[0.0, -0.0, 1.5, -0.0, 1.5, 5e-324], [-0.0, 0.0, 0.0, 1e300, 1.5, -2.0]])
-        self.assert_rows_formatted(column, ",%.17g")
-
-    def test_a_model_column_of_minus_ones(self):
-        self.assert_rows_formatted(np.full((3, 5), -1), ",%d")
-
-    def test_flags(self):
-        self.assert_rows_formatted(np.array([[True, False, True], [True, True, True]]), ",%d\n")
-        self.assert_rows_formatted(np.ones((2, 3), dtype=bool), ",%d")
-
-    def test_an_arm_column_formats_only_the_arms_that_occur(self):
-        # an arm range as wide as the K = 100,000 edge config that loads and runs
-        arms = 100_000
-        column = np.array([[0, arms - 1, 5, 5], [arms - 1, 77, 0, 0]])
-        formatted = []
+    @staticmethod
+    def counting(fmt: str, formatted: list):
+        """``fmt`` that appends each value it formats to ``formatted``."""
 
         class CountingFormat(str):
             def __mod__(self, value):
                 formatted.append(value)
                 return str.__mod__(self, value)
 
-        text = _row_texts(column, CountingFormat(",%d"))
+        return CountingFormat(fmt)
+
+    def test_floats_keep_signed_zeros_and_repeats(self):
+        column = np.array([[0.0, -0.0, 1.5, -0.0, 1.5, 5e-324], [-0.0, 0.0, 0.0, 1e300, 1.5, -2.0]])
+        self.assert_rows_formatted([column], [",%.17g"])
+
+    def test_float_rows_format_each_distinct_value_once(self):
+        # a row without repeats is formatted in order, one with repeats
+        # formats each distinct value once, -0.0 and 0.0 apart
+        column = np.array([[0.5, -0.0, 0.0, 1e300, 5e-324], [0.5, 0.5, -0.0, 0.5, -0.0]])
+        formatted = []
+        text = _row_texts([column], [self.counting(",%.17g", formatted)])
+        want = [",0.5", ",-0", ",0", ",1.0000000000000001e+300", ",4.9406564584124654e-324"]
+        assert text(0) == want
+        assert formatted == column[0].tolist()
+        formatted.clear()
+        assert text(1) == [",0.5", ",0.5", ",-0", ",0.5", ",-0"]
+        assert sorted(map(str, formatted)) == ["-0.0", "0.5"]
+
+    def test_a_model_column_of_minus_ones(self):
+        self.assert_rows_formatted([np.full((3, 5), -1)], [",%d"])
+        arms = np.array([[0, 3, 3, 1, 0], [2, 2, 0, 2, 1], [1, 1, 1, 1, 1]])
+        self.assert_rows_formatted([arms, np.full((3, 5), -1)], [",%d", ",%d"])
+
+    def test_arm_and_model_are_one_table_of_the_pairs_that_occur(self):
+        # 4 arms by 9 models (-1 among them) code 36 pairs, within 40 steps
+        rng = np.random.default_rng(5)
+        arms = rng.integers(0, 4, (2, 20))
+        models = np.where(rng.random((2, 20)) < 0.2, -1, rng.integers(0, 8, (2, 20)))
+        models[0, :2] = -1, 7
+        formatted = []
+        formats = [self.counting(",%d", formatted), ",%d"]
+        self.assert_rows_formatted([arms, models], [",%d", ",%d"])
+        _row_texts([arms, models], formats)
+        pairs = set(zip(arms.ravel().tolist(), models.ravel().tolist()))
+        assert sorted(formatted) == sorted(arm for arm, _ in pairs)
+
+    def test_flags(self):
+        flags = np.array([[True, False, True], [True, True, True]])
+        self.assert_rows_formatted([flags], [",%d\n"])
+        self.assert_rows_formatted([np.ones((2, 3), dtype=bool)], [",%d"])
+
+    def test_the_flag_run_carries_the_newline(self):
+        rows = np.arange(2 * 6).reshape(2, 6)
+        flags = [rows % 2 == 0, rows % 3 == 0, np.zeros((2, 6), dtype=bool)]
+        text = _row_texts(flags, [",%d", ",%d", ",%d\n"])
+        want = [",1,1,0\n", ",0,0,0\n", ",1,0,0\n", ",0,1,0\n", ",1,0,0\n", ",0,0,0\n"]
+        assert text(0) == text(1) == want
+
+    def test_an_arm_column_formats_only_the_arms_that_occur(self):
+        # an arm range as wide as the K = 100,000 edge config that loads and
+        # runs, next to a model column of -1: one table over the arm range
+        arms = 100_000
+        column = np.array([[0, arms - 1, 5, 5], [arms - 1, 77, 0, 0]])
+        models = np.full_like(column, -1)
+        formatted = []
+        formats = [self.counting(",%d", formatted), self.counting(",%d", formatted)]
+        text = _row_texts([column, models], formats)
         for i, row in enumerate(column):
-            assert text(i) == [",%d" % v for v in row.tolist()]
-        assert sorted(formatted) == [0, 5, 77, arms - 1]
+            assert text(i) == [",%d,-1" % v for v in row.tolist()]
+        assert sorted(formatted) == [-1] * 4 + [0, 5, 77, arms - 1]
+
+    def test_sparse_codes_fall_back_to_a_table_per_column(self):
+        # 1,000 arms by 1,000 models would be a million codes for 8 steps:
+        # each column formats its own values, and the texts are joined
+        arms = np.array([[0, 999, 5, 5], [999, 77, 0, 0]])
+        models = np.array([[999, 0, 3, 3], [3, 0, 999, 999]])
+        formatted = []
+        formats = [self.counting(",%d", formatted), ",%d\n"]
+        self.assert_rows_formatted([arms, models], [",%d", ",%d\n"])
+        _row_texts([arms, models], formats)
+        assert sorted(formatted) == [0, 5, 77, 999]
 
 
 class TestEquivalenceSuite:
@@ -1163,8 +1278,10 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
 
 def test_no_command_imports_numpy_random(tmp_path):
     # every random value is the counter hash, so no command on a shipped
-    # config loads numpy.random; each command's row reads (name, exit code,
-    # whether numpy.random is loaded after it)
+    # config loads numpy.random, and summary.json's order statistics come
+    # from one sort, so none loads numpy.ma either; each command's row
+    # reads (name, exit code, whether numpy.random and numpy.ma are loaded
+    # after it)
     configs = Path(__file__).resolve().parents[1] / "configs"
 
     def on(command, name, *args):
@@ -1180,13 +1297,13 @@ def test_no_command_imports_numpy_random(tmp_path):
     ]
     code = (
         "import json, sys; from linens import cli; "
-        "rows = [[a[0], cli.main(a), 'numpy.random' in sys.modules] "
+        "rows = [[a[0], cli.main(a), 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules] "
         "for a in json.loads(sys.argv[1])]; print(json.dumps(rows))"
     )
     proc = run_python("-c", code, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert rows == [[a[0], 0, False] for a in commands]
+    assert rows == [[a[0], 0, False, False] for a in commands]
 
 
 class TestCli:
