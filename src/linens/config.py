@@ -29,6 +29,9 @@ from .perturb import ConfidenceParams, PerturbationFamily, PerturbationSpec, bet
 from .policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Sampler
 
 POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
+#: Policies that the paper's regret theorem covers; ``summary.json`` gives
+#: ``theoretical_regret_bound`` for these and ``null`` for the others.
+BOUNDED_POLICIES = ("ensemble", "phe")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
 ARM_MODES = ("random", "explicit")
 SCALE_MODES = ("auto", "explicit")
@@ -192,7 +195,7 @@ class ExperimentConfig:
             # the regret bound, LinUCB's radius, the auto scale and the
             # monitors' radii, which rates always runs
             "delta": (
-                name in ("ensemble", "phe")
+                name in BOUNDED_POLICIES
                 or (name == "linucb" and p.linucb_bonus is None)
                 or auto_scaled
                 or command == "rates"

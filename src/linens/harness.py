@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import BOUNDED_POLICIES, ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
 from .perturb import TAG_REPLICATION, StepDraws, _fold_array, block_steps, gamma, p_n, seed_prefixes
@@ -54,10 +54,6 @@ _COLUMN_DTYPES = {"arm": np.int64, "model": np.int64, **dict.fromkeys(FLAG_COLUM
 #: is; ``summary.json`` leaves them out of its config echo so that its bytes
 #: depend on the experiment alone.
 _UNECHOED_RUN_KEYS = ("out_dir", "workers")
-
-#: Policies that the paper's regret theorem covers; ``summary.json`` gives
-#: ``theoretical_regret_bound`` for these and ``null`` for the others.
-_BOUNDED_POLICIES = ("ensemble", "phe")
 
 
 @dataclass
@@ -276,7 +272,7 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": (
             theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
-            if cfg.policy.name in _BOUNDED_POLICIES
+            if cfg.policy.name in BOUNDED_POLICIES
             else None
         ),
     }
@@ -307,9 +303,10 @@ def emit_outputs(
     ``trace.csv`` has the header ``replication,t,`` then ``TRACE_COLUMNS``
     and, when the records carry them, ``FLAG_COLUMNS``; ints and flags are
     written ``%d`` and floats ``%.17g``, which round-trips. It is written
-    one replication at a time, so memory does not grow with batch width:
-    each float column and each run of adjacent int and flag columns gives
-    a row's texts with their leading commas (:func:`_row_texts`), and the
+    one replication at a time: each float column and each run of adjacent
+    int and flag columns gives a row's texts with their leading commas
+    (:func:`_row_texts`, which holds at most one row's texts, so memory
+    grows with neither the batch width nor the ensemble size), and the
     replication's number, the shared ``,t`` and those texts are joined once."""
     out = Path(out_dir)
     try:
@@ -347,40 +344,38 @@ def _row_texts(columns: list[np.ndarray], formats: list[str]):
     of ``columns``, a run of ``(R, T)`` columns, each in its ``formats``
     entry and joined.
 
-    A float column comes alone. A row of distinct values is formatted in
-    order; a row with repeats formats each of its int64 keys once, so
-    ``-0.0`` and ``0.0`` stay apart. Int and flag columns code each step in
-    the mixed radix of their ``[min, max]``, and every row indexes one table
-    of the codes, in which only the codes that occur are formatted: no sort.
-    Codes sparser than the steps and each range get a table per column."""
+    Each step is one int64 code: a float column's bits (so ``-0.0`` and
+    ``0.0`` stay apart), or the mixed-radix code of an int or flag run over
+    its columns' ``[min, max]``. An int run of at most ``T`` codes, one
+    row's steps, formats each code once into one table that every row
+    indexes. Any other run formats a row of distinct codes in order and a
+    row with repeats each distinct code once, so no table outgrows a row."""
     if columns[0].dtype == np.float64:
         (column,), (fmt,) = columns, formats
+        def code(i: int) -> np.ndarray:
+            return column[i].view(np.int64)
+        def texts(codes: np.ndarray) -> list[str]:
+            return [fmt % v for v in codes.view(np.float64).tolist()]
+    else:
+        lows = [int(column.min()) for column in columns]
+        spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+        def code(i: int) -> np.ndarray:
+            return np.ravel_multi_index([c[i] - low for c, low in zip(columns, lows)], spans)
+        def texts(codes: np.ndarray) -> list[str]:
+            digits = [(d + low).tolist() for d, low in zip(np.unravel_index(codes, spans), lows)]
+            return ["".join(f % v for f, v in zip(formats, value)) for value in zip(*digits)]
+        if math.prod(spans) <= columns[0].shape[-1]:
+            table = np.array(texts(np.arange(math.prod(spans))), dtype=object)
+            return lambda i: table[code(i)].tolist()
 
-        def text(i: int) -> list[str]:
-            keys, inverse = np.unique(column[i].view(np.int64), return_inverse=True)
-            if len(keys) == len(inverse):
-                return [fmt % v for v in column[i].tolist()]
-            unique = np.array([fmt % v for v in keys.view(np.float64).tolist()], dtype=object)
-            return unique[inverse].tolist()
+    def text(i: int) -> list[str]:
+        codes = code(i)
+        keys, inverse = np.unique(codes, return_inverse=True)
+        if len(keys) == len(codes):
+            return texts(codes)
+        return np.array(texts(keys), dtype=object)[inverse].tolist()
 
-        return text
-    lows = [int(column.min()) for column in columns]
-    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-    if math.prod(spans) > max(columns[0].size, *spans):
-        texts = [_row_texts([column], [fmt]) for column, fmt in zip(columns, formats)]
-        return lambda i: list(map("".join, zip(*(text(i) for text in texts))))
-
-    def code(i: int) -> np.ndarray:
-        return np.ravel_multi_index([c[i] - low for c, low in zip(columns, lows)], spans)
-
-    occurs = np.zeros(math.prod(spans), dtype=bool)
-    for i in range(len(columns[0])):
-        occurs[code(i)] = True
-    table = np.empty(len(occurs), dtype=object)
-    offsets = np.flatnonzero(occurs)
-    values = zip(*[(d + low).tolist() for d, low in zip(np.unravel_index(offsets, spans), lows)])
-    table[offsets] = ["".join(f % v for f, v in zip(formats, value)) for value in values]
-    return lambda i: table[code(i)].tolist()
+    return text
 
 
 # ---------------------------------------------------------------------------

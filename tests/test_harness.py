@@ -1059,14 +1059,28 @@ class TestOutputs:
         trace, _ = emit_outputs(records, {}, tmp_path)
         assert trace.read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("policy", ["ensemble", "phe"])
-    @pytest.mark.parametrize("diagnostics", ["off", "monitors"])
-    def test_a_runs_trace_matches_a_plain_writer(self, tmp_path, diagnostics, policy):
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            pytest.param({"run__diagnostics": d, "policy__name": p}, id=f"{d}-{p}")
+            for d in ("off", "monitors")
+            for p in ("ensemble", "phe")
+        ]
+        # 64 arms by 20,000 uniformly chosen models: an arm,model range far
+        # wider than a row's 60 steps, so each row formats its own pairs
+        + [
+            pytest.param(
+                {"env__arm_count": 64, "policy__m": 20_000, "run__horizon": 60, "run__replications": 2},
+                id="wide",
+            )
+        ],
+    )
+    def test_a_runs_trace_matches_a_plain_writer(self, tmp_path, settings):
         # each value of a run written alone, %d or %.17g, joined by commas
-        cfg = small_cfg(run__replications=3, run__diagnostics=diagnostics, policy__name=policy)
+        cfg = small_cfg(**{"run__replications": 3, **settings})
         records, summary = run_monte_carlo(cfg)
         trace, _ = emit_outputs(records, summary, tmp_path)
-        names = TRACE_COLUMNS + (FLAG_COLUMNS if diagnostics == "monitors" else ())
+        names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
         lines = ["replication,t," + ",".join(names)]
         for rec in records:
             for i, rep in enumerate(rec.replications):
@@ -1075,6 +1089,17 @@ class TestOutputs:
                     texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
                     lines.append(",".join(texts))
         assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @staticmethod
+    def emission_peak(columns: dict, out: Path) -> int:
+        """``emit_outputs``' tracemalloc peak on one record of ``columns``."""
+        record = RunRecord(range(len(columns["arm"])), columns, {})
+        tracemalloc.start()
+        try:
+            emit_outputs([record], {}, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_emission_memory_does_not_grow_with_batch_width(self, tmp_path):
         # every value distinct, the most text per replication
@@ -1086,16 +1111,25 @@ class TestOutputs:
                 for n in TRACE_COLUMNS
             }
             cols.update({n: rng.random((width, 2000)) < 0.5 for n in FLAG_COLUMNS})
-            record = RunRecord(range(width), cols, {})
-            tracemalloc.start()
-            try:
-                emit_outputs([record], {}, tmp_path / str(width))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self.emission_peak(cols, tmp_path / str(width))
 
         narrow, wide = peak(2), peak(20)
         assert wide < 1.5 * narrow, (narrow, wide)
+
+    def test_emission_memory_does_not_grow_with_the_ensemble_size(self, tmp_path):
+        # models spanning the 2,474,207 of an auto-sized ensemble at K = 1024
+        # against 32: neither rule holds more than one row's texts
+        def peak(models: int) -> int:
+            rng = np.random.default_rng(3)
+            cols = {n: rng.standard_normal((20, 2000)) for n in TRACE_COLUMNS}
+            cols["arm"] = rng.integers(0, 64, (20, 2000))
+            cols["model"] = rng.integers(0, models, (20, 2000))
+            cols["model"][0, :2] = 0, models - 1
+            cols.update({n: rng.random((20, 2000)) < 0.5 for n in FLAG_COLUMNS})
+            return self.emission_peak(cols, tmp_path / str(models))
+
+        few, many = peak(32), peak(2_474_207)
+        assert many < 1.5 * few, (few, many)
 
 
 class TestRowTexts:
@@ -1141,18 +1175,18 @@ class TestRowTexts:
         arms = np.array([[0, 3, 3, 1, 0], [2, 2, 0, 2, 1], [1, 1, 1, 1, 1]])
         self.assert_rows_formatted([arms, np.full((3, 5), -1)], [",%d", ",%d"])
 
-    def test_arm_and_model_are_one_table_of_the_pairs_that_occur(self):
-        # 4 arms by 9 models (-1 among them) code 36 pairs, within 40 steps
+    def test_arm_and_model_are_one_table_of_their_range(self):
+        # 4 arms by 9 models (-1 among them) code 36 pairs, within a row's 40
+        # steps: the table formats each pair of the range once
         rng = np.random.default_rng(5)
-        arms = rng.integers(0, 4, (2, 20))
-        models = np.where(rng.random((2, 20)) < 0.2, -1, rng.integers(0, 8, (2, 20)))
+        arms = rng.integers(0, 4, (2, 40))
+        models = np.where(rng.random((2, 40)) < 0.2, -1, rng.integers(0, 8, (2, 40)))
         models[0, :2] = -1, 7
         formatted = []
         formats = [self.counting(",%d", formatted), ",%d"]
         self.assert_rows_formatted([arms, models], [",%d", ",%d"])
         _row_texts([arms, models], formats)
-        pairs = set(zip(arms.ravel().tolist(), models.ravel().tolist()))
-        assert sorted(formatted) == sorted(arm for arm, _ in pairs)
+        assert sorted(formatted) == [arm for arm in range(4) for _ in range(9)]
 
     def test_flags(self):
         flags = np.array([[True, False, True], [True, True, True]])
@@ -1168,27 +1202,39 @@ class TestRowTexts:
 
     def test_an_arm_column_formats_only_the_arms_that_occur(self):
         # an arm range as wide as the K = 100,000 edge config that loads and
-        # runs, next to a model column of -1: one table over the arm range
+        # runs, next to a model column of -1, over 4 steps: wider than a row,
+        # so each row formats its own distinct pairs and no table is built
         arms = 100_000
         column = np.array([[0, arms - 1, 5, 5], [arms - 1, 77, 0, 0]])
         models = np.full_like(column, -1)
         formatted = []
         formats = [self.counting(",%d", formatted), self.counting(",%d", formatted)]
         text = _row_texts([column, models], formats)
+        assert formatted == []
         for i, row in enumerate(column):
             assert text(i) == [",%d,-1" % v for v in row.tolist()]
-        assert sorted(formatted) == [-1] * 4 + [0, 5, 77, arms - 1]
+        assert sorted(formatted) == [-1] * 6 + [0, 0, 5, 77, arms - 1, arms - 1]
 
-    def test_sparse_codes_fall_back_to_a_table_per_column(self):
-        # 1,000 arms by 1,000 models would be a million codes for 8 steps:
-        # each column formats its own values, and the texts are joined
+    def test_a_wide_run_formats_each_rows_distinct_pairs_once(self):
+        # 1,000 arms by 1,000 models would be a million codes for 4 steps:
+        # each row formats the pairs it holds, once each
         arms = np.array([[0, 999, 5, 5], [999, 77, 0, 0]])
         models = np.array([[999, 0, 3, 3], [3, 0, 999, 999]])
         formatted = []
-        formats = [self.counting(",%d", formatted), ",%d\n"]
         self.assert_rows_formatted([arms, models], [",%d", ",%d\n"])
-        _row_texts([arms, models], formats)
-        assert sorted(formatted) == [0, 5, 77, 999]
+        text = _row_texts([arms, models], [self.counting(",%d", formatted), ",%d\n"])
+        for i, pairs in enumerate([[0, 5, 999], [0, 77, 999]]):
+            formatted.clear()
+            text(i)
+            assert sorted(formatted) == pairs
+
+    def test_a_wide_int_row_without_repeats_is_formatted_in_order(self):
+        arms = np.array([[7, 0, 999, 3, 500]])
+        models = np.array([[-1, 500, 2, 999, 2]])
+        formatted = []
+        text = _row_texts([arms, models], [self.counting(",%d", formatted), ",%d"])
+        assert text(0) == [",7,-1", ",0,500", ",999,2", ",3,999", ",500,2"]
+        assert formatted == arms[0].tolist()
 
 
 class TestEquivalenceSuite:
