@@ -33,7 +33,6 @@ POLICY_NAMES = ("ensemble", "phe", "linucb", "lints", "greedy")
 #: ``theoretical_regret_bound`` for these and ``null`` for the others.
 BOUNDED_POLICIES = ("ensemble", "phe")
 DIAGNOSTIC_LEVELS = ("off", "monitors", "full-trace")
-ARM_MODES = ("random", "explicit")
 SCALE_MODES = ("auto", "explicit")
 
 #: Largest ``env.s_bound``, horizon-level confidence radius and
@@ -45,9 +44,10 @@ MAX_S_BOUND = 1e150
 
 @dataclass
 class EnvConfig:
+    """``arms`` and ``theta_star`` give a fixed instance together; without them a run draws one."""
+
     dim: int = 2
     arm_count: int = 4
-    arm_mode: str = "random"
     arms: list = field(default_factory=list)
     theta_star: list = field(default_factory=list)
     sigma: float = 1.0
@@ -91,14 +91,14 @@ class ExperimentConfig:
         objects (:meth:`confidence_params`, :meth:`perturbation_spec`,
         :meth:`environment` and, for one replication and one model,
         :meth:`build_policy`), whose constructors reject every value no run
-        can use, NaN and +/-inf included. No constructor check reads the
+        can use, NaN and +/-inf included. Here ``env.arms`` and
+        ``env.theta_star`` must come together, with rows that match
+        ``env.arm_count`` and ``env.dim``. No constructor check reads the
         ensemble size, which the rules here check, so validation builds no
         ensemble at full size. Returns the config."""
         e, p, r = self.env, self.policy, self.run
         if e.arm_count < 1:
             raise ValueError("env.arm_count must be at least 1")
-        if e.arm_mode not in ARM_MODES:
-            raise ValueError(f"env.arm_mode must be one of {ARM_MODES}")
         if p.m != "auto" and (not isinstance(p.m, int) or p.m < 1):
             raise ValueError("policy.m must be 'auto' or a positive integer")
         if p.keying != "by_step":
@@ -111,26 +111,18 @@ class ExperimentConfig:
             raise ValueError(f"run.diagnostics must be one of {DIAGNOSTIC_LEVELS}")
         if r.workers < 1:
             raise ValueError("run.workers must be at least 1")
-        if e.arm_mode == "explicit":
-            if not e.arms:
-                raise ValueError("explicit arm mode requires env.arms")
-            if not e.theta_star:
-                raise ValueError("explicit arm mode requires env.theta_star")
+        if bool(e.arms) != bool(e.theta_star):
+            raise ValueError(
+                "env.arms and env.theta_star come together: give both for a fixed "
+                "instance, or neither to draw one"
+            )
+        if e.arms:
             if e.arm_count != len(e.arms):
                 raise ValueError(
                     f"env.arm_count = {e.arm_count} but env.arms has {len(e.arms)} rows"
                 )
             if any(len(row) != e.dim for row in e.arms):
                 raise ValueError(f"every row of env.arms must have env.dim = {e.dim} entries")
-            if len(e.theta_star) != e.dim:
-                raise ValueError(
-                    f"env.theta_star has {len(e.theta_star)} entries, env.dim is {e.dim}"
-                )
-        elif e.arms or e.theta_star:
-            raise ValueError(
-                "env.arms and env.theta_star need env.arm_mode = explicit; "
-                "random arm mode draws its own instance"
-            )
         # a NaN fails this comparison and is left to ConfidenceParams
         if e.s_bound > MAX_S_BOUND:
             raise ValueError(f"env.s_bound must be at most {MAX_S_BOUND!r}, got {e.s_bound!r}")
@@ -269,14 +261,14 @@ class ExperimentConfig:
 
     def environment(self, seeds=None) -> LinearBanditEnv:
         """The instance a run plays, and the only place one is built: the
-        explicit ``env.arms`` and ``env.theta_star``, or random instances
-        (:meth:`LinearBanditEnv.random`). Without ``seeds`` that is the one
-        instance of ``run.base_seed`` that every replication shares; with a
-        sequence of R seeds it is R stacked ones, one per seed, which
+        given ``env.arms`` and ``env.theta_star``, or without them random
+        instances (:meth:`LinearBanditEnv.random`). Without ``seeds`` that is
+        the one instance of ``run.base_seed`` that every replication shares;
+        with a sequence of R seeds it is R stacked ones, one per seed, which
         ``equivalence`` asks for with each batch's replication seeds."""
         e = self.env
         noise = NoiseModel(e.noise_family, e.sigma)
-        if e.arm_mode == "explicit":
+        if e.arms:
             return LinearBanditEnv(e.arms, e.theta_star, noise, e.s_bound)
         seeds = self.run.base_seed if seeds is None else seeds
         return LinearBanditEnv.random(e.dim, e.arm_count, noise, e.s_bound, seeds)

@@ -89,7 +89,8 @@ class LinearBanditEnv:
         if arms.ndim not in (2, 3) or arms.shape[-2] < 1:
             raise ValueError("arms must be a non-empty (K, d) array")
         if theta_star.shape != arms.shape[:-2] + arms.shape[-1:]:
-            raise ValueError("theta_star dimension must match the arms")
+            shapes = f"theta_star has shape {theta_star.shape}, arms {arms.shape}"
+            raise ValueError(f"theta_star dimension must match the arms: {shapes}")
         if not 0 < param_bound < math.inf:
             raise ValueError(f"param_bound must be positive and finite, got {param_bound}")
         # hypot squares nothing, so a huge entry cannot overflow; a norm past

@@ -402,18 +402,18 @@ def run_equivalence_suite(cfg: ExperimentConfig, desync: bool = False) -> Equiva
 
     ``desync`` deliberately offsets the perturbed-history seeds; it exists
     as a negative control for the test itself and must report failures.
-    Each seed runs on its own random instance, so a config with explicit
-    arms is rejected rather than silently replaced. The suite reads the
-    fields that ``ExperimentConfig.reads(key, "equivalence")`` names.
+    Each seed runs on its own random instance, so a config that gives
+    ``env.arms`` is rejected rather than silently replaced. The suite reads
+    the fields that ``ExperimentConfig.reads(key, "equivalence")`` names.
     """
     n_seeds = cfg.run.replications
     if n_seeds < 1:
         # an unvalidated config must not pass vacuously, 0/0
         raise ValueError("run.replications must be at least 1")
-    if cfg.env.arm_mode == "explicit":
+    if cfg.env.arms:
         raise ValueError(
             "the equivalence suite draws random instances (one per seed, from "
-            "env.dim and env.arm_count); it cannot run on arm_mode = explicit"
+            "env.dim and env.arm_count); it cannot run on the given env.arms"
         )
     results = _map_batches(
         partial(_equivalence_batch, cfg, desync), range(n_seeds), cfg.run.workers

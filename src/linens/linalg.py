@@ -36,6 +36,11 @@ from . import _kernels_py as kernels
 #: Updates between full re-inversions of the Gram matrix.
 REINVERT_PERIOD = 1024
 
+#: Smallest ``lam`` accepted: the inverse starts at ``I / lam``, and its
+#: Sherman-Morrison updates lose positive definiteness at 1e-16 and overflow
+#: at 1e-200. Every policy ran cleanly down to 1e-14, two decades lower.
+MIN_LAMBDA = 1e-12
+
 #: Slack allowed on the norm preconditions: unit-ball update vectors and
 #: arms, and the parameter bound of an environment.
 NORM_SLACK = 1e-9
@@ -83,7 +88,7 @@ class GramState:
     dim : int
         Ambient dimension ``d`` (>= 1).
     lam : float
-        Regularization strength (> 0 and finite); the state starts at ``lam * I``.
+        Regularization strength (>= ``MIN_LAMBDA``, finite); the state starts at ``lam * I``.
     batch : int, optional
         Replications stepped together (>= 1, default 1): ``gram`` is
         ``(batch, d, d)`` and vectors are ``(batch, d)``.
@@ -95,8 +100,8 @@ class GramState:
         for name, value in (("dim", dim), ("batch", batch)):
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not 0 < lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {lam}")
+        if not MIN_LAMBDA <= lam < np.inf:
+            raise ValueError(f"lam must be at least {MIN_LAMBDA} and finite, got {lam}")
         self.dim = int(dim)
         self.lam = float(lam)
         shape = (int(batch), self.dim, self.dim)

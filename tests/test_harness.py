@@ -43,6 +43,7 @@ from linens.harness import (
 )
 from linens.diagnostics import StepMonitor, theoretical_regret_bound
 from linens.envs import RegretLedger
+from linens.linalg import MIN_LAMBDA
 from linens.perturb import PerturbationFamily, beta, ensemble_size, gamma, p_n
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
 
@@ -77,7 +78,6 @@ def write_cfg(tmp_path, text=BASE_INI, name="exp.ini"):
 
 EXPLICIT_INI = """\
 [env]
-arm_mode = explicit
 arms = 1 0; 0 1; 0.6 0.6
 theta_star = 0.9 0.3
 sigma = 0
@@ -104,6 +104,10 @@ LOAD_REJECTIONS = {
         BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = nan"),
         "policy.lambda: 'nan' is not",
     ),
+    "lambda-below-its-floor": (
+        BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 1e-16"),
+        "lam must be at least 1e-12 and finite, got 1e-16",
+    ),
     "lints-scale-negative": (
         BASE_INI.replace(
             "name = ensemble\nm = 4", "name = lints\nscale_mode = explicit\nscale = -0.5"
@@ -115,6 +119,11 @@ LOAD_REJECTIONS = {
         "bonus must be non-negative and finite, got -5.0",
     ),
     "arm-nan": (EXPLICIT_INI.replace("arms = 1 0;", "arms = nan 0;"), "env.arms: 'nan' is not"),
+    # the given rows are the instance; no key names its mode
+    "arm-mode": (
+        EXPLICIT_INI.replace("[env]\n", "[env]\narm_mode = explicit\n"),
+        r"unknown keys in \[env\]: \['arm_mode'\]",
+    ),
     "arm-norm-2": (
         EXPLICIT_INI.replace("arms = 1 0;", "arms = 2 0;"),
         r"every arm must satisfy \|\|x\|\| <= 1",
@@ -215,7 +224,6 @@ NEGATIVE_SCALE = "scale must be non-negative"
 
 #: ``small_cfg`` settings of a valid explicit instance with one arm.
 ONE_EXPLICIT_ARM = {
-    "env__arm_mode": "explicit",
     "env__arm_count": 1,
     "env__arms": [[1.0, 0.0]],
     "env__theta_star": [0.5, 0.0],
@@ -225,7 +233,6 @@ ONE_EXPLICIT_ARM = {
 #: ``small_cfg`` settings of ``configs/explicit.ini``'s instance, whose four
 #: arms span the plane.
 SPANNING_ARMS = {
-    "env__arm_mode": "explicit",
     "env__arms": [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6], [-0.5, 0.5]],
     "env__theta_star": [0.9, 0.3],
 }
@@ -330,12 +337,6 @@ class TestConfig:
         env = cfg.environment()
         assert env.optimal_arm_index == 0
 
-    def test_explicit_mode_requires_arms(self):
-        cfg = ExperimentConfig()
-        cfg.env.arm_mode = "explicit"
-        with pytest.raises(ValueError, match="arms"):
-            cfg.validate()
-
     def test_explicit_arm_count_must_match_the_rows(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, EXPLICIT_INI))
         cfg.env.arm_count = 4
@@ -349,21 +350,21 @@ class TestConfig:
 
     def test_explicit_theta_star_must_have_dim_entries(self, tmp_path):
         text = EXPLICIT_INI.replace("theta_star = 0.9 0.3", "theta_star = 0.9 0.3 0.1")
-        with pytest.raises(ValueError, match="theta_star has 3 entries"):
+        message = r"must match the arms: theta_star has shape \(3,\), arms \(3, 2\)"
+        with pytest.raises(ValueError, match=message):
             load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize(
         "text",
         [
-            EXPLICIT_INI.replace("arm_mode = explicit\n", ""),
-            EXPLICIT_INI.replace("arm_mode = explicit", "arm_mode = random"),
+            EXPLICIT_INI.replace("theta_star = 0.9 0.3\n", ""),
             "[env]\ntheta_star = 0.9 0.3\n",
         ],
-        ids=["arms-default-mode", "arms-random-mode", "theta-star-random-mode"],
+        ids=["arms-without-theta-star", "theta-star-without-arms"],
     )
-    def test_explicit_arm_inputs_need_explicit_mode(self, tmp_path, text):
-        # a random instance would silently replace the given arms
-        with pytest.raises(ValueError, match="need env.arm_mode = explicit"):
+    def test_arms_and_theta_star_come_together(self, tmp_path, text):
+        # half an instance cannot run, and a random one would replace it
+        with pytest.raises(ValueError, match="env.arms and env.theta_star come together"):
             load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize(
@@ -420,8 +421,8 @@ workers = 2
         cfg = load_config(write_cfg(tmp_path, text))
         assert cfg.to_dict() == {
             "env": {
-                "dim": 3, "arm_count": 7, "arm_mode": "random", "arms": [],
-                "theta_star": [], "sigma": 0.25, "noise_family": "uniform", "s_bound": 2.5,
+                "dim": 3, "arm_count": 7, "arms": [], "theta_star": [], "sigma": 0.25,
+                "noise_family": "uniform", "s_bound": 2.5,
             },
             "policy": {
                 "name": "ensemble", "lam": 2.0, "delta": 0.3, "m": 9, "sampler": "round_robin",
@@ -651,6 +652,27 @@ workers = 2
         assert beta(params, params.horizon) <= MAX_S_BOUND
         _, summary = run_monte_carlo(cfg)
         assert np.isfinite([cp[q] for cp in summary["checkpoints"] for q in ("mean", "q90")]).all()
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_every_policy_runs_at_the_lambda_floor_and_loads_none_below(self, tmp_path, name):
+        # far below the floor the maintained inverse breaks: phe and lints
+        # cannot factor it at 1e-16, and every update overflows at 1e-300
+        for lam in ("1e-16", "1e-300"):
+            text = BASE_INI.replace("name = ensemble\nm = 4", f"name = {name}\nlambda = {lam}")
+            with pytest.raises(ValueError, match=f"lam must be at least {MIN_LAMBDA} and finite"):
+                load_config(write_cfg(tmp_path, text))
+        # the suite's warning filter raises a run's RuntimeWarning
+        for dim in (2, 8):
+            with pytest.warns(UserWarning, match="policy.lambda < 1"):
+                cfg = small_cfg(
+                    policy__name=name,
+                    policy__lam=MIN_LAMBDA,
+                    env__dim=dim,
+                    env__arm_count=10,
+                    run__horizon=2000,
+                    run__diagnostics="monitors",
+                )
+            run_batch(cfg, range(3), trace=False)
 
     def test_small_lambda_warns(self, tmp_path):
         path = write_cfg(tmp_path, BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5"))
@@ -1414,7 +1436,7 @@ class TestCli:
         done = run_cli("equivalence", "--config", str(write_cfg(tmp_path, text)))
         assert done.returncode == 2
         assert "draws random instances" in done.stderr
-        assert "arm_mode = explicit" in done.stderr
+        assert "it cannot run on the given env.arms" in done.stderr
         assert "PASS" not in done.stdout
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -1805,11 +1827,11 @@ def test_numpy_platform_names_the_numpy_version():
 PINNED_OUTPUTS = {
     "ensemble": (
         "51386eb2eb7024c7992bdda2b7a917ae15a906686c0fb51b2dd530e5ec926429",
-        "868c24673735729bf6a74a5da2a5078683930372130455ad88c93e676ece093c",
+        "5f4481acccd9268b0f022132893d9507fc799d19936cdc5d5e6cb281f2c2acc0",
     ),
     "phe": (
         "92e99c7b40794eeef29ea01ae23ecf1b633abff8067a410e510cd6649eb04253",
-        "4a26ba6ddfae079d5e60aaa8643a6775baea2b54f4bbac5698e2b28da2114f31",
+        "1dd5afe89c28c7b8d7db7efef89f3eea2f31090d11021fb89d2f6c979f2503be",
     ),
 }
 
@@ -1842,7 +1864,7 @@ PINNED_FULL_TRACE = {
     "rates": "b09608aa632d8ae31bcc2ab58849dff2419a7ec47bd0c184229e22ad888e8cd8",
     "summaries": "9668c7aee1c3ef7c65fc71b4e9e59806c01dcd8edd11c01e9bdb518bfc7a26d3",
     "trace.csv": "399f6139cbc545a54535ee3de96c41f0d7a4a98679af2e0d705f18207384c59e",
-    "summary.json": "a5a5388e1ce17e9097eaaca8c0e907d5b8c74465519d9ba29ab67f8cde0d2c42",
+    "summary.json": "4bb970bb9a6a627057fc1b834776ef0a210eb0334d0dadb417b8ccdfb16fb702",
 }
 
 

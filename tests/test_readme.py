@@ -6,6 +6,7 @@ import importlib
 import pkgutil
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,18 @@ def test_readme_lists_the_monitor_report_fields():
     below_unit_lambda = {k: v for k, v in counters.items() if k != "elliptical_ok"}
     fields = set(monitor_report(counters)) | set(monitor_report(below_unit_lambda))
     assert sorted(documented) == sorted(fields)
+
+
+def test_readme_config_keys_are_ini_keys():
+    # each backticked `key = value` under ## CLI names an INI key, so a
+    # deleted or renamed key does not stay in README's examples
+    cfg = ExperimentConfig()
+    sections = (getattr(cfg, section.name) for section in fields(cfg))
+    ini_keys = {{"lam": "lambda"}.get(f.name, f.name) for s in sections for f in fields(s)}
+    spans = re.findall(r"`([\w.]+) = [^`]+`", section("CLI"))
+    keys = {span.rsplit(".", 1)[-1] for span in spans}
+    assert {"lambda", "m", "sampler"} <= keys
+    assert keys <= ini_keys
 
 
 @pytest.mark.parametrize("line", cli_examples())
