@@ -219,7 +219,7 @@ class PerturbationSpec:
         flattened initial perturbations of that seed at ``lam = 1``
         (:func:`initial_draws`)."""
         count = math.prod(np.atleast_1d(size))
-        return reward_draws(self, seed_prefixes([seed], TAG_INIT), range(count)).reshape(size)
+        return reward_draws(self, seed_prefixes([seed], TAG_INIT), np.arange(count)).reshape(size)
 
 
 class UnitUniform:
@@ -274,16 +274,16 @@ def _fold_array(h: np.ndarray, part) -> np.ndarray:
     return _mix(h ^ _mix(np.asarray(part).astype(np.uint64)))
 
 
-def _counter_offsets(models: range, words: int) -> np.ndarray:
-    """``(len(models), words)`` offsets ``c * gamma`` of counters
-    ``c = 2j .. 2j + words - 1`` of each model j (``words`` is 1 or 2):
-    splitmix64 started at ``h`` gives ``_mix(h + c * gamma)`` as its output
-    ``c``."""
-    counters = np.arange(2 * models.start, 2 * models.stop, 2 // words, dtype=np.uint64)
-    return counters.reshape(-1, words) * np.uint64(_GAMMA)  # wraps mod 2^64
+def _counter_offsets(models, words: int) -> np.ndarray:
+    """``models.shape + (words,)`` offsets ``(2j + c) * gamma`` of each
+    model index j in the integer array ``models`` (``words`` is 1 or 2):
+    splitmix64 started at ``h`` gives ``_mix(h + k * gamma)`` as its output
+    ``k``."""
+    j = np.asarray(models, dtype=np.uint64)[..., None]
+    return (2 * j + np.arange(words, dtype=np.uint64)) * np.uint64(_GAMMA)  # wraps mod 2^64
 
 
-def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
+def reward_draws(spec, prefixes, models, *key) -> np.ndarray:
     """Values of ``models`` under one key per replication.
 
     ``spec`` is the law the hash words map onto: a
@@ -306,7 +306,11 @@ def reward_draws(spec, prefixes, models: range, *key) -> np.ndarray:
     ``2j + 1`` of a splitmix64 sequence started at the folded hash, so each
     value is a pure function of ``(seed, j, key)``: independent of
     the other models asked for, of the batch, and of its position in
-    either. Returns shape ``broadcast(prefixes, *key) + (len(models),)``.
+    either. ``models`` is an integer array of model indices (a ``range`` is
+    the array it spells), and the result has shape ``broadcast(key_shape +
+    (1,), models.shape)``, ``key_shape = broadcast(prefixes, *key)``: a 1-d
+    ``models`` gives every replication the same models, an ``(R, 1)`` one
+    model per replication, and ``(R, 1, 1)`` that with a step axis.
     """
     h = np.array(prefixes, dtype=np.uint64)
     for part in key:
@@ -330,7 +334,7 @@ def initial_draws(
     ``sqrt(lam) * scale``. Row j reads models ``j*dim .. j*dim + dim - 1``,
     so it is a pure function of ``(seed, j)`` whatever ``n_models``
     is."""
-    z = reward_draws(spec, prefixes, range(n_models * dim))
+    z = reward_draws(spec, prefixes, np.arange(n_models * dim))
     return math.sqrt(lam) * z.reshape(z.shape[:-1] + (n_models, dim))
 
 
@@ -344,7 +348,7 @@ def history_draws(
     the non-gaussian families; a gaussian policy needs only their sum
     ``w + X^T z ~ N(0, scale^2 V)`` and draws it in closed form from
     ``w / sqrt(lam)``, its ``xi`` of the same step."""
-    z = reward_draws(spec, prefixes, range(dim + n_rows), step)
+    z = reward_draws(spec, prefixes, np.arange(dim + n_rows), step)
     return math.sqrt(lam) * z[..., :dim], z[..., dim:]
 
 
@@ -365,7 +369,7 @@ class PerturbationStream:
     def reward_vector(self, spec: PerturbationSpec, n_models: int, step: int) -> np.ndarray:
         """(n_models,) vector of reward perturbations of ``step``."""
         prefixes = seed_prefixes([self.base_seed], TAG_REWARD)
-        return reward_draws(spec, prefixes, range(n_models), step)[0]
+        return reward_draws(spec, prefixes, np.arange(n_models), step)[0]
 
 
 #: Most steps that a :class:`StepDraws` draws at a time.
@@ -388,18 +392,18 @@ class StepDraws:
 
     A block is one call keyed by an ``(n, 1)`` array of consecutive steps,
     whose row for step t is the same bits as the call keyed by t alone; it
-    holds :func:`block_steps` of ``R * len(models)`` steps, and :meth:`at`
-    reads any step, in any order.
+    holds :func:`block_steps` of one step's values, ``(R, 1)`` broadcast
+    with ``models``, and :meth:`at` reads any step, in any order.
     """
 
-    def __init__(self, spec, prefixes, models: range):
-        self._spec, self._prefixes, self._models = spec, prefixes, models
-        self._steps = block_steps(len(prefixes) * len(models))
+    def __init__(self, spec, prefixes, models):
+        self._spec, self._prefixes, self._models = spec, prefixes, np.asarray(models)
+        self._steps = block_steps(np.broadcast(np.reshape(prefixes, (-1, 1)), self._models).size)
         self._block = np.empty((0,))
         self._first = 1  # the step of the block's first row
 
     def at(self, step: int) -> np.ndarray:
-        """The ``(R, len(models))`` values of ``step``."""
+        """The values of ``step``, shape ``broadcast((R, 1), models.shape)``."""
         i = step - self._first
         if not 0 <= i < len(self._block):
             steps = np.arange(step, step + self._steps)[:, None]

@@ -248,22 +248,18 @@ class PerturbedHistoryReplay(EnsembleSampling):
         raise AttributeError("the lazy ensemble keeps no perturbed sums")
 
     def model_theta(self, model) -> np.ndarray:
-        """The estimator of ``model``, one index for the whole batch; its
+        """The estimator of ``model``, one index per replication; its
         initial row is the constructor's sum, which is never updated."""
-        j = int(np.asarray(model).flat[0])
-        if np.any(np.asarray(model) != j):
-            raise ValueError(f"the lazy ensemble reads one model per batch, got {model}")
         n = self.step
-        # model j's perturbation of each step so far, as the ensemble drew it
-        z = reward_draws(
-            self.spec, self._prefixes[:, None], range(j, j + 1), np.arange(1, n + 1)
-        )[..., 0]
+        # each replication's model's perturbation of each step so far, as the ensemble drew it
+        models, steps = np.reshape(model, (-1, 1, 1)), np.arange(1, n + 1)
+        z = reward_draws(self.spec, self._prefixes[:, None], models, steps)[..., 0]
         # accumulate in step order with the ensemble's exact draws so
         # the float operations match the incremental path bit for bit:
         # add.accumulate adds the rows one after another, where a sum
         # or a matrix product would pair them
         terms = self._xs[..., :n, :] * (self._ys[..., :n] + z)[..., None]
-        rows = np.concatenate([self._sums[..., None, :, j], terms], axis=-2)
+        rows = np.concatenate([self._sums[self._rows, :, model][:, None], terms], axis=-2)
         s = np.add.accumulate(rows, axis=-2)[..., -1, :]
         return self.gram.solve(np.ascontiguousarray(s))
 

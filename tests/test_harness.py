@@ -1,5 +1,6 @@
 import configparser
 import copy
+import ctypes
 import hashlib
 import json
 import math
@@ -1793,13 +1794,27 @@ def test_shipped_config_loads_and_runs(tmp_path, path):
     assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2 * 5
 
 
+#: numpy's bundled OpenBLAS, whose core is chosen at load time
+OPENBLAS = Path(np.__file__).parent.parent / "numpy.libs"
+
+
 def numpy_platform() -> str:
     """What a pinned hash depends on besides the code, for its failure
     message: numpy's version, its active SIMD dispatch targets, its BLAS
-    build, and the environment variables that override either."""
+    build and the OpenBLAS core that runs, and the environment variables
+    that override either."""
     names = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
     overrides = [f"{k}={os.environ[k]}" for k in names if k in os.environ]
     env = f"environment {' '.join(overrides) or 'default'}"
+    try:
+        # the build string names one core under every setting; this one runs
+        (lib,) = OPENBLAS.glob("libscipy_openblas64_*")
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = f"core {corename().decode()}"
+    except (ValueError, OSError, AttributeError):
+        # no bundled library, more than one, or no such symbol
+        core = "core unknown"
     try:
         from numpy._core import _multiarray_umath as umath
 
@@ -1807,16 +1822,20 @@ def numpy_platform() -> str:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (ImportError, TypeError, KeyError):
         # numpy 1.x has neither numpy._core nor show_config's dict mode
-        return f"numpy {np.__version__}; {env}"
+        return f"numpy {np.__version__}; {core}; {env}"
     return (
         f"numpy {np.__version__}; SIMD {', '.join(simd) or 'none'}; "
-        f"BLAS {blas.get('openblas configuration', blas['name'])}; {env}"
+        f"BLAS {blas.get('openblas configuration', blas['name'])}, {core}; {env}"
     )
 
 
 def test_numpy_platform_names_the_numpy_version():
     # the failure message of the pinned-byte tests is built on every run
-    assert f"numpy {np.__version__};" in numpy_platform()
+    platform = numpy_platform()
+    assert f"numpy {np.__version__};" in platform
+    # and names the running core wherever numpy bundles one OpenBLAS
+    if len(list(OPENBLAS.glob("libscipy_openblas64_*"))) == 1:
+        assert re.search(r"core \w+;", platform) and "core unknown" not in platform
 
 
 #: sha256 of ``trace.csv`` and ``summary.json`` of each shipped config run by

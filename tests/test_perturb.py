@@ -276,7 +276,8 @@ class TestRewardDraws:
         # component j is the same bits whatever the ensemble size, the
         # models asked for, the batch and the position in it
         spec = PerturbationSpec(family, 1.3)
-        prefixes = reward_prefixes([4, 11, 4, 2**63 + 5, 0])
+        seeds = [4, 11, 4, 2**63 + 5, 0]
+        prefixes = reward_prefixes(seeds)
         full = reward_draws(spec, prefixes, range(64), 9)
         assert full.shape == (5, 64)
         for n in (1, 3, 17):
@@ -289,12 +290,24 @@ class TestRewardDraws:
         for r in range(5):
             alone = reward_draws(spec, prefixes[r : r + 1], range(64), 9)[0]
             assert alone.tobytes() == full[r].tobytes() == reversed_batch[4 - r].tobytes()
-        # an array of keys hashes each key as its own call would: model 7
-        # over steps 1..40, as the lazy ensemble's replay reads it
-        column = reward_draws(spec, prefixes[:, None], range(7, 8), np.arange(1, 41))[..., 0]
+        # an index array reads the models it names, unsorted and repeated
+        index = np.array([20, 3, 3, 63])
+        np.testing.assert_array_equal(reward_draws(spec, prefixes, index, 9), full[:, index])
+        # an (R, 1) index reads one model per replication
+        rows, own = np.arange(5), np.array([7, 0, 63, 7, 20])
+        each = reward_draws(spec, prefixes, own[:, None], 9)
+        assert each.shape == (5, 1)
+        np.testing.assert_array_equal(each[:, 0], full[rows, own])
+        want = [1.3 * reference_draw(family, s, (9,), int(j)) for s, j in zip(seeds, own)]
+        np.testing.assert_allclose(each[:, 0], want, rtol=1e-13, atol=0)
+        # an array of keys hashes each key as its own call would: each
+        # replication's model over steps 1..40, as the lazy ensemble's
+        # replay reads it, with an (R, 1, 1) index
+        column = reward_draws(spec, prefixes[:, None], own[:, None, None], np.arange(1, 41))
+        assert column.shape == (5, 40, 1)
         for t in (1, 9, 40):
             np.testing.assert_array_equal(
-                column[:, t - 1], reward_draws(spec, prefixes, range(64), t)[:, 7]
+                column[:, t - 1, 0], reward_draws(spec, prefixes, range(64), t)[rows, own]
             )
         assert not np.array_equal(full[0], full[1])
         assert not np.array_equal(full[0], reward_draws(spec, prefixes, range(64), 10)[0])
@@ -399,18 +412,26 @@ class TestKeyedStepDraws:
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     @pytest.mark.parametrize("seeds", [[6], [6, 2**64 - 1, 13]], ids=["R1", "R3"])
-    @pytest.mark.parametrize("models", [range(5), range(3, 1003)], ids=["long", "short"])
+    @pytest.mark.parametrize(
+        "models",
+        [range(5), range(3, 1003), np.array([900, 3, 3, 41]), "per-replication"],
+        ids=["long", "short", "index-set", "per-replication"],
+    )
     def test_block_rows_equal_per_step_draws(self, family, seeds, models):
         # long blocks hold 64 steps, short ones 16384 // (R * 1000) steps;
-        # both runs cross at least two block boundaries
+        # a block is sized by the values one step draws, R for an (R, 1)
+        # index; every run crosses at least two block boundaries
         spec = PerturbationSpec(family, 1.7)
         prefixes = reward_prefixes(seeds)
+        if isinstance(models, str):
+            models = (np.arange(len(seeds)) * 37 + 5)[:, None]
+        width = np.shape(models)[-1]
         draws = StepDraws(spec, prefixes, models)
-        steps = 2 * block_steps(len(seeds) * len(models)) + 3
+        steps = 2 * block_steps(len(seeds) * width) + 3
         for t in range(1, steps + 1):
             want = reward_draws(spec, prefixes, models, t)
             got = draws.at(t)
-            assert got.shape == (len(seeds), len(models))
+            assert got.shape == (len(seeds), width)
             assert got.tobytes() == want.tobytes()
         # a keyed block is read at any step, in any order
         for t in (2, steps, 1, DRAW_BLOCK + 1):
@@ -421,7 +442,12 @@ class TestKeyedStepDraws:
         "width,block",
         [(1, DRAW_BLOCK), (DRAW_VALUES // 5, 5), (DRAW_VALUES // 2, 2), (DRAW_VALUES + 1, 1)],
     )
-    def test_block_length_is_bounded_by_the_value_budget(self, monkeypatch, width, block):
+    @pytest.mark.parametrize("per_replication", [False, True], ids=["shared", "per-replication"])
+    def test_block_length_is_bounded_by_the_value_budget(
+        self, monkeypatch, width, block, per_replication
+    ):
+        # a step draws width values: width models of one replication, or
+        # one model in each of width replications, an (R, 1) index
         calls = []
 
         def spy(spec, prefixes, models, *key):
@@ -429,7 +455,11 @@ class TestKeyedStepDraws:
             return reward_draws(spec, prefixes, models, *key)
 
         monkeypatch.setattr(perturb, "reward_draws", spy)
-        draws = StepDraws(PerturbationSpec(), reward_prefixes([1]), range(width))
+        if per_replication:
+            prefixes, models = reward_prefixes(range(width)), np.zeros((width, 1), dtype=int)
+        else:
+            prefixes, models = reward_prefixes([1]), range(width)
+        draws = StepDraws(PerturbationSpec(), prefixes, models)
         for t in range(1, block + 2):
             draws.at(t)
         assert calls == [(block, 1), (block, 1)]

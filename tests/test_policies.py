@@ -479,10 +479,11 @@ class TestLazyEnsemble:
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_every_model_is_the_eager_ensembles_bit_for_bit(self, family, seeds, dim):
         # every model j < m at every step, not only the model t - 1 that a
-        # step reads; the replay acts on the same model as the ensemble. At
-        # d = 1 the rows are contiguous, where np.sum would pair them. The
-        # history buffer doubles at the 9th and the 17th update, and the
-        # steps after each read across it
+        # step reads, and a different model in each replication; the replay
+        # acts on the same model as the ensemble. At d = 1 the rows are
+        # contiguous, where np.sum would pair them. The history buffer
+        # doubles at the 9th and the 17th update, and the steps after each
+        # read across it
         horizon, batch = 18, len(seeds)
         spec = PerturbationSpec(family, 0.9)
         eager = EnsembleSampling(dim, 1.5, horizon, spec, seeds, sampler=Sampler.ROUND_ROBIN)
@@ -491,8 +492,8 @@ class TestLazyEnsemble:
         arms = random_unit_ball(rng, dim, count=6)
         for t in range(1, horizon + 1):
             for j in range(horizon):
-                model = np.full(batch, j)
-                assert lazy.model_theta(model).tobytes() == eager.model_theta(model).tobytes()
+                for model in (np.full(batch, j), (np.arange(batch) + j) % horizon):
+                    assert lazy.model_theta(model).tobytes() == eager.model_theta(model).tobytes()
             sel = eager.select(arms)
             lazy_sel = lazy.select(arms)
             assert sel.model_index.tolist() == lazy_sel.model_index.tolist() == [t - 1] * batch
@@ -556,11 +557,9 @@ class TestLazyEnsemble:
             replay.update(arms[sel.arm_index], rng.standard_normal(2))
         assert replay._xs.shape == (2, 32, 3) and replay._ys.shape == (2, 32)
 
-    def test_the_replay_reads_one_model_for_the_whole_batch(self):
+    def test_the_replay_reads_one_model_per_replication(self):
         replay = PerturbedHistoryReplay(2, 1.0, PerturbationSpec(), [1, 2, 3], 4)
-        with pytest.raises(ValueError, match="one model per batch"):
-            replay.model_theta(np.array([0, 1, 0]))
-        assert replay.model_theta(np.array([2, 2, 2])).shape == (3, 2)
+        assert replay.model_theta(np.array([0, 1, 0])).shape == (3, 2)
 
 
 class TestLinPHEHasTheReplaysLaw:
