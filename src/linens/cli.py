@@ -22,18 +22,27 @@ from .harness import (
     emit_outputs,
     estimate_event_rates,
     run_equivalence_suite,
-    run_monte_carlo,
+    run_replications,
 )
 
 #: Sweepable parameter -> the config field it sets.
 SWEEP_FIELDS = {"T": "horizon", "d": "dim", "m": "m", "K": "arm_count"}
 
 
+def _run(cfg, out_dir) -> tuple[Path, Path, dict]:
+    """The one path of ``run`` and ``sweep``: run the replications of
+    ``cfg``, writing each batch's ``trace.csv`` rows as it ends and
+    ``summary.json`` last, under ``out_dir``. Returns both paths and the
+    summary as written."""
+    records = run_replications(cfg, range(cfg.run.replications))
+    trace_path, summary_path = emit_outputs(records, cfg, out_dir)
+    return trace_path, summary_path, json.loads(summary_path.read_text())
+
+
 def _cmd_run(args) -> int:
     given = {"base_seed": args.seed, "replications": args.reps, "out_dir": args.out}
     cfg = load_config(args.config, **{k: v for k, v in given.items() if v is not None})
-    records, summary = run_monte_carlo(cfg)
-    trace_path, summary_path = emit_outputs(records, summary, cfg.run.out_dir)
+    trace_path, summary_path, summary = _run(cfg, cfg.run.out_dir)
     final = summary["checkpoints"][-1]
     print(f"replications: {summary['replications']}")
     print(f"mean final regret: {final['mean']:.6g} (median {final['median']:.6g})")
@@ -88,9 +97,7 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out if args.out else cfg.run.out_dir)
     combined = []
     for value, sub in runs:
-        records, summary = run_monte_carlo(sub)
-        out_dir = out_root / f"sweep_{args.param}_{value}"
-        emit_outputs(records, summary, out_dir)
+        *_, summary = _run(sub, out_root / f"sweep_{args.param}_{value}")
         final = summary["checkpoints"][-1]
         combined.append({"value": value, "mean_final_regret": final["mean"]})
         print(f"{args.param}={value}: mean final regret {final['mean']:.6g}")

@@ -224,7 +224,8 @@ class StepMonitor:
         width = weighted_norm(gram_inv, chosen)
         sums = np.concatenate([counts["elliptical_sum"][None], width * width])
         elliptical_sum = np.add.accumulate(sums, axis=0)[1:]
-        counts["elliptical_sum"] = elliptical_sum[-1]
+        # a copy, so the counters hold no block's (n, R) sums once it ends
+        counts["elliptical_sum"] = elliptical_sum[-1].copy()
         counts["checks"] += n
         counts["all_concentrated"] = counts["all_concentrated"] & concentration_ok.all(axis=0)
         events = (~concentration_ok, ~perturb_concentration_ok, anti_conc_ok, optimism_ok)

@@ -66,7 +66,7 @@ class NoiseModel:
     def draws(self, seeds) -> StepDraws:
         """The noise of one stream per replication, read by step: ``at(t)``
         holds each replication's noise of step t as model 0."""
-        return StepDraws(self.spec, seed_prefixes(seeds, TAG_NOISE), range(1))
+        return StepDraws(self.spec, seed_prefixes(seeds, TAG_NOISE), np.arange(1))
 
 
 class LinearBanditEnv:
@@ -130,7 +130,7 @@ class LinearBanditEnv:
         """Mean reward of the arm plus the noise of ``step`` of stream
         ``seed``; an array of steps gives the rewards of each."""
         prefixes = seed_prefixes([seed], TAG_NOISE)
-        noise = reward_draws(self.noise.spec, prefixes, range(1), step)
+        noise = reward_draws(self.noise.spec, prefixes, np.arange(1), step)
         return self.pull(arm_index)[1] + noise.reshape(np.shape(step))
 
     @classmethod
@@ -158,8 +158,8 @@ class LinearBanditEnv:
         one = np.ndim(seeds) == 0
         prefixes = seed_prefixes([seeds] if one else seeds, TAG_ENV)
         coords = (arm_count + 1) * dim
-        z = reward_draws(PerturbationSpec(), prefixes, range(coords))
-        u = reward_draws(UnitUniform(), prefixes, range(coords, coords + arm_count + 1))
+        z = reward_draws(PerturbationSpec(), prefixes, np.arange(coords))
+        u = reward_draws(UnitUniform(), prefixes, np.arange(coords, coords + arm_count + 1))
         directions = z.reshape(-1, arm_count + 1, dim)
         directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
         arms = directions[:, :-1] * u[:, :-1, None] ** (1.0 / dim)

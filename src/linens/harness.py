@@ -11,19 +11,25 @@ function (see :func:`linens.perturb.mix_key`).
 Replications run in lockstep batches: one interaction loop,
 :func:`interact`, steps a batched policy for every replication of a
 contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
-``sweep``, ``rates`` and ``equivalence`` all go through it; ``run.workers``
-only maps the fixed batches over a process pool, so no output depends on it.
-A batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
-trace columns and ``(R,)`` counters, pooled across batches by concatenation
-and written to ``trace.csv`` one replication at a time. Bookkeeping that no
-decision reads stays off the per-step path: the loop ends a block of steps
-in one place, where it scores the regret and evaluates the monitor.
+``sweep``, ``rates`` and ``equivalence`` all go through it and read the
+batches as they end (:func:`run_replications`); ``run.workers`` only maps
+the fixed batches over a process pool, so no output depends on it. A
+batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
+trace columns and ``(R,)`` counters. ``run`` appends each batch's rows to
+``trace.csv`` as the batch ends and keeps only its checkpoint regret and
+counters for the summary (:func:`emit_outputs`), so a run holds one batch's
+trace at a time. Bookkeeping that no decision reads stays off the per-step
+path: the loop ends a block of steps in one place, where it scores the
+regret and evaluates the monitor.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import groupby
@@ -43,12 +49,17 @@ BATCH_SIZE = 256
 #: Per-step trace columns of a replication, in ``trace.csv`` order.
 TRACE_COLUMNS = ("arm", "model", "reward", "instant_regret", "cum_regret")
 
+#: The trace columns a record stores: ``instant_regret`` is read off the
+#: record's gap table by the pulled arm (:class:`RunRecord`).
+STORED_COLUMNS = ("arm", "model", "reward", "cum_regret")
+
 #: Per-step monitor indicators, traced when diagnostics are on.
 FLAG_COLUMNS = ("conc_ok", "anticonc_ok", "optimism_ok")
 
 #: dtypes of the trace columns that are not floats; these are written
-#: ``%d`` and the float ones ``%.17g``.
-_COLUMN_DTYPES = {"arm": np.int64, "model": np.int64, **dict.fromkeys(FLAG_COLUMNS, bool)}
+#: ``%d`` and the float ones ``%.17g``. Arm and model indices fit int32: an
+#: instance or an ensemble of 2**31 rows could not be held.
+_COLUMN_DTYPES = {"arm": np.int32, "model": np.int32, **dict.fromkeys(FLAG_COLUMNS, bool)}
 
 #: Run settings that say where and how to run an experiment, not what it
 #: is; ``summary.json`` leaves them out of its config echo so that its bytes
@@ -59,14 +70,20 @@ _UNECHOED_RUN_KEYS = ("out_dir", "workers")
 @dataclass
 class RunRecord:
     """One lockstep batch's results. Row i of every array is replication
-    ``replications[i]``: ``columns`` maps each trace column to an ``(R, T)``
-    array (step ``t = 1..T`` in column ``t - 1``), and ``counters`` maps
-    ``final_regret`` and the monitor's counters
-    (:meth:`~linens.diagnostics.StepMonitor.counters`) to ``(R,)`` arrays."""
+    ``replications[i]``: ``columns`` maps each stored trace column (of
+    ``STORED_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor) to an
+    ``(R, T)`` array (step ``t = 1..T`` in column ``t - 1``), 27 bytes a
+    step with the flags; ``counters`` maps ``final_regret`` and the
+    monitor's counters (:meth:`~linens.diagnostics.StepMonitor.counters`)
+    to ``(R,)`` arrays; and ``gaps`` is the ``(K,)`` regret of pulling each
+    arm, ``optimal_value - means``, the subtraction
+    :class:`~linens.envs.RegretLedger` scores, so a step's
+    ``instant_regret`` is ``gaps[arm]``."""
 
     replications: range
     columns: dict
     counters: dict
+    gaps: np.ndarray
 
 
 def batches(replications: range) -> list[range]:
@@ -76,11 +93,13 @@ def batches(replications: range) -> list[range]:
     ]
 
 
-def _map_batches(fn, items: range, workers: int) -> list:
-    """``fn`` over the fixed batches of ``items``, in order; across processes
-    when ``workers > 1``. Workers are spawned, not forked: the parent may
-    hold BLAS threads. The process pool is imported only here, where it is
-    used."""
+def _map_batches(fn, items: range, workers: int):
+    """``fn`` over the fixed batches of ``items``, yielded in order; across
+    processes when ``workers > 1``, with at most ``workers`` batches in
+    flight: the next is submitted as one is taken, so the parent never
+    holds more records than that. Workers are spawned, not forked: the
+    parent may hold BLAS threads. The process pool is imported only here,
+    where it is used."""
     blocks = batches(items)
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -89,8 +108,16 @@ def _map_batches(fn, items: range, workers: int) -> list:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(blocks)), mp_context=get_context("spawn")
         ) as pool:
-            return list(pool.map(fn, blocks))
-    return [fn(block) for block in blocks]
+            pending = deque(pool.submit(fn, block) for block in blocks[:workers])
+            for block in blocks[workers:]:
+                result = pending.popleft().result()
+                pending.append(pool.submit(fn, block))
+                yield result
+            while pending:
+                yield pending.popleft().result()
+    else:
+        for block in blocks:
+            yield fn(block)
 
 
 def replication_seeds(cfg: ExperimentConfig, replications: range) -> list[int]:
@@ -106,7 +133,7 @@ def interact(
     noise: StepDraws,
     horizon: int,
     monitor: StepMonitor | None = None,
-    columns: tuple = TRACE_COLUMNS,
+    columns: tuple = STORED_COLUMNS,
 ) -> tuple[dict, np.ndarray]:
     """The interaction loop: step a batched policy for ``horizon`` steps.
 
@@ -120,15 +147,14 @@ def interact(
     evaluates its steps (``flush``), and their columns are written at the
     block's steps, so a run that traces no regret holds no
     ``(R, horizon)`` regret. Returns the named trace columns (of
-    ``TRACE_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor), each
+    ``STORED_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor), each
     ``(R, horizon)``, and the final cumulative regret of each replication.
     """
     shape = (policy.batch, horizon)
     cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
-    # (position in a step's (arm, model, reward), column) of each traced one,
-    # and (position in the ledger's (gaps, sums), column) of the regret ones
-    traced = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS[:3]) if name in cols]
-    scored = [(k, cols[name]) for k, name in enumerate(TRACE_COLUMNS[3:]) if name in cols]
+    # (position in a step's (arm, model, reward), column) of each traced one
+    traced = [(k, cols[name]) for k, name in enumerate(STORED_COLUMNS[:3]) if name in cols]
+    cum = cols.get("cum_regret")
     flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
     ledger = RegretLedger(env)
     arms = env.arms
@@ -149,9 +175,9 @@ def interact(
                 step = (sel.arm_index, sel.model_index, y)
                 for k, col in traced:
                     col[:, i] = step[k]
-        regret = ledger.record(block)
-        for k, col in scored:
-            col[:, at.start : at.stop] = regret[k]
+        _, sums = ledger.record(block)
+        if cum is not None:
+            cum[:, at.start : at.stop] = sums
         if monitor is not None:
             diag = monitor.flush()
             for col, ok in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
@@ -175,18 +201,21 @@ def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) ->
             track_ensemble_fraction=(cfg.run.diagnostics == "full-trace"),
             replications=replications,
         )
-    columns = TRACE_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
+    columns = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
     cols, regret = interact(policy, env, noise, cfg.run.horizon, monitor, columns)
     counters = {"final_regret": regret}
     if monitor is not None:
         counters.update(monitor.counters())
-    return RunRecord(replications, cols, counters)
+    gaps = env.optimal_value - env.pull(np.arange(env.arm_count))[1]
+    return RunRecord(replications, cols, counters, gaps)
 
 
-def run_replications(cfg: ExperimentConfig, replications: range) -> list[RunRecord]:
+def run_replications(cfg: ExperimentConfig, replications: range, trace: bool = True):
     """Run replications in their fixed batches, mapped over ``run.workers``:
-    one record per batch, in replication order."""
-    return _map_batches(partial(run_batch, cfg), replications, cfg.run.workers)
+    one record per batch, yielded in replication order as each batch ends
+    (:func:`_map_batches`). Without ``trace`` the records carry counters
+    only."""
+    return _map_batches(partial(run_batch, cfg, trace=trace), replications, cfg.run.workers)
 
 
 def checkpoints(horizon: int) -> list[int]:
@@ -200,17 +229,10 @@ def checkpoints(horizon: int) -> list[int]:
     return grid
 
 
-def run_monte_carlo(cfg: ExperimentConfig) -> tuple[list[RunRecord], dict]:
-    """Run all replications and aggregate a deterministic summary table."""
-    records = run_replications(cfg, range(cfg.run.replications))
-    return records, aggregate(cfg, records)
-
-
-def _pooled(records: list[RunRecord]) -> dict:
-    """Each counter of ``records``, its batches concatenated in replication
-    order: name -> ``(N,)``."""
-    names = records[0].counters
-    return {name: np.concatenate([rec.counters[name] for rec in records]) for name in names}
+def _pooled(counters: list[dict]) -> dict:
+    """Each counter of the batches' ``counters``, concatenated in
+    replication order: name -> ``(N,)``."""
+    return {name: np.concatenate([c[name] for c in counters]) for name in counters[0]}
 
 
 def monitor_report(counters: dict) -> dict:
@@ -247,18 +269,21 @@ def monitor_report(counters: dict) -> dict:
     return report
 
 
-def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
-    """``summary.json``'s table, whose ``monitors`` is the monitor report
-    (:func:`monitor_report`), or ``"disabled"`` when no monitor ran. Its
-    medians and q10/q90 are numpy's, read off one sort (:func:`_quantile`)."""
+def aggregate(cfg: ExperimentConfig, regret: np.ndarray, counters: dict) -> dict:
+    """``summary.json``'s table from each replication's cumulative regret
+    at the checkpoints (``(N, len(checkpoints(T)))``, in replication
+    order) and the pooled counters (:func:`_pooled`). Its ``monitors`` is
+    the monitor report (:func:`monitor_report`), or ``"disabled"`` when no
+    monitor ran. Its medians and q10/q90 are numpy's, read off one sort
+    (:func:`_quantile`)."""
     params = cfg.confidence_params()
     grid = checkpoints(cfg.run.horizon)
-    cum = np.concatenate([rec.columns["cum_regret"][:, np.array(grid) - 1] for rec in records])
-    ranked = np.sort(cum, axis=0)
-    half = len(cum) // 2
+    ranked = np.sort(regret, axis=0)
+    n = len(regret)
     # np.median is the mean of the middle values, whose sum starts at +0.0
-    median = ranked[half] + 0.0 if len(cum) % 2 else (0.0 + ranked[half - 1] + ranked[half]) / 2
-    stats = zip(grid, map(np.mean, cum.T), median, _quantile(ranked, 0.10), _quantile(ranked, 0.90))
+    median = ranked[n // 2] + 0.0 if n % 2 else (0.0 + ranked[n // 2 - 1] + ranked[n // 2]) / 2
+    quantiles = _quantile(ranked, 0.10), _quantile(ranked, 0.90)
+    stats = zip(grid, map(np.mean, regret.T), median, *quantiles)
     keys = ("t", "mean", "median", "q10", "q90")
     per_checkpoint = [dict(zip(keys, (t, *map(float, values)))) for t, *values in stats]
     config = cfg.to_dict()
@@ -268,7 +293,7 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
         "config": config,
         "resolved_m": cfg.resolved_ensemble_size() if cfg.reads("m") else None,
         "resolved_scale": cfg.perturbation_spec().scale if cfg.reads("scale_mode") else None,
-        "replications": len(cum),
+        "replications": n,
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": (
             theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
@@ -276,7 +301,6 @@ def aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> dict:
             else None
         ),
     }
-    counters = _pooled(records)
     # a switched-off monitor says so rather than leave its key out
     summary["monitors"] = monitor_report(counters) if "checks" in counters else "disabled"
     return summary
@@ -294,49 +318,78 @@ def _quantile(ranked: np.ndarray, q: float) -> np.ndarray:
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
-def emit_outputs(
-    records: list[RunRecord], summary: dict, out_dir: str | Path
-) -> tuple[Path, Path]:
-    """Write the trace CSV and the summary JSON; byte-stable for equal
-    inputs.
+def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write a run's trace CSV as its batches end and its summary JSON
+    last; byte-stable for equal inputs.
+
+    ``records`` are the run's batch records in replication order, as
+    :func:`run_replications` yields them. Each batch's rows are appended
+    to ``trace.csv`` as it arrives, and only its cumulative regret at the
+    checkpoints and its counters are kept, for :func:`aggregate`, so the
+    run holds one batch's trace at a time. ``trace.csv`` is written under
+    a temporary name in ``out_dir`` and moved into place after its last
+    row, so a run that fails leaves an earlier run's outputs as they were.
 
     ``trace.csv`` has the header ``replication,t,`` then ``TRACE_COLUMNS``
-    and, when the records carry them, ``FLAG_COLUMNS``; ints and flags are
-    written ``%d`` and floats ``%.17g``, which round-trips. It is written
-    one replication at a time: each float column and each run of adjacent
-    int and flag columns gives a row's texts with their leading commas
-    (:func:`_row_texts`, which holds at most one row's texts, so memory
-    grows with neither the batch width nor the ensemble size), and the
-    replication's number, the shared ``,t`` and those texts are joined once."""
+    and, with a monitor, ``FLAG_COLUMNS``; ints and flags are written
+    ``%d`` and floats ``%.17g``, which round-trips. A row's
+    ``instant_regret`` is the record's gap of each step's arm
+    (:class:`RunRecord`). Each batch is written one replication at a time:
+    each float column and each run of adjacent int and flag columns gives
+    a row's texts with their leading commas (:func:`_row_texts`, which
+    holds at most one row's texts, so memory grows with neither the batch
+    width nor the ensemble size), and the replication's number, the shared
+    ``,t`` and those texts are joined once."""
     out = Path(out_dir)
+    trace_path, summary_path = out / "trace.csv", out / "summary.json"
+    partial_path = out / "trace.csv.partial"
+    horizon = cfg.run.horizon
+    names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
+    # adjacent int and flag columns make one run, and each float column its own
+    runs = [list(run) for _, run in groupby(names, lambda name: name in _COLUMN_DTYPES or name)]
+    fmts = [[",%d" if name in _COLUMN_DTYPES else ",%.17g" for name in run] for run in runs]
+    fmts[-1][-1] += "\n"
+    width = 2 + len(runs)  # the replication, the step, then each run
+    row_text = [None] * (width * horizon)
+    row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
+    grid = np.array(checkpoints(horizon)) - 1
+    regret, counters = [], []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        trace_path = out / "trace.csv"
-        summary_path = out / "summary.json"
-        names = TRACE_COLUMNS
-        if records and FLAG_COLUMNS[0] in records[0].columns:
-            names += FLAG_COLUMNS
-        # adjacent int and flag columns make one run, and each float column its own
-        runs = [list(run) for _, run in groupby(names, lambda name: name in _COLUMN_DTYPES or name)]
-        fmts = [[",%d" if name in _COLUMN_DTYPES else ",%.17g" for name in run] for run in runs]
-        fmts[-1][-1] += "\n"
-        horizon = records[0].columns[names[0]].shape[-1] if records else 0
-        width = 2 + len(runs)  # the replication, the step, then each run
-        row_text = [None] * (width * horizon)
-        row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
-        with open(trace_path, "w") as fh:
+        with open(partial_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
-                texts = [_row_texts([rec.columns[n] for n in r], f) for r, f in zip(runs, fmts)]
+                columns = {**rec.columns, "instant_regret": _GapRows(rec.gaps, rec.columns["arm"])}
+                texts = [_row_texts([columns[n] for n in r], f) for r, f in zip(runs, fmts)]
                 for i, rep in enumerate(rec.replications):
                     row_text[::width] = [str(rep)] * horizon
                     for k, text in enumerate(texts, start=2):
                         row_text[k::width] = text(i)
                     fh.write("".join(row_text))
+                regret.append(rec.columns["cum_regret"][:, grid])
+                counters.append(rec.counters)
+        summary = aggregate(cfg, np.concatenate(regret), _pooled(counters))
+        os.replace(partial_path, trace_path)
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            partial_path.unlink()
     return trace_path, summary_path
+
+
+class _GapRows:
+    """A record's ``instant_regret`` as an ``(R, T)`` float column that is
+    read one row at a time: row i is ``gaps[arm[i]]``."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, gaps: np.ndarray, arm: np.ndarray):
+        self.gaps, self.arm = gaps, arm
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.gaps[self.arm[i]]
 
 
 def _row_texts(columns: list[np.ndarray], formats: list[str]):
@@ -465,5 +518,5 @@ def estimate_event_rates(cfg: ExperimentConfig) -> dict:
         raise ValueError("run.replications must be at least 1")
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
-    records = _map_batches(partial(run_batch, cfg, trace=False), range(reps), cfg.run.workers)
-    return {"replications": reps, **monitor_report(_pooled(records))}
+    records = run_replications(cfg, range(reps), trace=False)
+    return {"replications": reps, **monitor_report(_pooled([rec.counters for rec in records]))}

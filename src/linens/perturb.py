@@ -310,8 +310,13 @@ def reward_draws(spec, prefixes, models, *key) -> np.ndarray:
     the array it spells), and the result has shape ``broadcast(key_shape +
     (1,), models.shape)``, ``key_shape = broadcast(prefixes, *key)``: a 1-d
     ``models`` gives every replication the same models, an ``(R, 1)`` one
-    model per replication, and ``(R, 1, 1)`` that with a step axis.
+    model per replication, and ``(R, 1, 1)`` that with a step axis. A
+    negative index names no model and is refused, by one reduction.
     """
+    models = np.asarray(models)
+    low = models.min(initial=0)
+    if low < 0:
+        raise ValueError(f"model index {low} is negative")
     h = np.array(prefixes, dtype=np.uint64)
     for part in key:
         h = _fold_array(h, part)

@@ -178,13 +178,13 @@ class EnsembleSampling(_RidgeBase):
         self._models = None
         if sampler == Sampler.UNIFORM:
             self._models = StepDraws(
-                ModelChoice(self.n_models), seed_prefixes(seeds, TAG_MODEL), range(1)
+                ModelChoice(self.n_models), seed_prefixes(seeds, TAG_MODEL), np.arange(1)
             )
         w = initial_draws(spec, seed_prefixes(seeds, TAG_INIT), n_models, dim, lam)
         self._sums = np.ascontiguousarray(w.swapaxes(-1, -2))
         self._rows = np.arange(self.batch)
         self._prefixes = seed_prefixes(seeds, TAG_REWARD)
-        self._rewards = StepDraws(spec, self._prefixes, range(self.n_models))
+        self._rewards = StepDraws(spec, self._prefixes, np.arange(self.n_models))
 
     @property
     def s_vectors(self) -> np.ndarray:
@@ -198,7 +198,12 @@ class EnsembleSampling(_RidgeBase):
         return np.matmul(np.ascontiguousarray(self.s_vectors), self.gram.gram_inv)
 
     def model_theta(self, model) -> np.ndarray:
-        """The estimator of ``model``, one index per replication."""
+        """The estimator of ``model``, one index per replication; a
+        negative index is refused, as :func:`~linens.perturb.reward_draws`
+        refuses it, rather than read from the end."""
+        low = np.asarray(model).min()
+        if low < 0:
+            raise ValueError(f"model index {low} is negative")
         return self.gram.solve(self._sums[self._rows, :, model])
 
     def _model_index(self) -> np.ndarray:
@@ -301,7 +306,7 @@ class LinPHE(_RidgeBase):
         # the history is kept only where it is re-perturbed: the gaussian
         # family draws the perturbation of the whole history in closed form
         if spec.family == PerturbationFamily.GAUSSIAN:
-            self._xi = StepDraws(spec, self._prefixes, range(dim))
+            self._xi = StepDraws(spec, self._prefixes, np.arange(dim))
         else:
             self._xs = np.empty((self.batch, 8, dim))
             self._ys = np.empty((self.batch, 8))

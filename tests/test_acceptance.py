@@ -18,7 +18,6 @@ from linens.harness import (
     emit_outputs,
     estimate_event_rates,
     run_equivalence_suite,
-    run_monte_carlo,
     run_replications,
 )
 from linens.linalg import GramState, Metric
@@ -323,22 +322,16 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     cfg = base_config(
         run__horizon=40, run__replications=4, run__diagnostics="monitors"
     )
-    records_a, summary_a = run_monte_carlo(cfg)
-    records_b, summary_b = run_monte_carlo(cfg)
     par = base_config(
         run__horizon=40,
         run__replications=4,
         run__diagnostics="monitors",
         run__workers=2,
     )
-    records_c, summary_c = run_monte_carlo(par)
     paths = {}
-    for tag, (records, summary) in {
-        "a": (records_a, summary_a),
-        "b": (records_b, summary_b),
-        "c": (records_c, summary_c),
-    }.items():
-        paths[tag] = emit_outputs(records, summary, tmp_path / tag)
+    for tag, run_cfg in {"a": cfg, "b": cfg, "c": par}.items():
+        records = run_replications(run_cfg, range(run_cfg.run.replications))
+        paths[tag] = emit_outputs(records, run_cfg, tmp_path / tag)
     assert paths["a"][0].read_bytes() == paths["b"][0].read_bytes()
     assert paths["a"][1].read_bytes() == paths["b"][1].read_bytes()
     assert paths["a"][0].read_bytes() == paths["c"][0].read_bytes()

@@ -15,7 +15,6 @@ from linens.harness import (
     replication_seeds,
     run_batch,
     run_equivalence_suite,
-    run_monte_carlo,
     run_replications,
 )
 from linens.linalg import REINVERT_PERIOD
@@ -122,16 +121,23 @@ def test_outputs_do_not_depend_on_how_replications_are_batched(monkeypatch, tmp_
 
     def outputs(workers: int) -> tuple:
         cfg.run.workers = workers
-        records, summary = run_monte_carlo(cfg)
-        paths = emit_outputs(records, summary, tmp_path / f"{harness.BATCH_SIZE}-{workers}")
-        return len(records), [p.read_bytes() for p in paths], estimate_event_rates(cfg)
+        written = []
 
-    n_batches, *default = outputs(1)
-    assert n_batches == 1
+        def batches_written(records):
+            for rec in records:
+                written.append(rec.replications)
+                yield rec
+
+        records = batches_written(run_replications(cfg, range(5)))
+        paths = emit_outputs(records, cfg, tmp_path / f"{harness.BATCH_SIZE}-{workers}")
+        return written, [p.read_bytes() for p in paths], estimate_event_rates(cfg)
+
+    written, *default = outputs(1)
+    assert written == [range(5)]
     monkeypatch.setattr(harness, "BATCH_SIZE", 2)
     for workers in (1, 2):
-        n_batches, *got = outputs(workers)
-        assert n_batches == 3
+        written, *got = outputs(workers)
+        assert written == [range(0, 2), range(2, 4), range(4, 5)]
         assert got == default, workers
 
 
@@ -165,7 +171,7 @@ def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, fami
     noise = draws[..., 0].T  # row r: replication r's noise of steps 1..horizon
     monkeypatch.setattr(harness, "BATCH_SIZE", 2)  # three batches over two workers
     runs = {
-        "workers": run_replications(cfg, range(reps)),
+        "workers": list(run_replications(cfg, range(reps))),
         "one batch": [run_batch(cfg, range(reps))],
         "batches of one": [run_batch(cfg, range(r, r + 1)) for r in range(reps)],
     }

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import linens
-from linens import cli
+from linens import cli, harness
 from linens.config import (
     MAX_S_BOUND,
     POLICY_NAMES,
@@ -27,6 +28,7 @@ from linens.config import (
 from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
+    STORED_COLUMNS,
     TRACE_COLUMNS,
     RunRecord,
     _equivalence_batch,
@@ -40,7 +42,7 @@ from linens.harness import (
     replication_seeds,
     run_equivalence_suite,
     run_batch,
-    run_monte_carlo,
+    run_replications,
 )
 from linens.diagnostics import StepMonitor, theoretical_regret_bound
 from linens.envs import RegretLedger
@@ -292,11 +294,21 @@ POLICY_VARIATIONS = [
 ]
 
 
+def run_to(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """A run through ``run``'s one path (:func:`emit_outputs` over
+    :func:`run_replications`) into a temporary directory: the batch
+    records it wrote, in order, and its ``summary.json`` as read back."""
+    records = list(run_replications(cfg, range(cfg.run.replications)))
+    with tempfile.TemporaryDirectory() as out:
+        _, summary_path = emit_outputs(records, cfg, out)
+        return records, json.loads(summary_path.read_text())
+
+
 def run_outputs(cfg: ExperimentConfig) -> tuple:
     """What ``trace.csv`` and ``summary.json`` record of a run, but the
     config echo and ``resolved_m``/``resolved_scale``, which are reported
     where ``ExperimentConfig.reads`` says and so would echo that rule."""
-    records, summary = run_monte_carlo(cfg)
+    records, summary = run_to(cfg)
     for key in ("config", "resolved_m", "resolved_scale"):
         del summary[key]
     columns = [col.tobytes() for rec in records for col in rec.columns.values()]
@@ -635,7 +647,7 @@ workers = 2
         text = text.replace("horizon = 30", "horizon = 30\ndiagnostics = full-trace")
         cfg = load_config(write_cfg(tmp_path, text))
         assert cfg.env.s_bound == MAX_S_BOUND == 1e150
-        _, summary = run_monte_carlo(cfg)
+        _, summary = run_to(cfg)
         assert np.isfinite([cp[q] for cp in summary["checkpoints"] for q in ("mean", "q90")]).all()
         assert estimate_event_rates(cfg)["total_checks"] == 60
 
@@ -651,7 +663,7 @@ workers = 2
         cfg = load_config(write_cfg(tmp_path, text))
         params = cfg.confidence_params()
         assert beta(params, params.horizon) <= MAX_S_BOUND
-        _, summary = run_monte_carlo(cfg)
+        _, summary = run_to(cfg)
         assert np.isfinite([cp[q] for cp in summary["checkpoints"] for q in ("mean", "q90")]).all()
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -779,7 +791,7 @@ class TestPolicyResolution:
     )
     def test_resolved_scale_is_reported_only_where_it_is_read(self, overrides, want):
         cfg = small_cfg(**overrides)
-        _, summary = run_monte_carlo(cfg)
+        _, summary = run_to(cfg)
         params = cfg.confidence_params()
         if want == "beta":
             want = beta(params, params.horizon)
@@ -790,7 +802,7 @@ class TestPolicyResolution:
         # the paper's regret theorem is about ensemble sampling and
         # perturbed-history exploration; the other policies get null
         cfg = small_cfg(policy__name=name, run__horizon=5)
-        _, summary = run_monte_carlo(cfg)
+        _, summary = run_to(cfg)
         params = cfg.confidence_params()
         want = theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
         covered = name in ("ensemble", "phe")
@@ -845,12 +857,13 @@ class TestRunReplication:
         cfg = small_cfg(env__arm_count=1)
         rec = run_one(cfg, 0)
         assert rec.counters["final_regret"][0] == 0.0
-        assert np.all(rec.columns["instant_regret"] == 0.0)
+        assert rec.gaps.tolist() == [0.0]
 
     def test_cumulative_regret_is_prefix_sum(self):
         rec = run_one(small_cfg(), 0)
         cum = 0.0
-        columns = rec.columns["instant_regret"][0], rec.columns["cum_regret"][0]
+        # a step's regret is the gap of its arm, as trace.csv writes it
+        columns = rec.gaps[rec.columns["arm"][0]], rec.columns["cum_regret"][0]
         for instant, cum_regret in zip(*columns):
             cum += instant
             assert cum_regret == pytest.approx(cum, abs=1e-12)
@@ -859,8 +872,8 @@ class TestRunReplication:
     def test_monitor_columns_present_when_enabled(self):
         off = run_one(small_cfg(), 0)
         on = run_one(small_cfg(run__diagnostics="monitors"), 0)
-        assert tuple(off.columns) == TRACE_COLUMNS
-        assert tuple(on.columns) == TRACE_COLUMNS + FLAG_COLUMNS
+        assert tuple(off.columns) == STORED_COLUMNS
+        assert tuple(on.columns) == STORED_COLUMNS + FLAG_COLUMNS
         assert all(col.shape == (1, 30) for col in on.columns.values())
         assert on.counters["checks"].tolist() == [30]
 
@@ -877,7 +890,7 @@ class TestMonteCarlo:
 
     def test_single_replication_aggregate_matches_record(self):
         cfg = small_cfg(run__replications=1)
-        records, summary = run_monte_carlo(cfg)
+        records, summary = run_to(cfg)
         final = summary["checkpoints"][-1]
         assert final["t"] == 30
         assert final["mean"] == records[0].columns["cum_regret"][0, -1]
@@ -904,11 +917,7 @@ class TestMonteCarlo:
             zero = np.where(np.arange(len(grid)) % 2, 0.0, -0.0)
             single = np.where(mixed == 0.0, zero, mixed)
             for cols, exact in ((single, True), (mixed, False)):
-                cum = np.zeros((n, 64))
-                cum[:, np.array(grid) - 1] = cols
-                batches = [range(n // 2), range(n // 2, n)]
-                records = [RunRecord(b, {"cum_regret": cum[b]}, {}) for b in batches if len(b)]
-                rows = aggregate(cfg, records)["checkpoints"]
+                rows = aggregate(cfg, cols, {})["checkpoints"]
                 # the median is placement-free: numpy's mean sums from +0.0
                 medians = [r["median"] for r in rows]
                 assert np.array_equal(bits(medians), bits(np.median(cols, axis=0)))
@@ -926,13 +935,13 @@ class TestMonteCarlo:
 
     def test_zero_regret_quantiles(self):
         cfg = small_cfg(env__arm_count=1, run__replications=3)
-        _, summary = run_monte_carlo(cfg)
+        _, summary = run_to(cfg)
         for cp in summary["checkpoints"]:
             assert cp["mean"] == cp["q10"] == cp["q90"] == 0.0
 
     def test_monitor_rates_aggregated(self):
         cfg = small_cfg(run__diagnostics="monitors", run__replications=3)
-        _, summary = run_monte_carlo(cfg)
+        _, summary = run_to(cfg)
         mon = summary["monitors"]
         assert mon["total_checks"] == 90
         for key in (
@@ -948,9 +957,8 @@ class TestMonteCarlo:
 
     def test_switched_off_monitors_read_as_disabled(self, tmp_path):
         cfg = small_cfg(run__diagnostics="off")
-        records, summary = run_monte_carlo(cfg)
-        assert summary["monitors"] == "disabled"
-        _, summary_path = emit_outputs(records, summary, tmp_path)
+        records = run_replications(cfg, range(cfg.run.replications))
+        _, summary_path = emit_outputs(records, cfg, tmp_path)
         assert json.loads(summary_path.read_text())["monitors"] == "disabled"
 
     def test_elliptical_monitor_reported_disabled_below_unit_lambda(self, tmp_path):
@@ -958,21 +966,17 @@ class TestMonteCarlo:
         # runs and must read as disabled (null), not as passed
         with pytest.warns(UserWarning, match="lambda"):
             cfg = small_cfg(run__diagnostics="monitors", policy__lam=0.5)
-        records, summary = run_monte_carlo(cfg)
+        records, summary = run_to(cfg)
         assert all("elliptical_ok" not in rec.counters for rec in records)
         mon = summary["monitors"]
         assert mon["elliptical_pass_rate"] is None
         assert "disabled" in mon["elliptical_note"]
-        _, summary_path = emit_outputs(records, summary, tmp_path)
-        loaded = json.loads(summary_path.read_text())["monitors"]
-        assert loaded["elliptical_pass_rate"] is None
-        assert loaded["elliptical_note"] == mon["elliptical_note"]
 
     def test_two_batches_agree_statistically(self):
         # disjoint replication blocks of the same config: means differ by
         # at most a few standard errors
         cfg = small_cfg(run__replications=120, env__sigma=1.0)
-        records, _ = run_monte_carlo(cfg)
+        records, _ = run_to(cfg)
         finals = np.concatenate([r.columns["cum_regret"][:, -1] for r in records])
         a, b = finals[:60], finals[60:]
         se = np.sqrt(np.var(finals) * (1 / 60 + 1 / 60))
@@ -981,8 +985,8 @@ class TestMonteCarlo:
     def test_serial_and_parallel_identical(self):
         serial = small_cfg(run__replications=4)
         parallel = small_cfg(run__replications=4, run__workers=2)
-        rec_s, sum_s = run_monte_carlo(serial)
-        rec_p, sum_p = run_monte_carlo(parallel)
+        rec_s, sum_s = run_to(serial)
+        rec_p, sum_p = run_to(parallel)
         for a, b in zip(rec_s, rec_p):
             assert same_columns(a, b)
         assert sum_s == sum_p
@@ -991,17 +995,16 @@ class TestMonteCarlo:
 class TestOutputs:
     def test_emit_byte_stable(self, tmp_path):
         cfg = small_cfg(run__diagnostics="monitors")
-        records, summary = run_monte_carlo(cfg)
-        t1, s1 = emit_outputs(records, summary, tmp_path / "a")
-        t2, s2 = emit_outputs(records, summary, tmp_path / "b")
+        records = list(run_replications(cfg, range(2)))
+        t1, s1 = emit_outputs(records, cfg, tmp_path / "a")
+        t2, s2 = emit_outputs(records, cfg, tmp_path / "b")
         assert t1.read_bytes() == t2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
 
     def test_trace_header_adapts_to_diagnostics(self, tmp_path):
         for diag, ncols in (("off", 7), ("monitors", 10)):
             cfg = small_cfg(run__diagnostics=diag)
-            records, summary = run_monte_carlo(cfg)
-            t, _ = emit_outputs(records, summary, tmp_path / diag)
+            t, _ = emit_outputs(run_replications(cfg, range(2)), cfg, tmp_path / diag)
             lines = t.read_text().splitlines()
             assert len(lines[0].split(",")) == ncols
             assert len(lines) == 1 + 2 * 30
@@ -1009,64 +1012,94 @@ class TestOutputs:
 
     def test_trace_floats_round_trip(self, tmp_path):
         cfg = small_cfg()
-        records, summary = run_monte_carlo(cfg)
-        t, _ = emit_outputs(records, summary, tmp_path)
+        records = list(run_replications(cfg, range(2)))
+        t, _ = emit_outputs(records, cfg, tmp_path)
         row = t.read_text().splitlines()[1].split(",")
-        assert float(row[4]) == records[0].columns["reward"][0, 0]  # exact via %.17g
-        assert float(row[6]) == records[0].columns["cum_regret"][0, 0]
+        first = records[0]
+        assert float(row[4]) == first.columns["reward"][0, 0]  # exact via %.17g
+        assert float(row[5]) == first.gaps[first.columns["arm"][0, 0]]
+        assert float(row[6]) == first.columns["cum_regret"][0, 0]
 
     def test_summary_json_round_trips(self, tmp_path):
         cfg = small_cfg(run__diagnostics="monitors")
-        records, summary = run_monte_carlo(cfg)
-        _, s = emit_outputs(records, summary, tmp_path)
+        _, s = emit_outputs(run_replications(cfg, range(2)), cfg, tmp_path)
         loaded = json.loads(s.read_text())
         assert loaded["replications"] == 2
         assert loaded["resolved_m"] == 4
         assert loaded["theoretical_regret_bound"] > 0
+
+    def test_a_failed_run_leaves_an_earlier_runs_outputs_as_they_were(self, tmp_path, monkeypatch):
+        # three batches of at most two replications; the second one fails
+        # while the first one's rows are already on their way to the trace
+        monkeypatch.setattr(harness, "BATCH_SIZE", 2)
+        cfg = small_cfg(run__replications=5, run__diagnostics="monitors")
+        emit_outputs(run_replications(cfg, range(5)), cfg, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["summary.json", "trace.csv"]
+        batch, calls = harness.run_batch, []
+
+        def failing(cfg, replications, trace=True):
+            calls.append(replications)
+            if len(calls) == 2:
+                # the trace is being written, under another name
+                assert len(list(tmp_path.iterdir())) == 3
+                raise RuntimeError("batch failed")
+            return batch(cfg, replications, trace)
+
+        monkeypatch.setattr(harness, "run_batch", failing)
+        other = small_cfg(run__replications=5, run__diagnostics="monitors", run__base_seed=12)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            emit_outputs(run_replications(other, range(5)), other, tmp_path)
+        assert calls == [range(0, 2), range(2, 4)]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @staticmethod
     def hand_records(flags: bool) -> list:
         """Two batches built by hand: signed zeros in one column, a value
         repeated within a replication and across replications and batches,
         values that ``%.17g`` writes in exponent form, ``model = -1`` next
-        to model indices, and a column with no repeats."""
+        to model indices, a column with no repeats, and a gap table of
+        each batch's own whose entries at the arms give signed zeros and a
+        subnormal ``instant_regret``."""
         tiny, huge = 5e-324, 1e300
+        gaps = np.array([0.25, 0.0, -0.0, 0.25, 0.5, 0.5, 0.5, 0.5, 0.5, tiny])
         first = {
-            "arm": np.array([[0, 3, 3, 1], [2, 2, 2, 2]]),
-            "model": np.array([[-1, 0, 7, -1], [5, 5, -1, 0]]),
+            "arm": np.array([[0, 3, 3, 1], [2, 2, 2, 2]], dtype=np.int32),
+            "model": np.array([[-1, 0, 7, -1], [5, 5, -1, 0]], dtype=np.int32),
             "reward": np.array([[0.0, -0.0, 0.5, -0.0], [0.5, tiny, -huge, 0.0]]),
-            "instant_regret": np.array([[0.25, 0.25, 0.0, 0.25], [0.0, 0.25, 0.25, 0.0]]),
             "cum_regret": np.array([[0.1, 0.2, 0.30000000000000004, 1 / 3], [huge, tiny, -1.5, 2.0]]),
         }
         second = {
-            "arm": np.array([[9, 0, 9, 9]]),
-            "model": np.array([[-1, -1, 12, 3]]),
+            "arm": np.array([[9, 0, 9, 2]], dtype=np.int32),
+            "model": np.array([[-1, -1, 12, 3]], dtype=np.int32),
             "reward": np.array([[0.5, 0.5, -0.0, huge]]),
-            "instant_regret": np.array([[0.25, 0.0, -0.0, tiny]]),
             "cum_regret": np.array([[0.25, 0.5, 0.75, 1e-5]]),
         }
         records = []
-        for reps, cols in ((range(0, 2), first), (range(2, 3), second)):
+        for reps, cols, table in ((range(0, 2), first, gaps), (range(2, 3), second, gaps[::-1])):
             if flags:
                 rows = len(reps)
                 cols["conc_ok"] = np.array([[True, False, True, True]] * rows)
                 cols["anticonc_ok"] = np.zeros((rows, 4), dtype=bool)
                 cols["optimism_ok"] = np.arange(rows * 4).reshape(rows, 4) % 3 == 0
-            records.append(RunRecord(reps, cols, {}))
+            records.append(RunRecord(reps, cols, {}, table))
         return records
 
     @staticmethod
     def oracle_trace(records: list) -> str:
-        """``trace.csv`` written row by row, one ``%`` per row."""
-        names = list(records[0].columns)
-        flags = [name for name in FLAG_COLUMNS if name in names]
+        """``trace.csv`` written row by row, one ``%`` per row; a step's
+        ``instant_regret`` is its record's gap of the step's arm."""
+        flags = [name for name in FLAG_COLUMNS if name in records[0].columns]
         lines = ["replication,t," + ",".join(TRACE_COLUMNS + tuple(flags))]
         for rec in records:
+            cols = rec.columns
             for i, rep in enumerate(rec.replications):
-                for t in range(rec.columns["arm"].shape[1]):
-                    row = (rep, t + 1) + tuple(rec.columns[n][i, t].item() for n in TRACE_COLUMNS)
+                for t in range(cols["arm"].shape[1]):
+                    arm = cols["arm"][i, t].item()
+                    row = (rep, t + 1, arm, cols["model"][i, t].item(), cols["reward"][i, t].item())
+                    row += (rec.gaps[arm].item(), cols["cum_regret"][i, t].item())
                     line = "%d,%d,%d,%d,%.17g,%.17g,%.17g" % row
-                    line += "".join(",%d" % rec.columns[n][i, t].item() for n in flags)
+                    line += "".join(",%d" % cols[n][i, t].item() for n in flags)
                     lines.append(line)
         return "\n".join(lines) + "\n"
 
@@ -1079,7 +1112,9 @@ class TestOutputs:
         want = self.oracle_trace(records)
         if horizon == 4:
             assert ",-0," in want and "e-324" in want and "e+300" in want and ",-1," in want
-        trace, _ = emit_outputs(records, {}, tmp_path)
+            assert ",0,-0," in want and ",-0,0.25," in want  # signed-zero instant regret
+        cfg = small_cfg(run__horizon=horizon, run__diagnostics="monitors" if flags else "off")
+        trace, _ = emit_outputs(records, cfg, tmp_path)
         assert trace.read_bytes() == want.encode()
 
     @pytest.mark.parametrize(
@@ -1101,25 +1136,28 @@ class TestOutputs:
     def test_a_runs_trace_matches_a_plain_writer(self, tmp_path, settings):
         # each value of a run written alone, %d or %.17g, joined by commas
         cfg = small_cfg(**{"run__replications": 3, **settings})
-        records, summary = run_monte_carlo(cfg)
-        trace, _ = emit_outputs(records, summary, tmp_path)
+        records = list(run_replications(cfg, range(cfg.run.replications)))
+        trace, _ = emit_outputs(records, cfg, tmp_path)
         names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
         lines = ["replication,t," + ",".join(names)]
         for rec in records:
+            columns = {**rec.columns, "instant_regret": rec.gaps[rec.columns["arm"]]}
             for i, rep in enumerate(rec.replications):
                 for t in range(cfg.run.horizon):
-                    values = [rep, t + 1] + [rec.columns[name][i, t].item() for name in names]
+                    values = [rep, t + 1] + [columns[name][i, t].item() for name in names]
                     texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
                     lines.append(",".join(texts))
         assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @staticmethod
-    def emission_peak(columns: dict, out: Path) -> int:
-        """``emit_outputs``' tracemalloc peak on one record of ``columns``."""
-        record = RunRecord(range(len(columns["arm"])), columns, {})
+    def emission_peak(columns: dict, gaps: np.ndarray, out: Path) -> int:
+        """``emit_outputs``' tracemalloc peak on one monitored record of
+        ``columns``, ``(R, 2000)`` arrays, and ``gaps``."""
+        record = RunRecord(range(len(columns["arm"])), columns, {}, gaps)
+        cfg = small_cfg(run__horizon=2000, run__diagnostics="monitors")
         tracemalloc.start()
         try:
-            emit_outputs([record], {}, out)
+            emit_outputs([record], cfg, out)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1129,12 +1167,12 @@ class TestOutputs:
         def peak(width: int) -> int:
             rng = np.random.default_rng(width)
             cols = {
-                n: rng.integers(0, 50, (width, 2000)) if n in ("arm", "model")
+                n: rng.integers(0, 50, (width, 2000), dtype=np.int32) if n in ("arm", "model")
                 else rng.standard_normal((width, 2000))
-                for n in TRACE_COLUMNS
+                for n in STORED_COLUMNS
             }
             cols.update({n: rng.random((width, 2000)) < 0.5 for n in FLAG_COLUMNS})
-            return self.emission_peak(cols, tmp_path / str(width))
+            return self.emission_peak(cols, rng.standard_normal(50), tmp_path / str(width))
 
         narrow, wide = peak(2), peak(20)
         assert wide < 1.5 * narrow, (narrow, wide)
@@ -1144,15 +1182,38 @@ class TestOutputs:
         # against 32: neither rule holds more than one row's texts
         def peak(models: int) -> int:
             rng = np.random.default_rng(3)
-            cols = {n: rng.standard_normal((20, 2000)) for n in TRACE_COLUMNS}
-            cols["arm"] = rng.integers(0, 64, (20, 2000))
-            cols["model"] = rng.integers(0, models, (20, 2000))
+            cols = {n: rng.standard_normal((20, 2000)) for n in STORED_COLUMNS}
+            cols["arm"] = rng.integers(0, 64, (20, 2000), dtype=np.int32)
+            cols["model"] = rng.integers(0, models, (20, 2000), dtype=np.int32)
             cols["model"][0, :2] = 0, models - 1
             cols.update({n: rng.random((20, 2000)) < 0.5 for n in FLAG_COLUMNS})
-            return self.emission_peak(cols, tmp_path / str(models))
+            return self.emission_peak(cols, rng.standard_normal(64), tmp_path / str(models))
 
         few, many = peak(32), peak(2_474_207)
         assert many < 1.5 * few, (few, many)
+
+    def test_run_memory_does_not_grow_with_the_replication_count(self, tmp_path, monkeypatch):
+        # a run holds one batch's record at a time, and a monitored record
+        # holds 27 bytes a step: int32 arm and model, float reward and
+        # cumulative regret, and three flags, with no instant regret
+        monkeypatch.setattr(harness, "BATCH_SIZE", 4)
+        text = BASE_INI.replace("horizon = 30", "horizon = 200\ndiagnostics = monitors")
+        path = write_cfg(tmp_path, text)
+
+        def peak(reps: int) -> int:
+            out = str(tmp_path / "out")
+            args = ["run", "--config", str(path), "--reps", str(reps), "--out", out]
+            tracemalloc.start()
+            try:
+                assert cli.main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(8), peak(32)
+        assert many < 1.5 * few, (few, many)
+        rec = run_batch(load_config(path), range(4))
+        assert sum(col.nbytes for col in rec.columns.values()) == 27 * 4 * 200
 
 
 class TestRowTexts:

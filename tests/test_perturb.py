@@ -311,6 +311,9 @@ class TestRewardDraws:
             )
         assert not np.array_equal(full[0], full[1])
         assert not np.array_equal(full[0], reward_draws(spec, prefixes, range(64), 10)[0])
+        # a negative index names no model: it is refused, not read as 2**64 - 1
+        with pytest.raises(ValueError, match="model index -1 is negative"):
+            reward_draws(spec, prefixes, np.array([3, -1]), 9)
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_batch_of_r_equals_r_streams_of_one(self, family):

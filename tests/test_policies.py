@@ -560,6 +560,16 @@ class TestLazyEnsemble:
     def test_the_replay_reads_one_model_per_replication(self):
         replay = PerturbedHistoryReplay(2, 1.0, PerturbationSpec(), [1, 2, 3], 4)
         assert replay.model_theta(np.array([0, 1, 0])).shape == (3, 2)
+        # a negative index names no model: after a step, both forms refuse
+        # it, where the eager sums would read model m - 1 from the end
+        eager = EnsembleSampling(
+            2, 1.0, 4, PerturbationSpec(), [1, 2, 3], sampler=Sampler.ROUND_ROBIN
+        )
+        arms = np.eye(2)
+        for policy in (eager, replay):
+            policy.update(arms[policy.select(arms).arm_index], np.ones(3))
+            with pytest.raises(ValueError, match="model index -1 is negative"):
+                policy.model_theta(np.array([0, -1, 0]))
 
 
 class TestLinPHEHasTheReplaysLaw:

@@ -116,7 +116,7 @@ def test_cli_example_loads_its_config(line, monkeypatch):
         raise _Loaded
 
     monkeypatch.setattr(cli, "load_config", recorded)
-    for name in ("run_monte_carlo", "run_equivalence_suite", "estimate_event_rates"):
+    for name in ("run_replications", "run_equivalence_suite", "estimate_event_rates"):
         monkeypatch.setattr(cli, name, stop)
     with pytest.raises(_Loaded):
         cli.main(shlex.split(line)[1:])
