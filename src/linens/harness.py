@@ -14,13 +14,15 @@ contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
 ``sweep``, ``rates`` and ``equivalence`` all go through it and read the
 batches as they end (:func:`run_replications`); ``run.workers`` only maps
 the fixed batches over a process pool, so no output depends on it. A
-batch's results stay arrays, one :class:`RunRecord` per batch: ``(R, T)``
-trace columns and ``(R,)`` counters. ``run`` appends each batch's rows to
-``trace.csv`` as the batch ends and keeps only its checkpoint regret and
-counters for the summary (:func:`emit_outputs`), so a run holds one batch's
-trace at a time. Bookkeeping that no decision reads stays off the per-step
-path: the loop ends a block of steps in one place, where it scores the
-regret and evaluates the monitor.
+batch's results stay arrays, one :class:`RunRecord` per batch: the
+``(R, T)`` decisions and monitor flags, and ``(R,)`` counters. ``run``
+appends each batch's rows to ``trace.csv`` as the batch ends, re-deriving
+each replication's rewards and regret from its arms (:func:`derived_rows`),
+and keeps only its checkpoint regret and counters for the summary
+(:func:`emit_outputs`), so a run holds one batch's decisions at a time.
+Bookkeeping that no decision reads stays off the per-step path: the loop
+ends a block of steps in one place, where it scores the regret and
+evaluates the monitor.
 """
 
 from __future__ import annotations
@@ -49,16 +51,17 @@ BATCH_SIZE = 256
 #: Per-step trace columns of a replication, in ``trace.csv`` order.
 TRACE_COLUMNS = ("arm", "model", "reward", "instant_regret", "cum_regret")
 
-#: The trace columns a record stores: ``instant_regret`` is read off the
-#: record's gap table by the pulled arm (:class:`RunRecord`).
-STORED_COLUMNS = ("arm", "model", "reward", "cum_regret")
+#: The trace columns a record stores, what the run decided; the others are
+#: derived from the arms as the trace is written (:func:`derived_rows`).
+STORED_COLUMNS = ("arm", "model")
 
 #: Per-step monitor indicators, traced when diagnostics are on.
 FLAG_COLUMNS = ("conc_ok", "anticonc_ok", "optimism_ok")
 
-#: dtypes of the trace columns that are not floats; these are written
-#: ``%d`` and the float ones ``%.17g``. Arm and model indices fit int32: an
-#: instance or an ensemble of 2**31 rows could not be held.
+#: dtypes of the columns a record stores, the trace columns that are not
+#: floats; these are written ``%d`` and the float ones ``%.17g``. Arm and
+#: model indices fit int32: an instance or an ensemble of 2**31 rows could
+#: not be held.
 _COLUMN_DTYPES = {"arm": np.int32, "model": np.int32, **dict.fromkeys(FLAG_COLUMNS, bool)}
 
 #: Run settings that say where and how to run an experiment, not what it
@@ -72,18 +75,14 @@ class RunRecord:
     """One lockstep batch's results. Row i of every array is replication
     ``replications[i]``: ``columns`` maps each stored trace column (of
     ``STORED_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor) to an
-    ``(R, T)`` array (step ``t = 1..T`` in column ``t - 1``), 27 bytes a
-    step with the flags; ``counters`` maps ``final_regret`` and the
+    ``(R, T)`` array (step ``t = 1..T`` in column ``t - 1``), 11 bytes a
+    step with the flags; and ``counters`` maps ``final_regret`` and the
     monitor's counters (:meth:`~linens.diagnostics.StepMonitor.counters`)
-    to ``(R,)`` arrays; and ``gaps`` is the ``(K,)`` regret of pulling each
-    arm, ``optimal_value - means``, the subtraction
-    :class:`~linens.envs.RegretLedger` scores, so a step's
-    ``instant_regret`` is ``gaps[arm]``."""
+    to ``(R,)`` arrays."""
 
     replications: range
     columns: dict
     counters: dict
-    gaps: np.ndarray
 
 
 def batches(replications: range) -> list[range]:
@@ -144,17 +143,20 @@ def interact(
     run in blocks of the monitor's ``block_length``, or of
     ``block_steps(R)`` without one. At each block's end the
     :class:`~linens.envs.RegretLedger` scores its mean rewards, the monitor
-    evaluates its steps (``flush``), and their columns are written at the
-    block's steps, so a run that traces no regret holds no
-    ``(R, horizon)`` regret. Returns the named trace columns (of
-    ``STORED_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor), each
-    ``(R, horizon)``, and the final cumulative regret of each replication.
+    evaluates its steps (``flush``) and its flags are written at the
+    block's steps. Returns the named trace columns (of ``STORED_COLUMNS``,
+    and of ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the
+    final cumulative regret of each replication; a column it cannot fill
+    is refused before the first step.
     """
+    fillable = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ())
+    for name in columns:
+        if name not in fillable:
+            raise ValueError(f"interact cannot fill column {name!r}; it fills {fillable}")
     shape = (policy.batch, horizon)
-    cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES.get(name, float)) for name in columns}
-    # (position in a step's (arm, model, reward), column) of each traced one
-    traced = [(k, cols[name]) for k, name in enumerate(STORED_COLUMNS[:3]) if name in cols]
-    cum = cols.get("cum_regret")
+    cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES[name]) for name in columns}
+    # (position in a step's (arm, model), column) of each traced one
+    traced = [(k, cols[name]) for k, name in enumerate(STORED_COLUMNS) if name in cols]
     flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
     ledger = RegretLedger(env)
     arms = env.arms
@@ -172,12 +174,10 @@ def interact(
             block[:, j] = mean
             policy.update(x, y)
             if traced:
-                step = (sel.arm_index, sel.model_index, y)
+                step = (sel.arm_index, sel.model_index)
                 for k, col in traced:
                     col[:, i] = step[k]
-        _, sums = ledger.record(block)
-        if cum is not None:
-            cum[:, at.start : at.stop] = sums
+        ledger.record(block)
         if monitor is not None:
             diag = monitor.flush()
             for col, ok in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
@@ -206,8 +206,7 @@ def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) ->
     counters = {"final_regret": regret}
     if monitor is not None:
         counters.update(monitor.counters())
-    gaps = env.optimal_value - env.pull(np.arange(env.arm_count))[1]
-    return RunRecord(replications, cols, counters, gaps)
+    return RunRecord(replications, cols, counters)
 
 
 def run_replications(cfg: ExperimentConfig, replications: range, trace: bool = True):
@@ -229,15 +228,32 @@ def checkpoints(horizon: int) -> list[int]:
     return grid
 
 
-def _pooled(counters: list[dict]) -> dict:
-    """Each counter of the batches' ``counters``, concatenated in
-    replication order: name -> ``(N,)``."""
-    return {name: np.concatenate([c[name] for c in counters]) for name in counters[0]}
+def _pool(pooled: dict, counters: dict) -> None:
+    """Append each of a batch's ``(R,)`` counters to ``pooled``'s array of
+    its name, so the batches' counters are pooled in replication order as
+    they arrive, one name at a time, and no batch's dict is kept."""
+    for name, values in counters.items():
+        held = pooled.get(name)
+        pooled[name] = np.array(values) if held is None else np.concatenate([held, values])
+
+
+def derived_rows(env: LinearBanditEnv, seed: int, arm: np.ndarray) -> dict:
+    """The float trace rows of a replication of seed ``seed`` that pulled
+    ``arm``, its ``(T,)`` arm indices, on the shared instance ``env``:
+    ``reward``, each step's mean reward plus its keyed noise
+    (:meth:`~linens.envs.LinearBanditEnv.sample_reward`), and
+    ``instant_regret`` and ``cum_regret``, the gaps and running sums of a
+    fresh :class:`~linens.envs.RegretLedger`. The loop adds the same noise
+    of each step and its ledger the same gaps in step order, so each row
+    is the loop's bit for bit."""
+    gap, cum = RegretLedger(env).record(env.pull(arm)[1][None])
+    reward = env.sample_reward(arm, seed, np.arange(1, len(arm) + 1))
+    return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
 
 
 def monitor_report(counters: dict) -> dict:
     """The one monitor report of ``run`` and ``rates``, built from the
-    pooled counters (:func:`_pooled`); README lists its fields. Each rate
+    pooled counters (:func:`_pool`); README lists its fields. Each rate
     is a Python int over an int."""
     replications = len(counters["checks"])
 
@@ -269,23 +285,24 @@ def monitor_report(counters: dict) -> dict:
     return report
 
 
-def aggregate(cfg: ExperimentConfig, regret: np.ndarray, counters: dict) -> dict:
-    """``summary.json``'s table from each replication's cumulative regret
-    at the checkpoints (``(N, len(checkpoints(T)))``, in replication
-    order) and the pooled counters (:func:`_pooled`). Its ``monitors`` is
-    the monitor report (:func:`monitor_report`), or ``"disabled"`` when no
-    monitor ran. Its medians and q10/q90 are numpy's, read off one sort
-    (:func:`_quantile`)."""
+def aggregate(cfg: ExperimentConfig, regret, counters: dict) -> dict:
+    """``summary.json``'s table from the cumulative regret at each
+    checkpoint, one ``(N,)`` column per checkpoint of
+    ``checkpoints(T)`` (each in replication order), and the pooled
+    counters (:func:`_pool`). Its ``monitors`` is the monitor report
+    (:func:`monitor_report`), or ``"disabled"`` when no monitor ran. Its
+    medians and q10/q90 are numpy's, read off one sort of a column at a
+    time (:func:`_quantile`)."""
     params = cfg.confidence_params()
-    grid = checkpoints(cfg.run.horizon)
-    ranked = np.sort(regret, axis=0)
-    n = len(regret)
-    # np.median is the mean of the middle values, whose sum starts at +0.0
-    median = ranked[n // 2] + 0.0 if n % 2 else (0.0 + ranked[n // 2 - 1] + ranked[n // 2]) / 2
-    quantiles = _quantile(ranked, 0.10), _quantile(ranked, 0.90)
-    stats = zip(grid, map(np.mean, regret.T), median, *quantiles)
+    n = len(regret[0])
     keys = ("t", "mean", "median", "q10", "q90")
-    per_checkpoint = [dict(zip(keys, (t, *map(float, values)))) for t, *values in stats]
+    per_checkpoint = []
+    for t, column in zip(checkpoints(cfg.run.horizon), regret):
+        ranked = np.sort(column)
+        # np.median is the mean of the middle values, whose sum starts at +0.0
+        median = ranked[n // 2] + 0.0 if n % 2 else (0.0 + ranked[n // 2 - 1] + ranked[n // 2]) / 2
+        values = np.mean(column), median, _quantile(ranked, 0.10), _quantile(ranked, 0.90)
+        per_checkpoint.append(dict(zip(keys, (t, *map(float, values)))))
     config = cfg.to_dict()
     for key in _UNECHOED_RUN_KEYS:
         del config["run"][key]
@@ -307,9 +324,10 @@ def aggregate(cfg: ExperimentConfig, regret: np.ndarray, counters: dict) -> dict
 
 
 def _quantile(ranked: np.ndarray, q: float) -> np.ndarray:
-    """``np.quantile(col, q)`` of each sorted column of ``ranked``, bit for
-    bit: numpy's ``_lerp`` at ``v = (n - 1) * q``, whose neighbours at the
-    last index both clip to it, weighed ``v + 1``."""
+    """``np.quantile(col, q)`` of a sorted column ``ranked``, or of each
+    sorted column of a 2-d ``ranked``, bit for bit: numpy's ``_lerp`` at
+    ``v = (n - 1) * q``, whose neighbours at the last index both clip to
+    it, weighed ``v + 1``."""
     last = len(ranked) - 1
     v = last * q
     lo = min(int(v), last)
@@ -325,50 +343,65 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     ``records`` are the run's batch records in replication order, as
     :func:`run_replications` yields them. Each batch's rows are appended
     to ``trace.csv`` as it arrives, and only its cumulative regret at the
-    checkpoints and its counters are kept, for :func:`aggregate`, so the
-    run holds one batch's trace at a time. ``trace.csv`` is written under
-    a temporary name in ``out_dir`` and moved into place after its last
-    row, so a run that fails leaves an earlier run's outputs as they were.
+    checkpoints and its counters are kept, pooled as they arrive, one
+    array per checkpoint and per counter (:func:`_pool`), for
+    :func:`aggregate`, so the run holds one batch's record at a time.
+    ``trace.csv`` is written under a temporary name in ``out_dir`` and
+    moved into place after its last row, so a run that fails leaves an
+    earlier run's outputs as they were.
 
     ``trace.csv`` has the header ``replication,t,`` then ``TRACE_COLUMNS``
     and, with a monitor, ``FLAG_COLUMNS``; ints and flags are written
-    ``%d`` and floats ``%.17g``, which round-trips. A row's
-    ``instant_regret`` is the record's gap of each step's arm
-    (:class:`RunRecord`). Each batch is written one replication at a time:
-    each float column and each run of adjacent int and flag columns gives
-    a row's texts with their leading commas (:func:`_row_texts`, which
-    holds at most one row's texts, so memory grows with neither the batch
-    width nor the ensemble size), and the replication's number, the shared
-    ``,t`` and those texts are joined once."""
+    ``%d`` and floats ``%.17g``, which round-trips. A record stores the
+    int and flag columns; the float rows of each replication are derived
+    once from its arms on the config's shared instance
+    (:func:`derived_rows`) and give both its texts and its checkpoint
+    regret. Each batch is written one replication at a time: each run of
+    adjacent int and flag columns gives a row's texts with their leading
+    commas from the batch's columns (:func:`_row_texts`), and each float
+    row its own (:func:`_float_texts`), so memory grows with neither the
+    batch width nor the ensemble size; the replication's number, the
+    shared ``,t`` and those texts are joined once."""
     out = Path(out_dir)
     trace_path, summary_path = out / "trace.csv", out / "summary.json"
     partial_path = out / "trace.csv.partial"
     horizon = cfg.run.horizon
+    env = cfg.environment()
     names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
     # adjacent int and flag columns make one run, and each float column its own
     runs = [list(run) for _, run in groupby(names, lambda name: name in _COLUMN_DTYPES or name)]
     fmts = [[",%d" if name in _COLUMN_DTYPES else ",%.17g" for name in run] for run in runs]
     fmts[-1][-1] += "\n"
     width = 2 + len(runs)  # the replication, the step, then each run
+    # (position in a row, names, formats) of each run: int and flag, float
+    placed = list(zip(range(2, width), runs, fmts))
+    int_runs = [(k, run, fmt) for k, run, fmt in placed if run[0] in _COLUMN_DTYPES]
+    float_runs = [(k, run[0], fmt[0]) for k, run, fmt in placed if run[0] not in _COLUMN_DTYPES]
     row_text = [None] * (width * horizon)
     row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
     grid = np.array(checkpoints(horizon)) - 1
-    regret, counters = [], []
+    regret, counters = {}, {}
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(partial_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
-                columns = {**rec.columns, "instant_regret": _GapRows(rec.gaps, rec.columns["arm"])}
-                texts = [_row_texts([columns[n] for n in r], f) for r, f in zip(runs, fmts)]
-                for i, rep in enumerate(rec.replications):
+                cols = rec.columns
+                texts = [(k, _row_texts([cols[n] for n in run], f)) for k, run, f in int_runs]
+                seeds = replication_seeds(cfg, rec.replications)
+                batch_regret = np.empty((len(grid), len(seeds)))
+                for i, (rep, seed) in enumerate(zip(rec.replications, seeds)):
+                    rows = derived_rows(env, seed, cols["arm"][i])
                     row_text[::width] = [str(rep)] * horizon
-                    for k, text in enumerate(texts, start=2):
+                    for k, text in texts:
                         row_text[k::width] = text(i)
+                    for k, name, fmt in float_runs:
+                        row_text[k::width] = _float_texts(rows[name], fmt)
                     fh.write("".join(row_text))
-                regret.append(rec.columns["cum_regret"][:, grid])
-                counters.append(rec.counters)
-        summary = aggregate(cfg, np.concatenate(regret), _pooled(counters))
+                    batch_regret[:, i] = rows["cum_regret"][grid]
+                _pool(regret, dict(enumerate(batch_regret)))  # by checkpoint
+                _pool(counters, rec.counters)
+        summary = aggregate(cfg, list(regret.values()), counters)
         os.replace(partial_path, trace_path)
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
@@ -379,56 +412,47 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     return trace_path, summary_path
 
 
-class _GapRows:
-    """A record's ``instant_regret`` as an ``(R, T)`` float column that is
-    read one row at a time: row i is ``gaps[arm[i]]``."""
+def _distinct_texts(codes: np.ndarray, texts) -> list[str]:
+    """``texts(codes)`` of a row's int64 codes: a row of distinct codes
+    formatted in order, and a row with repeats each distinct code once."""
+    keys, inverse = np.unique(codes, return_inverse=True)
+    if len(keys) == len(codes):
+        return texts(codes)
+    return np.array(texts(keys), dtype=object)[inverse].tolist()
 
-    dtype = np.dtype(np.float64)
 
-    def __init__(self, gaps: np.ndarray, arm: np.ndarray):
-        self.gaps, self.arm = gaps, arm
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.gaps[self.arm[i]]
+def _float_texts(row: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % v`` of each value of a float row. Each value is coded by its
+    bits, so ``-0.0`` and ``0.0`` stay apart (:func:`_distinct_texts`)."""
+    return _distinct_texts(
+        row.view(np.int64), lambda codes: [fmt % v for v in codes.view(np.float64).tolist()]
+    )
 
 
 def _row_texts(columns: list[np.ndarray], formats: list[str]):
     """A function of a row index i that gives each step's values in row i
-    of ``columns``, a run of ``(R, T)`` columns, each in its ``formats``
-    entry and joined.
+    of ``columns``, a run of ``(R, T)`` int or flag columns, each in its
+    ``formats`` entry and joined.
 
-    Each step is one int64 code: a float column's bits (so ``-0.0`` and
-    ``0.0`` stay apart), or the mixed-radix code of an int or flag run over
-    its columns' ``[min, max]``. An int run of at most ``T`` codes, one
-    row's steps, formats each code once into one table that every row
-    indexes. Any other run formats a row of distinct codes in order and a
-    row with repeats each distinct code once, so no table outgrows a row."""
-    if columns[0].dtype == np.float64:
-        (column,), (fmt,) = columns, formats
-        def code(i: int) -> np.ndarray:
-            return column[i].view(np.int64)
-        def texts(codes: np.ndarray) -> list[str]:
-            return [fmt % v for v in codes.view(np.float64).tolist()]
-    else:
-        lows = [int(column.min()) for column in columns]
-        spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-        def code(i: int) -> np.ndarray:
-            return np.ravel_multi_index([c[i] - low for c, low in zip(columns, lows)], spans)
-        def texts(codes: np.ndarray) -> list[str]:
-            digits = [(d + low).tolist() for d, low in zip(np.unravel_index(codes, spans), lows)]
-            return ["".join(f % v for f, v in zip(formats, value)) for value in zip(*digits)]
-        if math.prod(spans) <= columns[0].shape[-1]:
-            table = np.array(texts(np.arange(math.prod(spans))), dtype=object)
-            return lambda i: table[code(i)].tolist()
+    Each step is one int64 code, the mixed-radix code of the run over its
+    columns' ``[min, max]``. A run of at most ``T`` codes, one row's steps,
+    formats each code once into one table that every row indexes. Any
+    other run formats each row's codes (:func:`_distinct_texts`), so no
+    table outgrows a row."""
+    lows = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
 
-    def text(i: int) -> list[str]:
-        codes = code(i)
-        keys, inverse = np.unique(codes, return_inverse=True)
-        if len(keys) == len(codes):
-            return texts(codes)
-        return np.array(texts(keys), dtype=object)[inverse].tolist()
+    def code(i: int) -> np.ndarray:
+        return np.ravel_multi_index([c[i] - low for c, low in zip(columns, lows)], spans)
 
-    return text
+    def texts(codes: np.ndarray) -> list[str]:
+        digits = [(d + low).tolist() for d, low in zip(np.unravel_index(codes, spans), lows)]
+        return ["".join(f % v for f, v in zip(formats, value)) for value in zip(*digits)]
+
+    if math.prod(spans) <= columns[0].shape[-1]:
+        table = np.array(texts(np.arange(math.prod(spans))), dtype=object)
+        return lambda i: table[code(i)].tolist()
+    return lambda i: _distinct_texts(code(i), texts)
 
 
 # ---------------------------------------------------------------------------
@@ -518,5 +542,7 @@ def estimate_event_rates(cfg: ExperimentConfig) -> dict:
         raise ValueError("run.replications must be at least 1")
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
-    records = run_replications(cfg, range(reps), trace=False)
-    return {"replications": reps, **monitor_report(_pooled([rec.counters for rec in records]))}
+    counters = {}
+    for rec in run_replications(cfg, range(reps), trace=False):
+        _pool(counters, rec.counters)
+    return {"replications": reps, **monitor_report(counters)}

@@ -204,6 +204,12 @@ class EnsembleSampling(_RidgeBase):
         low = np.asarray(model).min()
         if low < 0:
             raise ValueError(f"model index {low} is negative")
+        return self._model_theta(model)
+
+    def _model_theta(self, model) -> np.ndarray:
+        """:meth:`model_theta` without the index check, for the indices the
+        policy's own sampler made (:meth:`_model_index`); the one estimator
+        rule that a lazy form overrides."""
         return self.gram.solve(self._sums[self._rows, :, model])
 
     def _model_index(self) -> np.ndarray:
@@ -218,11 +224,11 @@ class EnsembleSampling(_RidgeBase):
         return np.broadcast_to(t - 1, (self.batch,))
 
     def estimator(self) -> np.ndarray:
-        return self.model_theta(self._model_index())
+        return self._model_theta(self._model_index())
 
     def select(self, arms: np.ndarray) -> Selection:
         j = self._model_index()
-        theta = self.model_theta(j)
+        theta = self._model_theta(j)
         return self._selection(matvec(arms, theta), theta, j)
 
     def update(self, x: np.ndarray, y) -> None:
@@ -252,7 +258,7 @@ class PerturbedHistoryReplay(EnsembleSampling):
     def s_vectors(self) -> np.ndarray:
         raise AttributeError("the lazy ensemble keeps no perturbed sums")
 
-    def model_theta(self, model) -> np.ndarray:
+    def _model_theta(self, model) -> np.ndarray:
         """The estimator of ``model``, one index per replication; its
         initial row is the constructor's sum, which is never updated."""
         n = self.step

@@ -15,8 +15,10 @@ from linens.config import ExperimentConfig
 from linens.diagnostics import elliptical_potential_bound, theoretical_regret_bound
 from linens.envs import LinearBanditEnv, NoiseModel
 from linens.harness import (
+    derived_rows,
     emit_outputs,
     estimate_event_rates,
+    replication_seeds,
     run_equivalence_suite,
     run_replications,
 )
@@ -221,10 +223,12 @@ def test_criterion_05_directional_anti_concentration_floors():
 
 def _mean_regret_curve(cfg: ExperimentConfig, reps: int, grid):
     sums = np.zeros(len(grid))
-    # one replication after another, so the sum adds in replication order
+    env = cfg.environment()
+    # one replication after another, so the sum adds in replication order;
+    # each row's regret is the one trace.csv writes
     for rec in run_replications(cfg, range(reps)):
-        for row in rec.columns["cum_regret"][:, np.array(grid) - 1]:
-            sums += row
+        for seed, arm in zip(replication_seeds(cfg, rec.replications), rec.columns["arm"]):
+            sums += derived_rows(env, seed, arm)["cum_regret"][np.array(grid) - 1]
     return sums / reps
 
 

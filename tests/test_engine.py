@@ -6,7 +6,7 @@ import pytest
 
 from linens import harness
 from linens.config import ExperimentConfig
-from linens.envs import LinearBanditEnv, NoiseModel
+from linens.envs import LinearBanditEnv, NoiseFamily, NoiseModel, RegretLedger
 from linens.harness import (
     BATCH_SIZE,
     batches,
@@ -68,19 +68,42 @@ CASES = {
 }
 
 
+def run_seen(cfg: ExperimentConfig, replications: range) -> tuple:
+    """``run_batch``'s record of ``replications`` and the ``(R, T)``
+    rewards that its policy's ``update`` received, step by step."""
+    seen = []
+    build = ExperimentConfig.build_policy
+
+    def spying(self, seeds):
+        policy = build(self, seeds)
+        update = policy.update
+
+        def spy(x, y):
+            seen.append(np.array(y))
+            update(x, y)
+
+        policy.update = spy
+        return policy
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExperimentConfig, "build_policy", spying)
+        record = run_batch(cfg, replications)
+    return record, np.stack(seen, axis=1)
+
+
 def assert_batch_of_r_equals_r_batches_of_one(cfg: ExperimentConfig) -> None:
-    together = run_batch(cfg, range(3))
+    together, rewards = run_seen(cfg, range(3))
     assert together.replications == range(3)
     for r in range(3):
-        alone = run_batch(cfg, range(r, r + 1))
+        alone, reward = run_seen(cfg, range(r, r + 1))
+        assert bits(rewards[r : r + 1]) == bits(reward)
         for field in ("columns", "counters"):
             rows, row = getattr(together, field), getattr(alone, field)
             assert rows.keys() == row.keys()
             for name in rows:
                 assert bits(rows[name][r : r + 1]) == bits(row[name]), name
     # the replications really differ, so the comparison is not vacuous
-    reward = together.columns["reward"]
-    assert bits(reward[0]) != bits(reward[1])
+    assert bits(rewards[0]) != bits(rewards[1])
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -169,17 +192,52 @@ def test_noise_is_a_pure_function_of_seed_replication_and_step(monkeypatch, fami
     steps = np.arange(1, horizon + 1)[:, None]
     draws = reward_draws(env.noise.spec, seed_prefixes(seeds, TAG_NOISE), range(1), steps)
     noise = draws[..., 0].T  # row r: replication r's noise of steps 1..horizon
-    monkeypatch.setattr(harness, "BATCH_SIZE", 2)  # three batches over two workers
+    # the rewards each policy received, in one batch and in batches of one
     runs = {
-        "workers": list(run_replications(cfg, range(reps))),
-        "one batch": [run_batch(cfg, range(reps))],
-        "batches of one": [run_batch(cfg, range(r, r + 1)) for r in range(reps)],
+        "one batch": [run_seen(cfg, range(reps))],
+        "batches of one": [run_seen(cfg, range(r, r + 1)) for r in range(reps)],
     }
     for name, records in runs.items():
-        assert [r for rec in records for r in rec.replications] == list(range(reps)), name
-        for rec in records:
-            for r, arm, reward in zip(rec.replications, rec.columns["arm"], rec.columns["reward"]):
+        assert [r for rec, _ in records for r in rec.replications] == list(range(reps)), name
+        for rec, rewards in records:
+            for r, arm, reward in zip(rec.replications, rec.columns["arm"], rewards):
                 assert bits(reward) == bits(env.pull(arm)[1] + noise[r]), name
+    # in three batches over two workers, each replication makes the same decisions
+    monkeypatch.setattr(harness, "BATCH_SIZE", 2)
+    arms = np.concatenate([rec.columns["arm"] for rec in run_replications(cfg, range(reps))])
+    assert bits(arms) == bits(runs["one batch"][0][0].columns["arm"])
+
+
+@pytest.mark.parametrize("family", NoiseFamily.ALL)
+def test_the_written_trace_is_what_the_loop_saw(monkeypatch, tmp_path, family):
+    # trace.csv, written here from three batches over two workers, holds
+    # the reward each policy received, optimal_value - mean as the instant
+    # regret and the sums of the loop's own ledger as the cumulative one,
+    # bit for bit
+    reps = 5
+    cfg = make_cfg(
+        env__noise_family=family, run__horizon=30, run__replications=reps, run__workers=2
+    )
+    env = cfg.environment()
+    scored = []
+    record = RegretLedger.record
+
+    def spy(self, mean_reward):
+        scored.append(record(self, mean_reward))
+        return scored[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RegretLedger, "record", spy)
+        rec, rewards = run_seen(cfg, range(reps))
+    gaps, sums = (np.concatenate(blocks, axis=1) for blocks in zip(*scored))
+    assert gaps.shape == sums.shape == (reps, 30)
+    assert bits(gaps) == bits(env.optimal_value - env.pull(rec.columns["arm"])[1])
+    monkeypatch.setattr(harness, "BATCH_SIZE", 2)
+    trace, _ = emit_outputs(run_replications(cfg, range(reps)), cfg, tmp_path)
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    written = np.array([[float(v) for v in row[4:7]] for row in rows]).reshape(reps, 30, 3)
+    for k, want in enumerate((rewards, gaps, sums)):
+        assert np.array_equal(written[..., k].view(np.int64), want.view(np.int64)), k
 
 
 def test_run_and_equivalence_share_the_noise_key_rule(monkeypatch):

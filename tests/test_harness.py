@@ -32,10 +32,12 @@ from linens.harness import (
     TRACE_COLUMNS,
     RunRecord,
     _equivalence_batch,
+    _float_texts,
     _quantile,
     _row_texts,
     aggregate,
     checkpoints,
+    derived_rows,
     emit_outputs,
     estimate_event_rates,
     interact,
@@ -244,6 +246,13 @@ SPANNING_ARMS = {
 def run_one(cfg: ExperimentConfig, replication: int):
     """One replication, run as a batch of one: every array has one row."""
     return run_batch(cfg, range(replication, replication + 1))
+
+
+def rows_of(cfg: ExperimentConfig, rec: RunRecord, i: int) -> dict:
+    """The float trace rows that ``trace.csv`` writes for row i of ``rec``
+    (:func:`derived_rows`)."""
+    seed = replication_seeds(cfg, rec.replications)[i]
+    return derived_rows(cfg.environment(), seed, rec.columns["arm"][i])
 
 
 def same_columns(a, b) -> bool:
@@ -857,14 +866,16 @@ class TestRunReplication:
         cfg = small_cfg(env__arm_count=1)
         rec = run_one(cfg, 0)
         assert rec.counters["final_regret"][0] == 0.0
-        assert rec.gaps.tolist() == [0.0]
+        rows = rows_of(cfg, rec, 0)
+        assert rows["instant_regret"].tolist() == rows["cum_regret"].tolist() == [0.0] * 30
 
     def test_cumulative_regret_is_prefix_sum(self):
-        rec = run_one(small_cfg(), 0)
+        cfg = small_cfg()
+        rec = run_one(cfg, 0)
         cum = 0.0
-        # a step's regret is the gap of its arm, as trace.csv writes it
-        columns = rec.gaps[rec.columns["arm"][0]], rec.columns["cum_regret"][0]
-        for instant, cum_regret in zip(*columns):
+        # as trace.csv writes them
+        rows = rows_of(cfg, rec, 0)
+        for instant, cum_regret in zip(rows["instant_regret"], rows["cum_regret"]):
             cum += instant
             assert cum_regret == pytest.approx(cum, abs=1e-12)
         assert rec.counters["final_regret"][0] == pytest.approx(cum)
@@ -893,7 +904,7 @@ class TestMonteCarlo:
         records, summary = run_to(cfg)
         final = summary["checkpoints"][-1]
         assert final["t"] == 30
-        assert final["mean"] == records[0].columns["cum_regret"][0, -1]
+        assert final["mean"] == records[0].counters["final_regret"][0]
         assert final["median"] == final["q10"] == final["q90"] == final["mean"]
 
     def test_order_statistics_are_numpys_bit_for_bit(self):
@@ -917,7 +928,7 @@ class TestMonteCarlo:
             zero = np.where(np.arange(len(grid)) % 2, 0.0, -0.0)
             single = np.where(mixed == 0.0, zero, mixed)
             for cols, exact in ((single, True), (mixed, False)):
-                rows = aggregate(cfg, cols, {})["checkpoints"]
+                rows = aggregate(cfg, cols.T, {})["checkpoints"]
                 # the median is placement-free: numpy's mean sums from +0.0
                 medians = [r["median"] for r in rows]
                 assert np.array_equal(bits(medians), bits(np.median(cols, axis=0)))
@@ -977,7 +988,7 @@ class TestMonteCarlo:
         # at most a few standard errors
         cfg = small_cfg(run__replications=120, env__sigma=1.0)
         records, _ = run_to(cfg)
-        finals = np.concatenate([r.columns["cum_regret"][:, -1] for r in records])
+        finals = np.concatenate([r.counters["final_regret"] for r in records])
         a, b = finals[:60], finals[60:]
         se = np.sqrt(np.var(finals) * (1 / 60 + 1 / 60))
         assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se + 1e-12
@@ -1015,10 +1026,10 @@ class TestOutputs:
         records = list(run_replications(cfg, range(2)))
         t, _ = emit_outputs(records, cfg, tmp_path)
         row = t.read_text().splitlines()[1].split(",")
-        first = records[0]
-        assert float(row[4]) == first.columns["reward"][0, 0]  # exact via %.17g
-        assert float(row[5]) == first.gaps[first.columns["arm"][0, 0]]
-        assert float(row[6]) == first.columns["cum_regret"][0, 0]
+        first = rows_of(cfg, records[0], 0)
+        assert float(row[4]) == first["reward"][0]  # exact via %.17g
+        assert float(row[5]) == first["instant_regret"][0]
+        assert float(row[6]) == first["cum_regret"][0]
 
     def test_summary_json_round_trips(self, tmp_path):
         cfg = small_cfg(run__diagnostics="monitors")
@@ -1055,49 +1066,43 @@ class TestOutputs:
 
     @staticmethod
     def hand_records(flags: bool) -> list:
-        """Two batches built by hand: signed zeros in one column, a value
+        """Two batches of decisions built by hand, on 10 arms: an arm
         repeated within a replication and across replications and batches,
-        values that ``%.17g`` writes in exponent form, ``model = -1`` next
-        to model indices, a column with no repeats, and a gap table of
-        each batch's own whose entries at the arms give signed zeros and a
-        subnormal ``instant_regret``."""
-        tiny, huge = 5e-324, 1e300
-        gaps = np.array([0.25, 0.0, -0.0, 0.25, 0.5, 0.5, 0.5, 0.5, 0.5, tiny])
+        ``model = -1`` next to model indices, and a column with no repeats.
+        Their float rows are derived from the arms; the edge floats that
+        ``%.17g`` writes (signed zeros, a subnormal, exponent forms) are
+        :class:`TestRowTexts`' cases."""
         first = {
             "arm": np.array([[0, 3, 3, 1], [2, 2, 2, 2]], dtype=np.int32),
             "model": np.array([[-1, 0, 7, -1], [5, 5, -1, 0]], dtype=np.int32),
-            "reward": np.array([[0.0, -0.0, 0.5, -0.0], [0.5, tiny, -huge, 0.0]]),
-            "cum_regret": np.array([[0.1, 0.2, 0.30000000000000004, 1 / 3], [huge, tiny, -1.5, 2.0]]),
         }
         second = {
             "arm": np.array([[9, 0, 9, 2]], dtype=np.int32),
             "model": np.array([[-1, -1, 12, 3]], dtype=np.int32),
-            "reward": np.array([[0.5, 0.5, -0.0, huge]]),
-            "cum_regret": np.array([[0.25, 0.5, 0.75, 1e-5]]),
         }
         records = []
-        for reps, cols, table in ((range(0, 2), first, gaps), (range(2, 3), second, gaps[::-1])):
+        for reps, cols in ((range(0, 2), first), (range(2, 3), second)):
             if flags:
                 rows = len(reps)
                 cols["conc_ok"] = np.array([[True, False, True, True]] * rows)
                 cols["anticonc_ok"] = np.zeros((rows, 4), dtype=bool)
                 cols["optimism_ok"] = np.arange(rows * 4).reshape(rows, 4) % 3 == 0
-            records.append(RunRecord(reps, cols, {}, table))
+            records.append(RunRecord(reps, cols, {}))
         return records
 
     @staticmethod
-    def oracle_trace(records: list) -> str:
+    def oracle_trace(cfg: ExperimentConfig, records: list) -> str:
         """``trace.csv`` written row by row, one ``%`` per row; a step's
-        ``instant_regret`` is its record's gap of the step's arm."""
+        floats are those of its replication's derived rows."""
         flags = [name for name in FLAG_COLUMNS if name in records[0].columns]
         lines = ["replication,t," + ",".join(TRACE_COLUMNS + tuple(flags))]
         for rec in records:
             cols = rec.columns
             for i, rep in enumerate(rec.replications):
+                floats = rows_of(cfg, rec, i)
                 for t in range(cols["arm"].shape[1]):
-                    arm = cols["arm"][i, t].item()
-                    row = (rep, t + 1, arm, cols["model"][i, t].item(), cols["reward"][i, t].item())
-                    row += (rec.gaps[arm].item(), cols["cum_regret"][i, t].item())
+                    row = (rep, t + 1, cols["arm"][i, t].item(), cols["model"][i, t].item())
+                    row += tuple(floats[n][t].item() for n in TRACE_COLUMNS[2:])
                     line = "%d,%d,%d,%d,%.17g,%.17g,%.17g" % row
                     line += "".join(",%d" % cols[n][i, t].item() for n in flags)
                     lines.append(line)
@@ -1109,11 +1114,14 @@ class TestOutputs:
         records = self.hand_records(flags)
         for rec in records:
             rec.columns = {n: col[:, :horizon] for n, col in rec.columns.items()}
-        want = self.oracle_trace(records)
+        cfg = small_cfg(
+            env__arm_count=10,
+            run__horizon=horizon,
+            run__diagnostics="monitors" if flags else "off",
+        )
+        want = self.oracle_trace(cfg, records)
         if horizon == 4:
-            assert ",-0," in want and "e-324" in want and "e+300" in want and ",-1," in want
-            assert ",0,-0," in want and ",-0,0.25," in want  # signed-zero instant regret
-        cfg = small_cfg(run__horizon=horizon, run__diagnostics="monitors" if flags else "off")
+            assert ",-1," in want and ",12," in want
         trace, _ = emit_outputs(records, cfg, tmp_path)
         assert trace.read_bytes() == want.encode()
 
@@ -1141,20 +1149,20 @@ class TestOutputs:
         names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
         lines = ["replication,t," + ",".join(names)]
         for rec in records:
-            columns = {**rec.columns, "instant_regret": rec.gaps[rec.columns["arm"]]}
             for i, rep in enumerate(rec.replications):
+                columns = {n: col[i] for n, col in rec.columns.items()} | rows_of(cfg, rec, i)
                 for t in range(cfg.run.horizon):
-                    values = [rep, t + 1] + [columns[name][i, t].item() for name in names]
+                    values = [rep, t + 1] + [columns[name][t].item() for name in names]
                     texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
                     lines.append(",".join(texts))
         assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @staticmethod
-    def emission_peak(columns: dict, gaps: np.ndarray, out: Path) -> int:
+    def emission_peak(columns: dict, out: Path) -> int:
         """``emit_outputs``' tracemalloc peak on one monitored record of
-        ``columns``, ``(R, 2000)`` arrays, and ``gaps``."""
-        record = RunRecord(range(len(columns["arm"])), columns, {}, gaps)
-        cfg = small_cfg(run__horizon=2000, run__diagnostics="monitors")
+        ``columns``, ``(R, 2000)`` arrays of arms below 64."""
+        record = RunRecord(range(len(columns["arm"])), columns, {})
+        cfg = small_cfg(env__arm_count=64, run__horizon=2000, run__diagnostics="monitors")
         tracemalloc.start()
         try:
             emit_outputs([record], cfg, out)
@@ -1166,13 +1174,9 @@ class TestOutputs:
         # every value distinct, the most text per replication
         def peak(width: int) -> int:
             rng = np.random.default_rng(width)
-            cols = {
-                n: rng.integers(0, 50, (width, 2000), dtype=np.int32) if n in ("arm", "model")
-                else rng.standard_normal((width, 2000))
-                for n in STORED_COLUMNS
-            }
+            cols = {n: rng.integers(0, 50, (width, 2000), dtype=np.int32) for n in STORED_COLUMNS}
             cols.update({n: rng.random((width, 2000)) < 0.5 for n in FLAG_COLUMNS})
-            return self.emission_peak(cols, rng.standard_normal(50), tmp_path / str(width))
+            return self.emission_peak(cols, tmp_path / str(width))
 
         narrow, wide = peak(2), peak(20)
         assert wide < 1.5 * narrow, (narrow, wide)
@@ -1182,20 +1186,22 @@ class TestOutputs:
         # against 32: neither rule holds more than one row's texts
         def peak(models: int) -> int:
             rng = np.random.default_rng(3)
-            cols = {n: rng.standard_normal((20, 2000)) for n in STORED_COLUMNS}
-            cols["arm"] = rng.integers(0, 64, (20, 2000), dtype=np.int32)
-            cols["model"] = rng.integers(0, models, (20, 2000), dtype=np.int32)
+            cols = {
+                "arm": rng.integers(0, 64, (20, 2000), dtype=np.int32),
+                "model": rng.integers(0, models, (20, 2000), dtype=np.int32),
+            }
             cols["model"][0, :2] = 0, models - 1
             cols.update({n: rng.random((20, 2000)) < 0.5 for n in FLAG_COLUMNS})
-            return self.emission_peak(cols, rng.standard_normal(64), tmp_path / str(models))
+            return self.emission_peak(cols, tmp_path / str(models))
 
         few, many = peak(32), peak(2_474_207)
         assert many < 1.5 * few, (few, many)
 
     def test_run_memory_does_not_grow_with_the_replication_count(self, tmp_path, monkeypatch):
         # a run holds one batch's record at a time, and a monitored record
-        # holds 27 bytes a step: int32 arm and model, float reward and
-        # cumulative regret, and three flags, with no instant regret
+        # holds 11 bytes a step: int32 arm and model and three flags. What
+        # it keeps of each replication, its pooled counters (58 bytes here)
+        # and its regret at 9 checkpoints (72 bytes), is all that grows
         monkeypatch.setattr(harness, "BATCH_SIZE", 4)
         text = BASE_INI.replace("horizon = 30", "horizon = 200\ndiagnostics = monitors")
         path = write_cfg(tmp_path, text)
@@ -1212,12 +1218,15 @@ class TestOutputs:
 
         few, many = peak(8), peak(32)
         assert many < 1.5 * few, (few, many)
+        growth = (peak(512) - peak(128)) / 384
+        assert growth < 200, growth
         rec = run_batch(load_config(path), range(4))
-        assert sum(col.nbytes for col in rec.columns.values()) == 27 * 4 * 200
+        assert sum(col.nbytes for col in rec.columns.values()) == 11 * 4 * 200
 
 
 class TestRowTexts:
-    """``_row_texts`` gives each row's joined ``fmt % v``, step by step."""
+    """``_row_texts`` gives each row's joined ``fmt % v``, step by step, and
+    ``_float_texts`` each value's ``fmt % v`` of one float row."""
 
     @staticmethod
     def assert_rows_formatted(columns: list, formats: list):
@@ -1238,20 +1247,40 @@ class TestRowTexts:
         return CountingFormat(fmt)
 
     def test_floats_keep_signed_zeros_and_repeats(self):
-        column = np.array([[0.0, -0.0, 1.5, -0.0, 1.5, 5e-324], [-0.0, 0.0, 0.0, 1e300, 1.5, -2.0]])
-        self.assert_rows_formatted([column], [",%.17g"])
+        # the edge floats %.17g writes: signed zeros, a subnormal, values in
+        # exponent form, a sum that prints 17 digits, and repeats in a row
+        tiny, huge = 5e-324, 1e300
+        rows = [
+            [0.0, -0.0, 1.5, -0.0, 1.5, tiny],
+            [-0.0, 0.0, 0.0, huge, 1.5, -2.0],
+            [0.5, tiny, -huge, 0.0],
+            [0.1, 0.2, 0.30000000000000004, 1 / 3],
+            [huge, tiny, -1.5, 2.0],
+            [0.5, 0.5, -0.0, huge],
+            [0.25, 0.5, 0.75, 1e-5],
+        ]
+        for row in rows:
+            for fmt in (",%.17g", ",%.17g\n"):
+                assert _float_texts(np.array(row), fmt) == [fmt % v for v in row]
+        texts = _float_texts(np.array([-0.0, 1e-5, -huge, 0.30000000000000004]), ",%.17g")
+        assert texts == [
+            ",-0",
+            ",1.0000000000000001e-05",
+            ",-1.0000000000000001e+300",
+            ",0.30000000000000004",
+        ]
 
     def test_float_rows_format_each_distinct_value_once(self):
         # a row without repeats is formatted in order, one with repeats
         # formats each distinct value once, -0.0 and 0.0 apart
-        column = np.array([[0.5, -0.0, 0.0, 1e300, 5e-324], [0.5, 0.5, -0.0, 0.5, -0.0]])
+        rows = np.array([[0.5, -0.0, 0.0, 1e300, 5e-324], [0.5, 0.5, -0.0, 0.5, -0.0]])
         formatted = []
-        text = _row_texts([column], [self.counting(",%.17g", formatted)])
+        fmt = self.counting(",%.17g", formatted)
         want = [",0.5", ",-0", ",0", ",1.0000000000000001e+300", ",4.9406564584124654e-324"]
-        assert text(0) == want
-        assert formatted == column[0].tolist()
+        assert _float_texts(rows[0], fmt) == want
+        assert formatted == rows[0].tolist()
         formatted.clear()
-        assert text(1) == [",0.5", ",0.5", ",-0", ",0.5", ",-0"]
+        assert _float_texts(rows[1], fmt) == [",0.5", ",0.5", ",-0", ",0.5", ",-0"]
         assert sorted(map(str, formatted)) == ["-0.0", "0.5"]
 
     def test_a_model_column_of_minus_ones(self):
@@ -1993,6 +2022,30 @@ def test_interact_rejects_an_out_of_range_arm(arm_index, stacked):
     policy = OutOfRangePolicy(arm_index, batch=2)
     with pytest.raises(ValueError, match="out of range"):
         interact(policy, env, noise, 3, monitor)
+    assert policy.step == 0
+
+
+@pytest.mark.parametrize(
+    "column, monitored",
+    [
+        ("reward", True),
+        ("cum_regret", True),
+        ("instant_regret", True),
+        ("replication", True),
+        ("conc_ok", False),
+        ("optimism_ok", False),
+    ],
+)
+def test_interact_refuses_a_column_it_cannot_fill(column, monitored):
+    # the trace's floats are derived as it is written, and the flags need a
+    # monitor: a column the loop does not fill is refused before a step
+    cfg = small_cfg(run__diagnostics="monitors")
+    env = cfg.environment()
+    monitor = StepMonitor(env, cfg.confidence_params(), replications=range(2))
+    policy = GreedyRidge(2, 1.0, batch=2)
+    noise = env.noise.draws(range(2))
+    with pytest.raises(ValueError, match=f"cannot fill column '{column}'"):
+        interact(policy, env, noise, 3, monitor if monitored else None, ("arm", column))
     assert policy.step == 0
 
 

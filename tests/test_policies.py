@@ -527,6 +527,37 @@ class TestLazyEnsemble:
             assert theta.tobytes() == sel.theta.tobytes()
             policy.update(arms[sel.arm_index], rng.standard_normal(3))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda spec, seeds: EnsembleSampling(2, 1.0, 6, spec, seeds),
+            lambda spec, seeds: PerturbedHistoryReplay(2, 1.0, spec, seeds, 6),
+        ],
+        ids=["uniform", "replay"],
+    )
+    def test_select_does_not_recheck_its_samplers_model_index(self, rng, monkeypatch, make):
+        # select and estimator read the sampler's model through the estimator
+        # core that the replay overrides; only model_theta checks an index
+        spec = PerturbationSpec(PerturbationFamily.GAUSSIAN, 0.7)
+        policy = make(spec, [2, 40, 7])
+        arms = random_unit_ball(rng, 2, count=4)
+        rewards = rng.standard_normal((6, 3))
+        thetas = []
+        for y in rewards:
+            sel = policy.select(arms)
+            thetas.append(policy.model_theta(sel.model_index))
+            policy.update(arms[sel.arm_index], y)
+
+        def refused(self, model):
+            raise AssertionError("model_theta called")
+
+        monkeypatch.setattr(EnsembleSampling, "model_theta", refused)
+        again = make(spec, [2, 40, 7])
+        for theta, y in zip(thetas, rewards):
+            sel = again.select(arms)
+            assert sel.theta.tobytes() == again.estimator().tobytes() == theta.tobytes()
+            again.update(arms[sel.arm_index], y)
+
     def test_the_replay_keeps_no_perturbed_sums(self):
         # so a monitor tracking the ensemble fraction reports none for it
         env = LinearBanditEnv.random(2, 4, NoiseModel(sigma=0.5), 1.0, 12345)
