@@ -20,9 +20,9 @@ appends each batch's rows to ``trace.csv`` as the batch ends, re-deriving
 each replication's rewards and regret from its arms (:func:`derived_rows`),
 and keeps only its checkpoint regret and counters for the summary
 (:func:`emit_outputs`), so a run holds one batch's decisions at a time.
-Bookkeeping that no decision reads stays off the per-step path: the loop
-ends a block of steps in one place, where it scores the regret and
-evaluates the monitor.
+The loop only decides: the regret is scored once, as the trace is
+written, and a monitor evaluates its steps a block at a time, at the
+block's end.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from .config import BOUNDED_POLICIES, ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
-from .perturb import TAG_REPLICATION, StepDraws, _fold_array, block_steps, gamma, p_n, seed_prefixes
+from .perturb import TAG_REPLICATION, StepDraws, _fold_array, gamma, p_n, seed_prefixes
 from .policies import EnsembleSampling, PerturbedHistoryReplay, Sampler
 
 #: Most replications stepped together in one lockstep batch.
@@ -76,9 +76,9 @@ class RunRecord:
     ``replications[i]``: ``columns`` maps each stored trace column (of
     ``STORED_COLUMNS``, and of ``FLAG_COLUMNS`` with a monitor) to an
     ``(R, T)`` array (step ``t = 1..T`` in column ``t - 1``), 11 bytes a
-    step with the flags; and ``counters`` maps ``final_regret`` and the
-    monitor's counters (:meth:`~linens.diagnostics.StepMonitor.counters`)
-    to ``(R,)`` arrays."""
+    step with the flags; and ``counters`` maps the monitor's counters
+    (:meth:`~linens.diagnostics.StepMonitor.counters`), if any, to
+    ``(R,)`` arrays."""
 
     replications: range
     columns: dict
@@ -132,63 +132,49 @@ def interact(
     noise: StepDraws,
     horizon: int,
     monitor: StepMonitor | None = None,
-    columns: tuple = STORED_COLUMNS,
-) -> tuple[dict, np.ndarray]:
+    trace: bool = True,
+) -> dict:
     """The interaction loop: step a batched policy for ``horizon`` steps.
 
     Each step selects an arm per replication, gathers its vector and mean
     reward once, lets the monitor (if any) record the pre-step state, adds
     the noise of the step (``noise.at(t)``, one value per replication, from
-    :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. Steps
-    run in blocks of the monitor's ``block_length``, or of
-    ``block_steps(R)`` without one. At each block's end the
-    :class:`~linens.envs.RegretLedger` scores its mean rewards, the monitor
-    evaluates its steps (``flush``) and its flags are written at the
-    block's steps. Returns the named trace columns (of ``STORED_COLUMNS``,
-    and of ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``, and the
-    final cumulative regret of each replication; a column it cannot fill
-    is refused before the first step.
+    :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. It
+    scores no regret (:func:`derived_rows` does, as the trace is written).
+    A monitor evaluates its steps (``flush``) at the end of each block of
+    its ``block_length`` steps and at the last step, and its flags are
+    written at the block's steps.
+
+    With ``trace``, returns the stored trace columns (``STORED_COLUMNS``,
+    and ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``; without,
+    an empty dict.
     """
-    fillable = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ())
-    for name in columns:
-        if name not in fillable:
-            raise ValueError(f"interact cannot fill column {name!r}; it fills {fillable}")
-    shape = (policy.batch, horizon)
-    cols = {name: np.empty(shape, dtype=_COLUMN_DTYPES[name]) for name in columns}
-    # (position in a step's (arm, model), column) of each traced one
-    traced = [(k, cols[name]) for k, name in enumerate(STORED_COLUMNS) if name in cols]
-    flags = [cols[name] for name in FLAG_COLUMNS if name in cols]
-    ledger = RegretLedger(env)
+    names = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
+    cols = {name: np.empty((policy.batch, horizon), dtype=_COLUMN_DTYPES[name]) for name in names}
     arms = env.arms
-    steps = block_steps(policy.batch) if monitor is None else monitor.block_length(policy)
-    means = np.empty((policy.batch, steps))  # a block's mean rewards, step by step
-    for first in range(0, horizon, steps):
-        at = range(first, min(first + steps, horizon))
-        block = means[:, : len(at)]
-        for j, i in enumerate(at):
-            sel = policy.select(arms)
-            x, mean = env.pull(sel.arm_index)
-            if monitor is not None:
-                monitor.observe(policy, sel, x)
-            y = mean + noise.at(i + 1)[:, 0]
-            block[:, j] = mean
-            policy.update(x, y)
-            if traced:
-                step = (sel.arm_index, sel.model_index)
-                for k, col in traced:
-                    col[:, i] = step[k]
-        ledger.record(block)
+    block = monitor.block_length(policy) if monitor is not None else 0
+    for i in range(horizon):
+        sel = policy.select(arms)
+        x, mean = env.pull(sel.arm_index)
         if monitor is not None:
+            monitor.observe(policy, sel, x)
+        policy.update(x, mean + noise.at(i + 1)[:, 0])
+        if trace:
+            cols["arm"][:, i] = sel.arm_index
+            cols["model"][:, i] = sel.model_index
+        if block and ((i + 1) % block == 0 or i + 1 == horizon):
             diag = monitor.flush()
-            for col, ok in zip(flags, (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)):
-                col[:, at.start : at.stop] = ok.T
-    return cols, ledger.cumulative
+            if trace:
+                oks = (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)
+                for name, ok in zip(FLAG_COLUMNS, oks):
+                    cols[name][:, i + 1 - len(diag) : i + 1] = ok.T
+    return cols
 
 
 def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) -> RunRecord:
     """Run a block of replications in lockstep; each row is deterministic
     in (config, replication) whatever the block. Without ``trace`` the
-    record carries counters only."""
+    record carries counters only, and without a monitor none."""
     env = cfg.environment()
     seeds = replication_seeds(cfg, replications)
     policy = cfg.build_policy(seeds)
@@ -201,12 +187,8 @@ def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) ->
             track_ensemble_fraction=(cfg.run.diagnostics == "full-trace"),
             replications=replications,
         )
-    columns = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
-    cols, regret = interact(policy, env, noise, cfg.run.horizon, monitor, columns)
-    counters = {"final_regret": regret}
-    if monitor is not None:
-        counters.update(monitor.counters())
-    return RunRecord(replications, cols, counters)
+    cols = interact(policy, env, noise, cfg.run.horizon, monitor, trace)
+    return RunRecord(replications, cols, monitor.counters() if monitor is not None else {})
 
 
 def run_replications(cfg: ExperimentConfig, replications: range, trace: bool = True):
@@ -228,13 +210,17 @@ def checkpoints(horizon: int) -> list[int]:
     return grid
 
 
-def _pool(pooled: dict, counters: dict) -> None:
-    """Append each of a batch's ``(R,)`` counters to ``pooled``'s array of
-    its name, so the batches' counters are pooled in replication order as
-    they arrive, one name at a time, and no batch's dict is kept."""
+def _pool(pooled: dict, counters: dict, replications: range, n: int) -> None:
+    """Write a batch's ``(R,)`` counters, those of ``replications``, into
+    ``pooled``'s ``(n,)`` array of each name, allocated at its first batch
+    in the counter's dtype. So a run's ``n`` replications are pooled as
+    their batches arrive, each value copied once, and no batch's dict is
+    kept."""
+    at = slice(replications.start, replications.stop)
     for name, values in counters.items():
-        held = pooled.get(name)
-        pooled[name] = np.array(values) if held is None else np.concatenate([held, values])
+        if name not in pooled:
+            pooled[name] = np.empty(n, dtype=values.dtype)
+        pooled[name][at] = values
 
 
 def derived_rows(env: LinearBanditEnv, seed: int, arm: np.ndarray) -> dict:
@@ -243,9 +229,9 @@ def derived_rows(env: LinearBanditEnv, seed: int, arm: np.ndarray) -> dict:
     ``reward``, each step's mean reward plus its keyed noise
     (:meth:`~linens.envs.LinearBanditEnv.sample_reward`), and
     ``instant_regret`` and ``cum_regret``, the gaps and running sums of a
-    fresh :class:`~linens.envs.RegretLedger`. The loop adds the same noise
-    of each step and its ledger the same gaps in step order, so each row
-    is the loop's bit for bit."""
+    fresh :class:`~linens.envs.RegretLedger`, from +0.0. The loop adds the
+    same noise of each step, so ``reward`` is what the policy received bit
+    for bit; this is the one place a run's regret is scored."""
     gap, cum = RegretLedger(env).record(env.pull(arm)[1][None])
     reward = env.sample_reward(arm, seed, np.arange(1, len(arm) + 1))
     return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
@@ -287,12 +273,11 @@ def monitor_report(counters: dict) -> dict:
 
 def aggregate(cfg: ExperimentConfig, regret, counters: dict) -> dict:
     """``summary.json``'s table from the cumulative regret at each
-    checkpoint, one ``(N,)`` column per checkpoint of
-    ``checkpoints(T)`` (each in replication order), and the pooled
-    counters (:func:`_pool`). Its ``monitors`` is the monitor report
-    (:func:`monitor_report`), or ``"disabled"`` when no monitor ran. Its
-    medians and q10/q90 are numpy's, read off one sort of a column at a
-    time (:func:`_quantile`)."""
+    checkpoint, one ``(N,)`` row per checkpoint of ``checkpoints(T)``
+    (each in replication order), and the pooled counters (:func:`_pool`).
+    Its ``monitors`` is the monitor report (:func:`monitor_report`), or
+    ``"disabled"`` when no monitor ran. Its medians and q10/q90 are
+    numpy's, read off one sort of a row at a time (:func:`_quantile`)."""
     params = cfg.confidence_params()
     n = len(regret[0])
     keys = ("t", "mean", "median", "q10", "q90")
@@ -340,12 +325,14 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     """Write a run's trace CSV as its batches end and its summary JSON
     last; byte-stable for equal inputs.
 
-    ``records`` are the run's batch records in replication order, as
-    :func:`run_replications` yields them. Each batch's rows are appended
-    to ``trace.csv`` as it arrives, and only its cumulative regret at the
-    checkpoints and its counters are kept, pooled as they arrive, one
-    array per checkpoint and per counter (:func:`_pool`), for
-    :func:`aggregate`, so the run holds one batch's record at a time.
+    ``records`` are the batch records of the run's ``run.replications``
+    replications in order, as :func:`run_replications` yields them. Each
+    batch's rows are appended to ``trace.csv`` as it arrives, and only its
+    cumulative regret at the checkpoints and its counters are kept, each
+    written into the run's arrays as it arrives: one ``(checkpoints, N)``
+    array of regret, whose rows :func:`aggregate` takes, and one ``(N,)``
+    array per counter (:func:`_pool`), so the run holds one batch's record
+    at a time.
     ``trace.csv`` is written under a temporary name in ``out_dir`` and
     moved into place after its last row, so a run that fails leaves an
     earlier run's outputs as they were.
@@ -380,7 +367,8 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     row_text = [None] * (width * horizon)
     row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
     grid = np.array(checkpoints(horizon)) - 1
-    regret, counters = {}, {}
+    reps = cfg.run.replications
+    regret, counters, written = np.empty((len(grid), reps)), {}, 0
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(partial_path, "w") as fh:
@@ -389,7 +377,6 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
                 cols = rec.columns
                 texts = [(k, _row_texts([cols[n] for n in run], f)) for k, run, f in int_runs]
                 seeds = replication_seeds(cfg, rec.replications)
-                batch_regret = np.empty((len(grid), len(seeds)))
                 for i, (rep, seed) in enumerate(zip(rec.replications, seeds)):
                     rows = derived_rows(env, seed, cols["arm"][i])
                     row_text[::width] = [str(rep)] * horizon
@@ -398,10 +385,12 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
                     for k, name, fmt in float_runs:
                         row_text[k::width] = _float_texts(rows[name], fmt)
                     fh.write("".join(row_text))
-                    batch_regret[:, i] = rows["cum_regret"][grid]
-                _pool(regret, dict(enumerate(batch_regret)))  # by checkpoint
-                _pool(counters, rec.counters)
-        summary = aggregate(cfg, list(regret.values()), counters)
+                    regret[:, rep] = rows["cum_regret"][grid]
+                _pool(counters, rec.counters, rec.replications, reps)
+                written += len(rec.replications)
+        if written != reps:
+            raise ValueError(f"the records hold {written} of the run's {reps} replications")
+        summary = aggregate(cfg, regret, counters)
         os.replace(partial_path, trace_path)
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
@@ -523,7 +512,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
     )
     draws = env.noise.draws(keys)
     return tuple(
-        interact(policy, env, draws, horizon, columns=("arm",))[0]["arm"] for policy in (es, phe)
+        interact(policy, env, draws, horizon, trace=True)["arm"] for policy in (es, phe)
     )
 
 
@@ -544,5 +533,5 @@ def estimate_event_rates(cfg: ExperimentConfig) -> dict:
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
     counters = {}
     for rec in run_replications(cfg, range(reps), trace=False):
-        _pool(counters, rec.counters)
+        _pool(counters, rec.counters, rec.replications, reps)
     return {"replications": reps, **monitor_report(counters)}

@@ -33,6 +33,7 @@ from linens.harness import (
     RunRecord,
     _equivalence_batch,
     _float_texts,
+    _pool,
     _quantile,
     _row_texts,
     aggregate,
@@ -41,13 +42,13 @@ from linens.harness import (
     emit_outputs,
     estimate_event_rates,
     interact,
+    monitor_report,
     replication_seeds,
     run_equivalence_suite,
     run_batch,
     run_replications,
 )
 from linens.diagnostics import StepMonitor, theoretical_regret_bound
-from linens.envs import RegretLedger
 from linens.linalg import MIN_LAMBDA
 from linens.perturb import PerturbationFamily, beta, ensemble_size, gamma, p_n
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
@@ -864,9 +865,7 @@ class TestRunReplication:
 
     def test_single_arm_zero_regret(self):
         cfg = small_cfg(env__arm_count=1)
-        rec = run_one(cfg, 0)
-        assert rec.counters["final_regret"][0] == 0.0
-        rows = rows_of(cfg, rec, 0)
+        rows = rows_of(cfg, run_one(cfg, 0), 0)
         assert rows["instant_regret"].tolist() == rows["cum_regret"].tolist() == [0.0] * 30
 
     def test_cumulative_regret_is_prefix_sum(self):
@@ -878,7 +877,6 @@ class TestRunReplication:
         for instant, cum_regret in zip(rows["instant_regret"], rows["cum_regret"]):
             cum += instant
             assert cum_regret == pytest.approx(cum, abs=1e-12)
-        assert rec.counters["final_regret"][0] == pytest.approx(cum)
 
     def test_monitor_columns_present_when_enabled(self):
         off = run_one(small_cfg(), 0)
@@ -904,7 +902,7 @@ class TestMonteCarlo:
         records, summary = run_to(cfg)
         final = summary["checkpoints"][-1]
         assert final["t"] == 30
-        assert final["mean"] == records[0].counters["final_regret"][0]
+        assert final["mean"] == rows_of(cfg, records[0], 0)["cum_regret"][-1]
         assert final["median"] == final["q10"] == final["q90"] == final["mean"]
 
     def test_order_statistics_are_numpys_bit_for_bit(self):
@@ -988,10 +986,67 @@ class TestMonteCarlo:
         # at most a few standard errors
         cfg = small_cfg(run__replications=120, env__sigma=1.0)
         records, _ = run_to(cfg)
-        finals = np.concatenate([r.counters["final_regret"] for r in records])
+        finals = np.array(
+            [
+                rows_of(cfg, rec, i)["cum_regret"][-1]
+                for rec in records
+                for i in range(len(rec.replications))
+            ]
+        )
         a, b = finals[:60], finals[60:]
         se = np.sqrt(np.var(finals) * (1 / 60 + 1 / 60))
         assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se + 1e-12
+
+    def test_pooled_counters_equal_the_concatenated_batches(self):
+        # batches of 3, 3 and a short 1, with a counter of each dtype that a
+        # monitor gives, one a broadcast view: each pooled array is the
+        # batches' arrays joined, dtype and bits
+        rng = np.random.default_rng(8)
+        blocks = [range(0, 3), range(3, 6), range(6, 7)]
+        made = [
+            {
+                "checks": np.broadcast_to(np.int64(40), (len(b),)),
+                "hits": rng.integers(-(2**62), 2**62, len(b)),
+                "ok": rng.random(len(b)) < 0.5,
+                "sum": rng.standard_normal(len(b)) * 10.0 ** rng.integers(-300, 300, len(b)),
+            }
+            for b in blocks
+        ]
+        made[1]["sum"][0] = -0.0
+        pooled = {}
+        for block, counters in zip(blocks, made):
+            _pool(pooled, counters, block, 7)
+        assert list(pooled) == list(made[0])
+        for name, got in pooled.items():
+            want = np.concatenate([counters[name] for counters in made])
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+
+    def test_the_monitor_report_reads_every_counter(self):
+        # every counter a monitored run returns is pooled over the run, so
+        # the report reads each one but elliptical_sum: the monitor's
+        # running sum, from which StepMonitor.counters decides elliptical_ok
+        # and which the diagnostics oracles read
+        class Reads(dict):
+            """A dict that records the keys it is asked for."""
+
+            def __init__(self, items):
+                super().__init__(items)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self.read.add(key)
+                return super().__contains__(key)
+
+        cfg = small_cfg(run__horizon=5, run__diagnostics="full-trace")
+        assert cfg.policy.name == "ensemble" and cfg.policy.lam >= 1
+        counters = Reads(run_batch(cfg, range(2), trace=False).counters)
+        assert {"elliptical_ok", "min_ensemble_fraction"} <= set(counters)
+        monitor_report(counters)
+        assert set(counters) - counters.read == {"elliptical_sum"}
 
     def test_serial_and_parallel_identical(self):
         serial = small_cfg(run__replications=4)
@@ -1004,6 +1059,14 @@ class TestMonteCarlo:
 
 
 class TestOutputs:
+    def test_records_must_hold_every_replication_of_the_run(self, tmp_path):
+        # the summary is of the run's run.replications replications, so
+        # records that miss one are refused, and no trace is left
+        cfg = small_cfg(run__replications=3)
+        with pytest.raises(ValueError, match="hold 2 of the run's 3 replications"):
+            emit_outputs(run_replications(cfg, range(2)), cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_emit_byte_stable(self, tmp_path):
         cfg = small_cfg(run__diagnostics="monitors")
         records = list(run_replications(cfg, range(2)))
@@ -1117,6 +1180,7 @@ class TestOutputs:
         cfg = small_cfg(
             env__arm_count=10,
             run__horizon=horizon,
+            run__replications=3,
             run__diagnostics="monitors" if flags else "off",
         )
         want = self.oracle_trace(cfg, records)
@@ -1161,8 +1225,14 @@ class TestOutputs:
     def emission_peak(columns: dict, out: Path) -> int:
         """``emit_outputs``' tracemalloc peak on one monitored record of
         ``columns``, ``(R, 2000)`` arrays of arms below 64."""
-        record = RunRecord(range(len(columns["arm"])), columns, {})
-        cfg = small_cfg(env__arm_count=64, run__horizon=2000, run__diagnostics="monitors")
+        width = len(columns["arm"])
+        record = RunRecord(range(width), columns, {})
+        cfg = small_cfg(
+            env__arm_count=64,
+            run__horizon=2000,
+            run__replications=width,
+            run__diagnostics="monitors",
+        )
         tracemalloc.start()
         try:
             emit_outputs([record], cfg, out)
@@ -1988,10 +2058,13 @@ def test_full_trace_outputs_match_their_pinned_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["rates", "--config", str(path), "--reps", "5"]) == 0
     got = {"rates": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
-    counters = run_batch(load_config(path), range(5), trace=False).counters
-    assert "min_ensemble_fraction" in counters
-    # each replication's counters as the dict that the pinned hash was taken of
-    values = {name: counter.tolist() for name, counter in counters.items()}
+    cfg = load_config(path)
+    rec = run_batch(cfg, range(5))
+    assert "min_ensemble_fraction" in rec.counters
+    # each replication's counters and the final regret that trace.csv
+    # writes, as the dict that the pinned hash was taken of
+    values = {name: counter.tolist() for name, counter in rec.counters.items()}
+    values["final_regret"] = [rows_of(cfg, rec, i)["cum_regret"][-1].item() for i in range(5)]
     summaries = [{name: column[i] for name, column in values.items()} for i in range(5)]
     got["summaries"] = hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest()
     out = tmp_path / "out"
@@ -2025,28 +2098,20 @@ def test_interact_rejects_an_out_of_range_arm(arm_index, stacked):
     assert policy.step == 0
 
 
-@pytest.mark.parametrize(
-    "column, monitored",
-    [
-        ("reward", True),
-        ("cum_regret", True),
-        ("instant_regret", True),
-        ("replication", True),
-        ("conc_ok", False),
-        ("optimism_ok", False),
-    ],
-)
-def test_interact_refuses_a_column_it_cannot_fill(column, monitored):
-    # the trace's floats are derived as it is written, and the flags need a
-    # monitor: a column the loop does not fill is refused before a step
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("monitored", [False, True], ids=["off", "monitors"])
+def test_interact_returns_the_stored_columns_or_none(monitored, trace):
+    # traced, the loop fills what a record stores, each (R, T): the
+    # decisions, and the flags when a monitor runs; untraced, nothing
     cfg = small_cfg(run__diagnostics="monitors")
     env = cfg.environment()
     monitor = StepMonitor(env, cfg.confidence_params(), replications=range(2))
     policy = GreedyRidge(2, 1.0, batch=2)
     noise = env.noise.draws(range(2))
-    with pytest.raises(ValueError, match=f"cannot fill column '{column}'"):
-        interact(policy, env, noise, 3, monitor if monitored else None, ("arm", column))
-    assert policy.step == 0
+    cols = interact(policy, env, noise, 3, monitor if monitored else None, trace)
+    want = STORED_COLUMNS + (FLAG_COLUMNS if monitored else ()) if trace else ()
+    assert tuple(cols) == want
+    assert all(col.shape == (2, 3) for col in cols.values())
 
 
 class CyclingPolicy:
@@ -2063,10 +2128,10 @@ class CyclingPolicy:
         self.step += 1
 
 
-def test_the_ledger_and_the_monitor_end_the_same_blocks(monkeypatch):
+def test_the_monitor_evaluates_each_block_once_at_its_end(monkeypatch):
     # rates-c4's shape: R = 200, d = 3, m = 4, T = 200. The monitor's block
-    # holds 9 steps, so the ledger scores and the monitor evaluates
-    # ceil(200 / 9) = 23 blocks, the same ones, each once at its end
+    # holds 9 steps, so it evaluates ceil(200 / 9) = 23 blocks, each once
+    # at its end
     cfg = small_cfg(
         env__dim=3,
         env__arm_count=6,
@@ -2081,40 +2146,32 @@ def test_the_ledger_and_the_monitor_end_the_same_blocks(monkeypatch):
     monitor = StepMonitor(cfg.environment(), cfg.confidence_params(), replications=replications)
     block = monitor.block_length(policy)
     assert block == 9
-    scored, evaluated = [], []
-    record, flush = RegretLedger.record, StepMonitor.flush
-
-    def recording(ledger, mean_reward):
-        scored.append(np.shape(mean_reward)[-1])
-        return record(ledger, mean_reward)
+    evaluated = []
+    flush = StepMonitor.flush
 
     def flushing(monitor):
         evaluated.append(range(monitor._first, monitor._first + monitor._held))
         return flush(monitor)
 
-    monkeypatch.setattr(RegretLedger, "record", recording)
     monkeypatch.setattr(StepMonitor, "flush", flushing)
     run_batch(cfg, replications, trace=False)
-    ends = np.cumsum(scored).tolist()
     blocks = [range(first, min(first + block, 201)) for first in range(1, 201, block)]
     assert len(blocks) == math.ceil(200 / block) == 23
-    assert [range(end - n + 1, end + 1) for n, end in zip(scored, ends)] == blocks
     assert evaluated == blocks
 
 
 def test_interact_without_a_trace_holds_no_regret_array():
-    # regret is scored a block of steps at a time, so an untraced run (as
-    # in rates) never holds an (R, T) array of it
+    # the loop scores no regret, and untraced (as in rates) it stores no
+    # column, so it never holds an (R, T) array
     batch, horizon = 4, 20_000
     env = small_cfg().environment()
     noise = env.noise.draws(range(batch))
     tracemalloc.start()
     try:
-        _, regret = interact(CyclingPolicy(batch, env.arm_count), env, noise, horizon, columns=())
+        cols = interact(CyclingPolicy(batch, env.arm_count), env, noise, horizon, trace=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     one_regret_array = batch * horizon * np.dtype(np.float64).itemsize
     assert peak < one_regret_array / 2, (peak, one_regret_array)
-    gaps = env.optimal_value - env.pull(np.arange(env.arm_count))[1]
-    assert regret == pytest.approx(np.full(batch, gaps.sum() * horizon / env.arm_count))
+    assert cols == {}
