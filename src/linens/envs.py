@@ -173,7 +173,11 @@ class LinearBanditEnv:
 class RegretLedger:
     """Cumulative regret of each replication of a batch, scored a block of
     steps at a time: ``record`` takes the ``(R, n)`` mean rewards of n
-    consecutive steps' pulls, or the ``(R,)`` ones of one step."""
+    consecutive steps' pulls, or the ``(R,)`` ones of one step, and
+    ``cumulative`` carries the sums from one block to the next. The trace
+    writer scores each replication's derivation blocks through one ledger
+    (:func:`linens.harness.derived_rows`), so its running sums are those of
+    one call over all the steps."""
 
     env: LinearBanditEnv
     cumulative: float = 0.0

@@ -16,10 +16,11 @@ batches as they end (:func:`run_replications`); ``run.workers`` only maps
 the fixed batches over a process pool, so no output depends on it. A
 batch's results stay arrays, one :class:`RunRecord` per batch: the
 ``(R, T)`` decisions and monitor flags, and ``(R,)`` counters. ``run``
-appends each batch's rows to ``trace.csv`` as the batch ends, re-deriving
-each replication's rewards and regret from its arms (:func:`derived_rows`),
-and keeps only its checkpoint regret and counters for the summary
-(:func:`emit_outputs`), so a run holds one batch's decisions at a time.
+appends each batch's rows to ``trace.csv`` as the batch ends, a chunk of
+``WRITE_ROWS`` steps at a time, re-deriving each replication's rewards and
+regret from its arms (:func:`derived_rows`), and keeps only its checkpoint
+regret and counters for the summary (:func:`emit_outputs`), so a run holds
+one batch's decisions at a time and one chunk's texts.
 The loop only decides: the regret is scored once, as the trace is
 written, and a monitor evaluates its steps a block at a time, at the
 block's end.
@@ -34,11 +35,12 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
 
+from . import perturb
 from .config import BOUNDED_POLICIES, ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
@@ -64,6 +66,11 @@ FLAG_COLUMNS = ("conc_ok", "anticonc_ok", "optimism_ok")
 #: not be held.
 _COLUMN_DTYPES = {"arm": np.int32, "model": np.int32, **dict.fromkeys(FLAG_COLUMNS, bool)}
 
+#: Steps of a replication whose ``trace.csv`` rows the writer joins and
+#: writes at a time (:func:`emit_outputs`): the measured knee, since shorter
+#: chunks cost time and longer ones only memory.
+WRITE_ROWS = 512
+
 #: Run settings that say where and how to run an experiment, not what it
 #: is; ``summary.json`` leaves them out of its config echo so that its bytes
 #: depend on the experiment alone.
@@ -85,11 +92,10 @@ class RunRecord:
     counters: dict
 
 
-def batches(replications: range) -> list[range]:
-    """Contiguous blocks of at most ``BATCH_SIZE`` replication indices."""
-    return [
-        replications[i : i + BATCH_SIZE] for i in range(0, len(replications), BATCH_SIZE)
-    ]
+def batches(replications: range):
+    """Contiguous blocks of at most ``BATCH_SIZE`` replication indices, in
+    order, each made as it is taken, so none is held before or after."""
+    return (replications[i : i + BATCH_SIZE] for i in range(0, len(replications), BATCH_SIZE))
 
 
 def _map_batches(fn, items: range, workers: int):
@@ -100,15 +106,14 @@ def _map_batches(fn, items: range, workers: int):
     parent may hold BLAS threads. The process pool is imported only here,
     where it is used."""
     blocks = batches(items)
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1 and len(items) > BATCH_SIZE:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks)), mp_context=get_context("spawn")
-        ) as pool:
-            pending = deque(pool.submit(fn, block) for block in blocks[:workers])
-            for block in blocks[workers:]:
+        most = min(workers, math.ceil(len(items) / BATCH_SIZE))
+        with ProcessPoolExecutor(max_workers=most, mp_context=get_context("spawn")) as pool:
+            pending = deque(pool.submit(fn, block) for block in islice(blocks, workers))
+            for block in blocks:
                 result = pending.popleft().result()
                 pending.append(pool.submit(fn, block))
                 yield result
@@ -223,17 +228,27 @@ def _pool(pooled: dict, counters: dict, replications: range, n: int) -> None:
         pooled[name][at] = values
 
 
-def derived_rows(env: LinearBanditEnv, seed: int, arm: np.ndarray) -> dict:
+def derived_rows(
+    env: LinearBanditEnv,
+    seed: int,
+    arm: np.ndarray,
+    first: int = 1,
+    ledger: RegretLedger | None = None,
+) -> dict:
     """The float trace rows of a replication of seed ``seed`` that pulled
-    ``arm``, its ``(T,)`` arm indices, on the shared instance ``env``:
-    ``reward``, each step's mean reward plus its keyed noise
+    ``arm``, its arm indices of ``len(arm)`` consecutive steps from step
+    ``first``, on the shared instance ``env``: ``reward``, each step's mean
+    reward plus its keyed noise
     (:meth:`~linens.envs.LinearBanditEnv.sample_reward`), and
-    ``instant_regret`` and ``cum_regret``, the gaps and running sums of a
-    fresh :class:`~linens.envs.RegretLedger`, from +0.0. The loop adds the
-    same noise of each step, so ``reward`` is what the policy received bit
-    for bit; this is the one place a run's regret is scored."""
-    gap, cum = RegretLedger(env).record(env.pull(arm)[1][None])
-    reward = env.sample_reward(arm, seed, np.arange(1, len(arm) + 1))
+    ``instant_regret`` and ``cum_regret``, the gaps and running sums that
+    ``ledger`` records on from the steps before, or a fresh
+    :class:`~linens.envs.RegretLedger` from +0.0. So a replication derived
+    a block of steps at a time through one ledger has the bits of one call
+    over all its steps. The loop adds the same noise of each step, so
+    ``reward`` is what the policy received bit for bit; this is the one
+    place a run's regret is scored."""
+    gap, cum = (ledger or RegretLedger(env)).record(env.pull(arm)[1][None])
+    reward = env.sample_reward(arm, seed, np.arange(first, first + len(arm)))
     return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
 
 
@@ -341,14 +356,17 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     and, with a monitor, ``FLAG_COLUMNS``; ints and flags are written
     ``%d`` and floats ``%.17g``, which round-trips. A record stores the
     int and flag columns; the float rows of each replication are derived
-    once from its arms on the config's shared instance
-    (:func:`derived_rows`) and give both its texts and its checkpoint
-    regret. Each batch is written one replication at a time: each run of
-    adjacent int and flag columns gives a row's texts with their leading
-    commas from the batch's columns (:func:`_row_texts`), and each float
-    row its own (:func:`_float_texts`), so memory grows with neither the
-    batch width nor the ensemble size; the replication's number, the
-    shared ``,t`` and those texts are joined once."""
+    from its arms on the config's shared instance, a block of at most
+    ``perturb.DRAW_VALUES`` steps at a time through one ledger
+    (:func:`_derived_chunks`), and give both its texts and its checkpoint
+    regret. Each replication is written ``WRITE_ROWS`` steps at a time:
+    each run of adjacent int and flag columns gives the chunk's texts with
+    their leading commas from the batch's columns (:func:`_row_texts`),
+    and each float row its own (:func:`_float_texts`); the replication's
+    number, the run's one list of ``,t`` labels and those texts are joined
+    and written once. So the writer holds one chunk's texts and one
+    block's floats, and its memory grows with neither the batch width nor
+    the ensemble size, and with the horizon only by the step labels."""
     out = Path(out_dir)
     trace_path, summary_path = out / "trace.csv", out / "summary.json"
     partial_path = out / "trace.csv.partial"
@@ -364,8 +382,7 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     placed = list(zip(range(2, width), runs, fmts))
     int_runs = [(k, run, fmt) for k, run, fmt in placed if run[0] in _COLUMN_DTYPES]
     float_runs = [(k, run[0], fmt[0]) for k, run, fmt in placed if run[0] not in _COLUMN_DTYPES]
-    row_text = [None] * (width * horizon)
-    row_text[1::width] = [f",{t}" for t in range(1, horizon + 1)]
+    labels = [f",{t}" for t in range(1, horizon + 1)]
     grid = np.array(checkpoints(horizon)) - 1
     reps = cfg.run.replications
     regret, counters, written = np.empty((len(grid), reps)), {}, 0
@@ -378,14 +395,18 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
                 texts = [(k, _row_texts([cols[n] for n in run], f)) for k, run, f in int_runs]
                 seeds = replication_seeds(cfg, rec.replications)
                 for i, (rep, seed) in enumerate(zip(rec.replications, seeds)):
-                    rows = derived_rows(env, seed, cols["arm"][i])
-                    row_text[::width] = [str(rep)] * horizon
-                    for k, text in texts:
-                        row_text[k::width] = text(i)
-                    for k, name, fmt in float_runs:
-                        row_text[k::width] = _float_texts(rows[name], fmt)
-                    fh.write("".join(row_text))
-                    regret[:, rep] = rows["cum_regret"][grid]
+                    label = str(rep)
+                    for steps, rows in _derived_chunks(env, seed, cols["arm"][i]):
+                        # every slot the label, then all but the first overwritten
+                        row_text = [label] * (width * (steps.stop - steps.start))
+                        row_text[1::width] = labels[steps]
+                        for k, text in texts:
+                            row_text[k::width] = text(i, steps)
+                        for k, name, fmt in float_runs:
+                            row_text[k::width] = _float_texts(rows[name], fmt)
+                        fh.write("".join(row_text))
+                        inside = (steps.start <= grid) & (grid < steps.stop)
+                        regret[inside, rep] = rows["cum_regret"][grid[inside] - steps.start]
                 _pool(counters, rec.counters, rec.replications, reps)
                 written += len(rec.replications)
         if written != reps:
@@ -401,13 +422,37 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     return trace_path, summary_path
 
 
+def _derived_chunks(env: LinearBanditEnv, seed: int, arm: np.ndarray):
+    """A replication's float rows (:func:`derived_rows`) of its ``(T,)``
+    arms, a chunk of at most ``WRITE_ROWS`` steps at a time: ``(steps,
+    rows)`` of each chunk, ``steps`` its slice of the T steps. The rows are
+    derived in blocks of at most ``perturb.DRAW_VALUES`` steps through one
+    :class:`~linens.envs.RegretLedger`, whose carry gives the bits of one
+    pass."""
+    ledger = RegretLedger(env)
+    for start in range(0, len(arm), perturb.DRAW_VALUES):
+        stop = min(start + perturb.DRAW_VALUES, len(arm))
+        block = derived_rows(env, seed, arm[start:stop], start + 1, ledger)
+        for lo in range(start, stop, WRITE_ROWS):
+            hi = min(lo + WRITE_ROWS, stop)
+            yield slice(lo, hi), {name: row[lo - start : hi - start] for name, row in block.items()}
+
+
 def _distinct_texts(codes: np.ndarray, texts) -> list[str]:
-    """``texts(codes)`` of a row's int64 codes: a row of distinct codes
-    formatted in order, and a row with repeats each distinct code once."""
-    keys, inverse = np.unique(codes, return_inverse=True)
-    if len(keys) == len(codes):
+    """``texts(codes)`` of a chunk's int64 codes: a chunk of distinct codes
+    formatted in order, and a chunk with repeats each distinct code once.
+    This is ``np.unique(codes, return_inverse=True)``'s sort without its
+    argument handling, which cost as much as the sort on 512 codes."""
+    order = codes.argsort()
+    ranked = codes[order]
+    fresh = np.empty(len(codes), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    if fresh.all():
         return texts(codes)
-    return np.array(texts(keys), dtype=object)[inverse].tolist()
+    inverse = np.empty(len(codes), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return np.array(texts(ranked[fresh]), dtype=object)[inverse].tolist()
 
 
 def _float_texts(row: np.ndarray, fmt: str) -> list[str]:
@@ -419,29 +464,29 @@ def _float_texts(row: np.ndarray, fmt: str) -> list[str]:
 
 
 def _row_texts(columns: list[np.ndarray], formats: list[str]):
-    """A function of a row index i that gives each step's values in row i
-    of ``columns``, a run of ``(R, T)`` int or flag columns, each in its
-    ``formats`` entry and joined.
+    """A function of a row index i and a slice of steps that gives each of
+    those steps' values in row i of ``columns``, a run of ``(R, T)`` int or
+    flag columns, each in its ``formats`` entry and joined.
 
     Each step is one int64 code, the mixed-radix code of the run over its
-    columns' ``[min, max]``. A run of at most ``T`` codes, one row's steps,
-    formats each code once into one table that every row indexes. Any
-    other run formats each row's codes (:func:`_distinct_texts`), so no
-    table outgrows a row."""
+    columns' ``[min, max]``. A run of at most one chunk's codes (``T`` or
+    ``WRITE_ROWS`` steps, the fewer) formats each code once into one table
+    that every row indexes. Any other run formats the codes of each row's
+    slice (:func:`_distinct_texts`), so no table outgrows a chunk."""
     lows = [int(column.min()) for column in columns]
     spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
 
-    def code(i: int) -> np.ndarray:
-        return np.ravel_multi_index([c[i] - low for c, low in zip(columns, lows)], spans)
+    def code(i: int, steps: slice) -> np.ndarray:
+        return np.ravel_multi_index([c[i, steps] - low for c, low in zip(columns, lows)], spans)
 
     def texts(codes: np.ndarray) -> list[str]:
         digits = [(d + low).tolist() for d, low in zip(np.unravel_index(codes, spans), lows)]
         return ["".join(f % v for f, v in zip(formats, value)) for value in zip(*digits)]
 
-    if math.prod(spans) <= columns[0].shape[-1]:
+    if math.prod(spans) <= min(columns[0].shape[-1], WRITE_ROWS):
         table = np.array(texts(np.arange(math.prod(spans))), dtype=object)
-        return lambda i: table[code(i)].tolist()
-    return lambda i: _distinct_texts(code(i), texts)
+        return lambda i, steps: table[code(i, steps)].tolist()
+    return lambda i, steps: _distinct_texts(code(i, steps), texts)
 
 
 # ---------------------------------------------------------------------------

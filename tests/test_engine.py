@@ -121,7 +121,7 @@ def test_ensemble_reward_draws_do_not_depend_on_the_batch(family):
 
 
 def test_batches_are_fixed_contiguous_blocks():
-    blocks = batches(range(2 * BATCH_SIZE + 3))
+    blocks = list(batches(range(2 * BATCH_SIZE + 3)))
     assert [len(b) for b in blocks] == [BATCH_SIZE, BATCH_SIZE, 3]
     assert [i for b in blocks for i in b] == list(range(2 * BATCH_SIZE + 3))
 

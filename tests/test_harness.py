@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import linens
-from linens import cli, harness
+from linens import cli, harness, perturb
 from linens.config import (
     MAX_S_BOUND,
     POLICY_NAMES,
@@ -30,6 +30,7 @@ from linens.harness import (
     FLAG_COLUMNS,
     STORED_COLUMNS,
     TRACE_COLUMNS,
+    WRITE_ROWS,
     RunRecord,
     _equivalence_batch,
     _float_texts,
@@ -1128,13 +1129,14 @@ class TestOutputs:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @staticmethod
-    def hand_records(flags: bool) -> list:
-        """Two batches of decisions built by hand, on 10 arms: an arm
-        repeated within a replication and across replications and batches,
-        ``model = -1`` next to model indices, and a column with no repeats.
-        Their float rows are derived from the arms; the edge floats that
-        ``%.17g`` writes (signed zeros, a subnormal, exponent forms) are
-        :class:`TestRowTexts`' cases."""
+    def hand_records(flags: bool, horizon: int) -> list:
+        """Two batches of decisions over ``horizon`` steps on 10 arms. Their
+        first 4 steps are built by hand: an arm repeated within a
+        replication and across replications and batches, ``model = -1``
+        next to model indices, and a column with no repeats; later steps
+        are seeded draws of the same ranges. Their float rows are derived
+        from the arms; the edge floats that ``%.17g`` writes (signed zeros,
+        a subnormal, exponent forms) are :class:`TestRowTexts`' cases."""
         first = {
             "arm": np.array([[0, 3, 3, 1], [2, 2, 2, 2]], dtype=np.int32),
             "model": np.array([[-1, 0, 7, -1], [5, 5, -1, 0]], dtype=np.int32),
@@ -1143,15 +1145,31 @@ class TestOutputs:
             "arm": np.array([[9, 0, 9, 2]], dtype=np.int32),
             "model": np.array([[-1, -1, 12, 3]], dtype=np.int32),
         }
+        rng = np.random.default_rng(horizon)
         records = []
         for reps, cols in ((range(0, 2), first), (range(2, 3), second)):
+            rows, more = len(reps), max(0, horizon - 4)
+            cols["arm"] = np.hstack([cols["arm"], rng.integers(0, 10, (rows, more), np.int32)])
+            cols["model"] = np.hstack([cols["model"], rng.integers(-1, 13, (rows, more), np.int32)])
             if flags:
-                rows = len(reps)
-                cols["conc_ok"] = np.array([[True, False, True, True]] * rows)
-                cols["anticonc_ok"] = np.zeros((rows, 4), dtype=bool)
-                cols["optimism_ok"] = np.arange(rows * 4).reshape(rows, 4) % 3 == 0
-            records.append(RunRecord(reps, cols, {}))
+                cols["conc_ok"] = np.arange(rows * (4 + more)).reshape(rows, -1) % 4 != 1
+                cols["anticonc_ok"] = np.zeros((rows, 4 + more), dtype=bool)
+                cols["optimism_ok"] = rng.random((rows, 4 + more)) < 0.3
+            columns = {n: col[:, :horizon] for n, col in cols.items()}
+            records.append(RunRecord(reps, columns, {}))
         return records
+
+    @staticmethod
+    def hand_run(flags: bool, horizon: int) -> tuple:
+        """The config of :meth:`hand_records`' three replications, and the
+        records."""
+        cfg = small_cfg(
+            env__arm_count=10,
+            run__horizon=horizon,
+            run__replications=3,
+            run__diagnostics="monitors" if flags else "off",
+        )
+        return cfg, TestOutputs.hand_records(flags, horizon)
 
     @staticmethod
     def oracle_trace(cfg: ExperimentConfig, records: list) -> str:
@@ -1172,22 +1190,40 @@ class TestOutputs:
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
-    @pytest.mark.parametrize("horizon", [4, 1])
+    @pytest.mark.parametrize(
+        "horizon", [4, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 2 * WRITE_ROWS + 3]
+    )
     def test_trace_bytes_match_a_row_by_row_oracle(self, tmp_path, flags, horizon):
-        records = self.hand_records(flags)
-        for rec in records:
-            rec.columns = {n: col[:, :horizon] for n, col in rec.columns.items()}
-        cfg = small_cfg(
-            env__arm_count=10,
-            run__horizon=horizon,
-            run__replications=3,
-            run__diagnostics="monitors" if flags else "off",
-        )
+        # horizons at and around the writer's chunk edges
+        cfg, records = self.hand_run(flags, horizon)
         want = self.oracle_trace(cfg, records)
         if horizon == 4:
             assert ",-1," in want and ",12," in want
         trace, _ = emit_outputs(records, cfg, tmp_path)
         assert trace.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
+    @pytest.mark.parametrize("block", [5, 256])
+    def test_derivation_blocks_keep_the_bytes(self, tmp_path, monkeypatch, flags, block):
+        # float rows derived `block` steps at a time through one ledger:
+        # block edges fall inside chunks and, at 256, right after the
+        # checkpoints t = 256 and 512; the trace is the oracle's, whose rows
+        # are derived in one call, and the summary that of one block
+        horizon = 2 * WRITE_ROWS + 3
+        cfg, records = self.hand_run(flags, horizon)
+        _, whole = emit_outputs(records, cfg, tmp_path / "whole")
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return derived_rows(*args)
+
+        monkeypatch.setattr(perturb, "DRAW_VALUES", block)
+        monkeypatch.setattr(harness, "derived_rows", counted)
+        trace, summary = emit_outputs(records, cfg, tmp_path / "blocks")
+        assert calls == 3 * ([block] * (horizon // block) + [horizon % block])
+        assert trace.read_bytes() == self.oracle_trace(cfg, records).encode()
+        assert summary.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize(
         "settings",
@@ -1223,15 +1259,16 @@ class TestOutputs:
 
     @staticmethod
     def emission_peak(columns: dict, out: Path) -> int:
-        """``emit_outputs``' tracemalloc peak on one monitored record of
-        ``columns``, ``(R, 2000)`` arrays of arms below 64."""
-        width = len(columns["arm"])
+        """``emit_outputs``' tracemalloc peak on one record of ``columns``,
+        ``(R, T)`` arrays of arms below 64, monitored if it holds the
+        flags."""
+        width, horizon = columns["arm"].shape
         record = RunRecord(range(width), columns, {})
         cfg = small_cfg(
             env__arm_count=64,
-            run__horizon=2000,
+            run__horizon=horizon,
             run__replications=width,
-            run__diagnostics="monitors",
+            run__diagnostics="monitors" if FLAG_COLUMNS[0] in columns else "off",
         )
         tracemalloc.start()
         try:
@@ -1267,6 +1304,23 @@ class TestOutputs:
         few, many = peak(32), peak(2_474_207)
         assert many < 1.5 * few, (few, many)
 
+    def test_emission_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # one unmonitored replication at horizons past a derivation block:
+        # the writer holds one chunk's texts and one block's floats, and
+        # only its ",t" step labels (about 63 bytes a step) grow with T
+        def peak(horizon: int) -> int:
+            rng = np.random.default_rng(horizon)
+            cols = {
+                "arm": rng.integers(0, 64, (1, horizon), dtype=np.int32),
+                "model": rng.integers(0, 32, (1, horizon), dtype=np.int32),
+            }
+            return self.emission_peak(cols, tmp_path / str(horizon))
+
+        short, long = 20_000, 80_000
+        assert perturb.DRAW_VALUES < short
+        growth = (peak(long) - peak(short)) / (long - short)
+        assert growth < 100, growth
+
     def test_run_memory_does_not_grow_with_the_replication_count(self, tmp_path, monkeypatch):
         # a run holds one batch's record at a time, and a monitored record
         # holds 11 bytes a step: int32 arm and model and three flags. What
@@ -1295,15 +1349,21 @@ class TestOutputs:
 
 
 class TestRowTexts:
-    """``_row_texts`` gives each row's joined ``fmt % v``, step by step, and
-    ``_float_texts`` each value's ``fmt % v`` of one float row."""
+    """``_row_texts`` gives each row's joined ``fmt % v`` over a slice of
+    its steps, step by step, and ``_float_texts`` each value's ``fmt % v``
+    of one float row."""
+
+    ALL = slice(None)
 
     @staticmethod
     def assert_rows_formatted(columns: list, formats: list):
+        # the whole row, and chunks that start and end inside it
         text = _row_texts(columns, formats)
         for i in range(len(columns[0])):
             steps = zip(*(column[i].tolist() for column in columns))
-            assert text(i) == ["".join(f % v for f, v in zip(formats, step)) for step in steps]
+            want = ["".join(f % v for f, v in zip(formats, step)) for step in steps]
+            for chunk in (slice(None), slice(1, None), slice(0, 1), slice(1, -1)):
+                assert text(i, chunk) == want[chunk]
 
     @staticmethod
     def counting(fmt: str, formatted: list):
@@ -1381,7 +1441,7 @@ class TestRowTexts:
         flags = [rows % 2 == 0, rows % 3 == 0, np.zeros((2, 6), dtype=bool)]
         text = _row_texts(flags, [",%d", ",%d", ",%d\n"])
         want = [",1,1,0\n", ",0,0,0\n", ",1,0,0\n", ",0,1,0\n", ",1,0,0\n", ",0,0,0\n"]
-        assert text(0) == text(1) == want
+        assert text(0, self.ALL) == text(1, self.ALL) == want
 
     def test_an_arm_column_formats_only_the_arms_that_occur(self):
         # an arm range as wide as the K = 100,000 edge config that loads and
@@ -1395,7 +1455,7 @@ class TestRowTexts:
         text = _row_texts([column, models], formats)
         assert formatted == []
         for i, row in enumerate(column):
-            assert text(i) == [",%d,-1" % v for v in row.tolist()]
+            assert text(i, self.ALL) == [",%d,-1" % v for v in row.tolist()]
         assert sorted(formatted) == [-1] * 6 + [0, 0, 5, 77, arms - 1, arms - 1]
 
     def test_a_wide_run_formats_each_rows_distinct_pairs_once(self):
@@ -1408,7 +1468,7 @@ class TestRowTexts:
         text = _row_texts([arms, models], [self.counting(",%d", formatted), ",%d\n"])
         for i, pairs in enumerate([[0, 5, 999], [0, 77, 999]]):
             formatted.clear()
-            text(i)
+            text(i, self.ALL)
             assert sorted(formatted) == pairs
 
     def test_a_wide_int_row_without_repeats_is_formatted_in_order(self):
@@ -1416,8 +1476,22 @@ class TestRowTexts:
         models = np.array([[-1, 500, 2, 999, 2]])
         formatted = []
         text = _row_texts([arms, models], [self.counting(",%d", formatted), ",%d"])
-        assert text(0) == [",7,-1", ",0,500", ",999,2", ",3,999", ",500,2"]
+        assert text(0, self.ALL) == [",7,-1", ",0,500", ",999,2", ",3,999", ",500,2"]
         assert formatted == arms[0].tolist()
+
+    def test_no_table_outgrows_a_chunk(self):
+        # WRITE_ROWS + 1 arms fit a row of 2 * WRITE_ROWS steps but not a
+        # chunk: no table is built, and a chunk formats only its own codes
+        arms = np.arange(2 * WRITE_ROWS)[None] % (WRITE_ROWS + 1)
+        formatted = []
+        text = _row_texts([arms], [self.counting(",%d", formatted)])
+        assert formatted == []
+        assert text(0, slice(3, 6)) == [",3", ",4", ",5"]
+        assert formatted == [3, 4, 5]
+        self.assert_rows_formatted([arms], [",%d"])
+        # WRITE_ROWS arms fit a chunk: one table of the range
+        text = _row_texts([arms % WRITE_ROWS], [self.counting(",%d", formatted)])
+        assert len(formatted) == 3 + WRITE_ROWS
 
 
 class TestEquivalenceSuite:
