@@ -264,8 +264,8 @@ class StepMonitor:
         return np.mean(hits, axis=-1)
 
     def counters(self) -> dict:
-        """The ``(R,)`` counters, ``checks`` included, that
-        :func:`linens.harness.monitor_report` turns into the one report.
+        """The ``(R,)`` counters, ``checks`` included, that a run tallies
+        (:func:`linens.harness._tally`) for :func:`linens.harness.monitor_report`.
         ``elliptical_ok``, whether the elliptical potential stayed under its
         cap, is left out below lambda = 1, where the cap does not apply.
         Every recorded step must be evaluated (:meth:`flush`)."""

@@ -19,8 +19,8 @@ batch's results stay arrays, one :class:`RunRecord` per batch: the
 appends each batch's rows to ``trace.csv`` as the batch ends, a chunk of
 ``WRITE_ROWS`` steps at a time, re-deriving each replication's rewards and
 regret from its arms (:func:`derived_rows`), and keeps only its checkpoint
-regret and counters for the summary (:func:`emit_outputs`), so a run holds
-one batch's decisions at a time and one chunk's texts.
+regret and counter totals for the summary (:func:`emit_outputs`), so a run
+holds one batch's decisions at a time and one chunk's texts.
 The loop only decides: the regret is scored once, as the trace is
 written, and a monitor evaluates its steps a block at a time, at the
 block's end.
@@ -85,7 +85,7 @@ class RunRecord:
     ``(R, T)`` array (step ``t = 1..T`` in column ``t - 1``), 11 bytes a
     step with the flags; and ``counters`` maps the monitor's counters
     (:meth:`~linens.diagnostics.StepMonitor.counters`), if any, to
-    ``(R,)`` arrays."""
+    ``(R,)`` arrays, which a run tallies (:func:`_tally`)."""
 
     replications: range
     columns: dict
@@ -215,17 +215,16 @@ def checkpoints(horizon: int) -> list[int]:
     return grid
 
 
-def _pool(pooled: dict, counters: dict, replications: range, n: int) -> None:
-    """Write a batch's ``(R,)`` counters, those of ``replications``, into
-    ``pooled``'s ``(n,)`` array of each name, allocated at its first batch
-    in the counter's dtype. So a run's ``n`` replications are pooled as
-    their batches arrive, each value copied once, and no batch's dict is
-    kept."""
-    at = slice(replications.start, replications.stop)
+def _tally(totals: dict, counters: dict) -> None:
+    """Add a batch's ``(R,)`` counters into ``totals``, exact Python ints:
+    each count's sum, each indicator's replications that hold and, of
+    ``min_ensemble_fraction``, those that reach ``p_n() / 4``. No report
+    reads ``elliptical_sum``, so it is left out."""
     for name, values in counters.items():
-        if name not in pooled:
-            pooled[name] = np.empty(n, dtype=values.dtype)
-        pooled[name][at] = values
+        if name == "min_ensemble_fraction":
+            values = values >= p_n() / 4.0
+        if name != "elliptical_sum":
+            totals[name] = totals.get(name, 0) + sum(values.tolist())
 
 
 def derived_rows(
@@ -252,44 +251,37 @@ def derived_rows(
     return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
 
 
-def monitor_report(counters: dict) -> dict:
+def monitor_report(totals: dict, replications: int) -> dict:
     """The one monitor report of ``run`` and ``rates``, built from the
-    pooled counters (:func:`_pool`); README lists its fields. Each rate
-    is a Python int over an int."""
-    replications = len(counters["checks"])
-
-    def total(name: str) -> int:
-        return int(counters[name].sum())
-
-    total_checks = total("checks")
+    totals of ``replications`` replications (:func:`_tally`); README lists
+    its fields. Each rate is a Python int over an int."""
+    total_checks = totals["checks"]
     # the monitor leaves out elliptical_ok where the cap does not apply
-    elliptical = "elliptical_ok" in counters
+    elliptical = "elliptical_ok" in totals
     report = {
-        "all_concentrated_rate": total("all_concentrated") / replications,
-        "concentration_rate": 1.0 - total("concentration_failures") / total_checks,
+        "all_concentrated_rate": totals["all_concentrated"] / replications,
+        "concentration_rate": 1.0 - totals["concentration_failures"] / total_checks,
         "perturb_concentration_rate": 1.0
-        - total("perturb_concentration_failures") / total_checks,
-        "anti_conc_rate": total("anti_conc_hits") / total_checks,
-        "optimism_rate": total("optimism_hits") / total_checks,
+        - totals["perturb_concentration_failures"] / total_checks,
+        "anti_conc_rate": totals["anti_conc_hits"] / total_checks,
+        "optimism_rate": totals["optimism_hits"] / total_checks,
         "total_checks": total_checks,
-        "elliptical_pass_rate": total("elliptical_ok") / replications if elliptical else None,
+        "elliptical_pass_rate": totals["elliptical_ok"] / replications if elliptical else None,
     }
     if not elliptical:
         report["elliptical_note"] = (
             "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
         )
-    if "min_ensemble_fraction" in counters:
-        threshold = p_n() / 4.0
-        passed = counters["min_ensemble_fraction"] >= threshold
-        report["ensemble_fraction_threshold"] = threshold
-        report["min_ensemble_fraction_pass_rate"] = int(passed.sum()) / replications
+    if "min_ensemble_fraction" in totals:
+        report["ensemble_fraction_threshold"] = p_n() / 4.0
+        report["min_ensemble_fraction_pass_rate"] = totals["min_ensemble_fraction"] / replications
     return report
 
 
-def aggregate(cfg: ExperimentConfig, regret, counters: dict) -> dict:
+def aggregate(cfg: ExperimentConfig, regret, totals: dict) -> dict:
     """``summary.json``'s table from the cumulative regret at each
     checkpoint, one ``(N,)`` row per checkpoint of ``checkpoints(T)``
-    (each in replication order), and the pooled counters (:func:`_pool`).
+    (each in replication order), and the counter totals (:func:`_tally`).
     Its ``monitors`` is the monitor report (:func:`monitor_report`), or
     ``"disabled"`` when no monitor ran. Its medians and q10/q90 are
     numpy's, read off one sort of a row at a time (:func:`_quantile`)."""
@@ -319,7 +311,7 @@ def aggregate(cfg: ExperimentConfig, regret, counters: dict) -> dict:
         ),
     }
     # a switched-off monitor says so rather than leave its key out
-    summary["monitors"] = monitor_report(counters) if "checks" in counters else "disabled"
+    summary["monitors"] = monitor_report(totals, n) if "checks" in totals else "disabled"
     return summary
 
 
@@ -341,13 +333,13 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     last; byte-stable for equal inputs.
 
     ``records`` are the batch records of the run's ``run.replications``
-    replications in order, as :func:`run_replications` yields them. Each
-    batch's rows are appended to ``trace.csv`` as it arrives, and only its
-    cumulative regret at the checkpoints and its counters are kept, each
-    written into the run's arrays as it arrives: one ``(checkpoints, N)``
-    array of regret, whose rows :func:`aggregate` takes, and one ``(N,)``
-    array per counter (:func:`_pool`), so the run holds one batch's record
-    at a time.
+    replications, in order and each once, as :func:`run_replications`
+    yields them; a record that is not the next is refused before its rows
+    are written. Each batch's rows are appended to ``trace.csv`` as it
+    arrives, and only its cumulative regret at the checkpoints, written
+    into one ``(checkpoints, N)`` array whose rows :func:`aggregate` takes,
+    and its counters' totals (:func:`_tally`) are kept, so the run holds
+    one batch's record at a time.
     ``trace.csv`` is written under a temporary name in ``out_dir`` and
     moved into place after its last row, so a run that fails leaves an
     earlier run's outputs as they were.
@@ -385,16 +377,20 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     labels = [f",{t}" for t in range(1, horizon + 1)]
     grid = np.array(checkpoints(horizon)) - 1
     reps = cfg.run.replications
-    regret, counters, written = np.empty((len(grid), reps)), {}, 0
+    regret, totals, written = np.empty((len(grid), reps)), {}, 0
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(partial_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
             for rec in records:
+                held = rec.replications
+                if held != range(written, held.stop) or held.stop > reps:
+                    msg = f"after {written} of the run's {reps} replications, a record holds {held}"
+                    raise ValueError(msg + ": records hold them in order, each once")
                 cols = rec.columns
                 texts = [(k, _row_texts([cols[n] for n in run], f)) for k, run, f in int_runs]
-                seeds = replication_seeds(cfg, rec.replications)
-                for i, (rep, seed) in enumerate(zip(rec.replications, seeds)):
+                seeds = replication_seeds(cfg, held)
+                for i, (rep, seed) in enumerate(zip(held, seeds)):
                     label = str(rep)
                     for steps, rows in _derived_chunks(env, seed, cols["arm"][i]):
                         # every slot the label, then all but the first overwritten
@@ -407,11 +403,11 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
                         fh.write("".join(row_text))
                         inside = (steps.start <= grid) & (grid < steps.stop)
                         regret[inside, rep] = rows["cum_regret"][grid[inside] - steps.start]
-                _pool(counters, rec.counters, rec.replications, reps)
-                written += len(rec.replications)
+                _tally(totals, rec.counters)
+                written += len(held)
         if written != reps:
             raise ValueError(f"the records hold {written} of the run's {reps} replications")
-        summary = aggregate(cfg, regret, counters)
+        summary = aggregate(cfg, regret, totals)
         os.replace(partial_path, trace_path)
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
@@ -569,14 +565,14 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
 def estimate_event_rates(cfg: ExperimentConfig) -> dict:
     """``replications`` and the monitor report (:func:`monitor_report`)
     that ``linens run`` writes under the same diagnostics, over
-    ``run.replications`` replications. Monitors run even when the
-    configuration switches them off."""
+    ``run.replications`` replications, tallied as each batch ends
+    (:func:`_tally`). Monitors run even when the config switches them off."""
     reps = cfg.run.replications
     if reps < 1:
         raise ValueError("run.replications must be at least 1")
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
-    counters = {}
+    totals = {}
     for rec in run_replications(cfg, range(reps), trace=False):
-        _pool(counters, rec.counters, rec.replications, reps)
-    return {"replications": reps, **monitor_report(counters)}
+        _tally(totals, rec.counters)
+    return {"replications": reps, **monitor_report(totals, reps)}

@@ -141,8 +141,14 @@ def test_rates_report_is_independent_of_workers():
 def test_outputs_do_not_depend_on_how_replications_are_batched(monkeypatch, tmp_path):
     # five replications in one batch, then in three batches of at most two,
     # in one process and over two workers: the files and the report are the
-    # same bytes, so pooling and writing across batches keeps replication order
+    # same bytes, so tallying and writing across batches keeps replication
+    # order, and the summary reads the counters' exact int totals
     cfg = make_cfg(run__diagnostics="full-trace", run__replications=5, run__horizon=20)
+    aggregate, tallied = harness.aggregate, []
+
+    def spy(cfg, regret, totals):
+        tallied.append(totals)
+        return aggregate(cfg, regret, totals)
 
     def outputs(workers: int) -> tuple:
         cfg.run.workers = workers
@@ -160,10 +166,12 @@ def test_outputs_do_not_depend_on_how_replications_are_batched(monkeypatch, tmp_
     written, *default = outputs(1)
     assert written == [range(5)]
     monkeypatch.setattr(harness, "BATCH_SIZE", 2)
+    monkeypatch.setattr(harness, "aggregate", spy)
     for workers in (1, 2):
         written, *got = outputs(workers)
         assert written == [range(0, 2), range(2, 4), range(4, 5)]
         assert got == default, workers
+        assert {type(total) for total in tallied.pop().values()} == {int}
 
 
 def test_equivalence_across_batches_and_workers():

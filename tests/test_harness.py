@@ -34,9 +34,9 @@ from linens.harness import (
     RunRecord,
     _equivalence_batch,
     _float_texts,
-    _pool,
     _quantile,
     _row_texts,
+    _tally,
     aggregate,
     checkpoints,
     derived_rows,
@@ -998,40 +998,47 @@ class TestMonteCarlo:
         se = np.sqrt(np.var(finals) * (1 / 60 + 1 / 60))
         assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se + 1e-12
 
-    def test_pooled_counters_equal_the_concatenated_batches(self):
-        # batches of 3, 3 and a short 1, with a counter of each dtype that a
-        # monitor gives, one a broadcast view: each pooled array is the
-        # batches' arrays joined, dtype and bits
+    def test_tallies_are_exact_ints_over_the_concatenated_batches(self):
+        # batches of 3, 3 and a short 1, with a counter of each kind that a
+        # monitor gives, one a broadcast view: each total is a Python int,
+        # the sum over the batches' arrays joined, exact where int64 sums
+        # wrap; a fraction counts where it reaches p_n() / 4, and
+        # elliptical_sum, which no report reads, is left out
         rng = np.random.default_rng(8)
-        blocks = [range(0, 3), range(3, 6), range(6, 7)]
+        threshold = p_n() / 4.0
+        edges = [threshold, np.nextafter(threshold, 0.0)]
         made = [
             {
-                "checks": np.broadcast_to(np.int64(40), (len(b),)),
-                "hits": rng.integers(-(2**62), 2**62, len(b)),
-                "ok": rng.random(len(b)) < 0.5,
-                "sum": rng.standard_normal(len(b)) * 10.0 ** rng.integers(-300, 300, len(b)),
+                "checks": np.broadcast_to(np.int64(40), (n,)),
+                "hits": rng.integers(2**61, 2**62, n),
+                "ok": rng.random(n) < 0.5,
+                "elliptical_sum": rng.standard_normal(n),
+                "min_ensemble_fraction": np.resize(edges, n),
             }
-            for b in blocks
+            for n in (3, 3, 1)
         ]
-        made[1]["sum"][0] = -0.0
-        pooled = {}
-        for block, counters in zip(blocks, made):
-            _pool(pooled, counters, block, 7)
-        assert list(pooled) == list(made[0])
-        for name, got in pooled.items():
-            want = np.concatenate([counters[name] for counters in made])
-            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        totals = {}
+        for counters in made:
+            _tally(totals, counters)
+        joined = {name: np.concatenate([c[name] for c in made]) for name in made[0]}
+        assert joined.pop("elliptical_sum").dtype == np.float64
+        joined["min_ensemble_fraction"] = joined["min_ensemble_fraction"] >= threshold
+        want = {name: int(values.astype(object).sum()) for name, values in joined.items()}
+        assert want["min_ensemble_fraction"] == 5
+        assert want["hits"] > np.iinfo(np.int64).max
+        assert totals == want
+        assert all(type(total) is int for total in totals.values())
 
     def test_the_monitor_report_reads_every_counter(self):
-        # every counter a monitored run returns is pooled over the run, so
+        # every counter a monitored run returns is tallied over the run, so
         # the report reads each one but elliptical_sum: the monitor's
         # running sum, from which StepMonitor.counters decides elliptical_ok
         # and which the diagnostics oracles read
         class Reads(dict):
             """A dict that records the keys it is asked for."""
 
-            def __init__(self, items):
-                super().__init__(items)
+            def __init__(self):
+                super().__init__()
                 self.read = set()
 
             def __getitem__(self, key):
@@ -1044,10 +1051,12 @@ class TestMonteCarlo:
 
         cfg = small_cfg(run__horizon=5, run__diagnostics="full-trace")
         assert cfg.policy.name == "ensemble" and cfg.policy.lam >= 1
-        counters = Reads(run_batch(cfg, range(2), trace=False).counters)
+        counters = run_batch(cfg, range(2), trace=False).counters
         assert {"elliptical_ok", "min_ensemble_fraction"} <= set(counters)
-        monitor_report(counters)
-        assert set(counters) - counters.read == {"elliptical_sum"}
+        totals = Reads()
+        _tally(totals, counters)
+        monitor_report(totals, 2)
+        assert totals.read == set(totals) == set(counters) - {"elliptical_sum"}
 
     def test_serial_and_parallel_identical(self):
         serial = small_cfg(run__replications=4)
@@ -1066,6 +1075,12 @@ class TestOutputs:
         cfg = small_cfg(run__replications=3)
         with pytest.raises(ValueError, match="hold 2 of the run's 3 replications"):
             emit_outputs(run_replications(cfg, range(2)), cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        # nor are records that repeat replications, as many as the run's
+        cfg.run.replications = 6
+        rec = run_batch(cfg, range(0, 3))
+        with pytest.raises(ValueError, match=r"after 3 of the run's 6 replications"):
+            emit_outputs([rec, rec], cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_emit_byte_stable(self, tmp_path):
@@ -1324,8 +1339,8 @@ class TestOutputs:
     def test_run_memory_does_not_grow_with_the_replication_count(self, tmp_path, monkeypatch):
         # a run holds one batch's record at a time, and a monitored record
         # holds 11 bytes a step: int32 arm and model and three flags. What
-        # it keeps of each replication, its pooled counters (58 bytes here)
-        # and its regret at 9 checkpoints (72 bytes), is all that grows
+        # it keeps of each replication, its regret at 9 checkpoints (72
+        # bytes), is all that grows; its counters are totals of the run
         monkeypatch.setattr(harness, "BATCH_SIZE", 4)
         text = BASE_INI.replace("horizon = 30", "horizon = 200\ndiagnostics = monitors")
         path = write_cfg(tmp_path, text)

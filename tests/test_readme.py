@@ -14,7 +14,7 @@ import pytest
 import linens
 from linens import cli
 from linens.config import ExperimentConfig
-from linens.harness import FLAG_COLUMNS, TRACE_COLUMNS, monitor_report, run_batch
+from linens.harness import FLAG_COLUMNS, TRACE_COLUMNS, _tally, monitor_report, run_batch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted(Path(linens.__file__).parent.glob("*.py"))
@@ -64,16 +64,17 @@ def test_readme_gives_the_trace_header():
 
 def test_readme_lists_the_monitor_report_fields():
     # the bulleted `field`: items under ## CLI are the report's fields, each
-    # once; the counters of a full-trace ensemble give every field but the
-    # note, and without elliptical_ok, as below lambda = 1, the note
+    # once; the tallied counters of a full-trace ensemble give every field
+    # but the note, and without elliptical_ok, as below lambda = 1, the note
     documented = re.findall(r"^- `(\w+)`:", section("CLI"), re.MULTILINE)
     cfg = ExperimentConfig()
     cfg.policy.m = 4
     cfg.run.horizon = 5
     cfg.run.diagnostics = "full-trace"
-    counters = run_batch(cfg.validate(), range(1), trace=False).counters
-    below_unit_lambda = {k: v for k, v in counters.items() if k != "elliptical_ok"}
-    fields = set(monitor_report(counters)) | set(monitor_report(below_unit_lambda))
+    totals = {}
+    _tally(totals, run_batch(cfg.validate(), range(1), trace=False).counters)
+    below_unit_lambda = {k: v for k, v in totals.items() if k != "elliptical_ok"}
+    fields = set(monitor_report(totals, 1)) | set(monitor_report(below_unit_lambda, 1))
     assert sorted(documented) == sorted(fields)
 
 
