@@ -23,26 +23,19 @@ from .harness import (
     estimate_event_rates,
     run_equivalence_suite,
     run_replications,
+    summarize,
 )
 
 #: Sweepable parameter -> the config field it sets.
 SWEEP_FIELDS = {"T": "horizon", "d": "dim", "m": "m", "K": "arm_count"}
 
 
-def _run(cfg, out_dir) -> tuple[Path, Path, dict]:
-    """The one path of ``run`` and ``sweep``: run the replications of
-    ``cfg``, writing each batch's ``trace.csv`` rows as it ends and
-    ``summary.json`` last, under ``out_dir``. Returns both paths and the
-    summary as written."""
-    records = run_replications(cfg, range(cfg.run.replications))
-    trace_path, summary_path = emit_outputs(records, cfg, out_dir)
-    return trace_path, summary_path, json.loads(summary_path.read_text())
-
-
 def _cmd_run(args) -> int:
     given = {"base_seed": args.seed, "replications": args.reps, "out_dir": args.out}
     cfg = load_config(args.config, **{k: v for k, v in given.items() if v is not None})
-    trace_path, summary_path, summary = _run(cfg, cfg.run.out_dir)
+    records = run_replications(cfg, range(cfg.run.replications))
+    trace_path, summary_path = emit_outputs(records, cfg, cfg.run.out_dir)
+    summary = json.loads(summary_path.read_text())
     final = summary["checkpoints"][-1]
     print(f"replications: {summary['replications']}")
     print(f"mean final regret: {final['mean']:.6g} (median {final['median']:.6g})")
@@ -97,13 +90,15 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out if args.out else cfg.run.out_dir)
     combined = []
     for value, sub in runs:
-        *_, summary = _run(sub, out_root / f"sweep_{args.param}_{value}")
+        summary = summarize(sub, run_replications(sub, range(sub.run.replications)))
+        out = out_root / f"sweep_{args.param}_{value}"
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
         final = summary["checkpoints"][-1]
         combined.append({"value": value, "mean_final_regret": final["mean"]})
         print(f"{args.param}={value}: mean final regret {final['mean']:.6g}")
-    (out_root / f"sweep_{args.param}.json").write_text(
-        json.dumps(combined, sort_keys=True, indent=2) + "\n"
-    )
+    combined_path = out_root / f"sweep_{args.param}.json"
+    combined_path.write_text(json.dumps(combined, sort_keys=True, indent=2) + "\n")
     return 0
 
 

@@ -174,10 +174,10 @@ class RegretLedger:
     """Cumulative regret of each replication of a batch, scored a block of
     steps at a time: ``record`` takes the ``(R, n)`` mean rewards of n
     consecutive steps' pulls, or the ``(R,)`` ones of one step, and
-    ``cumulative`` carries the sums from one block to the next. The trace
-    writer scores each replication's derivation blocks through one ledger
-    (:func:`linens.harness.derived_rows`), so its running sums are those of
-    one call over all the steps."""
+    ``cumulative`` carries the sums from one block to the next, so blocks
+    scored through one ledger have the sums of one call over all steps.
+    It is the one rule of a run's regret: :func:`linens.harness.summarize`
+    and :func:`linens.harness.derived_rows` both score through it."""
 
     env: LinearBanditEnv
     cumulative: float = 0.0

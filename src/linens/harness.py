@@ -15,15 +15,13 @@ contiguous block of at most ``BATCH_SIZE`` replication indices. ``run``,
 batches as they end (:func:`run_replications`); ``run.workers`` only maps
 the fixed batches over a process pool, so no output depends on it. A
 batch's results stay arrays, one :class:`RunRecord` per batch: the
-``(R, T)`` decisions and monitor flags, and ``(R,)`` counters. ``run``
-appends each batch's rows to ``trace.csv`` as the batch ends, a chunk of
-``WRITE_ROWS`` steps at a time, re-deriving each replication's rewards and
-regret from its arms (:func:`derived_rows`), and keeps only its checkpoint
-regret and counter totals for the summary (:func:`emit_outputs`), so a run
-holds one batch's decisions at a time and one chunk's texts.
-The loop only decides: the regret is scored once, as the trace is
-written, and a monitor evaluates its steps a block at a time, at the
-block's end.
+``(R, T)`` decisions and monitor flags, and ``(R,)`` counters. One path,
+:func:`summarize`, scores each batch's regret from its arms and keeps its
+checkpoint regret and counter totals for ``summary.json``; ``run`` also
+appends its rows to ``trace.csv``, a chunk of ``WRITE_ROWS`` steps at a
+time (:func:`emit_outputs`), so a run holds one batch's decisions at a
+time and one chunk's texts. The loop only decides, and a monitor
+evaluates its steps a block at a time, at the block's end.
 """
 
 from __future__ import annotations
@@ -70,6 +68,10 @@ _COLUMN_DTYPES = {"arm": np.int32, "model": np.int32, **dict.fromkeys(FLAG_COLUM
 #: writes at a time (:func:`emit_outputs`): the measured knee, since shorter
 #: chunks cost time and longer ones only memory.
 WRITE_ROWS = 512
+
+#: Most values, replications times steps, that :func:`summarize` scores at a
+#: time: a block of a batch's regret, whose memory is flat in its width.
+SCORE_VALUES = 2**11
 
 #: Run settings that say where and how to run an experiment, not what it
 #: is; ``summary.json`` leaves them out of its config echo so that its bytes
@@ -137,7 +139,6 @@ def interact(
     noise: StepDraws,
     horizon: int,
     monitor: StepMonitor | None = None,
-    trace: bool = True,
 ) -> dict:
     """The interaction loop: step a batched policy for ``horizon`` steps.
 
@@ -145,16 +146,15 @@ def interact(
     reward once, lets the monitor (if any) record the pre-step state, adds
     the noise of the step (``noise.at(t)``, one value per replication, from
     :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. It
-    scores no regret (:func:`derived_rows` does, as the trace is written).
+    scores no regret (:func:`summarize` and :func:`derived_rows` do).
     A monitor evaluates its steps (``flush``) at the end of each block of
     its ``block_length`` steps and at the last step, and its flags are
     written at the block's steps.
 
-    With ``trace``, returns the stored trace columns (``STORED_COLUMNS``,
-    and ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``; without,
-    an empty dict.
+    Returns the stored trace columns (``STORED_COLUMNS``, and
+    ``FLAG_COLUMNS`` with a monitor), each ``(R, horizon)``.
     """
-    names = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ()) if trace else ()
+    names = STORED_COLUMNS + (FLAG_COLUMNS if monitor is not None else ())
     cols = {name: np.empty((policy.batch, horizon), dtype=_COLUMN_DTYPES[name]) for name in names}
     arms = env.arms
     block = monitor.block_length(policy) if monitor is not None else 0
@@ -164,22 +164,20 @@ def interact(
         if monitor is not None:
             monitor.observe(policy, sel, x)
         policy.update(x, mean + noise.at(i + 1)[:, 0])
-        if trace:
-            cols["arm"][:, i] = sel.arm_index
-            cols["model"][:, i] = sel.model_index
+        cols["arm"][:, i] = sel.arm_index
+        cols["model"][:, i] = sel.model_index
         if block and ((i + 1) % block == 0 or i + 1 == horizon):
             diag = monitor.flush()
-            if trace:
-                oks = (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)
-                for name, ok in zip(FLAG_COLUMNS, oks):
-                    cols[name][:, i + 1 - len(diag) : i + 1] = ok.T
+            oks = (diag.concentration_ok, diag.anti_conc_ok, diag.optimism_ok)
+            for name, ok in zip(FLAG_COLUMNS, oks):
+                cols[name][:, i + 1 - len(diag) : i + 1] = ok.T
     return cols
 
 
-def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) -> RunRecord:
+def run_batch(cfg: ExperimentConfig, replications: range) -> RunRecord:
     """Run a block of replications in lockstep; each row is deterministic
-    in (config, replication) whatever the block. Without ``trace`` the
-    record carries counters only, and without a monitor none."""
+    in (config, replication) whatever the block. Without a monitor the
+    record carries no flags and no counters."""
     env = cfg.environment()
     seeds = replication_seeds(cfg, replications)
     policy = cfg.build_policy(seeds)
@@ -192,16 +190,15 @@ def run_batch(cfg: ExperimentConfig, replications: range, trace: bool = True) ->
             track_ensemble_fraction=(cfg.run.diagnostics == "full-trace"),
             replications=replications,
         )
-    cols = interact(policy, env, noise, cfg.run.horizon, monitor, trace)
+    cols = interact(policy, env, noise, cfg.run.horizon, monitor)
     return RunRecord(replications, cols, monitor.counters() if monitor is not None else {})
 
 
-def run_replications(cfg: ExperimentConfig, replications: range, trace: bool = True):
+def run_replications(cfg: ExperimentConfig, replications: range):
     """Run replications in their fixed batches, mapped over ``run.workers``:
     one record per batch, yielded in replication order as each batch ends
-    (:func:`_map_batches`). Without ``trace`` the records carry counters
-    only."""
-    return _map_batches(partial(run_batch, cfg, trace=trace), replications, cfg.run.workers)
+    (:func:`_map_batches`)."""
+    return _map_batches(partial(run_batch, cfg), replications, cfg.run.workers)
 
 
 def checkpoints(horizon: int) -> list[int]:
@@ -244,8 +241,7 @@ def derived_rows(
     :class:`~linens.envs.RegretLedger` from +0.0. So a replication derived
     a block of steps at a time through one ledger has the bits of one call
     over all its steps. The loop adds the same noise of each step, so
-    ``reward`` is what the policy received bit for bit; this is the one
-    place a run's regret is scored."""
+    ``reward`` is what the policy received bit for bit."""
     gap, cum = (ledger or RegretLedger(env)).record(env.pull(arm)[1][None])
     reward = env.sample_reward(arm, seed, np.arange(first, first + len(arm)))
     return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
@@ -328,21 +324,47 @@ def _quantile(ranked: np.ndarray, q: float) -> np.ndarray:
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
-def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write a run's trace CSV as its batches end and its summary JSON
-    last; byte-stable for equal inputs.
+def summarize(cfg: ExperimentConfig, records) -> dict:
+    """``summary.json``'s table (:func:`aggregate`) of a run's batch
+    records, the one path of ``run``, ``sweep`` and ``rates``.
 
     ``records`` are the batch records of the run's ``run.replications``
     replications, in order and each once, as :func:`run_replications`
-    yields them; a record that is not the next is refused before its rows
-    are written. Each batch's rows are appended to ``trace.csv`` as it
-    arrives, and only its cumulative regret at the checkpoints, written
-    into one ``(checkpoints, N)`` array whose rows :func:`aggregate` takes,
-    and its counters' totals (:func:`_tally`) are kept, so the run holds
-    one batch's record at a time.
-    ``trace.csv`` is written under a temporary name in ``out_dir`` and
-    moved into place after its last row, so a run that fails leaves an
-    earlier run's outputs as they were.
+    yields them; a record that is not the next is refused as it is taken.
+    Each batch's regret is scored from its arms through one
+    :class:`~linens.envs.RegretLedger`, ``SCORE_VALUES`` values at a time
+    up to each checkpoint, and only its checkpoint regret and counter
+    totals (:func:`_tally`) are kept."""
+    reps, horizon = cfg.run.replications, cfg.run.horizon
+    if reps < 1:
+        raise ValueError("run.replications must be at least 1")
+    env, grid = cfg.environment(), checkpoints(horizon)
+    regret, totals, written = np.empty((len(grid), reps)), {}, 0
+    for rec in records:
+        held = rec.replications
+        if not held or held != range(written, held.stop) or held.stop > reps:
+            msg = f"after {written} of the run's {reps} replications, a record holds {held}"
+            raise ValueError(msg + ": records hold them in order, each once")
+        ledger, block, done = RegretLedger(env), max(1, SCORE_VALUES // len(held)), 0
+        for k, t in enumerate(grid):
+            for start in range(done, t, block):
+                ledger.record(env.pull(rec.columns["arm"][:, start : min(start + block, t)])[1])
+            regret[k, written : held.stop], done = ledger.cumulative, t
+        _tally(totals, rec.counters)
+        written = held.stop
+    if written != reps:
+        raise ValueError(f"the records hold {written} of the run's {reps} replications")
+    return aggregate(cfg, regret, totals)
+
+
+def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write a run's trace CSV as its batches end and its summary JSON
+    (:func:`summarize`) last; byte-stable for equal inputs.
+
+    Each record passes through :func:`summarize`, which refuses one that
+    is not the run's next, before its rows are appended to ``trace.csv``,
+    written under a temporary name in ``out_dir`` and moved into place
+    after its last row, so a failed run leaves earlier outputs as they were.
 
     ``trace.csv`` has the header ``replication,t,`` then ``TRACE_COLUMNS``
     and, with a monitor, ``FLAG_COLUMNS``; ints and flags are written
@@ -350,19 +372,18 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     int and flag columns; the float rows of each replication are derived
     from its arms on the config's shared instance, a block of at most
     ``perturb.DRAW_VALUES`` steps at a time through one ledger
-    (:func:`_derived_chunks`), and give both its texts and its checkpoint
-    regret. Each replication is written ``WRITE_ROWS`` steps at a time:
-    each run of adjacent int and flag columns gives the chunk's texts with
-    their leading commas from the batch's columns (:func:`_row_texts`),
-    and each float row its own (:func:`_float_texts`); the replication's
-    number, the run's one list of ``,t`` labels and those texts are joined
-    and written once. So the writer holds one chunk's texts and one
-    block's floats, and its memory grows with neither the batch width nor
-    the ensemble size, and with the horizon only by the step labels."""
+    (:func:`_derived_chunks`). Each replication is written ``WRITE_ROWS``
+    steps at a time: each run of adjacent int and flag columns gives the
+    chunk's texts with their leading commas from the batch's columns
+    (:func:`_row_texts`), and each float row its own
+    (:func:`_float_texts`); the replication's number, the run's one list
+    of ``,t`` labels and those texts are joined and written once. So the
+    writer holds one chunk's texts and one block's floats, and its memory
+    grows with neither the batch width nor the ensemble size, and with the
+    horizon only by the step labels."""
     out = Path(out_dir)
     trace_path, summary_path = out / "trace.csv", out / "summary.json"
     partial_path = out / "trace.csv.partial"
-    horizon = cfg.run.horizon
     env = cfg.environment()
     names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
     # adjacent int and flag columns make one run, and each float column its own
@@ -374,40 +395,30 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     placed = list(zip(range(2, width), runs, fmts))
     int_runs = [(k, run, fmt) for k, run, fmt in placed if run[0] in _COLUMN_DTYPES]
     float_runs = [(k, run[0], fmt[0]) for k, run, fmt in placed if run[0] not in _COLUMN_DTYPES]
-    labels = [f",{t}" for t in range(1, horizon + 1)]
-    grid = np.array(checkpoints(horizon)) - 1
-    reps = cfg.run.replications
-    regret, totals, written = np.empty((len(grid), reps)), {}, 0
+    labels = [f",{t}" for t in range(1, cfg.run.horizon + 1)]
+
+    def summarized_then_written(fh):
+        for rec in records:
+            yield rec
+            texts = [(k, _row_texts([rec.columns[n] for n in run], f)) for k, run, f in int_runs]
+            seeds = replication_seeds(cfg, rec.replications)
+            for i, (rep, seed) in enumerate(zip(rec.replications, seeds)):
+                label = str(rep)
+                for steps, rows in _derived_chunks(env, seed, rec.columns["arm"][i]):
+                    # every slot the label, then all but the first overwritten
+                    row_text = [label] * (width * (steps.stop - steps.start))
+                    row_text[1::width] = labels[steps]
+                    for k, text in texts:
+                        row_text[k::width] = text(i, steps)
+                    for k, name, fmt in float_runs:
+                        row_text[k::width] = _float_texts(rows[name], fmt)
+                    fh.write("".join(row_text))
+
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(partial_path, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
-            for rec in records:
-                held = rec.replications
-                if held != range(written, held.stop) or held.stop > reps:
-                    msg = f"after {written} of the run's {reps} replications, a record holds {held}"
-                    raise ValueError(msg + ": records hold them in order, each once")
-                cols = rec.columns
-                texts = [(k, _row_texts([cols[n] for n in run], f)) for k, run, f in int_runs]
-                seeds = replication_seeds(cfg, held)
-                for i, (rep, seed) in enumerate(zip(held, seeds)):
-                    label = str(rep)
-                    for steps, rows in _derived_chunks(env, seed, cols["arm"][i]):
-                        # every slot the label, then all but the first overwritten
-                        row_text = [label] * (width * (steps.stop - steps.start))
-                        row_text[1::width] = labels[steps]
-                        for k, text in texts:
-                            row_text[k::width] = text(i, steps)
-                        for k, name, fmt in float_runs:
-                            row_text[k::width] = _float_texts(rows[name], fmt)
-                        fh.write("".join(row_text))
-                        inside = (steps.start <= grid) & (grid < steps.stop)
-                        regret[inside, rep] = rows["cum_regret"][grid[inside] - steps.start]
-                _tally(totals, rec.counters)
-                written += len(held)
-        if written != reps:
-            raise ValueError(f"the records hold {written} of the run's {reps} replications")
-        summary = aggregate(cfg, regret, totals)
+            summary = summarize(cfg, summarized_then_written(fh))
         os.replace(partial_path, trace_path)
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
@@ -552,9 +563,7 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
         env.dim, cfg.policy.lam, spec, [k + 1 for k in keys] if desync else keys, horizon
     )
     draws = env.noise.draws(keys)
-    return tuple(
-        interact(policy, env, draws, horizon, trace=True)["arm"] for policy in (es, phe)
-    )
+    return tuple(interact(policy, env, draws, horizon)["arm"] for policy in (es, phe))
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +574,9 @@ def _equivalence_batch(cfg: ExperimentConfig, desync: bool, seeds: range):
 def estimate_event_rates(cfg: ExperimentConfig) -> dict:
     """``replications`` and the monitor report (:func:`monitor_report`)
     that ``linens run`` writes under the same diagnostics, over
-    ``run.replications`` replications, tallied as each batch ends
-    (:func:`_tally`). Monitors run even when the config switches them off."""
-    reps = cfg.run.replications
-    if reps < 1:
-        raise ValueError("run.replications must be at least 1")
+    ``run.replications`` replications (:func:`summarize`). Monitors run
+    even when the config switches them off."""
     if cfg.run.diagnostics == "off":
         cfg = replace(cfg, run=replace(cfg.run, diagnostics="monitors"))
-    totals = {}
-    for rec in run_replications(cfg, range(reps), trace=False):
-        _tally(totals, rec.counters)
-    return {"replications": reps, **monitor_report(totals, reps)}
+    report = summarize(cfg, run_replications(cfg, range(cfg.run.replications)))["monitors"]
+    return {"replications": cfg.run.replications, **report}

@@ -48,6 +48,7 @@ from linens.harness import (
     run_equivalence_suite,
     run_batch,
     run_replications,
+    summarize,
 )
 from linens.diagnostics import StepMonitor, theoretical_regret_bound
 from linens.linalg import MIN_LAMBDA
@@ -696,7 +697,7 @@ workers = 2
                     run__horizon=2000,
                     run__diagnostics="monitors",
                 )
-            run_batch(cfg, range(3), trace=False)
+            run_batch(cfg, range(3))
 
     def test_small_lambda_warns(self, tmp_path):
         path = write_cfg(tmp_path, BASE_INI.replace("delta = 0.1", "delta = 0.1\nlambda = 0.5"))
@@ -1051,7 +1052,7 @@ class TestMonteCarlo:
 
         cfg = small_cfg(run__horizon=5, run__diagnostics="full-trace")
         assert cfg.policy.name == "ensemble" and cfg.policy.lam >= 1
-        counters = run_batch(cfg, range(2), trace=False).counters
+        counters = run_batch(cfg, range(2)).counters
         assert {"elliptical_ok", "min_ensemble_fraction"} <= set(counters)
         totals = Reads()
         _tally(totals, counters)
@@ -1068,6 +1069,11 @@ class TestMonteCarlo:
         assert sum_s == sum_p
 
 
+def summary_only(records, cfg, out):
+    """:func:`summarize` called as ``emit_outputs`` is; it writes nothing."""
+    return summarize(cfg, records)
+
+
 class TestOutputs:
     def test_records_must_hold_every_replication_of_the_run(self, tmp_path):
         # the summary is of the run's run.replications replications, so
@@ -1081,6 +1087,10 @@ class TestOutputs:
         rec = run_batch(cfg, range(0, 3))
         with pytest.raises(ValueError, match=r"after 3 of the run's 6 replications"):
             emit_outputs([rec, rec], cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        # nor a record that holds none
+        with pytest.raises(ValueError, match=r"after 0 of the run's 6 .* holds range\(0, 0\)"):
+            emit_outputs([RunRecord(range(0), {}, {}), rec], cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_emit_byte_stable(self, tmp_path):
@@ -1128,13 +1138,13 @@ class TestOutputs:
         assert sorted(before) == ["summary.json", "trace.csv"]
         batch, calls = harness.run_batch, []
 
-        def failing(cfg, replications, trace=True):
+        def failing(cfg, replications):
             calls.append(replications)
             if len(calls) == 2:
                 # the trace is being written, under another name
                 assert len(list(tmp_path.iterdir())) == 3
                 raise RuntimeError("batch failed")
-            return batch(cfg, replications, trace)
+            return batch(cfg, replications)
 
         monkeypatch.setattr(harness, "run_batch", failing)
         other = small_cfg(run__replications=5, run__diagnostics="monitors", run__base_seed=12)
@@ -1220,10 +1230,11 @@ class TestOutputs:
     @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
     @pytest.mark.parametrize("block", [5, 256])
     def test_derivation_blocks_keep_the_bytes(self, tmp_path, monkeypatch, flags, block):
-        # float rows derived `block` steps at a time through one ledger:
-        # block edges fall inside chunks and, at 256, right after the
-        # checkpoints t = 256 and 512; the trace is the oracle's, whose rows
-        # are derived in one call, and the summary that of one block
+        # float rows derived `block` steps at a time through one ledger, and
+        # the summary scored `block` values at a time: block edges fall
+        # inside chunks and, at 256, right after the checkpoints t = 256 and
+        # 512; the trace is the oracle's, whose rows are derived in one
+        # call, and the summary that of the default blocks
         horizon = 2 * WRITE_ROWS + 3
         cfg, records = self.hand_run(flags, horizon)
         _, whole = emit_outputs(records, cfg, tmp_path / "whole")
@@ -1234,6 +1245,7 @@ class TestOutputs:
             return derived_rows(*args)
 
         monkeypatch.setattr(perturb, "DRAW_VALUES", block)
+        monkeypatch.setattr(harness, "SCORE_VALUES", block)
         monkeypatch.setattr(harness, "derived_rows", counted)
         trace, summary = emit_outputs(records, cfg, tmp_path / "blocks")
         assert calls == 3 * ([block] * (horizon // block) + [horizon % block])
@@ -1273,10 +1285,10 @@ class TestOutputs:
         assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @staticmethod
-    def emission_peak(columns: dict, out: Path) -> int:
-        """``emit_outputs``' tracemalloc peak on one record of ``columns``,
-        ``(R, T)`` arrays of arms below 64, monitored if it holds the
-        flags."""
+    def emission_peak(columns: dict, out: Path, emit=emit_outputs) -> int:
+        """``emit``'s tracemalloc peak on one record of ``columns``, ``(R,
+        T)`` arrays of arms below 64, monitored if it holds the flags:
+        ``emit_outputs``, or a function of the same arguments."""
         width, horizon = columns["arm"].shape
         record = RunRecord(range(width), columns, {})
         cfg = small_cfg(
@@ -1287,21 +1299,42 @@ class TestOutputs:
         )
         tracemalloc.start()
         try:
-            emit_outputs([record], cfg, out)
+            emit([record], cfg, out)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_emission_memory_does_not_grow_with_batch_width(self, tmp_path):
-        # every value distinct, the most text per replication
+    @staticmethod
+    def distinct_columns(width: int) -> dict:
+        """Monitored ``(width, 2000)`` columns, every arm,model pair
+        distinct: the most text per replication."""
+        rng = np.random.default_rng(width)
+        cols = {n: rng.integers(0, 50, (width, 2000), dtype=np.int32) for n in STORED_COLUMNS}
+        cols.update({n: rng.random((width, 2000)) < 0.5 for n in FLAG_COLUMNS})
+        return cols
+
+    @pytest.mark.parametrize(
+        "emit",
+        [emit_outputs, summary_only],
+        ids=["emit_outputs", "summarize"],
+    )
+    def test_emission_memory_does_not_grow_with_batch_width(self, tmp_path, emit):
         def peak(width: int) -> int:
-            rng = np.random.default_rng(width)
-            cols = {n: rng.integers(0, 50, (width, 2000), dtype=np.int32) for n in STORED_COLUMNS}
-            cols.update({n: rng.random((width, 2000)) < 0.5 for n in FLAG_COLUMNS})
-            return self.emission_peak(cols, tmp_path / str(width))
+            return self.emission_peak(self.distinct_columns(width), tmp_path / str(width), emit)
 
         narrow, wide = peak(2), peak(20)
         assert wide < 1.5 * narrow, (narrow, wide)
+
+    def test_the_summary_holds_no_row_text(self, tmp_path):
+        # summarize formats nothing: its peak on a wide record stays below
+        # the texts of one of the writer's chunks, each value of WRITE_ROWS
+        # rows of the trace a string
+        cols = self.distinct_columns(20)
+        peak = self.emission_peak(cols, tmp_path, summary_only)
+        self.emission_peak(cols, tmp_path, emit_outputs)
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1 : 1 + WRITE_ROWS]
+        chunk = sum(sys.getsizeof(text) for row in rows for text in row.split(","))
+        assert peak < chunk, (peak, chunk)
 
     def test_emission_memory_does_not_grow_with_the_ensemble_size(self, tmp_path):
         # models spanning the 2,474,207 of an auto-sized ensemble at K = 1024
@@ -1560,11 +1593,26 @@ class TestEventRates:
         )
         assert 0.0 <= report["min_ensemble_fraction_pass_rate"] <= 1.0
 
-    def test_rejects_zero_reps(self):
+    @pytest.mark.parametrize("reps", [0, -2])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda cfg, out: estimate_event_rates(cfg),
+            lambda cfg, out: emit_outputs(run_replications(cfg, range(2)), cfg, out),
+        ],
+        ids=["estimate_event_rates", "emit_outputs"],
+    )
+    def test_rejects_zero_reps(self, tmp_path, monkeypatch, command, reps):
+        # an unvalidated count below one is refused before any batch runs,
+        # rather than failing inside aggregate, and leaves no file
+        ran = []
+        monkeypatch.setattr(harness, "run_batch", lambda cfg, block: ran.append(block))
         cfg = small_cfg()
-        cfg.run.replications = 0
-        with pytest.raises(ValueError):
-            estimate_event_rates(cfg)
+        cfg.run.replications = reps
+        with pytest.raises(ValueError, match="run.replications must be at least 1"):
+            command(cfg, tmp_path)
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -1858,6 +1906,31 @@ class TestCli:
         combined = json.loads((out / "sweep_T.json").read_text())
         assert [c["value"] for c in combined] == [10, 20]
         assert (out / "sweep_T_10" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "param,key,values", [("T", "horizon", (10, 20)), ("m", "m", (3, 5))], ids=["T", "m"]
+    )
+    def test_sweep_writes_run_summaries_and_no_trace(self, tmp_path, param, key, values):
+        # each value's summary.json is, byte for byte, the one `linens run`
+        # writes on the config with the field set; sweep_<p>.json holds each
+        # value's final mean regret, and no trace.csv is written
+        text = BASE_INI.replace("horizon = 30", "horizon = 30\ndiagnostics = monitors")
+        out = tmp_path / "sweep"
+        sweep = ["sweep", "--config", str(write_cfg(tmp_path, text)), "--param", param]
+        assert cli.main(sweep + ["--values", ",".join(map(str, values)), "--out", str(out)]) == 0
+        combined = json.loads((out / f"sweep_{param}.json").read_text())
+        for value, entry in zip(values, combined, strict=True):
+            field_set = re.sub(f"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+            run_out = tmp_path / f"run_{value}"
+            run = ["run", "--config", str(write_cfg(tmp_path, field_set, f"{value}.ini"))]
+            assert cli.main(run + ["--out", str(run_out)]) == 0
+            summary = (out / f"sweep_{param}_{value}" / "summary.json").read_bytes()
+            assert summary == (run_out / "summary.json").read_bytes()
+            mean = json.loads(summary)["checkpoints"][-1]["mean"]
+            assert entry == {"value": value, "mean_final_regret": mean}
+        assert sorted(p.name for p in out.rglob("*") if p.is_file()) == sorted(
+            [f"sweep_{param}.json"] + ["summary.json"] * len(values)
+        )
 
     @pytest.mark.parametrize(
         "values,message",
@@ -2187,18 +2260,17 @@ def test_interact_rejects_an_out_of_range_arm(arm_index, stacked):
     assert policy.step == 0
 
 
-@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
 @pytest.mark.parametrize("monitored", [False, True], ids=["off", "monitors"])
-def test_interact_returns_the_stored_columns_or_none(monitored, trace):
-    # traced, the loop fills what a record stores, each (R, T): the
-    # decisions, and the flags when a monitor runs; untraced, nothing
+def test_interact_returns_the_stored_columns_or_none(monitored):
+    # the loop fills what a record stores, each (R, T): the decisions, and
+    # the flags when a monitor runs
     cfg = small_cfg(run__diagnostics="monitors")
     env = cfg.environment()
     monitor = StepMonitor(env, cfg.confidence_params(), replications=range(2))
     policy = GreedyRidge(2, 1.0, batch=2)
     noise = env.noise.draws(range(2))
-    cols = interact(policy, env, noise, 3, monitor if monitored else None, trace)
-    want = STORED_COLUMNS + (FLAG_COLUMNS if monitored else ()) if trace else ()
+    cols = interact(policy, env, noise, 3, monitor if monitored else None)
+    want = STORED_COLUMNS + (FLAG_COLUMNS if monitored else ())
     assert tuple(cols) == want
     assert all(col.shape == (2, 3) for col in cols.values())
 
@@ -2243,24 +2315,25 @@ def test_the_monitor_evaluates_each_block_once_at_its_end(monkeypatch):
         return flush(monitor)
 
     monkeypatch.setattr(StepMonitor, "flush", flushing)
-    run_batch(cfg, replications, trace=False)
+    run_batch(cfg, replications)
     blocks = [range(first, min(first + block, 201)) for first in range(1, 201, block)]
     assert len(blocks) == math.ceil(200 / block) == 23
     assert evaluated == blocks
 
 
 def test_interact_without_a_trace_holds_no_regret_array():
-    # the loop scores no regret, and untraced (as in rates) it stores no
-    # column, so it never holds an (R, T) array
+    # the loop scores no regret: besides the decisions it stores, it never
+    # holds an (R, T) array
     batch, horizon = 4, 20_000
     env = small_cfg().environment()
     noise = env.noise.draws(range(batch))
     tracemalloc.start()
     try:
-        cols = interact(CyclingPolicy(batch, env.arm_count), env, noise, horizon, trace=False)
+        cols = interact(CyclingPolicy(batch, env.arm_count), env, noise, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    stored = sum(col.nbytes for col in cols.values())
     one_regret_array = batch * horizon * np.dtype(np.float64).itemsize
-    assert peak < one_regret_array / 2, (peak, one_regret_array)
-    assert cols == {}
+    assert peak - stored < one_regret_array / 2, (peak, stored, one_regret_array)
+    assert tuple(cols) == STORED_COLUMNS

@@ -72,7 +72,7 @@ def test_readme_lists_the_monitor_report_fields():
     cfg.run.horizon = 5
     cfg.run.diagnostics = "full-trace"
     totals = {}
-    _tally(totals, run_batch(cfg.validate(), range(1), trace=False).counters)
+    _tally(totals, run_batch(cfg.validate(), range(1)).counters)
     below_unit_lambda = {k: v for k, v in totals.items() if k != "elliptical_ok"}
     fields = set(monitor_report(totals, 1)) | set(monitor_report(below_unit_lambda, 1))
     assert sorted(documented) == sorted(fields)
