@@ -23,6 +23,7 @@ from .harness import (
     estimate_event_rates,
     run_equivalence_suite,
     run_replications,
+    staged,
     summarize,
 )
 
@@ -93,12 +94,13 @@ def _cmd_sweep(args) -> int:
         summary = summarize(sub, run_replications(sub, range(sub.run.replications)))
         out = out_root / f"sweep_{args.param}_{value}"
         out.mkdir(parents=True, exist_ok=True)
-        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        with staged(out / "summary.json") as (partial,):
+            partial.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
         final = summary["checkpoints"][-1]
         combined.append({"value": value, "mean_final_regret": final["mean"]})
         print(f"{args.param}={value}: mean final regret {final['mean']:.6g}")
-    combined_path = out_root / f"sweep_{args.param}.json"
-    combined_path.write_text(json.dumps(combined, sort_keys=True, indent=2) + "\n")
+    with staged(out_root / f"sweep_{args.param}.json") as (partial,):
+        partial.write_text(json.dumps(combined, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -137,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. An input it rejects (a ``ValueError``, or an
     ``OSError`` such as a missing config file) ends in one line on stderr
-    and exit status 2, as a bad argument does. Each distinct warning is
+    and exit status 2, as a bad argument does, and so does a run that
+    cannot allocate its arrays (a ``MemoryError``). Each distinct warning is
     one line on stderr, ``linens: warning: <message>``, shown once however
     many of the command's configs raise it (``sweep`` loads one per value)."""
     args = build_parser().parse_args(argv)
@@ -152,8 +155,8 @@ def main(argv=None) -> int:
         warnings.showwarning = show
         try:
             return args.func(args)
-        except (ValueError, OSError) as exc:
-            print(f"linens: {exc}", file=sys.stderr)
+        except (ValueError, OSError, MemoryError) as exc:
+            print(f"linens: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 2
 
 

@@ -68,6 +68,12 @@ class NoiseModel:
         holds each replication's noise of step t as model 0."""
         return StepDraws(self.spec, seed_prefixes(seeds, TAG_NOISE), np.arange(1))
 
+    def values(self, seeds, steps) -> np.ndarray:
+        """The noise of each stream of ``seeds`` at ``steps`` in one call,
+        ``(R,) + shape(steps)``: the bits that :meth:`draws` reads by step."""
+        prefixes = seed_prefixes(seeds, TAG_NOISE).reshape((-1,) + (1,) * np.ndim(steps))
+        return reward_draws(self.spec, prefixes, np.arange(1), steps)[..., 0]
+
 
 class LinearBanditEnv:
     """Fixed arm set, hidden parameter, and noisy linear rewards.
@@ -128,10 +134,9 @@ class LinearBanditEnv:
 
     def sample_reward(self, arm_index: int, seed: int, step):
         """Mean reward of the arm plus the noise of ``step`` of stream
-        ``seed``; an array of steps gives the rewards of each."""
-        prefixes = seed_prefixes([seed], TAG_NOISE)
-        noise = reward_draws(self.noise.spec, prefixes, np.arange(1), step)
-        return self.pull(arm_index)[1] + noise.reshape(np.shape(step))
+        ``seed`` (:meth:`NoiseModel.values`), the rule ``trace.csv`` is
+        checked against; an array of steps gives the rewards of each."""
+        return self.pull(arm_index)[1] + self.noise.values([seed], step)[0]
 
     @classmethod
     def random(
@@ -176,8 +181,8 @@ class RegretLedger:
     consecutive steps' pulls, or the ``(R,)`` ones of one step, and
     ``cumulative`` carries the sums from one block to the next, so blocks
     scored through one ledger have the sums of one call over all steps.
-    It is the one rule of a run's regret: :func:`linens.harness.summarize`
-    and :func:`linens.harness.derived_rows` both score through it."""
+    It is the one rule of a run's regret, which
+    :func:`linens.harness.summarize` scores through it."""
 
     env: LinearBanditEnv
     cumulative: float = 0.0

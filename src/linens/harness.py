@@ -17,11 +17,11 @@ the fixed batches over a process pool, so no output depends on it. A
 batch's results stay arrays, one :class:`RunRecord` per batch: the
 ``(R, T)`` decisions and monitor flags, and ``(R,)`` counters. One path,
 :func:`summarize`, scores each batch's regret from its arms and keeps its
-checkpoint regret and counter totals for ``summary.json``; ``run`` also
-appends its rows to ``trace.csv``, a chunk of ``WRITE_ROWS`` steps at a
-time (:func:`emit_outputs`), so a run holds one batch's decisions at a
-time and one chunk's texts. The loop only decides, and a monitor
-evaluates its steps a block at a time, at the block's end.
+checkpoint regret and counter totals for ``summary.json``, a tile at a
+time (:func:`_score_tiles`); ``run`` also hands each tile to the writer
+of ``trace.csv`` (:func:`emit_outputs`), so a run holds one batch's
+decisions at a time and one tile's floats. The loop only decides, and a
+monitor evaluates its steps a block at a time, at the block's end.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 import math
 import os
 from collections import deque
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import groupby, islice
@@ -38,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import perturb
 from .config import BOUNDED_POLICIES, ExperimentConfig
 from .diagnostics import StepMonitor, theoretical_regret_bound
 from .envs import LinearBanditEnv, RegretLedger
@@ -52,7 +51,7 @@ BATCH_SIZE = 256
 TRACE_COLUMNS = ("arm", "model", "reward", "instant_regret", "cum_regret")
 
 #: The trace columns a record stores, what the run decided; the others are
-#: derived from the arms as the trace is written (:func:`derived_rows`).
+#: scored from the arms as the trace is written (:func:`_score_tiles`).
 STORED_COLUMNS = ("arm", "model")
 
 #: Per-step monitor indicators, traced when diagnostics are on.
@@ -69,8 +68,8 @@ _COLUMN_DTYPES = {"arm": np.int32, "model": np.int32, **dict.fromkeys(FLAG_COLUM
 #: chunks cost time and longer ones only memory.
 WRITE_ROWS = 512
 
-#: Most values, replications times steps, that :func:`summarize` scores at a
-#: time: a block of a batch's regret, whose memory is flat in its width.
+#: Most values, replications times steps, of a tile of :func:`_score_tiles`:
+#: the bound that keeps its memory flat in the batch width and the horizon.
 SCORE_VALUES = 2**11
 
 #: Run settings that say where and how to run an experiment, not what it
@@ -146,7 +145,7 @@ def interact(
     reward once, lets the monitor (if any) record the pre-step state, adds
     the noise of the step (``noise.at(t)``, one value per replication, from
     :meth:`~linens.envs.NoiseModel.draws`) and updates the policy. It
-    scores no regret (:func:`summarize` and :func:`derived_rows` do).
+    scores no regret (:func:`summarize` does, from the arms).
     A monitor evaluates its steps (``flush``) at the end of each block of
     its ``block_length`` steps and at the last step, and its flags are
     written at the block's steps.
@@ -222,29 +221,6 @@ def _tally(totals: dict, counters: dict) -> None:
             values = values >= p_n() / 4.0
         if name != "elliptical_sum":
             totals[name] = totals.get(name, 0) + sum(values.tolist())
-
-
-def derived_rows(
-    env: LinearBanditEnv,
-    seed: int,
-    arm: np.ndarray,
-    first: int = 1,
-    ledger: RegretLedger | None = None,
-) -> dict:
-    """The float trace rows of a replication of seed ``seed`` that pulled
-    ``arm``, its arm indices of ``len(arm)`` consecutive steps from step
-    ``first``, on the shared instance ``env``: ``reward``, each step's mean
-    reward plus its keyed noise
-    (:meth:`~linens.envs.LinearBanditEnv.sample_reward`), and
-    ``instant_regret`` and ``cum_regret``, the gaps and running sums that
-    ``ledger`` records on from the steps before, or a fresh
-    :class:`~linens.envs.RegretLedger` from +0.0. So a replication derived
-    a block of steps at a time through one ledger has the bits of one call
-    over all its steps. The loop adds the same noise of each step, so
-    ``reward`` is what the policy received bit for bit."""
-    gap, cum = (ledger or RegretLedger(env)).record(env.pull(arm)[1][None])
-    reward = env.sample_reward(arm, seed, np.arange(first, first + len(arm)))
-    return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
 
 
 def monitor_report(totals: dict, replications: int) -> dict:
@@ -324,17 +300,33 @@ def _quantile(ranked: np.ndarray, q: float) -> np.ndarray:
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
-def summarize(cfg: ExperimentConfig, records) -> dict:
+def _score_tiles(env: LinearBanditEnv, arm: np.ndarray):
+    """``(rows, steps, means, gap, cum)`` of each replication-major tile,
+    ``max(1, SCORE_VALUES // T)`` rows by ``min(T, SCORE_VALUES)`` steps, of
+    a batch's ``(R, T)`` arms on ``env``: its slices, one pull's means, and
+    one :meth:`~linens.envs.RegretLedger.record` whose carry across a row's
+    tiles gives the bits of one call. The one place arms are scored."""
+    reps, horizon = arm.shape
+    height, width = max(1, SCORE_VALUES // horizon), min(horizon, SCORE_VALUES)
+    for top in range(0, reps, height):
+        rows, ledger = slice(top, min(top + height, reps)), RegretLedger(env)
+        for start in range(0, horizon, width):
+            steps = slice(start, min(start + width, horizon))
+            means = env.pull(arm[rows, steps])[1]
+            yield (rows, steps, means, *ledger.record(means))
+
+
+def summarize(cfg: ExperimentConfig, records, write=None) -> dict:
     """``summary.json``'s table (:func:`aggregate`) of a run's batch
     records, the one path of ``run``, ``sweep`` and ``rates``.
 
     ``records`` are the batch records of the run's ``run.replications``
     replications, in order and each once, as :func:`run_replications`
     yields them; a record that is not the next is refused as it is taken.
-    Each batch's regret is scored from its arms through one
-    :class:`~linens.envs.RegretLedger`, ``SCORE_VALUES`` values at a time
-    up to each checkpoint, and only its checkpoint regret and counter
-    totals (:func:`_tally`) are kept."""
+    Each batch's arms are scored once (:func:`_score_tiles`), and only the
+    checkpoints' regret and the counter totals (:func:`_tally`) are kept.
+    ``write(rec)``, which only :func:`emit_outputs` passes, gives a function
+    that is handed each of the record's tiles."""
     reps, horizon = cfg.run.replications, cfg.run.horizon
     if reps < 1:
         raise ValueError("run.replications must be at least 1")
@@ -345,11 +337,14 @@ def summarize(cfg: ExperimentConfig, records) -> dict:
         if not held or held != range(written, held.stop) or held.stop > reps:
             msg = f"after {written} of the run's {reps} replications, a record holds {held}"
             raise ValueError(msg + ": records hold them in order, each once")
-        ledger, block, done = RegretLedger(env), max(1, SCORE_VALUES // len(held)), 0
-        for k, t in enumerate(grid):
-            for start in range(done, t, block):
-                ledger.record(env.pull(rec.columns["arm"][:, start : min(start + block, t)])[1])
-            regret[k, written : held.stop], done = ledger.cumulative, t
+        write_tile = write(rec) if write is not None else None
+        for rows, steps, means, gap, cum in _score_tiles(env, rec.columns["arm"]):
+            run_rows = slice(written + rows.start, written + rows.stop)
+            for k, t in enumerate(grid):
+                if steps.start < t <= steps.stop:
+                    regret[k, run_rows] = cum[:, t - 1 - steps.start]
+            if write_tile is not None:
+                write_tile(rows, steps, means, gap, cum)
         _tally(totals, rec.counters)
         written = held.stop
     if written != reps:
@@ -357,33 +352,42 @@ def summarize(cfg: ExperimentConfig, records) -> dict:
     return aggregate(cfg, regret, totals)
 
 
-def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write a run's trace CSV as its batches end and its summary JSON
-    (:func:`summarize`) last; byte-stable for equal inputs.
+@contextmanager
+def staged(*paths: Path):
+    """``.partial`` paths for ``paths``, all moved into place once the body
+    ends and removed if it raises: a failed write leaves ``paths`` as is."""
+    partials = [path.with_name(path.name + ".partial") for path in paths]
+    try:
+        yield partials
+        for partial, path in zip(partials, paths):
+            os.replace(partial, path)
+    finally:
+        for partial in partials:
+            with suppress(OSError):
+                partial.unlink()
 
-    Each record passes through :func:`summarize`, which refuses one that
-    is not the run's next, before its rows are appended to ``trace.csv``,
-    written under a temporary name in ``out_dir`` and moved into place
-    after its last row, so a failed run leaves earlier outputs as they were.
+
+def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write a run's trace CSV as :func:`summarize` scores its tiles, and
+    its summary JSON; byte-stable for equal inputs. Both are moved into
+    place once both are complete (:func:`staged`), so a failed run leaves
+    earlier outputs as they were.
 
     ``trace.csv`` has the header ``replication,t,`` then ``TRACE_COLUMNS``
     and, with a monitor, ``FLAG_COLUMNS``; ints and flags are written
     ``%d`` and floats ``%.17g``, which round-trips. A record stores the
-    int and flag columns; the float rows of each replication are derived
-    from its arms on the config's shared instance, a block of at most
-    ``perturb.DRAW_VALUES`` steps at a time through one ledger
-    (:func:`_derived_chunks`). Each replication is written ``WRITE_ROWS``
-    steps at a time: each run of adjacent int and flag columns gives the
-    chunk's texts with their leading commas from the batch's columns
-    (:func:`_row_texts`), and each float row its own
+    int and flag columns; a tile gives the regret and, with one noise call
+    (:meth:`~linens.envs.NoiseModel.values`), the reward the loop gave the
+    policy bit for bit. Each replication of a tile is written
+    ``WRITE_ROWS`` steps at a time: each run of adjacent int and flag
+    columns gives the chunk's texts with their leading commas from tables
+    built once per record (:func:`_row_texts`), and each float row its own
     (:func:`_float_texts`); the replication's number, the run's one list
     of ``,t`` labels and those texts are joined and written once. So the
-    writer holds one chunk's texts and one block's floats, and its memory
-    grows with neither the batch width nor the ensemble size, and with the
-    horizon only by the step labels."""
+    writer's memory grows with neither the batch width nor the ensemble
+    size, and with the horizon only by the step labels."""
     out = Path(out_dir)
     trace_path, summary_path = out / "trace.csv", out / "summary.json"
-    partial_path = out / "trace.csv.partial"
     env = cfg.environment()
     names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
     # adjacent int and flag columns make one run, and each float column its own
@@ -397,52 +401,38 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     float_runs = [(k, run[0], fmt[0]) for k, run, fmt in placed if run[0] not in _COLUMN_DTYPES]
     labels = [f",{t}" for t in range(1, cfg.run.horizon + 1)]
 
-    def summarized_then_written(fh):
-        for rec in records:
-            yield rec
-            texts = [(k, _row_texts([rec.columns[n] for n in run], f)) for k, run, f in int_runs]
-            seeds = replication_seeds(cfg, rec.replications)
-            for i, (rep, seed) in enumerate(zip(rec.replications, seeds)):
-                label = str(rep)
-                for steps, rows in _derived_chunks(env, seed, rec.columns["arm"][i]):
+    def record_writer(fh, rec):
+        texts = [(k, _row_texts([rec.columns[n] for n in run], f)) for k, run, f in int_runs]
+        seeds = replication_seeds(cfg, rec.replications)
+
+        def write_tile(rows, steps, means, gap, cum):
+            noise = env.noise.values(seeds[rows], np.arange(steps.start + 1, steps.stop + 1))
+            floats = {"reward": means + noise, "instant_regret": gap, "cum_regret": cum}
+            for i in range(rows.start, rows.stop):
+                label = str(rec.replications[i])
+                for lo in range(steps.start, steps.stop, WRITE_ROWS):
+                    chunk = slice(lo, min(lo + WRITE_ROWS, steps.stop))
+                    within = slice(lo - steps.start, chunk.stop - steps.start)
                     # every slot the label, then all but the first overwritten
-                    row_text = [label] * (width * (steps.stop - steps.start))
-                    row_text[1::width] = labels[steps]
+                    row_text = [label] * (width * (chunk.stop - lo))
+                    row_text[1::width] = labels[chunk]
                     for k, text in texts:
-                        row_text[k::width] = text(i, steps)
+                        row_text[k::width] = text(i, chunk)
                     for k, name, fmt in float_runs:
-                        row_text[k::width] = _float_texts(rows[name], fmt)
+                        row_text[k::width] = _float_texts(floats[name][i - rows.start, within], fmt)
                     fh.write("".join(row_text))
+
+        return write_tile
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with open(partial_path, "w") as fh:
+        with staged(trace_path, summary_path) as (trace, summary), open(trace, "w") as fh:
             fh.write("replication,t," + ",".join(names) + "\n")
-            summary = summarize(cfg, summarized_then_written(fh))
-        os.replace(partial_path, trace_path)
-        summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+            table = summarize(cfg, records, partial(record_writer, fh))
+            summary.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
-    finally:
-        with suppress(OSError):
-            partial_path.unlink()
     return trace_path, summary_path
-
-
-def _derived_chunks(env: LinearBanditEnv, seed: int, arm: np.ndarray):
-    """A replication's float rows (:func:`derived_rows`) of its ``(T,)``
-    arms, a chunk of at most ``WRITE_ROWS`` steps at a time: ``(steps,
-    rows)`` of each chunk, ``steps`` its slice of the T steps. The rows are
-    derived in blocks of at most ``perturb.DRAW_VALUES`` steps through one
-    :class:`~linens.envs.RegretLedger`, whose carry gives the bits of one
-    pass."""
-    ledger = RegretLedger(env)
-    for start in range(0, len(arm), perturb.DRAW_VALUES):
-        stop = min(start + perturb.DRAW_VALUES, len(arm))
-        block = derived_rows(env, seed, arm[start:stop], start + 1, ledger)
-        for lo in range(start, stop, WRITE_ROWS):
-            hi = min(lo + WRITE_ROWS, stop)
-            yield slice(lo, hi), {name: row[lo - start : hi - start] for name, row in block.items()}
 
 
 def _distinct_texts(codes: np.ndarray, texts) -> list[str]:

@@ -13,12 +13,10 @@ import pytest
 
 from linens.config import ExperimentConfig
 from linens.diagnostics import elliptical_potential_bound, theoretical_regret_bound
-from linens.envs import LinearBanditEnv, NoiseModel
+from linens.envs import LinearBanditEnv, NoiseModel, RegretLedger
 from linens.harness import (
-    derived_rows,
     emit_outputs,
     estimate_event_rates,
-    replication_seeds,
     run_equivalence_suite,
     run_replications,
 )
@@ -225,10 +223,12 @@ def _mean_regret_curve(cfg: ExperimentConfig, reps: int, grid):
     sums = np.zeros(len(grid))
     env = cfg.environment()
     # one replication after another, so the sum adds in replication order;
-    # each row's regret is the one trace.csv writes
+    # each row's regret is the one trace.csv writes, the running sums of one
+    # ledger call over its T steps
     for rec in run_replications(cfg, range(reps)):
-        for seed, arm in zip(replication_seeds(cfg, rec.replications), rec.columns["arm"]):
-            sums += derived_rows(env, seed, arm)["cum_regret"][np.array(grid) - 1]
+        for arm in rec.columns["arm"]:
+            cum = RegretLedger(env).record(env.pull(arm)[1][None])[1][0]
+            sums += cum[np.array(grid) - 1]
     return sums / reps
 
 

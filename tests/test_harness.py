@@ -1,6 +1,7 @@
 import configparser
 import copy
 import ctypes
+import errno
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import linens
-from linens import cli, harness, perturb
+from linens import cli, harness
 from linens.config import (
     MAX_S_BOUND,
     POLICY_NAMES,
@@ -39,7 +40,6 @@ from linens.harness import (
     _tally,
     aggregate,
     checkpoints,
-    derived_rows,
     emit_outputs,
     estimate_event_rates,
     interact,
@@ -51,6 +51,7 @@ from linens.harness import (
     summarize,
 )
 from linens.diagnostics import StepMonitor, theoretical_regret_bound
+from linens.envs import LinearBanditEnv, RegretLedger
 from linens.linalg import MIN_LAMBDA
 from linens.perturb import PerturbationFamily, beta, ensemble_size, gamma, p_n
 from linens.policies import EnsembleSampling, GreedyRidge, LinPHE, LinTS, LinUCB, Selection
@@ -252,10 +253,30 @@ def run_one(cfg: ExperimentConfig, replication: int):
 
 
 def rows_of(cfg: ExperimentConfig, rec: RunRecord, i: int) -> dict:
-    """The float trace rows that ``trace.csv`` writes for row i of ``rec``
-    (:func:`derived_rows`)."""
+    """The float trace rows that ``trace.csv`` writes for row i of ``rec``,
+    from the reward rule and one ledger call over all T steps: ``reward``,
+    each step's :meth:`~linens.envs.LinearBanditEnv.sample_reward` under
+    the replication's seed, and ``instant_regret`` and ``cum_regret``, the
+    gaps and running sums of one :class:`~linens.envs.RegretLedger` call
+    from +0.0."""
+    env, arm = cfg.environment(), rec.columns["arm"][i]
     seed = replication_seeds(cfg, rec.replications)[i]
-    return derived_rows(cfg.environment(), seed, rec.columns["arm"][i])
+    gap, cum = RegretLedger(env).record(env.pull(arm)[1][None])
+    reward = env.sample_reward(arm, seed, np.arange(1, len(arm) + 1))
+    return {"reward": reward, "instant_regret": gap[0], "cum_regret": cum[0]}
+
+
+def recorded_shapes(monkeypatch) -> list:
+    """The shape of the mean rewards of each ``RegretLedger.record`` call
+    from here on, in order."""
+    shapes, record = [], RegretLedger.record
+
+    def counted(ledger, mean_reward):
+        shapes.append(np.shape(mean_reward))
+        return record(ledger, mean_reward)
+
+    monkeypatch.setattr(RegretLedger, "record", counted)
+    return shapes
 
 
 def same_columns(a, b) -> bool:
@@ -1153,6 +1174,37 @@ class TestOutputs:
         assert calls == [range(0, 2), range(2, 4)]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_a_failed_summary_write_leaves_both_earlier_outputs(self, tmp_path, monkeypatch):
+        # the trace is complete when the summary's write fails on a full
+        # disk: neither file is moved into place, and no partial is left
+        cfg = small_cfg(run__diagnostics="monitors")
+        emit_outputs(run_replications(cfg, range(2)), cfg, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        other = small_cfg(run__diagnostics="monitors", run__base_seed=12)
+        with pytest.raises(OSError, match="No space left on device"):
+            emit_outputs(run_replications(other, range(2)), other, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_run_pulls_each_recorded_arm_once(self, tmp_path, monkeypatch):
+        # once the loop has decided, the summary and the trace read each
+        # step's arm through one pull: N x T arm values in all
+        cfg = small_cfg(run__replications=5, run__diagnostics="monitors")
+        records = list(run_replications(cfg, range(5)))
+        pulled, pull = [], LinearBanditEnv.pull
+
+        def counted(env, arm_index):
+            pulled.append(np.size(arm_index))
+            return pull(env, arm_index)
+
+        monkeypatch.setattr(LinearBanditEnv, "pull", counted)
+        emit_outputs(records, cfg, tmp_path)
+        assert sum(pulled) == 5 * 30
+
     @staticmethod
     def hand_records(flags: bool, horizon: int) -> list:
         """Two batches of decisions over ``horizon`` steps on 10 arms. Their
@@ -1228,29 +1280,51 @@ class TestOutputs:
         assert trace.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
-    @pytest.mark.parametrize("block", [5, 256])
+    # the last is T - 1, whose tiles leave each row a last tile of one step
+    @pytest.mark.parametrize("block", [5, 256, 2 * WRITE_ROWS + 2])
     def test_derivation_blocks_keep_the_bytes(self, tmp_path, monkeypatch, flags, block):
-        # float rows derived `block` steps at a time through one ledger, and
-        # the summary scored `block` values at a time: block edges fall
-        # inside chunks and, at 256, right after the checkpoints t = 256 and
-        # 512; the trace is the oracle's, whose rows are derived in one
-        # call, and the summary that of the default blocks
+        # tiles of one replication by `block` steps, scored through one
+        # ledger per row: tile edges fall inside chunks and, at 256, right
+        # after the checkpoints t = 256 and 512; the trace is the oracle's,
+        # whose rows come from one ledger call, and the summary that of the
+        # default tiles, where a row is one tile
         horizon = 2 * WRITE_ROWS + 3
         cfg, records = self.hand_run(flags, horizon)
         _, whole = emit_outputs(records, cfg, tmp_path / "whole")
-        calls = []
-
-        def counted(*args):
-            calls.append(len(args[2]))
-            return derived_rows(*args)
-
-        monkeypatch.setattr(perturb, "DRAW_VALUES", block)
         monkeypatch.setattr(harness, "SCORE_VALUES", block)
-        monkeypatch.setattr(harness, "derived_rows", counted)
+        calls = recorded_shapes(monkeypatch)
         trace, summary = emit_outputs(records, cfg, tmp_path / "blocks")
-        assert calls == 3 * ([block] * (horizon // block) + [horizon % block])
+        assert calls == 3 * ([(1, block)] * (horizon // block) + [(1, horizon % block)])
         assert trace.read_bytes() == self.oracle_trace(cfg, records).encode()
         assert summary.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize(
+        "values,horizon,reps,tiles",
+        [
+            # tiles of 2 replications by all 30 steps, and a last of 1
+            pytest.param(60, 30, 5, [(2, 30), (2, 30), (1, 30)], id="rows"),
+            # each row in 5 tiles of 8 steps: the checkpoints t = 8, 16, 32
+            # and 40 end a tile, and t = 1, 2, 4 fall inside the first
+            pytest.param(8, 40, 3, [(1, 8)] * 15, id="steps"),
+        ],
+    )
+    def test_tiles_keep_the_bytes(self, tmp_path, monkeypatch, values, horizon, reps, tiles):
+        # the trace is a plain writer's and the summary the table of the
+        # oracle rows' checkpoint regret, with one tile per call
+        cfg = small_cfg(run__horizon=horizon, run__replications=reps, run__diagnostics="monitors")
+        records = list(run_replications(cfg, range(reps)))
+        monkeypatch.setattr(harness, "SCORE_VALUES", values)
+        calls = recorded_shapes(monkeypatch)
+        trace, summary = emit_outputs(records, cfg, tmp_path)
+        assert calls == tiles
+        assert trace.read_bytes() == self.plain_trace(cfg, records).encode()
+        cums = [rows_of(cfg, rec, i)["cum_regret"] for rec in records for i in range(reps)]
+        regret = np.array([[cum[t - 1] for cum in cums] for t in checkpoints(horizon)])
+        totals = {}
+        for rec in records:
+            _tally(totals, rec.counters)
+        want = aggregate(cfg, regret, totals)
+        assert summary.read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "settings",
@@ -1269,10 +1343,16 @@ class TestOutputs:
         ],
     )
     def test_a_runs_trace_matches_a_plain_writer(self, tmp_path, settings):
-        # each value of a run written alone, %d or %.17g, joined by commas
         cfg = small_cfg(**{"run__replications": 3, **settings})
         records = list(run_replications(cfg, range(cfg.run.replications)))
         trace, _ = emit_outputs(records, cfg, tmp_path)
+        assert trace.read_bytes() == self.plain_trace(cfg, records).encode()
+
+    @staticmethod
+    def plain_trace(cfg: ExperimentConfig, records: list) -> str:
+        """``trace.csv`` of a run's records with each value written alone,
+        ``%d`` or ``%.17g``, and joined by commas; a step's floats are its
+        replication's oracle rows (:func:`rows_of`)."""
         names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
         lines = ["replication,t," + ",".join(names)]
         for rec in records:
@@ -1282,7 +1362,7 @@ class TestOutputs:
                     values = [rep, t + 1] + [columns[name][t].item() for name in names]
                     texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
                     lines.append(",".join(texts))
-        assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def emission_peak(columns: dict, out: Path, emit=emit_outputs) -> int:
@@ -1353,9 +1433,9 @@ class TestOutputs:
         assert many < 1.5 * few, (few, many)
 
     def test_emission_memory_does_not_grow_with_the_horizon(self, tmp_path):
-        # one unmonitored replication at horizons past a derivation block:
-        # the writer holds one chunk's texts and one block's floats, and
-        # only its ",t" step labels (about 63 bytes a step) grow with T
+        # one unmonitored replication at horizons past a tile: the writer
+        # holds one chunk's texts and one tile's floats, and only its ",t"
+        # step labels (about 63 bytes a step) grow with T
         def peak(horizon: int) -> int:
             rng = np.random.default_rng(horizon)
             cols = {
@@ -1365,7 +1445,7 @@ class TestOutputs:
             return self.emission_peak(cols, tmp_path / str(horizon))
 
         short, long = 20_000, 80_000
-        assert perturb.DRAW_VALUES < short
+        assert harness.SCORE_VALUES < short
         growth = (peak(long) - peak(short)) / (long - short)
         assert growth < 100, growth
 
@@ -1827,6 +1907,30 @@ class TestCli:
         monkeypatch.setattr(cli, "load_config", interrupted)
         with pytest.raises(Interrupted):
             cli.main(["rates", "--config", str(write_cfg(tmp_path))])
+
+    @pytest.mark.parametrize(
+        "error,message",
+        [
+            (MemoryError("Unable to allocate 7.45 GiB"), "linens: Unable to allocate 7.45 GiB\n"),
+            (MemoryError(), "linens: MemoryError\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_a_run_out_of_memory_ends_in_one_line(
+        self, tmp_path, capsys, monkeypatch, error, message
+    ):
+        # a batch that cannot be allocated fails as the run takes it; its
+        # outputs are left unwritten and the error is one line, exit 2
+        def failing(cfg, replications):
+            raise error
+            yield
+
+        monkeypatch.setattr(cli, "run_replications", failing)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(message) and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_rates_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
