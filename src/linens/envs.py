@@ -120,23 +120,29 @@ class LinearBanditEnv:
         self.optimal_arm_index = np.argmax(self._means, axis=-1)
         self.optimal_value = pick(self._means, self.optimal_arm_index, 1)
 
-    def pull(self, arm_index):
-        """The arm vectors at ``arm_index`` and their mean rewards, one per
-        replication. One reduction checks the range: ``min`` catches a
-        negative index, and the gather itself one at or past K."""
+    def mean_reward(self, arm_index):
+        """The mean rewards of the arms at ``arm_index``, in its shape, one
+        row per replication. One reduction checks the range: ``min``
+        catches a negative index, and the gather itself one at or past K."""
         try:
             if np.asarray(arm_index).min() < 0:
                 raise IndexError
-            return pick(self.arms, arm_index, 2), pick(self._means, arm_index, 1)
+            return pick(self._means, arm_index, 1)
         except IndexError:
             message = f"arm index {arm_index} out of range [0, {self.arm_count})"
             raise ValueError(message) from None
+
+    def pull(self, arm_index):
+        """The arm vectors at ``arm_index`` and their mean rewards, one per
+        replication; :meth:`mean_reward` checks the range first."""
+        mean = self.mean_reward(arm_index)
+        return pick(self.arms, arm_index, 2), mean
 
     def sample_reward(self, arm_index: int, seed: int, step):
         """Mean reward of the arm plus the noise of ``step`` of stream
         ``seed`` (:meth:`NoiseModel.values`), the rule ``trace.csv`` is
         checked against; an array of steps gives the rewards of each."""
-        return self.pull(arm_index)[1] + self.noise.values([seed], step)[0]
+        return self.mean_reward(arm_index) + self.noise.values([seed], step)[0]
 
     @classmethod
     def random(

@@ -19,8 +19,9 @@ batch's results stay arrays, one :class:`RunRecord` per batch: the
 :func:`summarize`, scores each batch's regret from its arms and keeps its
 checkpoint regret and counter totals for ``summary.json``, a tile at a
 time (:func:`_score_tiles`); ``run`` also hands each tile to the writer
-of ``trace.csv`` (:func:`emit_outputs`), so a run holds one batch's
-decisions at a time and one tile's floats. The loop only decides, and a
+of ``trace.csv`` (:func:`emit_outputs`), which writes it whole. So a run
+holds one batch's decisions at a time, and one tile's floats and text
+under one bound, ``SCORE_VALUES``. The loop only decides, and a
 monitor evaluates its steps a block at a time, at the block's end.
 """
 
@@ -63,14 +64,13 @@ FLAG_COLUMNS = ("conc_ok", "anticonc_ok", "optimism_ok")
 #: not be held.
 _COLUMN_DTYPES = {"arm": np.int32, "model": np.int32, **dict.fromkeys(FLAG_COLUMNS, bool)}
 
-#: Steps of a replication whose ``trace.csv`` rows the writer joins and
-#: writes at a time (:func:`emit_outputs`): the measured knee, since shorter
-#: chunks cost time and longer ones only memory.
-WRITE_ROWS = 512
-
 #: Most values, replications times steps, of a tile of :func:`_score_tiles`:
-#: the bound that keeps its memory flat in the batch width and the horizon.
+#: the one bound on what a run holds after its loop, a tile's floats and
+#: its ``trace.csv`` text, flat in the batch width and the horizon.
 SCORE_VALUES = 2**11
+
+#: The paper's p = p_n / 4, of its regret bound and the ensemble-fraction check.
+_OPTIMISM_P = p_n() / 4.0
 
 #: Run settings that say where and how to run an experiment, not what it
 #: is; ``summary.json`` leaves them out of its config echo so that its bytes
@@ -214,11 +214,11 @@ def checkpoints(horizon: int) -> list[int]:
 def _tally(totals: dict, counters: dict) -> None:
     """Add a batch's ``(R,)`` counters into ``totals``, exact Python ints:
     each count's sum, each indicator's replications that hold and, of
-    ``min_ensemble_fraction``, those that reach ``p_n() / 4``. No report
+    ``min_ensemble_fraction``, those that reach ``_OPTIMISM_P``. No report
     reads ``elliptical_sum``, so it is left out."""
     for name, values in counters.items():
         if name == "min_ensemble_fraction":
-            values = values >= p_n() / 4.0
+            values = values >= _OPTIMISM_P
         if name != "elliptical_sum":
             totals[name] = totals.get(name, 0) + sum(values.tolist())
 
@@ -245,7 +245,7 @@ def monitor_report(totals: dict, replications: int) -> dict:
             "disabled: the elliptical-potential cap presumes policy.lambda >= 1"
         )
     if "min_ensemble_fraction" in totals:
-        report["ensemble_fraction_threshold"] = p_n() / 4.0
+        report["ensemble_fraction_threshold"] = _OPTIMISM_P
         report["min_ensemble_fraction_pass_rate"] = totals["min_ensemble_fraction"] / replications
     return report
 
@@ -277,7 +277,7 @@ def aggregate(cfg: ExperimentConfig, regret, totals: dict) -> dict:
         "replications": n,
         "checkpoints": per_checkpoint,
         "theoretical_regret_bound": (
-            theoretical_regret_bound(gamma(params), p_n() / 4.0, params)
+            theoretical_regret_bound(gamma(params), _OPTIMISM_P, params)
             if cfg.policy.name in BOUNDED_POLICIES
             else None
         ),
@@ -303,8 +303,9 @@ def _quantile(ranked: np.ndarray, q: float) -> np.ndarray:
 def _score_tiles(env: LinearBanditEnv, arm: np.ndarray):
     """``(rows, steps, means, gap, cum)`` of each replication-major tile,
     ``max(1, SCORE_VALUES // T)`` rows by ``min(T, SCORE_VALUES)`` steps, of
-    a batch's ``(R, T)`` arms on ``env``: its slices, one pull's means, and
-    one :meth:`~linens.envs.RegretLedger.record` whose carry across a row's
+    a batch's ``(R, T)`` arms on ``env``: its slices, one gather of its
+    means (:meth:`~linens.envs.LinearBanditEnv.mean_reward`), and one
+    :meth:`~linens.envs.RegretLedger.record` whose carry across a row's
     tiles gives the bits of one call. The one place arms are scored."""
     reps, horizon = arm.shape
     height, width = max(1, SCORE_VALUES // horizon), min(horizon, SCORE_VALUES)
@@ -312,7 +313,7 @@ def _score_tiles(env: LinearBanditEnv, arm: np.ndarray):
         rows, ledger = slice(top, min(top + height, reps)), RegretLedger(env)
         for start in range(0, horizon, width):
             steps = slice(start, min(start + width, horizon))
-            means = env.pull(arm[rows, steps])[1]
+            means = env.mean_reward(arm[rows, steps])
             yield (rows, steps, means, *ledger.record(means))
 
 
@@ -323,10 +324,10 @@ def summarize(cfg: ExperimentConfig, records, write=None) -> dict:
     ``records`` are the batch records of the run's ``run.replications``
     replications, in order and each once, as :func:`run_replications`
     yields them; a record that is not the next is refused as it is taken.
-    Each batch's arms are scored once (:func:`_score_tiles`), and only the
-    checkpoints' regret and the counter totals (:func:`_tally`) are kept.
-    ``write(rec)``, which only :func:`emit_outputs` passes, gives a function
-    that is handed each of the record's tiles."""
+    Each batch's arms are scored once, one tile held at a time
+    (:func:`_score_tiles`); only the checkpoints' regret and the counter
+    totals (:func:`_tally`) are kept. ``write(rec)``, which only
+    :func:`emit_outputs` passes, gives a function handed each tile."""
     reps, horizon = cfg.run.replications, cfg.run.horizon
     if reps < 1:
         raise ValueError("run.replications must be at least 1")
@@ -345,6 +346,7 @@ def summarize(cfg: ExperimentConfig, records, write=None) -> dict:
                     regret[k, run_rows] = cum[:, t - 1 - steps.start]
             if write_tile is not None:
                 write_tile(rows, steps, means, gap, cum)
+            del means, gap, cum  # before the next tile is scored
         _tally(totals, rec.counters)
         written = held.stop
     if written != reps:
@@ -378,14 +380,14 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
     ``%d`` and floats ``%.17g``, which round-trips. A record stores the
     int and flag columns; a tile gives the regret and, with one noise call
     (:meth:`~linens.envs.NoiseModel.values`), the reward the loop gave the
-    policy bit for bit. Each replication of a tile is written
-    ``WRITE_ROWS`` steps at a time: each run of adjacent int and flag
-    columns gives the chunk's texts with their leading commas from tables
-    built once per record (:func:`_row_texts`), and each float row its own
-    (:func:`_float_texts`); the replication's number, the run's one list
+    policy bit for bit. Each tile is written whole, in replication-major
+    order: each run of adjacent int and flag columns gives its texts with
+    their leading commas (:func:`_row_texts`), and each float column its
+    own (:func:`_float_texts`); the replication numbers, the run's one list
     of ``,t`` labels and those texts are joined and written once. So the
-    writer's memory grows with neither the batch width nor the ensemble
-    size, and with the horizon only by the step labels."""
+    writer holds one tile's texts, under the one bound ``SCORE_VALUES``:
+    its memory grows with neither the batch width nor the ensemble size,
+    and with the horizon only by the step labels."""
     out = Path(out_dir)
     trace_path, summary_path = out / "trace.csv", out / "summary.json"
     env = cfg.environment()
@@ -408,19 +410,15 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
         def write_tile(rows, steps, means, gap, cum):
             noise = env.noise.values(seeds[rows], np.arange(steps.start + 1, steps.stop + 1))
             floats = {"reward": means + noise, "instant_regret": gap, "cum_regret": cum}
-            for i in range(rows.start, rows.stop):
-                label = str(rec.replications[i])
-                for lo in range(steps.start, steps.stop, WRITE_ROWS):
-                    chunk = slice(lo, min(lo + WRITE_ROWS, steps.stop))
-                    within = slice(lo - steps.start, chunk.stop - steps.start)
-                    # every slot the label, then all but the first overwritten
-                    row_text = [label] * (width * (chunk.stop - lo))
-                    row_text[1::width] = labels[chunk]
-                    for k, text in texts:
-                        row_text[k::width] = text(i, chunk)
-                    for k, name, fmt in float_runs:
-                        row_text[k::width] = _float_texts(floats[name][i - rows.start, within], fmt)
-                    fh.write("".join(row_text))
+            height, span = means.shape
+            # every slot its replication's number, then all but the first overwritten
+            tile_text = [s for r in rec.replications[rows] for s in [str(r)] * (width * span)]
+            tile_text[1::width] = labels[steps] * height
+            for k, text in texts:
+                tile_text[k::width] = text(rows, steps)
+            for k, name, fmt in float_runs:
+                tile_text[k::width] = _float_texts(floats[name].ravel(), fmt)
+            fh.write("".join(tile_text))
 
         return write_tile
 
@@ -436,8 +434,8 @@ def emit_outputs(records, cfg: ExperimentConfig, out_dir: str | Path) -> tuple[P
 
 
 def _distinct_texts(codes: np.ndarray, texts) -> list[str]:
-    """``texts(codes)`` of a chunk's int64 codes: a chunk of distinct codes
-    formatted in order, and a chunk with repeats each distinct code once.
+    """``texts(codes)`` of a tile's int64 codes: a tile of distinct codes
+    formatted in order, and a tile with repeats each distinct code once.
     This is ``np.unique(codes, return_inverse=True)``'s sort without its
     argument handling, which cost as much as the sort on 512 codes."""
     order = codes.argsort()
@@ -452,38 +450,39 @@ def _distinct_texts(codes: np.ndarray, texts) -> list[str]:
     return np.array(texts(ranked[fresh]), dtype=object)[inverse].tolist()
 
 
-def _float_texts(row: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % v`` of each value of a float row. Each value is coded by its
-    bits, so ``-0.0`` and ``0.0`` stay apart (:func:`_distinct_texts`)."""
+def _float_texts(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % v`` of each of a tile's 1-d float values, coded by its bits,
+    so ``-0.0`` and ``0.0`` stay apart (:func:`_distinct_texts`)."""
     return _distinct_texts(
-        row.view(np.int64), lambda codes: [fmt % v for v in codes.view(np.float64).tolist()]
+        values.view(np.int64), lambda codes: [fmt % v for v in codes.view(np.float64).tolist()]
     )
 
 
 def _row_texts(columns: list[np.ndarray], formats: list[str]):
-    """A function of a row index i and a slice of steps that gives each of
-    those steps' values in row i of ``columns``, a run of ``(R, T)`` int or
-    flag columns, each in its ``formats`` entry and joined.
+    """A function of a tile's ``(rows, steps)`` slices: its values in
+    ``columns``, a run of ``(R, T)`` int or flag columns, each in its
+    ``formats`` entry and joined, in replication-major order.
 
-    Each step is one int64 code, the mixed-radix code of the run over its
-    columns' ``[min, max]``. A run of at most one chunk's codes (``T`` or
-    ``WRITE_ROWS`` steps, the fewer) formats each code once into one table
-    that every row indexes. Any other run formats the codes of each row's
-    slice (:func:`_distinct_texts`), so no table outgrows a chunk."""
+    Each value is one int64 code, the mixed-radix code of the run over its
+    columns' ``[min, max]``, a tile's in one ``np.ravel_multi_index``. A
+    run of at most ``min(T, SCORE_VALUES)`` codes formats each once into
+    one table that every tile indexes; any other run formats each tile's
+    codes (:func:`_distinct_texts`), so no table outgrows a tile."""
     lows = [int(column.min()) for column in columns]
     spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
 
-    def code(i: int, steps: slice) -> np.ndarray:
-        return np.ravel_multi_index([c[i, steps] - low for c, low in zip(columns, lows)], spans)
+    def code(rows: slice, steps: slice) -> np.ndarray:
+        digits = [c[rows, steps] - low for c, low in zip(columns, lows)]
+        return np.ravel_multi_index(digits, spans).ravel()
 
     def texts(codes: np.ndarray) -> list[str]:
         digits = [(d + low).tolist() for d, low in zip(np.unravel_index(codes, spans), lows)]
         return ["".join(f % v for f, v in zip(formats, value)) for value in zip(*digits)]
 
-    if math.prod(spans) <= min(columns[0].shape[-1], WRITE_ROWS):
+    if math.prod(spans) <= min(columns[0].shape[-1], SCORE_VALUES):
         table = np.array(texts(np.arange(math.prod(spans))), dtype=object)
-        return lambda i, steps: table[code(i, steps)].tolist()
-    return lambda i, steps: _distinct_texts(code(i, steps), texts)
+        return lambda rows, steps: table[code(rows, steps)].tolist()
+    return lambda rows, steps: _distinct_texts(code(rows, steps), texts)
 
 
 # ---------------------------------------------------------------------------

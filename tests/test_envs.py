@@ -17,7 +17,7 @@ from linens.perturb import (
     seed_prefixes,
 )
 
-from conftest import random_unit_ball
+from conftest import kolmogorov_pvalue, random_unit_ball
 
 
 def two_arm_env(sigma=0.0, family=NoiseFamily.GAUSSIAN):
@@ -123,8 +123,9 @@ class TestRewards:
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
 class TestPull:
-    """``pull`` on a batch of arm indices, against one ``(K, d)`` arm set
-    that serves every replication and against one set per replication."""
+    """``pull`` and its mean gather ``mean_reward`` on a batch of arm
+    indices, against one ``(K, d)`` arm set that serves every replication
+    and against one set per replication."""
 
     @staticmethod
     def batch_env(stacked):
@@ -136,8 +137,9 @@ class TestPull:
         for bad in (-1, env.arm_count):
             index = np.array([0, bad, 2, 1])
             message = f"arm index {index} out of range [0, {env.arm_count})"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                env.pull(index)
+            for gather in (env.pull, env.mean_reward):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    gather(index)
 
     def test_gathers_each_replications_arm_and_mean_reward(self, rng, stacked):
         env = self.batch_env(stacked)
@@ -149,6 +151,7 @@ class TestPull:
         assert x.shape == (4, 3) and mean.shape == (4,)
         assert x.tobytes() == env.arms[at].tobytes()
         assert mean.tobytes() == matvec(env.arms, env.theta_star)[at].tobytes()
+        assert env.mean_reward(index).tobytes() == mean.tobytes()
 
 
 def noise_words(seed: int, t: int) -> tuple[int, int]:
@@ -297,16 +300,11 @@ class TestRandomInstances:
 
 def ks_uniform_pvalue(sample: np.ndarray) -> float:
     """P-value of the one-sample Kolmogorov-Smirnov test of ``sample``
-    against U(0, 1): Kolmogorov's limiting law ``2 sum (-1)^(k-1)
-    exp(-2 k^2 t^2)`` at Stephens' (1970) finite-n statistic
-    ``t = (sqrt(n) + 0.12 + 0.11 / sqrt(n)) D``."""
+    against U(0, 1), from Kolmogorov's series (:func:`kolmogorov_pvalue`)."""
     x = np.sort(sample)
     n = len(x)
     rank = np.arange(1, n + 1)
-    d = max(np.max(rank / n - x), np.max(x - (rank - 1) / n))
-    t = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
-    tail = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * t * t) for k in range(1, 101))
-    return min(1.0, max(0.0, tail))
+    return kolmogorov_pvalue(max(np.max(rank / n - x), np.max(x - (rank - 1) / n)), n)
 
 
 def mean_direction_pvalue(directions: np.ndarray) -> float:

@@ -29,9 +29,9 @@ from linens.config import (
 from linens.harness import (
     BATCH_SIZE,
     FLAG_COLUMNS,
+    SCORE_VALUES,
     STORED_COLUMNS,
     TRACE_COLUMNS,
-    WRITE_ROWS,
     RunRecord,
     _equivalence_batch,
     _float_texts,
@@ -1192,16 +1192,16 @@ class TestOutputs:
 
     def test_a_run_pulls_each_recorded_arm_once(self, tmp_path, monkeypatch):
         # once the loop has decided, the summary and the trace read each
-        # step's arm through one pull: N x T arm values in all
+        # step's arm through one gather of its mean: N x T arm values in all
         cfg = small_cfg(run__replications=5, run__diagnostics="monitors")
         records = list(run_replications(cfg, range(5)))
-        pulled, pull = [], LinearBanditEnv.pull
+        pulled, gather = [], LinearBanditEnv.mean_reward
 
         def counted(env, arm_index):
             pulled.append(np.size(arm_index))
-            return pull(env, arm_index)
+            return gather(env, arm_index)
 
-        monkeypatch.setattr(LinearBanditEnv, "pull", counted)
+        monkeypatch.setattr(LinearBanditEnv, "mean_reward", counted)
         emit_outputs(records, cfg, tmp_path)
         assert sum(pulled) == 5 * 30
 
@@ -1250,45 +1250,59 @@ class TestOutputs:
 
     @staticmethod
     def oracle_trace(cfg: ExperimentConfig, records: list) -> str:
-        """``trace.csv`` written row by row, one ``%`` per row; a step's
-        floats are those of its replication's derived rows."""
-        flags = [name for name in FLAG_COLUMNS if name in records[0].columns]
-        lines = ["replication,t," + ",".join(TRACE_COLUMNS + tuple(flags))]
+        """``trace.csv`` of a run's records written row by row, each value
+        alone, ``%d`` or ``%.17g``, and joined by commas; a step's floats
+        are its replication's oracle rows (:func:`rows_of`)."""
+        names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
+        lines = ["replication,t," + ",".join(names)]
         for rec in records:
-            cols = rec.columns
             for i, rep in enumerate(rec.replications):
-                floats = rows_of(cfg, rec, i)
-                for t in range(cols["arm"].shape[1]):
-                    row = (rep, t + 1, cols["arm"][i, t].item(), cols["model"][i, t].item())
-                    row += tuple(floats[n][t].item() for n in TRACE_COLUMNS[2:])
-                    line = "%d,%d,%d,%d,%.17g,%.17g,%.17g" % row
-                    line += "".join(",%d" % cols[n][i, t].item() for n in flags)
-                    lines.append(line)
+                columns = {n: col[i] for n, col in rec.columns.items()} | rows_of(cfg, rec, i)
+                for t in range(cfg.run.horizon):
+                    values = [rep, t + 1] + [columns[name][t].item() for name in names]
+                    texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
+                    lines.append(",".join(texts))
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
     @pytest.mark.parametrize(
-        "horizon", [4, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 2 * WRITE_ROWS + 3]
+        "horizon,tiles",
+        [
+            pytest.param(horizon, None, id=str(horizon))
+            # tiles of many, a few and one replication (T = 4 to 1027), and
+            # a row that is one tile or, past SCORE_VALUES steps, two
+            for horizon in (4, 1, 511, 512, 513, 1027)
+            + (SCORE_VALUES - 1, SCORE_VALUES, SCORE_VALUES + 1)
+        ]
+        # one batch of the three replications: a tile of 2 by all 700
+        # steps, and a remainder of 1
+        + [pytest.param(700, [(2, 700), (1, 700)], id="700-one-batch")],
     )
-    def test_trace_bytes_match_a_row_by_row_oracle(self, tmp_path, flags, horizon):
-        # horizons at and around the writer's chunk edges
+    def test_trace_bytes_match_a_row_by_row_oracle(
+        self, tmp_path, monkeypatch, flags, horizon, tiles
+    ):
         cfg, records = self.hand_run(flags, horizon)
+        if tiles is not None:
+            columns = {n: np.vstack([rec.columns[n] for rec in records]) for n in records[0].columns}
+            records = [RunRecord(range(3), columns, {})]
         want = self.oracle_trace(cfg, records)
         if horizon == 4:
             assert ",-1," in want and ",12," in want
+        calls = recorded_shapes(monkeypatch)
         trace, _ = emit_outputs(records, cfg, tmp_path)
         assert trace.read_bytes() == want.encode()
+        assert tiles is None or calls == tiles
 
     @pytest.mark.parametrize("flags", [False, True], ids=["no-flags", "flags"])
     # the last is T - 1, whose tiles leave each row a last tile of one step
-    @pytest.mark.parametrize("block", [5, 256, 2 * WRITE_ROWS + 2])
+    @pytest.mark.parametrize("block", [5, 256, 1026])
     def test_derivation_blocks_keep_the_bytes(self, tmp_path, monkeypatch, flags, block):
         # tiles of one replication by `block` steps, scored through one
-        # ledger per row: tile edges fall inside chunks and, at 256, right
-        # after the checkpoints t = 256 and 512; the trace is the oracle's,
-        # whose rows come from one ledger call, and the summary that of the
-        # default tiles, where a row is one tile
-        horizon = 2 * WRITE_ROWS + 3
+        # ledger per row: at 256, tile edges fall right after the
+        # checkpoints t = 256 and 512; the trace is the oracle's, whose rows
+        # come from one ledger call, and the summary that of the default
+        # tiles, where a row is one tile
+        horizon = 1027
         cfg, records = self.hand_run(flags, horizon)
         _, whole = emit_outputs(records, cfg, tmp_path / "whole")
         monkeypatch.setattr(harness, "SCORE_VALUES", block)
@@ -1309,7 +1323,7 @@ class TestOutputs:
         ],
     )
     def test_tiles_keep_the_bytes(self, tmp_path, monkeypatch, values, horizon, reps, tiles):
-        # the trace is a plain writer's and the summary the table of the
+        # the trace is the oracle's and the summary the table of the
         # oracle rows' checkpoint regret, with one tile per call
         cfg = small_cfg(run__horizon=horizon, run__replications=reps, run__diagnostics="monitors")
         records = list(run_replications(cfg, range(reps)))
@@ -1317,7 +1331,7 @@ class TestOutputs:
         calls = recorded_shapes(monkeypatch)
         trace, summary = emit_outputs(records, cfg, tmp_path)
         assert calls == tiles
-        assert trace.read_bytes() == self.plain_trace(cfg, records).encode()
+        assert trace.read_bytes() == self.oracle_trace(cfg, records).encode()
         cums = [rows_of(cfg, rec, i)["cum_regret"] for rec in records for i in range(reps)]
         regret = np.array([[cum[t - 1] for cum in cums] for t in checkpoints(horizon)])
         totals = {}
@@ -1346,23 +1360,7 @@ class TestOutputs:
         cfg = small_cfg(**{"run__replications": 3, **settings})
         records = list(run_replications(cfg, range(cfg.run.replications)))
         trace, _ = emit_outputs(records, cfg, tmp_path)
-        assert trace.read_bytes() == self.plain_trace(cfg, records).encode()
-
-    @staticmethod
-    def plain_trace(cfg: ExperimentConfig, records: list) -> str:
-        """``trace.csv`` of a run's records with each value written alone,
-        ``%d`` or ``%.17g``, and joined by commas; a step's floats are its
-        replication's oracle rows (:func:`rows_of`)."""
-        names = TRACE_COLUMNS + (FLAG_COLUMNS if cfg.run.diagnostics != "off" else ())
-        lines = ["replication,t," + ",".join(names)]
-        for rec in records:
-            for i, rep in enumerate(rec.replications):
-                columns = {n: col[i] for n, col in rec.columns.items()} | rows_of(cfg, rec, i)
-                for t in range(cfg.run.horizon):
-                    values = [rep, t + 1] + [columns[name][t].item() for name in names]
-                    texts = ["%.17g" % v if isinstance(v, float) else "%d" % v for v in values]
-                    lines.append(",".join(texts))
-        return "\n".join(lines) + "\n"
+        assert trace.read_bytes() == self.oracle_trace(cfg, records).encode()
 
     @staticmethod
     def emission_peak(columns: dict, out: Path, emit=emit_outputs) -> int:
@@ -1407,14 +1405,24 @@ class TestOutputs:
 
     def test_the_summary_holds_no_row_text(self, tmp_path):
         # summarize formats nothing: its peak on a wide record stays below
-        # the texts of one of the writer's chunks, each value of WRITE_ROWS
-        # rows of the trace a string
+        # the texts of 512 rows of the trace, each value a string
         cols = self.distinct_columns(20)
         peak = self.emission_peak(cols, tmp_path, summary_only)
         self.emission_peak(cols, tmp_path, emit_outputs)
-        rows = (tmp_path / "trace.csv").read_text().splitlines()[1 : 1 + WRITE_ROWS]
-        chunk = sum(sys.getsizeof(text) for row in rows for text in row.split(","))
-        assert peak < chunk, (peak, chunk)
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1 : 1 + 512]
+        held = sum(sys.getsizeof(text) for row in rows for text in row.split(","))
+        assert peak < held, (peak, held)
+
+    def test_the_summary_holds_one_tile_at_a_time(self, tmp_path):
+        # summarize gathers a tile's means without their arm vectors and
+        # drops the tile's arrays before it scores the next: on rates-c4's
+        # 200 replications of 200 steps, tiles of 10 by 200, it holds a
+        # tile's means, gaps and sums and the checkpoint regret, under six
+        # tiles of floats
+        rng = np.random.default_rng(7)
+        cols = {n: rng.integers(0, 50, (200, 200), dtype=np.int32) for n in STORED_COLUMNS}
+        peak = self.emission_peak(cols, tmp_path, summary_only)
+        assert peak < 6 * SCORE_VALUES * np.dtype(np.float64).itemsize, peak
 
     def test_emission_memory_does_not_grow_with_the_ensemble_size(self, tmp_path):
         # models spanning the 2,474,207 of an auto-sized ensemble at K = 1024
@@ -1434,7 +1442,7 @@ class TestOutputs:
 
     def test_emission_memory_does_not_grow_with_the_horizon(self, tmp_path):
         # one unmonitored replication at horizons past a tile: the writer
-        # holds one chunk's texts and one tile's floats, and only its ",t"
+        # holds one tile's floats and texts, and only its ",t"
         # step labels (about 63 bytes a step) grow with T
         def peak(horizon: int) -> int:
             rng = np.random.default_rng(horizon)
@@ -1477,21 +1485,28 @@ class TestOutputs:
 
 
 class TestRowTexts:
-    """``_row_texts`` gives each row's joined ``fmt % v`` over a slice of
-    its steps, step by step, and ``_float_texts`` each value's ``fmt % v``
-    of one float row."""
+    """``_row_texts`` gives a tile's joined ``fmt % v``, a slice of rows by
+    a slice of their steps, in replication-major order, and
+    ``_float_texts`` each value's ``fmt % v`` of a tile's floats."""
 
     ALL = slice(None)
 
     @staticmethod
-    def assert_rows_formatted(columns: list, formats: list):
-        # the whole row, and chunks that start and end inside it
+    def row(i: int) -> slice:
+        return slice(i, i + 1)
+
+    def assert_rows_formatted(self, columns: list, formats: list):
+        # each row and all rows, by all steps and by slices of steps that
+        # start and end inside a row
         text = _row_texts(columns, formats)
-        for i in range(len(columns[0])):
-            steps = zip(*(column[i].tolist() for column in columns))
-            want = ["".join(f % v for f, v in zip(formats, step)) for step in steps]
-            for chunk in (slice(None), slice(1, None), slice(0, 1), slice(1, -1)):
-                assert text(i, chunk) == want[chunk]
+        want = [
+            ["".join(f % v for f, v in zip(formats, step)) for step in zip(*steps)]
+            for steps in zip(*(column.tolist() for column in columns))
+        ]
+        for steps in (slice(None), slice(1, None), slice(0, 1), slice(1, -1)):
+            for i, row in enumerate(want):
+                assert text(self.row(i), steps) == row[steps]
+            assert text(self.ALL, steps) == [v for row in want for v in row[steps]]
 
     @staticmethod
     def counting(fmt: str, formatted: list):
@@ -1569,7 +1584,8 @@ class TestRowTexts:
         flags = [rows % 2 == 0, rows % 3 == 0, np.zeros((2, 6), dtype=bool)]
         text = _row_texts(flags, [",%d", ",%d", ",%d\n"])
         want = [",1,1,0\n", ",0,0,0\n", ",1,0,0\n", ",0,1,0\n", ",1,0,0\n", ",0,0,0\n"]
-        assert text(0, self.ALL) == text(1, self.ALL) == want
+        assert text(self.row(0), self.ALL) == text(self.row(1), self.ALL) == want
+        assert text(self.ALL, self.ALL) == want + want
 
     def test_an_arm_column_formats_only_the_arms_that_occur(self):
         # an arm range as wide as the K = 100,000 edge config that loads and
@@ -1583,7 +1599,7 @@ class TestRowTexts:
         text = _row_texts([column, models], formats)
         assert formatted == []
         for i, row in enumerate(column):
-            assert text(i, self.ALL) == [",%d,-1" % v for v in row.tolist()]
+            assert text(self.row(i), self.ALL) == [",%d,-1" % v for v in row.tolist()]
         assert sorted(formatted) == [-1] * 6 + [0, 0, 5, 77, arms - 1, arms - 1]
 
     def test_a_wide_run_formats_each_rows_distinct_pairs_once(self):
@@ -1596,7 +1612,7 @@ class TestRowTexts:
         text = _row_texts([arms, models], [self.counting(",%d", formatted), ",%d\n"])
         for i, pairs in enumerate([[0, 5, 999], [0, 77, 999]]):
             formatted.clear()
-            text(i, self.ALL)
+            text(self.row(i), self.ALL)
             assert sorted(formatted) == pairs
 
     def test_a_wide_int_row_without_repeats_is_formatted_in_order(self):
@@ -1604,22 +1620,22 @@ class TestRowTexts:
         models = np.array([[-1, 500, 2, 999, 2]])
         formatted = []
         text = _row_texts([arms, models], [self.counting(",%d", formatted), ",%d"])
-        assert text(0, self.ALL) == [",7,-1", ",0,500", ",999,2", ",3,999", ",500,2"]
+        assert text(self.ALL, self.ALL) == [",7,-1", ",0,500", ",999,2", ",3,999", ",500,2"]
         assert formatted == arms[0].tolist()
 
-    def test_no_table_outgrows_a_chunk(self):
-        # WRITE_ROWS + 1 arms fit a row of 2 * WRITE_ROWS steps but not a
-        # chunk: no table is built, and a chunk formats only its own codes
-        arms = np.arange(2 * WRITE_ROWS)[None] % (WRITE_ROWS + 1)
+    def test_no_table_outgrows_a_tile(self):
+        # SCORE_VALUES + 1 arms fit a row of 2 * SCORE_VALUES steps but not
+        # a tile: no table is built, and a tile formats only its own codes
+        arms = np.arange(2 * SCORE_VALUES)[None] % (SCORE_VALUES + 1)
         formatted = []
         text = _row_texts([arms], [self.counting(",%d", formatted)])
         assert formatted == []
-        assert text(0, slice(3, 6)) == [",3", ",4", ",5"]
+        assert text(self.ALL, slice(3, 6)) == [",3", ",4", ",5"]
         assert formatted == [3, 4, 5]
         self.assert_rows_formatted([arms], [",%d"])
-        # WRITE_ROWS arms fit a chunk: one table of the range
-        text = _row_texts([arms % WRITE_ROWS], [self.counting(",%d", formatted)])
-        assert len(formatted) == 3 + WRITE_ROWS
+        # SCORE_VALUES arms fit a tile: one table of the range
+        text = _row_texts([arms % SCORE_VALUES], [self.counting(",%d", formatted)])
+        assert len(formatted) == 3 + SCORE_VALUES
 
 
 class TestEquivalenceSuite:

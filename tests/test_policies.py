@@ -35,7 +35,7 @@ from linens.policies import (
     argmax_smallest_index,
 )
 
-from conftest import random_unit_ball
+from conftest import kolmogorov_pvalue, random_unit_ball
 
 ZERO = PerturbationSpec(PerturbationFamily.GAUSSIAN, 0.0)
 
@@ -603,14 +603,42 @@ class TestLazyEnsemble:
                 policy.model_theta(np.array([0, -1, 0]))
 
 
+def ks_two_sample_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """P-value of the two-sample Kolmogorov-Smirnov test that ``a`` and
+    ``b`` have one law: the largest gap between their empirical CDFs, over
+    the effective ``n1 n2 / (n1 + n2)`` (:func:`kolmogorov_pvalue`)."""
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), both, side="right") / len(a)
+    cdf_b = np.searchsorted(np.sort(b), both, side="right") / len(b)
+    return kolmogorov_pvalue(np.abs(cdf_a - cdf_b).max(), len(a) * len(b) / (len(a) + len(b)))
+
+
 class TestLinPHEHasTheReplaysLaw:
     """At a fixed history, LinPHE's fresh perturbations and the m = T
     replay's model t - 1 give estimators of one law."""
 
-    #: false-fail probability of the whole test, Bonferroni over its checks:
-    #: 3 coordinate means and 6 covariance entries for each of 5 families
+    #: false-fail probability of each test, Bonferroni over its checks: 3
+    #: coordinate means and 6 covariance entries for each of 5 families, and
+    #: one projection's law for each of the 4 non-gaussian families
     FALSE_FAIL = 1e-6
     CHECKS = 5 * (3 + 6)
+    KS_CHECKS = 4
+
+    @staticmethod
+    def replayed(family: str, steps: int, n: int, scale: float = 0.8) -> tuple:
+        """LinPHE and the m = T replay, n replications each, after one fixed
+        history of ``steps`` rows; the replay's perturbations at ``scale``."""
+        dim, lam = 3, 2.0
+        history = np.random.default_rng(2024)
+        xs = random_unit_ball(history, dim, count=steps).reshape(steps, dim)
+        ys = history.standard_normal(steps)
+        phe = LinPHE(dim, lam, PerturbationSpec(family, 0.8), list(range(n)))
+        spec = PerturbationSpec(family, scale)
+        replay = PerturbedHistoryReplay(dim, lam, spec, list(range(n, 2 * n)), steps + 1)
+        for policy in (phe, replay):
+            for x, y in zip(xs, ys):
+                policy.update(np.broadcast_to(x, (n, dim)), np.full(n, y))
+        return phe, replay
 
     @staticmethod
     def z_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -628,24 +656,33 @@ class TestLinPHEHasTheReplaysLaw:
 
     @pytest.mark.parametrize("family", PerturbationFamily.ALL)
     def test_step_ten_estimators_share_mean_and_covariance(self, family):
-        dim, lam, steps, n = 3, 2.0, 9, 20_000
         limit = NormalDist().inv_cdf(1 - self.FALSE_FAIL / self.CHECKS / 2)
         assert 5.58 < limit < 5.60
-        history = np.random.default_rng(2024)
-        xs = random_unit_ball(history, dim, count=steps).reshape(steps, dim)
-        ys = history.standard_normal(steps)
-        spec = PerturbationSpec(family, 0.8)
-        phe = LinPHE(dim, lam, spec, list(range(n)))
-        replay = PerturbedHistoryReplay(dim, lam, spec, list(range(n, 2 * n)), steps + 1)
-        for policy in (phe, replay):
-            for x, y in zip(xs, ys):
-                policy.update(np.broadcast_to(x, (n, dim)), np.full(n, y))
+        phe, replay = self.replayed(family, 9, 20_000)
         a, b = phe.estimator(), replay.estimator()
         np.testing.assert_array_equal(phe.ridge_estimate(), replay.ridge_estimate())
         z = np.concatenate(
             [self.z_scores(a, b), self.z_scores(self.centred_products(a), self.centred_products(b))]
         )
         assert np.abs(z).max() <= limit, z
+
+    #: a fixed unit direction, the x* of the projection x*^T theta
+    X_STAR = np.array([0.6, -0.48, 0.64])
+
+    @pytest.mark.parametrize(
+        "family", [f for f in PerturbationFamily.ALL if f != PerturbationFamily.GAUSSIAN]
+    )
+    def test_step_41_projections_have_one_law(self, family):
+        # a second history length, 40 rows: the whole law of the projection
+        phe, replay = self.replayed(family, 40, 20_000)
+        a, b = phe.estimator() @ self.X_STAR, replay.estimator() @ self.X_STAR
+        assert ks_two_sample_pvalue(a, b) >= self.FALSE_FAIL / self.KS_CHECKS
+
+    def test_the_projection_test_rejects_another_scale(self):
+        # not vacuous: the replay's perturbations at 1.5 times LinPHE's
+        phe, replay = self.replayed(PerturbationFamily.UNIFORM, 40, 20_000, scale=1.2)
+        a, b = phe.estimator() @ self.X_STAR, replay.estimator() @ self.X_STAR
+        assert ks_two_sample_pvalue(a, b) < 1e-12
 
 
 class TestLinUCB:
